@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NearDegenerate, PoleCollision
-from .exact_core import residue_drive
+from .exact_core import _perm_sign, residue_drive
 from .ik_engine import (
     TrigParams,
     a_fn,
@@ -271,15 +271,6 @@ def psi_top_coordinate(cfg: RowConfig, p: TrigParams) -> complex:
     return pref * total
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # multiple-integral representations (homogeneous, exact)
 # ---------------------------------------------------------------------------
@@ -296,7 +287,6 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return enumerate_Z(N, w)
     t, delta = _pole_guard(w)
     fam = family(w)
-    hpoly = fam.hns_poly(N, s)
     pref = enumerate_Z(N, w) / (w.a ** (s * (N - 1)) * w.c ** s)
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
@@ -308,9 +298,8 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
             f = f * zs[j] ** (-rs[j])
         for j in range(s):
             for k in range(j + 1, s):
-                f = f * (zs[k] - zs[j]) \
-                    / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-        return f * hpoly.eval(zs)
+                f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+        return f * fam.hns_vand(N, s, zs)
 
     specs = [(f"z{j}", Fraction(0), rs[j]) for j in range(s)]
     return pref * residue_drive(specs, build)
@@ -356,7 +345,6 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return Fraction(1)
     t, delta = _pole_guard(w)
     fam = family(w)
-    hpoly = fam.hns_poly(s, s)
     pref = enumerate_Z(s, w) * w.a ** (s * (N - s))
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
@@ -369,9 +357,8 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 * (ws[j] - 1) ** (-rs[j])
         for j in range(s):
             for k in range(j + 1, s):
-                f = f * (ws[k] - ws[j]) \
-                    / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
-        return f * hpoly.eval(ws)
+                f = f / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
+        return f * fam.hns_vand(s, s, ws)
 
     specs = [(f"w{j}", Fraction(1), rs[j]) for j in range(s)]
     return pref * residue_drive(specs, build)
@@ -388,7 +375,6 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return enumerate_Z(N, w)
     t, delta = _pole_guard(w)
     fam = family(w)
-    hpoly = fam.hns_poly(N, ns, tilde=True)
     pref = enumerate_Z(N, w) / (w.b ** (ns * (N - 1)) * w.c ** ns)
     for j in range(1, ns + 1):
         pref *= t ** (rbar[j - 1] - j)
@@ -400,9 +386,9 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
             f = f * zs[j] ** (-rbar[j])
         for j in range(ns):
             for k in range(j + 1, ns):
-                f = f * (t * t * (zs[k] - zs[j])) \
+                f = f * (t * t) \
                     / (zs[j] * zs[k] - 2 * delta * t * zs[j] + t * t)
-        return f * hpoly.eval(zs)
+        return f * fam.hns_vand(N, ns, zs, tilde=True)
 
     specs = [(f"z{j}", Fraction(0), rbar[j]) for j in range(ns)]
     return pref * residue_drive(specs, build)
@@ -424,7 +410,6 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return Fraction(1)
     t, delta = _pole_guard(w)
     fam = family(w)
-    hpoly = fam.hns_poly(ns, ns, tilde=True)
     pref = enumerate_Z(ns, w) * w.b ** (s * (N - s))
     for j in range(1, ns + 1):
         pref *= t ** (j - rbar[j - 1])
@@ -437,9 +422,8 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 * (ws[j] - 1) ** (-rbar[j])
         for j in range(ns):
             for k in range(j + 1, ns):
-                f = f * (ws[k] - ws[j]) \
-                    / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
-        return f * hpoly.eval(ws)
+                f = f / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
+        return f * fam.hns_vand(ns, ns, ws, tilde=True)
 
     specs = [(f"w{j}", Fraction(1), rbar[j]) for j in range(ns)]
     return pref * residue_drive(specs, build)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -53,10 +54,24 @@ def _emit(payload: dict, fmt: str):
             print(",".join(str(row[k]) for k in keys))
 
 
-def _parse_positions(text):
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+def _positive_rational(text):
+    """argparse type of one --weights entry: a positive 'p' or 'p/q'."""
+    try:
+        q = parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if q <= 0:
+        raise argparse.ArgumentTypeError(f"weights must be positive: {text!r}")
+    return q
+
+
+def _positions(text):
+    """argparse type of --positions: comma-separated integers, or ''."""
+    try:
+        return tuple(int(p) for p in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated integer list: {text!r}") from None
 
 
 def _weights_from_args(args):
@@ -69,17 +84,17 @@ def _weights_from_args(args):
                      "--lambdas/--nus/--eta")
     if args.weights is not None:
         from .lattice_oracle import WeightTriple
-        a, b, c = (parse_rational(x) for x in args.weights)
-        return ("exact", WeightTriple(a, b, c))
+        return ("exact", WeightTriple(*args.weights))
     if args.lam is not None:
         if args.eta is None:
             _usage_error("--lambda requires --eta")
         return ("hom", (args.lam, args.eta))
-    if args.eta is None:
-        _usage_error("--lambdas requires --eta")
+    if args.eta is None or args.nus is None:
+        _usage_error("--lambdas requires --nus and --eta")
+    if not len(args.lambdas) == len(args.nus) == args.size:
+        _usage_error("--lambdas and --nus need --size values each")
     from .ik_engine import TrigParams
-    nus = args.nus if args.nus is not None else [0.0] * len(args.lambdas)
-    return ("inhom", TrigParams(args.lambdas, nus, args.eta))
+    return ("inhom", TrigParams(args.lambdas, args.nus, args.eta))
 
 
 def _usage_error(msg):
@@ -89,7 +104,8 @@ def _usage_error(msg):
 
 def _add_weight_flags(p):
     p.add_argument("--weights", nargs=3, metavar=("A", "B", "C"),
-                   help="exact rational weights, e.g. 1 2 5/3")
+                   type=_positive_rational,
+                   help="exact positive rational weights, e.g. 1 2 5/3")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="homogeneous spectral parameter")
     p.add_argument("--lambdas", type=float, nargs="+",
@@ -132,13 +148,12 @@ def cmd_zn(args):
 def cmd_hrow(args):
     from .lattice_oracle import RowConfig, row_config_probability
     mode, w = _weights_from_args(args)
-    pos = _parse_positions(args.positions)
-    cfg = RowConfig(args.size, pos)
+    cfg = RowConfig(args.size, args.positions)
     target = (w if mode == "exact"
               else _numeric_triple(*w) if mode == "hom"
               else w.weight_matrix())
     h = row_config_probability(cfg, target, args.method)
-    return {"N": args.size, "positions": list(pos), "H": _fmt(h)}
+    return {"N": args.size, "positions": list(cfg.positions), "H": _fmt(h)}
 
 
 def cmd_efp(args):
@@ -179,7 +194,7 @@ def cmd_boundary(args):
 def cmd_psi(args):
     from .lattice_oracle import RowConfig, psi_bot, psi_top
     mode, w = _weights_from_args(args)
-    cfg = RowConfig(args.size, _parse_positions(args.positions))
+    cfg = RowConfig(args.size, args.positions)
     which, method = args.which, args.method
     if method in ("sum", "sum-dual", "coordinate"):
         if mode != "inhom":
@@ -259,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("hrow", help="row configuration probability")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--positions", required=True,
+    p.add_argument("--positions", required=True, type=_positions,
                    help="comma-separated up-arrow positions, e.g. 1,3")
     p.add_argument("--method", default="transfer",
                    choices=["transfer", "enum"])
@@ -288,7 +303,7 @@ def build_parser():
     p = sub.add_parser("psi", help="top/bottom sublattice partition function")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--which", required=True, choices=["top", "bottom"])
-    p.add_argument("--positions", required=True)
+    p.add_argument("--positions", required=True, type=_positions)
     p.add_argument("--method", default="oracle",
                    choices=["oracle", "enum", "mir", "mir-new",
                             "mir-coordinate", "mir-origin", "dual", "sum",
@@ -320,6 +335,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    max_n = os.environ.get("DWBC_MAX_N")
+    if max_n:
+        try:
+            int(max_n)
+        except ValueError:
+            _usage_error(f"DWBC_MAX_N must be an integer, got {max_n!r}")
     try:
         payload = args.func(args)
     except DwbcError as exc:

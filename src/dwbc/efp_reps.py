@@ -26,6 +26,7 @@ integral is an iterated residue evaluated over Laurent towers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,9 +39,10 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact_core import (
-    INF,
     MultiPoly,
     Series,
+    _invert,
+    _is_exact_zero,
     build_tower,
     geom_inverse,
     iterated_residue,
@@ -74,16 +76,35 @@ class EfpQuery:
         return self.r - self.s
 
 
-def u_of_z(z, t, delta):
-    """u(z) = -(z - 1)/((t^2 - 2*Delta*t) z + 1), the composed argument
-    feeding h_{s,s} in the symmetric s-fold representation."""
-    return -(z - 1) / ((t * t - 2 * delta * t) * z + 1)
+def _vand_sign(m):
+    """(-1)^(m(m-1)/2): prod over ordered pairs j != k of (z_j - z_k) is
+    this sign times the squared Vandermonde, and prod_{j<k} (z_j - z_k)
+    this sign times the Vandermonde."""
+    return -1 if (m * (m - 1) // 2) % 2 else 1
 
 
-def w_of_z_at_one(z, t, delta):
-    """(t^2 z - 2*Delta*t + 1)/(t^2 (z - 1)): argument of h_{s+n,n} in
+# Moebius maps (al, be, ga, de) of the composed h arguments, for
+# BoundaryGenFamily.hns_vand; the scalings z/t = (1, 0, 0, t) and
+# 1/(t z) = (0, 1, t, 0) are written inline.  Each has al de - be ga a
+# nonzero multiple of t or of t^2 - 2 Delta t + 1, which _pole_guard
+# keeps nonzero.
+
+def _u_map(t, delta):
+    """u(z) = -(z - 1)/((t^2 - 2 Delta t) z + 1), the composed argument
+    of h_{s,s} in the symmetric s-fold representation."""
+    return (-1, 1, t * t - 2 * delta * t, 1)
+
+
+def _w_map(t, delta):
+    """(t^2 z - 2 Delta t + 1)/(t^2 (z - 1)): argument of h_{s+n,n} in
     the n-fold representation (simple pole at z = 1)."""
-    return (t * t * z - 2 * delta * t + 1) / (t * t * (z - 1))
+    return (t * t, 1 - 2 * delta * t, t * t, -t * t)
+
+
+def _warg_map(t, delta):
+    """((2 Delta t - 1) w - t)/(t (t w - 1)): argument of h_{S,S} in the
+    origin forms of the top component."""
+    return (2 * delta * t - 1, -t, t * t, -t)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +143,10 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     N, r, s = q.N, q.r, q.s
     t, delta = _pole_guard(w)
     fam = family(w)
-    h_ns = fam.hns_poly(N, s)
     tt = t * t - 2 * delta * t
 
     if variant == "efpMIR1":
-        pref = Fraction(-1) ** s
+        pref = Fraction(-1) ** s * _vand_sign(s)
 
         def build(vs, ring):
             zs = [vs[f"z{j}"] for j in range(s)]
@@ -136,14 +156,13 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
                     * zs[j] ** (-r) * (zs[j] - 1) ** (-(s - j))
             for j in range(s):
                 for k in range(j + 1, s):
-                    f = f * (zs[j] - zs[k]) \
-                        / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-            return f * h_ns.eval(zs)
+                    f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+            return f * fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
-        pref = Fraction(-1) ** s * enumerate_Z(s, w) \
-            / (_factorial(s) * w.a ** (s * (s - 1)) * w.c ** s)
-        h_ss = fam.hns_poly(s, s)
+        pref = Fraction(-1) ** s * _vand_sign(s) * enumerate_Z(s, w) \
+            / (math.factorial(s) * w.a ** (s * (s - 1)) * w.c ** s)
+        u_map = _u_map(t, delta)
 
         def build(vs, ring):
             zs = [vs[f"z{j}"] for j in range(s)]
@@ -154,23 +173,15 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
             for j in range(s):
                 for k in range(s):
                     if j != k:
-                        f = f * (zs[k] - zs[j]) \
-                            / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-            us = [u_of_z(z, t, delta) for z in zs]
-            return f * h_ns.eval(zs) * h_ss.eval(us)
+                        f = f / (t * t * zs[j] * zs[k]
+                                 - 2 * delta * t * zs[j] + 1)
+            return f * fam.hns_vand(N, s, zs) * fam.hns_vand(s, s, zs, u_map)
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
     specs = [(f"z{j}", Fraction(0), r) for j in range(s)]
     return pref * residue_drive(specs, build)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +203,12 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     t, delta = _pole_guard(w)
     pref = (enumerate_Z(s + n, w) * enumerate_Z(N - s, w)
             * w.a ** (2 * s * (N - s - n)) * t ** (n * (n - 1))
-            / (_factorial(n) * enumerate_Z(N, w)
+            / (math.factorial(n) * enumerate_Z(N, w)
                * w.c ** n * w.a ** (n * (n - 1))))
     if n == 0:
         return pref
     fam = family(w)
-    h_bot = fam.hns_poly(N - s, n)
-    h_top = fam.hns_poly(s + n, n)
+    w_map = _w_map(t, delta)
 
     def build(vs, ring):
         zs = [vs[f"z{j}"] for j in range(n)]
@@ -208,13 +218,12 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         for j in range(n):
             for k in range(n):
                 if j != k:
-                    f = f * (zs[j] - zs[k]) \
-                        / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-        ws = [w_of_z_at_one(z, t, delta) for z in zs]
-        return f * h_bot.eval(zs) * h_top.eval(ws)
+                    f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+        return f * fam.hns_vand(N - s, n, zs) \
+            * fam.hns_vand(s + n, n, zs, w_map)
 
     specs = [(f"z{j}", Fraction(1), s + n) for j in range(n)]
-    return pref * residue_drive(specs, build)
+    return pref * _vand_sign(n) * residue_drive(specs, build)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ def psi_top_mir_origin(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return Fraction(1)
     t, delta = _pole_guard(w)
     fam = family(w)
-    h_ss = fam.hns_poly(S, S)
+    warg = _warg_map(t, delta)
 
     def build(vs, ring):
         ws = [vs[f"w{j}"] for j in range(S)]
@@ -244,24 +253,22 @@ def psi_top_mir_origin(cfg: RowConfig, w: WeightTriple) -> Fraction:
             f = f / (ws[j] ** rs[j] * (1 - t * ws[j]))
         for j in range(S):
             for k in range(j + 1, S):
-                f = f * (ws[k] - ws[j]) \
-                    / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        args = [((2 * delta * t - 1) * x - t) / (t * (t * x - 1)) for x in ws]
-        return f * h_ss.eval(args)
+                f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+        return f * fam.hns_vand(S, S, ws, warg)
 
     pref = enumerate_Z(S, w) * w.a ** (S * (N - S))
     specs = [(f"w{j}", Fraction(0), rs[j]) for j in range(S)]
     return pref * residue_drive(specs, build)
 
 
-def _psi_top_frozen_mir(N, s, ls, w, fam, warg):
+def _psi_top_frozen_mir(N, s, ls, w, fam):
     """n-fold origin form of psi_top(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     t, delta = _pole_guard(w)
-    h_top = fam.hns_poly(s + n, n)
     pref = enumerate_Z(s + n, w) * w.a ** ((s + n) * (N - s - n))
     if n == 0:
-        return pref * (Fraction(1) if s == 0 else h_top.eval([]))
+        return pref
+    warg = _warg_map(t, delta)
 
     def build(vs, ring):
         ws = [vs[f"w{j}"] for j in range(n)]
@@ -270,9 +277,8 @@ def _psi_top_frozen_mir(N, s, ls, w, fam, warg):
             f = f / (ws[j] ** ls[j] * (1 - t * ws[j]))
         for j in range(n):
             for k in range(j + 1, n):
-                f = f * (ws[k] - ws[j]) \
-                    / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        return f * h_top.eval([warg(x) for x in ws])
+                f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+        return f * fam.hns_vand(s + n, n, ws, warg)
 
     specs = [(f"w{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build)
@@ -282,7 +288,6 @@ def _psi_bot_frozen_mir(N, s, ls, w, fam):
     """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     t, delta = _pole_guard(w)
-    h_bot_scaled = _scaled_poly(fam.hns_poly(N - s, n), 1 / t)
     pref = enumerate_Z(N - s, w) * w.a ** (s * (N - s)) \
         / (w.c ** n * w.a ** (n * (N - 1)))
     if n == 0:
@@ -295,9 +300,8 @@ def _psi_bot_frozen_mir(N, s, ls, w, fam):
             f = f * zs[j] ** (-ls[j])
         for j in range(n):
             for k in range(j + 1, n):
-                f = f * (zs[k] - zs[j]) \
-                    / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
-        return f * h_bot_scaled.eval(zs)
+                f = f / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
+        return f * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
 
     specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build)
@@ -328,17 +332,19 @@ def _trace_sfold_chain(q, w, record):
     N, r, s = q.N, q.r, q.s
     t, delta = _pole_guard(w)
     fam = family(w)
-    h_ns_scaled = _scaled_poly(fam.hns_poly(N, s), 1 / t)  # h_{N,s}(x/t)
     P = cantini_P_poly(s, delta)
     inv_t = 1 / t
 
     # shared x/y integrand pieces -------------------------------------
+    def hx(xs):
+        """h_{N,s}(x/t) times the Vandermonde of the x's."""
+        return fam.hns_vand(N, s, xs, (1, 0, 0, t))
+
     def cross_xy(xs, ys, f):
         for j in range(s):
             for k in range(j + 1, s):
                 f = f * (ys[k] - ys[j]) \
                     * (ys[j] * ys[k] - 2 * delta * ys[k] + 1) \
-                    * (xs[k] - xs[j]) \
                     / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
         return f
 
@@ -352,7 +358,7 @@ def _trace_sfold_chain(q, w, record):
         for j in range(s):
             f = f / (ys[j] ** (s - 1) * (t * ys[j] - 1) ** s)
         f = cross_xy(xs, ys, f)
-        f = f * h_ns_scaled.eval(xs)
+        f = f * hx(xs)
         msum = ring.const(0)
         for pos in combinations(range(1, r + 1), s):
             term = ring.const(1)
@@ -376,7 +382,7 @@ def _trace_sfold_chain(q, w, record):
                 prodxy = prodxy * xs[l] * ys[l]
             f = f * geom_inverse(prodxy, ring)
         f = cross_xy(xs, ys, f)
-        return f * h_ns_scaled.eval(xs)
+        return f * hx(xs)
 
     record("double-contour-extended", residue_drive(specs, build_double2))
 
@@ -388,7 +394,7 @@ def _trace_sfold_chain(q, w, record):
             f = f / (xs[j] ** r * (t * ys[j] - 1) ** s * ys[j] ** (r + s - 1))
         for j in range(s):
             for k in range(j + 1, s):
-                f = f * (xs[k] - xs[j]) ** 2 * (ys[k] - ys[j]) ** 2
+                f = f * (xs[k] - xs[j]) * (ys[k] - ys[j]) ** 2
         for j in range(s):
             for k in range(s):
                 if j != k:
@@ -398,31 +404,35 @@ def _trace_sfold_chain(q, w, record):
         for j in range(s):
             for k in range(s):
                 f = f / (1 - xs[j] * ys[k])
-        return f * h_ns_scaled.eval(xs)
+        return f * hx(xs)
 
     record("double-contour-symmetrized",
-           Fraction(1, _factorial(s) ** 2) * residue_drive(specs, build_double3))
+           Fraction(1, math.factorial(s) ** 2)
+           * residue_drive(specs, build_double3))
 
     def build_recovered(vs, ring):
         xs = [vs[f"x{j}"] for j in range(s)]
         f = ring.const(1)
         for j in range(s):
             f = f / xs[j] ** r
+        # prod_{j != k} (x_j - x_k): the sign (applied below) times two
+        # Vandermondes, one of them inside hx
         for j in range(s):
             for k in range(s):
+                if k > j:
+                    f = f * (xs[k] - xs[j])
                 if j != k:
-                    f = f * (xs[j] - xs[k]) \
-                        / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+                    f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
         # W_s(x; 1/t..1/t) through P_s (the det/Vandermonde form would
         # need distinct second arguments)
         f = f * P.eval(xs + [ring.const(inv_t)] * s)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
-        return f * h_ns_scaled.eval(xs)
+        return f * hx(xs)
 
     xspecs = [(f"x{j}", Fraction(0), r) for j in range(s)]
     record("sfold-recovered",
-           t ** (s * (r - 1)) / Fraction(_factorial(s))
+           _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
            * residue_drive(xspecs, build_recovered))
 
     record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))
@@ -445,11 +455,15 @@ def _trace_nfold_chain(q, w, record):
         record("nfold-final", efp_mir_n(q, w))
         return
 
-    h_top = fam.hns_poly(s + n, n)          # h_{s+n,n}
-    h_bot_scaled = _scaled_poly(fam.hns_poly(N - s, n), 1 / t)
+    warg = _warg_map(t, delta)
 
-    def warg(wj):
-        return ((2 * delta * t - 1) * wj - t) / (t * (t * wj - 1))
+    def h_top(ws):
+        """h_{s+n,n}(warg(w)) times the Vandermonde of the w's."""
+        return fam.hns_vand(s + n, n, ws, warg)
+
+    def h_bot(zs, mobius=(1, 0, 0, t)):
+        """h_{N-s,n}(z/t) times the Vandermonde of the z's."""
+        return fam.hns_vand(N - s, n, zs, mobius)
 
     # psi-level sub-checks: the (s+n)-fold origin form and the n-fold
     # forms left after integrating out the frozen positions 1..s
@@ -460,7 +474,7 @@ def _trace_nfold_chain(q, w, record):
         want = _psi_top_oracle(cfg, w)
         if got != want:
             raise ChainBreak(f"top-origin-form{cfg.positions}", got, want)
-        got = _psi_top_frozen_mir(N, s, ls, w, fam, warg)
+        got = _psi_top_frozen_mir(N, s, ls, w, fam)
         if got != want:
             raise ChainBreak(f"top-frozen-form{cfg.positions}", got, want)
         got = _psi_bot_frozen_mir(N, s, ls, w, fam)
@@ -473,12 +487,18 @@ def _trace_nfold_chain(q, w, record):
              + [(f"z{j}", Fraction(0), N - s) for j in range(n)])
 
     def cross_wz(ws, zs, f, ordered):
-        rng = ((j, k) for j in range(n) for k in range(n)
-               if (j != k if ordered else k > j))
-        for j, k in rng:
-            f = f * (ws[k] - ws[j]) * (zs[k] - zs[j]) \
-                / ((ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-                   * (zs[j] * zs[k] - 2 * delta * zs[j] + 1))
+        """Divide by the pair factors over k > j, or over all j != k when
+        `ordered`.  The ordered integrand also carries prod_{j != k}
+        (w_k - w_j)(z_k - z_j), both Vandermondes squared (the signs
+        cancel); h_top and h_bot hold one copy each, so only the other
+        is multiplied in here."""
+        for j in range(n):
+            for k in range(n):
+                if ordered and k > j:
+                    f = f * (ws[k] - ws[j]) * (zs[k] - zs[j])
+                if k > j or (ordered and j != k):
+                    f = f / ((ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+                             * (zs[j] * zs[k] - 2 * delta * zs[j] + 1))
         return f
 
     def build_extended(vs, ring):
@@ -493,7 +513,7 @@ def _trace_nfold_chain(q, w, record):
                 prodwz = prodwz * ws[l] * zs[l]
             f = f * geom_inverse(prodwz, ring)
         f = cross_wz(ws, zs, f, ordered=False)
-        return f * h_top.eval([warg(x) for x in ws]) * h_bot_scaled.eval(zs)
+        return f * h_top(ws) * h_bot(zs)
 
     record("nfold-extended", pref * residue_drive(specs, build_extended))
 
@@ -509,13 +529,15 @@ def _trace_nfold_chain(q, w, record):
         for j in range(n):
             for k in range(n):
                 f = f / (1 - ws[j] * zs[k])
-        return f * h_top.eval([warg(x) for x in ws]) * h_bot_scaled.eval(zs)
+        return f * h_top(ws) * h_bot(zs)
 
     record("nfold-symmetrized",
-           pref / _factorial(n) ** 2 * residue_drive(specs, build_symmetrized))
+           pref / math.factorial(n) ** 2
+           * residue_drive(specs, build_symmetrized))
 
     # z-contours flipped onto the poles at 1/w_l -----------------------
-    record("nfold-flipped", pref / _factorial(n) ** 2 * _flipped_contour_value(q, w))
+    record("nfold-flipped",
+           pref / math.factorial(n) ** 2 * _flipped_contour_value(q, w))
 
     # after the symmetric-function integration -------------------------
     def build_integrated(vs, ring):
@@ -523,19 +545,20 @@ def _trace_nfold_chain(q, w, record):
         f = ring.const(1)
         for j in range(n):
             f = f * ws[j] ** (n - 2) / (1 - t * ws[j])
+        # prod_{j != k} (w_k - w_j): the sign (applied below) times the
+        # two Vandermondes that h_top and h_bot carry
         for j in range(n):
             for k in range(n):
                 if j != k:
-                    f = f * (ws[k] - ws[j]) \
-                        / (ws[j] * ws[k] - 2 * delta * ws[j] + 1) ** 2
+                    f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1) ** 2
         f = f * cantini_P_poly(n, delta).eval(ws + [1 / x for x in ws])
-        # h_bot_scaled(z) = h_{N-s,n}(z/t), so 1/w_j feeds h at 1/(t w_j)
-        return f * h_top.eval([warg(x) for x in ws]) \
-            * h_bot_scaled.eval([1 / x for x in ws])
+        # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
+        return f * h_top(ws) * h_bot(ws, (0, 1, t, 0))
 
     wspecs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
     record("nfold-integrated",
-           pref / _factorial(n) * residue_drive(wspecs, build_integrated))
+           pref * _vand_sign(n) / math.factorial(n)
+           * residue_drive(wspecs, build_integrated))
 
     record("nfold-final", efp_mir_n(q, w))
 
@@ -555,7 +578,6 @@ def _flipped_contour_value(q, w) -> Fraction:
     N, s, n = q.N, q.s, q.n
     t, delta = _pole_guard(w)
     fam = family(w)
-    h_top = fam.hns_poly(s + n, n)
     h_bot_scaled = _scaled_poly(fam.hns_poly(N - s, n), 1 / t)
 
     prec = (N - s) + n + 3
@@ -563,19 +585,18 @@ def _flipped_contour_value(q, w) -> Fraction:
         ring, atoms = build_tower([(f"w{j}", prec) for j in range(n)])
         ws = [atoms[f"w{j}"] for j in range(n)]
 
-        def warg(wj):
-            return ((2 * delta * t - 1) * wj - t) / (t * (t * wj - 1))
-
-        # w-only prefactor of the integrand
-        base = ring.const(1)
+        # w-only prefactor of the integrand; prod_{j != k} (w_k - w_j) is
+        # the sign times the Vandermonde here and the one in hns_vand
+        base = ring.const(_vand_sign(n))
         for j in range(n):
             base = base / ((1 - t * ws[j]) * ws[j] ** (N - s))
         for j in range(n):
             for k in range(n):
+                if k > j:
+                    base = base * (ws[k] - ws[j])
                 if j != k:
-                    base = base * (ws[k] - ws[j]) \
-                        / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        base = base * h_top.eval([warg(x) for x in ws])
+                    base = base / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+        base = base * fam.hns_vand(s + n, n, ws, _warg_map(t, delta))
 
         # z-dependent factors: polynomial atoms over the w-ring plus the
         # pole-carrying linear factors (1 - w_l z_k)
@@ -644,7 +665,7 @@ def _iterated_simple_poles(factors, ring, nvars):
             else:
                 raise ZeroDenominator("unsubstituted linear factor survived")
             out = out * (_ring_pow(val, f[2]) if f[2] >= 0
-                         else _ring_pow(_ring_inv(val), -f[2]))
+                         else _ring_pow(_invert(val), -f[2]))
         return out
 
     k = nvars - 1
@@ -655,7 +676,7 @@ def _iterated_simple_poles(factors, ring, nvars):
         _, _, coef, const, exp, _ = f
         if exp != -1:
             raise OrderExceeded("pole candidates must be simple")
-        coef_inv = _ring_inv(coef)
+        coef_inv = _invert(coef)
         pole = -(const * coef_inv)
         rest = []
         dead = False
@@ -664,7 +685,7 @@ def _iterated_simple_poles(factors, ring, nvars):
                 continue
             if g[0] == "lin" and g[1] == k:
                 val = g[2] * pole + g[3]
-                if _ring_zero(val):
+                if _is_exact_zero(val):
                     if g[4] > 0:
                         dead = True
                         break
@@ -674,7 +695,7 @@ def _iterated_simple_poles(factors, ring, nvars):
                 p2 = g[1].substitute(k, pole)
                 if p2.nvars == 0:
                     val = p2.eval([])
-                    if _ring_zero(val):
+                    if _is_exact_zero(val):
                         if g[2] > 0:
                             dead = True
                             break
@@ -696,23 +717,12 @@ def _iterated_simple_poles(factors, ring, nvars):
     return ring.const(0) if total is None else total
 
 
-def _ring_zero(v):
-    if isinstance(v, Series):
-        return not v.coeffs and v.err == INF
-    return v == 0
-
-
 def _ring_pow(v, e):
     out = 1
     for _ in range(e):
         out = out * v
     return out
 
-
-def _ring_inv(v):
-    if isinstance(v, Series):
-        return v.inverse()
-    return 1 / v
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,

@@ -13,21 +13,12 @@ class OrderExceeded(DwbcError):
     """A pole order exceeded its stated bound during residue extraction."""
 
 
-class OutOfRange(DwbcError):
-    """A requested coefficient lies outside the tracked exponent window."""
-
-
 class PrecisionLoss(DwbcError):
     """A truncated-series operation consumed the available window.
 
     Internal: adaptive drivers catch this and rebuild the series tower
     with a wider window.
     """
-
-
-class NonRationalDescriptor(DwbcError):
-    """A series/residue driver was handed something that is not a
-    rational-function descriptor."""
 
 
 class SizeLimit(DwbcError):

@@ -21,6 +21,10 @@ The nesting order also disambiguates iterated contours around
 variable-dependent poles: a factor 1/(w_l - w_j) expands in powers of
 w_j/w_l exactly when w_j sits above w_l in the tower, i.e. when the
 w_j contour is the smaller (inner) one.
+
+`residue_drive` is the one residue path: the caller's `build` function
+returns the integrand as a tower element, and `residue_drive` extracts
+the iterated residue, widening the windows when they run out.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import (
-    NonRationalDescriptor,
-    OrderExceeded,
-    OutOfRange,
-    PrecisionLoss,
-    ZeroDenominator,
-)
+from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 
 INF = math.inf
 
@@ -177,10 +175,7 @@ class ExactPoly:
         """Horner evaluation; x may be any Fraction-compatible ring element."""
         if not self.coeffs:
             return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     __call__ = eval
 
@@ -197,6 +192,15 @@ class ExactPoly:
     @classmethod
     def from_json(cls, s: str) -> "ExactPoly":
         return cls([parse_rational(c) for c in json.loads(s)])
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k for a nonempty ascending coefficient list; x
+    may be any ring element that accepts the coefficients."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -570,256 +574,6 @@ def iterated_residue(elem, order_bounds=None):
     return x
 
 
-# ---------------------------------------------------------------------------
-# rational-function descriptors
-# ---------------------------------------------------------------------------
-
-class RatExpr:
-    """Expression tree for multivariate rational functions.
-
-    Nodes are built with ordinary operators from `rf_var` / `rf_const`
-    leaves (plus `rf_poly` for a univariate polynomial applied to a
-    subexpression).  Only +, -, *, /, integer powers and polynomial
-    leaves exist, so every descriptor is rational by construction;
-    anything else is rejected up front, which is what rules out
-    essential singularities.
-    """
-
-    def __add__(self, o):
-        return _Node("add", self, _coerce_expr(o))
-
-    def __radd__(self, o):
-        return _Node("add", _coerce_expr(o), self)
-
-    def __sub__(self, o):
-        return _Node("add", self, _Node("neg", _coerce_expr(o)))
-
-    def __rsub__(self, o):
-        return _Node("add", _coerce_expr(o), _Node("neg", self))
-
-    def __neg__(self):
-        return _Node("neg", self)
-
-    def __mul__(self, o):
-        return _Node("mul", self, _coerce_expr(o))
-
-    def __rmul__(self, o):
-        return _Node("mul", _coerce_expr(o), self)
-
-    def __truediv__(self, o):
-        return _Node("div", self, _coerce_expr(o))
-
-    def __rtruediv__(self, o):
-        return _Node("div", _coerce_expr(o), self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise NonRationalDescriptor("only integer powers are rational")
-        return _Node("pow", self, n)
-
-
-class _Var(RatExpr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
-class _Const(RatExpr):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = as_fraction(value)
-
-
-class _Poly(RatExpr):
-    __slots__ = ("poly", "arg")
-
-    def __init__(self, poly, arg):
-        self.poly = poly
-        self.arg = arg
-
-
-class _Node(RatExpr):
-    __slots__ = ("op", "args")
-
-    def __init__(self, op, *args):
-        self.op = op
-        self.args = args
-
-
-def _coerce_expr(v):
-    if isinstance(v, RatExpr):
-        return v
-    if isinstance(v, (int, Fraction, str)):
-        return _Const(v)
-    raise NonRationalDescriptor(f"cannot use {type(v).__name__} in a rational descriptor")
-
-
-def rf_var(name: str) -> RatExpr:
-    return _Var(name)
-
-
-def rf_const(v) -> RatExpr:
-    return _Const(v)
-
-
-def rf_poly(poly: ExactPoly, arg: RatExpr) -> RatExpr:
-    return _Poly(poly, _coerce_expr(arg))
-
-
-def eval_expr(expr, env, ring):
-    """Evaluate a descriptor with variables bound to ring elements."""
-    if isinstance(expr, _Const):
-        return ring.const(expr.value)
-    if isinstance(expr, _Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise NonRationalDescriptor(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, _Poly):
-        return expr.poly.eval(eval_expr(expr.arg, env, ring))
-    if isinstance(expr, _Node):
-        if expr.op == "neg":
-            return -eval_expr(expr.args[0], env, ring)
-        if expr.op == "pow":
-            return eval_expr(expr.args[0], env, ring) ** expr.args[1]
-        a = eval_expr(expr.args[0], env, ring)
-        b = eval_expr(expr.args[1], env, ring)
-        if expr.op == "add":
-            return a + b
-        if expr.op == "mul":
-            return a * b
-        if expr.op == "div":
-            return a / b
-    raise NonRationalDescriptor(f"not a rational descriptor: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# public Laurent record and the expansion/extraction operations
-# ---------------------------------------------------------------------------
-
-class ExactLaurent:
-    """Finite truncated Laurent expansion with exact coefficients.
-
-    Lowest exponent `lo` and the dense coefficient list for exponents
-    lo..hi; the truncation order hi is explicit and arithmetic never
-    exceeds it (results carry the tightest valid window).  A
-    multiplicative inverse exists iff the coefficient at the lowest
-    exponent is nonzero, and shifts `lo` accordingly.
-    """
-
-    __slots__ = ("lo", "coeffs")
-
-    def __init__(self, lo, coeffs):
-        self.lo = lo
-        self.coeffs = [as_fraction(c) for c in coeffs]
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (self.lo, self.coeffs) == (other.lo, other.coeffs)
-
-    def __repr__(self):
-        return f"ExactLaurent(lo={self.lo}, {[format_rational(c) for c in self.coeffs]})"
-
-    # arithmetic rides on the series engine with explicit windows
-
-    def _series(self, ring):
-        return Series(ring, self.lo, list(self.coeffs), self.hi + 1)
-
-    @staticmethod
-    def _from_series(val, lo, hi):
-        if val.err <= hi:
-            raise PrecisionLoss(f"window shrank below hi={hi}")
-        return ExactLaurent(lo, [val.coefficient(k) for k in range(lo, hi + 1)])
-
-    def _binary(self, other, op):
-        ring = SeriesRing(RATIONALS, "x", max(len(self.coeffs),
-                                              len(other.coeffs)) + 1)
-        val = op(self._series(ring), other._series(ring))
-        lo = min(val.min_exp, val.err - 1)
-        if lo == INF:
-            lo = 0
-        return self._from_series(val, int(lo), val.err - 1)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def inverse(self) -> "ExactLaurent":
-        if not self.coeffs or self.coeffs[0] == 0:
-            raise ZeroDenominator(
-                "inverse needs a nonzero coefficient at the lowest exponent")
-        ring = SeriesRing(RATIONALS, "x", len(self.coeffs))
-        val = self._series(ring).inverse()
-        return self._from_series(val, -self.lo, val.err - 1)
-
-
-def coefficient_of(series: ExactLaurent, k: int) -> Fraction:
-    """Coefficient at exponent k of a truncated expansion."""
-    if k < series.lo or k > series.hi:
-        raise OutOfRange(f"exponent {k} outside [{series.lo}, {series.hi}]")
-    return series.coeffs[k - series.lo]
-
-
-def series_expand(f: RatExpr, center, lo: int, hi: int, var: str = "z") -> ExactLaurent:
-    """Laurent-expand a univariate rational descriptor about `center`.
-
-    Exact coefficients for exponents lo..hi.  Raises ZeroDenominator for
-    an identically zero denominator, OrderExceeded if f has a pole
-    deeper than `lo` at the center.
-    """
-    if hi < lo:
-        raise ValueError("hi < lo")
-    center = as_fraction(center)
-    prec = hi - lo + 2
-    for attempt in range(6):
-        ring = SeriesRing(RATIONALS, var, prec)
-        eps = ring.gen()
-        try:
-            val = eval_expr(f, {var: ring.const(center) + eps}, ring)
-            if val.coeffs and val.lo < lo:
-                raise OrderExceeded(
-                    f"expansion has nonzero coefficient at {var}^{val.lo} < {lo}"
-                )
-            return ExactLaurent(lo, [val.coefficient(k) for k in range(lo, hi + 1)])
-        except PrecisionLoss:
-            prec *= 2
-    raise PrecisionLoss(f"series_expand did not stabilize at prec={prec}")
-
-
-def joint_residue(f: RatExpr, variables, centers, orders) -> Fraction:
-    """Iterated residue of a multivariate rational descriptor.
-
-    `variables`, `centers`, `orders` align; the residue is taken one
-    variable at a time, innermost (= last-listed) variable first.  The
-    result is independent of the stated order bounds as long as they are
-    sufficient; an actual pole order above its bound raises
-    OrderExceeded.
-    """
-    if not (len(variables) == len(centers) == len(orders)):
-        raise ValueError("variables/centers/orders must align")
-    # last-listed integrates first -> sits at the top of the tower
-    names = list(reversed(list(variables)))
-    cents = list(reversed([as_fraction(c) for c in centers]))
-    bounds = list(reversed(list(orders)))
-    precs = [max(2, b + 2) for b in bounds]
-    for attempt in range(6):
-        ring, atoms = build_tower(list(zip(names, precs)))
-        env = {nm: atoms[nm] + cents[i] for i, nm in enumerate(names)}
-        try:
-            val = eval_expr(f, env, ring)
-            return iterated_residue(val, order_bounds=bounds)
-        except PrecisionLoss:
-            precs = [2 * p for p in precs]
-    raise PrecisionLoss(f"joint_residue did not stabilize at precs={precs}")
-
-
 def geom_inverse(u, ring):
     """(1 - u)^(-1) for an element u of positive top-level valuation,
     via the geometric sum.
@@ -1062,3 +816,13 @@ def poly_det(matrix):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def _perm_sign(perm):
+    """Sign of a permutation of 0..n-1, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign

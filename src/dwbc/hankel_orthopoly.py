@@ -40,7 +40,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateHankel, TruncationInsufficient
-from .exact_core import COMPLEXES, build_tower
+from .exact_core import COMPLEXES, _horner, _perm_sign, build_tower
 from .ik_engine import NumericTriple, homogeneous_abc, phi_derivatives
 from .lattice_oracle import RowConfig, enumerate_Z
 from .efp_reps import EfpQuery
@@ -208,15 +208,6 @@ def apply_K_determinant(rows, tensor, nvars, order):
     return total
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # the key identity
 # ---------------------------------------------------------------------------
@@ -232,7 +223,7 @@ def verify_claim(N, lam, eta, f_coeffs) -> float:
     order = N - 1
     ring, atoms = taylor_tower(1, order)
     om = omega_taylor(atoms["e0"], lam, eta, order)
-    fe = _poly_at(f_coeffs, om, ring)
+    fe = ring.const(_horner(f_coeffs, om))
     tensor = taylor_coefficients(fe, 1, order)
     lhs = apply_K_determinant([fam.K_coeffs(N - 1)], tensor, 1, order)
 
@@ -263,13 +254,6 @@ def _convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _poly_at(coeffs, x, ring):
-    acc = ring.const(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + ring.const(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

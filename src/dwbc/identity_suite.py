@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
-from .exact_core import format_rational, poly_det
+from .bethe_reps import _nested_exclusion
+from .exact_core import _perm_sign, format_rational, poly_det
 from .ik_engine import (
     TrigParams,
     a_fn,
@@ -82,15 +83,6 @@ def _finish(case: IdentityCase):
         case.residual = abs(case.lhs - case.rhs) / denom
         case.ok = case.residual <= NUMERIC_TOL
     return case
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +433,6 @@ def check_bigid(s, rs, lams, nus, eta) -> IdentityCase:
         rhs += term
     case.lhs, case.rhs = lhs, rhs
     return _finish(case)
-
-
-def _nested_exclusion(rs):
-    out = []
-    s = len(rs)
-
-    def rec(j, chosen):
-        if j == s:
-            out.append(tuple(chosen))
-            return
-        for alpha in range(1, rs[j] + 1):
-            if alpha not in chosen:
-                chosen.append(alpha)
-                rec(j + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return out
 
 
 def check_c4(s, lams, nus, eta) -> IdentityCase:

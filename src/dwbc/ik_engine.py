@@ -15,11 +15,15 @@ lose every digit well before the 2N-2 orders the formula needs.
 The same module owns the generating-polynomial family h_M(z) of the
 one-point boundary correlation and its multivariate extension
 h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
-defined by a Vandermonde-divided determinant.  Two forms are provided:
-evaluation at pairwise distinct points (plain determinant) and an exact
-polynomial form in which the Vandermonde is divided out symbolically by
-divided differences, needed wherever arguments collide (residues at
-z = 1 substitute coincident rational functions for the points).
+defined by a Vandermonde-divided determinant.  Three forms are
+provided.  The determinant form `hns_vand` returns h_{N,s}(M(z)) times
+the Vandermonde of the z's, for a Moebius map M of the arguments: the
+Vandermonde cancels, so it needs no division, takes coincident points
+and Laurent-tower elements, and is what every residue integrand (which
+carries that Vandermonde itself) multiplies in.  `hns_value` divides it
+by the Vandermonde at pairwise distinct points.  `hns_poly` divides the
+Vandermonde out symbolically by divided differences, for the few places
+that need h_{N,s} as a polynomial.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
@@ -235,15 +239,71 @@ class BoundaryGenFamily:
         cs = cs + [Fraction(0) if self.exact else 0j] * (M - len(cs))
         return cs[::-1]
 
-    # -- evaluation form ----------------------------------------------
+    # -- determinant form ----------------------------------------------
+
+    def hns_vand(self, N: int, s: int, zs, mobius=(1, 0, 0, 1), tilde=False):
+        """h_{N,s}(M(z_1)..M(z_s)) * prod_{j<k} (z_k - z_j) for the Moebius
+        map M(z) = (al z + be)/(ga z + de), mobius = (al, be, ga, de).
+
+        M(z_k) - M(z_j) = (al de - be ga)(z_k - z_j)/((ga z_k + de)(ga z_j
+        + de)), so the Vandermonde cancels and the value is
+
+            det[g_i(M(z_j))] prod_j (ga z_j + de)^(s-1)
+                / (al de - be ga)^(s(s-1)/2).
+
+        Column j is evaluated as G_i(z_j) = g_i(M(z_j)) (ga z_j + de)^D,
+        D = N+s-2 the top degree of the g_i, an exact polynomial in z_j;
+        only (ga z_j + de)^(-(N-1)) is left to invert.  Nothing is divided
+        by a Vandermonde, so the z_j may coincide and may be Laurent-tower
+        elements.
+        """
+        zs = list(zs)
+        if len(zs) != s:
+            raise ValueError("need s evaluation points")
+        al, be, ga, de = mobius
+        det_m = al * de - be * ga
+        if det_m == 0:
+            raise ValueError("degenerate Moebius map")
+        one = Fraction(1) if self.exact else 1 + 0j
+        if s == 0:
+            return one
+        rows = [self._row_coeffs(N, s, i, tilde) for i in range(1, s + 1)]
+        top = N + s - 2
+        cols, inv_dens = [], []
+        for z in zs:
+            num = z if (al, be) == (1, 0) else al * z + be
+            nums = [one, num]
+            for _ in range(top - 1):
+                nums.append(nums[-1] * num)
+            if ga == 0 and de == 1:
+                basis = nums
+            else:
+                den = ga * z + de if ga else de
+                dens = [one, den]
+                for _ in range(top - 1):
+                    dens.append(dens[-1] * den)
+                basis = [nums[k] * dens[top - k] for k in range(top + 1)]
+                if ga:
+                    inv_dens.append((one / den) ** (N - 1))
+            col = []
+            for cs in rows:
+                terms = [cf * basis[k] for k, cf in enumerate(cs) if cf != 0]
+                col.append(sum(terms[1:], terms[0]))
+            cols.append(col)
+        val = poly_det([[col[i] for col in cols] for i in range(s)])
+        for inv in inv_dens:
+            val = val * inv
+        scale = det_m ** (s * (s - 1) // 2)
+        if ga == 0:
+            scale = scale * de ** (s * (N - 1))
+        return val if scale == 1 else val * (one / scale)
 
     def hns_value(self, N: int, s: int, points, tilde=False):
         """h_{N,s}(z_1..z_s) at pairwise distinct points."""
         pts = list(points)
         if len(pts) != s:
             raise ValueError("need s evaluation points")
-        if s == 0:
-            return Fraction(1) if self.exact else 1 + 0j
+        van = 1
         for i in range(s):
             for j in range(i + 1, s):
                 if pts[i] == pts[j] or (
@@ -251,16 +311,8 @@ class BoundaryGenFamily:
                 ):
                     raise DegeneratePoints(
                         "coincident points: use the polynomial form")
-        rows = []
-        for i in range(1, s + 1):
-            cs = self._row_coeffs(N, s, i, tilde)
-            rows.append([_horner(cs, z) for z in pts])
-        det = poly_det(rows)
-        van = 1
-        for j in range(s):
-            for k in range(j + 1, s):
-                van = van * (pts[k] - pts[j])
-        return det / van
+                van = van * (pts[j] - pts[i])
+        return self.hns_vand(N, s, pts, tilde=tilde) / van
 
     # -- exact polynomial form -----------------------------------------
 
@@ -306,13 +358,6 @@ class BoundaryGenFamily:
         return out
 
 
-def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 @lru_cache(maxsize=None)
 def family(w) -> BoundaryGenFamily:
     """Memoized family for hashable (exact) weights."""
@@ -323,9 +368,6 @@ def build_hNs(N: int, s: int, w: WeightTriple, points):
     """Evaluate h_{N,s} at pairwise distinct exact points."""
     return family(w).hns_value(N, s, [as_fraction(p) for p in points])
 
-
-def build_hNs_poly(N: int, s: int, w: WeightTriple) -> MultiPoly:
-    return family(w).hns_poly(N, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dwbc
 from dwbc.cli import main
 
 
@@ -118,15 +120,46 @@ class TestContracts:
         code = main(["zn", "--size", "99", "--weights", "1", "1", "1"])
         assert code == 1
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["zn", "--size", "3"])
         assert exc.value.code == 2
+        # malformed values: exit 2 with a usage message, never a traceback
+        malformed = [
+            (["zn", "--size", "4", "--weights", "1", "0", "1"], None),
+            (["zn", "--size", "4", "--weights", "1", "1/0", "1"], None),
+            (["hrow", "--size", "4", "--positions", "1,a",
+              "--weights", "1", "1", "1"], None),
+            (["zn", "--size", "3", "--weights", "1", "1", "1"], "abc"),
+            (["psi", "--size", "3", "--which", "bottom", "--positions",
+              "1,3", "--lambdas", "0.3", "0.8", "1.2", "--eta", "0.35",
+              "--method", "sum"], None),
+            (["zn", "--size", "3", "--lambdas", "0.3", "0.8", "1.2",
+              "--nus", "0.1", "0.25", "--eta", "0.35"], None),
+            (["zn", "--size", "4", "--lambdas", "0.3", "0.8", "1.2",
+              "--nus", "0.1", "0.25", "0.4", "--eta", "0.35"], None),
+        ]
+        for args, max_n in malformed:
+            capsys.readouterr()
+            if max_n is None:
+                monkeypatch.delenv("DWBC_MAX_N", raising=False)
+            else:
+                monkeypatch.setenv("DWBC_MAX_N", max_n)
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, args
+            assert "Traceback" not in err and err.strip(), args
 
     def test_console_script(self):
+        # the child imports the same dwbc as this process
+        root = os.path.dirname(os.path.dirname(dwbc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "dwbc.cli", "zn", "--size", "1",
              "--weights", "2", "3", "7"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["Z"] == "7"

@@ -3,23 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from dwbc.errors import OrderExceeded, OutOfRange, ZeroDenominator
+from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
-    ExactLaurent,
+    RATIONALS,
     ExactPoly,
     MultiPoly,
+    Series,
+    SeriesRing,
     build_tower,
-    coefficient_of,
     complete_homogeneous,
     format_rational,
     geom_inverse,
-    joint_residue,
     parse_rational,
     poly_det,
-    rf_const,
-    rf_poly,
-    rf_var,
-    series_expand,
+    residue_drive,
 )
 
 
@@ -36,119 +33,146 @@ class TestScalars:
 
 
 class TestSeriesExpand:
+    """Univariate Laurent expansions about a center on a one-level tower."""
+
     def test_geometric(self):
-        z = rf_var("z")
-        s = series_expand(1 / (1 - z), 0, 0, 3)
-        assert s.coeffs == [1, 1, 1, 1]
-        assert coefficient_of(series_expand(1 / (1 - z), 0, 0, 5), 5) == 1
+        ring, atoms = build_tower([("z", 4)])
+        s = 1 / (1 - atoms["z"])
+        assert [s.coefficient(k) for k in range(4)] == [1, 1, 1, 1]
+        ring, atoms = build_tower([("z", 6)])
+        assert (1 / (1 - atoms["z"])).coefficient(5) == 1
 
     def test_simple_pole(self):
-        z = rf_var("z")
-        s = series_expand(1 / z, 0, -1, 0)
-        assert s.lo == -1 and s.coeffs == [1, 0]
+        ring, atoms = build_tower([("z", 2)])
+        s = 1 / atoms["z"]
+        assert s.lo == -1 and s.coeffs == [1]
+        assert s.coefficient(0) == 0
 
     def test_shifted_pole_leading_coefficient(self):
         # (t^2 z - 2 D t + 1)/(t^2 (z-1)) at D=0, t=1 about z=1
-        z = rf_var("z")
+        ring, atoms = build_tower([("z", 3)])
+        z = atoms["z"] + 1
         t, d = Fraction(1), Fraction(0)
         f = (t**2 * z - 2 * d * t + 1) / (t**2 * (z - 1))
-        s = series_expand(f, 1, -1, 1)
-        assert s.lo == -1 and s.coeffs[0] == 2
+        assert f.lo == -1 and f.coefficient(-1) == 2
 
     def test_out_of_range(self):
-        s = ExactLaurent(0, [1, 2, 3])
-        with pytest.raises(OutOfRange):
-            coefficient_of(s, 5)
-        assert coefficient_of(series_expand(rf_var("z") ** 2, 0, 0, 3), 1) == 0
+        # a coefficient past the tracked window is unknown, not zero
+        ring, atoms = build_tower([("z", 3)])
+        s = 1 / (1 - atoms["z"])
+        assert s.err == 3
+        with pytest.raises(PrecisionLoss):
+            s.coefficient(5)
+        assert (atoms["z"] ** 2).coefficient(1) == 0
 
     def test_zero_denominator(self):
-        z = rf_var("z")
+        ring, atoms = build_tower([("z", 3)])
+        z = atoms["z"]
         with pytest.raises(ZeroDenominator):
-            series_expand(1 / (z - z), 0, 0, 2)
+            1 / (z - z)
+        with pytest.raises(ZeroDenominator):
+            residue_drive([("z", 0, 1)],
+                          lambda vs, ring: 1 / (vs["z"] - vs["z"]))
 
     def test_order_exceeded(self):
-        z = rf_var("z")
         with pytest.raises(OrderExceeded):
-            series_expand(1 / z**3, 0, -1, 0)
+            residue_drive([("z", 0, 1)], lambda vs, ring: 1 / vs["z"] ** 3)
 
     def test_non_rational_rejected(self):
-        from dwbc.errors import NonRationalDescriptor
-        z = rf_var("z")
-        with pytest.raises(NonRationalDescriptor):
+        # tower elements take integer powers only, and a float operand
+        # enters as its exact (dyadic) rational
+        ring, atoms = build_tower([("z", 3)])
+        z = atoms["z"]
+        with pytest.raises(TypeError):
             z ** 0.5
-        with pytest.raises(NonRationalDescriptor):
-            z + 0.25
+        c = (z + 0.25).coefficient(0)
+        assert isinstance(c, Fraction) and c == Fraction(1, 4)
 
 
 class TestJointResidue:
+    """Iterated residues through residue_drive."""
+
     def test_product_of_simple_poles(self):
-        z1, z2 = rf_var("z1"), rf_var("z2")
-        assert joint_residue(1 / (z1 * z2), ["z1", "z2"], [0, 0], [1, 1]) == 1
+        val = residue_drive([("z1", 0, 1), ("z2", 0, 1)],
+                            lambda vs, ring: 1 / (vs["z1"] * vs["z2"]))
+        assert val == 1
 
     def test_double_pole(self):
-        z = rf_var("z")
-        assert joint_residue(z / (z - 1) ** 2, ["z"], [1], [2]) == 1
+        val = residue_drive([("z", 1, 2)],
+                            lambda vs, ring: vs["z"] / (vs["z"] - 1) ** 2)
+        assert val == 1
 
     def test_order_exceeded(self):
-        z = rf_var("z")
         with pytest.raises(OrderExceeded):
-            joint_residue(1 / z**4, ["z"], [0], [2])
+            residue_drive([("z", 0, 2)], lambda vs, ring: 1 / vs["z"] ** 4)
+
+    def test_nesting_order(self):
+        # 1/(z1 (z2 - z1)): with z1 integrated first (inner contour),
+        # 1/(z2 - z1) expands in z1/z2 and the residue is 1; with z2
+        # first it expands in z2/z1 and the z2 residue vanishes
+        def build(vs, ring):
+            return 1 / (vs["z1"] * (vs["z2"] - vs["z1"]))
+
+        assert residue_drive([("z1", 0, 1), ("z2", 0, 1)], build) == 1
+        assert residue_drive([("z2", 0, 1), ("z1", 0, 1)], build) == 0
 
     def test_efp_integrand_matches_oracle(self):
         # the symmetric s-fold integrand at N=2, s=1, r=1, ice point
         from dwbc.ik_engine import family
         from dwbc.lattice_oracle import ICE_POINT, efp_oracle
         h2 = family(ICE_POINT).h(2)
-        z = rf_var("z")
-        t = Fraction(1)
-        delta = Fraction(1, 2)
-        integrand = rf_poly(h2, z) / (z * (z - 1))
-        val = -joint_residue(integrand, ["z"], [0], [1])
+
+        def build(vs, ring):
+            z = vs["z"]
+            return h2.eval(z) / (z * (z - 1))
+
+        val = -residue_drive([("z", 0, 1)], build)
         assert val == efp_oracle(2, 1, 1, ICE_POINT) == Fraction(1, 2)
 
     def test_h3_coefficient(self):
         from dwbc.ik_engine import family
         from dwbc.lattice_oracle import ICE_POINT
         h3 = family(ICE_POINT).h(3)
-        s = series_expand(rf_poly(h3, rf_var("z")), 0, 0, 2)
-        assert coefficient_of(s, 0) == Fraction(2, 7)
+        ring, atoms = build_tower([("z", 3)])
+        assert h3.eval(atoms["z"]).coefficient(0) == Fraction(2, 7)
 
     def test_permutation_invariance_symmetric_integrand(self):
         # h_{N,s}-weighted symmetric integrand: order of extraction is free
         from dwbc.ik_engine import family
         from dwbc.lattice_oracle import WeightTriple
         w = WeightTriple(1, 2, 2)
-        fam = family(w)
-        h = fam.hns_poly(3, 2)
+        h = family(w).hns_poly(3, 2)
         t, delta = w.t(), w.delta()
-        z1, z2 = rf_var("z1"), rf_var("z2")
-        hexpr = sum(
-            (rf_const(c) * z1**e1 * z2**e2 for (e1, e2), c in h.terms.items()),
-            rf_const(0))
-        f = hexpr / (z1**2 * z2**2 * (t * t * z1 * z2 - 2 * delta * t * z1 + 1)
-                     * (t * t * z1 * z2 - 2 * delta * t * z2 + 1))
-        r1 = joint_residue(f, ["z1", "z2"], [0, 0], [2, 2])
-        r2 = joint_residue(f, ["z2", "z1"], [0, 0], [2, 2])
+
+        def build(vs, ring):
+            z1, z2 = vs["z1"], vs["z2"]
+            return h.eval([z1, z2]) / (
+                z1**2 * z2**2 * (t * t * z1 * z2 - 2 * delta * t * z1 + 1)
+                * (t * t * z1 * z2 - 2 * delta * t * z2 + 1))
+
+        r1 = residue_drive([("z1", 0, 2), ("z2", 0, 2)], build)
+        r2 = residue_drive([("z2", 0, 2), ("z1", 0, 2)], build)
         assert r1 == r2
 
 
 class TestRingHomomorphism:
     def test_product_of_expansions(self):
         rng = random.Random(7)
-        z = rf_var("z")
         for _ in range(10):
             num1 = ExactPoly([rng.randint(-4, 4) for _ in range(3)] + [1])
             num2 = ExactPoly([rng.randint(-4, 4) for _ in range(2)] + [1])
             den1 = ExactPoly([1] + [rng.randint(-3, 3) for _ in range(2)])
             den2 = ExactPoly([1] + [rng.randint(-3, 3) for _ in range(2)])
-            f = rf_poly(num1, z) / rf_poly(den1, z)
-            g = rf_poly(num2, z) / rf_poly(den2, z)
-            fg = series_expand(f * g, 0, 0, 6)
-            sf = series_expand(f, 0, 0, 6)
-            sg = series_expand(g, 0, 0, 6)
-            prod = [sum(sf.coeffs[i] * sg.coeffs[k - i] for i in range(k + 1))
+            ring, atoms = build_tower([("z", 7)])
+            z = atoms["z"]
+            f = num1.eval(z) / den1.eval(z)
+            g = num2.eval(z) / den2.eval(z)
+            fg = [(f * g).coefficient(k) for k in range(7)]
+            sf = [f.coefficient(k) for k in range(7)]
+            sg = [g.coefficient(k) for k in range(7)]
+            prod = [sum(sf[i] * sg[k - i] for i in range(k + 1))
                     for k in range(7)]
-            assert fg.coeffs == prod
+            assert fg == prod
 
 
 class TestTower:
@@ -172,20 +196,28 @@ class TestTower:
 
 
 class TestExactLaurentArithmetic:
+    """Series with explicit windows: x^lo .. x^(err-1) known."""
+
     def test_mul_add_track_window(self):
-        a = ExactLaurent(-1, [1, 0, 2])      # 1/x + 2x, known to x^1
-        b = ExactLaurent(0, [1, 1, 1])       # 1 + x + x^2, known to x^2
-        assert (a * b).coeffs == [1, 1, 3] and (a * b).lo == -1
-        assert (a + b).coeffs == [1, 1, 3] and (a + b).lo == -1
+        ring = SeriesRing(RATIONALS, "x", 4)
+        one, two = Fraction(1), Fraction(2)
+        a = Series(ring, -1, [one, 0 * one, two], 2)  # 1/x + 2x, known to x^1
+        b = Series(ring, 0, [one, one, one], 3)       # 1 + x + x^2, to x^2
+        for c in (a * b, a + b):
+            assert c.lo == -1 and c.err == 2 and c.coeffs == [1, 1, 3]
 
     def test_inverse_shifts_lo(self):
-        a = ExactLaurent(-1, [1, 0, 2])
+        ring = SeriesRing(RATIONALS, "x", 4)
+        a = Series(ring, -1, [Fraction(1), Fraction(0), Fraction(2)], 2)
         inv = a.inverse()
-        assert inv.lo == 1 and inv.coeffs == [1, 0, -2]
+        assert inv.lo == 1 and inv.coeffs == [1, 0, -2] and inv.err == 4
 
     def test_inverse_requires_nonzero_leading(self):
+        ring = SeriesRing(RATIONALS, "x", 4)
         with pytest.raises(ZeroDenominator):
-            ExactLaurent(0, [0, 1]).inverse()
+            ring.zero().inverse()
+        with pytest.raises(PrecisionLoss):
+            Series(ring, 0, [], 2).inverse()
 
 
 class TestPoly:

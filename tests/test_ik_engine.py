@@ -20,6 +20,7 @@ from dwbc.ik_engine import (
     partially_inhomogeneous_Z,
     phi_derivatives,
 )
+from dwbc.exact_core import residue_drive
 from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z
 
 
@@ -141,6 +142,69 @@ class TestBoundaryFamily:
         w = WeightTriple(2, 3, 4)
         with pytest.raises(DegeneratePoints):
             build_hNs(3, 2, w, [Fraction(1, 2), Fraction(1, 2)])
+
+    def test_hns_vand_matches_poly(self):
+        # h_{N,s}(M(z)) Vand(z) as a determinant, against the divided-
+        # difference polynomial, for every Moebius map the residue
+        # integrands use; coincident points included
+        rng = random.Random(11)
+        w = WeightTriple(Fraction(3, 2), 2, Fraction(5, 3))
+        fam = family(w)
+        t, d = w.t(), w.delta()
+        maps = [(1, 0, 0, 1), (1, 0, 0, t), (-1, 1, t * t - 2 * d * t, 1),
+                (t * t, 1 - 2 * d * t, t * t, -t * t),
+                (2 * d * t - 1, -t, t * t, -t), (0, 1, t, 0)]
+        for (al, be, ga, de) in maps:
+            for tilde in (False, True):
+                for s in range(5):
+                    n = s + 1
+                    poly = fam.hns_poly(n, s, tilde)
+                    for coincide in (False, True):
+                        zs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                              for _ in range(s)]
+                        if coincide and s >= 2:
+                            zs[1] = zs[0]
+                        if any(ga * z + de == 0 for z in zs):
+                            continue
+                        want = poly.eval([(al * z + be) / (ga * z + de)
+                                          for z in zs])
+                        for j in range(s):
+                            for k in range(j + 1, s):
+                                want *= zs[k] - zs[j]
+                        got = fam.hns_vand(n, s, zs, (al, be, ga, de), tilde)
+                        assert got == want
+                        if (al, be, ga, de) != (1, 0, 0, 1) or s < 2:
+                            continue
+                        if coincide:
+                            with pytest.raises(DegeneratePoints):
+                                fam.hns_value(n, s, zs, tilde)
+                        else:
+                            assert fam.hns_value(n, s, zs, tilde) \
+                                == poly.eval(zs)
+
+    def test_hns_vand_on_tower(self):
+        # on Laurent-tower elements (the composed n-fold argument, with
+        # its pole at z = 1) both forms give the same iterated residue
+        w = WeightTriple(1, 2, 2)
+        fam = family(w)
+        t, d = w.t(), w.delta()
+        mob = (t * t, 1 - 2 * d * t, t * t, -t * t)
+        poly = fam.hns_poly(4, 2)
+
+        def build(vand_form):
+            def integrand(vs, ring):
+                z1, z2 = vs["z1"], vs["z2"]
+                f = 1 / ((z1 - 1) * (z2 - 1) * (z1 * z2 + 3))
+                if vand_form:
+                    return f * fam.hns_vand(4, 2, [z1, z2], mob)
+                args = [(mob[0] * z + mob[1]) / (mob[2] * z + mob[3])
+                        for z in (z1, z2)]
+                return f * (z2 - z1) * poly.eval(args)
+            return integrand
+
+        specs = [("z1", Fraction(1), 5), ("z2", Fraction(1), 5)]
+        assert residue_drive(specs, build(True)) \
+            == residue_drive(specs, build(False))
 
     def test_htilde_reversal(self):
         w = WeightTriple(2, 3, 4)
