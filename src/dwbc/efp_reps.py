@@ -53,8 +53,8 @@ from .ik_engine import cantini_P_poly, family
 from .lattice_oracle import (
     RowConfig,
     WeightTriple,
+    efp_oracle,
     enumerate_Z,
-    row_config_probability,
 )
 
 
@@ -113,19 +113,7 @@ def _warg_map(t, delta):
 
 def efp_by_summation(q: EfpQuery, w: WeightTriple, route="efp") -> Fraction:
     """Sum row configuration probabilities per the two definitions."""
-    N, r, s, n = q.N, q.r, q.s, q.n
-    if route == "efp":
-        cfgs = (RowConfig(N, pos) for pos in combinations(range(1, r + 1), s))
-    elif route == "efpn":
-        frozen = tuple(range(1, s + 1))
-        cfgs = (RowConfig(N, frozen + extra)
-                for extra in combinations(range(s + 1, N + 1), n))
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    total = Fraction(0)
-    for cfg in cfgs:
-        total += row_config_probability(cfg, w)
-    return total
+    return efp_oracle(q.N, q.r, q.s, w, route)
 
 
 # ---------------------------------------------------------------------------

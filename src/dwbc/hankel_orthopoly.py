@@ -39,9 +39,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateHankel, TruncationInsufficient
+from .errors import DegenerateHankel, Singular, TruncationInsufficient
 from .exact_core import COMPLEXES, _horner, _perm_sign, build_tower
-from .ik_engine import NumericTriple, homogeneous_abc, phi_derivatives
+from .ik_engine import (
+    DEGENERACY_TOL,
+    NumericTriple,
+    homogeneous_abc,
+    phi_derivatives,
+)
 from .lattice_oracle import RowConfig, enumerate_Z
 from .efp_reps import EfpQuery
 
@@ -308,11 +313,18 @@ def efp_ortho(q: EfpQuery, lam, eta, check_truncation=True) -> complex:
     return val
 
 
+def _check_c(c):
+    """The psi prefactors divide by powers of c = sin 2eta."""
+    if abs(c) <= DEGENERACY_TOL:
+        raise Singular("c = sin 2eta = 0: the psi prefactor is undefined")
+
+
 def psi_bot_ortho(cfg: RowConfig, lam, eta) -> complex:
     """Bottom component via the K-determinant pairing (valid in every
     regime; no reference to the measure)."""
     N, s, rs = cfg.n, cfg.s, cfg.positions
     a, b, c = homogeneous_abc(lam, eta)
+    _check_c(c)
 
     def build_f(ring, oms, omts):
         f = ring.const(1)
@@ -339,6 +351,7 @@ def psi_top_ortho(cfg: RowConfig, lam, eta) -> complex:
     rbar = cfg.complement().positions
     ns = N - s
     a, b, c = homogeneous_abc(lam, eta)
+    _check_c(c)
 
     def build_f(ring, oms, omts):
         f = ring.const(1)

@@ -196,7 +196,10 @@ def phi_derivatives(lam, eta, nmax: int):
 
 
 def ik_homogeneous(N: int, lam, eta) -> complex:
-    """Homogeneous Z_N via the Hankel determinant of phi-derivatives."""
+    """Homogeneous Z_N via the Hankel determinant of phi-derivatives.
+    Z_0 = 1 (empty lattice)."""
+    if N == 0:
+        return 1 + 0j
     a, b, _ = homogeneous_abc(lam, eta)
     cs = phi_derivatives(lam, eta, 2 * N - 2)
     m = np.array([[cs[i + k] for k in range(N)] for i in range(N)], dtype=complex)

@@ -6,10 +6,14 @@ Two independent backends:
   N x N domain-wall lattice (configuration counts grow like the
   alternating sign matrix numbers, so this is capped at small N), and
 
-* a *transfer* backend that builds the vertical-line monodromy operators
-  A, B, D as sparse maps on the 2^N space of row states and multiplies
-  them out, which is fast enough for N up to ~14 and directly yields the
-  top/bottom sublattice partition functions psi_top / psi_bot.
+* a *transfer* backend: a vertex-by-vertex row sweep that carries the
+  weights of every row state (vertical-edge bitmask) at once, downward
+  from the all-down top boundary or upward from the all-up bottom one.
+  A downward sweep over rows 1..s gives psi_top of every row-s state,
+  an upward one over rows N..s+1 gives psi_bot, and Z_N is their cut
+  sum; it is fast enough for N up to ~14.  Exact weights are scaled to
+  integers first (D = lcm of the denominators of a, b, c), so the sweep
+  adds and multiplies Python ints and divides by D^(vertices) once.
 
 Both run on exact rational weights (a, b, c) or on complex inhomogeneous
 weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
@@ -28,6 +32,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import InvalidRegion, SizeLimit
 from .exact_core import ExactPoly, as_fraction
@@ -237,23 +242,23 @@ def enumerate_region(N, w, k_first, k_last, top_state, bottom_state):
 def enumerate_Z(N, w, method="auto"):
     """Partition function Z_N, exact when the weights are exact.
 
-    method: 'enum' walks every configuration of the lattice one by one,
-    'transfer' multiplies the vertical-line monodromy B operators
-    between the boundary states, 'auto' picks transfer for exact
-    homogeneous weights and enumeration otherwise.  Z_0 = 1 (empty
-    lattice).
+    method: 'enum' walks every configuration of the lattice one by one
+    (the independent check; N <= 6 unless DWBC_MAX_N raises the cap);
+    'transfer' sweeps the lattice row by row from the all-down top
+    boundary and reads the all-up bottom state; 'auto' is 'transfer',
+    for every weight type.  Z_0 = 1 (empty lattice).
     """
     if N == 0:
         return _one_like(w)
-    if method == "auto":
-        method = "transfer" if isinstance(w, WeightTriple) else "enum"
+    if method in ("auto", "transfer"):
+        _check_size(N, "transfer")
+        weight, d = _leaves(w)
+        states = _top_states(N, weight, N)
+        return _ratio(w, states[(1 << N) - 1], d ** (N * N))
     if method == "enum":
         _check_size(N, "enum")
         all_up = (1 << N) - 1
         return enumerate_region(N, w, 1, N, 0, all_up)
-    if method == "transfer":
-        _check_size(N, "transfer")
-        return _transfer_bracket(N, w, range(1, N + 1), range(1, N + 1), "B", "B")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -286,101 +291,127 @@ def row_state_weights(N, w, s):
 
 
 # ---------------------------------------------------------------------------
-# transfer backend (vertical-line QISM operators)
+# transfer backend (row sweep)
 # ---------------------------------------------------------------------------
 #
-# The monodromy matrix of vertical line alpha over quantum sites
-# k0..k1 is T = L_{alpha,k1} ... L_{alpha,k0} with
-#   L = [[a/b diag, c sigma^-], [c sigma^+, b/a diag]]
-# as a 2x2 matrix in the auxiliary (vertical) space; entry T[i][j] with
-# i = exit state at the bottom of the line, j = entry state at the top
-# (0 = up, 1 = down).  A = T[0][0], B = T[0][1], D = T[1][1].
+# The sweep carries {row-state bitmask: value} across the lattice one
+# vertex at a time.  Part way along a row, the state also holds the
+# arrow on the horizontal edge the sweep stands on, so a half-done row
+# is two dicts: `left` (that arrow points left) and `right` (it points
+# right).  By the ice rule, a vertex entered with (horizontal arrow,
+# vertical edge) on one side leaves with
+#   R, up   -> a: R, up      c: L, down
+#   R, down -> b: R, down
+#   L, up   -> b: L, up
+#   L, down -> a: L, down    c: R, up
+# on the far side, and the table reads the same from either side.  A
+# downward sweep crosses each row from left to right (alpha = N..1),
+# entering with the arrow pointing left and trading each vertical edge
+# above for the one below, and keeps the states that leave pointing
+# right.  An upward sweep crosses it from right to left (alpha = 1..N),
+# entering pointing right and trading edges below for edges above, and
+# keeps the states that leave pointing left.
+#
+# Leaves are integers for a WeightTriple: D = lcm of the denominators of
+# (a, b, c) scales every vertex weight to an integer, a region of V
+# vertices scales by D^V, and it is divided out once, at the end.
+# Ratios of two N^2-vertex numbers (H, F, G, h_N) need no unscaling.
+# Every other weight type runs through the same sweep with D = 1.
 
-def _apply_L(w, alpha, k, site_bit, W_up, W_dn):
-    """One L-operator on the auxiliary pair of quantum-space vectors."""
-    a = w.weight(alpha, k, "a")
-    b = w.weight(alpha, k, "b")
-    c = w.weight(alpha, k, "c")
-    size = len(W_up)
-    bit = 1 << site_bit
-    nu = [None] * size
-    nd = [None] * size
-    for m in range(size):
-        up = m & bit
-        # diagonal parts
-        u = (a if up else b) * W_up[m]
-        d = (b if up else a) * W_dn[m]
-        # c sigma^- : needs site down in target, reads site-up source
-        if not up:
-            u = u + c * W_dn[m | bit]
+def _leaves(w):
+    """(weight(alpha, k, kind), D): the sweep's vertex weights, D times
+    the true ones."""
+    if isinstance(w, WeightTriple):
+        d = lcm(w.a.denominator, w.b.denominator, w.c.denominator)
+        ints = {kind: int(getattr(w, kind) * d) for kind in "abc"}
+        return (lambda alpha, k, kind: ints[kind]), d
+    return w.weight, 1
+
+
+def _ratio(w, num, den):
+    """num / den in the arithmetic of the weights `w`."""
+    return Fraction(num, den) if isinstance(w, WeightTriple) else num / den
+
+
+def _cross_vertex(left, right, bit, a, b, c):
+    """Carry the two halves of a row state across one vertex column."""
+    new_left, new_right = {}, {}
+    for m, v in right.items():
+        if m & bit:
+            new_right[m] = v * a
+            new_left[m ^ bit] = v * c
         else:
-            d = d + c * W_up[m & ~bit]
-        nu[m] = u
-        nd[m] = d
-    return nu, nd
+            new_right[m] = v * b
+    for m, v in left.items():
+        if m & bit:
+            new_left[m] = v * b
+        else:
+            new_left[m] = new_left[m] + v * a if m in new_left else v * a
+            u = m | bit
+            new_right[u] = new_right[u] + v * c if u in new_right else v * c
+    return new_left, new_right
 
 
-def _apply_entry(w, alpha, sites, entry, v):
-    """Apply monodromy entry T[i][j] of vertical line alpha to vector v.
+def _transfer_bracket(N, weight, rows, states, upward=False):
+    """Sweep {row-state bitmask: value} across `rows`, in the order given.
 
-    `sites` is the ordered list of quantum lines k (the L product runs
-    right to left, so the first site acts first); `entry` is (i, j).
+    Downward, `states` lies on the cut above the first row and the result
+    on the cut below the last; upward, the other way round.  `weight` is
+    the leaf weight function of `_leaves`.
     """
-    i, j = entry
-    zero = [w.zero() * 0 if False else w.zero() for _ in v]
-    W_up = list(v) if j == 0 else list(zero)
-    W_dn = list(v) if j == 1 else list(zero)
-    for site_bit, k in enumerate(sites):
-        W_up, W_dn = _apply_L(w, alpha, k, site_bit, W_up, W_dn)
-    return W_up if i == 0 else W_dn
+    cols = range(1, N + 1) if upward else range(N, 0, -1)
+    for k in rows:
+        left, right = ({}, states) if upward else (states, {})
+        for alpha in cols:
+            left, right = _cross_vertex(
+                left, right, 1 << (alpha - 1), weight(alpha, k, "a"),
+                weight(alpha, k, "b"), weight(alpha, k, "c"))
+        states = left if upward else right
+    return states
 
 
-_ENTRY = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+def _top_states(N, weight, s):
+    """Sweep values of the N x s top sublattice, for every row-s state."""
+    return _transfer_bracket(N, weight, range(1, s + 1), {0: 1})
 
 
-def _transfer_bracket(N, w, sites, marked, marked_op, default_op):
-    """<all-down| (ordered operator product) |all-up> on `sites`.
-
-    Vertical line alpha carries `marked_op` if alpha is in `marked` and
-    `default_op` otherwise; lines apply in order alpha = 1..N, rightmost
-    first, the order in which the operator string acts on the right
-    boundary state.
-    """
-    sites = list(sites)
-    size = 1 << len(sites)
-    v = [w.zero()] * size
-    v[size - 1] = _one_like(w)  # |all-up>
-    marked = set(marked)
-    for alpha in range(1, N + 1):
-        op = marked_op if alpha in marked else default_op
-        v = _apply_entry(w, alpha, sites, _ENTRY[op], v)
-    return v[0]  # <all-down|
+def _bottom_states(N, weight, s):
+    """Sweep values of the N x (N-s) bottom sublattice, for every row-s
+    state."""
+    return _transfer_bracket(N, weight, range(N, s, -1), {(1 << N) - 1: 1},
+                             upward=True)
 
 
 def psi_top(cfg: RowConfig, w, method="transfer"):
     """Partition function of the N x s top sublattice with up arrows of
-    `cfg` on its lower cut (D...B(r_s)...B(r_1)...D product on the top
-    quantum space).  The 0-row sublattice has psi_top = 1."""
+    `cfg` on its lower cut: a downward sweep over rows 1..s from the
+    all-down top boundary, read at `cfg`.  The 0-row sublattice has
+    psi_top = 1."""
     N, s = cfg.n, cfg.s
     if s == 0:
         return _one_like(w)
     if method == "transfer":
         _check_size(N, "transfer")
-        return _transfer_bracket(N, w, range(1, s + 1), cfg.positions, "B", "D")
+        weight, d = _leaves(w)
+        top = _top_states(N, weight, s)
+        return _ratio(w, top[cfg.bitmask()], d ** (N * s))
     _check_size(N, "enum")
     return enumerate_region(N, w, 1, s, 0, cfg.bitmask())
 
 
 def psi_bot(cfg: RowConfig, w, method="transfer"):
     """Partition function of the N x (N-s) bottom sublattice with the
-    arrows of `cfg` on its upper cut (B...A(r_s)...A(r_1)...B product on
-    the bottom quantum space).  For s = N it is 1; for s = 0 it is Z_N."""
+    arrows of `cfg` on its upper cut: an upward sweep over rows N..s+1
+    from the all-up bottom boundary, read at `cfg`.  For s = N it is 1;
+    for s = 0 it is Z_N."""
     N, s = cfg.n, cfg.s
     if s == N:
         return _one_like(w)
     if method == "transfer":
         _check_size(N, "transfer")
-        return _transfer_bracket(N, w, range(s + 1, N + 1), cfg.positions, "A", "B")
+        weight, d = _leaves(w)
+        bot = _bottom_states(N, weight, s)
+        return _ratio(w, bot[cfg.bitmask()], d ** (N * (N - s)))
     _check_size(N, "enum")
     all_up = (1 << N) - 1
     return enumerate_region(N, w, s + 1, N, cfg.bitmask(), all_up)
@@ -394,11 +425,37 @@ def _one_like(w):
 # correlation functions
 # ---------------------------------------------------------------------------
 
+def _row_probabilities(N, w, s, groups, method):
+    """For each group of row-s position tuples, the sum of their row
+    configuration probabilities psi_top * psi_bot / Z_N.
+
+    The transfer backend splits the lattice at row s once: one downward
+    and one upward sweep give psi_top and psi_bot of every row-s state,
+    and Z_N is the cut identity sum_states psi_top * psi_bot.
+    """
+    if method != "transfer":
+        z = enumerate_Z(N, w, "enum")
+        out = []
+        for group in groups:
+            total = w.zero()
+            for pos in group:
+                cfg = RowConfig(N, pos)
+                total += psi_top(cfg, w, method) * psi_bot(cfg, w, method)
+            out.append(total / z)
+        return out
+    _check_size(N, "transfer")
+    weight, _ = _leaves(w)  # every ratio below is of two N^2-vertex values
+    bot = _bottom_states(N, weight, s)
+    prod = {m: v * bot[m] for m, v in _top_states(N, weight, s).items()}
+    z = sum(prod.values())
+    return [_ratio(w, sum(prod[RowConfig(N, pos).bitmask()] for pos in group),
+                   z)
+            for group in groups]
+
+
 def row_config_probability(cfg: RowConfig, w, method="transfer"):
     """H_N^(r_1..r_s) = psi_top * psi_bot / Z_N."""
-    N = cfg.n
-    z = enumerate_Z(N, w, "transfer" if method == "transfer" else "enum")
-    return psi_top(cfg, w, method) * psi_bot(cfg, w, method) / z
+    return _row_probabilities(cfg.n, w, cfg.s, [[cfg.positions]], method)[0]
 
 
 def efp_oracle(N, r, s, w, route="efp", method="transfer"):
@@ -410,38 +467,23 @@ def efp_oracle(N, r, s, w, route="efp", method="transfer"):
     """
     if not (1 <= s <= r <= N):
         raise InvalidRegion(f"need 1 <= s <= r <= N, got r={r}, s={s}, N={N}")
-    z = enumerate_Z(N, w, "transfer" if method == "transfer" else "enum")
-    total = None
     if route == "efp":
-        for pos in combinations(range(1, r + 1), s):
-            cfg = RowConfig(N, pos)
-            term = psi_top(cfg, w, method) * psi_bot(cfg, w, method)
-            total = term if total is None else total + term
+        row, cfgs = s, list(combinations(range(1, r + 1), s))
     elif route == "efpn":
-        n = r - s
         frozen = tuple(range(1, s + 1))
-        for extra in combinations(range(s + 1, N + 1), n):
-            cfg = RowConfig(N, frozen + extra)
-            term = psi_top(cfg, w, method) * psi_bot(cfg, w, method)
-            total = term if total is None else total + term
+        row, cfgs = r, [frozen + extra
+                        for extra in combinations(range(s + 1, N + 1), r - s)]
     else:
         raise ValueError(f"unknown route {route!r}")
-    return total / z
+    return _row_probabilities(N, w, row, [cfgs], method)[0]
 
 
 def polarization_oracle(N, r, s, w, method="transfer"):
     """Probability G_N^(r,s) of an up arrow at position r on row s."""
     if not (1 <= r <= N and 1 <= s <= N):
         raise InvalidRegion(f"need 1 <= r, s <= N, got r={r}, s={s}, N={N}")
-    z = enumerate_Z(N, w, "transfer" if method == "transfer" else "enum")
-    total = None
-    for pos in combinations(range(1, N + 1), s):
-        if r not in pos:
-            continue
-        cfg = RowConfig(N, pos)
-        term = psi_top(cfg, w, method) * psi_bot(cfg, w, method)
-        total = term if total is None else total + term
-    return (total if total is not None else w.zero()) / z
+    cfgs = [pos for pos in combinations(range(1, N + 1), s) if r in pos]
+    return _row_probabilities(N, w, s, [cfgs], method)[0]
 
 
 def boundary_generating_poly(N, w, method="transfer") -> ExactPoly:
@@ -453,11 +495,8 @@ def boundary_generating_poly(N, w, method="transfer") -> ExactPoly:
     the single-configuration probability H_N^(1), so it carries the
     1/Z_N that a probability requires.
     """
-    z = enumerate_Z(N, w, "transfer" if method == "transfer" else "enum")
-    coeffs = []
-    for r in range(1, N + 1):
-        cfg = RowConfig(N, (r,))
-        coeffs.append(psi_top(cfg, w, method) * psi_bot(cfg, w, method) / z)
+    coeffs = _row_probabilities(N, w, 1, [[(r,)] for r in range(1, N + 1)],
+                                method)
     if isinstance(w, WeightTriple):
         return ExactPoly(coeffs)
     return coeffs  # numeric mode: plain coefficient list

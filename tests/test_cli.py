@@ -119,6 +119,15 @@ class TestContracts:
     def test_computation_error_exit_code(self, capsys):
         code = main(["zn", "--size", "99", "--weights", "1", "1", "1"])
         assert code == 1
+        # c = sin 2eta = 0 sits on a pole of the ortho prefactor: a JSON
+        # error record, not a ZeroDivisionError traceback
+        capsys.readouterr()
+        code = main(["psi", "--size", "3", "--which", "top", "--positions",
+                     "1", "--method", "ortho", "--lambda", "0.9",
+                     "--eta", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert json.loads(err)["error"] == "Singular"
 
     def test_usage_error_exit_code(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
@@ -138,6 +147,8 @@ class TestContracts:
               "--nus", "0.1", "0.25", "--eta", "0.35"], None),
             (["zn", "--size", "4", "--lambdas", "0.3", "0.8", "1.2",
               "--nus", "0.1", "0.25", "0.4", "--eta", "0.35"], None),
+            (["zn", "--size", "-2", "--lambda", "0.9", "--eta", "0.3",
+              "--method", "ik"], None),
         ]
         for args, max_n in malformed:
             capsys.readouterr()

@@ -70,6 +70,7 @@ class TestDeterminant:
 
 class TestHomogeneous:
     def test_n1(self):
+        assert ik_homogeneous(0, 0.9, 0.3) == 1  # the empty lattice
         assert abs(ik_homogeneous(1, 0.9, 0.3) - cmath.sin(0.6)) < 1e-13
 
     def test_ice_like_point(self):

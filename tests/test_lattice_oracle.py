@@ -33,6 +33,9 @@ class TestPartitionFunction:
     def test_ice_point_asm_counts(self):
         for n, expect in [(1, 1), (2, 2), (3, 7), (4, 42), (5, 429)]:
             assert enumerate_Z(n, ICE_POINT, "enum") == expect
+        asm = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460,
+               129534272700, 31095744852375, 12611311859677500]
+        for n, expect in enumerate(asm, start=1):
             assert enumerate_Z(n, ICE_POINT, "transfer") == expect
 
     def test_single_vertex(self):
@@ -124,6 +127,41 @@ class TestSublatticeComponents:
                 for cfg in all_row_configs(n, s):
                     assert psi_top(cfg, w) == psi_top(cfg, w, method="enum")
                     assert psi_bot(cfg, w) == psi_bot(cfg, w, method="enum")
+
+    def test_transfer_matches_enumeration_site_weights(self):
+        # distinct complex weights at every vertex pin the (alpha, k)
+        # convention, which no homogeneous weight can see
+        rng = random.Random(17)
+
+        def grid(n):
+            return [[complex(rng.uniform(0.2, 2), rng.uniform(-1, 1))
+                     for _ in range(n)] for _ in range(n)]
+
+        for n in (2, 3, 4, 5):
+            w = WeightMatrix(grid(n), grid(n), complex(0.8, 0.3))
+            z = enumerate_Z(n, w, "enum")
+            assert abs(enumerate_Z(n, w) - z) <= 1e-12 * abs(z)
+            for s in range(0, n + 1):
+                for cfg in all_row_configs(n, s):
+                    for fn in (psi_top, psi_bot):
+                        want = fn(cfg, w, method="enum")
+                        got = fn(cfg, w)
+                        assert abs(got - want) <= 1e-12 * max(1, abs(want))
+
+    def test_psi_ortho_beyond_enumeration(self):
+        # N = 7 is past the enumeration cap, so the ortho prefactor's Z_N
+        # comes from the transfer backend
+        from dwbc.exact_core import DEFAULT_RTOL
+        from dwbc.hankel_orthopoly import psi_bot_ortho, psi_top_ortho
+        from dwbc.ik_engine import NumericTriple, homogeneous_abc
+        lam, eta = 0.9, 0.3
+        w = NumericTriple(*homogeneous_abc(lam, eta))
+        for cfg, ortho, oracle in (
+                (RowConfig(7, (1, 2, 4, 5, 6, 7)), psi_top_ortho, psi_top),
+                (RowConfig(7, (1, 4, 6)), psi_bot_ortho, psi_bot)):
+            want = oracle(cfg, w)
+            got = ortho(cfg, lam, eta)
+            assert abs(got - want) <= DEFAULT_RTOL * max(1, abs(want))
 
     def test_crossing_symmetry_numeric(self):
         # psi_top(cfg; lam, nu_1..s) = psi_bot(complement; pi-lam, -nu)
@@ -226,6 +264,26 @@ class TestCorrelations:
     def test_invalid_region(self):
         with pytest.raises(InvalidRegion):
             efp_oracle(3, 1, 2, ICE_POINT)
+
+    def test_observables_transfer_equals_enumeration(self):
+        rng = random.Random(23)
+        for n in range(1, 6):
+            w = rand_triple(rng)
+            assert (boundary_generating_poly(n, w).coeffs
+                    == boundary_generating_poly(n, w, "enum").coeffs)
+            for s in range(0, n + 1):
+                for cfg in all_row_configs(n, s):
+                    assert (row_config_probability(cfg, w)
+                            == row_config_probability(cfg, w, "enum"))
+            for r in range(1, n + 1):
+                for s in range(1, n + 1):
+                    assert (polarization_oracle(n, r, s, w)
+                            == polarization_oracle(n, r, s, w, "enum"))
+                    if s > r:
+                        continue
+                    for route in ("efp", "efpn"):
+                        assert (efp_oracle(n, r, s, w, route)
+                                == efp_oracle(n, r, s, w, route, "enum"))
 
     def test_polarization_matches_edge_marginal(self):
         w = WeightTriple(2, 3, 5)
