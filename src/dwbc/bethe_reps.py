@@ -299,7 +299,7 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
         for j in range(s):
             for k in range(j + 1, s):
                 f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-        return f * fam.hns_vand(N, s, zs)
+        return f, fam.hns_vand(N, s, zs)
 
     specs = [(f"z{j}", Fraction(0), rs[j]) for j in range(s)]
     return pref * residue_drive(specs, build)
@@ -358,7 +358,7 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
         for j in range(s):
             for k in range(j + 1, s):
                 f = f / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
-        return f * fam.hns_vand(s, s, ws)
+        return f, fam.hns_vand(s, s, ws)
 
     specs = [(f"w{j}", Fraction(1), rs[j]) for j in range(s)]
     return pref * residue_drive(specs, build)
@@ -388,7 +388,7 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
             for k in range(j + 1, ns):
                 f = f * (t * t) \
                     / (zs[j] * zs[k] - 2 * delta * t * zs[j] + t * t)
-        return f * fam.hns_vand(N, ns, zs, tilde=True)
+        return f, fam.hns_vand(N, ns, zs, tilde=True)
 
     specs = [(f"z{j}", Fraction(0), rbar[j]) for j in range(ns)]
     return pref * residue_drive(specs, build)
@@ -423,7 +423,7 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
         for j in range(ns):
             for k in range(j + 1, ns):
                 f = f / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
-        return f * fam.hns_vand(ns, ns, ws, tilde=True)
+        return f, fam.hns_vand(ns, ns, ws, tilde=True)
 
     specs = [(f"w{j}", Fraction(1), rbar[j]) for j in range(ns)]
     return pref * residue_drive(specs, build)

@@ -181,7 +181,7 @@ def cmd_efp(args):
     elif mode != "exact":
         _usage_error(f"--method {method} needs exact --weights")
     elif method == "enum":
-        f = efp_oracle(q.N, q.r, q.s, w)
+        f = efp_oracle(q.N, q.r, q.s, w, method="enum")
     elif method == "sum":
         f = efp_by_summation(q, w, args.route)
     elif method == "mir-s":

@@ -145,7 +145,7 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
             for j in range(s):
                 for k in range(j + 1, s):
                     f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-            return f * fam.hns_vand(N, s, zs)
+            return f, fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
         pref = Fraction(-1) ** s * _vand_sign(s) * enumerate_Z(s, w) \
@@ -163,7 +163,7 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
                     if j != k:
                         f = f / (t * t * zs[j] * zs[k]
                                  - 2 * delta * t * zs[j] + 1)
-            return f * fam.hns_vand(N, s, zs) * fam.hns_vand(s, s, zs, u_map)
+            return f * fam.hns_vand(N, s, zs), fam.hns_vand(s, s, zs, u_map)
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -207,8 +207,8 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
             for k in range(n):
                 if j != k:
                     f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
-        return f * fam.hns_vand(N - s, n, zs) \
-            * fam.hns_vand(s + n, n, zs, w_map)
+        return f * fam.hns_vand(N - s, n, zs), \
+            fam.hns_vand(s + n, n, zs, w_map)
 
     specs = [(f"z{j}", Fraction(1), s + n) for j in range(n)]
     return pref * _vand_sign(n) * residue_drive(specs, build)
@@ -242,7 +242,7 @@ def psi_top_mir_origin(cfg: RowConfig, w: WeightTriple) -> Fraction:
         for j in range(S):
             for k in range(j + 1, S):
                 f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        return f * fam.hns_vand(S, S, ws, warg)
+        return f, fam.hns_vand(S, S, ws, warg)
 
     pref = enumerate_Z(S, w) * w.a ** (S * (N - S))
     specs = [(f"w{j}", Fraction(0), rs[j]) for j in range(S)]
@@ -266,7 +266,7 @@ def _psi_top_frozen_mir(N, s, ls, w, fam):
         for j in range(n):
             for k in range(j + 1, n):
                 f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        return f * fam.hns_vand(s + n, n, ws, warg)
+        return f, fam.hns_vand(s + n, n, ws, warg)
 
     specs = [(f"w{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build)
@@ -289,7 +289,7 @@ def _psi_bot_frozen_mir(N, s, ls, w, fam):
         for j in range(n):
             for k in range(j + 1, n):
                 f = f / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
-        return f * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
+        return f, fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
 
     specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build)
@@ -324,75 +324,85 @@ def _trace_sfold_chain(q, w, record):
     inv_t = 1 / t
 
     # shared x/y integrand pieces -------------------------------------
-    def hx(xs):
-        """h_{N,s}(x/t) times the Vandermonde of the x's."""
-        return fam.hns_vand(N, s, xs, (1, 0, 0, t))
+    # Each 2s-fold integrand is returned as an (x side, y side) pair: the
+    # pole-carrying factors of each set start its side, the coupling
+    # factors are multiplied into whichever side they keep small, and
+    # residue_drive contracts the two sides.
+    def x_side(xs, f):
+        """f / prod_{j<k} (x_j x_k - 2D x_j + 1) times h_{N,s}(x/t) and
+        the Vandermonde of the x's."""
+        for j in range(s):
+            for k in range(j + 1, s):
+                f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+        return f * fam.hns_vand(N, s, xs, (1, 0, 0, t))
 
-    def cross_xy(xs, ys, f):
+    def y_side(ys, f):
+        """f * prod_{j<k} (y_k - y_j)(y_j y_k - 2D y_k + 1)."""
         for j in range(s):
             for k in range(j + 1, s):
                 f = f * (ys[k] - ys[j]) \
-                    * (ys[j] * ys[k] - 2 * delta * ys[k] + 1) \
-                    / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+                    * (ys[j] * ys[k] - 2 * delta * ys[k] + 1)
         return f
+
+    def split(vs):
+        return ([vs[f"x{j}"] for j in range(s)],
+                [vs[f"y{j}"] for j in range(s)])
 
     specs = ([(f"x{j}", Fraction(0), r) for j in range(s)]
              + [(f"y{j}", inv_t, s) for j in range(s)])
 
     def build_double(vs, ring):
-        xs = [vs[f"x{j}"] for j in range(s)]
-        ys = [vs[f"y{j}"] for j in range(s)]
-        f = ring.const(1)
+        xs, ys = split(vs)
+        fy = ring.const(1)
         for j in range(s):
-            f = f / (ys[j] ** (s - 1) * (t * ys[j] - 1) ** s)
-        f = cross_xy(xs, ys, f)
-        f = f * hx(xs)
+            fy = fy / (ys[j] ** (s - 1) * (t * ys[j] - 1) ** s)
+        fy = y_side(ys, fy)
         msum = ring.const(0)
         for pos in combinations(range(1, r + 1), s):
             term = ring.const(1)
             for j in range(s):
                 term = term * (xs[j] * ys[j]) ** (-pos[j])
             msum = msum + term
-        return f * msum
+        return x_side(xs, ring.const(1)), fy * msum
 
     record("double-contour", residue_drive(specs, build_double))
 
     def build_double2(vs, ring):
-        xs = [vs[f"x{j}"] for j in range(s)]
-        ys = [vs[f"y{j}"] for j in range(s)]
-        f = ring.const(1)
+        xs, ys = split(vs)
+        fx, fy = ring.const(1), ring.const(1)
         for j in range(s):
-            f = f / ((t * ys[j] - 1) ** s * ys[j] ** (r + j)
-                     * xs[j] ** (r - s + j + 1))
+            fx = fx / xs[j] ** (r - s + j + 1)
+            fy = fy / ((t * ys[j] - 1) ** s * ys[j] ** (r + j))
+        fx = x_side(xs, fx)
         for j in range(s):
             prodxy = ring.const(1)
             for l in range(j + 1):
                 prodxy = prodxy * xs[l] * ys[l]
-            f = f * geom_inverse(prodxy, ring)
-        f = cross_xy(xs, ys, f)
-        return f * hx(xs)
+            fx = fx * geom_inverse(prodxy, ring)
+        return fx, y_side(ys, fy)
 
     record("double-contour-extended", residue_drive(specs, build_double2))
 
     def build_double3(vs, ring):
-        xs = [vs[f"x{j}"] for j in range(s)]
-        ys = [vs[f"y{j}"] for j in range(s)]
-        f = ring.const(1)
+        xs, ys = split(vs)
+        fx, fy = ring.const(1), ring.const(1)
         for j in range(s):
-            f = f / (xs[j] ** r * (t * ys[j] - 1) ** s * ys[j] ** (r + s - 1))
+            fx = fx / xs[j] ** r
+            fy = fy / ((t * ys[j] - 1) ** s * ys[j] ** (r + s - 1))
         for j in range(s):
             for k in range(j + 1, s):
-                f = f * (xs[k] - xs[j]) * (ys[k] - ys[j]) ** 2
+                fx = fx * (xs[k] - xs[j])
+                fy = fy * (ys[k] - ys[j]) ** 2
         for j in range(s):
             for k in range(s):
                 if j != k:
-                    f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+                    fx = fx / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+        fx = fx * fam.hns_vand(N, s, xs, (1, 0, 0, t))
         # W_s(x; y) = P_s(x; y) / prod (1 - x_j y_k)
-        f = f * P.eval(xs + ys)
         for j in range(s):
             for k in range(s):
-                f = f / (1 - xs[j] * ys[k])
-        return f * hx(xs)
+                fx = fx / (1 - xs[j] * ys[k])
+        return fx, fy * P.eval(xs + ys)
 
     record("double-contour-symmetrized",
            Fraction(1, math.factorial(s) ** 2)
@@ -416,7 +426,7 @@ def _trace_sfold_chain(q, w, record):
         f = f * P.eval(xs + [ring.const(inv_t)] * s)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
-        return f * hx(xs)
+        return f, fam.hns_vand(N, s, xs, (1, 0, 0, t))
 
     xspecs = [(f"x{j}", Fraction(0), r) for j in range(s)]
     record("sfold-recovered",
@@ -474,50 +484,55 @@ def _trace_nfold_chain(q, w, record):
     specs = ([(f"w{j}", Fraction(0), N - s) for j in range(n)]
              + [(f"z{j}", Fraction(0), N - s) for j in range(n)])
 
-    def cross_wz(ws, zs, f, ordered):
-        """Divide by the pair factors over k > j, or over all j != k when
-        `ordered`.  The ordered integrand also carries prod_{j != k}
-        (w_k - w_j)(z_k - z_j), both Vandermondes squared (the signs
-        cancel); h_top and h_bot hold one copy each, so only the other
-        is multiplied in here."""
+    def cross(us, f, ordered):
+        """Divide by the pair factors of one set over k > j, or over all
+        j != k when `ordered`.  The ordered integrand also carries
+        prod_{j != k} (w_k - w_j)(z_k - z_j), both Vandermondes squared
+        (the signs cancel); h_top and h_bot hold one copy each, so only
+        the other is multiplied in here."""
         for j in range(n):
             for k in range(n):
                 if ordered and k > j:
-                    f = f * (ws[k] - ws[j]) * (zs[k] - zs[j])
+                    f = f * (us[k] - us[j])
                 if k > j or (ordered and j != k):
-                    f = f / ((ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-                             * (zs[j] * zs[k] - 2 * delta * zs[j] + 1))
+                    f = f / (us[j] * us[k] - 2 * delta * us[j] + 1)
         return f
 
+    # each 2n-fold integrand is a (w side, z side) pair for residue_drive
+    # to contract; the coupling factors go onto the w side
+    def split(vs):
+        return ([vs[f"w{j}"] for j in range(n)],
+                [vs[f"z{j}"] for j in range(n)])
+
     def build_extended(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(n)]
-        zs = [vs[f"z{j}"] for j in range(n)]
-        f = ring.const(1)
+        ws, zs = split(vs)
+        fw, fz = ring.const(1), ring.const(1)
         for j in range(n):
-            f = f / ((1 - t * ws[j]) * (ws[j] * zs[j]) ** (N - s - n + j + 1))
+            fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s - n + j + 1))
+            fz = fz / zs[j] ** (N - s - n + j + 1)
+        fw = cross(ws, fw, ordered=False) * h_top(ws)
         for j in range(n):
             prodwz = ring.const(1)
             for l in range(j + 1):
                 prodwz = prodwz * ws[l] * zs[l]
-            f = f * geom_inverse(prodwz, ring)
-        f = cross_wz(ws, zs, f, ordered=False)
-        return f * h_top(ws) * h_bot(zs)
+            fw = fw * geom_inverse(prodwz, ring)
+        return fw, cross(zs, fz, ordered=False) * h_bot(zs)
 
     record("nfold-extended", pref * residue_drive(specs, build_extended))
 
     # double antisymmetrization with P_n -------------------------------
     def build_symmetrized(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(n)]
-        zs = [vs[f"z{j}"] for j in range(n)]
-        f = ring.const(1)
+        ws, zs = split(vs)
+        fw, fz = ring.const(1), ring.const(1)
         for j in range(n):
-            f = f / ((1 - t * ws[j]) * (ws[j] * zs[j]) ** (N - s))
-        f = cross_wz(ws, zs, f, ordered=True)
-        f = f * cantini_P_poly(n, delta).eval(ws + zs)
+            fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s))
+            fz = fz / zs[j] ** (N - s)
+        fw = cross(ws, fw, ordered=True) * h_top(ws)
         for j in range(n):
             for k in range(n):
-                f = f / (1 - ws[j] * zs[k])
-        return f * h_top(ws) * h_bot(zs)
+                fw = fw / (1 - ws[j] * zs[k])
+        fz = cross(zs, fz, ordered=True) * h_bot(zs)
+        return fw, fz * cantini_P_poly(n, delta).eval(ws + zs)
 
     record("nfold-symmetrized",
            pref / math.factorial(n) ** 2
@@ -541,7 +556,7 @@ def _trace_nfold_chain(q, w, record):
                     f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1) ** 2
         f = f * cantini_P_poly(n, delta).eval(ws + [1 / x for x in ws])
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
-        return f * h_top(ws) * h_bot(ws, (0, 1, t, 0))
+        return f * h_top(ws), h_bot(ws, (0, 1, t, 0))
 
     wspecs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
     record("nfold-integrated",
@@ -619,7 +634,7 @@ def _flipped_contour_value(q, w) -> Fraction:
 
         try:
             total = _iterated_simple_poles(factors, ring, n)
-            val = iterated_residue(base * total)
+            val = iterated_residue((base, total))
             return Fraction(-1) ** n * val
         except PrecisionLoss:
             prec *= 2
@@ -719,8 +734,10 @@ def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,
 
     Returns the ordered list of (step, value); raises ChainBreak at the
     first step whose value differs from the running one.  The 2s-fold
-    double-contour steps are evaluated only for s <= max_double_s (the
-    dense tower in 2s variables grows too fast beyond that); all other
+    double-contour steps are evaluated only for s <= max_double_s: their
+    integrands are contracted as an x-side and a y-side tower, but each
+    side is still dense in up to 2s variables and its size grows about
+    as prec^(2s), with windows of r + 1 and s + 1 per level.  All other
     steps always run.
     """
     steps = []

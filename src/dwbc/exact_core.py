@@ -23,8 +23,15 @@ w_j/w_l exactly when w_j sits above w_l in the tower, i.e. when the
 w_j contour is the smaller (inner) one.
 
 `residue_drive` is the one residue path: the caller's `build` function
-returns the integrand as a tower element, and `residue_drive` extracts
-the iterated residue, widening the windows when they run out.
+returns the integrand as a tower element or as a pair (A, B) of
+elements whose product it is, and `residue_drive` extracts the
+iterated residue, widening the windows when they run out.  The residue
+of A*B is taken by contraction, sum_i Res(A_i B_(-1-i)) level by
+level, so the product tower is never formed; a single element is the
+pair (elem, 1).  The contraction raises exactly what the residue of
+the formed product would: PrecisionLoss when a needed pairing lies
+past either window (the err rule of Series.__mul__), OrderExceeded for
+a definitely nonzero coefficient below a level's pole-order bound.
 """
 
 from __future__ import annotations
@@ -557,21 +564,104 @@ def build_tower(varspecs, base=RATIONALS):
     return ring, atoms
 
 
-def iterated_residue(elem, order_bounds=None):
-    """Extract the residue level by level down to the leaf ring.
+def _leaf_zero(ring):
+    while ring.is_series:
+        ring = ring.coeff_ring
+    return ring.zero()
+
+
+def _product_coefficient(pairs, k):
+    """Coefficient of x^k in sum a*b over the pairs."""
+    acc = pairs[0][0].ring.coeff_ring.zero()
+    for a, b in pairs:
+        for i, ca in enumerate(a.coeffs):
+            j = k - a.lo - i - b.lo
+            if 0 <= j < len(b.coeffs):
+                acc = acc + ca * b.coeffs[j]
+    return acc
+
+
+def _contract_level(pairs, bound):
+    """One level of the contraction.
+
+    `pairs` holds series (a, b) of one ring whose products sum to an
+    element X.  Raises what X.residue(bound) would raise, then returns
+    the pairs of coefficients whose products sum to X's x^(-1)
+    coefficient, without forming X.
+    """
+    var = pairs[0][0].ring.var
+    err = INF
+    lo = INF
+    for a, b in pairs:
+        err = min(err, a.err + b.min_exp, b.err + a.min_exp)
+        if a.coeffs and b.coeffs:
+            lo = min(lo, a.lo + b.lo)
+    if bound is not None and lo < -bound:
+        # the valuations cannot certify the pole order: form the
+        # coefficients below the bound and check them as Series.residue
+        low = [_product_coefficient(pairs, k)
+               for k in range(lo, min(-bound, err))]
+        known = [k for k, c in zip(range(lo, -bound), low)
+                 if not _is_exact_zero(c)]
+        if any(_definitely_nonzero(c) for c in low):
+            raise OrderExceeded(
+                f"pole order {-known[0]} in {var} exceeds bound {bound}")
+        if known:
+            raise PrecisionLoss(
+                f"cannot certify pole order bound {bound} in {var} "
+                f"(window exhausted)")
+    if -1 >= err:
+        raise PrecisionLoss(f"coefficient {var}^-1 beyond window O(^{err})")
+    out = []
+    for a, b in pairs:
+        aco, bco = a.coeffs, b.coeffs
+        j0 = -1 - a.lo - b.lo  # a.coeffs[i] pairs with b.coeffs[j0 - i]
+        for i in range(max(0, j0 - len(bco) + 1), min(len(aco), j0 + 1)):
+            ca, cb = aco[i], bco[j0 - i]
+            if not (_is_exact_zero(ca) or _is_exact_zero(cb)):
+                out.append((ca, cb))
+    return out
+
+
+def iterated_residue(integrand, order_bounds=None):
+    """Iterated residue of a tower element, or of the product of a pair
+    (A, B) of elements of one tower, taken by contraction.
+
+    The x^(-1) coefficient of A*B is sum_i A_i B_(-1-i), and the residue
+    is linear, so each level turns the pairs whose products sum to the
+    current coefficient into the pairs of their coefficients; the leaf
+    products are summed at the end and the product tower is never built.
+    A single element is the pair (elem, 1).
 
     `order_bounds` optionally gives the pole-order bound per level,
-    aligned with the tower from the outside in.
+    aligned with the tower from the outside in.  Each level raises
+    exactly what residue(bound) on the formed product would:
+    PrecisionLoss when x^(-1) lies past the product's window (the err
+    rule of Series.__mul__ and __add__), OrderExceeded for a definitely
+    nonzero coefficient below the bound, PrecisionLoss for one that is
+    only not known to vanish.  Where the valuations of the pairs certify
+    the bound, no coefficient is formed for the check; otherwise the
+    coefficients below it are formed and checked.
     """
-    x = elem
+    a, b = integrand if isinstance(integrand, tuple) else (integrand, 1)
+    if not isinstance(a, Series):
+        if not isinstance(b, Series):
+            return a * b
+        a = b.ring.const(a)
+    elif not isinstance(b, Series):
+        b = a.ring.const(b)
+    pairs = [(a, b)]
     level = 0
-    while isinstance(x, Series):
+    while pairs and isinstance(pairs[0][0], Series):
         bound = None
         if order_bounds is not None and level < len(order_bounds):
             bound = order_bounds[level]
-        x = x.residue(bound)
+        pairs = _contract_level(pairs, bound)
         level += 1
-    return x
+    acc = _leaf_zero(a.ring)
+    for ca, cb in pairs:
+        acc = acc + ca * cb
+    return acc
 
 
 def geom_inverse(u, ring):
@@ -601,9 +691,18 @@ def residue_drive(specs, build, base=RATIONALS, max_tries=6):
 
     specs: list of (name, center, order_bound), first entry integrated
     first (innermost contour).  `build(vars, ring)` receives the shifted
-    variables {name: center + eps_name} and must return the integrand as
-    a tower element; the driver extracts the residue at every level,
-    widening the tower and retrying if a window runs out.
+    variables {name: center + eps_name} and returns the integrand either
+    as a tower element or as a pair (A, B) of elements of `ring` whose
+    product it is; the pair is contracted by `iterated_residue` without
+    forming A*B, so a builder keeps its factors in two small halves
+    (say, one per set of variables) instead of one dense product.
+
+    Errors are those of the residue of the formed product.  A pairing
+    past either window, or a below-bound coefficient not known to
+    vanish, raises PrecisionLoss inside a try, and the driver doubles
+    every window and rebuilds, up to `max_tries` towers.  A definitely
+    nonzero coefficient below a level's order_bound raises
+    OrderExceeded at once (the stated pole order was wrong).
     """
     precs = [max(2, b + 1) for (_, _, b) in specs]
     bounds = [b for (_, _, b) in specs]

@@ -52,6 +52,9 @@ from .lattice_oracle import WeightMatrix, WeightTriple, boundary_generating_poly
 
 DEGENERACY_TOL = 1e-8
 
+# bound of the per-weight caches (`family`, `cantini_P_poly`)
+CACHE_SIZE = 64
+
 
 # ---------------------------------------------------------------------------
 # trigonometric parametrization
@@ -361,9 +364,10 @@ class BoundaryGenFamily:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def family(w) -> BoundaryGenFamily:
-    """Memoized family for hashable (exact) weights."""
+    """Memoized family for hashable (exact) weights, least recently used
+    first out past CACHE_SIZE weight triples."""
     return BoundaryGenFamily(w)
 
 
@@ -439,7 +443,7 @@ def cantini_W_value(xs, ys, delta):
     return pref * poly_det(mat) / van
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cantini_P_poly(s: int, delta: Fraction) -> MultiPoly:
     """P_s(x_1..x_s; y_1..y_s) = W_s * prod (1 - x_j y_k), exactly.
 

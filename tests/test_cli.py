@@ -29,6 +29,23 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["F"] == "5/7"
 
+    def test_efp_enum_backend(self, capsys):
+        # --method enum runs the enumeration backend: it agrees with the
+        # transfer backend at N <= 6 and refuses N = 8 as zn --method enum
+        # does
+        for n, r, s in ((3, 2, 1), (5, 4, 2), (6, 3, 3)):
+            outs = [run_cli(["efp", "--size", str(n), "--r", str(r),
+                             "--s", str(s), "--weights", "3/2", "2", "5/3",
+                             "--method", m], capsys) for m in ("enum", "sum")]
+            assert [c for c, _ in outs] == [0, 0]
+            assert json.loads(outs[0][1])["F"] == json.loads(outs[1][1])["F"]
+        for cmd in (["efp", "--size", "8", "--r", "4", "--s", "2"],
+                    ["zn", "--size", "8"]):
+            capsys.readouterr()
+            code = main(cmd + ["--weights", "1", "1", "1", "--method", "enum"])
+            assert code == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "SizeLimit"
+
     def test_verify(self, capsys):
         code, out = run_cli(["verify", "--suite", "cantini", "--trials", "5",
                              "--seed", "42"], capsys)

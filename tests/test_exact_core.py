@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
@@ -14,6 +16,7 @@ from dwbc.exact_core import (
     complete_homogeneous,
     format_rational,
     geom_inverse,
+    iterated_residue,
     parse_rational,
     poly_det,
     residue_drive,
@@ -153,6 +156,150 @@ class TestJointResidue:
         r1 = residue_drive([("z1", 0, 2), ("z2", 0, 2)], build)
         r2 = residue_drive([("z2", 0, 2), ("z1", 0, 2)], build)
         assert r1 == r2
+
+
+def _product_residue(x, bounds):
+    """The product path: Series.residue level by level on a formed
+    product."""
+    level = 0
+    while isinstance(x, Series):
+        x = x.residue(None if bounds is None else bounds[level])
+        level += 1
+    return x
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OrderExceeded, PrecisionLoss) as exc:
+        return type(exc)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _element_specs(draw, levels):
+    """A random rational function of the tower variables: a scale, a
+    monomial, a linear numerator and a few geometric denominators, plus
+    one nesting-order pole 1/(z_1 - z_0) on deeper towers."""
+    return {
+        "scale": draw(_small.filter(lambda c: c != 0)),
+        "powers": draw(st.lists(st.integers(-3, 1), min_size=levels,
+                                max_size=levels)),
+        "numerator": draw(st.lists(_small, min_size=levels,
+                                   max_size=levels)),
+        "denominators": draw(st.lists(
+            st.tuples(st.integers(0, levels - 1), _small, _small),
+            max_size=3)),
+        "nested_pole": levels > 1 and draw(st.booleans()),
+    }
+
+
+def _element(spec, ring, zs):
+    f = ring.const(spec["scale"])
+    for z, p in zip(zs, spec["powers"]):
+        f = f * z ** p
+    f = f * (1 + sum(c * z for c, z in zip(spec["numerator"], zs)))
+    for level, c, d in spec["denominators"]:
+        f = f / (1 - c * zs[level] - d * zs[0] * zs[level])
+    if spec["nested_pole"]:
+        f = f / (zs[1] - zs[0])
+    return f
+
+
+@st.composite
+def _tower_pairs(draw):
+    levels = draw(st.integers(1, 3))
+    precs = draw(st.lists(st.integers(1, 5), min_size=levels,
+                          max_size=levels))
+    bounds = draw(st.none() | st.lists(st.integers(0, 4), min_size=levels,
+                                       max_size=levels))
+    return (precs, bounds, draw(_element_specs(levels)),
+            draw(_element_specs(levels)))
+
+
+class TestContraction:
+    """iterated_residue((A, B)) against the residue of the formed A*B."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tower_pairs())
+    def test_matches_product_path(self, case):
+        precs, bounds, spec_a, spec_b = case
+        names = [f"z{k}" for k in range(len(precs))]
+        ring, atoms = build_tower(list(zip(names, precs)))
+        zs = [atoms[nm] for nm in names]
+        a, b = _element(spec_a, ring, zs), _element(spec_b, ring, zs)
+        want = _outcome(lambda: _product_residue(a * b, bounds))
+        got = _outcome(lambda: iterated_residue((a, b), bounds))
+        assert got == want
+        assert isinstance(got, type) or isinstance(got, Fraction)
+        # a single element is the pair (elem, 1)
+        assert _outcome(lambda: iterated_residue(a * b, bounds)) == want
+
+    def test_window_exhausted_then_retried(self):
+        # B is 1/(1 - z) rebuilt as (1/(1-z) - 1 - z - z^2)/z^3, which
+        # loses three coefficients of its window; against z^(-4) the
+        # x^(-1) pairing falls outside it at the first tower (prec 5)
+        def build(vs, ring):
+            z = vs["z"]
+            b = (1 / (1 - z) - 1 - z - z ** 2) * z ** -3
+            return z ** -4, b
+
+        specs = [("z", 0, 4)]
+        ring, atoms = build_tower([("z", 5)])
+        pair = build(atoms, ring)
+        with pytest.raises(PrecisionLoss):
+            iterated_residue(pair, [4])
+        with pytest.raises(PrecisionLoss):
+            _product_residue(pair[0] * pair[1], [4])
+        calls = []
+        assert residue_drive(specs, lambda vs, ring: calls.append(1)
+                             or build(vs, ring)) == 1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("pair", [
+        # pole order 4 in x against the bound 3
+        lambda x, y: (x ** -3 / (1 - y), x ** -1),
+        # the x^(-1) coefficient carries y^(-3) against the bound 2
+        lambda x, y: (x ** -2 / (1 - y), x * y ** -3),
+    ])
+    def test_order_exceeded_both_paths(self, pair):
+        ring, atoms = build_tower([("x", 4), ("y", 3)])
+        a, b = pair(atoms["x"], atoms["y"])
+        with pytest.raises(OrderExceeded):
+            iterated_residue((a, b), [3, 2])
+        with pytest.raises(OrderExceeded):
+            _product_residue(a * b, [3, 2])
+        with pytest.raises(OrderExceeded):
+            residue_drive([("x", 0, 3), ("y", 0, 2)],
+                          lambda vs, ring: pair(vs["x"], vs["y"]))
+
+    def test_unknown_low_coefficient_is_precision_loss(self):
+        # the x^(-3) coefficient is O(y^3) with no known term: below the
+        # bound 2 but not known to be nonzero, so PrecisionLoss (a retry)
+        # rather than OrderExceeded
+        ring, atoms = build_tower([("x", 3), ("y", 3)])
+        x, y = atoms["x"], atoms["y"]
+        unknown = 1 / (1 - y) - 1 / (1 - y)
+        c0 = unknown.coefficient(0)
+        assert not c0.coeffs and c0.err == 3
+        a, b = x ** -3 * unknown + x ** -1, 1 + x
+        for fn in (lambda: iterated_residue((a, b), [2, 1]),
+                   lambda: _product_residue(a * b, [2, 1])):
+            with pytest.raises(PrecisionLoss):
+                fn()
+
+    def test_cancelling_pairs_pass_the_order_check(self):
+        # each pair at the y level carries y^(-2), above the bound 1, but
+        # the pairs cancel in the x^(-1) coefficient: no error, as for
+        # the formed product
+        ring, atoms = build_tower([("x", 3), ("y", 3)])
+        x, y = atoms["x"], atoms["y"]
+        a = (x ** -1 + x ** -2) * y ** -2
+        b = (1 - x) + y ** -1 * x ** 3
+        assert _product_residue(a * b, [2, 1]) == 0
+        assert iterated_residue((a, b), [2, 1]) == 0
 
 
 class TestRingHomomorphism:

@@ -7,6 +7,7 @@ import pytest
 
 from dwbc.errors import DegeneratePoints, NearDegenerate, Singular
 from dwbc.ik_engine import (
+    CACHE_SIZE,
     NumericTriple,
     TrigParams,
     build_hNs,
@@ -105,6 +106,18 @@ class TestHomogeneous:
 
 
 class TestBoundaryFamily:
+    def test_caches_bounded(self):
+        # 200 distinct weight triples (and P_1 at 200 deltas) leave both
+        # per-weight caches at or below their bound
+        for k in range(200):
+            w = WeightTriple(Fraction(k + 2, 3), 2, Fraction(5, 7))
+            assert family(w).h(2).eval(1) == 1
+            cantini_P_poly(1, Fraction(k, 11))
+        for cached in (family, cantini_P_poly):
+            info = cached.cache_info()
+            assert info.maxsize == CACHE_SIZE
+            assert info.currsize <= CACHE_SIZE
+
     def test_hn1_is_hn(self):
         w = WeightTriple(2, 3, 4)
         fam = family(w)
