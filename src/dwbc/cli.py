@@ -196,6 +196,8 @@ def cmd_efp(args):
 def cmd_boundary(args):
     from .lattice_oracle import boundary_generating_poly
     mode, w = _weights_from_args(args)
+    if mode == "inhom":
+        _usage_error("boundary needs --weights or --lambda/--eta")
     target = w if mode == "exact" else _numeric_triple(*w)
     h = boundary_generating_poly(args.size, target)
     coeffs = h.coeffs if mode == "exact" else list(h)
@@ -236,7 +238,8 @@ def cmd_psi(args):
         from .efp_reps import psi_top_mir_origin
         fn = {("top", "mir-new"): br.psi_top_mir_new,
               ("top", "mir-coordinate"): br.psi_top_mir_coordinate,
-              ("top", "mir-origin"): psi_top_mir_origin,
+              ("top", "mir-origin"): lambda cfg, w: psi_top_mir_origin(
+                  cfg.n, 0, cfg.positions, w),
               ("top", "dual"): br.psi_top_mir_dual,
               ("bottom", "mir"): br.psi_bot_mir,
               ("bottom", "dual"): br.psi_bot_mir_dual}.get((which, method))

@@ -29,25 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from .errors import (
-    ChainBreak,
-    InvalidRegion,
-    OrderExceeded,
-    PrecisionLoss,
-    ZeroDenominator,
-)
-from .exact_core import (
-    MultiPoly,
-    Series,
-    _invert,
-    _is_exact_zero,
-    build_tower,
-    geom_inverse,
-    iterated_residue,
-    residue_drive,
-)
+from .errors import ChainBreak, InvalidRegion
+from .exact_core import geom_inverse, residue_drive
 from .bethe_reps import _pole_guard
 from .ik_engine import cantini_P_poly, family
 from .lattice_oracle import (
@@ -55,6 +40,8 @@ from .lattice_oracle import (
     WeightTriple,
     efp_oracle,
     enumerate_Z,
+    psi_bot,
+    psi_top,
 )
 
 
@@ -218,44 +205,26 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
 # derivation-chain trace
 # ---------------------------------------------------------------------------
 
-def psi_top_mir_origin(cfg: RowConfig, w: WeightTriple) -> Fraction:
-    """The top component with the w = 1 contours of the direct QISM
-    route mapped onto the origin (the form whose first s integrations
-    are simple poles when r_j = j):
+def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
+    """The top component psi_top(1..s, s+l_1..s+l_n) with the w = 1
+    contours of the direct QISM route mapped onto the origin and the
+    simple poles of the frozen positions 1..s integrated out:
 
-    Z_S a^(S(N-S)) oint prod 1/(w_j^(r_j) (1 - t w_j))
+    Z_{s+n} a^((s+n)(N-s-n)) oint prod 1/(w_j^(l_j) (1 - t w_j))
         prod_{j<k} (w_k - w_j)/(w_j w_k - 2D w_j + 1)
-        h_{S,S}(((2Dt-1)w - t)/(t(tw - 1)))          with S = len(cfg).
+        h_{s+n,n}(((2Dt-1)w - t)/(t(tw - 1)))         with n = len(ls).
+
+    With s = 0 nothing is integrated out and ls are the positions of the
+    whole row, one contour each; where l_j = j for j <= s' the first s'
+    integrations are simple poles, and taking them gives the form with
+    s = s'.
     """
-    N, S, rs = cfg.n, cfg.s, cfg.positions
-    if S == 0:
-        return Fraction(1)
-    t, delta = _pole_guard(w)
-    fam = family(w)
-    warg = _warg_map(t, delta)
-
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(S)]
-        f = ring.const(1)
-        for j in range(S):
-            f = f / (ws[j] ** rs[j] * (1 - t * ws[j]))
-        for j in range(S):
-            for k in range(j + 1, S):
-                f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        return f, fam.hns_vand(S, S, ws, warg)
-
-    pref = enumerate_Z(S, w) * w.a ** (S * (N - S))
-    specs = [(f"w{j}", Fraction(0), rs[j]) for j in range(S)]
-    return pref * residue_drive(specs, build)
-
-
-def _psi_top_frozen_mir(N, s, ls, w, fam):
-    """n-fold origin form of psi_top(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     t, delta = _pole_guard(w)
     pref = enumerate_Z(s + n, w) * w.a ** ((s + n) * (N - s - n))
     if n == 0:
         return pref
+    fam = family(w)
     warg = _warg_map(t, delta)
 
     def build(vs, ring):
@@ -272,7 +241,7 @@ def _psi_top_frozen_mir(N, s, ls, w, fam):
     return pref * residue_drive(specs, build)
 
 
-def _psi_bot_frozen_mir(N, s, ls, w, fam):
+def _psi_bot_frozen_mir(N, s, ls, w):
     """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     t, delta = _pole_guard(w)
@@ -280,6 +249,7 @@ def _psi_bot_frozen_mir(N, s, ls, w, fam):
         / (w.c ** n * w.a ** (n * (N - 1)))
     if n == 0:
         return pref
+    fam = family(w)
 
     def build(vs, ring):
         zs = [vs[f"z{j}"] for j in range(n)]
@@ -293,24 +263,6 @@ def _psi_bot_frozen_mir(N, s, ls, w, fam):
 
     specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build)
-
-
-def _psi_top_oracle(cfg, w):
-    from .lattice_oracle import psi_top
-    return psi_top(cfg, w)
-
-
-def _psi_bot_oracle(cfg, w):
-    from .lattice_oracle import psi_bot
-    return psi_bot(cfg, w)
-
-
-def _scaled_poly(poly: MultiPoly, scale: Fraction) -> MultiPoly:
-    """p(scale * z_1, ..., scale * z_m) as a new MultiPoly."""
-    out = MultiPoly(poly.nvars)
-    for e, c in poly.terms.items():
-        out.terms[e] = c * scale ** sum(e)
-    return out
 
 
 def _trace_sfold_chain(q, w, record):
@@ -468,15 +420,15 @@ def _trace_nfold_chain(q, w, record):
     for extra in combinations(range(s + 1, N + 1), n):
         cfg = RowConfig(N, tuple(range(1, s + 1)) + extra)
         ls = [p - s for p in extra]
-        got = psi_top_mir_origin(cfg, w)
-        want = _psi_top_oracle(cfg, w)
+        got = psi_top_mir_origin(N, 0, cfg.positions, w)
+        want = psi_top(cfg, w)
         if got != want:
             raise ChainBreak(f"top-origin-form{cfg.positions}", got, want)
-        got = _psi_top_frozen_mir(N, s, ls, w, fam)
+        got = psi_top_mir_origin(N, s, ls, w)
         if got != want:
             raise ChainBreak(f"top-frozen-form{cfg.positions}", got, want)
-        got = _psi_bot_frozen_mir(N, s, ls, w, fam)
-        want = _psi_bot_oracle(cfg, w)
+        got = _psi_bot_frozen_mir(N, s, ls, w)
+        want = psi_bot(cfg, w)
         if got != want:
             raise ChainBreak(f"bottom-frozen-form{cfg.positions}", got, want)
 
@@ -570,24 +522,31 @@ def _flipped_contour_value(q, w) -> Fraction:
     """The 2n-fold integral of the symmetrized integrand with the
     z-contours wrapped around the poles z = 1/w_l.
 
-    Iterated simple-pole extraction: each z picks one of the factors
-    (1 - w_l z)^(-1); picking an l twice dies on the (z_k - z_j)
-    numerator zero.  The outward deformation from C_0 induces clockwise
-    orientation around the 1/w poles, hence a factor (-1) per variable.
-    The leftover w-dependence is an iterated residue at w = 0 on a
-    Laurent tower whose nesting order resolves the (w_l - w_j) poles of
-    individual terms (they cancel in the sum).
+    The z-integral is a sum over pole assignments sigma: z_k sits on the
+    simple pole 1/w_sigma(k) of (1 - w_sigma(k) z_k)^(-1), whose residue
+    there is -1/w_sigma(k), and the outward deformation from C_0 runs
+    clockwise around the 1/w poles, hence a factor (-1) per variable.
+    Only the n! bijections sigma are summed: an assignment that puts two
+    z's on one pole is zero, because there the simple pole meets the
+    double zero of (z_k - z_j)(z_j - z_k).  The n! terms are kept apart,
+    not collapsed to n! times one of them, so that this step stays an
+    independent check of `nfold-integrated`.
+
+    What is left is a residue at w = 0.  As a rational function each term
+    is the integrand of `nfold-integrated` (the (w_l - w_j) denominators
+    of the 1/(1 - w_j z_k) cancel against the z-Vandermondes), so it has
+    the same pole order bound (N - s) + n + 1 per variable; on the tower
+    those denominators are expanded in the nesting order and cancel
+    within the window.
     """
     N, s, n = q.N, q.s, q.n
     t, delta = _pole_guard(w)
     fam = family(w)
-    h_bot_scaled = _scaled_poly(fam.hns_poly(N - s, n), 1 / t)
+    pz = cantini_P_poly(n, delta)
+    warg = _warg_map(t, delta)
 
-    prec = (N - s) + n + 3
-    for _ in range(4):
-        ring, atoms = build_tower([(f"w{j}", prec) for j in range(n)])
-        ws = [atoms[f"w{j}"] for j in range(n)]
-
+    def build(vs, ring):
+        ws = [vs[f"w{j}"] for j in range(n)]
         # w-only prefactor of the integrand; prod_{j != k} (w_k - w_j) is
         # the sign times the Vandermonde here and the one in hns_vand
         base = ring.const(_vand_sign(n))
@@ -599,133 +558,32 @@ def _flipped_contour_value(q, w) -> Fraction:
                     base = base * (ws[k] - ws[j])
                 if j != k:
                     base = base / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
-        base = base * fam.hns_vand(s + n, n, ws, _warg_map(t, delta))
+        base = base * fam.hns_vand(s + n, n, ws, warg)
 
-        # z-dependent factors: polynomial atoms over the w-ring plus the
-        # pole-carrying linear factors (1 - w_l z_k)
-        factors = []
-        for j in range(n):
-            factors.append(("lin", j, ring.const(1), 0, -(N - s), False))
-            # ("lin", var, coef, const, exp, pole_candidate): coef*z+const
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    p = MultiPoly(n)
-                    ej = [0] * n; ej[j] = 1
-                    ek = [0] * n; ek[k] = 1
-                    p.terms[tuple(ek)] = ring.const(1)
-                    p.terms[tuple(ej)] = ring.const(-1)
-                    factors.append(("poly", p, 1))        # z_k - z_j
-                    q2 = MultiPoly(n)
-                    e2 = [0] * n; e2[j] = 1; e2[k] = 1
-                    q2.terms[tuple(e2)] = ring.const(1)
-                    q2.terms[tuple(ej)] = ring.const(-2 * delta)
-                    q2.terms[(0,) * n] = ring.const(1)
-                    factors.append(("poly", q2, -1))      # z_j z_k - 2D z_j + 1
-        pz = cantini_P_poly(n, delta)
-        pn = pz
-        for j in range(n):                                # bind the w slots
-            pn = pn.substitute(0, ws[j])
-        factors.append(("poly", _lift_poly(pn, ring), 1))
-        for j in range(n):
-            for k in range(n):
-                factors.append(("lin", k, -ws[j], 1, -1, True))  # 1 - w_j z_k
-        factors.append(("poly", _lift_poly(h_bot_scaled, ring), 1))
+        total = ring.const(0)
+        for sigma in permutations(range(n)):
+            zs = [1 / ws[l] for l in sigma]
+            # prod_{j != k} (z_k - z_j): the sign times the Vandermonde
+            # here and the one in hns_vand
+            term = ring.const(_vand_sign(n))
+            for k, l in enumerate(sigma):
+                # the residue -1/w_l times z_k^-(N-s) = w_l^(N-s)
+                term = term * -ws[l] ** (N - s - 1)
+                for j in range(n):
+                    if j != l:
+                        term = term / (1 - ws[j] * zs[k])
+            for j in range(n):
+                for k in range(n):
+                    if k > j:
+                        term = term * (zs[k] - zs[j])
+                    if j != k:
+                        term = term / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
+            total = total + term * pz.eval(ws + zs) \
+                * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
+        return base, total
 
-        try:
-            total = _iterated_simple_poles(factors, ring, n)
-            val = iterated_residue((base, total))
-            return Fraction(-1) ** n * val
-        except PrecisionLoss:
-            prec *= 2
-    raise OrderExceeded("flipped-contour evaluation did not stabilize")
-
-
-def _lift_poly(p: MultiPoly, ring) -> MultiPoly:
-    out = MultiPoly(p.nvars)
-    for e, c in p.terms.items():
-        out.terms[e] = ring.const(c) if not isinstance(c, Series) else c
-    return out
-
-
-def _iterated_simple_poles(factors, ring, nvars):
-    """Sum of iterated residues over the marked simple-pole factors.
-
-    Factors: ("poly", MultiPoly-over-ring, exp),
-    ("lin", var, coef, const, exp, candidate) for (coef*z_var + const)^exp,
-    or ("ring", value, exp) once fully substituted.  Variables are
-    consumed in descending index order (MultiPoly.substitute keeps lower
-    indices stable); only candidate=True linear factors carry enclosed
-    poles.  Returns a ring element.
-    """
-    if nvars == 0:
-        out = ring.const(1)
-        for f in factors:
-            if f[0] == "ring":
-                val = f[1]
-            elif f[0] == "poly":
-                val = f[1].eval([])
-            else:
-                raise ZeroDenominator("unsubstituted linear factor survived")
-            out = out * (_ring_pow(val, f[2]) if f[2] >= 0
-                         else _ring_pow(_invert(val), -f[2]))
-        return out
-
-    k = nvars - 1
-    total = None
-    for idx, f in enumerate(factors):
-        if f[0] != "lin" or f[1] != k or not f[5]:
-            continue
-        _, _, coef, const, exp, _ = f
-        if exp != -1:
-            raise OrderExceeded("pole candidates must be simple")
-        coef_inv = _invert(coef)
-        pole = -(const * coef_inv)
-        rest = []
-        dead = False
-        for j2, g in enumerate(factors):
-            if j2 == idx:
-                continue
-            if g[0] == "lin" and g[1] == k:
-                val = g[2] * pole + g[3]
-                if _is_exact_zero(val):
-                    if g[4] > 0:
-                        dead = True
-                        break
-                    raise ZeroDenominator("coincident poles in z-extraction")
-                rest.append(("ring", val, g[4]))
-            elif g[0] == "poly":
-                p2 = g[1].substitute(k, pole)
-                if p2.nvars == 0:
-                    val = p2.eval([])
-                    if _is_exact_zero(val):
-                        if g[2] > 0:
-                            dead = True
-                            break
-                        raise ZeroDenominator("vanishing substituted factor")
-                    rest.append(("ring", val, g[2]))
-                elif p2.is_zero():
-                    if g[2] > 0:
-                        dead = True
-                        break
-                    raise ZeroDenominator("vanishing substituted factor")
-                else:
-                    rest.append(("poly", p2, g[2]))
-            else:
-                rest.append(g)
-        if dead:
-            continue
-        term = coef_inv * _iterated_simple_poles(rest, ring, k)
-        total = term if total is None else total + term
-    return ring.const(0) if total is None else total
-
-
-def _ring_pow(v, e):
-    out = 1
-    for _ in range(e):
-        out = out * v
-    return out
-
+    specs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
+    return (-1) ** n * residue_drive(specs, build)
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,

@@ -22,16 +22,18 @@ variable-dependent poles: a factor 1/(w_l - w_j) expands in powers of
 w_j/w_l exactly when w_j sits above w_l in the tower, i.e. when the
 w_j contour is the smaller (inner) one.
 
-`residue_drive` is the one residue path: the caller's `build` function
-returns the integrand as a tower element or as a pair (A, B) of
-elements whose product it is, and `residue_drive` extracts the
-iterated residue, widening the windows when they run out.  The residue
-of A*B is taken by contraction, sum_i Res(A_i B_(-1-i)) level by
-level, so the product tower is never formed; a single element is the
-pair (elem, 1).  The contraction raises exactly what the residue of
-the formed product would: PrecisionLoss when a needed pairing lies
-past either window (the err rule of Series.__mul__), OrderExceeded for
-a definitely nonzero coefficient below a level's pole-order bound.
+`residue_drive` is the one residue path: every integrand of the
+package, the trace's sum over the pole assignments of its flipped
+contours included, is a `build` function that returns a tower element
+or a pair (A, B) of elements whose product it is, and `residue_drive`
+extracts the iterated residue, widening the windows when they run
+out.  The residue of A*B is taken by contraction,
+sum_i Res(A_i B_(-1-i)) level by level, so the product tower is never
+formed; a single element is the pair (elem, 1).  The contraction
+raises exactly what the residue of the formed product would:
+PrecisionLoss when a needed pairing lies past either window (the err
+rule of Series.__mul__), OrderExceeded for a definitely nonzero
+coefficient below a level's pole-order bound.
 """
 
 from __future__ import annotations
@@ -281,9 +283,7 @@ class SeriesRing:
     def const(self, v):
         if isinstance(v, Series) and v.ring is self:
             return v
-        c = self.coeff_ring.const(v) if not self.coeff_ring.is_series \
-            else self.coeff_ring.const(v)
-        return Series(self, 0, [c], INF)
+        return Series(self, 0, [self.coeff_ring.const(v)], INF)
 
     def lift(self, c):
         """Embed a coefficient-ring element as the constant term."""
@@ -395,9 +395,7 @@ class Series:
                 out.append(other.coeffs[k - other.lo])
             else:
                 if zero is None:
-                    zero = (self.ring.coeff_ring.zero()
-                            if self.ring.coeff_ring.is_series
-                            else self.ring.coeff_ring.const(0))
+                    zero = self.ring.coeff_ring.zero()
                 out.append(zero)
         return Series(self.ring, lo, out, err)
 
@@ -449,9 +447,7 @@ class Series:
         for i in range(n):
             if out[i] is None:
                 if zero is None:
-                    zero = (self.ring.coeff_ring.zero()
-                            if self.ring.coeff_ring.is_series
-                            else self.ring.coeff_ring.const(0))
+                    zero = self.ring.coeff_ring.zero()
                 out[i] = zero
         return Series(self.ring, lo, out, err)
 
@@ -497,9 +493,8 @@ class Series:
             for i in range(1, kmax + 1):
                 term = self.coeffs[i] * inv[k - i]
                 acc = term if acc is None else acc + term
-            inv.append(-(c0inv * acc) if acc is not None else
-                       (self.ring.coeff_ring.const(0) if not self.ring.coeff_ring.is_series
-                        else self.ring.coeff_ring.zero()))
+            inv.append(-(c0inv * acc) if acc is not None
+                       else self.ring.coeff_ring.zero())
         return Series(self.ring, -self.lo, inv, -self.lo + w)
 
     # -- extraction ---------------------------------------------------------
@@ -512,9 +507,7 @@ class Series:
             )
         if self.coeffs and self.lo <= k < self.lo + len(self.coeffs):
             return self.coeffs[k - self.lo]
-        if self.ring.coeff_ring.is_series:
-            return self.ring.coeff_ring.zero()
-        return self.ring.coeff_ring.const(0)
+        return self.ring.coeff_ring.zero()
 
     def residue(self, order_bound=None):
         """Coefficient of x^(-1).
@@ -726,9 +719,10 @@ class MultiPoly:
     """Multivariate polynomial as {exponent tuple: coefficient}.
 
     Coefficients are Fractions (or complex in numeric mode).  Used for
-    the Vandermonde-divided determinant polynomials h_{N,s} and P_s,
-    which are later *evaluated* on Laurent-tower elements; terms, not
-    the representation, carry the cost.
+    the Vandermonde-divided determinant polynomials P_s, evaluated on
+    Laurent-tower elements inside residue integrands, and h_{N,s}
+    (`BoundaryGenFamily.hns_poly`), evaluated at numbers where points
+    coincide; terms, not the representation, carry the cost.
     """
 
     __slots__ = ("nvars", "terms")
@@ -827,24 +821,6 @@ class MultiPoly:
         if acc is None:
             return Fraction(0)
         return acc
-
-    def substitute(self, i: int, value):
-        """Substitute variable i by a scalar/ring element; the result is
-        a MultiPoly in the remaining variables (coefficients may become
-        ring elements)."""
-        out = {}
-        for e, c in self.terms.items():
-            enew = e[:i] + e[i + 1:]
-            term = c * (value ** e[i]) if e[i] else c
-            if enew in out:
-                out[enew] = out[enew] + term
-            else:
-                out[enew] = term
-        res = MultiPoly(self.nvars - 1)
-        for e, c in out.items():
-            if not _is_exact_zero(c) if isinstance(c, Series) else c != 0:
-                res.terms[e] = c
-        return res
 
     def divexact_linear(self, i: int, j: int):
         """Exact division by (x_i - x_j); raises if a remainder is left.

@@ -22,8 +22,10 @@ Vandermonde cancels, so it needs no division, takes coincident points
 and Laurent-tower elements, and is what every residue integrand (which
 carries that Vandermonde itself) multiplies in.  `hns_value` divides it
 by the Vandermonde at pairwise distinct points.  `hns_poly` divides the
-Vandermonde out symbolically by divided differences, for the few places
-that need h_{N,s} as a polynomial.
+Vandermonde out symbolically by divided differences; no residue
+integrand uses it.  It serves the coincident-point fallback of
+`partially_inhomogeneous_Z`, `identity_suite.check_whom`, the tests as
+a reference, and `perfbench/tracer.py`, which binds it by name.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
@@ -123,11 +125,18 @@ def homogeneous_abc(lam, eta):
     return (cmath.sin(lam + eta), cmath.sin(lam - eta), cmath.sin(2 * eta))
 
 
+@dataclass(frozen=True)
 class NumericTriple:
-    """Homogeneous complex weights with the lattice_oracle interface."""
+    """Homogeneous complex weights with the lattice_oracle interface;
+    hashes by value, like WeightTriple, so `family` caches it."""
 
-    def __init__(self, a, b, c):
-        self.a, self.b, self.c = complex(a), complex(b), complex(c)
+    a: complex
+    b: complex
+    c: complex
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     def delta(self):
         return (self.a**2 + self.b**2 - self.c**2) / (2 * self.a * self.b)
@@ -366,8 +375,9 @@ class BoundaryGenFamily:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def family(w) -> BoundaryGenFamily:
-    """Memoized family for hashable (exact) weights, least recently used
-    first out past CACHE_SIZE weight triples."""
+    """Memoized family per weight triple (WeightTriple or NumericTriple,
+    both hashed by value), least recently used first out past
+    CACHE_SIZE triples."""
     return BoundaryGenFamily(w)
 
 
@@ -392,7 +402,7 @@ def partially_inhomogeneous_Z(lambdas, lam0, eta) -> complex:
     at gamma(l_j - lam0)."""
     N = len(lambdas)
     a0, b0, c0 = homogeneous_abc(lam0, eta)
-    fam = family_numeric(NumericTriple(a0, b0, c0))
+    fam = family(NumericTriple(a0, b0, c0))
     z_hom = ik_homogeneous(N, lam0, eta)
     pref = 1 + 0j
     for l in lambdas:
@@ -403,16 +413,6 @@ def partially_inhomogeneous_Z(lambdas, lam0, eta) -> complex:
     except DegeneratePoints:
         h = fam.hns_poly(N, N).eval(pts)
     return z_hom * pref * h
-
-
-_numeric_families = {}
-
-
-def family_numeric(w: NumericTriple) -> BoundaryGenFamily:
-    key = (w.a, w.b, w.c)
-    if key not in _numeric_families:
-        _numeric_families[key] = BoundaryGenFamily(w)
-    return _numeric_families[key]
 
 
 # ---------------------------------------------------------------------------

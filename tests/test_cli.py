@@ -166,6 +166,8 @@ class TestContracts:
               "--nus", "0.1", "0.25", "0.4", "--eta", "0.35"], None),
             (["zn", "--size", "-2", "--lambda", "0.9", "--eta", "0.3",
               "--method", "ik"], None),
+            (["boundary", "--size", "3", "--lambdas", "0.3", "0.8", "1.2",
+              "--nus", "0.1", "0.25", "0.42", "--eta", "0.35"], None),
         ]
         for args, max_n in malformed:
             capsys.readouterr()

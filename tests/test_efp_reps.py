@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -94,10 +95,22 @@ class TestRoutes:
         for n in (2, 3):
             for s in range(1, n + 1):
                 for cfg in all_row_configs(n, s):
-                    assert psi_top_mir_origin(cfg, w) == psi_top(cfg, w)
+                    assert psi_top_mir_origin(
+                        n, 0, cfg.positions, w) == psi_top(cfg, w)
 
 
 class TestTrace:
+    def test_flipped_step_off_the_trace_grid_weights(self):
+        # at N = 4 the criterion-5 grid reaches the flipped-contour step
+        # only at weights (1, 2, 2)
+        for w in (ICE_POINT,
+                  WeightTriple(Fraction(2, 3), Fraction(5, 4), Fraction(1, 2))):
+            for n in (1, 2):
+                for s in range(1, 5 - n):
+                    steps = dict(efp_double_contour_trace(
+                        EfpQuery(4, s + n, s), w, max_double_s=0))
+                    assert steps["nfold-flipped"] == efp_oracle(4, s + n, s, w)
+
     def test_full_chain_ice(self):
         steps = efp_double_contour_trace(EfpQuery(3, 2, 1), ICE_POINT)
         names = [nm for nm, _ in steps]
@@ -244,28 +257,21 @@ class TestMultisumIdentity:
         assert all(c == 0 for c in flatten(diff, 4))
 
     def test_symmint_elementary_symmetric(self):
-        # oint prod (y_j - y_k)/prod(y_j - w_k) Phi = s! Phi(w_1, w_2)
-        from dwbc.efp_reps import _iterated_simple_poles
-        from dwbc.exact_core import MultiPoly
-        w1, w2 = Fraction(2, 5), Fraction(7, 9)
-        ring, atoms = build_tower([("dummy", 2)])
-        factors = []
-        num = MultiPoly(2)
-        num.terms[(1, 0)] = ring.const(1)
-        num.terms[(0, 1)] = ring.const(-1)
-        num2 = MultiPoly(2)
-        num2.terms[(0, 1)] = ring.const(1)
-        num2.terms[(1, 0)] = ring.const(-1)
-        factors.append(("poly", num, 1))     # y_0 - y_1
-        factors.append(("poly", num2, 1))    # y_1 - y_0
-        for k in range(2):
-            for wv in (w1, w2):
-                factors.append(("lin", k, ring.const(1),
-                                ring.const(-wv), -1, True))  # y_k - w
-        phi = MultiPoly(2)                   # e_1(y) = y_0 + y_1
-        phi.terms[(1, 0)] = ring.const(1)
-        phi.terms[(0, 1)] = ring.const(1)
-        factors.append(("poly", phi, 1))
-        total = _iterated_simple_poles(factors, ring, 2)
-        expect = ring.const(2 * (w1 + w2))
-        assert (total - expect).coeffs == []
+        # oint prod_{j != k} (y_j - y_k) / prod_{j,k} (y_k - w_j) Phi(y)
+        # = s! Phi(w_1, w_2), as the sum of the residues over every pole
+        # assignment y_k = w_sigma(k): each residue drops its own simple
+        # pole factor and evaluates the rest, and the assignments that
+        # use one pole twice vanish on the (y_0 - y_1)(y_1 - y_0) zero
+        ws = (Fraction(2, 5), Fraction(7, 9))
+        total = Fraction(0)
+        for sigma in product(range(2), repeat=2):
+            ys = [ws[l] for l in sigma]
+            res = (ys[0] - ys[1]) * (ys[1] - ys[0]) * (ys[0] + ys[1])
+            for k in range(2):
+                for j in range(2):
+                    if j != sigma[k]:
+                        res = res / (ys[k] - ws[j])
+            if sigma[0] == sigma[1]:
+                assert res == 0
+            total += res
+        assert total == 2 * (ws[0] + ws[1])

@@ -107,12 +107,18 @@ class TestHomogeneous:
 
 class TestBoundaryFamily:
     def test_caches_bounded(self):
-        # 200 distinct weight triples (and P_1 at 200 deltas) leave both
-        # per-weight caches at or below their bound
+        # 200 distinct exact and 200 distinct numeric weight triples (and
+        # P_1 at 200 deltas) leave both per-weight caches at or below
+        # their bound
         for k in range(200):
             w = WeightTriple(Fraction(k + 2, 3), 2, Fraction(5, 7))
             assert family(w).h(2).eval(1) == 1
+            wn = NumericTriple(*homogeneous_abc(0.9 + k / 500, 0.3))
+            assert abs(sum(family(wn).h(2)) - 1) < 1e-12
             cantini_P_poly(1, Fraction(k, 11))
+        # numeric triples hash by value: equal ones share a family
+        abc = homogeneous_abc(0.9, 0.3)
+        assert family(NumericTriple(*abc)) is family(NumericTriple(*abc))
         for cached in (family, cantini_P_poly):
             info = cached.cache_info()
             assert info.maxsize == CACHE_SIZE
