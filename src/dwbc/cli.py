@@ -65,14 +65,14 @@ def _positive_rational(text):
     return q
 
 
-def _size(text):
-    """argparse type of --size: a non-negative integer."""
+def _count(text):
+    """argparse type of --size and --trials: a non-negative integer."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"size must be >= 0: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
     return n
 
 
@@ -280,14 +280,14 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zn", help="partition function Z_N")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--method", default="auto",
                    choices=["auto", "enum", "transfer", "ik"])
     _add_weight_flags(p)
     p.set_defaults(func=cmd_zn)
 
     p = sub.add_parser("hrow", help="row configuration probability")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--positions", required=True, type=_positions,
                    help="comma-separated up-arrow positions, e.g. 1,3")
     p.add_argument("--method", default="transfer",
@@ -296,7 +296,7 @@ def build_parser():
     p.set_defaults(func=cmd_hrow)
 
     p = sub.add_parser("efp", help="emptiness formation probability")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", default="mir-n",
@@ -310,12 +310,12 @@ def build_parser():
     p.set_defaults(func=cmd_efp)
 
     p = sub.add_parser("boundary", help="h_N(z) coefficients")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     _add_weight_flags(p)
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("psi", help="top/bottom sublattice partition function")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--which", required=True, choices=["top", "bottom"])
     p.add_argument("--positions", required=True, type=_positions)
     p.add_argument("--method", default="oracle",
@@ -330,12 +330,12 @@ def build_parser():
                    choices=["kmst", "cantini", "psxx", "whom", "bigid", "c4",
                             "tangent", "hierarchy", "crossing", "claim",
                             "all"])
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("trace-efp", help="derivation-chain diagnostic")
-    p.add_argument("--size", type=_size, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_weight_flags(p)

@@ -34,7 +34,7 @@ from itertools import combinations, permutations
 from .errors import ChainBreak, InvalidRegion
 from .exact_core import geom_inverse, residue_drive
 from .bethe_reps import _pole_guard
-from .ik_engine import cantini_P_poly, family
+from .ik_engine import cantini_P_confluent, cantini_P_vand, family
 from .lattice_oracle import (
     RowConfig,
     WeightTriple,
@@ -272,7 +272,6 @@ def _trace_sfold_chain(q, w, record):
     N, r, s = q.N, q.r, q.s
     t, delta = _pole_guard(w)
     fam = family(w)
-    P = cantini_P_poly(s, delta)
     inv_t = 1 / t
 
     # shared x/y integrand pieces -------------------------------------
@@ -336,6 +335,10 @@ def _trace_sfold_chain(q, w, record):
     record("double-contour-extended", residue_drive(specs, build_double2))
 
     def build_double3(vs, ring):
+        """The double antisymmetrization, with W_s(x; y) = P_s(x; y) /
+        prod (1 - x_j y_k) and P_s in its det form (`cantini_P_vand`,
+        P_s Vand(x) Vand(y)).  Of the integrand's Vand(x)^2 Vand(y)^2,
+        hns_vand holds one Vand(x), so one Vand(y) is left."""
         xs, ys = split(vs)
         fx, fy = ring.const(1), ring.const(1)
         for j in range(s):
@@ -343,39 +346,36 @@ def _trace_sfold_chain(q, w, record):
             fy = fy / ((t * ys[j] - 1) ** s * ys[j] ** (r + s - 1))
         for j in range(s):
             for k in range(j + 1, s):
-                fx = fx * (xs[k] - xs[j])
-                fy = fy * (ys[k] - ys[j]) ** 2
+                fy = fy * (ys[k] - ys[j])
         for j in range(s):
             for k in range(s):
                 if j != k:
                     fx = fx / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
         fx = fx * fam.hns_vand(N, s, xs, (1, 0, 0, t))
-        # W_s(x; y) = P_s(x; y) / prod (1 - x_j y_k)
         for j in range(s):
             for k in range(s):
                 fx = fx / (1 - xs[j] * ys[k])
-        return fx, fy * P.eval(xs + ys)
+        return fx, cantini_P_vand(xs, ys, delta, fy)
 
     record("double-contour-symmetrized",
            Fraction(1, math.factorial(s) ** 2)
            * residue_drive(specs, build_double3))
 
     def build_recovered(vs, ring):
+        """The y-integrals taken at the pole y = 1/t: W_s(x; 1/t..1/t)
+        with P_s in the confluent limit of its det form
+        (`cantini_P_confluent`, P_s(x; 1/t..1/t) Vand(x)).  The
+        integrand's prod_{j != k} (x_j - x_k) is the sign (applied
+        below) times that Vand(x) and the one in hns_vand."""
         xs = [vs[f"x{j}"] for j in range(s)]
         f = ring.const(1)
         for j in range(s):
             f = f / xs[j] ** r
-        # prod_{j != k} (x_j - x_k): the sign (applied below) times two
-        # Vandermondes, one of them inside hx
         for j in range(s):
             for k in range(s):
-                if k > j:
-                    f = f * (xs[k] - xs[j])
                 if j != k:
                     f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
-        # W_s(x; 1/t..1/t) through P_s (the det/Vandermonde form would
-        # need distinct second arguments)
-        f = f * P.eval(xs + [ring.const(inv_t)] * s)
+        f = f * cantini_P_confluent(xs, inv_t, delta)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
         return f, fam.hns_vand(N, s, xs, (1, 0, 0, t))
@@ -438,14 +438,9 @@ def _trace_nfold_chain(q, w, record):
 
     def cross(us, f, ordered):
         """Divide by the pair factors of one set over k > j, or over all
-        j != k when `ordered`.  The ordered integrand also carries
-        prod_{j != k} (w_k - w_j)(z_k - z_j), both Vandermondes squared
-        (the signs cancel); h_top and h_bot hold one copy each, so only
-        the other is multiplied in here."""
+        j != k when `ordered`."""
         for j in range(n):
             for k in range(n):
-                if ordered and k > j:
-                    f = f * (us[k] - us[j])
                 if k > j or (ordered and j != k):
                     f = f / (us[j] * us[k] - 2 * delta * us[j] + 1)
         return f
@@ -474,6 +469,10 @@ def _trace_nfold_chain(q, w, record):
 
     # double antisymmetrization with P_n -------------------------------
     def build_symmetrized(vs, ring):
+        """P_n(w; z) in its det form (`cantini_P_vand`).  The integrand
+        carries prod_{j != k} (w_k - w_j)(z_k - z_j), both Vandermondes
+        squared (the signs cancel): h_top and h_bot hold one copy each,
+        the det form the other two."""
         ws, zs = split(vs)
         fw, fz = ring.const(1), ring.const(1)
         for j in range(n):
@@ -484,7 +483,7 @@ def _trace_nfold_chain(q, w, record):
             for k in range(n):
                 fw = fw / (1 - ws[j] * zs[k])
         fz = cross(zs, fz, ordered=True) * h_bot(zs)
-        return fw, fz * cantini_P_poly(n, delta).eval(ws + zs)
+        return fw, cantini_P_vand(ws, zs, delta, fz)
 
     record("nfold-symmetrized",
            pref / math.factorial(n) ** 2
@@ -496,17 +495,20 @@ def _trace_nfold_chain(q, w, record):
 
     # after the symmetric-function integration -------------------------
     def build_integrated(vs, ring):
+        """P_n(w; 1/w) in its closed form (psxx), prod_j w_j^-(n-1)
+        prod_{j != k} (w_j w_k - 2D w_j + 1): times the integrand's
+        w_j^(n-2) it leaves 1/w_j, and it cancels one of the two powers
+        of each pair factor.  prod_{j != k} (w_k - w_j) is the sign
+        (applied below) times the two Vandermondes that h_top and h_bot
+        carry."""
         ws = [vs[f"w{j}"] for j in range(n)]
         f = ring.const(1)
         for j in range(n):
-            f = f * ws[j] ** (n - 2) / (1 - t * ws[j])
-        # prod_{j != k} (w_k - w_j): the sign (applied below) times the
-        # two Vandermondes that h_top and h_bot carry
+            f = f / (ws[j] * (1 - t * ws[j]))
         for j in range(n):
             for k in range(n):
                 if j != k:
-                    f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1) ** 2
-        f = f * cantini_P_poly(n, delta).eval(ws + [1 / x for x in ws])
+                    f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
         return f * h_top(ws), h_bot(ws, (0, 1, t, 0))
 
@@ -532,6 +534,14 @@ def _flipped_contour_value(q, w) -> Fraction:
     not collapsed to n! times one of them, so that this step stays an
     independent check of `nfold-integrated`.
 
+    P_n is symmetric in its y's, so at every assignment z = 1/w_sigma it
+    takes the closed form (psxx) P_n(w; 1/w) = prod_j w_j^-(n-1)
+    prod_{j != k} (w_j w_k - 2D w_j + 1); that common factor goes into the
+    w-only prefactor, where it cancels the pair-factor divisions.  So do
+    the residues and the z_k^-(N-s) = w_sigma(k)^(N-s), whose product over
+    k, prod_l -w_l^(N-s-1), does not depend on sigma; its signs cancel
+    the clockwise ones.
+
     What is left is a residue at w = 0.  As a rational function each term
     is the integrand of `nfold-integrated` (the (w_l - w_j) denominators
     of the 1/(1 - w_j z_k) cancel against the z-Vandermondes), so it has
@@ -542,22 +552,18 @@ def _flipped_contour_value(q, w) -> Fraction:
     N, s, n = q.N, q.s, q.n
     t, delta = _pole_guard(w)
     fam = family(w)
-    pz = cantini_P_poly(n, delta)
     warg = _warg_map(t, delta)
 
     def build(vs, ring):
         ws = [vs[f"w{j}"] for j in range(n)]
-        # w-only prefactor of the integrand; prod_{j != k} (w_k - w_j) is
-        # the sign times the Vandermonde here and the one in hns_vand
+        # w-only prefactor of the integrand times P_n(w; 1/w) and the
+        # residues; prod_{j != k} (w_k - w_j) is the sign times the
+        # Vandermonde here and the one in hns_vand
         base = ring.const(_vand_sign(n))
         for j in range(n):
-            base = base / ((1 - t * ws[j]) * ws[j] ** (N - s))
-        for j in range(n):
-            for k in range(n):
-                if k > j:
-                    base = base * (ws[k] - ws[j])
-                if j != k:
-                    base = base / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+            base = base / ((1 - t * ws[j]) * ws[j] ** n)
+            for k in range(j + 1, n):
+                base = base * (ws[k] - ws[j])
         base = base * fam.hns_vand(s + n, n, ws, warg)
 
         total = ring.const(0)
@@ -567,8 +573,6 @@ def _flipped_contour_value(q, w) -> Fraction:
             # here and the one in hns_vand
             term = ring.const(_vand_sign(n))
             for k, l in enumerate(sigma):
-                # the residue -1/w_l times z_k^-(N-s) = w_l^(N-s)
-                term = term * -ws[l] ** (N - s - 1)
                 for j in range(n):
                     if j != l:
                         term = term / (1 - ws[j] * zs[k])
@@ -578,12 +582,12 @@ def _flipped_contour_value(q, w) -> Fraction:
                         term = term * (zs[k] - zs[j])
                     if j != k:
                         term = term / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
-            total = total + term * pz.eval(ws + zs) \
+            total = total + term \
                 * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
         return base, total
 
     specs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
-    return (-1) ** n * residue_drive(specs, build)
+    return residue_drive(specs, build)
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,

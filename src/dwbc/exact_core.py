@@ -718,11 +718,11 @@ def residue_drive(specs, build, base=RATIONALS, max_tries=6):
 class MultiPoly:
     """Multivariate polynomial as {exponent tuple: coefficient}.
 
-    Coefficients are Fractions (or complex in numeric mode).  Used for
-    the Vandermonde-divided determinant polynomials P_s, evaluated on
-    Laurent-tower elements inside residue integrands, and h_{N,s}
-    (`BoundaryGenFamily.hns_poly`), evaluated at numbers where points
-    coincide; terms, not the representation, carry the cost.
+    Coefficients are Fractions (or complex in numeric mode).  Holds only
+    h_{N,s} (`BoundaryGenFamily.hns_poly`), the Vandermonde-divided
+    determinant polynomial, evaluated at numbers where points coincide;
+    no residue integrand and no identity check evaluates one.  Terms,
+    not the representation, carry the cost.
     """
 
     __slots__ = ("nvars", "terms")
@@ -746,7 +746,6 @@ class MultiPoly:
         return cls(nvars, {tuple(e): Fraction(1)})
 
     def __add__(self, other):
-        other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             c2 = out.get(e, 0) + c
@@ -756,23 +755,14 @@ class MultiPoly:
                 out[e] = c2
         return MultiPoly(self.nvars, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
             if other == 0:
                 return MultiPoly(self.nvars)
             return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -786,22 +776,12 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def _coerce(self, v):
-        if isinstance(v, MultiPoly):
-            if v.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return v
-        return MultiPoly.constant(self.nvars, as_fraction(v))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self, i: int) -> int:
         """Degree in variable i (zero polynomial gives -1)."""
         return max((e[i] for e in self.terms), default=-1)
 
     def eval(self, args):
-        """Evaluate at ring elements (Fractions, complex, Series...)."""
+        """Evaluate at numbers (Fractions or complex)."""
         if len(args) != self.nvars:
             raise ValueError("argument count mismatch")
         maxdeg = [self.degree(i) for i in range(self.nvars)]
@@ -821,36 +801,6 @@ class MultiPoly:
         if acc is None:
             return Fraction(0)
         return acc
-
-    def divexact_linear(self, i: int, j: int):
-        """Exact division by (x_i - x_j); raises if a remainder is left.
-
-        Synthetic division seen as a univariate polynomial in x_i with
-        coefficients polynomial in the other variables.
-        """
-        # collect coefficients of powers of x_i
-        by_deg = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            key = e[:i] + (0,) + e[i + 1:]
-            by_deg.setdefault(d, {})[key] = c
-        if not by_deg:
-            return MultiPoly(self.nvars)
-        dmax = max(by_deg)
-        # p = sum_d c_d(x') x_i^d ; divide by (x_i - x_j):
-        # q_{d-1} = c_d + q_d * x_j  (descending), remainder must vanish
-        quot = {}
-        carry = MultiPoly(self.nvars)
-        xj = MultiPoly.variable(self.nvars, j)
-        for d in range(dmax, -1, -1):
-            cd = MultiPoly(self.nvars, by_deg.get(d, {}))
-            carry = cd + carry * xj
-            if d > 0:
-                for e, c in carry.terms.items():
-                    quot[e[:i] + (d - 1,) + e[i + 1:]] = c
-        if not carry.is_zero():
-            raise ZeroDenominator("division by (x_i - x_j) leaves a remainder")
-        return MultiPoly(self.nvars, quot)
 
 
 def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:

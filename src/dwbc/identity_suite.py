@@ -28,7 +28,7 @@ from .ik_engine import (
     TrigParams,
     a_fn,
     b_fn,
-    cantini_P_poly,
+    cantini_P_confluent,
     d_fn,
     e_fn,
     family,
@@ -359,7 +359,13 @@ def check_psxx(s, delta, xs) -> IdentityCase:
 
 
 def check_whom(s, zs, w: WeightTriple) -> IdentityCase:
-    """W_s(t z; 1/t...) against the h_{s,s} closed form."""
+    """W_s(t z; 1/t...) against the h_{s,s} closed form.
+
+    The left side is P_s(t z; 1/t..1/t), taken as the confluent limit of
+    its determinant form, over prod (1 - z_j)^s; the z's, and with them
+    the u's of the right side, are pairwise distinct (the u-map has
+    determinant -c^2/a^2 != 0).
+    """
     case = IdentityCase("whom", "exact", {"s": s})
     t, delta = w.t(), w.delta()
     us = []
@@ -372,14 +378,16 @@ def check_whom(s, zs, w: WeightTriple) -> IdentityCase:
             raise SamplePoleHit("u = 0")
         us.append(u)
     xs = [t * z for z in zs]
-    lhs = cantini_P_poly(s, delta).eval(xs + [1 / t] * s)
-    for x in xs:
-        lhs /= (1 - x / t) ** s
+    lhs = cantini_P_confluent(xs, 1 / t, delta)
+    for j in range(s):
+        lhs /= (1 - xs[j] / t) ** s
+        for k in range(j + 1, s):
+            lhs /= xs[k] - xs[j]
     rhs = Fraction(-1) ** s * enumerate_Z(s, w) \
         / (w.c ** s * w.b ** (s * (s - 1)))
     for z, u in zip(zs, us):
         rhs /= (z - 1) * u ** (s - 1)
-    rhs *= family(w).hns_poly(s, s).eval(us)
+    rhs *= family(w).hns_value(s, s, us)
     case.lhs, case.rhs = lhs, rhs
     return _finish(case)
 

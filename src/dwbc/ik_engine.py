@@ -23,13 +23,21 @@ and Laurent-tower elements, and is what every residue integrand (which
 carries that Vandermonde itself) multiplies in.  `hns_value` divides it
 by the Vandermonde at pairwise distinct points.  `hns_poly` divides the
 Vandermonde out symbolically by divided differences; no residue
-integrand uses it.  It serves the coincident-point fallback of
-`partially_inhomogeneous_Z`, `identity_suite.check_whom`, the tests as
-a reference, and `perfbench/tracer.py`, which binds it by name.
+integrand and no identity check uses it.  It serves only the
+coincident-point fallback of `partially_inhomogeneous_Z`, the tests as
+a reference, and the benchmark tracer, which binds it by name.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
-P_s, which tie the antisymmetrization identity machinery to Z_s.
+P_s = W_s prod (1 - x_j y_k), which tie the antisymmetrization identity
+machinery to Z_s.  P_s is never built as a polynomial: each integrand
+takes it in the form its own points allow.  `cantini_P_vand` gives
+P_s Vand(x) Vand(y) as a determinant at general points,
+`cantini_P_confluent` the confluent limit P_s(x; c..c) Vand(x) at
+coincident y's, and at y = 1/x it has the closed form
+prod_j x_j^-(s-1) prod_{j != k} (x_j x_k - 2D x_j + 1) (the `psxx`
+identity), which the integrands write out so that it cancels their
+own pair factors.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -46,7 +55,6 @@ from .errors import DegeneratePoints, NearDegenerate, Singular
 from .exact_core import (
     ExactPoly,
     MultiPoly,
-    as_fraction,
     complete_homogeneous,
     poly_det,
 )
@@ -54,7 +62,7 @@ from .lattice_oracle import WeightMatrix, WeightTriple, boundary_generating_poly
 
 DEGENERACY_TOL = 1e-8
 
-# bound of the per-weight caches (`family`, `cantini_P_poly`)
+# bound of the per-weight cache `family`
 CACHE_SIZE = 64
 
 
@@ -221,6 +229,14 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
     return pref * complex(np.linalg.det(m))
 
 
+def _powers(x, n):
+    """[1, x, .., x^n] (just [1] for n <= 0)."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # boundary generating polynomials h_M and their multivariate extension
 # ---------------------------------------------------------------------------
@@ -287,16 +303,12 @@ class BoundaryGenFamily:
         cols, inv_dens = [], []
         for z in zs:
             num = z if (al, be) == (1, 0) else al * z + be
-            nums = [one, num]
-            for _ in range(top - 1):
-                nums.append(nums[-1] * num)
+            nums = _powers(num, top)
             if ga == 0 and de == 1:
                 basis = nums
             else:
                 den = ga * z + de if ga else de
-                dens = [one, den]
-                for _ in range(top - 1):
-                    dens.append(dens[-1] * den)
+                dens = _powers(den, top)
                 basis = [nums[k] * dens[top - k] for k in range(top + 1)]
                 if ga:
                     inv_dens.append((one / den) ** (N - 1))
@@ -381,12 +393,6 @@ def family(w) -> BoundaryGenFamily:
     return BoundaryGenFamily(w)
 
 
-def build_hNs(N: int, s: int, w: WeightTriple, points):
-    """Evaluate h_{N,s} at pairwise distinct exact points."""
-    return family(w).hns_value(N, s, [as_fraction(p) for p in points])
-
-
-
 # ---------------------------------------------------------------------------
 # partially inhomogeneous partition function
 # ---------------------------------------------------------------------------
@@ -443,60 +449,64 @@ def cantini_W_value(xs, ys, delta):
     return pref * poly_det(mat) / van
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def cantini_P_poly(s: int, delta: Fraction) -> MultiPoly:
-    """P_s(x_1..x_s; y_1..y_s) = W_s * prod (1 - x_j y_k), exactly.
+def cantini_P_vand(xs, ys, delta, yfactor=1):
+    """yfactor * P_s(x; y) Vand(x) Vand(y) = yfactor * det[g_k(x_j)],
+    where P_s = W_s prod (1 - x_j y_k), g_k(x) = prod_{k' != k}
+    (1 - x y_k')(x + y_k' - 2D x y_k') and Vand(x) = prod_{j<k}
+    (x_k - x_j).
 
-    Built as det[g_k(x_j)] / (Vand_x Vand_VY) with polynomial entries
-    g_k(x) = prod_{k' != k} (1 - x y_k')(x + y_k' - 2D x y_k'): the
-    Vandermonde in x is divided out by divided differences, the one in y
-    by exact synthetic division.  Variables: 0..s-1 the x's, s..2s-1 the
-    y's.  Degree s-1 in every variable.
+    Every integrand that takes P_s at general points carries both
+    Vandermondes, so nothing is divided.  The points may coincide and
+    may be Fractions or Laurent-tower elements.  With g_k(x) = sum_m
+    c_{k,m}(y) x^m the determinant is taken by Cauchy-Binet, sum over
+    s-subsets S of the x-powers 0..2s-2 of det[x_j^m]_{m in S} (x only)
+    times det[c_{k,m}(y)]_{m in S} (y only).  On a tower this multiplies
+    small one-sided factors instead of expanding det[g_k(x_j)], and a
+    y-only `yfactor` (the y side of an integrand) goes into each y-only
+    minor, so it is never multiplied into the full sum.
     """
-    delta = as_fraction(delta)
-    nv = 2 * s
-    ys = [MultiPoly.variable(nv, s + k) for k in range(s)]
-
-    # g_k as univariate in x with MultiPoly-in-y coefficients
-    def g_coeffs(k):
-        coeffs = [MultiPoly.constant(nv, Fraction(1))]  # poly in x, ascending
+    s = len(xs)
+    # (1 - x y)(x + y - 2D x y) as coefficients of x^0, x^1, x^2
+    quads = [[y, 1 - 2 * delta * y - y * y, (2 * delta * y - 1) * y]
+             for y in ys]
+    coeffs = []
+    for k in range(s):
+        cs = [1]
         for kp in range(s):
-            if kp == k:
-                continue
-            # (1 - x y_kp): [1, -y_kp]
-            coeffs = _polymul_x(coeffs, [MultiPoly.constant(nv, Fraction(1)),
-                                         -ys[kp]])
-            # (x + y_kp - 2D x y_kp): [y_kp, 1 - 2D y_kp]
-            coeffs = _polymul_x(
-                coeffs,
-                [ys[kp], MultiPoly.constant(nv, Fraction(1))
-                 - 2 * delta * ys[kp]])
-        return coeffs
+            if kp != k:
+                out = [0] * (len(cs) + 2)
+                for i, a in enumerate(cs):
+                    for l, b in enumerate(quads[kp]):
+                        out[i + l] = out[i + l] + a * b
+                cs = out
+        coeffs.append(cs)
+    powers = [_powers(x, 2 * s - 2) for x in xs]
+    terms = [poly_det([[pw[m] for m in S] for pw in powers])
+             * (yfactor * poly_det([[cs[m] for cs in coeffs] for m in S]))
+             for S in combinations(range(2 * s - 1), s)]
+    return sum(terms[1:], terms[0])
 
-    mat = []
-    for j in range(1, s + 1):          # row j: divided difference x_1..x_j
+
+def cantini_P_confluent(xs, c, delta):
+    """P_s(x; c..c) Vand(x), the confluent limit of `cantini_P_vand` at
+    coincident y's: det over rows j and columns m = 0..s-1 of
+
+        sum_{i+l=m} x_j^i (2D x_j - 1)^l A_j^(s-1-i) B_j^(s-1-l),
+
+    A = 1 - x c, B = x + c - 2D x c.  Dividing det[g_k(x_j)] by Vand(y)
+    and letting every y_k -> c takes the m-th y-Taylor coefficient of
+    1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.
+    """
+    s = len(xs)
+    rows = []
+    for x in xs:
+        xp, dp = _powers(x, s - 1), _powers(2 * delta * x - 1, s - 1)
+        ap = _powers(1 - x * c, s - 1)
+        bp = _powers(x + c - 2 * delta * x * c, s - 1)
         row = []
-        for k in range(s):             # column k: function g_k
-            cs = g_coeffs(k)
-            entry = MultiPoly(nv)
-            for m, cf in enumerate(cs):
-                if cf.is_zero():
-                    continue
-                entry = entry + cf * complete_homogeneous(nv, j, m - j + 1)
-            row.append(entry)
-        mat.append(row)
-    det = poly_det(mat)
-    for j in range(s):
-        for k in range(j + 1, s):
-            det = det.divexact_linear(s + k, s + j)
-    return det
-
-
-def _polymul_x(a, b):
-    """Multiply two polynomials in x given as MultiPoly coefficient lists."""
-    nv = a[0].nvars
-    out = [MultiPoly(nv) for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return out
+        for m in range(s):
+            terms = [xp[i] * dp[m - i] * ap[s - 1 - i] * bp[s - 1 - m + i]
+                     for i in range(m + 1)]
+            row.append(sum(terms[1:], terms[0]))
+        rows.append(row)
+    return poly_det(rows)

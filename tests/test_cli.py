@@ -168,6 +168,7 @@ class TestContracts:
               "--method", "ik"], None),
             (["boundary", "--size", "3", "--lambdas", "0.3", "0.8", "1.2",
               "--nus", "0.1", "0.25", "0.42", "--eta", "0.35"], None),
+            (["verify", "--suite", "cantini", "--trials", "-3"], None),
         ]
         for args, max_n in malformed:
             capsys.readouterr()

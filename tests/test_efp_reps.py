@@ -14,7 +14,7 @@ from dwbc.efp_reps import (
 )
 from dwbc.errors import ChainBreak, InvalidRegion
 from dwbc.exact_core import build_tower, geom_inverse
-from dwbc.ik_engine import cantini_P_poly, family
+from dwbc.ik_engine import cantini_P_vand, family
 from dwbc.lattice_oracle import (
     ICE_POINT,
     WeightTriple,
@@ -164,17 +164,16 @@ class TestVanishingPoleProperties:
         z1 = atoms["z1"]
         z2 = (2 * delta * z1 - 1) / z1      # the pole location
         h_bot = fam.hns_poly(N - s, n)
-        p_n = cantini_P_poly(n, delta)
 
         f = ring.const(1)
         for wv, zv in zip(ws_vals, (z1, z2)):
             f = f / (1 - t * wv) / ((wv * zv) ** (N - s))
-        # ordered-pair products over w's and z's, j != k
-        f = f * (ws_vals[1] - ws_vals[0]) * (ws_vals[0] - ws_vals[1]) \
+        # ordered-pair products over w's and z's, j != k: both
+        # Vandermondes squared, one copy of each in the det form of P_n
+        f = f * (ws_vals[1] - ws_vals[0]) \
             / ((ws_vals[0] * ws_vals[1] - 2 * delta * ws_vals[0] + 1)
                * (ws_vals[0] * ws_vals[1] - 2 * delta * ws_vals[1] + 1))
-        f = f * (z2 - z1) * (z1 - z2) \
-            / (z2 * z1 - 2 * delta * z2 + 1)
+        f = f * (z2 - z1) / (z2 * z1 - 2 * delta * z2 + 1)
         # the factor (z1 z2 - 2D z1 + 1) vanished at the pole: residue
         # divides by its z2-derivative, which is z1
         f = f / z1
@@ -182,7 +181,7 @@ class TestVanishingPoleProperties:
                 for wv in ws_vals]
         f = f * fam.hns_poly(s + n, n).eval(
             [Fraction(x) for x in warg])
-        f = f * p_n.eval([Fraction(x) for x in ws_vals] + [z1, z2])
+        f = f * cantini_P_vand(ws_vals, [z1, z2], delta)
         for wv in ws_vals:
             for zv in (z1, z2):
                 f = f / (1 - wv * zv)
@@ -193,12 +192,13 @@ class TestVanishingPoleProperties:
         # P_n(w; z)|_{z_n = 1/(2D - z_1)} vanishes at z_1 = 1/w_k
         w = WeightTriple(1, 2, 2)
         delta = w.delta()
-        p2 = cantini_P_poly(2, delta)
         ws_vals = [Fraction(3, 7), Fraction(5, 9)]
         for wk in ws_vals:
             z1 = 1 / wk
             z2 = 1 / (2 * delta - z1)
-            assert p2.eval(ws_vals + [z1, z2]) == 0
+            # the det form is P_2 times two Vandermondes, nonzero here
+            assert z1 != z2
+            assert cantini_P_vand(ws_vals, [z1, z2], delta) == 0
 
     def test_large_z_decay(self):
         # as a rational function of z_n the symmetrized integrand is
@@ -213,10 +213,11 @@ class TestVanishingPoleProperties:
         f = ring.const(1)
         for wv, zv in zip(ws_vals, (z1v, zn)):
             f = f / (1 - t * wv) / ((wv * zv) ** (N - s))
-        f = f * (zn - z1v) * (z1v - zn) \
+        # (zn - z1)(z1 - zn) P_n = (z1 - zn) P_n Vand(w) Vand(z) / Vand(w)
+        f = f * (z1v - zn) / (ws_vals[1] - ws_vals[0]) \
             / ((z1v * zn - 2 * delta * z1v + 1)
                * (zn * z1v - 2 * delta * zn + 1))
-        f = f * cantini_P_poly(n, delta).eval(list(ws_vals) + [z1v, zn])
+        f = f * cantini_P_vand(ws_vals, [z1v, zn], delta)
         for wv in ws_vals:
             f = f / ((1 - wv * z1v) * (1 - wv * zn))
         f = f * fam.hns_poly(N - s, n).eval([z1v / t, zn / t])

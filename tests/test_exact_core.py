@@ -9,7 +9,6 @@ from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
     RATIONALS,
     ExactPoly,
-    MultiPoly,
     Series,
     SeriesRing,
     build_tower,
@@ -383,18 +382,6 @@ class TestPoly:
 
 
 class TestMultiPoly:
-    def test_divexact(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
-        p = (x - y) * (x + y)
-        q = p.divexact_linear(0, 1)
-        assert q.terms == (x + y).terms
-
-    def test_divexact_remainder_raises(self):
-        x = MultiPoly.variable(2, 0)
-        with pytest.raises(ZeroDenominator):
-            (x * x).divexact_linear(0, 1)
-
     def test_complete_homogeneous(self):
         h = complete_homogeneous(2, 2, 2)
         assert h.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}

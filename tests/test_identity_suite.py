@@ -14,7 +14,7 @@ from dwbc.identity_suite import (
     run_suite,
     second_order_hierarchy_instance,
 )
-from dwbc.ik_engine import cantini_P_poly
+from dwbc.ik_engine import cantini_P_vand
 from dwbc.lattice_oracle import ICE_POINT, WeightTriple
 
 
@@ -55,10 +55,10 @@ class TestSpecExamples:
 
 class TestPValue:
     def test_matches_polynomial_construction(self):
+        # P_s from its determinant form over both Vandermondes
         rng = random.Random(9)
         for s in (1, 2, 3):
             delta = Fraction(1, 3)
-            poly = cantini_P_poly(s, delta)
             for _ in range(3):
                 xs, ys = [], []
                 while len(xs) < s:
@@ -72,7 +72,12 @@ class TestPValue:
                                     x + v - 2 * delta * x * v != 0
                                     for x in xs)):
                         ys.append(v)
-                assert p_s_value(s, delta, xs, ys) == poly.eval(xs + ys)
+                van = Fraction(1)
+                for j in range(s):
+                    for k in range(j + 1, s):
+                        van *= (xs[k] - xs[j]) * (ys[k] - ys[j])
+                assert p_s_value(s, delta, xs, ys) \
+                    == cantini_P_vand(xs, ys, delta) / van
 
 
 class TestSuites:

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -10,8 +11,8 @@ from dwbc.ik_engine import (
     CACHE_SIZE,
     NumericTriple,
     TrigParams,
-    build_hNs,
-    cantini_P_poly,
+    cantini_P_confluent,
+    cantini_P_vand,
     cantini_W_value,
     family,
     gamma_change,
@@ -22,6 +23,7 @@ from dwbc.ik_engine import (
     phi_derivatives,
 )
 from dwbc.exact_core import residue_drive
+from dwbc.identity_suite import p_s_value
 from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z
 
 
@@ -107,28 +109,25 @@ class TestHomogeneous:
 
 class TestBoundaryFamily:
     def test_caches_bounded(self):
-        # 200 distinct exact and 200 distinct numeric weight triples (and
-        # P_1 at 200 deltas) leave both per-weight caches at or below
-        # their bound
+        # 200 distinct exact and 200 distinct numeric weight triples leave
+        # the per-weight cache at or below its bound
         for k in range(200):
             w = WeightTriple(Fraction(k + 2, 3), 2, Fraction(5, 7))
             assert family(w).h(2).eval(1) == 1
             wn = NumericTriple(*homogeneous_abc(0.9 + k / 500, 0.3))
             assert abs(sum(family(wn).h(2)) - 1) < 1e-12
-            cantini_P_poly(1, Fraction(k, 11))
         # numeric triples hash by value: equal ones share a family
         abc = homogeneous_abc(0.9, 0.3)
         assert family(NumericTriple(*abc)) is family(NumericTriple(*abc))
-        for cached in (family, cantini_P_poly):
-            info = cached.cache_info()
-            assert info.maxsize == CACHE_SIZE
-            assert info.currsize <= CACHE_SIZE
+        info = family.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
 
     def test_hn1_is_hn(self):
         w = WeightTriple(2, 3, 4)
         fam = family(w)
         z = Fraction(2, 7)
-        assert build_hNs(4, 1, w, [z]) == fam.h(4).eval(z)
+        assert fam.hns_value(4, 1, [z]) == fam.h(4).eval(z)
 
     def test_value_vs_poly_and_symmetry(self):
         w = WeightTriple(2, 3, 4)
@@ -161,7 +160,7 @@ class TestBoundaryFamily:
     def test_degenerate_points_error(self):
         w = WeightTriple(2, 3, 4)
         with pytest.raises(DegeneratePoints):
-            build_hNs(3, 2, w, [Fraction(1, 2), Fraction(1, 2)])
+            family(w).hns_value(3, 2, [Fraction(1, 2), Fraction(1, 2)])
 
     def test_hns_vand_matches_poly(self):
         # h_{N,s}(M(z)) Vand(z) as a determinant, against the divided-
@@ -282,16 +281,34 @@ class TestPartiallyInhomogeneous:
             assert abs(z - rhs) <= 1e-10 * max(1, abs(rhs))
 
 
+def _vand(pts):
+    """prod_{j<k} (pts[k] - pts[j])."""
+    out = 1
+    for j in range(len(pts)):
+        for k in range(j + 1, len(pts)):
+            out = out * (pts[k] - pts[j])
+    return out
+
+
+def _distinct(rng, count):
+    out = []
+    while len(out) < count:
+        v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+        if v != 0 and v not in out:
+            out.append(v)
+    return out
+
+
 class TestCantiniKernel:
     def test_p1_is_one(self):
-        p = cantini_P_poly(1, Fraction(1, 2))
-        assert p.terms == {(0, 0): Fraction(1)}
+        x, y, delta = Fraction(3, 5), Fraction(-2, 7), Fraction(1, 2)
+        assert cantini_P_vand([x], [y], delta) == 1
+        assert cantini_P_confluent([x], y, delta) == 1
 
     def test_p_vs_w_definition(self):
         rng = random.Random(3)
         for s in (2, 3):
             delta = Fraction(1, 2)
-            p = cantini_P_poly(s, delta)
             for _ in range(4):
                 xs = [Fraction(rng.randint(-12, 12), rng.randint(1, 9))
                       for _ in range(s)]
@@ -307,8 +324,50 @@ class TestCantiniKernel:
                 for x in xs:
                     for y in ys:
                         pref *= 1 - x * y
-                assert p.eval(xs + ys) == w * pref
+                assert cantini_P_vand(xs, ys, delta) \
+                    == w * pref * _vand(xs) * _vand(ys)
 
-    def test_degree_bound(self):
-        p = cantini_P_poly(3, Fraction(-2, 3))
-        assert all(p.degree(i) <= 2 for i in range(6))
+    def test_det_form_matches_p_value(self):
+        # against p_s_value, interpolated from the det-psi definition and
+        # independent of any determinant form of P_s; the later draws put
+        # points on 1 - x_j y_j = 0, where W_s itself has a pole
+        rng = random.Random(5)
+        for s in (1, 2, 3, 4):
+            for trial in range(3):
+                delta = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                xs, ys = _distinct(rng, s), _distinct(rng, s)
+                for j in range(trial):
+                    ys[j % s] = 1 / xs[j % s]
+                assert cantini_P_vand(xs, ys, delta) \
+                    == p_s_value(s, delta, xs, ys) * _vand(xs) * _vand(ys)
+
+    def test_confluent_form_matches_p_value(self):
+        # P_s(x; c..c) Vand(x) at coincident y's, c = 1/x_1 included
+        rng = random.Random(6)
+        for s in (1, 2, 3, 4):
+            for trial in range(3):
+                delta = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                xs = _distinct(rng, s)
+                c = 1 / xs[0] if trial == 2 else _distinct(rng, 1)[0]
+                assert cantini_P_confluent(xs, c, delta) \
+                    == p_s_value(s, delta, xs, [c] * s) * _vand(xs)
+
+    def test_det_form_at_inverse_points_is_psxx(self):
+        # the identity the flipped-contour trace step relies on: P_n is
+        # symmetric in its y's, so at y = 1/w_sigma it equals the psxx
+        # closed form prod w_j^-(n-1) prod_{j != k} (w_j w_k - 2D w_j + 1)
+        # for every sigma
+        rng = random.Random(7)
+        for n in (1, 2, 3, 4):
+            delta = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            ws = _distinct(rng, n)
+            closed = Fraction(1)
+            for j in range(n):
+                closed /= ws[j] ** (n - 1)
+                for k in range(n):
+                    if j != k:
+                        closed *= ws[j] * ws[k] - 2 * delta * ws[j] + 1
+            for sigma in permutations(range(n)):
+                ys = [1 / ws[l] for l in sigma]
+                assert cantini_P_vand(ws, ys, delta) \
+                    == closed * _vand(ws) * _vand(ys)
