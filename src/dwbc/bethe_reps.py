@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NearDegenerate, PoleCollision
-from .exact_core import _perm_sign, residue_drive
+from .exact_core import _perm_sign, eps_scale, residue_drive
 from .ik_engine import (
     TrigParams,
     a_fn,
@@ -301,8 +301,9 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
         return f, fam.hns_vand(N, s, zs)
 
+    # the pair factors at z = 0: 1 - 2Dt z_j + t^2 z_j z_k
     specs = [(f"z{j}", Fraction(0), rs[j]) for j in range(s)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t))
 
 
 def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -360,8 +361,11 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
         return f, fam.hns_vand(s, s, ws)
 
+    # the pair factors at w = 1: kappa + (t^2 - 2Dt) e_j + t^2 e_k + ..
+    kappa = t * t - 2 * delta * t + 1
     specs = [(f"w{j}", Fraction(1), rs[j]) for j in range(s)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(
+        specs, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
 
 
 def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -390,8 +394,9 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
                     / (zs[j] * zs[k] - 2 * delta * t * zs[j] + t * t)
         return f, fam.hns_vand(N, ns, zs, tilde=True)
 
+    # the pair factors at z = 0: t^2 - 2Dt z_j + z_j z_k
     specs = [(f"z{j}", Fraction(0), rbar[j]) for j in range(ns)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(specs, build, eps_scale(1 / t, 2 * delta / t))
 
 
 def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -425,8 +430,11 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
         return f, fam.hns_vand(ns, ns, ws, tilde=True)
 
+    # the pair factors at w = 1: kappa + (1 - 2Dt) e_j + e_k + ..
+    kappa = t * t - 2 * delta * t + 1
     specs = [(f"w{j}", Fraction(1), rbar[j]) for j in range(ns)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(
+        specs, build, eps_scale((1 - 2 * delta * t) / kappa, 1 / kappa))
 
 
 def psi_dual_mirs(cfg: RowConfig, w: WeightTriple):

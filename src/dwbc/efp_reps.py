@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import ChainBreak, InvalidRegion
-from .exact_core import geom_inverse, residue_drive
+from .exact_core import eps_scale, geom_inverse, residue_drive
 from .bethe_reps import _pole_guard
 from .ik_engine import cantini_P_confluent, cantini_P_vand, family
 from .lattice_oracle import (
@@ -155,8 +155,10 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    # the pair factors at z = 0, 1 - 2Dt z_j + t^2 z_j z_k, and the
+    # denominator 1 + (t^2 - 2Dt) z of u(z)
     specs = [(f"z{j}", Fraction(0), r) for j in range(s)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t, tt))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,12 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         return f * fam.hns_vand(N - s, n, zs), \
             fam.hns_vand(s + n, n, zs, w_map)
 
+    # the pair factors at z = 1: kappa + (t^2 - 2Dt) e_j + t^2 e_k + ..;
+    # the denominator t^2 (z - 1) of the h argument is a monomial
+    kappa = t * t - 2 * delta * t + 1
     specs = [(f"z{j}", Fraction(1), s + n) for j in range(n)]
-    return pref * _vand_sign(n) * residue_drive(specs, build)
+    return pref * _vand_sign(n) * residue_drive(
+        specs, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +243,10 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
                 f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
         return f, fam.hns_vand(s + n, n, ws, warg)
 
+    # 1 - t w, the pair factors 1 - 2D w_j + w_j w_k and the h
+    # argument's denominator t (t w - 1), at w = 0
     specs = [(f"w{j}", Fraction(0), ls[j]) for j in range(n)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta))
 
 
 def _psi_bot_frozen_mir(N, s, ls, w):
@@ -262,7 +270,7 @@ def _psi_bot_frozen_mir(N, s, ls, w):
         return f, fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
 
     specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive(specs, build, eps_scale(2 * delta))
 
 
 def _trace_sfold_chain(q, w, record):
@@ -301,6 +309,9 @@ def _trace_sfold_chain(q, w, record):
 
     specs = ([(f"x{j}", Fraction(0), r) for j in range(s)]
              + [(f"y{j}", inv_t, s) for j in range(s)])
+    # the x pair factors 1 - 2D x_j + x_j x_k at x = 0, and y = (1 + t
+    # (y - 1/t))/t and 1 - x y = 1 - x/t - x (y - 1/t) at y = 1/t
+    scale = eps_scale(t, inv_t, 2 * delta)
 
     def build_double(vs, ring):
         xs, ys = split(vs)
@@ -316,7 +327,7 @@ def _trace_sfold_chain(q, w, record):
             msum = msum + term
         return x_side(xs, ring.const(1)), fy * msum
 
-    record("double-contour", residue_drive(specs, build_double))
+    record("double-contour", residue_drive(specs, build_double, scale))
 
     def build_double2(vs, ring):
         xs, ys = split(vs)
@@ -332,7 +343,8 @@ def _trace_sfold_chain(q, w, record):
             fx = fx * geom_inverse(prodxy, ring)
         return fx, y_side(ys, fy)
 
-    record("double-contour-extended", residue_drive(specs, build_double2))
+    record("double-contour-extended",
+           residue_drive(specs, build_double2, scale))
 
     def build_double3(vs, ring):
         """The double antisymmetrization, with W_s(x; y) = P_s(x; y) /
@@ -359,7 +371,7 @@ def _trace_sfold_chain(q, w, record):
 
     record("double-contour-symmetrized",
            Fraction(1, math.factorial(s) ** 2)
-           * residue_drive(specs, build_double3))
+           * residue_drive(specs, build_double3, scale))
 
     def build_recovered(vs, ring):
         """The y-integrals taken at the pole y = 1/t: W_s(x; 1/t..1/t)
@@ -383,7 +395,7 @@ def _trace_sfold_chain(q, w, record):
     xspecs = [(f"x{j}", Fraction(0), r) for j in range(s)]
     record("sfold-recovered",
            _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
-           * residue_drive(xspecs, build_recovered))
+           * residue_drive(xspecs, build_recovered, scale))
 
     record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))
     record("sfold-plain", efp_mir_s(q, w, "efpMIR1"))
@@ -435,6 +447,9 @@ def _trace_nfold_chain(q, w, record):
     # extended multisum, 2n-fold residues at the origin ----------------
     specs = ([(f"w{j}", Fraction(0), N - s) for j in range(n)]
              + [(f"z{j}", Fraction(0), N - s) for j in range(n)])
+    # 1 - t w, the pair factors 1 - 2D w_j + w_j w_k and the h_top
+    # argument's denominator t (t w - 1), at the origin
+    scale = eps_scale(t, 2 * delta)
 
     def cross(us, f, ordered):
         """Divide by the pair factors of one set over k > j, or over all
@@ -465,7 +480,8 @@ def _trace_nfold_chain(q, w, record):
             fw = fw * geom_inverse(prodwz, ring)
         return fw, cross(zs, fz, ordered=False) * h_bot(zs)
 
-    record("nfold-extended", pref * residue_drive(specs, build_extended))
+    record("nfold-extended",
+           pref * residue_drive(specs, build_extended, scale))
 
     # double antisymmetrization with P_n -------------------------------
     def build_symmetrized(vs, ring):
@@ -487,7 +503,7 @@ def _trace_nfold_chain(q, w, record):
 
     record("nfold-symmetrized",
            pref / math.factorial(n) ** 2
-           * residue_drive(specs, build_symmetrized))
+           * residue_drive(specs, build_symmetrized, scale))
 
     # z-contours flipped onto the poles at 1/w_l -----------------------
     record("nfold-flipped",
@@ -515,7 +531,7 @@ def _trace_nfold_chain(q, w, record):
     wspecs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
     record("nfold-integrated",
            pref * _vand_sign(n) / math.factorial(n)
-           * residue_drive(wspecs, build_integrated))
+           * residue_drive(wspecs, build_integrated, scale))
 
     record("nfold-final", efp_mir_n(q, w))
 
@@ -587,7 +603,7 @@ def _flipped_contour_value(q, w) -> Fraction:
         return base, total
 
     specs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
-    return residue_drive(specs, build)
+    return residue_drive(specs, build, eps_scale(t, 2 * delta))
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,

@@ -4,13 +4,24 @@ iterated residue extraction.
 Every "multiple integral" evaluated in this package is a contour
 integral of a rational function around explicit poles, so it equals a
 finite iterated residue and can be computed exactly over the rationals:
-substitute z = center + eps one variable at a time (innermost contour
+substitute z = center + D eps one variable at a time (innermost contour
 first), expand as a truncated Laurent series in eps, and read off the
 coefficient of eps^(-1) at each level.
 
 The series engine is a tower of univariate Laurent rings: a series in
 the first-integrated variable whose coefficients are series in the
-second, and so on, with exact rational leaves.  Each element tracks the
+second, and so on, with exact rational leaves.  The leaves of every
+residue integrand are Python ints.  `residue_drive` substitutes each
+variable as z = center + D eps, with D from `eps_scale` (the lcm of the
+denominators of the route's factor ratios, as the lattice sweep scales
+its weights), and hands the integrand `Scaled` elements: a rational
+scalar times a tower on int leaves.  The Fractions of the weights, of
+the centers and of the constants that the inverted factors pull out
+(each such factor becomes its constant times 1 + an integer polynomial
+in the eps's, so the tower inverts only units) stay in the scalars, and
+the residue is the product of the scalars times the int residue times
+D per variable.  A leaf is a Fraction only where a route inverts a
+factor with no such unit form.  Each element tracks the
 exponent `err` past which its coefficients are unknown (math.inf for
 exact polynomials); inverting a unit series introduces a finite window
 sized by the ring's `prec`.  Operations propagate `err` honestly, and
@@ -217,30 +228,36 @@ def _horner(coeffs, x):
 # ---------------------------------------------------------------------------
 
 class ScalarRing:
-    """Leaf ring of a tower: exact rationals or complex doubles."""
+    """Leaf ring of a tower: exact rationals or complex doubles.
+
+    The rational ring keeps every integral value a Python int (`const`,
+    `zero`, and the inverse of +-1), so a tower built from integers
+    stays on ints and only a leaf it has to invert turns into a
+    Fraction."""
 
     is_series = False
 
-    def __init__(self, cast, name):
-        self._cast = cast
+    def __init__(self, exact, name):
+        self.exact = exact
         self.name = name
 
     def const(self, v):
-        if isinstance(v, complex) and self._cast is complex:
+        if not self.exact:
+            return complex(v)
+        if isinstance(v, int):
             return v
-        if self._cast is Fraction:
-            return as_fraction(v)
-        return self._cast(v)
+        q = as_fraction(v)
+        return q.numerator if q.denominator == 1 else q
 
     def zero(self):
-        return self._cast(0)
+        return 0 if self.exact else 0j
 
     def __repr__(self):
         return self.name
 
 
-RATIONALS = ScalarRing(Fraction, "Q")
-COMPLEXES = ScalarRing(complex, "C")
+RATIONALS = ScalarRing(True, "Q")
+COMPLEXES = ScalarRing(False, "C")
 
 
 def _is_exact_zero(x) -> bool:
@@ -257,11 +274,15 @@ def _definitely_nonzero(x) -> bool:
 
 
 def _invert(x):
+    """Inverse of a tower element or a leaf: an int leaf +-1 stays an
+    int, any other int becomes an exact Fraction."""
     if isinstance(x, Series):
         return x.inverse()
     if x == 0:
         raise ZeroDenominator("scalar division by zero")
-    return 1 / x if not isinstance(x, Fraction) else Fraction(1) / x
+    if isinstance(x, int):
+        return x if x in (1, -1) else Fraction(1, x)
+    return 1 / x
 
 
 class SeriesRing:
@@ -533,6 +554,162 @@ class Series:
         return self.coefficient(-1)
 
 
+class Scaled:
+    """k * e: a rational scalar k times a tower element (or an int) e.
+
+    `residue_drive` hands every integrand its variables as Scaled
+    elements, so an integrand is written over the rationals while its
+    towers stay on integer leaves and the Fractions collect in the
+    scalars.  A product multiplies the scalars.  A sum brings its terms
+    to the largest rational dividing both scalars, which leaves them
+    integer multipliers (fraction-free, in the manner of Bareiss).  An
+    inverse pulls the leading leaf of e, the one leaf `Series.inverse`
+    inverts, into the scalar, so the tower inverts a unit: a factor
+    c (1 + sum_m p_m eps^m) has integer p_m when the variables are
+    scaled as `eps_scale` chooses.  Where the leading leaf does not
+    divide e, e is inverted as it is and its leaves become Fractions.
+    """
+
+    __slots__ = ("k", "e")
+
+    def __init__(self, k, e):
+        self.k = k
+        self.e = e
+
+    @property
+    def min_exp(self):
+        return self.e.min_exp
+
+    @staticmethod
+    def _coerce(v):
+        if isinstance(v, Scaled):
+            return v
+        if isinstance(v, Series):
+            return Scaled(1, v)
+        if isinstance(v, (int, Fraction)):
+            return Scaled(v, 1)
+        if isinstance(v, float):
+            return Scaled(as_fraction(v), 1)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Scaled({self.k!r}, {self.e!r})"
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return Scaled(self.k * other.k, _times(self.e, other.e))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        if not other.k:
+            return self
+        if not self.k:
+            return other
+        k, m1, m2 = _common_scale(self.k, other.k)
+        return Scaled(k, _times(self.e, m1) + _times(other.e, m2))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Scaled(-self.k, self.e)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return Scaled(self.k ** n, self.e ** n)
+
+    def inverse(self) -> "Scaled":
+        e = self.e
+        if not isinstance(e, Series):
+            if not (self.k and e):
+                raise ZeroDenominator("scalar division by zero")
+            return Scaled(1 / Fraction(self.k * e), 1)
+        if not self.k:
+            raise ZeroDenominator("inverse of the zero series")
+        lead = e
+        while isinstance(lead, Series) and lead.coeffs:
+            lead = lead.coeffs[0]
+        unit = _divide_leaves(e, lead) if isinstance(lead, int) else None
+        if unit is None:
+            return Scaled(1 / Fraction(self.k), e.inverse())
+        return Scaled(1 / Fraction(self.k * lead), unit.inverse())
+
+
+def _times(a, b):
+    """a * b, skipping the multiplication by an int 1."""
+    if isinstance(b, int) and b == 1:
+        return a
+    if isinstance(a, int) and a == 1:
+        return b
+    return a * b
+
+
+def _common_scale(k1, k2):
+    """(k, m1, m2) with k1 = m1 k and k2 = m2 k for coprime integers
+    m1, m2: k is the gcd of the numerators over the lcm of the
+    denominators."""
+    p1, q1, p2, q2 = k1.numerator, k1.denominator, k2.numerator, k2.denominator
+    g = math.gcd(p1, p2)
+    q = math.lcm(q1, q2)
+    return (Fraction(g, q) if q != 1 else g,
+            p1 * (q // q1) // g, p2 * (q // q2) // g)
+
+
+def _divide_leaves(x, d):
+    """x with every leaf divided by the int d, or None when a leaf is
+    not an integer multiple of d."""
+    if d == 1:
+        return x
+    if isinstance(x, Series):
+        out = []
+        for c in x.coeffs:
+            c = _divide_leaves(c, d)
+            if c is None:
+                return None
+            out.append(c)
+        return Series(x.ring, x.lo, out, x.err)
+    if isinstance(x, int) and x % d == 0:
+        return x // d
+    return None
+
+
+def eps_scale(*ratios) -> int:
+    """The least D with D q an integer for every q given: the lcm of the
+    denominators, as the lattice sweep scales its weights.
+
+    A route passes the ratios, to its constant term, of the linear
+    coefficients of every factor it inverts, written at its contour
+    centre; with z = centre + D eps each such factor is its constant
+    times 1 + (integer polynomial in the eps's) (a coefficient of
+    degree m carries D^m), and its inverse stays on integer leaves.
+    """
+    return math.lcm(1, *(as_fraction(q).denominator for q in ratios))
+
+
 def build_tower(varspecs, base=RATIONALS):
     """Build a Laurent tower and its variable atoms.
 
@@ -618,7 +795,9 @@ def _contract_level(pairs, bound):
 
 def iterated_residue(integrand, order_bounds=None):
     """Iterated residue of a tower element, or of the product of a pair
-    (A, B) of elements of one tower, taken by contraction.
+    (A, B) of elements of one tower, taken by contraction.  Either may
+    be `Scaled`: the contraction runs on the towers and the scalars
+    multiply the result.  An int result is returned as a Fraction.
 
     The x^(-1) coefficient of A*B is sum_i A_i B_(-1-i), and the residue
     is linear, so each level turns the pairs whose products sum to the
@@ -637,9 +816,14 @@ def iterated_residue(integrand, order_bounds=None):
     coefficients below it are formed and checked.
     """
     a, b = integrand if isinstance(integrand, tuple) else (integrand, 1)
+    k = 1
+    if isinstance(a, Scaled):
+        k, a = a.k, a.e
+    if isinstance(b, Scaled):
+        k, b = k * b.k, b.e
     if not isinstance(a, Series):
         if not isinstance(b, Series):
-            return a * b
+            return _exact(k * a * b)
         a = b.ring.const(a)
     elif not isinstance(b, Series):
         b = a.ring.const(b)
@@ -654,7 +838,12 @@ def iterated_residue(integrand, order_bounds=None):
     acc = _leaf_zero(a.ring)
     for ca, cb in pairs:
         acc = acc + ca * cb
-    return acc
+    return _exact(k * acc)
+
+
+def _exact(v):
+    """An int residue as the Fraction every exact route returns."""
+    return Fraction(v) if isinstance(v, int) else v
 
 
 def geom_inverse(u, ring):
@@ -676,19 +865,28 @@ def geom_inverse(u, ring):
     for _ in range(mmax):
         acc = acc + p
         p = p * u
-    return Series(ring, acc.lo, acc.coeffs, min(acc.err, (mmax + 1) * v))
+    e = acc.e if isinstance(acc, Scaled) else acc
+    e = Series(ring, e.lo, e.coeffs, min(e.err, (mmax + 1) * v))
+    return Scaled(acc.k, e) if isinstance(acc, Scaled) else e
 
 
-def residue_drive(specs, build, base=RATIONALS, max_tries=6):
+def residue_drive(specs, build, scale=1, max_tries=6):
     """Adaptive iterated-residue evaluation.
 
     specs: list of (name, center, order_bound), first entry integrated
     first (innermost contour).  `build(vars, ring)` receives the shifted
-    variables {name: center + eps_name} and returns the integrand either
-    as a tower element or as a pair (A, B) of elements of `ring` whose
-    product it is; the pair is contracted by `iterated_residue` without
-    forming A*B, so a builder keeps its factors in two small halves
-    (say, one per set of variables) instead of one dense product.
+    variables {name: center + scale * eps_name}, each a `Scaled` element
+    over the tower atom eps_name, and returns the integrand either as an
+    element or as a pair (A, B) of elements whose product it is; the
+    pair is contracted by `iterated_residue` without forming A*B, so a
+    builder keeps its factors in two small halves (say, one per set of
+    variables) instead of one dense product.  The residue in z is
+    `scale` times the residue in eps, once per variable.
+
+    The towers run on integer leaves; the Fractions of the integrand
+    (its weights, the centers and the scalars its inverted factors pull
+    out) collect in the Scaled scalars.  A route picks `scale` with
+    `eps_scale` so that every factor it inverts is a unit on the tower.
 
     Errors are those of the residue of the formed product.  A pairing
     past either window, or a below-bound coefficient not known to
@@ -701,11 +899,11 @@ def residue_drive(specs, build, base=RATIONALS, max_tries=6):
     bounds = [b for (_, _, b) in specs]
     for _ in range(max_tries):
         ring, atoms = build_tower(
-            [(nm, p) for (nm, _, _), p in zip(specs, precs)], base=base)
-        shifted = {nm: atoms[nm] + ring.const(c) if c else atoms[nm]
-                   for (nm, c, _) in specs}
+            [(nm, p) for (nm, _, _), p in zip(specs, precs)])
+        shifted = {nm: Scaled(scale, atoms[nm]) + c for (nm, c, _) in specs}
         try:
-            return iterated_residue(build(shifted, ring), order_bounds=bounds)
+            return scale ** len(specs) * iterated_residue(
+                build(shifted, ring), order_bounds=bounds)
         except PrecisionLoss:
             precs = [2 * p for p in precs]
     raise PrecisionLoss(f"residue_drive did not stabilize at precs={precs}")

@@ -29,6 +29,7 @@ from .ik_engine import (
     a_fn,
     b_fn,
     cantini_P_confluent,
+    cantini_W_value,
     d_fn,
     e_fn,
     family,
@@ -209,7 +210,7 @@ def check_wpoly_degree(s, delta, rng) -> IdentityCase:
             _cantini_guards(s, delta, xs, ys)
         except SamplePoleHit:
             continue
-        w = _w_value(s, delta, xs, ys)
+        w = cantini_W_value(xs, ys, delta)
         p = w
         for j in range(s):
             for k in range(s):
@@ -220,19 +221,6 @@ def check_wpoly_degree(s, delta, rng) -> IdentityCase:
     case.lhs = coeffs[s:]
     case.rhs = [Fraction(0)] * len(coeffs[s:])
     return _finish(case)
-
-
-def _w_value(s, delta, xs, ys):
-    pref = Fraction(1)
-    for x in xs:
-        for y in ys:
-            pref *= x + y - 2 * delta * x * y
-    van = Fraction(1)
-    for j in range(s):
-        for k in range(j + 1, s):
-            van *= (xs[k] - xs[j]) * (ys[k] - ys[j])
-    det = poly_det([[psi_kernel(x, y, delta) for y in ys] for x in xs])
-    return pref * det / van
 
 
 def _cantini_guards(s, delta, xs, ys):
@@ -323,7 +311,7 @@ def p_s_value(s, delta, xs, ys):
     idx = [0] * s
     while True:
         ygrid = [nodes[k][idx[k]] for k in range(s)]
-        val = _w_value(s, delta, xs, ygrid)
+        val = cantini_W_value(xs, ygrid, delta)
         for j in range(s):
             for k in range(s):
                 val *= 1 - xs[j] * ygrid[k]

@@ -287,6 +287,16 @@ class BoundaryGenFamily:
         only (ga z_j + de)^(-(N-1)) is left to invert.  Nothing is divided
         by a Vandermonde, so the z_j may coincide and may be Laurent-tower
         elements.
+
+        At the `Scaled` points a residue integrand gets (z = c + D eps),
+        the value is `Scaled` too: the determinant runs on integer leaves
+        and the Fractions form its scalar.  Each entry's terms come to
+        the rational gcd of their coefficients (the row's content times
+        powers of D and of the map's coefficients), and each inverted
+        ga z + de pulls out its leading coefficient, ga c + de or, where
+        that vanishes, ga D.  The remaining unit has integer
+        coefficients when the route's D makes ga D / (ga c + de) an
+        integer.
         """
         zs = list(zs)
         if len(zs) != s:
@@ -457,7 +467,8 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
 
     Every integrand that takes P_s at general points carries both
     Vandermondes, so nothing is divided.  The points may coincide and
-    may be Fractions or Laurent-tower elements.  With g_k(x) = sum_m
+    may be Fractions or Laurent-tower elements; at `Scaled` points the
+    value is `Scaled`, on integer leaves, as nothing is inverted.  With g_k(x) = sum_m
     c_{k,m}(y) x^m the determinant is taken by Cauchy-Binet, sum over
     s-subsets S of the x-powers 0..2s-2 of det[x_j^m]_{m in S} (x only)
     times det[c_{k,m}(y)]_{m in S} (y only).  On a tower this multiplies
@@ -495,7 +506,8 @@ def cantini_P_confluent(xs, c, delta):
 
     A = 1 - x c, B = x + c - 2D x c.  Dividing det[g_k(x_j)] by Vand(y)
     and letting every y_k -> c takes the m-th y-Taylor coefficient of
-    1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.
+    1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  A polynomial
+    in the x's, so at `Scaled` points it is `Scaled` on integer leaves.
     """
     s = len(xs)
     rows = []

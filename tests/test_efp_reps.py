@@ -1,9 +1,19 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dwbc.bethe_reps import (
+    psi_bot_mir,
+    psi_bot_mir_dual,
+    psi_top_mir_coordinate,
+    psi_top_mir_dual,
+    psi_top_mir_new,
+)
 from dwbc.efp_reps import (
     EfpQuery,
     efp_by_summation,
@@ -17,10 +27,12 @@ from dwbc.exact_core import build_tower, geom_inverse
 from dwbc.ik_engine import cantini_P_vand, family
 from dwbc.lattice_oracle import (
     ICE_POINT,
+    RowConfig,
     WeightTriple,
     all_row_configs,
     efp_oracle,
     enumerate_Z,
+    psi_bot,
     psi_top,
 )
 
@@ -276,3 +288,77 @@ class TestMultisumIdentity:
                 assert res == 0
             total += res
         assert total == 2 * (ws[0] + ws[1])
+
+
+@contextmanager
+def _strict_leaves():
+    """Every tower leaf an int and every inverted leaf +-1: a leaf
+    const that is not an integer, or a leaf inverse that is not a unit,
+    raises."""
+    from dwbc import exact_core
+
+    invert, const = exact_core._invert, exact_core.RATIONALS.const
+
+    def unit_invert(x):
+        if not isinstance(x, exact_core.Series) and x not in (1, -1):
+            raise AssertionError(f"non-unit leaf {x!r} inverted")
+        return invert(x)
+
+    def int_const(v):
+        c = const(v)
+        if type(c) is not int:
+            raise AssertionError(f"fraction leaf {c!r}")
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_core, "_invert", unit_invert)
+        mp.setattr(exact_core.RATIONALS, "const", int_const)
+        yield
+
+
+_ratio = st.builds(Fraction, st.integers(1, 8), st.integers(1, 6))
+
+
+@st.composite
+def _route_cases(draw):
+    w = WeightTriple(draw(_ratio), draw(_ratio), draw(_ratio))
+    n = draw(st.integers(2, 5))
+    # s = 5 alone costs seconds per route (efpMIR2 at (5,5,5): 6 s)
+    pos = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4),
+                        unique=True))
+    s = len(pos)
+    return w, RowConfig(n, tuple(sorted(pos))), draw(st.integers(s, n))
+
+
+class TestIntegerLeaves:
+    """Every exact residue route runs on integer leaves, inverting only
+    units, and equals the lattice oracle bit for bit."""
+
+    # derandomized: the same 25 draws each run keep the test's cost fixed
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=_route_cases())
+    def test_routes_on_random_rational_weights(self, case):
+        w, cfg, r = case
+        top, bot = psi_top(cfg, w), psi_bot(cfg, w)
+        q = EfpQuery(cfg.n, r, cfg.s)
+        want = efp_oracle(cfg.n, r, cfg.s, w)
+        with _strict_leaves():
+            for route in (psi_top_mir_new, psi_top_mir_coordinate,
+                          psi_top_mir_dual):
+                assert route(cfg, w) == top
+            for route in (psi_bot_mir, psi_bot_mir_dual):
+                assert route(cfg, w) == bot
+            assert psi_top_mir_origin(cfg.n, 0, cfg.positions, w) == top
+            assert efp_mir_s(q, w, "efpMIR1") == want
+            assert efp_mir_s(q, w, "efpMIR2") == want
+            assert efp_mir_n(q, w) == want
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(a=_ratio, b=_ratio, c=_ratio)
+    def test_trace(self, a, b, c):
+        # every step of both chains at N = 3, (r, s) = (3, 2), the
+        # origin and frozen forms of the n-fold sub-checks included
+        w = WeightTriple(a, b, c)
+        with _strict_leaves():
+            steps = efp_double_contour_trace(EfpQuery(3, 3, 2), w)
+        assert {v for _, v in steps} == {efp_oracle(3, 3, 2, w)}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
     RATIONALS,
     ExactPoly,
+    Scaled,
     Series,
     SeriesRing,
     build_tower,
@@ -357,6 +359,32 @@ class TestExactLaurentArithmetic:
         a = Series(ring, -1, [Fraction(1), Fraction(0), Fraction(2)], 2)
         inv = a.inverse()
         assert inv.lo == 1 and inv.coeffs == [1, 0, -2] and inv.err == 4
+
+    def test_inverse_on_int_leaves_stays_exact(self):
+        # an int leaf +-1 inverts to an int, any other int to an exact
+        # Fraction, never to a float
+        ring = SeriesRing(RATIONALS, "x", 4)
+        inv = Series(ring, 0, [2, 1], math.inf).inverse()
+        assert inv.coeffs == [Fraction(1, 2), Fraction(-1, 4),
+                              Fraction(1, 8), Fraction(-1, 16)]
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        inv = Series(ring, 0, [1, 3], math.inf).inverse()
+        assert inv.coeffs == [1, -3, 9, -27]
+        assert all(type(c) is int for c in inv.coeffs)
+        assert type(ring.const(Fraction(6, 3)).coeffs[0]) is int
+
+    def test_scaled_inverse_pulls_out_the_leading_leaf(self):
+        ring = SeriesRing(RATIONALS, "x", 4)
+        x = ring.gen()
+        # (1/3)(6 + 12x) = 2 (1 + 2x): the unit 1 + 2x is inverted on ints
+        inv = Scaled(Fraction(1, 3), 6 + 12 * x).inverse()
+        assert inv.k == Fraction(1, 2) and inv.e.coeffs == [1, -2, 4, -8]
+        # a sum brings its terms to the gcd of their scalars
+        s = Scaled(Fraction(1, 2), x) + Scaled(Fraction(1, 3), ring.const(1))
+        assert s.k == Fraction(1, 6) and s.e.coeffs == [2, 3]
+        # 2 + 3x has no unit form on ints: inverted as it is
+        inv = Scaled(1, 2 + 3 * x).inverse()
+        assert inv.e.coeffs[0] == Fraction(1, 2)
 
     def test_inverse_requires_nonzero_leading(self):
         ring = SeriesRing(RATIONALS, "x", 4)
