@@ -301,7 +301,7 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
         return f, fam.hns_vand(N, s, zs)
 
-    # the pair factors at z = 0: 1 - 2Dt z_j + t^2 z_j z_k
+    # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k at z = 0
     specs = [(f"z{j}", Fraction(0), rs[j]) for j in range(s)]
     return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t))
 
@@ -328,6 +328,7 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
                     * (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
         return f
 
+    # only the monomials (w - 1)^s are inverted, so no eps scale is needed
     specs = [(f"w{j}", Fraction(1), s) for j in range(s)]
     return pref * residue_drive(specs, build)
 
@@ -361,7 +362,8 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
         return f, fam.hns_vand(s, s, ws)
 
-    # the pair factors at w = 1: kappa + (t^2 - 2Dt) e_j + t^2 e_k + ..
+    # inverted: the pair factors at w = 1 + e, kappa (1 + (kappa - 1)/kappa
+    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1
     kappa = t * t - 2 * delta * t + 1
     specs = [(f"w{j}", Fraction(1), rs[j]) for j in range(s)]
     return pref * residue_drive(
@@ -394,7 +396,7 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
                     / (zs[j] * zs[k] - 2 * delta * t * zs[j] + t * t)
         return f, fam.hns_vand(N, ns, zs, tilde=True)
 
-    # the pair factors at z = 0: t^2 - 2Dt z_j + z_j z_k
+    # inverted: the pair factors t^2 - 2 Delta t z_j + z_j z_k at z = 0
     specs = [(f"z{j}", Fraction(0), rbar[j]) for j in range(ns)]
     return pref * residue_drive(specs, build, eps_scale(1 / t, 2 * delta / t))
 
@@ -430,7 +432,8 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
                 f = f / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
         return f, fam.hns_vand(ns, ns, ws, tilde=True)
 
-    # the pair factors at w = 1: kappa + (1 - 2Dt) e_j + e_k + ..
+    # inverted: the pair factors at w = 1 + e, kappa + (1 - 2 Delta t) e_j
+    # + e_k + e_j e_k, kappa = t^2 - 2 Delta t + 1
     kappa = t * t - 2 * delta * t + 1
     specs = [(f"w{j}", Fraction(1), rbar[j]) for j in range(ns)]
     return pref * residue_drive(

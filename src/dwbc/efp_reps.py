@@ -155,8 +155,8 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    # the pair factors at z = 0, 1 - 2Dt z_j + t^2 z_j z_k, and the
-    # denominator 1 + (t^2 - 2Dt) z of u(z)
+    # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k and the
+    # denominator 1 + (t^2 - 2 Delta t) z of u(z), at z = 0
     specs = [(f"z{j}", Fraction(0), r) for j in range(s)]
     return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t, tt))
 
@@ -199,7 +199,8 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         return f * fam.hns_vand(N - s, n, zs), \
             fam.hns_vand(s + n, n, zs, w_map)
 
-    # the pair factors at z = 1: kappa + (t^2 - 2Dt) e_j + t^2 e_k + ..;
+    # inverted: the pair factors at z = 1 + e, kappa (1 + (kappa - 1)/kappa
+    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1;
     # the denominator t^2 (z - 1) of the h argument is a monomial
     kappa = t * t - 2 * delta * t + 1
     specs = [(f"z{j}", Fraction(1), s + n) for j in range(n)]
@@ -243,8 +244,8 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
                 f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
         return f, fam.hns_vand(s + n, n, ws, warg)
 
-    # 1 - t w, the pair factors 1 - 2D w_j + w_j w_k and the h
-    # argument's denominator t (t w - 1), at w = 0
+    # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
+    # the h argument's denominator t (t w - 1), at w = 0
     specs = [(f"w{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build, eps_scale(t, 2 * delta))
 
@@ -269,6 +270,7 @@ def _psi_bot_frozen_mir(N, s, ls, w):
                 f = f / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
         return f, fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
 
+    # inverted: the pair factors 1 - 2 Delta z_j + z_j z_k at z = 0
     specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
     return pref * residue_drive(specs, build, eps_scale(2 * delta))
 
@@ -309,8 +311,9 @@ def _trace_sfold_chain(q, w, record):
 
     specs = ([(f"x{j}", Fraction(0), r) for j in range(s)]
              + [(f"y{j}", inv_t, s) for j in range(s)])
-    # the x pair factors 1 - 2D x_j + x_j x_k at x = 0, and y = (1 + t
-    # (y - 1/t))/t and 1 - x y = 1 - x/t - x (y - 1/t) at y = 1/t
+    # inverted: the x pair factors 1 - 2 Delta x_j + x_j x_k at x = 0,
+    # and, at y = 1/t, y = (1 + t (y - 1/t))/t and 1 - x y = 1 - x/t -
+    # x (y - 1/t)
     scale = eps_scale(t, inv_t, 2 * delta)
 
     def build_double(vs, ring):
@@ -447,8 +450,8 @@ def _trace_nfold_chain(q, w, record):
     # extended multisum, 2n-fold residues at the origin ----------------
     specs = ([(f"w{j}", Fraction(0), N - s) for j in range(n)]
              + [(f"z{j}", Fraction(0), N - s) for j in range(n)])
-    # 1 - t w, the pair factors 1 - 2D w_j + w_j w_k and the h_top
-    # argument's denominator t (t w - 1), at the origin
+    # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
+    # the h_top argument's denominator t (t w - 1), at the origin
     scale = eps_scale(t, 2 * delta)
 
     def cross(us, f, ordered):
@@ -602,6 +605,8 @@ def _flipped_contour_value(q, w) -> Fraction:
                 * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
         return base, total
 
+    # inverted: 1 - t w and the pair factors in the w's and in the z's
+    # (z_j z_k - 2 Delta z_j + 1, at z = 1/w a multiple of w^-2)
     specs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
     return residue_drive(specs, build, eps_scale(t, 2 * delta))
 

@@ -588,8 +588,6 @@ class Scaled:
             return Scaled(1, v)
         if isinstance(v, (int, Fraction)):
             return Scaled(v, 1)
-        if isinstance(v, float):
-            return Scaled(as_fraction(v), 1)
         return NotImplemented
 
     def __repr__(self):
