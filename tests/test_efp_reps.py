@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwbc import exact_core
 from dwbc.bethe_reps import (
     psi_bot_mir,
     psi_bot_mir_dual,
@@ -295,8 +296,6 @@ def _strict_leaves():
     """Every tower leaf an int and every inverted leaf +-1: a leaf
     const that is not an integer, or a leaf inverse that is not a unit,
     raises."""
-    from dwbc import exact_core
-
     invert, const = exact_core._invert, exact_core.RATIONALS.const
 
     def unit_invert(x):
