@@ -23,8 +23,12 @@ the residue is the product of the scalars times the int residue times
 D per variable.  A leaf is a Fraction only where a route inverts a
 factor with no such unit form.  Each element tracks the
 exponent `err` past which its coefficients are unknown (math.inf for
-exact polynomials); inverting a unit series introduces a finite window
-sized by the ring's `prec`.  Operations propagate `err` honestly, and
+exact polynomials); dividing by a series introduces a finite window
+sized by the ring's `prec`.  The quotient comes from the power-series
+division recurrence, one step per coefficient against the divisor's
+known terms, so the 2- and 3-term factors the routes divide by cost
+size(f) * terms(g) and are never expanded into a dense inverse; an
+inverse is the division of 1.  Operations propagate `err` honestly, and
 extraction past the window raises PrecisionLoss so drivers can retry
 with a wider tower.  Nothing is ever rounded.
 
@@ -274,10 +278,8 @@ def _definitely_nonzero(x) -> bool:
 
 
 def _invert(x):
-    """Inverse of a tower element or a leaf: an int leaf +-1 stays an
-    int, any other int becomes an exact Fraction."""
-    if isinstance(x, Series):
-        return x.inverse()
+    """Inverse of a leaf, the one leaf inverse of every tower division:
+    an int +-1 stays an int, any other int becomes an exact Fraction."""
     if x == 0:
         raise ZeroDenominator("scalar division by zero")
     if isinstance(x, int):
@@ -289,7 +291,7 @@ class SeriesRing:
     """Univariate truncated Laurent ring over `coeff_ring`.
 
     `prec` is the relative window (number of tracked coefficients)
-    introduced whenever an exact element is inverted.
+    introduced whenever an element is divided by an exact one.
     """
 
     is_series = True
@@ -337,14 +339,20 @@ class Series:
         if err != INF and lo + len(coeffs) > err:
             coeffs = coeffs[: max(0, err - lo)]
         # strip exactly-zero leading/trailing coefficients
-        i = 0
-        while i < len(coeffs) and _is_exact_zero(coeffs[i]):
-            i += 1
-        j = len(coeffs)
-        while j > i and _is_exact_zero(coeffs[j - 1]):
-            j -= 1
-        coeffs = coeffs[i:j]
-        lo = lo + i
+        i, j = 0, len(coeffs)
+        if ring.coeff_ring.is_series:
+            while i < j and not coeffs[i].coeffs and coeffs[i].err == INF:
+                i += 1
+            while j > i and not coeffs[j - 1].coeffs and coeffs[j - 1].err == INF:
+                j -= 1
+        else:
+            while i < j and not coeffs[i]:
+                i += 1
+            while j > i and not coeffs[j - 1]:
+                j -= 1
+        if i or j < len(coeffs):
+            coeffs = coeffs[i:j]
+            lo = lo + i
         if not coeffs:
             lo = 0 if err == INF else err
         self.ring = ring
@@ -388,36 +396,38 @@ class Series:
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Each operation decides once, from the coefficient ring, whether its
+    # coefficients are leaves (zero is `not c`) or series (zero is the
+    # exact zero), instead of testing the type of every coefficient.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Series or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         err = min(self.err, other.err)
-        lo = min(self.min_exp, other.min_exp, err)
-        if lo == INF:
-            return Series(self.ring, 0, [], INF)
-        lo = int(lo)
-        hi = lo
-        for t in (self, other):
-            if t.coeffs:
-                hi = max(hi, t.lo + len(t.coeffs))
-        hi = min(hi, err) if err != INF else hi
-        out = []
-        zero = None
-        for k in range(lo, hi):
-            has_a = self.coeffs and self.lo <= k < self.lo + len(self.coeffs)
-            has_b = other.coeffs and other.lo <= k < other.lo + len(other.coeffs)
-            if has_a and has_b:
-                out.append(self.coeffs[k - self.lo] + other.coeffs[k - other.lo])
-            elif has_a:
-                out.append(self.coeffs[k - self.lo])
-            elif has_b:
-                out.append(other.coeffs[k - other.lo])
-            else:
-                if zero is None:
-                    zero = self.ring.coeff_ring.zero()
-                out.append(zero)
+        if not other.coeffs:
+            return Series(self.ring, self.lo, self.coeffs, err)
+        if not self.coeffs:
+            return Series(self.ring, other.lo, other.coeffs, err)
+        a, b = (self, other) if self.lo <= other.lo else (other, self)
+        lo = a.lo
+        hi = max(a.lo + len(a.coeffs), b.lo + len(b.coeffs))
+        if hi > err:
+            hi = err
+        if hi <= lo:
+            return Series(self.ring, 0, [], err)
+        out = a.coeffs[: hi - lo]
+        bc = b.coeffs[: max(0, hi - b.lo)]
+        if bc:
+            off = b.lo - lo
+            if off > len(out):
+                out.extend([self.ring.coeff_ring.zero()] * (off - len(out)))
+            k = min(len(out) - off, len(bc))
+            if k > 0:
+                out[off:off + k] = [x + y for x, y in zip(out[off:off + k], bc)]
+            out.extend(bc[max(k, 0):])
         return Series(self.ring, lo, out, err)
 
     __radd__ = __add__
@@ -435,34 +445,34 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Series or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         err = min(self.err + other.min_exp, other.err + self.min_exp)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Series(self.ring, 0, [], err)
         lo = self.lo + other.lo
-        # monomial fast paths avoid allocating zero rows
-        if len(self.coeffs) == 1:
-            a = self.coeffs[0]
-            n = len(other.coeffs) if err == INF else min(len(other.coeffs), err - lo)
-            return Series(self.ring, lo, [a * c for c in other.coeffs[:n]], err)
-        if len(other.coeffs) == 1:
-            b = other.coeffs[0]
-            n = len(self.coeffs) if err == INF else min(len(self.coeffs), err - lo)
-            return Series(self.ring, lo, [c * b for c in self.coeffs[:n]], err)
-        n = len(self.coeffs) + len(other.coeffs) - 1
+        n = len(a) + len(b) - 1
         if err != INF:
             n = min(n, err - lo)
         if n <= 0:
             return Series(self.ring, 0, [], err)
+        # monomial fast paths avoid allocating zero rows
+        if len(a) == 1:
+            x = a[0]
+            return Series(self.ring, lo, [x * c for c in b[:n]], err)
+        if len(b) == 1:
+            y = b[0]
+            return Series(self.ring, lo, [c * y for c in a[:n]], err)
+        series = self.ring.coeff_ring.is_series
         out = [None] * n
-        for i, a in enumerate(self.coeffs):
-            if _is_exact_zero(a):
+        for i, x in enumerate(a):
+            if (not x.coeffs and x.err == INF) if series else not x:
                 continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                prod = a * other.coeffs[j]
+            for j in range(min(len(b), n - i)):
+                prod = x * b[j]
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         zero = None
         for i in range(n):
@@ -475,13 +485,77 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """self / other by the power-series division recurrence
+        q_k = (f_k - sum_(m>=1) g_m q_(k-m)) / g_0, indices counted from
+        each valuation (Knuth, TAOCP vol. 2, sec. 4.7).  A leaf g_0 is
+        inverted once by `_invert`; a series g_0 divides each q_k at its
+        own level, so a sparse divisor costs size(f) * terms(g) however
+        deep the tower.
+
+        The window is that of self times the inverse of other: other's
+        window w = min(other.err - other.lo, prec) bounds what is known
+        of 1/other, and the quotient knows its coefficients below
+        min(self.err - other.lo, self.min_exp - other.lo + w).
+        """
+        if other.__class__ is not Series or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        g = other.coeffs
+        if not g:
+            if other.err == INF:
+                raise ZeroDenominator("division by the zero series")
+            raise PrecisionLoss(
+                f"division by O({self.ring.var}^{other.err}) with no known terms"
+            )
+        g0 = g[0]
+        series = self.ring.coeff_ring.is_series
+        lead = g0
+        while lead.__class__ is Series:
+            # the valuation of other is certain only if g_0 is invertible
+            if not lead.coeffs:
+                raise PrecisionLoss(
+                    f"division by a leading coefficient O({lead.ring.var}^"
+                    f"{lead.err}) with no known terms")
+            lead = lead.coeffs[0]
+        window = other.err - other.lo
+        w = self.ring.prec if window == INF else min(int(window), self.ring.prec)
+        err = min(self.err - other.lo, self.min_exp - other.lo + w)
+        f = self.coeffs
+        if not f:
+            return Series(self.ring, 0, [], err)
+        n = err - self.lo + other.lo  # at most w coefficients
+        # the divisor's known terms past g_0, negated
+        tail = [(m, -g[m]) for m in range(1, min(len(g), n))
+                if ((g[m].coeffs or g[m].err != INF) if series else g[m])]
+        if series:
+            zero = self.ring.coeff_ring.zero()
+            q = []
+            for k in range(n):
+                acc = f[k] if k < len(f) else None
+                for m, c in tail:
+                    if m > k:
+                        break
+                    term = c * q[k - m]
+                    acc = term if acc is None else acc + term
+                q.append(zero if acc is None else acc / g0)
+        else:
+            r = _invert(g0)
+            q = []
+            for k in range(n):
+                acc = f[k] if k < len(f) else 0
+                for m, c in tail:
+                    if m > k:
+                        break
+                    acc += c * q[k - m]
+                q.append(acc * r)
+        return Series(self.ring, self.lo - other.lo, q, err)
+
+    def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -496,27 +570,11 @@ class Series:
         return out
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; exists iff the first tracked
-        coefficient is invertible (nonzero leading Laurent coefficient)."""
-        if not self.coeffs:
-            if self.err == INF:
-                raise ZeroDenominator("inverse of the zero series")
-            raise PrecisionLoss(
-                f"inverse of O({self.ring.var}^{self.err}) with no known terms"
-            )
-        window = self.err - self.lo
-        w = self.ring.prec if window == INF else min(int(window), self.ring.prec)
-        c0inv = _invert(self.coeffs[0])
-        inv = [c0inv]
-        for k in range(1, w):
-            acc = None
-            kmax = min(k, len(self.coeffs) - 1)
-            for i in range(1, kmax + 1):
-                term = self.coeffs[i] * inv[k - i]
-                acc = term if acc is None else acc + term
-            inv.append(-(c0inv * acc) if acc is not None
-                       else self.ring.coeff_ring.zero())
-        return Series(self.ring, -self.lo, inv, -self.lo + w)
+        """Multiplicative inverse, 1 / self by the division recurrence;
+        exists iff the first tracked coefficient is invertible (nonzero
+        leading Laurent coefficient).  Its window is prec coefficients
+        past its valuation, or fewer when self knows fewer."""
+        return self.ring.const(1) / self
 
     # -- extraction ---------------------------------------------------------
 
@@ -562,12 +620,13 @@ class Scaled:
     towers stay on integer leaves and the Fractions collect in the
     scalars.  A product multiplies the scalars.  A sum brings its terms
     to the largest rational dividing both scalars, which leaves them
-    integer multipliers (fraction-free, in the manner of Bareiss).  An
-    inverse pulls the leading leaf of e, the one leaf `Series.inverse`
-    inverts, into the scalar, so the tower inverts a unit: a factor
-    c (1 + sum_m p_m eps^m) has integer p_m when the variables are
-    scaled as `eps_scale` chooses.  Where the leading leaf does not
-    divide e, e is inverted as it is and its leaves become Fractions.
+    integer multipliers (fraction-free, in the manner of Bareiss).  A
+    quotient or an inverse pulls the leading leaf of the divisor's e,
+    the one leaf the division recurrence inverts, into the scalar, so
+    the towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
+    integer p_m when the variables are scaled as `eps_scale` chooses.
+    Where the leading leaf does not divide e, e is divided by as it is
+    and the quotient's leaves become Fractions.
     """
 
     __slots__ = ("k", "e")
@@ -630,10 +689,17 @@ class Scaled:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self * other.inverse()
+        if not isinstance(other.e, Series):
+            return self * other.inverse()
+        c, u = other._unit()
+        e = self.e if isinstance(self.e, Series) else u.ring.const(self.e)
+        return Scaled(self.k / Fraction(c), e / u)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -646,15 +712,22 @@ class Scaled:
             if not (self.k and e):
                 raise ZeroDenominator("scalar division by zero")
             return Scaled(1 / Fraction(self.k * e), 1)
+        c, u = self._unit()
+        return Scaled(1 / Fraction(c), u.inverse())
+
+    def _unit(self):
+        """(c, u) with self = c * u for a tower u: u is e with its
+        leading leaf pulled into c when that leaf divides every leaf of
+        e (then u's leading leaf is 1), else e itself."""
         if not self.k:
             raise ZeroDenominator("inverse of the zero series")
-        lead = e
+        e = lead = self.e
         while isinstance(lead, Series) and lead.coeffs:
             lead = lead.coeffs[0]
         unit = _divide_leaves(e, lead) if isinstance(lead, int) else None
         if unit is None:
-            return Scaled(1 / Fraction(self.k), e.inverse())
-        return Scaled(1 / Fraction(self.k * lead), unit.inverse())
+            return self.k, e
+        return self.k * lead, unit
 
 
 def _times(a, b):
@@ -886,14 +959,17 @@ def residue_drive(specs, build, scale=1, max_tries=6):
     out) collect in the Scaled scalars.  A route picks `scale` with
     `eps_scale` so that every factor it inverts is a unit on the tower.
 
-    Errors are those of the residue of the formed product.  A pairing
-    past either window, or a below-bound coefficient not known to
-    vanish, raises PrecisionLoss inside a try, and the driver doubles
-    every window and rebuilds, up to `max_tries` towers.  A definitely
-    nonzero coefficient below a level's order_bound raises
-    OrderExceeded at once (the stated pole order was wrong).
+    The first tower opens each level's window at its order bound b
+    (at least 2): a level whose pole order is at most b needs b
+    coefficients past the valuation of what it divides.  Errors are
+    those of the residue of the formed product.  A pairing past either
+    window, or a below-bound coefficient not known to vanish, raises
+    PrecisionLoss inside a try, and the driver doubles every window and
+    rebuilds, up to `max_tries` towers.  A definitely nonzero
+    coefficient below a level's order_bound raises OrderExceeded at
+    once (the stated pole order was wrong).
     """
-    precs = [max(2, b + 1) for (_, _, b) in specs]
+    precs = [max(2, b) for (_, _, b) in specs]
     bounds = [b for (_, _, b) in specs]
     for _ in range(max_tries):
         ring, atoms = build_tower(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwbc import exact_core
+from dwbc import bethe_reps, efp_reps, exact_core
 from dwbc.bethe_reps import (
     psi_bot_mir,
     psi_bot_mir_dual,
@@ -322,8 +322,7 @@ _ratio = st.builds(Fraction, st.integers(1, 8), st.integers(1, 6))
 def _route_cases(draw):
     w = WeightTriple(draw(_ratio), draw(_ratio), draw(_ratio))
     n = draw(st.integers(2, 5))
-    # s = 5 alone costs seconds per route (efpMIR2 at (5,5,5): 6 s)
-    pos = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4),
+    pos = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 5),
                         unique=True))
     s = len(pos)
     return w, RowConfig(n, tuple(sorted(pos))), draw(st.integers(s, n))
@@ -361,3 +360,51 @@ class TestIntegerLeaves:
         with _strict_leaves():
             steps = efp_double_contour_trace(EfpQuery(3, 3, 2), w)
         assert {v for _, v in steps} == {efp_oracle(3, 3, 2, w)}
+
+
+@contextmanager
+def _towers_per_drive():
+    """The number of towers each `residue_drive` call builds, in call
+    order: more than one means its first windows ran out and it
+    retried on doubled ones."""
+    towers = []
+    build_tower, drive = exact_core.build_tower, exact_core.residue_drive
+
+    def counted_tower(*args, **kwargs):
+        towers[-1] += 1
+        return build_tower(*args, **kwargs)
+
+    def counted_drive(*args, **kwargs):
+        towers.append(0)
+        return drive(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_core, "build_tower", counted_tower)
+        for mod in (bethe_reps, efp_reps):
+            mp.setattr(mod, "residue_drive", counted_drive)
+        yield towers
+
+
+class TestTowerBuilds:
+    """The first windows of `residue_drive` start at each level's pole
+    order bound; a route whose bound stops covering them doubles every
+    window and rebuilds, which changes no value, so only the count of
+    towers shows it."""
+
+    def test_one_tower_per_residue_drive(self):
+        w = WeightTriple(Fraction(3, 2), 2, Fraction(5, 3))
+        with _towers_per_drive() as towers:
+            for n in range(2, 6):
+                for s in range(1, n + 1):
+                    for cfg in all_row_configs(n, s)[:2]:
+                        for route in (psi_bot_mir, psi_top_mir_new,
+                                      psi_top_mir_coordinate,
+                                      psi_top_mir_dual, psi_bot_mir_dual):
+                            route(cfg, w)
+                    for r in range(s, n + 1):
+                        q = EfpQuery(n, r, s)
+                        efp_mir_s(q, w, "efpMIR1")
+                        efp_mir_s(q, w, "efpMIR2")
+                        efp_mir_n(q, w)
+            efp_double_contour_trace(EfpQuery(3, 3, 2), w)
+        assert towers and set(towers) == {1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwbc import exact_core
 from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
     RATIONALS,
@@ -241,7 +242,8 @@ class TestContraction:
     def test_window_exhausted_then_retried(self):
         # B is 1/(1 - z) rebuilt as (1/(1-z) - 1 - z - z^2)/z^3, which
         # loses three coefficients of its window; against z^(-4) the
-        # x^(-1) pairing falls outside it at the first tower (prec 5)
+        # x^(-1) pairing falls outside it at the first tower (prec 4,
+        # the order bound)
         def build(vs, ring):
             z = vs["z"]
             b = (1 / (1 - z) - 1 - z - z ** 2) * z ** -3
@@ -392,6 +394,101 @@ class TestExactLaurentArithmetic:
             ring.zero().inverse()
         with pytest.raises(PrecisionLoss):
             Series(ring, 0, [], 2).inverse()
+
+
+def _reference_inverse(x):
+    """The dense inverse loop that `Series.__truediv__` replaced, kept
+    as the reference: 1/x as a window-sized series, each coefficient
+    minus c0^-1 times the convolution of x's tail with the ones before
+    it; f / g was f * _reference_inverse(g)."""
+    if not x.coeffs:
+        if x.err == math.inf:
+            raise ZeroDenominator("inverse of the zero series")
+        raise PrecisionLoss("inverse of a series with no known terms")
+    window = x.err - x.lo
+    w = x.ring.prec if window == math.inf else min(int(window), x.ring.prec)
+    c0 = x.coeffs[0]
+    c0inv = (_reference_inverse(c0) if isinstance(c0, Series)
+             else exact_core._invert(c0))
+    inv = [c0inv]
+    for k in range(1, w):
+        acc = None
+        for i in range(1, min(k, len(x.coeffs) - 1) + 1):
+            term = x.coeffs[i] * inv[k - i]
+            acc = term if acc is None else acc + term
+        inv.append(-(c0inv * acc) if acc is not None
+                   else x.ring.coeff_ring.zero())
+    return Series(x.ring, -x.lo, inv, -x.lo + w)
+
+
+def _agree(a, b):
+    """a and b have equal coefficients wherever both know them, at
+    every level."""
+    if not isinstance(a, Series):
+        return a == b
+    top = min(a.err, b.err)
+    exps = ({a.lo + i for i in range(len(a.coeffs))}
+            | {b.lo + i for i in range(len(b.coeffs))})
+    return all(_agree(a.coefficient(k), b.coefficient(k))
+               for k in exps if k < top)
+
+
+def _division_outcome(fn):
+    try:
+        return fn()
+    except (PrecisionLoss, ZeroDenominator) as exc:
+        return type(exc)
+
+
+@st.composite
+def _tower_element(draw, ring, leaf):
+    """Up to four coefficients from a random valuation, known to the
+    last one or a little past it, or exact."""
+    lo = draw(st.integers(-2, 2))
+    n = draw(st.integers(0, 4))
+    if ring.coeff_ring.is_series:
+        coeffs = [draw(_tower_element(ring.coeff_ring, leaf)) for _ in range(n)]
+    else:
+        coeffs = [draw(leaf) for _ in range(n)]
+    err = math.inf if draw(st.booleans()) else lo + n + draw(st.integers(0, 2))
+    return Series(ring, lo, coeffs, err)
+
+
+@st.composite
+def _division_cases(draw):
+    levels = draw(st.integers(1, 3))
+    precs = draw(st.lists(st.integers(1, 5), min_size=levels,
+                          max_size=levels))
+    ring, _ = build_tower([(f"z{k}", p) for k, p in enumerate(precs)])
+    leaf = (st.integers(-3, 3) if draw(st.booleans())
+            else st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return draw(_tower_element(ring, leaf)), draw(_tower_element(ring, leaf))
+
+
+class TestDivision:
+    """Series division by the recurrence against the product with the
+    dense inverse it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_division_cases())
+    def test_matches_the_inverse_loop(self, case):
+        f, g = case
+        for got, want in ((lambda: f / g, lambda: f * _reference_inverse(g)),
+                          (g.inverse, lambda: _reference_inverse(g))):
+            got, want = _division_outcome(got), _division_outcome(want)
+            if isinstance(got, type) or isinstance(want, type):
+                assert got == want
+                continue
+            assert got.err == want.err
+            assert _agree(got, want)
+
+    def test_polynomial_quotient(self):
+        # (1 + z)/(1 - z) to the window: each coefficient is one step of
+        # the recurrence against the divisor's single tail term
+        ring, atoms = build_tower([("z", 6)])
+        z = atoms["z"]
+        q = (1 + z) / (1 - z)
+        assert q.coeffs == [1, 2, 2, 2, 2, 2] and q.err == 6
 
 
 class TestPoly:
