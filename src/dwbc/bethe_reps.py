@@ -22,14 +22,15 @@ The multiple sums are generated by depth-first index generation with an
 exclusion set, literally following the alpha_j not-in {alpha_1..a_{j-1}}
 structure.  Sum representations run in numeric mode only and integral
 representations in exact mode only; the oracle links the two regimes.
+The numeric sums take their determinant minors from `_phi_matrix` and
+`_minor_det`, the only functions here that import numpy, on call; the
+exact integral representations never load it.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import NearDegenerate, PoleCollision
 from .exact_core import _perm_sign, eps_scale, residue_drive
@@ -76,6 +77,7 @@ def _chi(alpha, beta):
 
 
 def _phi_matrix(p: TrigParams):
+    import numpy as np
     c = cmath.sin(2 * p.eta)
     return np.array(
         [[c / (a_fn(l, v, p.eta) * b_fn(l, v, p.eta)) for v in p.nus]
@@ -85,6 +87,7 @@ def _phi_matrix(p: TrigParams):
 
 
 def _minor_det(m, drop_rows, cols):
+    import numpy as np
     keep = [i for i in range(m.shape[0]) if (i + 1) not in drop_rows]
     sub = m[np.ix_(keep, [k - 1 for k in cols])]
     if sub.size == 0:

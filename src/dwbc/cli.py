@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -76,6 +77,20 @@ def _count(text):
     return n
 
 
+def _finite(text):
+    """argparse type of --lambda, --eta, --lambdas and --nus: a float x
+    with 4x finite, so that the weights' sums and doubles of parameters
+    cannot overflow to inf (or reach nan) inside a sine."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(4 * x):
+        raise argparse.ArgumentTypeError(
+            f"must be finite, |x| below about 4.49e307: {text!r}")
+    return x
+
+
 def _positions(text):
     """argparse type of --positions: comma-separated integers, or ''."""
     try:
@@ -117,13 +132,13 @@ def _add_weight_flags(p):
     p.add_argument("--weights", nargs=3, metavar=("A", "B", "C"),
                    type=_positive_rational,
                    help="exact positive rational weights, e.g. 1 2 5/3")
-    p.add_argument("--lambda", dest="lam", type=float,
+    p.add_argument("--lambda", dest="lam", type=_finite,
                    help="homogeneous spectral parameter")
-    p.add_argument("--lambdas", type=float, nargs="+",
+    p.add_argument("--lambdas", type=_finite, nargs="+",
                    help="inhomogeneous vertical parameters")
-    p.add_argument("--nus", type=float, nargs="+",
+    p.add_argument("--nus", type=_finite, nargs="+",
                    help="inhomogeneous horizontal parameters")
-    p.add_argument("--eta", type=float, help="coupling parameter")
+    p.add_argument("--eta", type=_finite, help="coupling parameter")
 
 
 def _numeric_triple(lam, eta):
@@ -136,12 +151,12 @@ def _numeric_triple(lam, eta):
 # ---------------------------------------------------------------------------
 
 def cmd_zn(args):
-    from .ik_engine import ik_determinant, ik_homogeneous
     from .lattice_oracle import enumerate_Z
     mode, w = _weights_from_args(args)
     n = args.size
     method = args.method
     if method == "ik":
+        from .ik_engine import ik_determinant, ik_homogeneous
         if mode == "inhom":
             z = ik_determinant(w)
         elif mode == "hom":
@@ -362,10 +377,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     if args.format == "csv" and args.command == "verify":
+        # suite `all` nests one report per suite: its row takes the worst
+        reports = list(payload.get("suites", {}).values()) or [payload]
         print("suite,trials,seed,failures,max_residual")
-        print(f"{payload.get('suite', 'all')},{payload.get('trials', '')},"
-              f"{payload.get('seed', '')},{payload['failures']},"
-              f"{payload.get('max_residual', '')}")
+        print(f"{args.suite},{args.trials},{args.seed},{payload['failures']},"
+              f"{max(r['max_residual'] for r in reports)}")
     elif args.format == "csv" and args.command == "trace-efp":
         print("step,value")
         for step in payload["steps"]:

@@ -27,7 +27,10 @@ The measure mu(x) behind the moments is never constructed: everything
 below needs only the c_n, which keeps the module valid in every weight
 regime.  All arithmetic is truncated multivariate Taylor calculus over
 complex doubles (the exact engine covers the rational side; tolerances
-here are sized for doubles).
+here are sized for doubles).  The float linear algebra is numpy's:
+`OrthoFamily.__init__`, `OrthoFamily.hankel_det` and
+`bordered_hankel_det` import it when called, so importing the module
+does not load it.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import permutations
-
-import numpy as np
 
 from .errors import DegenerateHankel, Singular, TruncationInsufficient
 from .exact_core import COMPLEXES, _horner, _perm_sign, build_tower
@@ -72,6 +73,7 @@ class OrthoFamily:
     """Monic orthogonal polynomials P_0..P_{N-1}, norms, and K_n."""
 
     def __init__(self, N, lam, eta, table: MomentTable):
+        import numpy as np
         self.N = N
         self.lam = lam
         self.eta = eta
@@ -109,6 +111,7 @@ class OrthoFamily:
         """Leading principal Hankel determinant of order n."""
         if n == 0:
             return 1.0 + 0j
+        import numpy as np
         c = self.moments
         m = np.array([[c[i + k] for k in range(n)] for i in range(n)],
                      dtype=complex)
@@ -122,6 +125,7 @@ def build_ortho_family(N, lam, eta) -> OrthoFamily:
 def bordered_hankel_det(fam: OrthoFamily, xs):
     """The N x N determinant bordering the Hankel block with powers of
     the points xs; equals h_0...h_{N-s-1} det[P_{N-s+i-1}(x_j)]."""
+    import numpy as np
     N, s = fam.N, len(xs)
     c = fam.moments
     m = np.zeros((N, N), dtype=complex)

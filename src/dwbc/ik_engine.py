@@ -38,6 +38,10 @@ coincident y's, and at y = 1/x it has the closed form
 prod_j x_j^-(s-1) prod_{j != k} (x_j x_k - 2D x_j + 1) (the `psxx`
 identity), which the integrands write out so that it cancels their
 own pair factors.
+
+Only the two float determinants, `ik_determinant` and `ik_homogeneous`,
+use numpy, and they import it when called: importing this module and
+everything exact in it need the standard library alone.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
 from .exact_core import (
@@ -166,6 +168,7 @@ class NumericTriple:
 
 def ik_determinant(p: TrigParams) -> complex:
     """Z_N of the inhomogeneous model via the determinant formula."""
+    import numpy as np
     N, eta = p.n, p.eta
     pref = 1 + 0j
     for l in p.lambdas:
@@ -220,6 +223,7 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
     Z_0 = 1 (empty lattice)."""
     if N == 0:
         return 1 + 0j
+    import numpy as np
     a, b, _ = homogeneous_abc(lam, eta)
     cs = phi_derivatives(lam, eta, 2 * N - 2)
     m = np.array([[cs[i + k] for k in range(N)] for i in range(N)], dtype=complex)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -120,6 +121,18 @@ class TestContracts:
                                        "bigid", "c4", "tangent", "hierarchy",
                                        "crossing", "claim"}
 
+    def test_verify_all_csv_row(self, capsys):
+        # the `all` row carries the invocation's trials and seed and the
+        # worst residual of its suites
+        args = ["verify", "--suite", "all", "--trials", "1", "--seed", "5"]
+        _, out = run_cli(args, capsys)
+        report = json.loads(out)
+        _, out = run_cli(args + ["--format", "csv"], capsys)
+        worst = max(sub["max_residual"] for sub in report["suites"].values())
+        assert out.splitlines() == [
+            "suite,trials,seed,failures,max_residual",
+            f"all,1,5,{report['failures']},{worst}"]
+
     def test_byte_identical_runs(self, capsys):
         args = ["verify", "--suite", "kmst", "--trials", "4", "--seed", "11"]
         _, out1 = run_cli(args, capsys)
@@ -169,6 +182,20 @@ class TestContracts:
             (["boundary", "--size", "3", "--lambdas", "0.3", "0.8", "1.2",
               "--nus", "0.1", "0.25", "0.42", "--eta", "0.35"], None),
             (["verify", "--suite", "cantini", "--trials", "-3"], None),
+            # trigonometric parameters must be finite, 4x included
+            (["zn", "--size", "3", "--method", "ik", "--lambda", "0.9",
+              "--eta", "inf"], None),
+            (["zn", "--size", "3", "--method", "ik", "--lambda", "inf",
+              "--eta", "0.3"], None),
+            (["zn", "--size", "3", "--method", "ik", "--lambda", "0.9",
+              "--eta", "1e308"], None),
+            (["zn", "--size", "3", "--method", "ik", "--lambdas", "0.3",
+              "inf", "1.2", "--nus", "0", "0.1", "0.2", "--eta", "0.3"],
+             None),
+            (["psi", "--size", "3", "--which", "top", "--positions", "1",
+              "--method", "ortho", "--lambda", "0.9", "--eta", "inf"], None),
+            (["zn", "--size", "3", "--method", "ik", "--lambda", "nan",
+              "--eta", "0.3"], None),
         ]
         for args, max_n in malformed:
             capsys.readouterr()
@@ -194,3 +221,74 @@ class TestContracts:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["Z"] == "7"
+
+
+# Runs every exact invocation through `main` in one child process and
+# prints {"numpy": whether numpy got loaded, "runs": [[exit, stdout]]}.
+_EXACT_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import dwbc
+    from dwbc import (bethe_reps, cli, efp_reps, errors, exact_core,
+                      hankel_orthopoly, identity_suite, ik_engine,
+                      lattice_oracle)
+    imported = "numpy" in sys.modules
+    runs = []
+    for args in json.loads(sys.argv[1]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(args)
+        runs.append([code, buf.getvalue()])
+    print(json.dumps({"numpy": imported or "numpy" in sys.modules,
+                      "runs": runs}))
+""")
+
+_W = ["--weights", "3/2", "2", "5/3"]
+_EXACT_INVOCATIONS = [
+    ["zn", "--size", "4", "--method", "transfer"] + _W,
+    ["zn", "--size", "3", "--method", "enum"] + _W,
+    ["zn", "--size", "4"] + _W,
+    ["hrow", "--size", "4", "--positions", "1,3"] + _W,
+    ["boundary", "--size", "4"] + _W,
+    ["efp", "--size", "3", "--r", "2", "--s", "1", "--method", "sum"] + _W,
+    ["efp", "--size", "3", "--r", "2", "--s", "1", "--method", "mir-s"] + _W,
+    ["efp", "--size", "3", "--r", "2", "--s", "1", "--method", "mir-n"] + _W,
+    ["efp", "--size", "3", "--r", "2", "--s", "1", "--method", "enum"] + _W,
+    ["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+     "--method", "oracle"] + _W,
+    ["psi", "--size", "3", "--which", "bottom", "--positions", "1,3",
+     "--method", "mir"] + _W,
+    ["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+     "--method", "mir-new"] + _W,
+    ["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+     "--method", "mir-origin"] + _W,
+    ["psi", "--size", "3", "--which", "bottom", "--positions", "1,3",
+     "--method", "dual"] + _W,
+    ["trace-efp", "--size", "3", "--r", "2", "--s", "1"] + _W,
+    ["verify", "--suite", "cantini", "--trials", "3", "--seed", "42"],
+]
+
+
+class TestNumpyFree:
+    def test_exact_paths_never_load_numpy(self, tmp_path):
+        # a `numpy` whose import fails shadows the real one: the exact
+        # subcommands must run as well and print the same bytes
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            "raise ImportError('numpy is stubbed out')\n")
+        root = os.path.dirname(os.path.dirname(dwbc.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
+        results = []
+        for path in ([str(tmp_path), root], [root]):
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            proc = subprocess.run(
+                [sys.executable, "-c", _EXACT_CHILD,
+                 json.dumps(_EXACT_INVOCATIONS)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            results.append(json.loads(proc.stdout))
+        stubbed, plain = results
+        assert not stubbed["numpy"]
+        assert [code for code, _ in stubbed["runs"]] == [0] * len(
+            _EXACT_INVOCATIONS)
+        assert stubbed["runs"] == plain["runs"]
