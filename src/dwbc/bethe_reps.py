@@ -109,6 +109,19 @@ def _pole_guard(w: WeightTriple):
     return t, delta
 
 
+def _pair_quotient(f, zs, p, q, r=1, ordered=False):
+    """f / prod (p z_j z_k - q z_j + r) over the pairs j < k, or over
+    all j != k when `ordered`.  Each pair factor divides f in turn: on
+    a tower that costs size(f) * terms(factor), where dividing by their
+    product would first expand it densely."""
+    n = len(zs)
+    for j in range(n):
+        for k in range(n):
+            if k > j or (ordered and k != j):
+                f = f / (p * zs[j] * zs[k] - q * zs[j] + r)
+    return f
+
+
 # ---------------------------------------------------------------------------
 # multiple-sum representations (inhomogeneous, numeric)
 # ---------------------------------------------------------------------------
@@ -294,19 +307,16 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
 
-    def build(vs, ring):
-        zs = [vs[f"z{j}"] for j in range(s)]
+    def build(zs, ring):
         f = ring.const(1)
         for j in range(s):
             f = f * zs[j] ** (-rs[j])
-        for j in range(s):
-            for k in range(j + 1, s):
-                f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+        f = _pair_quotient(f, zs, t * t, 2 * delta * t)
         return f, fam.hns_vand(N, s, zs)
 
     # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k at z = 0
-    specs = [(f"z{j}", Fraction(0), rs[j]) for j in range(s)]
-    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t))
+    return pref * residue_drive([(0, r) for r in rs], build,
+                                eps_scale(t, 2 * delta * t))
 
 
 def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -320,8 +330,7 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     for j in range(1, s + 1):
         pref *= t ** (rs[j - 1] - j)
 
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(s)]
+    def build(ws, ring):
         f = ring.const(1)
         for j in range(s):
             f = f * ws[j] ** (rs[j] - 1) * (ws[j] - 1) ** (-s)
@@ -332,8 +341,7 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return f
 
     # only the monomials (w - 1)^s are inverted, so no eps scale is needed
-    specs = [(f"w{j}", Fraction(1), s) for j in range(s)]
-    return pref * residue_drive(specs, build)
+    return pref * residue_drive([(1, s)] * s, build)
 
 
 def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -354,23 +362,20 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
 
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(s)]
+    def build(ws, ring):
         f = ring.const(1)
         for j in range(s):
             f = f * (t * t * ws[j] - 2 * delta * t + 1) ** (rs[j] - 1) \
                 * (ws[j] - 1) ** (-rs[j])
-        for j in range(s):
-            for k in range(j + 1, s):
-                f = f / (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
+        f = _pair_quotient(f, ws, t * t, 2 * delta * t)
         return f, fam.hns_vand(s, s, ws)
 
     # inverted: the pair factors at w = 1 + e, kappa (1 + (kappa - 1)/kappa
     # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1
     kappa = t * t - 2 * delta * t + 1
-    specs = [(f"w{j}", Fraction(1), rs[j]) for j in range(s)]
     return pref * residue_drive(
-        specs, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
+        [(1, r) for r in rs], build,
+        eps_scale((kappa - 1) / kappa, t * t / kappa))
 
 
 def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -384,24 +389,22 @@ def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return enumerate_Z(N, w)
     t, delta = _pole_guard(w)
     fam = family(w)
-    pref = enumerate_Z(N, w) / (w.b ** (ns * (N - 1)) * w.c ** ns)
+    # t^2 per pair factor, so t^(ns(ns-1)) in all
+    pref = enumerate_Z(N, w) * t ** (ns * (ns - 1)) \
+        / (w.b ** (ns * (N - 1)) * w.c ** ns)
     for j in range(1, ns + 1):
         pref *= t ** (rbar[j - 1] - j)
 
-    def build(vs, ring):
-        zs = [vs[f"z{j}"] for j in range(ns)]
+    def build(zs, ring):
         f = ring.const(1)
         for j in range(ns):
             f = f * zs[j] ** (-rbar[j])
-        for j in range(ns):
-            for k in range(j + 1, ns):
-                f = f * (t * t) \
-                    / (zs[j] * zs[k] - 2 * delta * t * zs[j] + t * t)
+        f = _pair_quotient(f, zs, 1, 2 * delta * t, t * t)
         return f, fam.hns_vand(N, ns, zs, tilde=True)
 
     # inverted: the pair factors t^2 - 2 Delta t z_j + z_j z_k at z = 0
-    specs = [(f"z{j}", Fraction(0), rbar[j]) for j in range(ns)]
-    return pref * residue_drive(specs, build, eps_scale(1 / t, 2 * delta / t))
+    return pref * residue_drive([(0, r) for r in rbar], build,
+                                eps_scale(1 / t, 2 * delta / t))
 
 
 def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -424,23 +427,20 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
     for j in range(1, ns + 1):
         pref *= t ** (j - rbar[j - 1])
 
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(ns)]
+    def build(ws, ring):
         f = ring.const(1)
         for j in range(ns):
             f = f * (ws[j] - 2 * delta * t + t * t) ** (rbar[j] - 1) \
                 * (ws[j] - 1) ** (-rbar[j])
-        for j in range(ns):
-            for k in range(j + 1, ns):
-                f = f / (ws[j] * ws[k] - 2 * delta * t * ws[j] + t * t)
+        f = _pair_quotient(f, ws, 1, 2 * delta * t, t * t)
         return f, fam.hns_vand(ns, ns, ws, tilde=True)
 
     # inverted: the pair factors at w = 1 + e, kappa + (1 - 2 Delta t) e_j
     # + e_k + e_j e_k, kappa = t^2 - 2 Delta t + 1
     kappa = t * t - 2 * delta * t + 1
-    specs = [(f"w{j}", Fraction(1), rbar[j]) for j in range(ns)]
     return pref * residue_drive(
-        specs, build, eps_scale((1 - 2 * delta * t) / kappa, 1 / kappa))
+        [(1, r) for r in rbar], build,
+        eps_scale((1 - 2 * delta * t) / kappa, 1 / kappa))
 
 
 def psi_dual_mirs(cfg: RowConfig, w: WeightTriple):

@@ -4,7 +4,8 @@ Every subcommand prints one JSON object (or CSV with a header row) on
 stdout; exact rationals are emitted as 'p/q' strings, numeric values as
 17-significant-digit decimals, so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 computation error (the error
-name is reported), 2 usage error.
+name is reported; a numeric route run without numpy is one, reported
+as its ImportError), 2 usage error.
 
     dwbc zn --size 3 --weights 1 1 1 --method enum
     dwbc efp --size 3 --r 2 --s 1 --weights 1 1 1 --method mir-n
@@ -141,9 +142,16 @@ def _add_weight_flags(p):
     p.add_argument("--eta", type=_finite, help="coupling parameter")
 
 
-def _numeric_triple(lam, eta):
-    from .ik_engine import NumericTriple, homogeneous_abc
-    return NumericTriple(*homogeneous_abc(lam, eta))
+def _oracle_weights(mode, w):
+    """The weights the lattice oracle takes in each weight mode: the
+    exact triple, the homogeneous complex triple, or the inhomogeneous
+    weight matrix."""
+    if mode == "exact":
+        return w
+    if mode == "hom":
+        from .ik_engine import NumericTriple, homogeneous_abc
+        return NumericTriple(*homogeneous_abc(*w))
+    return w.weight_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +172,7 @@ def cmd_zn(args):
         else:
             _usage_error("--method ik needs trigonometric parameters")
     else:
-        target = (w if mode == "exact"
-                  else _numeric_triple(*w) if mode == "hom"
-                  else w.weight_matrix())
-        z = enumerate_Z(n, target, method)
+        z = enumerate_Z(n, _oracle_weights(mode, w), method)
     return {"N": n, "method": method, "Z": _fmt(z)}
 
 
@@ -175,10 +180,7 @@ def cmd_hrow(args):
     from .lattice_oracle import RowConfig, row_config_probability
     mode, w = _weights_from_args(args)
     cfg = RowConfig(args.size, args.positions)
-    target = (w if mode == "exact"
-              else _numeric_triple(*w) if mode == "hom"
-              else w.weight_matrix())
-    h = row_config_probability(cfg, target, args.method)
+    h = row_config_probability(cfg, _oracle_weights(mode, w), args.method)
     return {"N": args.size, "positions": list(cfg.positions), "H": _fmt(h)}
 
 
@@ -213,8 +215,7 @@ def cmd_boundary(args):
     mode, w = _weights_from_args(args)
     if mode == "inhom":
         _usage_error("boundary needs --weights or --lambda/--eta")
-    target = w if mode == "exact" else _numeric_triple(*w)
-    h = boundary_generating_poly(args.size, target)
+    h = boundary_generating_poly(args.size, _oracle_weights(mode, w))
     coeffs = h.coeffs if mode == "exact" else list(h)
     return {"N": args.size, "h_coeffs": [_fmt(c) for c in coeffs]}
 
@@ -241,11 +242,9 @@ def cmd_psi(args):
         from .hankel_orthopoly import psi_bot_ortho, psi_top_ortho
         val = (psi_top_ortho if which == "top" else psi_bot_ortho)(cfg, *w)
     elif method == "oracle" or method == "enum":
-        target = (w if mode == "exact"
-                  else _numeric_triple(*w) if mode == "hom"
-                  else w.weight_matrix())
         fn = psi_top if which == "top" else psi_bot
-        val = fn(cfg, target, "transfer" if method == "oracle" else "enum")
+        val = fn(cfg, _oracle_weights(mode, w),
+                 "transfer" if method == "oracle" else "enum")
     else:
         if mode != "exact":
             _usage_error(f"--method {method} needs exact --weights")
@@ -372,7 +371,9 @@ def main(argv=None) -> int:
             _usage_error(f"DWBC_MAX_N must be an integer, got {max_n!r}")
     try:
         payload = args.func(args)
-    except DwbcError as exc:
+    except (DwbcError, ImportError) as exc:
+        # an ImportError is a numeric route run without numpy: its
+        # message names the missing module
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

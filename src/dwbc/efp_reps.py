@@ -33,7 +33,7 @@ from itertools import combinations, permutations
 
 from .errors import ChainBreak, InvalidRegion
 from .exact_core import eps_scale, geom_inverse, residue_drive
-from .bethe_reps import _pole_guard
+from .bethe_reps import _pair_quotient, _pole_guard
 from .ik_engine import cantini_P_confluent, cantini_P_vand, family
 from .lattice_oracle import (
     RowConfig,
@@ -123,15 +123,12 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     if variant == "efpMIR1":
         pref = Fraction(-1) ** s * _vand_sign(s)
 
-        def build(vs, ring):
-            zs = [vs[f"z{j}"] for j in range(s)]
+        def build(zs, ring):
             f = ring.const(1)
             for j in range(s):
                 f = f * (tt * zs[j] + 1) ** (s - 1 - j) \
                     * zs[j] ** (-r) * (zs[j] - 1) ** (-(s - j))
-            for j in range(s):
-                for k in range(j + 1, s):
-                    f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+            f = _pair_quotient(f, zs, t * t, 2 * delta * t)
             return f, fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
@@ -139,17 +136,12 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
             / (math.factorial(s) * w.a ** (s * (s - 1)) * w.c ** s)
         u_map = _u_map(t, delta)
 
-        def build(vs, ring):
-            zs = [vs[f"z{j}"] for j in range(s)]
+        def build(zs, ring):
             f = ring.const(1)
             for j in range(s):
                 f = f * (tt * zs[j] + 1) ** (s - 1) \
                     * zs[j] ** (-r) * (zs[j] - 1) ** (-s)
-            for j in range(s):
-                for k in range(s):
-                    if j != k:
-                        f = f / (t * t * zs[j] * zs[k]
-                                 - 2 * delta * t * zs[j] + 1)
+            f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
             return f * fam.hns_vand(N, s, zs), fam.hns_vand(s, s, zs, u_map)
 
     else:
@@ -157,8 +149,8 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
 
     # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k and the
     # denominator 1 + (t^2 - 2 Delta t) z of u(z), at z = 0
-    specs = [(f"z{j}", Fraction(0), r) for j in range(s)]
-    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta * t, tt))
+    return pref * residue_drive([(0, r)] * s, build,
+                                eps_scale(t, 2 * delta * t, tt))
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +179,11 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     fam = family(w)
     w_map = _w_map(t, delta)
 
-    def build(vs, ring):
-        zs = [vs[f"z{j}"] for j in range(n)]
+    def build(zs, ring):
         f = ring.const(1)
         for j in range(n):
             f = f / (zs[j] - 1)
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    f = f / (t * t * zs[j] * zs[k] - 2 * delta * t * zs[j] + 1)
+        f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
         return f * fam.hns_vand(N - s, n, zs), \
             fam.hns_vand(s + n, n, zs, w_map)
 
@@ -203,9 +191,8 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1;
     # the denominator t^2 (z - 1) of the h argument is a monomial
     kappa = t * t - 2 * delta * t + 1
-    specs = [(f"z{j}", Fraction(1), s + n) for j in range(n)]
     return pref * _vand_sign(n) * residue_drive(
-        specs, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
+        [(1, s + n)] * n, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +221,17 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
     fam = family(w)
     warg = _warg_map(t, delta)
 
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(n)]
+    def build(ws, ring):
         f = ring.const(1)
         for j in range(n):
             f = f / (ws[j] ** ls[j] * (1 - t * ws[j]))
-        for j in range(n):
-            for k in range(j + 1, n):
-                f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+        f = _pair_quotient(f, ws, 1, 2 * delta)
         return f, fam.hns_vand(s + n, n, ws, warg)
 
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
     # the h argument's denominator t (t w - 1), at w = 0
-    specs = [(f"w{j}", Fraction(0), ls[j]) for j in range(n)]
-    return pref * residue_drive(specs, build, eps_scale(t, 2 * delta))
+    return pref * residue_drive([(0, l) for l in ls], build,
+                                eps_scale(t, 2 * delta))
 
 
 def _psi_bot_frozen_mir(N, s, ls, w):
@@ -260,19 +244,16 @@ def _psi_bot_frozen_mir(N, s, ls, w):
         return pref
     fam = family(w)
 
-    def build(vs, ring):
-        zs = [vs[f"z{j}"] for j in range(n)]
+    def build(zs, ring):
         f = ring.const(1)
         for j in range(n):
             f = f * zs[j] ** (-ls[j])
-        for j in range(n):
-            for k in range(j + 1, n):
-                f = f / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
+        f = _pair_quotient(f, zs, 1, 2 * delta)
         return f, fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
 
     # inverted: the pair factors 1 - 2 Delta z_j + z_j z_k at z = 0
-    specs = [(f"z{j}", Fraction(0), ls[j]) for j in range(n)]
-    return pref * residue_drive(specs, build, eps_scale(2 * delta))
+    return pref * residue_drive([(0, l) for l in ls], build,
+                                eps_scale(2 * delta))
 
 
 def _trace_sfold_chain(q, w, record):
@@ -292,9 +273,7 @@ def _trace_sfold_chain(q, w, record):
     def x_side(xs, f):
         """f / prod_{j<k} (x_j x_k - 2D x_j + 1) times h_{N,s}(x/t) and
         the Vandermonde of the x's."""
-        for j in range(s):
-            for k in range(j + 1, s):
-                f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+        f = _pair_quotient(f, xs, 1, 2 * delta)
         return f * fam.hns_vand(N, s, xs, (1, 0, 0, t))
 
     def y_side(ys, f):
@@ -305,19 +284,15 @@ def _trace_sfold_chain(q, w, record):
                     * (ys[j] * ys[k] - 2 * delta * ys[k] + 1)
         return f
 
-    def split(vs):
-        return ([vs[f"x{j}"] for j in range(s)],
-                [vs[f"y{j}"] for j in range(s)])
-
-    specs = ([(f"x{j}", Fraction(0), r) for j in range(s)]
-             + [(f"y{j}", inv_t, s) for j in range(s)])
+    # the x's are integrated first, so vs[:s] are the x's, vs[s:] the y's
+    specs = [(0, r)] * s + [(inv_t, s)] * s
     # inverted: the x pair factors 1 - 2 Delta x_j + x_j x_k at x = 0,
     # and, at y = 1/t, y = (1 + t (y - 1/t))/t and 1 - x y = 1 - x/t -
     # x (y - 1/t)
     scale = eps_scale(t, inv_t, 2 * delta)
 
     def build_double(vs, ring):
-        xs, ys = split(vs)
+        xs, ys = vs[:s], vs[s:]
         fy = ring.const(1)
         for j in range(s):
             fy = fy / (ys[j] ** (s - 1) * (t * ys[j] - 1) ** s)
@@ -333,7 +308,7 @@ def _trace_sfold_chain(q, w, record):
     record("double-contour", residue_drive(specs, build_double, scale))
 
     def build_double2(vs, ring):
-        xs, ys = split(vs)
+        xs, ys = vs[:s], vs[s:]
         fx, fy = ring.const(1), ring.const(1)
         for j in range(s):
             fx = fx / xs[j] ** (r - s + j + 1)
@@ -354,7 +329,7 @@ def _trace_sfold_chain(q, w, record):
         prod (1 - x_j y_k) and P_s in its det form (`cantini_P_vand`,
         P_s Vand(x) Vand(y)).  Of the integrand's Vand(x)^2 Vand(y)^2,
         hns_vand holds one Vand(x), so one Vand(y) is left."""
-        xs, ys = split(vs)
+        xs, ys = vs[:s], vs[s:]
         fx, fy = ring.const(1), ring.const(1)
         for j in range(s):
             fx = fx / xs[j] ** r
@@ -362,10 +337,7 @@ def _trace_sfold_chain(q, w, record):
         for j in range(s):
             for k in range(j + 1, s):
                 fy = fy * (ys[k] - ys[j])
-        for j in range(s):
-            for k in range(s):
-                if j != k:
-                    fx = fx / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+        fx = _pair_quotient(fx, xs, 1, 2 * delta, ordered=True)
         fx = fx * fam.hns_vand(N, s, xs, (1, 0, 0, t))
         for j in range(s):
             for k in range(s):
@@ -376,29 +348,24 @@ def _trace_sfold_chain(q, w, record):
            Fraction(1, math.factorial(s) ** 2)
            * residue_drive(specs, build_double3, scale))
 
-    def build_recovered(vs, ring):
+    def build_recovered(xs, ring):
         """The y-integrals taken at the pole y = 1/t: W_s(x; 1/t..1/t)
         with P_s in the confluent limit of its det form
         (`cantini_P_confluent`, P_s(x; 1/t..1/t) Vand(x)).  The
         integrand's prod_{j != k} (x_j - x_k) is the sign (applied
         below) times that Vand(x) and the one in hns_vand."""
-        xs = [vs[f"x{j}"] for j in range(s)]
         f = ring.const(1)
         for j in range(s):
             f = f / xs[j] ** r
-        for j in range(s):
-            for k in range(s):
-                if j != k:
-                    f = f / (xs[j] * xs[k] - 2 * delta * xs[j] + 1)
+        f = _pair_quotient(f, xs, 1, 2 * delta, ordered=True)
         f = f * cantini_P_confluent(xs, inv_t, delta)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
         return f, fam.hns_vand(N, s, xs, (1, 0, 0, t))
 
-    xspecs = [(f"x{j}", Fraction(0), r) for j in range(s)]
     record("sfold-recovered",
            _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
-           * residue_drive(xspecs, build_recovered, scale))
+           * residue_drive(specs[:s], build_recovered, scale))
 
     record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))
     record("sfold-plain", efp_mir_s(q, w, "efpMIR1"))
@@ -448,40 +415,28 @@ def _trace_nfold_chain(q, w, record):
             raise ChainBreak(f"bottom-frozen-form{cfg.positions}", got, want)
 
     # extended multisum, 2n-fold residues at the origin ----------------
-    specs = ([(f"w{j}", Fraction(0), N - s) for j in range(n)]
-             + [(f"z{j}", Fraction(0), N - s) for j in range(n)])
+    specs = [(0, N - s)] * (2 * n)
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
     # the h_top argument's denominator t (t w - 1), at the origin
     scale = eps_scale(t, 2 * delta)
 
-    def cross(us, f, ordered):
-        """Divide by the pair factors of one set over k > j, or over all
-        j != k when `ordered`."""
-        for j in range(n):
-            for k in range(n):
-                if k > j or (ordered and j != k):
-                    f = f / (us[j] * us[k] - 2 * delta * us[j] + 1)
-        return f
-
     # each 2n-fold integrand is a (w side, z side) pair for residue_drive
-    # to contract; the coupling factors go onto the w side
-    def split(vs):
-        return ([vs[f"w{j}"] for j in range(n)],
-                [vs[f"z{j}"] for j in range(n)])
+    # to contract, the w's integrated first; the coupling factors go onto
+    # the w side
 
     def build_extended(vs, ring):
-        ws, zs = split(vs)
+        ws, zs = vs[:n], vs[n:]
         fw, fz = ring.const(1), ring.const(1)
         for j in range(n):
             fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s - n + j + 1))
             fz = fz / zs[j] ** (N - s - n + j + 1)
-        fw = cross(ws, fw, ordered=False) * h_top(ws)
+        fw = _pair_quotient(fw, ws, 1, 2 * delta) * h_top(ws)
         for j in range(n):
             prodwz = ring.const(1)
             for l in range(j + 1):
                 prodwz = prodwz * ws[l] * zs[l]
             fw = fw * geom_inverse(prodwz, ring)
-        return fw, cross(zs, fz, ordered=False) * h_bot(zs)
+        return fw, _pair_quotient(fz, zs, 1, 2 * delta) * h_bot(zs)
 
     record("nfold-extended",
            pref * residue_drive(specs, build_extended, scale))
@@ -492,16 +447,16 @@ def _trace_nfold_chain(q, w, record):
         carries prod_{j != k} (w_k - w_j)(z_k - z_j), both Vandermondes
         squared (the signs cancel): h_top and h_bot hold one copy each,
         the det form the other two."""
-        ws, zs = split(vs)
+        ws, zs = vs[:n], vs[n:]
         fw, fz = ring.const(1), ring.const(1)
         for j in range(n):
             fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s))
             fz = fz / zs[j] ** (N - s)
-        fw = cross(ws, fw, ordered=True) * h_top(ws)
+        fw = _pair_quotient(fw, ws, 1, 2 * delta, ordered=True) * h_top(ws)
         for j in range(n):
             for k in range(n):
                 fw = fw / (1 - ws[j] * zs[k])
-        fz = cross(zs, fz, ordered=True) * h_bot(zs)
+        fz = _pair_quotient(fz, zs, 1, 2 * delta, ordered=True) * h_bot(zs)
         return fw, cantini_P_vand(ws, zs, delta, fz)
 
     record("nfold-symmetrized",
@@ -513,28 +468,24 @@ def _trace_nfold_chain(q, w, record):
            pref / math.factorial(n) ** 2 * _flipped_contour_value(q, w))
 
     # after the symmetric-function integration -------------------------
-    def build_integrated(vs, ring):
+    def build_integrated(ws, ring):
         """P_n(w; 1/w) in its closed form (psxx), prod_j w_j^-(n-1)
         prod_{j != k} (w_j w_k - 2D w_j + 1): times the integrand's
         w_j^(n-2) it leaves 1/w_j, and it cancels one of the two powers
         of each pair factor.  prod_{j != k} (w_k - w_j) is the sign
         (applied below) times the two Vandermondes that h_top and h_bot
         carry."""
-        ws = [vs[f"w{j}"] for j in range(n)]
         f = ring.const(1)
         for j in range(n):
             f = f / (ws[j] * (1 - t * ws[j]))
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    f = f / (ws[j] * ws[k] - 2 * delta * ws[j] + 1)
+        f = _pair_quotient(f, ws, 1, 2 * delta, ordered=True)
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
         return f * h_top(ws), h_bot(ws, (0, 1, t, 0))
 
-    wspecs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
     record("nfold-integrated",
            pref * _vand_sign(n) / math.factorial(n)
-           * residue_drive(wspecs, build_integrated, scale))
+           * residue_drive([(0, (N - s) + n + 1)] * n, build_integrated,
+                           scale))
 
     record("nfold-final", efp_mir_n(q, w))
 
@@ -573,8 +524,7 @@ def _flipped_contour_value(q, w) -> Fraction:
     fam = family(w)
     warg = _warg_map(t, delta)
 
-    def build(vs, ring):
-        ws = [vs[f"w{j}"] for j in range(n)]
+    def build(ws, ring):
         # w-only prefactor of the integrand times P_n(w; 1/w) and the
         # residues; prod_{j != k} (w_k - w_j) is the sign times the
         # Vandermonde here and the one in hns_vand
@@ -596,19 +546,17 @@ def _flipped_contour_value(q, w) -> Fraction:
                     if j != l:
                         term = term / (1 - ws[j] * zs[k])
             for j in range(n):
-                for k in range(n):
-                    if k > j:
-                        term = term * (zs[k] - zs[j])
-                    if j != k:
-                        term = term / (zs[j] * zs[k] - 2 * delta * zs[j] + 1)
+                for k in range(j + 1, n):
+                    term = term * (zs[k] - zs[j])
+            term = _pair_quotient(term, zs, 1, 2 * delta, ordered=True)
             total = total + term \
                 * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
         return base, total
 
     # inverted: 1 - t w and the pair factors in the w's and in the z's
     # (z_j z_k - 2 Delta z_j + 1, at z = 1/w a multiple of w^-2)
-    specs = [(f"w{j}", Fraction(0), (N - s) + n + 1) for j in range(n)]
-    return residue_drive(specs, build, eps_scale(t, 2 * delta))
+    return residue_drive([(0, (N - s) + n + 1)] * n, build,
+                         eps_scale(t, 2 * delta))
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,

@@ -42,18 +42,20 @@ package, the trace's sum over the pole assignments of its flipped
 contours included, is a `build` function that returns a tower element
 or a pair (A, B) of elements whose product it is, and `residue_drive`
 extracts the iterated residue, widening the windows when they run
-out.  The residue of A*B is taken by contraction,
-sum_i Res(A_i B_(-1-i)) level by level, so the product tower is never
-formed; a single element is the pair (elem, 1).  The contraction
-raises exactly what the residue of the formed product would:
-PrecisionLoss when a needed pairing lies past either window (the err
-rule of Series.__mul__), OrderExceeded for a definitely nonzero
-coefficient below a level's pole-order bound.
+out.  A route states one (center, order_bound) pair per variable, in
+integration order, and `build` gets the shifted variables as a list in
+that order, so an integrand names its variables by position only.
+The residue of A*B is taken by contraction, sum_i Res(A_i B_(-1-i))
+level by level, so the product tower is never formed; a single element
+is the pair (elem, 1).  The contraction raises exactly what the
+residue of the formed product would: PrecisionLoss when a needed
+pairing lies past either window (the err rule of Series.__mul__),
+OrderExceeded for a definitely nonzero coefficient below a level's
+pole-order bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -121,16 +123,6 @@ class ExactPoly:
             cs.pop()
         self.coeffs = cs
 
-    # -- structure ----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, ExactPoly):
             return self.coeffs == other.coeffs
@@ -138,59 +130,6 @@ class ExactPoly:
 
     def __repr__(self):
         return f"ExactPoly({[format_rational(c) for c in self.coeffs]})"
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly([self[k] + other[k] for k in range(n)])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return ExactPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return ExactPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ExactPoly(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = ExactPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, ExactPoly):
-            return v
-        return ExactPoly([as_fraction(v)])
-
-    # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "ExactPoly":
         return ExactPoly([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -200,22 +139,6 @@ class ExactPoly:
         if not self.coeffs:
             return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
         return _horner(self.coeffs, x)
-
-    __call__ = eval
-
-    def reversed(self, degree=None) -> "ExactPoly":
-        """z^d * p(1/z) for d = max(degree, self.degree)."""
-        d = self.degree if degree is None else degree
-        return ExactPoly([self[d - k] for k in range(d + 1)])
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps([format_rational(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExactPoly":
-        return cls([parse_rational(c) for c in json.loads(s)])
 
 
 def _horner(coeffs, x):
@@ -366,9 +289,6 @@ class Series:
     def min_exp(self):
         """Lowest exponent that could carry a nonzero coefficient."""
         return self.lo if self.coeffs else self.err
-
-    def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.err == INF
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -944,13 +864,14 @@ def geom_inverse(u, ring):
 def residue_drive(specs, build, scale=1, max_tries=6):
     """Adaptive iterated-residue evaluation.
 
-    specs: list of (name, center, order_bound), first entry integrated
-    first (innermost contour).  `build(vars, ring)` receives the shifted
-    variables {name: center + scale * eps_name}, each a `Scaled` element
-    over the tower atom eps_name, and returns the integrand either as an
-    element or as a pair (A, B) of elements whose product it is; the
-    pair is contracted by `iterated_residue` without forming A*B, so a
-    builder keeps its factors in two small halves (say, one per set of
+    specs: list of (center, order_bound) pairs, one per variable, first
+    entry integrated first (innermost contour).  `build(vars, ring)`
+    receives the shifted variables as a list in spec order, the j-th
+    center_j + scale * eps_j, each a `Scaled` element over the atom of
+    tower level j, and returns the integrand either as an element or
+    as a pair (A, B) of elements whose product it is; the pair is
+    contracted by `iterated_residue` without forming A*B, so a builder
+    keeps its factors in two small halves (say, one per set of
     variables) instead of one dense product.  The residue in z is
     `scale` times the residue in eps, once per variable.
 
@@ -969,12 +890,13 @@ def residue_drive(specs, build, scale=1, max_tries=6):
     coefficient below a level's order_bound raises OrderExceeded at
     once (the stated pole order was wrong).
     """
-    precs = [max(2, b) for (_, _, b) in specs]
-    bounds = [b for (_, _, b) in specs]
+    bounds = [b for _, b in specs]
+    precs = [max(2, b) for b in bounds]
+    names = [f"eps{j}" for j in range(len(specs))]
     for _ in range(max_tries):
-        ring, atoms = build_tower(
-            [(nm, p) for (nm, _, _), p in zip(specs, precs)])
-        shifted = {nm: Scaled(scale, atoms[nm]) + c for (nm, c, _) in specs}
+        ring, atoms = build_tower(list(zip(names, precs)))
+        shifted = [Scaled(scale, atoms[nm]) + c
+                   for nm, (c, _) in zip(names, specs)]
         try:
             return scale ** len(specs) * iterated_residue(
                 build(shifted, ring), order_bounds=bounds)

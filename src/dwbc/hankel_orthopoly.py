@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import DegenerateHankel, Singular, TruncationInsufficient
+from .errors import (DegenerateHankel, NearDegenerate, Singular,
+                     TruncationInsufficient)
 from .exact_core import COMPLEXES, _horner, _perm_sign, build_tower
 from .ik_engine import (
     DEGENERACY_TOL,
@@ -56,32 +56,20 @@ from .efp_reps import EfpQuery
 # moments and the orthogonal family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MomentTable:
-    """c_n = d^n phi/d lam^n for n = 0..2N-2 at fixed (lam, eta)."""
-
-    lam: float
-    eta: float
-    moments: list
-
-    @classmethod
-    def build(cls, N, lam, eta):
-        return cls(lam, eta, phi_derivatives(lam, eta, 2 * N - 2))
-
-
 class OrthoFamily:
-    """Monic orthogonal polynomials P_0..P_{N-1}, norms, and K_n."""
+    """Monic orthogonal polynomials P_0..P_{N-1}, norms, and K_n, from
+    the moments c_n = d^n phi/d lam^n, n = 0..2N-2, at (lam, eta)."""
 
-    def __init__(self, N, lam, eta, table: MomentTable):
+    def __init__(self, N, lam, eta, moments):
         import numpy as np
         self.N = N
         self.lam = lam
         self.eta = eta
-        self.moments = table.moments
-        self.phi = table.moments[0]
+        self.moments = moments
+        self.phi = moments[0]
         self.P = []       # monic coefficient lists, ascending
         self.norms = []
-        c = table.moments
+        c = moments
         for n in range(N):
             if n == 0:
                 p = [1.0 + 0j]
@@ -119,7 +107,12 @@ class OrthoFamily:
 
 
 def build_ortho_family(N, lam, eta) -> OrthoFamily:
-    return OrthoFamily(N, lam, eta, MomentTable.build(N, lam, eta))
+    try:
+        moments = phi_derivatives(lam, eta, 2 * N - 2)
+    except NearDegenerate as exc:
+        # moments without digits: no family can be built from them
+        raise DegenerateHankel(str(exc)) from exc
+    return OrthoFamily(N, lam, eta, moments)
 
 
 def bordered_hankel_det(fam: OrthoFamily, xs):

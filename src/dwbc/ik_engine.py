@@ -54,12 +54,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
-from .exact_core import (
-    ExactPoly,
-    MultiPoly,
-    complete_homogeneous,
-    poly_det,
-)
+from .exact_core import (MultiPoly, _horner, complete_homogeneous,
+                         poly_det)
 from .lattice_oracle import WeightMatrix, WeightTriple, boundary_generating_poly
 
 DEGENERACY_TOL = 1e-8
@@ -189,33 +185,46 @@ def ik_determinant(p: TrigParams) -> complex:
 
 @lru_cache(maxsize=None)
 def _phi_cot_polys(nmax: int):
-    """Integer polynomials q_n with d^n/dl^n cot(l+const) = q_n(cot).
+    """Integer coefficient lists (ascending) of the polynomials q_n with
+    d^n/dl^n cot(l+const) = q_n(cot), n = 0..nmax.
 
     q_0(x) = x and differentiation acts on monomials as
     D x^k = -k (x^(k-1) + x^(k+1)), since (cot)' = -(1 + cot^2).
     """
-    polys = [ExactPoly([0, 1])]
+    polys = [[0, 1]]
     for _ in range(nmax):
         prev = polys[-1]
-        nxt = ExactPoly([0])
-        for k, cf in enumerate(prev.coeffs):
-            if cf == 0 or k == 0:
-                continue
-            nxt = nxt + ExactPoly([0] * (k - 1) + [-k * cf, 0, -k * cf])
+        nxt = [0] * (len(prev) + 1)
+        for k in range(1, len(prev)):
+            nxt[k - 1] -= k * prev[k]
+            nxt[k + 1] -= k * prev[k]
         polys.append(nxt)
     return polys
 
 
 def phi_derivatives(lam, eta, nmax: int):
     """[d^n phi / d lam^n for n = 0..nmax] with phi = sin2eta /
-    (sin(lam-eta) sin(lam+eta)) = cot(lam-eta) - cot(lam+eta)."""
+    (sin(lam-eta) sin(lam+eta)) = cot(lam-eta) - cot(lam+eta).
+
+    The difference of the two cotangents is only as good as the
+    computed arguments: once |lam| is so large against |eta| that
+    lam + eta and lam - eta no longer differ by 2 eta to DEGENERACY_TOL
+    (relative), the digits of phi are gone (at lam + eta == lam - eta
+    it is exactly 0), so that raises NearDegenerate instead of
+    returning them."""
+    if abs(((lam + eta) - (lam - eta)) - 2 * eta) \
+            > DEGENERACY_TOL * abs(2 * eta):
+        raise NearDegenerate(
+            f"lam = {lam} swamps eta = {eta}: lam + eta and lam - eta "
+            f"differ by {(lam + eta) - (lam - eta)}, not 2 eta")
     su, sv = cmath.sin(lam - eta), cmath.sin(lam + eta)
     if min(abs(su), abs(sv)) <= DEGENERACY_TOL:
         raise Singular("lam = +/- eta (mod pi): phi undefined")
     u = cmath.cos(lam - eta) / su
     v = cmath.cos(lam + eta) / sv
     polys = _phi_cot_polys(nmax)
-    return [complex(q.eval(u)) - complex(q.eval(v)) for q in polys[: nmax + 1]]
+    return [complex(_horner(q, u)) - complex(_horner(q, v))
+            for q in polys[: nmax + 1]]
 
 
 def ik_homogeneous(N: int, lam, eta) -> complex:

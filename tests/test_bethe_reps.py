@@ -210,8 +210,7 @@ class TestIntegralRepresentations:
             pref *= t ** (rs[j - 1] - j)
 
         def build(symmetric_factor):
-            def inner(vs, ring):
-                ws = [vs[f"w{j}"] for j in range(s)]
+            def inner(ws, ring):
                 f = ring.const(1)
                 for j in range(s):
                     f = f * ws[j] ** (rs[j] - 1) * (ws[j] - 1) ** (-s)
@@ -225,7 +224,7 @@ class TestIntegralRepresentations:
                 return f
             return inner
 
-        specs = [(f"w{j}", Fraction(1), s) for j in range(s)]
+        specs = [(Fraction(1), s)] * s
         plain = pref * residue_drive(specs, build(False))
         weighted = pref * residue_drive(specs, build(True))
         assert plain == weighted == psi_top(cfg, w)

@@ -158,6 +158,13 @@ class TestContracts:
         err = capsys.readouterr().err
         assert code == 1
         assert json.loads(err)["error"] == "Singular"
+        # lam + eta and lam - eta round to the same float: phi would be
+        # exactly 0, so the Hankel route refuses rather than print Z = 0
+        code = main(["zn", "--size", "3", "--method", "ik", "--lambda",
+                     "1e17", "--eta", "0.3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert json.loads(err)["error"] == "NearDegenerate"
 
     def test_usage_error_exit_code(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
@@ -267,18 +274,24 @@ _EXACT_INVOCATIONS = [
 ]
 
 
+def _stub_numpy(tmp_path):
+    """A `numpy` package under tmp_path whose import fails, and the
+    package root of dwbc, for a child's PYTHONPATH."""
+    stub = tmp_path / "numpy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text(
+        "raise ImportError('numpy is stubbed out')\n")
+    return str(tmp_path), os.path.dirname(os.path.dirname(dwbc.__file__))
+
+
 class TestNumpyFree:
     def test_exact_paths_never_load_numpy(self, tmp_path):
         # a `numpy` whose import fails shadows the real one: the exact
         # subcommands must run as well and print the same bytes
-        stub = tmp_path / "numpy"
-        stub.mkdir()
-        (stub / "__init__.py").write_text(
-            "raise ImportError('numpy is stubbed out')\n")
-        root = os.path.dirname(os.path.dirname(dwbc.__file__))
+        stub, root = _stub_numpy(tmp_path)
         env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
         results = []
-        for path in ([str(tmp_path), root], [root]):
+        for path in ([stub, root], [root]):
             env["PYTHONPATH"] = os.pathsep.join(path)
             proc = subprocess.run(
                 [sys.executable, "-c", _EXACT_CHILD,
@@ -292,3 +305,25 @@ class TestNumpyFree:
         assert [code for code, _ in stubbed["runs"]] == [0] * len(
             _EXACT_INVOCATIONS)
         assert stubbed["runs"] == plain["runs"]
+
+    @pytest.mark.parametrize("args", [
+        ["zn", "--size", "3", "--method", "ik", "--lambda", "0.9",
+         "--eta", "0.3"],
+        ["psi", "--size", "3", "--which", "top", "--positions", "1",
+         "--method", "ortho", "--lambda", "0.9", "--eta", "0.3"],
+        ["verify", "--suite", "kmst", "--trials", "2"],
+    ])
+    def test_numeric_routes_without_numpy(self, tmp_path, args):
+        # a numeric route without numpy is a computation error: exit 1
+        # and one JSON record naming the module, never a traceback
+        env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
+        env["PYTHONPATH"] = os.pathsep.join(_stub_numpy(tmp_path))
+        proc = subprocess.run([sys.executable, "-m", "dwbc.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        record = json.loads(proc.stderr)
+        assert record["error"] == "ImportError"
+        assert "numpy" in record["message"]

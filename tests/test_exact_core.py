@@ -76,12 +76,12 @@ class TestSeriesExpand:
         with pytest.raises(ZeroDenominator):
             1 / (z - z)
         with pytest.raises(ZeroDenominator):
-            residue_drive([("z", 0, 1)],
-                          lambda vs, ring: 1 / (vs["z"] - vs["z"]))
+            residue_drive([(0, 1)],
+                          lambda vs, ring: 1 / (vs[0] - vs[0]))
 
     def test_order_exceeded(self):
         with pytest.raises(OrderExceeded):
-            residue_drive([("z", 0, 1)], lambda vs, ring: 1 / vs["z"] ** 3)
+            residue_drive([(0, 1)], lambda vs, ring: 1 / vs[0] ** 3)
 
     def test_non_rational_rejected(self):
         # tower elements take integer powers only, and a float operand
@@ -98,28 +98,29 @@ class TestJointResidue:
     """Iterated residues through residue_drive."""
 
     def test_product_of_simple_poles(self):
-        val = residue_drive([("z1", 0, 1), ("z2", 0, 1)],
-                            lambda vs, ring: 1 / (vs["z1"] * vs["z2"]))
+        val = residue_drive([(0, 1), (0, 1)],
+                            lambda vs, ring: 1 / (vs[0] * vs[1]))
         assert val == 1
 
     def test_double_pole(self):
-        val = residue_drive([("z", 1, 2)],
-                            lambda vs, ring: vs["z"] / (vs["z"] - 1) ** 2)
+        val = residue_drive([(1, 2)],
+                            lambda vs, ring: vs[0] / (vs[0] - 1) ** 2)
         assert val == 1
 
     def test_order_exceeded(self):
         with pytest.raises(OrderExceeded):
-            residue_drive([("z", 0, 2)], lambda vs, ring: 1 / vs["z"] ** 4)
+            residue_drive([(0, 2)], lambda vs, ring: 1 / vs[0] ** 4)
 
     def test_nesting_order(self):
         # 1/(z1 (z2 - z1)): with z1 integrated first (inner contour),
         # 1/(z2 - z1) expands in z1/z2 and the residue is 1; with z2
         # first it expands in z2/z1 and the z2 residue vanishes
-        def build(vs, ring):
-            return 1 / (vs["z1"] * (vs["z2"] - vs["z1"]))
+        def build(z1, z2):
+            return 1 / (z1 * (z2 - z1))
 
-        assert residue_drive([("z1", 0, 1), ("z2", 0, 1)], build) == 1
-        assert residue_drive([("z2", 0, 1), ("z1", 0, 1)], build) == 0
+        specs = [(0, 1), (0, 1)]
+        assert residue_drive(specs, lambda vs, ring: build(*vs)) == 1
+        assert residue_drive(specs, lambda vs, ring: build(*vs[::-1])) == 0
 
     def test_efp_integrand_matches_oracle(self):
         # the symmetric s-fold integrand at N=2, s=1, r=1, ice point
@@ -128,10 +129,10 @@ class TestJointResidue:
         h2 = family(ICE_POINT).h(2)
 
         def build(vs, ring):
-            z = vs["z"]
+            z = vs[0]
             return h2.eval(z) / (z * (z - 1))
 
-        val = -residue_drive([("z", 0, 1)], build)
+        val = -residue_drive([(0, 1)], build)
         assert val == efp_oracle(2, 1, 1, ICE_POINT) == Fraction(1, 2)
 
     def test_h3_coefficient(self):
@@ -149,14 +150,14 @@ class TestJointResidue:
         h = family(w).hns_poly(3, 2)
         t, delta = w.t(), w.delta()
 
-        def build(vs, ring):
-            z1, z2 = vs["z1"], vs["z2"]
+        def build(z1, z2):
             return h.eval([z1, z2]) / (
                 z1**2 * z2**2 * (t * t * z1 * z2 - 2 * delta * t * z1 + 1)
                 * (t * t * z1 * z2 - 2 * delta * t * z2 + 1))
 
-        r1 = residue_drive([("z1", 0, 2), ("z2", 0, 2)], build)
-        r2 = residue_drive([("z2", 0, 2), ("z1", 0, 2)], build)
+        specs = [(0, 2), (0, 2)]
+        r1 = residue_drive(specs, lambda vs, ring: build(*vs))
+        r2 = residue_drive(specs, lambda vs, ring: build(*vs[::-1]))
         assert r1 == r2
 
 
@@ -245,13 +246,13 @@ class TestContraction:
         # x^(-1) pairing falls outside it at the first tower (prec 4,
         # the order bound)
         def build(vs, ring):
-            z = vs["z"]
+            z = vs[0]
             b = (1 / (1 - z) - 1 - z - z ** 2) * z ** -3
             return z ** -4, b
 
-        specs = [("z", 0, 4)]
+        specs = [(0, 4)]
         ring, atoms = build_tower([("z", 5)])
-        pair = build(atoms, ring)
+        pair = build([atoms["z"]], ring)
         with pytest.raises(PrecisionLoss):
             iterated_residue(pair, [4])
         with pytest.raises(PrecisionLoss):
@@ -275,8 +276,8 @@ class TestContraction:
         with pytest.raises(OrderExceeded):
             _product_residue(a * b, [3, 2])
         with pytest.raises(OrderExceeded):
-            residue_drive([("x", 0, 3), ("y", 0, 2)],
-                          lambda vs, ring: pair(vs["x"], vs["y"]))
+            residue_drive([(0, 3), (0, 2)],
+                          lambda vs, ring: pair(*vs))
 
     def test_unknown_low_coefficient_is_precision_loss(self):
         # the x^(-3) coefficient is O(y^3) with no known term: below the
@@ -492,18 +493,10 @@ class TestDivision:
 
 
 class TestPoly:
-    def test_json_round_trip(self):
-        p = ExactPoly([1, Fraction(2, 3), 0, -5])
-        assert ExactPoly.from_json(p.to_json()) == p
-
     def test_eval_and_derivative(self):
         p = ExactPoly([1, 0, 3])
         assert p.eval(Fraction(1, 2)) == Fraction(7, 4)
         assert p.derivative().coeffs == [0, 6]
-
-    def test_reversed(self):
-        p = ExactPoly([1, 2, 3])
-        assert p.reversed().coeffs == [3, 2, 1]
 
 
 class TestMultiPoly:

@@ -212,7 +212,7 @@ class TestBoundaryFamily:
 
         def build(vand_form):
             def integrand(vs, ring):
-                z1, z2 = vs["z1"], vs["z2"]
+                z1, z2 = vs
                 f = 1 / ((z1 - 1) * (z2 - 1) * (z1 * z2 + 3))
                 if vand_form:
                     return f * fam.hns_vand(4, 2, [z1, z2], mob)
@@ -221,7 +221,7 @@ class TestBoundaryFamily:
                 return f * (z2 - z1) * poly.eval(args)
             return integrand
 
-        specs = [("z1", Fraction(1), 5), ("z2", Fraction(1), 5)]
+        specs = [(Fraction(1), 5), (Fraction(1), 5)]
         assert residue_drive(specs, build(True)) \
             == residue_drive(specs, build(False))
 
