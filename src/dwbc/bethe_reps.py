@@ -13,7 +13,10 @@ constructively different forms:
 
 * multiple-integral representations for the homogeneous model,
   evaluated exactly as iterated residues at z = 0 or z = 1 over the
-  rational weight data (t = b/a, Delta, the h_{N,s} polynomials).
+  rational weight data (t = b/a, Delta, the h_{N,s} polynomials).  The
+  two dual routes, in the complementary (down-arrow) positions, are no
+  integrals of their own: each is the a<->b crossing image of
+  psi_bot_mir or psi_top_mir_new.
 
 Every route is checked against the lattice oracle and against the
 others; the exact routes agree with the oracle bit-for-bit.
@@ -109,8 +112,8 @@ def _pole_guard(w: WeightTriple):
     return t, delta
 
 
-def _pair_quotient(f, zs, p, q, r=1, ordered=False):
-    """f / prod (p z_j z_k - q z_j + r) over the pairs j < k, or over
+def _pair_quotient(f, zs, p, q, ordered=False):
+    """f / prod (p z_j z_k - q z_j + 1) over the pairs j < k, or over
     all j != k when `ordered`.  Each pair factor divides f in turn: on
     a tower that costs size(f) * terms(factor), where dividing by their
     product would first expand it densely."""
@@ -118,7 +121,7 @@ def _pair_quotient(f, zs, p, q, r=1, ordered=False):
     for j in range(n):
         for k in range(n):
             if k > j or (ordered and k != j):
-                f = f / (p * zs[j] * zs[k] - q * zs[j] + r)
+                f = f / (p * zs[j] * zs[k] - q * zs[j] + 1)
     return f
 
 
@@ -378,69 +381,27 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
         eps_scale((kappa - 1) / kappa, t * t / kappa))
 
 
+def _crossed(w: WeightTriple) -> WeightTriple:
+    """The a<->b crossing of the weights: t -> 1/t, Delta unchanged."""
+    return WeightTriple(w.b, w.a, w.c)
+
+
 def psi_top_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
     """Top component as an (N-s)-fold residue at z = 0 in the
-    complementary (down-arrow) positions, built on the a<->b reversed
-    polynomials htilde."""
-    N, s = cfg.n, cfg.s
-    rbar = cfg.complement().positions
-    ns = N - s
-    if ns == 0:
-        return enumerate_Z(N, w)
-    t, delta = _pole_guard(w)
-    fam = family(w)
-    # t^2 per pair factor, so t^(ns(ns-1)) in all
-    pref = enumerate_Z(N, w) * t ** (ns * (ns - 1)) \
-        / (w.b ** (ns * (N - 1)) * w.c ** ns)
-    for j in range(1, ns + 1):
-        pref *= t ** (rbar[j - 1] - j)
-
-    def build(zs, ring):
-        f = ring.const(1)
-        for j in range(ns):
-            f = f * zs[j] ** (-rbar[j])
-        f = _pair_quotient(f, zs, 1, 2 * delta * t, t * t)
-        return f, fam.hns_vand(N, ns, zs, tilde=True)
-
-    # inverted: the pair factors t^2 - 2 Delta t z_j + z_j z_k at z = 0
-    return pref * residue_drive([(0, r) for r in rbar], build,
-                                eps_scale(1 / t, 2 * delta / t))
+    complementary (down-arrow) positions: psi_bot_mir at the crossed
+    weights.  Under a<->b, t -> 1/t while Delta and Z_N stay, and each
+    h_M of the crossed weights is z^(M-1) h_M(1/z), its coefficient
+    list reversed."""
+    return psi_bot_mir(cfg.complement(), _crossed(w))
 
 
 def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
     """Bottom component as an (N-s)-fold residue at w = 1 in the
-    complementary positions (crossing image of psi_top_mir_new).
-
-    The prefactor carries Z_{N-s}: this route is the a<->b crossing
-    image of psi_top_mir_new at s' = N-s, so the small determinant is
-    the one of the (N-s) x (N-s) lattice.  Edge convention: s = N is
-    the empty bottom lattice (psi_bot = 1).
-    """
-    N, s = cfg.n, cfg.s
-    rbar = cfg.complement().positions
-    ns = N - s
-    if ns == 0:
-        return Fraction(1)
-    t, delta = _pole_guard(w)
-    fam = family(w)
-    pref = enumerate_Z(ns, w) * w.b ** (s * (N - s))
-    for j in range(1, ns + 1):
-        pref *= t ** (j - rbar[j - 1])
-
-    def build(ws, ring):
-        f = ring.const(1)
-        for j in range(ns):
-            f = f * (ws[j] - 2 * delta * t + t * t) ** (rbar[j] - 1) \
-                * (ws[j] - 1) ** (-rbar[j])
-        f = _pair_quotient(f, ws, 1, 2 * delta * t, t * t)
-        return f, fam.hns_vand(ns, ns, ws, tilde=True)
-
-    # inverted: the pair factors at w = 1 + e, kappa + (1 - 2 Delta t) e_j
-    # + e_k + e_j e_k, kappa = t^2 - 2 Delta t + 1
-    kappa = t * t - 2 * delta * t + 1
-    return pref * residue_drive(
-        [(1, r) for r in rbar], build,
-        eps_scale((1 - 2 * delta * t) / kappa, 1 / kappa))
+    complementary positions: psi_top_mir_new at the crossed weights, so
+    the prefactor carries Z_{N-s}, the small determinant of the
+    (N-s) x (N-s) lattice.  Edge convention: s = N is the empty bottom
+    lattice (psi_bot = 1)."""
+    return psi_top_mir_new(cfg.complement(), _crossed(w))
 
 
 def psi_dual_mirs(cfg: RowConfig, w: WeightTriple):

@@ -45,15 +45,30 @@ def _fmt(v):
     return v
 
 
-def _emit(payload: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload))
+def _emit_csv(args, payload: dict):
+    """The CSV form of a payload (RFC 4180: a field holding a comma is
+    quoted): `verify` one summary row, `trace-efp` one row per step,
+    `boundary` one `N,k,h_k` row per coefficient, every other
+    subcommand its one record, a position list as one field."""
+    import csv
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    if args.command == "verify":
+        # suite `all` nests one report per suite: its row takes the worst
+        reports = list(payload.get("suites", {}).values()) or [payload]
+        out.writerow(["suite", "trials", "seed", "failures", "max_residual"])
+        out.writerow([args.suite, args.trials, args.seed, payload["failures"],
+                      max(r["max_residual"] for r in reports)])
+    elif args.command == "trace-efp":
+        out.writerow(["step", "value"])
+        out.writerows([st["step"], st["value"]] for st in payload["steps"])
+    elif args.command == "boundary":
+        out.writerow(["N", "k", "h_k"])
+        out.writerows([payload["N"], k, h]
+                      for k, h in enumerate(payload["h_coeffs"]))
     else:
-        keys = list(payload)
-        rows = [payload]
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in keys))
+        out.writerow(payload.keys())
+        out.writerow(",".join(map(str, v)) if isinstance(v, list) else v
+                     for v in payload.values())
 
 
 def _positive_rational(text):
@@ -377,19 +392,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    if args.format == "csv" and args.command == "verify":
-        # suite `all` nests one report per suite: its row takes the worst
-        reports = list(payload.get("suites", {}).values()) or [payload]
-        print("suite,trials,seed,failures,max_residual")
-        print(f"{args.suite},{args.trials},{args.seed},{payload['failures']},"
-              f"{max(r['max_residual'] for r in reports)}")
-    elif args.format == "csv" and args.command == "trace-efp":
-        print("step,value")
-        for step in payload["steps"]:
-            print(f"{step['step']},{step['value']}")
-    elif args.format == "csv":
-        _emit({k: v for k, v in payload.items()
-               if not isinstance(v, (list, dict))}, "csv")
+    if args.format == "csv":
+        _emit_csv(args, payload)
     else:
         print(json.dumps(payload, default=_fmt))
     return 0

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import ChainBreak, InvalidRegion
-from .exact_core import eps_scale, geom_inverse, residue_drive
+from .exact_core import eps_scale, residue_drive
 from .bethe_reps import _pair_quotient, _pole_guard
 from .ik_engine import cantini_P_confluent, cantini_P_vand, family
 from .lattice_oracle import (
@@ -318,7 +318,7 @@ def _trace_sfold_chain(q, w, record):
             prodxy = ring.const(1)
             for l in range(j + 1):
                 prodxy = prodxy * xs[l] * ys[l]
-            fx = fx * geom_inverse(prodxy, ring)
+            fx = fx / (1 - prodxy)
         return fx, y_side(ys, fy)
 
     record("double-contour-extended",
@@ -435,7 +435,7 @@ def _trace_nfold_chain(q, w, record):
             prodwz = ring.const(1)
             for l in range(j + 1):
                 prodwz = prodwz * ws[l] * zs[l]
-            fw = fw * geom_inverse(prodwz, ring)
+            fw = fw / (1 - prodwz)
         return fw, _pair_quotient(fz, zs, 1, 2 * delta) * h_bot(zs)
 
     record("nfold-extended",

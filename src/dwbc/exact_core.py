@@ -66,6 +66,9 @@ INF = math.inf
 # default relative tolerance for every approximate (complex double) check
 DEFAULT_RTOL = 1e-9
 
+# towers `residue_drive` builds, each window doubled, before it gives up
+RESIDUE_TRIES = 6
+
 
 def approx_eq(x, y, rtol=DEFAULT_RTOL):
     """Relative comparison |x - y| <= rtol * max(1, |x|, |y|)."""
@@ -837,31 +840,7 @@ def _exact(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
-def geom_inverse(u, ring):
-    """(1 - u)^(-1) for an element u of positive top-level valuation,
-    via the geometric sum.
-
-    Powers of monomial-like u stay cheap, unlike the generic dense
-    series inversion; the omitted tail has top-level exponent at least
-    (mmax+1) * valuation, which caps the result's error exponent.
-    """
-    v = u.min_exp
-    if v < 1:
-        raise ValueError("geom_inverse needs positive valuation")
-    if v == INF:
-        return ring.const(1)
-    mmax = int(ring.prec // v) + 1
-    acc = ring.const(1)
-    p = u
-    for _ in range(mmax):
-        acc = acc + p
-        p = p * u
-    e = acc.e if isinstance(acc, Scaled) else acc
-    e = Series(ring, e.lo, e.coeffs, min(e.err, (mmax + 1) * v))
-    return Scaled(acc.k, e) if isinstance(acc, Scaled) else e
-
-
-def residue_drive(specs, build, scale=1, max_tries=6):
+def residue_drive(specs, build, scale=1):
     """Adaptive iterated-residue evaluation.
 
     specs: list of (center, order_bound) pairs, one per variable, first
@@ -886,14 +865,14 @@ def residue_drive(specs, build, scale=1, max_tries=6):
     those of the residue of the formed product.  A pairing past either
     window, or a below-bound coefficient not known to vanish, raises
     PrecisionLoss inside a try, and the driver doubles every window and
-    rebuilds, up to `max_tries` towers.  A definitely nonzero
+    rebuilds, up to RESIDUE_TRIES towers.  A definitely nonzero
     coefficient below a level's order_bound raises OrderExceeded at
     once (the stated pole order was wrong).
     """
     bounds = [b for _, b in specs]
     precs = [max(2, b) for b in bounds]
     names = [f"eps{j}" for j in range(len(specs))]
-    for _ in range(max_tries):
+    for _ in range(RESIDUE_TRIES):
         ring, atoms = build_tower(list(zip(names, precs)))
         shifted = [Scaled(scale, atoms[nm]) + c
                    for nm, (c, _) in zip(names, specs)]

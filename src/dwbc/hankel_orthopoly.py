@@ -288,8 +288,9 @@ def _det_pairing(N, s, lam, eta, build_f, order=None, first_row=None):
     return apply_K_determinant(rows, tensor, s, order)
 
 
-def efp_ortho(q: EfpQuery, lam, eta, check_truncation=True) -> complex:
-    """Emptiness formation probability via the K-determinant pairing."""
+def efp_ortho(q: EfpQuery, lam, eta) -> complex:
+    """Emptiness formation probability via the K-determinant pairing,
+    checked against the pairing at one order more."""
     N, r, s = q.N, q.r, q.s
 
     def build_f(ring, oms, omts):
@@ -302,11 +303,9 @@ def efp_ortho(q: EfpQuery, lam, eta, check_truncation=True) -> complex:
         return f
 
     val = (-1) ** s * _det_pairing(N, s, lam, eta, build_f)
-    if check_truncation:
-        again = (-1) ** s * _det_pairing(N, s, lam, eta, build_f,
-                                         order=N + 1)
-        if abs(val - again) > 1e-8 * max(1.0, abs(val)):
-            raise TruncationInsufficient(f"{val} vs {again} at higher order")
+    again = (-1) ** s * _det_pairing(N, s, lam, eta, build_f, order=N + 1)
+    if abs(val - again) > 1e-8 * max(1.0, abs(val)):
+        raise TruncationInsufficient(f"{val} vs {again} at higher order")
     return val
 
 

@@ -277,15 +277,9 @@ class BoundaryGenFamily:
         hm = self.h(M)
         return list(hm.coeffs) if self.exact else list(hm)
 
-    def htilde_coeffs(self, M: int):
-        """z^(M-1) h_M(1/z): the coefficient list reversed."""
-        cs = self.h_coeffs(M)
-        cs = cs + [Fraction(0) if self.exact else 0j] * (M - len(cs))
-        return cs[::-1]
-
     # -- determinant form ----------------------------------------------
 
-    def hns_vand(self, N: int, s: int, zs, mobius=(1, 0, 0, 1), tilde=False):
+    def hns_vand(self, N: int, s: int, zs, mobius=(1, 0, 0, 1)):
         """h_{N,s}(M(z_1)..M(z_s)) * prod_{j<k} (z_k - z_j) for the Moebius
         map M(z) = (al z + be)/(ga z + de), mobius = (al, be, ga, de).
 
@@ -321,7 +315,7 @@ class BoundaryGenFamily:
         one = Fraction(1) if self.exact else 1 + 0j
         if s == 0:
             return one
-        rows = [self._row_coeffs(N, s, i, tilde) for i in range(1, s + 1)]
+        rows = [self._row_coeffs(N, s, i) for i in range(1, s + 1)]
         top = N + s - 2
         cols, inv_dens = [], []
         for z in zs:
@@ -348,7 +342,7 @@ class BoundaryGenFamily:
             scale = scale * de ** (s * (N - 1))
         return val if scale == 1 else val * (one / scale)
 
-    def hns_value(self, N: int, s: int, points, tilde=False):
+    def hns_value(self, N: int, s: int, points):
         """h_{N,s}(z_1..z_s) at pairwise distinct points."""
         pts = list(points)
         if len(pts) != s:
@@ -362,11 +356,11 @@ class BoundaryGenFamily:
                     raise DegeneratePoints(
                         "coincident points: use the polynomial form")
                 van = van * (pts[j] - pts[i])
-        return self.hns_vand(N, s, pts, tilde=tilde) / van
+        return self.hns_vand(N, s, pts) / van
 
     # -- exact polynomial form -----------------------------------------
 
-    def hns_poly(self, N: int, s: int, tilde=False) -> MultiPoly:
+    def hns_poly(self, N: int, s: int) -> MultiPoly:
         """h_{N,s} as a symmetric MultiPoly (degree N-1 per variable).
 
         The Vandermonde is divided out by divided differences: the
@@ -374,7 +368,7 @@ class BoundaryGenFamily:
         divided difference of a monomial z^m over j nodes is the
         complete homogeneous polynomial of degree m-j+1.
         """
-        key = (N, s, tilde)
+        key = (N, s)
         cache = self._hns_cache
         if key not in cache:
             if s == 0:
@@ -382,7 +376,7 @@ class BoundaryGenFamily:
             else:
                 mat = []
                 for i in range(1, s + 1):
-                    cs = self._row_coeffs(N, s, i, tilde)
+                    cs = self._row_coeffs(N, s, i)
                     row = []
                     for j in range(1, s + 1):
                         entry = MultiPoly(s)
@@ -396,12 +390,9 @@ class BoundaryGenFamily:
                 cache[key] = poly_det(mat)
         return cache[key]
 
-    def _row_coeffs(self, N, s, i, tilde):
+    def _row_coeffs(self, N, s, i):
         """Coefficients of g_i(z) = z^(s-i) (z-1)^(i-1) h_{N-s+i}(z)."""
-        base = (self.htilde_coeffs(N - s + i) if tilde
-                else self.h_coeffs(N - s + i))
-        poly = [Fraction(0)] * (s - i) + list(base)  # z^(s-i) shift
-        out = poly
+        out = [Fraction(0)] * (s - i) + self.h_coeffs(N - s + i)
         for _ in range(i - 1):  # multiply by (z - 1)
             out = [-out[0]] + [out[k - 1] - out[k] for k in range(1, len(out))] \
                   + [out[-1]]

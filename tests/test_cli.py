@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -145,6 +147,28 @@ class TestContracts:
         lines = out.strip().splitlines()
         assert lines[0] == "N,method,Z"
         assert lines[1] == "3,auto,7"
+
+    def test_csv_keeps_lists(self, capsys):
+        # `boundary` writes one N,k,h_k row per coefficient; a position
+        # list is one quoted field (RFC 4180), so no column is lost
+        w = ["--weights", "1", "1", "1"]
+        _, out = run_cli(["boundary", "--size", "4"] + w, capsys)
+        coeffs = json.loads(out)["h_coeffs"]
+        _, out = run_cli(["boundary", "--size", "4", "--format", "csv"] + w,
+                         capsys)
+        assert out.splitlines() == ["N,k,h_k"] + [
+            f"4,{k},{h}" for k, h in enumerate(coeffs)]
+        for args in (["hrow", "--size", "4", "--positions", "1,3"],
+                     ["psi", "--size", "4", "--which", "top", "--positions",
+                      "2,4", "--method", "dual"]):
+            _, out = run_cli(args + w, capsys)
+            record = json.loads(out)
+            _, out = run_cli(args + w + ["--format", "csv"], capsys)
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == list(record)
+            positions = ",".join(map(str, record["positions"]))
+            assert rows[1] == [positions if k == "positions" else str(v)
+                               for k, v in record.items()]
 
     def test_computation_error_exit_code(self, capsys):
         code = main(["zn", "--size", "99", "--weights", "1", "1", "1"])

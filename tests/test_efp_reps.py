@@ -24,7 +24,7 @@ from dwbc.efp_reps import (
     psi_top_mir_origin,
 )
 from dwbc.errors import ChainBreak, InvalidRegion
-from dwbc.exact_core import build_tower, geom_inverse
+from dwbc.exact_core import build_tower
 from dwbc.ik_engine import cantini_P_vand, family
 from dwbc.lattice_oracle import (
     ICE_POINT,
@@ -253,7 +253,7 @@ class TestMultisumIdentity:
             for l in range(j + 1):
                 prodxy = prodxy * xs[l] * ys[l]
             closed = closed * (xs[j] * ys[j]) ** (-(r - s + j + 1)) \
-                * geom_inverse(prodxy, ring)
+                / (1 - prodxy)
         truncated = ring.const(0)
         for r2 in range(r - 30, r + 1):
             for r1 in range(r - 30, r2):

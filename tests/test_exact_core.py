@@ -17,7 +17,6 @@ from dwbc.exact_core import (
     build_tower,
     complete_homogeneous,
     format_rational,
-    geom_inverse,
     iterated_residue,
     parse_rational,
     poly_det,
@@ -333,17 +332,6 @@ class TestTower:
         e = 1 / (atoms["z2"] - atoms["z1"])
         assert e.coefficient(0).coefficient(-1) == 1
         assert e.coefficient(1).coefficient(-2) == 1
-
-    def test_geom_inverse_matches_division(self):
-        ring, atoms = build_tower([("x", 6), ("y", 6)])
-        u = atoms["x"] * atoms["y"]
-        a = geom_inverse(u, ring)
-        b = 1 / (1 - u)
-        diff = a - b
-        for k in range(3):
-            c = diff.coefficient(k)
-            for m in range(3):
-                assert c.coefficient(m) == 0
 
 
 class TestExactLaurentArithmetic:

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from dwbc.bethe_reps import _crossed
 from dwbc.errors import DegeneratePoints, NearDegenerate, Singular
 from dwbc.ik_engine import (
     CACHE_SIZE,
@@ -174,32 +175,30 @@ class TestBoundaryFamily:
                 (t * t, 1 - 2 * d * t, t * t, -t * t),
                 (2 * d * t - 1, -t, t * t, -t), (0, 1, t, 0)]
         for (al, be, ga, de) in maps:
-            for tilde in (False, True):
-                for s in range(5):
-                    n = s + 1
-                    poly = fam.hns_poly(n, s, tilde)
-                    for coincide in (False, True):
-                        zs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-                              for _ in range(s)]
-                        if coincide and s >= 2:
-                            zs[1] = zs[0]
-                        if any(ga * z + de == 0 for z in zs):
-                            continue
-                        want = poly.eval([(al * z + be) / (ga * z + de)
-                                          for z in zs])
-                        for j in range(s):
-                            for k in range(j + 1, s):
-                                want *= zs[k] - zs[j]
-                        got = fam.hns_vand(n, s, zs, (al, be, ga, de), tilde)
-                        assert got == want
-                        if (al, be, ga, de) != (1, 0, 0, 1) or s < 2:
-                            continue
-                        if coincide:
-                            with pytest.raises(DegeneratePoints):
-                                fam.hns_value(n, s, zs, tilde)
-                        else:
-                            assert fam.hns_value(n, s, zs, tilde) \
-                                == poly.eval(zs)
+            for s in range(5):
+                n = s + 1
+                poly = fam.hns_poly(n, s)
+                for coincide in (False, True):
+                    zs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                          for _ in range(s)]
+                    if coincide and s >= 2:
+                        zs[1] = zs[0]
+                    if any(ga * z + de == 0 for z in zs):
+                        continue
+                    want = poly.eval([(al * z + be) / (ga * z + de)
+                                      for z in zs])
+                    for j in range(s):
+                        for k in range(j + 1, s):
+                            want *= zs[k] - zs[j]
+                    got = fam.hns_vand(n, s, zs, (al, be, ga, de))
+                    assert got == want
+                    if (al, be, ga, de) != (1, 0, 0, 1) or s < 2:
+                        continue
+                    if coincide:
+                        with pytest.raises(DegeneratePoints):
+                            fam.hns_value(n, s, zs)
+                    else:
+                        assert fam.hns_value(n, s, zs) == poly.eval(zs)
 
     def test_hns_vand_on_tower(self):
         # on Laurent-tower elements (the composed n-fold argument, with
@@ -225,22 +224,17 @@ class TestBoundaryFamily:
         assert residue_drive(specs, build(True)) \
             == residue_drive(specs, build(False))
 
-    def test_htilde_reversal(self):
-        w = WeightTriple(2, 3, 4)
-        fam = family(w)
-        assert fam.htilde_coeffs(4) == fam.h_coeffs(4)[::-1]
-
-    def test_htilde_family_relation(self):
-        # htilde_{N,s}(z) = prod z_j^(N-1) h_{N,s}(1/z)
-        w = WeightTriple(1, 2, 2)
-        fam = family(w)
-        n, s = 4, 2
-        pts = [Fraction(2, 3), Fraction(5, 7)]
-        lhs = fam.hns_poly(n, s, tilde=True).eval(pts)
-        rhs = fam.hns_poly(n, s).eval([1 / p for p in pts])
-        for p in pts:
-            rhs *= p ** (n - 1)
-        assert lhs == rhs
+    def test_crossing_reverses_h(self):
+        # a<->b maps h_M(z) to z^(M-1) h_M(1/z): the dual residue routes
+        # take the crossed weights' h_{N,s} for the reversed family
+        rng = random.Random(23)
+        ws = [WeightTriple(Fraction(5, 3), Fraction(5, 3), Fraction(2, 7))]
+        ws += [WeightTriple(*(Fraction(rng.randint(1, 12), rng.randint(1, 6))
+                              for _ in range(3))) for _ in range(4)]
+        for w in ws:
+            for m in range(1, 9):
+                assert family(_crossed(w)).h_coeffs(m) \
+                    == family(w).h_coeffs(m)[::-1]
 
 
 class TestPartiallyInhomogeneous:
