@@ -224,9 +224,9 @@ class TestBoundaryFamily:
         assert residue_drive(specs, build(True)) \
             == residue_drive(specs, build(False))
 
-    def test_crossing_reverses_h(self):
-        # a<->b maps h_M(z) to z^(M-1) h_M(1/z): the dual residue routes
-        # take the crossed weights' h_{N,s} for the reversed family
+    def test_htilde_reversal(self):
+        # the reversed family htilde_M(z) = z^(M-1) h_M(1/z) is h_M of the
+        # a<->b crossed weights: the dual residue routes take it from there
         rng = random.Random(23)
         ws = [WeightTriple(Fraction(5, 3), Fraction(5, 3), Fraction(2, 7))]
         ws += [WeightTriple(*(Fraction(rng.randint(1, 12), rng.randint(1, 6))
@@ -235,6 +235,18 @@ class TestBoundaryFamily:
             for m in range(1, 9):
                 assert family(_crossed(w)).h_coeffs(m) \
                     == family(w).h_coeffs(m)[::-1]
+
+    def test_htilde_family_relation(self):
+        # htilde_{N,s}(z) = prod z_j^(N-1) h_{N,s}(1/z), with htilde_{N,s}
+        # the h_{N,s} of the a<->b crossed weights
+        w = WeightTriple(1, 2, 2)
+        n, s = 4, 2
+        pts = [Fraction(2, 3), Fraction(5, 7)]
+        lhs = family(_crossed(w)).hns_poly(n, s).eval(pts)
+        rhs = family(w).hns_poly(n, s).eval([1 / p for p in pts])
+        for p in pts:
+            rhs *= p ** (n - 1)
+        assert lhs == rhs
 
 
 class TestPartiallyInhomogeneous:
