@@ -5,7 +5,9 @@ constructively different forms:
 
 * nested-exclusion multiple sums over alpha_1 <= r_1, ..., alpha_s <=
   r_s with alpha_j distinct, for the fully inhomogeneous model (numeric:
-  the summands involve sines of free spectral parameters);
+  the summands involve sines of free spectral parameters); the dual
+  sum, in the complementary positions, is the a<->b crossing image of
+  psi_bot_sum (lam -> pi - lam, the nu's negated and rotated);
 
 * the coordinate-wavefunction permutation sum (numeric, fully
   inhomogeneous variant; the equal-lambdas special case is the classic
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import NearDegenerate, PoleCollision
 from .exact_core import _perm_sign, eps_scale, residue_drive
@@ -103,6 +106,15 @@ def _check_separation(p: TrigParams):
         for j in range(i + 1, p.n):
             if abs(d_fn(p.lambdas[i], p.lambdas[j])) <= SEPARATION_TOL:
                 raise NearDegenerate("lambda separation below tolerance")
+
+
+def _crossed_params(p: TrigParams, s) -> TrigParams:
+    """The a<->b crossing of the parameters at a cut below row s:
+    lam -> pi - lam, and nu -> -(nu_{s+1..N}, nu_{1..s}), which puts the
+    top rows' negated nu's on the bottom s rows.  A rotation of distinct
+    nu's, so no two of them collide."""
+    return TrigParams([cmath.pi - l for l in p.lambdas],
+                      [-v for v in p.nus[s:] + p.nus[:s]], p.eta)
 
 
 def _pole_guard(w: WeightTriple):
@@ -207,50 +219,10 @@ def psi_top_sum(cfg: RowConfig, p: TrigParams) -> complex:
 
 
 def psi_top_dual_sum(cfg: RowConfig, p: TrigParams) -> complex:
-    """Top component through the complementary down-arrow positions
-    (D-operators commuted through the B's; the crossing-dual of
-    psi_bot_sum)."""
-    _check_separation(p)
-    N, s = cfg.n, cfg.s
-    rbar = cfg.complement().positions
-    lam, nu, eta = p.lambdas, p.nus, p.eta
-    pref = 1 + 0j
-    for l in lam:
-        for k in range(s):
-            pref *= a_fn(l, nu[k], eta) * b_fn(l, nu[k], eta)
-    for i in range(N):
-        for j in range(i + 1, N):
-            pref /= d_fn(lam[j], lam[i])
-    for i in range(s):
-        for j in range(i + 1, s):
-            pref /= d_fn(nu[i], nu[j])
-    m = _phi_matrix(p)
-
-    def v_tilde(rb, l):
-        out = 1 + 0j
-        for alpha in range(rb + 1, N + 1):
-            out *= d_fn(l, lam[alpha - 1])
-        for alpha in range(1, rb):
-            out *= e_fn(l, lam[alpha - 1], eta)
-        for k in range(s):
-            out /= a_fn(l, nu[k], eta)
-        return out
-
-    ns = N - s
-    total = 0j
-    for alphas in _nested_exclusion(rbar):
-        sign = (-1) ** (sum(N - a for a in alphas)
-                        - sum(_chi(alphas[j], alphas[k])
-                              for j in range(ns) for k in range(j + 1, ns)))
-        term = complex(sign)
-        for j, a in enumerate(alphas):
-            term *= v_tilde(rbar[j], lam[a - 1])
-        for j in range(ns):
-            for k in range(j + 1, ns):
-                term /= e_fn(lam[alphas[k] - 1], lam[alphas[j] - 1], eta)
-        term *= _minor_det(m, set(alphas), range(1, s + 1))
-        total += term
-    return pref * total
+    """Top component through the complementary down-arrow positions:
+    psi_bot_sum at the crossed parameters (D-operators commuted through
+    the B's)."""
+    return psi_bot_sum(cfg.complement(), _crossed_params(p, cfg.s))
 
 
 def psi_top_coordinate(cfg: RowConfig, p: TrigParams) -> complex:
@@ -274,7 +246,6 @@ def psi_top_coordinate(cfg: RowConfig, p: TrigParams) -> complex:
         for k in range(j + 1, s):
             pref /= d_fn(nu[j], nu[k])
     total = 0j
-    from itertools import permutations
     for perm in permutations(range(s)):
         sign = _perm_sign(perm)
         term = complex(sign)

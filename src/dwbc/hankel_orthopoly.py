@@ -21,13 +21,18 @@ contour integral around the origin weighted by h_N(z):
 
 which is verified here directly, together with the orthogonal
 polynomial representations of psi_bot, psi_top and the emptiness
-formation probability.
+formation probability.  psi_top is psi_bot in the complementary
+positions at lam -> pi - lam, the a<->b crossing.
 
 The measure mu(x) behind the moments is never constructed: everything
 below needs only the c_n, which keeps the module valid in every weight
 regime.  All arithmetic is truncated multivariate Taylor calculus over
-complex doubles (the exact engine covers the rational side; tolerances
-here are sized for doubles).  The float linear algebra is numpy's:
+complex doubles, on the towers of the exact engine (tolerances here are
+sized for doubles).  A pairing det[K_{n_i}(d_{eps_j})] f|_0 is an
+iterated residue: K_n(d_eps) f|_0 = sum_m kappa_{n,m} m! [eps^m] f is
+the residue of f k_n(eps), k_n(eps) = sum_m kappa_{n,m} m! eps^(-m-1),
+so f is contracted against det[k_{n_i}(eps_j)] by `iterated_residue`.
+The float linear algebra is numpy's:
 `OrthoFamily.__init__`, `OrthoFamily.hankel_det` and
 `bordered_hankel_det` import it when called, so importing the module
 does not load it.
@@ -37,11 +42,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import permutations
 
 from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
-from .exact_core import COMPLEXES, _horner, _perm_sign, build_tower
+from .exact_core import (COMPLEXES, INF, Series, _horner, build_tower,
+                         iterated_residue, poly_det)
 from .ik_engine import (
     DEGENERACY_TOL,
     NumericTriple,
@@ -134,12 +139,6 @@ def bordered_hankel_det(fam: OrthoFamily, xs):
 # Taylor calculus
 # ---------------------------------------------------------------------------
 
-def taylor_tower(nvars, order):
-    """Complex Taylor tower in eps_0..eps_{nvars-1}, each to `order`."""
-    specs = [(f"e{j}", order + 1) for j in range(nvars)]
-    return build_tower(specs, base=COMPLEXES)
-
-
 def sin_taylor(eps, shift, order):
     """Taylor of sin(eps + shift) around eps = 0 on the tower."""
     ring = eps.ring
@@ -166,48 +165,21 @@ def omegat_taylor(eps, lam, eta, order):
     return pref * sin_taylor(eps, 0.0, order) / sin_taylor(eps, 2 * eta, order)
 
 
-def taylor_coefficients(elem, nvars, order):
-    """Dense tensor of Taylor coefficients {multi-index: complex}."""
-    out = {}
-
-    def rec(e, prefix):
-        if len(prefix) == nvars:
-            out[tuple(prefix)] = e
-            return
-        for m in range(order + 1):
-            c = e.coefficient(m)
-            rec(c, prefix + [m])
-
-    rec(elem, [])
-    return out
-
-
-def apply_K_determinant(rows, tensor, nvars, order):
-    """det[K_{rows[i]}(d_{eps_j})] applied to a Taylor tensor at 0.
-
-    `rows` lists the K-indices; the determinant is expanded by
-    permutations (Leibniz), each term a product of univariate pairings
-    K_n(d) f = sum_m kappa_m m! [eps^m] f.
-    """
-    s = nvars
-    fact = [math.factorial(m) for m in range(order + 1)]
-    total = 0j
-    for sigma in permutations(range(s)):
-        sign = _perm_sign(sigma)
-        kap = [rows[sigma[j]] for j in range(s)]
-        term = 0j
-        for m, c in tensor.items():
-            if c == 0:
-                continue
-            w = c
-            for j in range(s):
-                kj = kap[j]
-                w = w * (kj[m[j]] * fact[m[j]] if m[j] < len(kj) else 0)
-                if w == 0:
-                    break
-            term += w
-        total += sign * term
-    return total
+def _k_kernel(ring, j, kappa):
+    """k_n(eps_j) = sum_m kappa_m m! eps_j^(-m-1) on the tower `ring`,
+    for the coefficients kappa of K_n: the residue in eps_j of f k_n is
+    sum_m kappa_m m! [eps_j^m] f = K_n(d_eps_j) f at eps_j = 0.  Built
+    exact: a power of 1/eps_j from the tower would carry a window."""
+    levels = [ring]
+    for _ in range(j):
+        levels.append(levels[-1].coeff_ring)
+    level = levels[-1]
+    e = Series(level, -len(kappa),
+               [level.coeff_ring.const(kappa[m] * math.factorial(m))
+                for m in reversed(range(len(kappa)))], INF)
+    for outer in reversed(levels[:-1]):
+        e = outer.lift(e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +193,8 @@ def verify_claim(N, lam, eta, f_coeffs) -> float:
     LHS: K_{N-1}(d_eps) f(omega(eps)) at eps = 0.
     RHS: [z^(N-1)] (z-1)^(N-1) h_N(z) f(z) with h_N from the oracle.
     """
-    fam = build_ortho_family(N, lam, eta)
-    order = N - 1
-    ring, atoms = taylor_tower(1, order)
-    om = omega_taylor(atoms["e0"], lam, eta, order)
-    fe = ring.const(_horner(f_coeffs, om))
-    tensor = taylor_coefficients(fe, 1, order)
-    lhs = apply_K_determinant([fam.K_coeffs(N - 1)], tensor, 1, order)
+    lhs = _det_pairing(N, 1, lam, eta,
+                       lambda ring, oms, omts: _horner(f_coeffs, oms[0]))
 
     h_n = _h_poly_numeric(N, lam, eta)
     zpow = _convolve(_binom_poly(N - 1), h_n)
@@ -264,28 +231,25 @@ def _convolve(a, b):
 
 def boundary_correlation_ortho(N, r, lam, eta) -> complex:
     """H_N^(r) = K_{N-1}(d_eps) omega^(N-r)/(omega-1)^(N-1) |_0."""
-    fam = build_ortho_family(N, lam, eta)
-    order = N - 1
-    ring, atoms = taylor_tower(1, order)
-    om = omega_taylor(atoms["e0"], lam, eta, order)
-    f = om ** (N - r) / (om - 1) ** (N - 1)
-    tensor = taylor_coefficients(f, 1, order)
-    return apply_K_determinant([fam.K_coeffs(N - 1)], tensor, 1, order)
+    return _det_pairing(
+        N, 1, lam, eta,
+        lambda ring, oms, omts: oms[0] ** (N - r) / (oms[0] - 1) ** (N - 1))
 
 
-def _det_pairing(N, s, lam, eta, build_f, order=None, first_row=None):
-    """Common engine: det[K_{first_row+i}(d_{eps_j})] f(eps_1..eps_s)|_0."""
+def _det_pairing(N, s, lam, eta, build_f, order=None):
+    """det[K_{N-s+i}(d_{eps_j})] f(eps_1..eps_s)|_0, the iterated residue
+    of f against det[k_{N-s+i}(eps_j)] (see `_k_kernel`)."""
     fam = build_ortho_family(N, lam, eta)
     order = N - 1 if order is None else order
-    first_row = N - s if first_row is None else first_row
-    ring, atoms = taylor_tower(s, order)
+    # complex Taylor tower in eps_0..eps_{s-1}, each to `order`
+    ring, atoms = build_tower([(f"e{j}", order + 1) for j in range(s)],
+                              base=COMPLEXES)
     eps = [atoms[f"e{j}"] for j in range(s)]
     oms = [omega_taylor(e, lam, eta, order) for e in eps]
     omts = [omegat_taylor(e, lam, eta, order) for e in eps]
-    f = build_f(ring, oms, omts)
-    tensor = taylor_coefficients(f, s, order)
-    rows = [fam.K_coeffs(first_row + i) for i in range(s)]
-    return apply_K_determinant(rows, tensor, s, order)
+    kernel = poly_det([[_k_kernel(ring, j, fam.K_coeffs(N - s + i))
+                        for j in range(s)] for i in range(s)])
+    return iterated_residue((build_f(ring, oms, omts), kernel))
 
 
 def efp_ortho(q: EfpQuery, lam, eta) -> complex:
@@ -341,27 +305,7 @@ def psi_bot_ortho(cfg: RowConfig, lam, eta) -> complex:
 
 
 def psi_top_ortho(cfg: RowConfig, lam, eta) -> complex:
-    """Top component via the crossing-dual pairing in the complementary
-    positions (rows K_s..K_{N-1})."""
-    N, s = cfg.n, cfg.s
-    rbar = cfg.complement().positions
-    ns = N - s
-    a, b, c = homogeneous_abc(lam, eta)
-    _check_c(c)
-
-    def build_f(ring, oms, omts):
-        f = ring.const(1)
-        for j in range(ns):
-            f = f * omts[j] ** (N - rbar[j]) / (1 - omts[j]) ** s \
-                * (oms[j] / omts[j]) ** (ns - (j + 1))
-        for j in range(ns):
-            for k in range(j + 1, ns):
-                f = f / (1 - omts[k] * oms[j])
-        return f
-
-    z_n = enumerate_Z(N, NumericTriple(a, b, c))
-    pref = z_n / (a ** (ns * (ns - 3) // 2)
-                  * b ** (ns * (N + s + 1) // 2) * c ** ns)
-    for r in rbar:
-        pref *= (b / a) ** r
-    return pref * _det_pairing(N, ns, lam, eta, build_f, first_row=s)
+    """Top component as the a<->b crossing image of psi_bot_ortho in the
+    complementary positions: lam -> pi - lam swaps a and b, and Z_N is
+    symmetric under the swap."""
+    return psi_bot_ortho(cfg.complement(), math.pi - lam, eta)

@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
-from .bethe_reps import _nested_exclusion
+from .bethe_reps import (_crossed_params, _nested_exclusion, psi_bot_sum,
+                         psi_top_sum)
 from .exact_core import _perm_sign, format_rational, poly_det
 from .ik_engine import (
     TrigParams,
@@ -36,7 +37,8 @@ from .ik_engine import (
     ik_determinant,
     psi_kernel,
 )
-from .lattice_oracle import WeightTriple, enumerate_Z
+from .lattice_oracle import (RowConfig, WeightTriple, enumerate_Z, psi_bot,
+                             psi_top)
 from .efp_reps import EfpQuery, efp_mir_n, efp_mir_s
 
 NUMERIC_TOL = 1e-8
@@ -663,10 +665,6 @@ def run_suite(suite: str, trials: int = 20, seed: int = 0):
 def _crossing_cases(rng, trials):
     """Duality of the sublattice partition functions under
     lam -> pi - lam, nu -> -nu, cfg -> complement."""
-    import math as _math
-    from .lattice_oracle import RowConfig, psi_bot, psi_top
-    from .bethe_reps import psi_bot_sum, psi_top_sum
-
     cases = []
     for _ in range(trials):
         N = rng.randint(2, 4)
@@ -676,10 +674,7 @@ def _crossing_cases(rng, trials):
         cfg = RowConfig(N, pos)
         p = TrigParams(lams, nus, eta)
         lhs = psi_top(cfg, p.weight_matrix())
-        lam2 = [_math.pi - x for x in lams]
-        nu2 = list(nus)
-        nu2[N - s:] = [-v for v in nus[:s]]
-        p2 = TrigParams(lam2, nu2, eta)
+        p2 = _crossed_params(p, s)
         rhs = psi_bot(cfg.complement(), p2.weight_matrix())
         case = IdentityCase("crossing-oracle", "numeric",
                             {"N": N, "s": s, "pos": pos})

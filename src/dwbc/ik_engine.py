@@ -163,9 +163,12 @@ class NumericTriple:
 # ---------------------------------------------------------------------------
 
 def ik_determinant(p: TrigParams) -> complex:
-    """Z_N of the inhomogeneous model via the determinant formula."""
-    import numpy as np
+    """Z_N of the inhomogeneous model via the determinant formula.
+    Z_0 = 1 (empty lattice)."""
     N, eta = p.n, p.eta
+    if N == 0:
+        return 1 + 0j
+    import numpy as np
     pref = 1 + 0j
     for l in p.lambdas:
         for v in p.nus:

@@ -49,9 +49,12 @@ def _max_n(kind: str) -> int:
 
 
 def _check_size(N: int, kind: str):
+    """N = 0 is the empty lattice; only the upper cap is configurable."""
+    if N < 0:
+        raise InvalidRegion(f"N={N}: a lattice needs N >= 0")
     cap = _max_n(kind)
-    if not 1 <= N <= cap:
-        raise SizeLimit(f"N={N} outside 1..{cap} for the {kind} backend "
+    if N > cap:
+        raise SizeLimit(f"N={N} above {cap} for the {kind} backend "
                         f"(override with DWBC_MAX_N)")
 
 
@@ -493,8 +496,10 @@ def boundary_generating_poly(N, w, method="transfer") -> ExactPoly:
     Normalization (asserted exactly in the tests): h_N(1) = 1 and
     h_N(0) = a^(2(N-1)) c Z_{N-1} / Z_N -- the value at the origin is
     the single-configuration probability H_N^(1), so it carries the
-    1/Z_N that a probability requires.
+    1/Z_N that a probability requires.  h_N needs a first row: N >= 1.
     """
+    if N < 1:
+        raise InvalidRegion(f"h_N needs N >= 1, got N={N}")
     coeffs = _row_probabilities(N, w, 1, [[(r,)] for r in range(1, N + 1)],
                                 method)
     if isinstance(w, WeightTriple):

@@ -71,15 +71,21 @@ class TestSumRepresentations:
 
     def test_three_way_agreement_many_draws(self):
         # topderivation1bis / dual / coordinate against each other and
-        # the oracle, 50 random draws
+        # the oracle, 50 random draws and four fixed ones
         rng = random.Random(37)
-        draws = 0
-        while draws < 50:
+        cases = []
+        while len(cases) < 50:
             n = rng.randint(2, 4)
             s = rng.randint(1, n)
             p = draw_params(rng, n)
-            pos = tuple(sorted(rng.sample(range(1, n + 1), s)))
-            cfg = RowConfig(n, pos)
+            cases.append((p, tuple(sorted(rng.sample(range(1, n + 1), s)))))
+        # s = 0, and nu's that collide, (-0.2, 0.2, 0.2) at s = 1, if the
+        # crossing negates nu_1..nu_s below nu_1..nu_(N-s) instead of
+        # rotating them
+        p = TrigParams([0.3, 0.8, 1.2], [-0.2, 0.2, 0.45], 0.35)
+        cases += [(cases[0][0], ()), (p, ()), (p, (2,)), (p, (1, 3))]
+        for p, pos in cases:
+            cfg = RowConfig(p.n, pos)
             oracle = psi_top(cfg, p.weight_matrix())
             for fn in (psi_top_sum, psi_top_dual_sum, psi_top_coordinate):
                 got = fn(cfg, p)
@@ -87,7 +93,6 @@ class TestSumRepresentations:
             bot = psi_bot_sum(cfg, p)
             bot_o = psi_bot(cfg, p.weight_matrix())
             assert abs(bot - bot_o) <= 1e-8 * max(1, abs(bot_o))
-            draws += 1
 
     def test_bottom_sum_n5(self):
         # the stated tolerance holds up to N = 5

@@ -59,6 +59,13 @@ class TestSubcommands:
         code, out = run_cli(["hrow", "--size", "3", "--positions", "2",
                              "--weights", "1", "1", "1"], capsys)
         assert json.loads(out)["H"] == "3/7"
+        # the empty lattice on both backends
+        for method in ("transfer", "enum"):
+            code, out = run_cli(["hrow", "--size", "0", "--positions", "",
+                                 "--method", method, "--weights", "1", "1",
+                                 "1"], capsys)
+            assert code == 0
+            assert json.loads(out)["H"] == "1"
 
     def test_boundary(self, capsys):
         code, out = run_cli(["boundary", "--size", "3",
@@ -170,7 +177,7 @@ class TestContracts:
             assert rows[1] == [positions if k == "positions" else str(v)
                                for k, v in record.items()]
 
-    def test_computation_error_exit_code(self, capsys):
+    def test_computation_error_exit_code(self, capsys, monkeypatch):
         code = main(["zn", "--size", "99", "--weights", "1", "1", "1"])
         assert code == 1
         # c = sin 2eta = 0 sits on a pole of the ortho prefactor: a JSON
@@ -189,6 +196,32 @@ class TestContracts:
         err = capsys.readouterr().err
         assert code == 1
         assert json.loads(err)["error"] == "NearDegenerate"
+        # h_N needs a first row; no size cap is to blame, so the error
+        # names none, whatever DWBC_MAX_N says
+        for max_n in (None, "20"):
+            if max_n is None:
+                monkeypatch.delenv("DWBC_MAX_N", raising=False)
+            else:
+                monkeypatch.setenv("DWBC_MAX_N", max_n)
+            capsys.readouterr()
+            code = main(["boundary", "--size", "0", "--weights", "1", "1",
+                         "1"])
+            record = json.loads(capsys.readouterr().err)
+            assert code == 1
+            assert record["error"] == "InvalidRegion"
+            assert "DWBC_MAX_N" not in record["message"]
+
+    def test_empty_lattice(self, capsys):
+        # s = 0 is the empty top lattice: psi_top = 1 by every route, the
+        # sum's determinant of the empty matrix included
+        for method in ("sum", "sum-dual", "oracle"):
+            code, out = run_cli(["psi", "--size", "3", "--which", "top",
+                                 "--positions", "", "--method", method,
+                                 "--lambdas", "0.3", "0.8", "1.2", "--nus",
+                                 "0.1", "0.25", "0.42", "--eta", "0.35"],
+                                capsys)
+            assert code == 0
+            assert abs(complex(json.loads(out)["psi"]) - 1) <= 1e-12
 
     def test_usage_error_exit_code(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
@@ -336,6 +369,9 @@ class TestNumpyFree:
         ["psi", "--size", "3", "--which", "top", "--positions", "1",
          "--method", "ortho", "--lambda", "0.9", "--eta", "0.3"],
         ["verify", "--suite", "kmst", "--trials", "2"],
+        ["psi", "--size", "3", "--which", "top", "--positions", "1",
+         "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
+         "0.1", "0.25", "0.42", "--eta", "0.35"],
     ])
     def test_numeric_routes_without_numpy(self, tmp_path, args):
         # a numeric route without numpy is a computation error: exit 1

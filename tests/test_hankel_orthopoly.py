@@ -118,8 +118,8 @@ class TestRepresentations:
 
     def test_psi_bot_and_top(self):
         w = NumericTriple(*homogeneous_abc(LAM, ETA))
-        for n in (2, 3, 4):
-            for s in range(1, min(3, n) + 1):
+        for n in (1, 2, 3, 4):
+            for s in range(n + 1):
                 for cfg in all_row_configs(n, s):
                     got = psi_bot_ortho(cfg, LAM, ETA)
                     want = psi_bot(cfg, w)
@@ -151,7 +151,8 @@ class TestRepresentations:
         assert abs(got - want) <= 1e-6 * max(1, abs(want))
 
     def test_three_variable_pairing(self):
-        # s = 3 exercises the full Leibniz expansion of the determinant
+        # s = 3: a three-level residue against the 3 x 3 determinant of
+        # K-kernels
         a, b, c = homogeneous_abc(LAM, ETA)
         wx = WeightTriple(Fraction(a.real), Fraction(b.real), Fraction(c.real))
         q = EfpQuery(4, 3, 3)
