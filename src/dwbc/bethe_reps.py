@@ -307,14 +307,19 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     def build(ws, ring):
         f = ring.const(1)
         for j in range(s):
-            f = f * ws[j] ** (rs[j] - 1) * (ws[j] - 1) ** (-s)
+            # w^(r-1) enters as a division by w^(1-r), a unit at w = 1:
+            # the quotient keeps the window of the order bound, where
+            # the exact monomials (w - 1)^-s alone would leave f exact
+            # and every product below at full size
+            f = f / (ws[j] ** (1 - rs[j]) * (ws[j] - 1) ** s)
         for j in range(s):
             for k in range(j + 1, s):
                 f = f * (ws[j] - ws[k]) \
                     * (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
         return f
 
-    # only the monomials (w - 1)^s are inverted, so no eps scale is needed
+    # inverted: the monomials (w - 1)^s and w^(r-1) = (1 + e)^(r-1), a
+    # unit on integer leaves, so no eps scale is needed
     return pref * residue_drive([(1, s)] * s, build)
 
 

@@ -137,12 +137,13 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
         u_map = _u_map(t, delta)
 
         def build(zs, ring):
-            f = ring.const(1)
+            # as in efp_mir_n, the factors divide h_{N,s} Vand in turn
+            f = fam.hns_vand(N, s, zs)
             for j in range(s):
                 f = f * (tt * zs[j] + 1) ** (s - 1) \
-                    * zs[j] ** (-r) * (zs[j] - 1) ** (-s)
+                    / (zs[j] ** r * (zs[j] - 1) ** s)
             f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
-            return f * fam.hns_vand(N, s, zs), fam.hns_vand(s, s, zs, u_map)
+            return f, fam.hns_vand(s, s, zs, u_map)
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -180,12 +181,14 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     w_map = _w_map(t, delta)
 
     def build(zs, ring):
-        f = ring.const(1)
+        # the factors divide h_{N-s,n} Vand one at a time, at size(h) times
+        # their few terms each, instead of forming their quotient apart
+        # and multiplying it into h
+        f = fam.hns_vand(N - s, n, zs)
         for j in range(n):
             f = f / (zs[j] - 1)
         f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
-        return f * fam.hns_vand(N - s, n, zs), \
-            fam.hns_vand(s + n, n, zs, w_map)
+        return f, fam.hns_vand(s + n, n, zs, w_map)
 
     # inverted: the pair factors at z = 1 + e, kappa (1 + (kappa - 1)/kappa
     # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1;

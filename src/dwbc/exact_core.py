@@ -28,9 +28,12 @@ sized by the ring's `prec`.  The quotient comes from the power-series
 division recurrence, one step per coefficient against the divisor's
 known terms, so the 2- and 3-term factors the routes divide by cost
 size(f) * terms(g) and are never expanded into a dense inverse; an
-inverse is the division of 1.  Operations propagate `err` honestly, and
-extraction past the window raises PrecisionLoss so drivers can retry
-with a wider tower.  Nothing is ever rounded.
+inverse is the division of 1.  An exact monomial divisor (one known
+term, err = inf) only shifts the dividend: the quotient knows what the
+dividend knows, err - lo, so 1/eps is the exact Laurent monomial.
+Operations propagate `err` honestly, and extraction past the window
+raises PrecisionLoss so drivers can retry with a wider tower.  Nothing
+is ever rounded.
 
 The nesting order also disambiguates iterated contours around
 variable-dependent poles: a factor 1/(w_l - w_j) expands in powers of
@@ -52,6 +55,21 @@ residue of the formed product would: PrecisionLoss when a needed
 pairing lies past either window (the err rule of Series.__mul__),
 OrderExceeded for a definitely nonzero coefficient below a level's
 pole-order bound.
+
+The determinants the integrands multiply in (h_{N,s} times a
+Vandermonde, the rows of P_s) are separable: each column depends on one
+point, and each point is a Laurent polynomial in one tower variable.
+`line_det` builds such a determinant without a tower product.
+`_tower_point` reads a point's polynomial, `_point_line` expands a
+column's entries in that variable by integer polynomial arithmetic
+(contents pulled out, a divisor other than a monomial inverted as an
+integer power series) and keeps the exponents of the level's window,
+prec past the column's valuation, marking with `err` what that cuts;
+`line_det` then assembles the determinant level by level, outermost
+column first, by Laplace expansion with minors memoized by their rows,
+using only integer times tower and tower plus tower.  A window too
+short for the residue raises PrecisionLoss like any other, so it shows
+as a retry of `residue_drive`, never as a wrong value.
 """
 
 from __future__ import annotations
@@ -441,6 +459,15 @@ class Series:
                     f"division by a leading coefficient O({lead.ring.var}^"
                     f"{lead.err}) with no known terms")
             lead = lead.coeffs[0]
+        if len(g) == 1 and other.err == INF:
+            # an exact monomial: each coefficient divides by g_0 alone, so
+            # the quotient is self shifted and knows what self knows
+            if series:
+                q = [c / g0 for c in self.coeffs]
+            else:
+                r = _invert(g0)
+                q = [c * r for c in self.coeffs]
+            return Series(self.ring, self.lo - other.lo, q, self.err - other.lo)
         window = other.err - other.lo
         w = self.ring.prec if window == INF else min(int(window), self.ring.prec)
         err = min(self.err - other.lo, self.min_exp - other.lo + w)
@@ -882,6 +909,333 @@ def residue_drive(specs, build, scale=1):
         except PrecisionLoss:
             precs = [2 * p for p in precs]
     raise PrecisionLoss(f"residue_drive did not stabilize at precs={precs}")
+
+
+# ---------------------------------------------------------------------------
+# determinants whose lines each live on one tower level
+# ---------------------------------------------------------------------------
+#
+# A univariate Laurent polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m).
+
+def _pmul(a, b, hi=INF):
+    """Product of two univariate Laurent polynomials, exponents below hi."""
+    (la, ca), (lb, cb) = a, b
+    lo = la + lb
+    n = len(ca) + len(cb) - 1
+    if hi != INF:
+        n = min(n, hi - lo)
+    if n <= 0:
+        return (lo, [])
+    out = [0] * n
+    for i, x in enumerate(ca[:n]):
+        if x:
+            for j, y in enumerate(cb[:n - i]):
+                out[i + j] += x * y
+    return (lo, out)
+
+
+def _padd(a, b):
+    lo = min(a[0], b[0])
+    out = [0] * (max(a[0] + len(a[1]), b[0] + len(b[1])) - lo)
+    for l, cs in (a, b):
+        for m, c in enumerate(cs):
+            out[l - lo + m] += c
+    return (lo, out)
+
+
+def _plin(k, c, p):
+    """k * p + c for numbers k, c and a univariate Laurent polynomial p."""
+    return _padd((p[0], [k * x for x in p[1]]), (0, [c]))
+
+
+def _trimmed(cs):
+    """cs without its trailing zeros."""
+    j = len(cs)
+    while j and not cs[j - 1]:
+        j -= 1
+    return cs[:j]
+
+
+def _ppowers(p, n):
+    """[p^0, .., p^n] of a univariate Laurent polynomial p."""
+    out = [(0, [1])]
+    for _ in range(n):
+        out.append(_pmul(out[-1], p))
+    return out
+
+
+def _leaf_value(c):
+    """The leaf of an exact constant tower element; TypeError otherwise."""
+    while c.__class__ is Series:
+        if not c.coeffs and c.err == INF:
+            return 0
+        if c.lo or len(c.coeffs) != 1 or c.err != INF:
+            raise TypeError("not an exact polynomial in one tower variable")
+        c = c.coeffs[0]
+    return c
+
+
+def _tower_point(p):
+    """Read a point of a separable determinant: (top, level, poly) with
+    p = poly(eps) for eps the variable of tower level `level` under the
+    outermost ring `top`, poly an exact univariate Laurent polynomial
+    with rational coefficients; (None, None, (0, [p])) for a number.
+    Takes numbers, Series and `Scaled` elements; raises TypeError for a
+    tower element that is not an exact polynomial in one variable."""
+    k, e = (p.k, p.e) if isinstance(p, Scaled) else (1, p)
+    if not isinstance(e, Series):
+        return None, None, (0, [k * e])
+    top, level = e.ring, 0
+    while (e.ring.coeff_ring.is_series and len(e.coeffs) == 1 and not e.lo
+           and e.err == INF):
+        e = e.coeffs[0]
+        level += 1
+    if e.err != INF:
+        raise TypeError("not an exact polynomial in one tower variable")
+    cs = [k * _leaf_value(c) for c in e.coeffs]
+    if not cs or (not e.lo and len(cs) == 1):
+        return None, None, (0, [cs[0] if cs else 0])
+    return top, level, (e.lo, cs)
+
+
+def _content(values):
+    """(k, ints) with values = k * ints, the ints coprime integers; k = 1
+    when every value is 0."""
+    g, q = 0, 1
+    for v in values:
+        if v:
+            g = math.gcd(g, v.numerator)
+            q = math.lcm(q, v.denominator)
+    if not g:
+        return 1, [0] * len(values)
+    return (Fraction(g, q) if q != 1 else g,
+            [v.numerator * (q // v.denominator) // g for v in values])
+
+
+class Line:
+    """One column of a separable determinant: entry i is
+    k * sum_m rows[i][m] eps^(lo + m) + O(eps^err), eps the variable of
+    level `level` of the tower whose outermost ring is `top`; the rows
+    are integer lists of one length."""
+
+    __slots__ = ("k", "top", "level", "lo", "rows", "err")
+
+    def __init__(self, k, top, level, lo, rows, err):
+        self.k, self.top, self.level = k, top, level
+        self.lo, self.rows, self.err = lo, rows, err
+
+
+def _point_line(point, polys, k=1, div=None):
+    """The line of entries k * polys[i] / div[0]^div[1] at a point read
+    by `_tower_point`: a `Line` cut to its level's window, or at a
+    number point the numbers k * polys[i], constant polynomials there.
+
+    polys are exact univariate Laurent polynomials in the point's eps,
+    div an optional (integer polynomial, power) pair, taken at tower
+    points only.  Kept are the exponents below v + prec, v the line's
+    valuation and prec the window of its tower level; the line is
+    exact (err = inf) when that cuts nothing and no divisor leaves a
+    series.  A divisor with one term is a shift; any other is inverted
+    as a power series in integer arithmetic (q_j scaled by u_0^(j+1)),
+    so the window is always finite there.  The rational content goes
+    into the line's k.
+    """
+    top, level, _ = point
+    if top is None:
+        return [k * (p[1][0] if p[1] else 0) for p in polys]
+    ring = top
+    for _ in range(level):
+        ring = ring.coeff_ring
+    d = None
+    if div is not None and div[1]:
+        (dlo, d), power = div
+        j = next(i for i, c in enumerate(d) if c)
+        dlo, d = dlo + j, d[j:]
+        polys = [(lo - dlo * power, cs) for lo, cs in polys]
+        if len(d) == 1:
+            k = k / Fraction(d[0]) ** power
+            d = None
+    lows = [lo + next(i for i, c in enumerate(cs) if c)
+            for lo, cs in polys if any(cs)]
+    if not lows:
+        return Line(1, top, level, 0, [[] for _ in polys], INF)
+    lo = min(lows)
+    w = ring.prec
+    cut = lo + w
+    if d is None:
+        err = INF if all(l + len(cs) <= cut or not any(cs[cut - l:])
+                         for l, cs in polys) else cut
+    else:
+        # 1/u for u = d^power, u_0 != 0, by the division recurrence on
+        # q_m u_0^(m+1), which stays integral; w terms are u_0^-w inv
+        u = (0, [1])
+        for _ in range(power):
+            u = _pmul(u, (0, d), w)
+        u = u[1]
+        inv = [1]
+        for m in range(1, w):
+            inv.append(-sum(u[i] * u[0] ** (i - 1) * inv[m - i]
+                            for i in range(1, min(m + 1, len(u)))))
+        inv = [c * u[0] ** (w - 1 - m) for m, c in enumerate(inv)]
+        k = k / Fraction(u[0]) ** w
+        polys = [_pmul(p, (0, inv), cut) for p in polys]
+        err = cut
+    width = min(cut, max(l + len(cs) for l, cs in polys)) - lo
+    rows = []
+    for l, cs in polys:
+        row = [0] * width
+        for m, c in enumerate(cs):
+            if c and lo <= l + m < cut:
+                row[l + m - lo] = c
+        rows.append(row)
+    kr, flat = _content([c for row in rows for c in row])
+    rows = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
+    return Line(k * kr, top, level, lo, rows, err)
+
+
+def _lincomb(terms):
+    """sum c x over pairs (int c, x) of elements of one ring, leaves or
+    Series, scaled and added coefficient by coefficient: no tower
+    product is formed."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    x0 = terms[0][1]
+    if x0.__class__ is not Series:
+        acc = 0
+        for c, x in terms:
+            acc += c * x
+        return acc
+    ring = x0.ring
+    err, lo, hi = INF, INF, -INF
+    for _, x in terms:
+        if x.err < err:
+            err = x.err
+        if x.coeffs:
+            lo = min(lo, x.lo)
+            hi = max(hi, x.lo + len(x.coeffs))
+    hi = min(hi, err)
+    if lo >= hi:
+        return Series(ring, 0, [], err)
+    out = []
+    if ring.coeff_ring.is_series:
+        zero = ring.coeff_ring.zero()
+        for e in range(lo, hi):
+            sub = [(c, x.coeffs[e - x.lo]) for c, x in terms
+                   if x.lo <= e < x.lo + len(x.coeffs)]
+            sub = [(c, y) for c, y in sub if y.coeffs or y.err != INF]
+            out.append(_lincomb(sub) if sub else zero)
+    else:
+        for e in range(lo, hi):
+            acc = 0
+            for c, x in terms:
+                if x.lo <= e < x.lo + len(x.coeffs):
+                    acc += c * x.coeffs[e - x.lo]
+            out.append(acc)
+    return Series(ring, lo, out, err)
+
+
+def line_det(lines):
+    """det M for the square matrix whose j-th column is lines[j]: a list
+    of numbers, or a `Line` on one tower level, no two on one level.
+
+    The determinant is assembled level by level, outermost line first,
+    by Laplace expansion along the lines with the minors memoized by
+    their set of rows: the coefficient of eps^e in the minor on rows R
+    of the lines from j on is sum_(i in R) +- c_(i,e) times the minor
+    on R - {i} of the lines after j, lifted to the next level.  So the
+    only tower operations are integer times tower and tower plus tower;
+    the lines' contents go into the `Scaled` scalar, and number lines,
+    expanded last, give number minors, brought to integers by their
+    common denominator.  Returns a `Scaled` element, or a number when
+    every line is numbers.
+    """
+    s = len(lines)
+    tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
+                   key=lambda j: lines[j].level)
+    order = tower + [j for j in range(s) if not isinstance(lines[j], Line)]
+    cols = [lines[j] for j in order]
+    m = len(tower)
+    memo = {}
+
+    def number_minor(j, mask):
+        if j == s:
+            return 1
+        key = (j, mask)
+        if key not in memo:
+            acc, odd = 0, False
+            for i in range(s):
+                if mask >> i & 1:
+                    x = cols[j][i]
+                    if x:
+                        term = x * number_minor(j + 1, mask ^ (1 << i))
+                        acc = acc - term if odd else acc + term
+                    odd = not odd
+            memo[key] = acc
+        return memo[key]
+
+    full = (1 << s) - 1
+    if not m:
+        return _exact(_perm_sign(order) * number_minor(0, full))
+    top = cols[0].top
+    chain = []
+    ring = top
+    while ring.is_series:
+        chain.append(ring)
+        ring = ring.coeff_ring
+    levels = [c.level for c in cols[:m]]
+    if any(c.top is not top for c in cols[:m]) or len(set(levels)) < m:
+        raise ValueError("lines must lie on distinct levels of one tower")
+    k = _perm_sign(order)
+    for c in cols[:m]:
+        k = k * c.k
+    rests = {mask: number_minor(m, mask) for mask in range(full + 1)
+             if bin(mask).count("1") == s - m}
+    if m < s and all(isinstance(v, (int, Fraction)) for v in rests.values()):
+        q = math.lcm(*(Fraction(v).denominator for v in rests.values()))
+        k = Fraction(k, q)
+        rests = {mask: int(v * q) for mask, v in rests.items()}
+
+    def lift(x, frm, to):
+        for lev in range(frm - 1, to - 1, -1):
+            x = Series(chain[lev], 0, [x], INF)
+        return x
+
+    minors = {}
+
+    def minor(j, mask):
+        # the minor of the lines from j on, on the rows in mask: a number
+        # past the last tower line, else an element of the ring just
+        # inside line j - 1's level
+        if j == m:
+            return rests[mask]
+        key = (j, mask)
+        if key not in minors:
+            col, level = cols[j], levels[j]
+            inner, odd = [], False
+            for i in range(s):
+                if mask >> i & 1:
+                    inner.append((col.rows[i], odd, minor(j + 1, mask ^ (1 << i))))
+                    odd = not odd
+            coeffs = []
+            if j == m - 1:
+                # number minors: sum them, then lift each coefficient
+                for e in range(len(col.rows[0])):
+                    acc = 0
+                    for row, odd, x in inner:
+                        if row[e]:
+                            acc = acc - row[e] * x if odd else acc + row[e] * x
+                    coeffs.append(lift(acc, len(chain), level + 1))
+            else:
+                zero = chain[level].coeff_ring.zero()
+                for e in range(len(col.rows[0])):
+                    terms = [(-row[e] if odd else row[e], x)
+                             for row, odd, x in inner if row[e]]
+                    coeffs.append(_lincomb(terms) if terms else zero)
+            minors[key] = lift(Series(chain[level], col.lo, coeffs, col.err),
+                               level, levels[j - 1] + 1 if j else 0)
+        return minors[key]
+
+    return Scaled(k, minor(0, full))
 
 
 # ---------------------------------------------------------------------------

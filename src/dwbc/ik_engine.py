@@ -20,9 +20,16 @@ provided.  The determinant form `hns_vand` returns h_{N,s}(M(z)) times
 the Vandermonde of the z's, for a Moebius map M of the arguments: the
 Vandermonde cancels, so it needs no division, takes coincident points
 and Laurent-tower elements, and is what every residue integrand (which
-carries that Vandermonde itself) multiplies in.  `hns_value` divides it
-by the Vandermonde at pairwise distinct points.  `hns_poly` divides the
-Vandermonde out symbolically by divided differences; no residue
+carries that Vandermonde itself) multiplies in.  Each column of its
+determinant depends on one point, so `exact_core.line_det` builds it
+one column at a time: at a tower point, a Laurent polynomial in one
+tower variable eps, the column's entries are expanded in that eps by
+integer polynomial arithmetic (the rows' rational contents are cached
+per (N, s), and the map's numerator and denominator are brought to
+integer content), cut to the level's window, and the determinant is
+assembled level by level without a tower product.  `hns_value` divides
+it by the Vandermonde at pairwise distinct points.  `hns_poly` divides
+the Vandermonde out symbolically by divided differences; no residue
 integrand and no identity check uses it.  It serves only the
 coincident-point fallback of `partially_inhomogeneous_Z`, the tests as
 a reference, and the benchmark tracer, which binds it by name.
@@ -37,7 +44,10 @@ P_s Vand(x) Vand(y) as a determinant at general points,
 coincident y's, and at y = 1/x it has the closed form
 prod_j x_j^-(s-1) prod_{j != k} (x_j x_k - 2D x_j + 1) (the `psxx`
 identity), which the integrands write out so that it cancels their
-own pair factors.
+own pair factors.  The rows of `cantini_P_confluent` and of the x-side
+minors of `cantini_P_vand` each depend on one x_j and take the same
+column kernel; the y-side minors, each of whose columns depends on
+s - 1 of the y's, are cofactor expansions (`poly_det`).
 
 Only the two float determinants, `ik_determinant` and `ik_homogeneous`,
 use numpy, and they import it when called: importing this module and
@@ -54,8 +64,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
-from .exact_core import (MultiPoly, _horner, complete_homogeneous,
-                         poly_det)
+from .exact_core import (MultiPoly, _content, _horner, _padd, _plin, _pmul,
+                         _point_line, _ppowers, _tower_point, _trimmed,
+                         complete_homogeneous, line_det, poly_det)
 from .lattice_oracle import WeightMatrix, WeightTriple, boundary_generating_poly
 
 DEGENERACY_TOL = 1e-8
@@ -245,14 +256,6 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
     return pref * complex(np.linalg.det(m))
 
 
-def _powers(x, n):
-    """[1, x, .., x^n] (just [1] for n <= 0)."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # boundary generating polynomials h_M and their multivariate extension
 # ---------------------------------------------------------------------------
@@ -269,6 +272,7 @@ class BoundaryGenFamily:
         self.exact = isinstance(w, WeightTriple)
         self._h = {}
         self._hns_cache = {}
+        self._rows = {}
 
     def h(self, M: int):
         if M not in self._h:
@@ -292,21 +296,26 @@ class BoundaryGenFamily:
             det[g_i(M(z_j))] prod_j (ga z_j + de)^(s-1)
                 / (al de - be ga)^(s(s-1)/2).
 
-        Column j is evaluated as G_i(z_j) = g_i(M(z_j)) (ga z_j + de)^D,
-        D = N+s-2 the top degree of the g_i, an exact polynomial in z_j;
-        only (ga z_j + de)^(-(N-1)) is left to invert.  Nothing is divided
-        by a Vandermonde, so the z_j may coincide and may be Laurent-tower
-        elements.
+        Column j is G_i(z_j) (ga z_j + de)^-(N-1), where G_i(z) =
+        g_i(M(z)) (ga z + de)^D, D = N+s-2 the top degree of the g_i, is
+        a polynomial in z_j.  Nothing is divided by a Vandermonde, so the
+        z_j may coincide.
 
-        At the `Scaled` points a residue integrand gets (z = c + D eps),
-        the value is `Scaled` too: the determinant runs on integer leaves
-        and the Fractions form its scalar.  Each entry's terms come to
-        the rational gcd of their coefficients (the row's content times
-        powers of D and of the map's coefficients), and each inverted
-        ga z + de pulls out its leading coefficient, ga c + de or, where
-        that vanishes, ga D.  The remaining unit has integer
-        coefficients when the route's D makes ga D / (ga c + de) an
-        integer.
+        The points may be numbers or tower elements, each an exact
+        Laurent polynomial in the variable of one tower level: the
+        c + D eps of `residue_drive`, or 1/(D eps).  There column j is
+        built by `exact_core._point_line`: with the g_i over their
+        rational contents (integers cached per (N, s)) and the map's
+        numerator and denominator at z_j brought to integer content,
+        G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
+        de)^-(N-1) a monomial or an integer power series, and the column
+        keeps the exponents of its level's window, marked by err where
+        that cuts anything.  `exact_core.line_det` assembles the
+        determinant level by level with integer times tower and tower
+        plus tower only, and the contents form its `Scaled` scalar.  A
+        window too short for the residue shows up as a PrecisionLoss,
+        so `residue_drive` retries on wider towers; it never gives a
+        wrong value.
         """
         zs = list(zs)
         if len(zs) != s:
@@ -315,35 +324,11 @@ class BoundaryGenFamily:
         det_m = al * de - be * ga
         if det_m == 0:
             raise ValueError("degenerate Moebius map")
-        one = Fraction(1) if self.exact else 1 + 0j
         if s == 0:
-            return one
-        rows = [self._row_coeffs(N, s, i) for i in range(1, s + 1)]
-        top = N + s - 2
-        cols, inv_dens = [], []
-        for z in zs:
-            num = z if (al, be) == (1, 0) else al * z + be
-            nums = _powers(num, top)
-            if ga == 0 and de == 1:
-                basis = nums
-            else:
-                den = ga * z + de if ga else de
-                dens = _powers(den, top)
-                basis = [nums[k] * dens[top - k] for k in range(top + 1)]
-                if ga:
-                    inv_dens.append((one / den) ** (N - 1))
-            col = []
-            for cs in rows:
-                terms = [cf * basis[k] for k, cf in enumerate(cs) if cf != 0]
-                col.append(sum(terms[1:], terms[0]))
-            cols.append(col)
-        val = poly_det([[col[i] for col in cols] for i in range(s)])
-        for inv in inv_dens:
-            val = val * inv
-        scale = det_m ** (s * (s - 1) // 2)
-        if ga == 0:
-            scale = scale * de ** (s * (N - 1))
-        return val if scale == 1 else val * (one / scale)
+            return Fraction(1) if self.exact else 1 + 0j
+        rho, rows = self._hns_rows(N, s)
+        lines = [_hns_line(N, s, rows, _tower_point(z), mobius) for z in zs]
+        return line_det(lines) * (rho / det_m ** (s * (s - 1) // 2))
 
     def hns_value(self, N: int, s: int, points):
         """h_{N,s}(z_1..z_s) at pairwise distinct points."""
@@ -393,6 +378,22 @@ class BoundaryGenFamily:
                 cache[key] = poly_det(mat)
         return cache[key]
 
+    def _hns_rows(self, N, s):
+        """(rho, rows): the coefficient lists of g_1..g_s, each over its
+        rational content, integers whose contents multiply to rho (raw,
+        with rho = 1, for complex weights); cached per (N, s)."""
+        key = (N, s)
+        if key not in self._rows:
+            rows = [self._row_coeffs(N, s, i) for i in range(1, s + 1)]
+            rho = Fraction(1)
+            if self.exact:
+                contents = [_content(cs) for cs in rows]
+                rows = [cs for _, cs in contents]
+                for k, _ in contents:
+                    rho *= k
+            self._rows[key] = rho, rows
+        return self._rows[key]
+
     def _row_coeffs(self, N, s, i):
         """Coefficients of g_i(z) = z^(s-i) (z-1)^(i-1) h_{N-s+i}(z)."""
         out = [Fraction(0)] * (s - i) + self.h_coeffs(N - s + i)
@@ -400,6 +401,41 @@ class BoundaryGenFamily:
             out = [-out[0]] + [out[k - 1] - out[k] for k in range(1, len(out))] \
                   + [out[-1]]
         return out
+
+
+def _hns_line(N, s, rows, point, mobius):
+    """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
+    `exact_core._tower_point`, for the rows g_i over their contents."""
+    al, be, ga, de = mobius
+    top, _, poly = point
+    if top is None:
+        z = poly[1][0]
+        den = ga * z + de
+        x = (al * z + be) / den
+        return [_horner(cs, x) * den ** (s - 1) for cs in rows]
+    # num = kn eps^lo n and den = kd eps^lo d for integer lists n, d; with
+    # kn/kd = p/q, num^m den^(D-m) = kd^D q^-D eps^(lo D) (p n)^m (q d)^(D-m)
+    D = N + s - 2
+    lo = min(poly[0], 0)
+    kn, n = _content(_trimmed(_plin(al, be, poly)[1]))
+    if ga:
+        kd, d = _content(_trimmed(_plin(ga, de, poly)[1]))
+    else:
+        kd, d = de, [0] * -lo + [1]
+    r = Fraction(kn) / kd
+    xs = _ppowers((0, [r.numerator * c for c in n]), D)
+    ys = _ppowers((0, [r.denominator * c for c in d]), D)
+    basis = [_pmul(xs[m], ys[D - m])[1] for m in range(D + 1)]
+    polys = []
+    for cs in rows:
+        acc = [0] * max(map(len, basis))
+        for c, b in zip(cs, basis):
+            if c:
+                for j, v in enumerate(b):
+                    acc[j] += c * v
+        polys.append((lo * D, acc))
+    return _point_line(point, polys, kd ** (s - 1) / Fraction(r.denominator) ** D,
+                       ((lo, d), N - 1))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -475,13 +511,18 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
     Every integrand that takes P_s at general points carries both
     Vandermondes, so nothing is divided.  The points may coincide and
     may be Fractions or Laurent-tower elements; at `Scaled` points the
-    value is `Scaled`, on integer leaves, as nothing is inverted.  With g_k(x) = sum_m
-    c_{k,m}(y) x^m the determinant is taken by Cauchy-Binet, sum over
-    s-subsets S of the x-powers 0..2s-2 of det[x_j^m]_{m in S} (x only)
-    times det[c_{k,m}(y)]_{m in S} (y only).  On a tower this multiplies
-    small one-sided factors instead of expanding det[g_k(x_j)], and a
-    y-only `yfactor` (the y side of an integrand) goes into each y-only
-    minor, so it is never multiplied into the full sum.
+    value is `Scaled`, on integer leaves, as nothing is inverted.  With
+    g_k(x) = sum_m c_{k,m}(y) x^m the determinant is taken by
+    Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
+    det[x_j^m]_{m in S} (x only) times det[c_{k,m}(y)]_{m in S} (y
+    only).  Row j of an x-minor depends on x_j alone, so each x-minor
+    is built by `exact_core.line_det` from the integer powers of the
+    x_j in their tower variables; the y-minors, whose columns each
+    depend on s - 1 of the y's, are cofactor expansions.  On a tower
+    this multiplies small one-sided factors instead of expanding
+    det[g_k(x_j)], and a y-only `yfactor` (the y side of an integrand)
+    goes into each y-only minor, so it is never multiplied into the
+    full sum.
     """
     s = len(xs)
     # (1 - x y)(x + y - 2D x y) as coefficients of x^0, x^1, x^2
@@ -498,8 +539,10 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
                         out[i + l] = out[i + l] + a * b
                 cs = out
         coeffs.append(cs)
-    powers = [_powers(x, 2 * s - 2) for x in xs]
-    terms = [poly_det([[pw[m] for m in S] for pw in powers])
+    points = [_tower_point(x) for x in xs]
+    powers = [_ppowers(p[2], 2 * s - 2) for p in points]
+    terms = [line_det([_point_line(p, [pw[m] for m in S])
+                       for p, pw in zip(points, powers)])
              * (yfactor * poly_det([[cs[m] for cs in coeffs] for m in S]))
              for S in combinations(range(2 * s - 1), s)]
     return sum(terms[1:], terms[0])
@@ -513,19 +556,26 @@ def cantini_P_confluent(xs, c, delta):
 
     A = 1 - x c, B = x + c - 2D x c.  Dividing det[g_k(x_j)] by Vand(y)
     and letting every y_k -> c takes the m-th y-Taylor coefficient of
-    1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  A polynomial
-    in the x's, so at `Scaled` points it is `Scaled` on integer leaves.
+    1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  Row j
+    depends on x_j alone: at tower points it is expanded in x_j's tower
+    variable and the determinant built by `exact_core.line_det`, a
+    `Scaled` element on integer leaves.
     """
     s = len(xs)
-    rows = []
+    lines = []
     for x in xs:
-        xp, dp = _powers(x, s - 1), _powers(2 * delta * x - 1, s - 1)
-        ap = _powers(1 - x * c, s - 1)
-        bp = _powers(x + c - 2 * delta * x * c, s - 1)
-        row = []
+        point = _tower_point(x)
+        p = point[2]
+        xp = _ppowers(p, s - 1)
+        dp = _ppowers(_plin(2 * delta, -1, p), s - 1)
+        ap = _ppowers(_plin(-c, 1, p), s - 1)
+        bp = _ppowers(_plin(1 - 2 * delta * c, c, p), s - 1)
+        polys = []
         for m in range(s):
-            terms = [xp[i] * dp[m - i] * ap[s - 1 - i] * bp[s - 1 - m + i]
-                     for i in range(m + 1)]
-            row.append(sum(terms[1:], terms[0]))
-        rows.append(row)
-    return poly_det(rows)
+            acc = (0, [])
+            for i in range(m + 1):
+                acc = _padd(acc, _pmul(_pmul(xp[i], dp[m - i]),
+                                       _pmul(ap[s - 1 - i], bp[s - 1 - m + i])))
+            polys.append(acc)
+        lines.append(_point_line(point, polys))
+    return line_det(lines)

@@ -406,5 +406,8 @@ class TestTowerBuilds:
                         efp_mir_s(q, w, "efpMIR1")
                         efp_mir_s(q, w, "efpMIR2")
                         efp_mir_n(q, w)
-            efp_double_contour_trace(EfpQuery(3, 3, 2), w)
+            # n = 1; n = 2, whose flipped step sums two pole assignments;
+            # and s = 3, whose symmetrized step takes P_3 in its det form
+            for s in (2, 1, 3):
+                efp_double_contour_trace(EfpQuery(3, 3, s), w)
         assert towers and set(towers) == {1}

@@ -18,10 +18,12 @@ from dwbc.exact_core import (
     complete_homogeneous,
     format_rational,
     iterated_residue,
+    line_det,
     parse_rational,
     poly_det,
     residue_drive,
 )
+from dwbc.exact_core import _point_line
 
 
 class TestScalars:
@@ -461,15 +463,42 @@ class TestDivision:
     @settings(max_examples=200, deadline=None)
     @given(_division_cases())
     def test_matches_the_inverse_loop(self, case):
+        # the quotient knows what f times the windowed inverse knows,
+        # except that an exact monomial divisor only shifts f, window
+        # and all
         f, g = case
-        for got, want in ((lambda: f / g, lambda: f * _reference_inverse(g)),
-                          (g.inverse, lambda: _reference_inverse(g))):
+        monomial = len(g.coeffs) == 1 and g.err == math.inf
+        for num, got, want in (
+                (f, lambda: f / g, lambda: f * _reference_inverse(g)),
+                (g.ring.const(1), g.inverse, lambda: _reference_inverse(g))):
             got, want = _division_outcome(got), _division_outcome(want)
             if isinstance(got, type) or isinstance(want, type):
                 assert got == want
                 continue
-            assert got.err == want.err
+            assert got.err == (num.err - g.lo if monomial else want.err)
             assert _agree(got, want)
+
+    def test_monomial_divisor_is_exact(self):
+        # 1/atom is the exact Laurent monomial, on any level of a tower
+        ring, atoms = build_tower([("x", 3), ("y", 3)])
+        for name in ("x", "y"):
+            inv = 1 / atoms[name]
+            assert inv * atoms[name] == 1
+            assert inv.err == math.inf
+        inv = 1 / atoms["y"]
+        assert inv.coeffs[0].lo == -1 and inv.coeffs[0].err == math.inf
+        # 1/(3 x^2) too, with the leaf inverted once
+        q = 1 / (3 * atoms["x"] ** 2)
+        assert (q.lo, q.coeffs, q.err) == (-2, [Fraction(1, 3)], math.inf)
+
+    def test_monomial_divisor_keeps_the_window(self):
+        # a windowed f over a monomial is f shifted, window included
+        ring, atoms = build_tower([("x", 4)])
+        x = atoms["x"]
+        f = 1 / (1 - x)
+        assert f.err == 4
+        q = f / x ** 2
+        assert (q.lo, q.coeffs, q.err) == (-2, [1, 1, 1, 1], 2)
 
     def test_polynomial_quotient(self):
         # (1 + z)/(1 - z) to the window: each coefficient is one step of
@@ -478,6 +507,82 @@ class TestDivision:
         z = atoms["z"]
         q = (1 + z) / (1 - z)
         assert q.coeffs == [1, 2, 2, 2, 2, 2] and q.err == 6
+
+
+_leaves = (st.integers(-3, 3)
+           | st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def _line_matrices(draw):
+    """(lines, columns): 1-4 lines, each a column of numbers (rational,
+    or complex when every line is numbers) or of polynomial or Laurent
+    entries on its own level of a tower of up to 5 levels, some levels
+    left unused; the columns are the same entries as numbers and exact
+    tower elements."""
+    s = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["number", "poly", "laurent"]),
+                          min_size=s, max_size=s))
+    depth = draw(st.integers(max(1, s), 5))
+    precs = draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth))
+    levels = draw(st.permutations(range(depth)))
+    ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
+    numbers = _leaves
+    if all(kind == "number" for kind in kinds) and draw(st.booleans()):
+        numbers = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                     allow_infinity=False)
+    lines, cols = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "number":
+            col = [draw(numbers) for _ in range(s)]
+            lines.append(col)
+            cols.append(col)
+            continue
+        lo = 0 if kind == "poly" else draw(st.integers(-2, -1))
+        polys = [(lo, draw(st.lists(_leaves, max_size=4))) for _ in range(s)]
+        k = draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+        x = atoms[f"e{levels[j]}"]
+        lines.append(_point_line((ring, levels[j], None), polys, k))
+        cols.append([k * sum((c * x ** (lo + m) for m, c in enumerate(cs)),
+                             ring.zero()) for _, cs in polys])
+    return lines, cols
+
+
+class TestLineDet:
+    """The separable determinant kernel against the cofactor expansion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_line_matrices())
+    def test_matches_poly_det(self, case):
+        lines, cols = case
+        want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
+        got = line_det(lines)
+        if not isinstance(got, Scaled):
+            assert exact_core.approx_eq(got, want) if isinstance(got, complex) \
+                else got == want
+            return
+        # the kernel knows fewer coefficients (each line is cut to its
+        # level's window), and those it knows are the exact ones
+        assert _agree(got.e * got.k, want)
+
+    def test_window(self):
+        # prec coefficients past the line's valuation are kept; a line
+        # that fits is exact
+        ring, _ = build_tower([("x", 3), ("y", 2)])
+        cut = _point_line((ring, 1, None), [(0, [0, 1, 2, 3]), (0, [5])])
+        assert (cut.lo, cut.rows, cut.err) == (0, [[0, 1], [5, 0]], 2)
+        fits = _point_line((ring, 0, None), [(-1, [1, 0, 4]), (0, [2])], 3)
+        assert (fits.k, fits.rows, fits.err) == (3, [[1, 0, 4], [0, 2, 0]],
+                                                  math.inf)
+        # 1/(1 - x): a divisor with two terms leaves a series
+        inv = _point_line((ring, 0, None), [(0, [1])], div=((0, [1, -1]), 1))
+        assert (inv.rows, inv.err) == ([[1, 1, 1]], 3)
+
+    def test_lines_on_one_level(self):
+        ring, _ = build_tower([("x", 3)])
+        line = _point_line((ring, 0, None), [(0, [1, 1]), (0, [2])])
+        with pytest.raises(ValueError):
+            line_det([line, line])
 
 
 class TestPoly:

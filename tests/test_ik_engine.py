@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwbc.bethe_reps import _crossed
 from dwbc.errors import DegeneratePoints, NearDegenerate, Singular
@@ -23,7 +25,7 @@ from dwbc.ik_engine import (
     partially_inhomogeneous_Z,
     phi_derivatives,
 )
-from dwbc.exact_core import residue_drive
+from dwbc.exact_core import Scaled, Series, build_tower, residue_drive
 from dwbc.identity_suite import p_s_value
 from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z
 
@@ -224,6 +226,38 @@ class TestBoundaryFamily:
         assert residue_drive(specs, build(True)) \
             == residue_drive(specs, build(False))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_windowed_hns_vand_matches_poly(self, data):
+        # at tower points each line of hns_vand is cut to its level's
+        # window; what it knows is h_{N,s}(M(z)) Vand(z) from hns_poly,
+        # at polynomial points c + D eps and Laurent points 1/(D eps)
+        fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        s = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(s, 4))
+        mob = data.draw(st.tuples(small, small, small, small).filter(
+            lambda m: m[0] * m[3] != m[1] * m[2]))
+        precs = data.draw(st.lists(st.integers(2, 4), min_size=s,
+                                   max_size=s))
+        ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
+        zs = []
+        for j in range(s):
+            eps = Scaled(data.draw(st.sampled_from([1, 2, Fraction(1, 3)])),
+                         atoms[f"e{j}"])
+            zs.append(1 / eps if data.draw(st.booleans())
+                      else eps + data.draw(small))
+        al, be, ga, de = mob
+        want = fam.hns_poly(n, s).eval([(al * z + be) / (ga * z + de)
+                                         for z in zs])
+        for j in range(s):
+            for k in range(j + 1, s):
+                want = want * (zs[k] - zs[j])
+        got = fam.hns_vand(n, s, zs, mob)
+        got, want = (v * ring.const(1) for v in (got, want))
+        assert _agree(*(v.e * v.k if isinstance(v, Scaled) else v
+                        for v in (got, want)))
+
     def test_htilde_reversal(self):
         # the reversed family htilde_M(z) = z^(M-1) h_M(1/z) is h_M of the
         # a<->b crossed weights: the dual residue routes take it from there
@@ -294,6 +328,18 @@ def _vand(pts):
         for k in range(j + 1, len(pts)):
             out = out * (pts[k] - pts[j])
     return out
+
+
+def _agree(a, b):
+    """a and b have equal coefficients wherever both know them, at
+    every level of their tower."""
+    if not isinstance(a, Series):
+        return a == b
+    top = min(a.err, b.err)
+    exps = ({a.lo + i for i in range(len(a.coeffs))}
+            | {b.lo + i for i in range(len(b.coeffs))})
+    return all(_agree(a.coefficient(k), b.coefficient(k))
+               for k in exps if k < top)
 
 
 def _distinct(rng, count):
