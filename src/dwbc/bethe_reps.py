@@ -49,7 +49,7 @@ from .ik_engine import (
     family,
     ik_determinant,
 )
-from .lattice_oracle import RowConfig, WeightTriple, enumerate_Z
+from .lattice_oracle import RowConfig, WeightTriple
 
 SEPARATION_TOL = 1e-8
 
@@ -273,11 +273,11 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
          * h_{N,s}(z)
     """
     N, s, rs = cfg.n, cfg.s, cfg.positions
-    if s == 0:
-        return enumerate_Z(N, w)
-    t, delta = _pole_guard(w)
     fam = family(w)
-    pref = enumerate_Z(N, w) / (w.a ** (s * (N - 1)) * w.c ** s)
+    if s == 0:
+        return fam.z(N)
+    t, delta = _pole_guard(w)
+    pref = fam.z(N) / (w.a ** (s * (N - 1)) * w.c ** s)
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
 
@@ -337,7 +337,7 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
         return Fraction(1)
     t, delta = _pole_guard(w)
     fam = family(w)
-    pref = enumerate_Z(s, w) * w.a ** (s * (N - s))
+    pref = fam.z(s) * w.a ** (s * (N - s))
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
 

@@ -39,7 +39,6 @@ from .lattice_oracle import (
     RowConfig,
     WeightTriple,
     efp_oracle,
-    enumerate_Z,
     psi_bot,
     psi_top,
 )
@@ -132,7 +131,7 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
             return f, fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
-        pref = Fraction(-1) ** s * _vand_sign(s) * enumerate_Z(s, w) \
+        pref = Fraction(-1) ** s * _vand_sign(s) * fam.z(s) \
             / (math.factorial(s) * w.a ** (s * (s - 1)) * w.c ** s)
         u_map = _u_map(t, delta)
 
@@ -171,13 +170,13 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     """
     N, s, n = q.N, q.s, q.n
     t, delta = _pole_guard(w)
-    pref = (enumerate_Z(s + n, w) * enumerate_Z(N - s, w)
+    fam = family(w)
+    pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n)) * t ** (n * (n - 1))
-            / (math.factorial(n) * enumerate_Z(N, w)
+            / (math.factorial(n) * fam.z(N)
                * w.c ** n * w.a ** (n * (n - 1))))
     if n == 0:
         return pref
-    fam = family(w)
     w_map = _w_map(t, delta)
 
     def build(zs, ring):
@@ -218,10 +217,10 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
     """
     n = len(ls)
     t, delta = _pole_guard(w)
-    pref = enumerate_Z(s + n, w) * w.a ** ((s + n) * (N - s - n))
+    fam = family(w)
+    pref = fam.z(s + n) * w.a ** ((s + n) * (N - s - n))
     if n == 0:
         return pref
-    fam = family(w)
     warg = _warg_map(t, delta)
 
     def build(ws, ring):
@@ -241,11 +240,11 @@ def _psi_bot_frozen_mir(N, s, ls, w):
     """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     t, delta = _pole_guard(w)
-    pref = enumerate_Z(N - s, w) * w.a ** (s * (N - s)) \
+    fam = family(w)
+    pref = fam.z(N - s) * w.a ** (s * (N - s)) \
         / (w.c ** n * w.a ** (n * (N - 1)))
     if n == 0:
         return pref
-    fam = family(w)
 
     def build(zs, ring):
         f = ring.const(1)
@@ -381,8 +380,8 @@ def _trace_nfold_chain(q, w, record):
     N, r, s, n = q.N, q.r, q.s, q.n
     t, delta = _pole_guard(w)
     fam = family(w)
-    z_n = enumerate_Z(N, w)
-    pref = (enumerate_Z(s + n, w) * enumerate_Z(N - s, w)
+    z_n = fam.z(N)
+    pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n))
             / (z_n * w.c ** n * w.a ** (n * (n - 1))))
 
@@ -544,16 +543,21 @@ def _flipped_contour_value(q, w) -> Fraction:
             # prod_{j != k} (z_k - z_j): the sign times the Vandermonde
             # here and the one in hns_vand
             term = ring.const(_vand_sign(n))
-            for k, l in enumerate(sigma):
-                for j in range(n):
-                    if j != l:
-                        term = term / (1 - ws[j] * zs[k])
             for j in range(n):
                 for k in range(j + 1, n):
                     term = term * (zs[k] - zs[j])
-            term = _pair_quotient(term, zs, 1, 2 * delta, ordered=True)
-            total = total + term \
-                * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
+            term = term * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
+            # 1 - w_j z_k = 1 - w_j/w_l expands in the outer of w_j, w_l
+            # over the inner, so the quotient reaches lower in the inner
+            # variable row by row; a tower keeps one window per variable,
+            # so these divide the exact numerator first, outer variable
+            # first, and the windowed pair factors come last
+            flips = sorted(((min(j, l), j, k) for k, l in enumerate(sigma)
+                            for j in range(n) if j != l))
+            for _, j, k in flips:
+                term = term / (1 - ws[j] * zs[k])
+            total = total + _pair_quotient(term, zs, 1, 2 * delta,
+                                           ordered=True)
         return base, total
 
     # inverted: 1 - t w and the pair factors in the w's and in the z's

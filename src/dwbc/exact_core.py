@@ -8,76 +8,70 @@ substitute z = center + D eps one variable at a time (innermost contour
 first), expand as a truncated Laurent series in eps, and read off the
 coefficient of eps^(-1) at each level.
 
-The series engine is a tower of univariate Laurent rings: a series in
-the first-integrated variable whose coefficients are series in the
-second, and so on, with exact rational leaves.  The leaves of every
-residue integrand are Python ints.  `residue_drive` substitutes each
-variable as z = center + D eps, with D from `eps_scale` (the lcm of the
-denominators of the route's factor ratios, as the lattice sweep scales
-its weights), and hands the integrand `Scaled` elements: a rational
-scalar times a tower on int leaves.  The Fractions of the weights, of
-the centers and of the constants that the inverted factors pull out
-(each such factor becomes its constant times 1 + an integer polynomial
-in the eps's, so the tower inverts only units) stay in the scalars, and
-the residue is the product of the scalars times the int residue times
-D per variable.  A leaf is a Fraction only where a route inverts a
-factor with no such unit form.  Each element tracks the
-exponent `err` past which its coefficients are unknown (math.inf for
-exact polynomials); dividing by a series introduces a finite window
-sized by the ring's `prec`.  The quotient comes from the power-series
-division recurrence, one step per coefficient against the divisor's
-known terms, so the 2- and 3-term factors the routes divide by cost
-size(f) * terms(g) and are never expanded into a dense inverse; an
-inverse is the division of 1.  An exact monomial divisor (one known
-term, err = inf) only shifts the dividend: the quotient knows what the
-dividend knows, err - lo, so 1/eps is the exact Laurent monomial.
-Operations propagate `err` honestly, and extraction past the window
-raises PrecisionLoss so drivers can retry with a wider tower.  Nothing
-is ever rounded.
+The series engine is one flat tower.  An element of an L-level tower
+(level 0 is the first-integrated variable) is a box: its leaves in one
+Python list, row-major with level 0 slowest, and per level the box's
+lowest exponent `lo[j]` and the first unknown exponent `err[j]`
+(math.inf where the element is exact in that variable).  Exponents
+below err at every level are known; lo[j] bounds level j of every
+coefficient whose outer exponents are known, so a zero slice at the
+bottom of a level stays while a deeper level is inexact.  A product
+places one factor at each leaf of the other, with lo = lo_a + lo_b and
+err = min(err_a + lo_b, err_b + lo_a) per level; a sum takes the
+per-level minima.  The leaves of every residue integrand are Python
+ints: `residue_drive` substitutes z = center + D eps, D from
+`eps_scale` (the lcm of the denominators of the route's factor ratios,
+as the lattice sweep scales its weights), and hands the integrand
+`Scaled` elements, a rational scalar times a tower on int leaves; the
+Fractions of the weights, the centers and the constants that inverted
+factors pull out (each becomes its constant times 1 + an integer
+polynomial in the eps's, a unit) stay in the scalars.  A leaf is a
+Fraction only where a route inverts a factor with no such unit form.
 
-The nesting order also disambiguates iterated contours around
-variable-dependent poles: a factor 1/(w_l - w_j) expands in powers of
-w_j/w_l exactly when w_j sits above w_l in the tower, i.e. when the
-w_j contour is the smaller (inner) one.
+Division runs the power-series division recurrence (Knuth, TAOCP vol.
+2, sec. 4.7) over the box in lexicographic level order, outermost level
+first: q_e = (f_e - sum_h g_(v+h) q_(e-h)) / g_v, v the divisor's
+lex-leading exponent, one step per known divisor term, so the 2- to
+4-term factors the routes divide by cost size(f) * terms(g).  Where the
+divisor has terms past its leading one, or is inexact, the quotient
+knows min(window, prec) coefficients past the valuation, the window
+being the divisor's known span; an exact monomial only shifts the
+dividend, so 1/eps is exact.  A divisor such as 1 - w_j/w_l, whose
+leading term has exponents of mixed sign, makes the quotient reach
+lower in the inner variable with every outer step: its box extends
+downward there by the outer steps times that spread, read from the
+divisor's exponents.  Extraction past a window raises PrecisionLoss,
+so drivers retry with a wider tower.  Nothing is ever rounded.  The
+nesting order also disambiguates iterated contours around
+variable-dependent poles: 1/(w_l - w_j) expands in powers of w_j/w_l
+exactly when w_j sits above w_l in the tower.
 
-`residue_drive` is the one residue path: every integrand of the
-package, the trace's sum over the pole assignments of its flipped
-contours included, is a `build` function that returns a tower element
-or a pair (A, B) of elements whose product it is, and `residue_drive`
-extracts the iterated residue, widening the windows when they run
-out.  A route states one (center, order_bound) pair per variable, in
-integration order, and `build` gets the shifted variables as a list in
-that order, so an integrand names its variables by position only.
-The residue of A*B is taken by contraction, sum_i Res(A_i B_(-1-i))
-level by level, so the product tower is never formed; a single element
-is the pair (elem, 1).  The contraction raises exactly what the
-residue of the formed product would: PrecisionLoss when a needed
-pairing lies past either window (the err rule of Series.__mul__),
-OrderExceeded for a definitely nonzero coefficient below a level's
-pole-order bound.
+`residue_drive` is the one residue path: every integrand is a `build`
+function returning a tower element or a pair (A, B) whose product it
+is, over the shifted variables in integration order; it extracts the
+iterated residue, widening the windows when they run out.  The residue
+of A*B is one dot product of A's box against B's reversed box, so the
+product is never formed, and it raises what the residue of the formed
+product would: PrecisionLoss for a pairing past a window, OrderExceeded
+for a definitely nonzero coefficient below a level's pole-order bound.
 
 The determinants the integrands multiply in (h_{N,s} times a
-Vandermonde, the rows of P_s) are separable: each column depends on one
-point, and each point is a Laurent polynomial in one tower variable.
-`line_det` builds such a determinant without a tower product.
-`_tower_point` reads a point's polynomial, `_point_line` expands a
-column's entries in that variable by integer polynomial arithmetic
-(contents pulled out, a divisor other than a monomial inverted as an
-integer power series) and keeps the exponents of the level's window,
-prec past the column's valuation, marking with `err` what that cuts;
-`line_det` then assembles the determinant level by level, outermost
-column first, by Laplace expansion with minors memoized by their rows,
-using only integer times tower and tower plus tower.  A window too
-short for the residue raises PrecisionLoss like any other, so it shows
-as a retry of `residue_drive`, never as a wrong value.
+Vandermonde, the rows of P_s) are built on this tower by
+`dwbc.tower_det`, column by column; `poly_det` here is the cofactor
+determinant over any ring.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import add, and_, mul, not_
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
+from .rational import (ExactPoly, _horner, as_fraction,  # noqa: F401
+                       format_rational, parse_rational)
 
 INF = math.inf
 
@@ -94,84 +88,6 @@ def approx_eq(x, y, rtol=DEFAULT_RTOL):
 
 
 # ---------------------------------------------------------------------------
-# exact scalars
-# ---------------------------------------------------------------------------
-
-def as_fraction(v) -> Fraction:
-    """Coerce ints, strings like '3/7', and floats (dyadic, hence exact)."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return parse_rational(v)
-    return Fraction(v)
-
-
-def format_rational(q) -> str:
-    """Serialize lowest-terms rational as 'p/q', or 'p' when q = 1."""
-    q = as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over exact rationals
-# ---------------------------------------------------------------------------
-
-class ExactPoly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Coefficients are stored degree-ascending; the zero polynomial has an
-    empty coefficient list.  Evaluation accepts anything that supports
-    ring arithmetic with Fractions (Fractions, complex, Laurent tower
-    elements, multivariate polynomials), so the same h_N(z) object can
-    be evaluated at a number or substituted into a series.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    def __eq__(self, other):
-        if isinstance(other, ExactPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ExactPoly({[format_rational(c) for c in self.coeffs]})"
-
-    def derivative(self) -> "ExactPoly":
-        return ExactPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x):
-        """Horner evaluation; x may be any Fraction-compatible ring element."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        return _horner(self.coeffs, x)
-
-
-def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k for a nonempty ascending coefficient list; x
-    may be any ring element that accepts the coefficients."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # Laurent series towers
 # ---------------------------------------------------------------------------
 
@@ -182,8 +98,6 @@ class ScalarRing:
     `zero`, and the inverse of +-1), so a tower built from integers
     stays on ints and only a leaf it has to invert turns into a
     Fraction."""
-
-    is_series = False
 
     def __init__(self, exact, name):
         self.exact = exact
@@ -208,19 +122,6 @@ RATIONALS = ScalarRing(True, "Q")
 COMPLEXES = ScalarRing(False, "C")
 
 
-def _is_exact_zero(x) -> bool:
-    if isinstance(x, Series):
-        return not x.coeffs and x.err == INF
-    return x == 0
-
-
-def _definitely_nonzero(x) -> bool:
-    """True when x provably differs from zero (not just unknown)."""
-    if isinstance(x, Series):
-        return any(_definitely_nonzero(c) for c in x.coeffs)
-    return x != 0
-
-
 def _invert(x):
     """Inverse of a leaf, the one leaf inverse of every tower division:
     an int +-1 stays an int, any other int becomes an exact Fraction."""
@@ -231,85 +132,250 @@ def _invert(x):
     return 1 / x
 
 
-class SeriesRing:
-    """Univariate truncated Laurent ring over `coeff_ring`.
+class Tower:
+    """The ring of an L-level tower over the leaf ring `base`: level j
+    is the variable names[j], whose quotients keep precs[j] coefficients
+    past their valuation.  `inner` is the tower of levels 1.., where a
+    coefficient in the level-0 variable lives."""
 
-    `prec` is the relative window (number of tracked coefficients)
-    introduced whenever an element is divided by an exact one.
-    """
+    __slots__ = ("names", "precs", "base", "_inner")
 
-    is_series = True
-
-    def __init__(self, coeff_ring, var: str, prec: int):
-        if prec < 1:
+    def __init__(self, names, precs, base):
+        if min(precs) < 1:
             raise ValueError("prec must be >= 1")
-        self.coeff_ring = coeff_ring
-        self.var = var
-        self.prec = prec
+        self.names, self.precs, self.base = tuple(names), tuple(precs), base
+        self._inner = None
+
+    @property
+    def inner(self):
+        if self._inner is None:
+            self._inner = Tower(self.names[1:], self.precs[1:], self.base)
+        return self._inner
+
+    def laurent(self, level, lo, coeffs, err=INF):
+        """sum_m coeffs[m] x^(lo + m) + O(x^err) for x the variable of
+        `level`: a Laurent polynomial in one level, exact in the others
+        (and in its own when err is inf)."""
+        L = len(self.precs)
+        cs = [self.base.const(c) for c in coeffs]
+        if err != INF:
+            cs = cs[:max(0, err - lo)]
+        i, j = 0, len(cs)
+        while i < j and not cs[i]:
+            i += 1
+        while j > i and not cs[j - 1]:
+            j -= 1
+        errs = tuple(err if m == level else INF for m in range(L))
+        if i == j:
+            return _empty(self, (0,) * L, errs)
+        return Series(self,
+                      tuple(lo + i if m == level else 0 for m in range(L)),
+                      tuple(j - i if m == level else 1 for m in range(L)),
+                      cs[i:j], errs)
 
     def const(self, v):
         if isinstance(v, Series) and v.ring is self:
             return v
-        return Series(self, 0, [self.coeff_ring.const(v)], INF)
+        c, L = self.base.const(v), len(self.precs)
+        if not c:
+            return self.zero()
+        return Series(self, (0,) * L, (1,) * L, [c], (INF,) * L)
 
-    def lift(self, c):
-        """Embed a coefficient-ring element as the constant term."""
-        return Series(self, 0, [c], INF)
-
-    def gen(self):
-        one = self.coeff_ring.const(1)
-        return Series(self, 1, [one], INF)
+    def gen(self, level=0):
+        return self.laurent(level, 1, [1])
 
     def zero(self):
-        return Series(self, 0, [], INF)
+        L = len(self.precs)
+        return Series(self, (INF,) * L, (0,) * L, [], (INF,) * L)
 
     def __repr__(self):
-        return f"{self.coeff_ring!r}[[{self.var}]]/prec={self.prec}"
+        return f"{self.base!r}[[{', '.join(self.names)}]]/prec={self.precs}"
+
+
+@lru_cache(maxsize=1024)
+def _strides(shape):
+    out, st = [], 1
+    for n in reversed(shape):
+        out.append(st)
+        st *= n
+    return tuple(out[::-1])
+
+
+def _index(p, strides):
+    """The multi-index of flat position p."""
+    out = []
+    for st in strides:
+        q, p = divmod(p, st)
+        out.append(q)
+    return out
+
+
+# offset lists of small boxes, the plans every operation walks; bounded
+_PLANS = {}
+
+
+def _offsets(shape, strides, base=0):
+    """Flat offsets, at `strides`, of the leaves of a box of `shape`, in
+    row-major order, the first at `base`."""
+    offs = _PLANS.get((shape, strides))
+    if offs is None:
+        offs = [0]
+        for n, st in zip(shape, strides):
+            offs = [o + i * st for o in offs for i in range(n)]
+        if len(offs) <= 256:
+            if len(_PLANS) >= 1024:
+                _PLANS.clear()
+            _PLANS[shape, strides] = offs
+    return [o + base for o in offs] if base else offs
+
+
+def _indices(shape):
+    """The multi-indices of a small box, in row-major order."""
+    key = (shape, None)
+    out = _PLANS.get(key)
+    if out is None:
+        out = [()]
+        for n in shape:
+            out = [t + (i,) for t in out for i in range(n)]
+        if len(_PLANS) >= 1024:
+            _PLANS.clear()
+        _PLANS[key] = out
+    return out
+
+
+def _add_into(out, strides, base, x):
+    """Add the leaves of x into the box with `strides` of out, x's box
+    starting at offset `base`."""
+    n, c = x.shape[-1], x.coeffs
+    if n < 8:
+        for o, v in zip(_offsets(x.shape, strides, base), c):
+            if v:
+                out[o] += v
+        return
+    for o, i in zip(_offsets(x.shape[:-1], strides[:-1], base),
+                    range(0, len(c), n)):
+        out[o:o + n] = map(add, out[o:o + n], c[i:i + n])
+
+
+def _rowmap(dlo, dshape, slo, sshape):
+    """([(dst offset, src offset)], m): the innermost rows, m leaves
+    long, of the overlap of a source box (lows slo, shape sshape) with a
+    destination box, as flat offsets into each."""
+    last = len(dlo) - 1
+    lows = [max(a, b) for a, b in zip(dlo, slo)]
+    highs = [min(a + n, b + k) for a, n, b, k in zip(dlo, dshape, slo, sshape)]
+    if any(h <= l for l, h in zip(lows, highs)):
+        return [], 0
+    dst, src = [lows[last] - dlo[last]], [lows[last] - slo[last]]
+    for j, ds, ss in zip(range(last - 1, -1, -1),
+                         _strides(tuple(dshape))[-2::-1],
+                         _strides(tuple(sshape))[-2::-1]):
+        ks = range(lows[j] - dlo[j], highs[j] - dlo[j])
+        ls = range(lows[j] - slo[j], highs[j] - slo[j])
+        dst = [k * ds + o for k in ks for o in dst]
+        src = [k * ss + o for k in ls for o in src]
+    return list(zip(dst, src)), highs[last] - lows[last]
+
+
+def _crop(c, lo, shape, nlo, nshape):
+    """The leaves of box (nlo, nshape), taken from c on box (lo, shape)
+    and zero outside it."""
+    shape, nshape = tuple(shape), tuple(nshape)
+    if nshape[-1] < 8 and all(a <= b and b + m <= a + n for a, n, b, m
+                              in zip(lo, shape, nlo, nshape)):
+        st = _strides(shape)
+        return [c[p] for p in _offsets(
+            nshape, st, sum((b - a) * k for a, b, k in zip(lo, nlo, st)))]
+    rows, m = _rowmap(nlo, nshape, lo, shape)
+    size = math.prod(nshape)
+    if len(rows) * m == size:
+        out = []
+        for _, s in rows:
+            out += c[s:s + m]
+        return out
+    out = [0] * size
+    for d, s in rows:
+        out[d:d + m] = c[s:s + m]
+    return out
+
+
+def _deep_exact(err):
+    """Per level j, whether every level past j is exact."""
+    out, exact = [], True
+    for e in reversed(err):
+        out.append(exact)
+        exact = exact and e == INF
+    return out[::-1]
+
+
+def _empty(ring, lo, err):
+    """An element without known nonzero leaves.  Below the deepest
+    inexact level d its lows stay (the unknown coefficients of a deeper
+    level sit at them); at d the low is err, past d nothing is left."""
+    d = max((j for j, e in enumerate(err) if e != INF), default=-1)
+    lo = tuple(l if j < d else (e if j == d else INF)
+               for j, (l, e) in enumerate(zip(lo, err)))
+    return Series(ring, lo, (0,) * len(lo), [], tuple(err))
+
+
+def _trim(ring, lo, shape, c, err):
+    """The element on box (lo, shape): cut at err, its zero slices
+    stripped at the top of every level and at the bottom of the levels
+    past which every level is exact."""
+    if len(lo) == 1:
+        i, j = 0, min(shape[0], err[0] - lo[0])
+        while i < j and not c[i]:
+            i += 1
+        while j > i and not c[j - 1]:
+            j -= 1
+        if i == j:
+            return _empty(ring, lo, err)
+        return Series(ring, (lo[0] + i,), (j - i,), c[i:j], tuple(err))
+    cut = tuple(min(n, e - l) for n, l, e in zip(shape, lo, err))
+    if min(cut) <= 0:
+        return _empty(ring, lo, err)
+    if cut != shape:
+        c, shape = _crop(c, lo, shape, lo, cut), cut
+    if all(c):
+        return Series(ring, tuple(lo), shape, c, tuple(err))
+    if len(c) <= 64:
+        nz = [t for t, x in zip(_indices(shape), c) if x]
+        if not nz:
+            return _empty(ring, lo, err)
+        ext = [(a, b + 1)
+               for a, b in zip(map(min, zip(*nz)), map(max, zip(*nz)))]
+    else:
+        n = shape[-1]
+        ext = [None] * len(shape)
+        flags = [any(c[o:o + n]) for o in range(0, len(c), n)]
+        if not any(flags):
+            return _empty(ring, lo, err)
+        cols = [i for i in range(n) if any(c[i::n])]
+        ext[-1] = (cols[0], cols[-1] + 1)
+        for j in range(len(shape) - 2, -1, -1):
+            m = shape[j]
+            ks = [k for k in range(m) if any(flags[k::m])]
+            ext[j] = (ks[0], ks[-1] + 1)
+            flags = [any(flags[o:o + m]) for o in range(0, len(flags), m)]
+    deep = _deep_exact(err)
+    nlo = tuple(l + (a if ok else 0) for l, (a, _), ok in zip(lo, ext, deep))
+    nshape = tuple(l + b - m for l, (_, b), m in zip(lo, ext, nlo))
+    if nlo != lo or nshape != shape:
+        c = _crop(c, lo, shape, nlo, nshape)
+    return Series(ring, nlo, nshape, c, tuple(err))
 
 
 class Series:
-    """Element of a SeriesRing: sum_i coeffs[i] * x^(lo+i) + O(x^err).
+    """Element of a `Tower`: the leaves `coeffs` of the box with lowest
+    exponents `lo` and extents `shape`, row-major with level 0 slowest,
+    known below `err` at every level (see the module docstring).  An
+    element with no leaves has shape all 0."""
 
-    err == math.inf marks an exact (polynomial) element.  Coefficients
-    live in the ring's coefficient ring, which may itself be a
-    SeriesRing; the resulting tower implements multivariate Laurent
-    expansions with an explicit nesting (= contour ordering).
-    """
+    __slots__ = ("ring", "lo", "shape", "coeffs", "err")
 
-    __slots__ = ("ring", "lo", "coeffs", "err")
-
-    def __init__(self, ring, lo, coeffs, err):
-        # trim coefficients at or past the error horizon
-        if err != INF and lo + len(coeffs) > err:
-            coeffs = coeffs[: max(0, err - lo)]
-        # strip exactly-zero leading/trailing coefficients
-        i, j = 0, len(coeffs)
-        if ring.coeff_ring.is_series:
-            while i < j and not coeffs[i].coeffs and coeffs[i].err == INF:
-                i += 1
-            while j > i and not coeffs[j - 1].coeffs and coeffs[j - 1].err == INF:
-                j -= 1
-        else:
-            while i < j and not coeffs[i]:
-                i += 1
-            while j > i and not coeffs[j - 1]:
-                j -= 1
-        if i or j < len(coeffs):
-            coeffs = coeffs[i:j]
-            lo = lo + i
-        if not coeffs:
-            lo = 0 if err == INF else err
-        self.ring = ring
-        self.lo = lo
-        self.coeffs = coeffs
-        self.err = err
-
-    # -- helpers ---------------------------------------------------------
-
-    @property
-    def min_exp(self):
-        """Lowest exponent that could carry a nonzero coefficient."""
-        return self.lo if self.coeffs else self.err
+    def __init__(self, ring, lo, shape, coeffs, err):
+        self.ring, self.lo, self.shape = ring, lo, shape
+        self.coeffs, self.err = coeffs, err
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -321,60 +387,58 @@ class Series:
         return NotImplemented
 
     def __repr__(self):
-        err = "" if self.err == INF else f" + O({self.ring.var}^{self.err})"
-        terms = ", ".join(
-            f"{self.ring.var}^{self.lo + i}: {c!r}" for i, c in enumerate(self.coeffs)
-        )
-        return f"Series({terms or '0'}{err})"
+        return (f"Series(lo={self.lo}, shape={self.shape}, "
+                f"coeffs={self.coeffs!r}, err={self.err})")
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self - other
-        return not d.coeffs
+        return not (self - other).coeffs
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
-    #
-    # Each operation decides once, from the coefficient ring, whether its
-    # coefficients are leaves (zero is `not c`) or series (zero is the
-    # exact zero), instead of testing the type of every coefficient.
 
     def __add__(self, other):
         if other.__class__ is not Series or other.ring is not self.ring:
+            if other.__class__ is int and self.coeffs and not any(self.lo) \
+                    and other and self.ring.base.exact:
+                # a constant added at the box's first leaf
+                c = self.coeffs.copy()
+                c[0] += other
+                if c[0]:
+                    return Series(self.ring, self.lo, self.shape, c, self.err)
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        err = min(self.err, other.err)
-        if not other.coeffs:
-            return Series(self.ring, self.lo, self.coeffs, err)
-        if not self.coeffs:
-            return Series(self.ring, other.lo, other.coeffs, err)
-        a, b = (self, other) if self.lo <= other.lo else (other, self)
-        lo = a.lo
-        hi = max(a.lo + len(a.coeffs), b.lo + len(b.coeffs))
-        if hi > err:
-            hi = err
-        if hi <= lo:
-            return Series(self.ring, 0, [], err)
-        out = a.coeffs[: hi - lo]
-        bc = b.coeffs[: max(0, hi - b.lo)]
-        if bc:
-            off = b.lo - lo
-            if off > len(out):
-                out.extend([self.ring.coeff_ring.zero()] * (off - len(out)))
-            k = min(len(out) - off, len(bc))
-            if k > 0:
-                out[off:off + k] = [x + y for x, y in zip(out[off:off + k], bc)]
-            out.extend(bc[max(k, 0):])
-        return Series(self.ring, lo, out, err)
+        a, b, ring = self, other, self.ring
+        err = tuple(map(min, a.err, b.err))
+        lo = tuple(map(min, a.lo, b.lo))
+        if not b.coeffs:
+            a, b = b, a
+        if not b.coeffs:
+            return _empty(ring, lo, err)
+        if not a.coeffs:
+            if lo == b.lo:
+                return _trim(ring, lo, b.shape, b.coeffs, err)
+            a = b
+        if a.lo == b.lo and a.shape == b.shape and a is not b:
+            return _trim(ring, lo, a.shape,
+                         list(map(add, a.coeffs, b.coeffs)), err)
+        shape = tuple(max(x + n, y + m) - l for x, n, y, m, l
+                      in zip(a.lo, a.shape, b.lo, b.shape, lo))
+        out, st = [0] * math.prod(shape), _strides(shape)
+        for x in ((b,) if a is b else (a, b)):
+            base = sum((u - l) * k for u, l, k in zip(x.lo, lo, st))
+            _add_into(out, st, base, x)
+        return _trim(ring, lo, shape, out, err)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.ring, self.lo, [-c for c in self.coeffs], self.err)
+        return Series(self.ring, self.lo, self.shape,
+                      [-c for c in self.coeffs], self.err)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -387,119 +451,152 @@ class Series:
 
     def __mul__(self, other):
         if other.__class__ is not Series or other.ring is not self.ring:
+            if other.__class__ is int and other and self.ring.base.exact:
+                return Series(self.ring, self.lo, self.shape,
+                              [other * c for c in self.coeffs], self.err)
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        err = min(self.err + other.min_exp, other.err + self.min_exp)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Series(self.ring, 0, [], err)
-        lo = self.lo + other.lo
-        n = len(a) + len(b) - 1
-        if err != INF:
-            n = min(n, err - lo)
-        if n <= 0:
-            return Series(self.ring, 0, [], err)
-        # monomial fast paths avoid allocating zero rows
-        if len(a) == 1:
-            x = a[0]
-            return Series(self.ring, lo, [x * c for c in b[:n]], err)
-        if len(b) == 1:
-            y = b[0]
-            return Series(self.ring, lo, [c * y for c in a[:n]], err)
-        series = self.ring.coeff_ring.is_series
-        out = [None] * n
-        for i, x in enumerate(a):
-            if (not x.coeffs and x.err == INF) if series else not x:
-                continue
-            for j in range(min(len(b), n - i)):
-                prod = x * b[j]
-                out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-        zero = None
-        for i in range(n):
-            if out[i] is None:
-                if zero is None:
-                    zero = self.ring.coeff_ring.zero()
-                out[i] = zero
-        return Series(self.ring, lo, out, err)
+        a, b, ring = self, other, self.ring
+        if len(a.lo) == 1:
+            return _mul1(ring, a, b)
+        lo = tuple(map(add, a.lo, b.lo))
+        err = tuple(min(ea + lb, eb + la)
+                    for ea, la, eb, lb in zip(a.err, a.lo, b.err, b.lo))
+        if not a.coeffs or not b.coeffs:
+            return _empty(ring, lo, err)
+        shape = tuple(min(m + n - 1, e - l)
+                      for m, n, e, l in zip(a.shape, b.shape, err, lo))
+        if min(shape) <= 0:
+            return _empty(ring, lo, err)
+        if len(b.coeffs) > len(a.coeffs):
+            a, b = b, a
+        if len(b.coeffs) == 1 and shape == a.shape:
+            x = b.coeffs[0]
+            return Series(ring, lo, shape, [x * c for c in a.coeffs], err)
+        # b's entries, each times a placed at its offset: leaf by leaf
+        # for short rows, else row by row, in the untruncated box when
+        # the product is small or not cut
+        ac, bc, n = a.coeffs, b.coeffs, a.shape[-1]
+        full = tuple(m + k - 1 for m, k in zip(a.shape, b.shape))
+        if full == shape or len(ac) * len(bc) <= 1024:
+            sf = _strides(full)
+            out = [0] * math.prod(full)
+            offb = _offsets(b.shape, sf)
+            if n < 8:
+                offa = _offsets(a.shape, sf)
+                for x, ob in zip(bc, offb):
+                    if x:
+                        for y, oa in zip(ac, offa):
+                            out[oa + ob] += x * y
+            else:
+                rows = list(zip(_offsets(a.shape[:-1], sf[:-1]),
+                                range(0, len(ac), n)))
+                for x, ob in zip(bc, offb):
+                    if x:
+                        for o, i in rows:
+                            o += ob
+                            out[o:o + n] = map(add, out[o:o + n],
+                                               map(mul, ac[i:i + n], repeat(x)))
+            if full != shape:
+                out = [out[p] for p in _offsets(shape, sf)]
+            return Series(ring, lo, shape, out, err)
+        out = [0] * math.prod(shape)
+        zero, bst = (0,) * len(shape), _strides(b.shape)
+        for p, x in enumerate(bc):
+            if x:
+                rows, m = _rowmap(zero, shape, _index(p, bst), a.shape)
+                for d, i in rows:
+                    out[d:d + m] = map(add, out[d:d + m],
+                                       map(mul, ac[i:i + m], repeat(x)))
+        return Series(ring, lo, shape, out, err)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self / other by the power-series division recurrence
-        q_k = (f_k - sum_(m>=1) g_m q_(k-m)) / g_0, indices counted from
-        each valuation (Knuth, TAOCP vol. 2, sec. 4.7).  A leaf g_0 is
-        inverted once by `_invert`; a series g_0 divides each q_k at its
-        own level, so a sparse divisor costs size(f) * terms(g) however
-        deep the tower.
+        """self / other by the division recurrence over the box: the
+        lex-leading leaf g_v of other is inverted once by `_invert`, and
+        each further known term of other is one step of the recurrence.
 
-        The window is that of self times the inverse of other: other's
-        window w = min(other.err - other.lo, prec) bounds what is known
-        of 1/other, and the quotient knows its coefficients below
-        min(self.err - other.lo, self.min_exp - other.lo + w).
+        Per level j the quotient's box starts at lo_f - v_j + X_j, X_j <=
+        0 the spread: min(0, lo_g - v_j) per step of an outer level times
+        the steps the outer windows hold.  It knows err_f - v_j + X_j,
+        and where other is inexact lo_f + err_g - 2 v_j + X_j.  Where
+        other has terms past its leading one in level j, or is inexact
+        there, the quotient also stops prec_j past the valuation, as a
+        tower of nested series would row by row: past the highest
+        valuation of a slice of the outer levels, less j (the zeros a
+        Vandermonde of the outer variables leaves in the lowest slices
+        need no window of their own).  The valuation of other is certain
+        only where no zero slice with unknown deeper coefficients
+        precedes its leading leaf; otherwise this raises PrecisionLoss.
         """
         if other.__class__ is not Series or other.ring is not self.ring:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        g = other.coeffs
-        if not g:
-            if other.err == INF:
+        f, g, ring = self, other, self.ring
+        L = len(g.lo)
+        p0 = next((p for p, x in enumerate(g.coeffs) if x), None)
+        if p0 is None:
+            if all(e == INF for e in g.err):
                 raise ZeroDenominator("division by the zero series")
-            raise PrecisionLoss(
-                f"division by O({self.ring.var}^{other.err}) with no known terms"
-            )
-        g0 = g[0]
-        series = self.ring.coeff_ring.is_series
-        lead = g0
-        while lead.__class__ is Series:
-            # the valuation of other is certain only if g_0 is invertible
-            if not lead.coeffs:
+            raise PrecisionLoss(f"division by O({g.err}) with no known terms")
+        if L == 1:
+            return _div1(ring, f, g, p0)
+        gst = _strides(g.shape)
+        vrel = _index(p0, gst)
+        for j, ok in enumerate(_deep_exact(g.err)):
+            if vrel[j] and not ok:
                 raise PrecisionLoss(
-                    f"division by a leading coefficient O({lead.ring.var}^"
-                    f"{lead.err}) with no known terms")
-            lead = lead.coeffs[0]
-        if len(g) == 1 and other.err == INF:
-            # an exact monomial: each coefficient divides by g_0 alone, so
-            # the quotient is self shifted and knows what self knows
-            if series:
-                q = [c / g0 for c in self.coeffs]
-            else:
-                r = _invert(g0)
-                q = [c * r for c in self.coeffs]
-            return Series(self.ring, self.lo - other.lo, q, self.err - other.lo)
-        window = other.err - other.lo
-        w = self.ring.prec if window == INF else min(int(window), self.ring.prec)
-        err = min(self.err - other.lo, self.min_exp - other.lo + w)
-        f = self.coeffs
-        if not f:
-            return Series(self.ring, 0, [], err)
-        n = err - self.lo + other.lo  # at most w coefficients
-        # the divisor's known terms past g_0, negated
-        tail = [(m, -g[m]) for m in range(1, min(len(g), n))
-                if ((g[m].coeffs or g[m].err != INF) if series else g[m])]
-        if series:
-            zero = self.ring.coeff_ring.zero()
-            q = []
-            for k in range(n):
-                acc = f[k] if k < len(f) else None
-                for m, c in tail:
-                    if m > k:
-                        break
-                    term = c * q[k - m]
-                    acc = term if acc is None else acc + term
-                q.append(zero if acc is None else acc / g0)
-        else:
-            r = _invert(g0)
-            q = []
-            for k in range(n):
-                acc = f[k] if k < len(f) else 0
-                for m, c in tail:
-                    if m > k:
-                        break
-                    acc += c * q[k - m]
-                q.append(acc * r)
-        return Series(self.ring, self.lo - other.lo, q, err)
+                    "division by a leading coefficient not known to be nonzero")
+        v = [l + i for l, i in zip(g.lo, vrel)]
+        r = _invert(g.coeffs[p0])
+        steps = [([i - u for i, u in zip(_index(p, gst), vrel)], -x)
+                 for p, x in enumerate(g.coeffs[p0 + 1:], p0 + 1) if x]
+        lo_f = [l - u for l, u in zip(f.lo, v)]
+        err_f = [e - u for e, u in zip(f.err, v)]
+        if not steps and all(e == INF for e in g.err):
+            # an exact monomial: the quotient is f shifted, window and all
+            if not f.coeffs:
+                return _empty(ring, lo_f, err_f)
+            return Series(ring, tuple(lo_f), f.shape,
+                          [c * r for c in f.coeffs], tuple(err_f))
+        levels = [next(j for j, x in enumerate(h) if x) for h, _ in steps]
+        deep = _deep_exact(f.err)
+        tops = (_tops(f.shape, f.coeffs, {j for j in range(L) if deep[j] and (
+            j in levels or g.err[j] != INF)}) if f.coeffs else [0] * L)
+        lo, hi, err, top, held = [], [], [], [], 0
+        for j in range(L):
+            stepped = j in levels
+            low = min(0, g.lo[j] - v[j]) * held
+            known = err_f[j] + low
+            if g.err[j] != INF:
+                known = min(known, lo_f[j] + g.err[j] - v[j] + low)
+            if stepped or g.err[j] != INF:
+                known = min(known, lo_f[j] + ring.precs[j]
+                            + (max(0, tops[j] - j) if deep[j] else 0))
+            t = known - low
+            if not stepped:
+                t = min(t, lo_f[j] + f.shape[j]
+                        + max(0, g.lo[j] + g.shape[j] - 1 - v[j]) * held)
+            lo.append(lo_f[j] + low)
+            err.append(known)
+            top.append(t)
+            hi.append(min(known, t))
+            if stepped and lo[j] != INF:
+                held += known - 1 - lo[j]
+        if not f.coeffs or any(h <= l for l, h in zip(lo, hi)):
+            return _empty(ring, lo, err)
+        lo, err = tuple(lo), tuple(err)
+        work = tuple(t - l for t, l in zip(top, lo))
+        q = _divide_box(f, lo_f, lo, work, steps, r)
+        if held and min(g.lo[j] - v[j] for j in range(L)) < 0:
+            return _trim(ring, lo, work, q, err)
+        shape = tuple(h - l for h, l in zip(hi, lo))
+        if work != shape:
+            q = _crop(q, lo, work, lo, shape)
+        return Series(ring, lo, shape, q, err)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -521,45 +618,174 @@ class Series:
 
     def inverse(self) -> "Series":
         """Multiplicative inverse, 1 / self by the division recurrence;
-        exists iff the first tracked coefficient is invertible (nonzero
-        leading Laurent coefficient).  Its window is prec coefficients
-        past its valuation, or fewer when self knows fewer."""
+        exists iff the lex-leading coefficient is known to be nonzero.
+        Its window is prec coefficients past its valuation, or fewer
+        when self knows fewer."""
         return self.ring.const(1) / self
 
     # -- extraction ---------------------------------------------------------
 
     def coefficient(self, k: int):
-        """Coefficient of x^k, raising PrecisionLoss past the window."""
-        if k >= self.err:
+        """Coefficient of x^k, x the level-0 variable: a leaf on a
+        one-level tower, else an element of the tower of the inner
+        levels.  Raises PrecisionLoss past the window."""
+        if k >= self.err[0]:
             raise PrecisionLoss(
-                f"coefficient {self.ring.var}^{k} beyond window O(^{self.err})"
-            )
-        if self.coeffs and self.lo <= k < self.lo + len(self.coeffs):
-            return self.coeffs[k - self.lo]
-        return self.ring.coeff_ring.zero()
+                f"coefficient {self.ring.names[0]}^{k} beyond window "
+                f"O(^{self.err[0]})")
+        lo, n = self.lo[0], self.shape[0]
+        if len(self.lo) == 1:
+            if self.coeffs and lo <= k < lo + n:
+                return self.coeffs[k - lo]
+            return self.ring.base.zero()
+        inner = self.ring.inner
+        if k < lo:
+            return inner.zero()
+        if not self.coeffs or k >= lo + n:
+            return _empty(inner, self.lo[1:], self.err[1:])
+        st = len(self.coeffs) // n
+        i = (k - lo) * st
+        return _trim(inner, self.lo[1:], self.shape[1:],
+                     self.coeffs[i:i + st], self.err[1:])
 
     def residue(self, order_bound=None):
-        """Coefficient of x^(-1).
+        """Coefficient of x^(-1), x the level-0 variable.
 
         If `order_bound` is given, a nonzero coefficient below
         x^(-order_bound) raises OrderExceeded (the stated pole order was
         wrong, which in this package means an implementation bug).  A
-        below-bound coefficient that is merely *unknown* to be zero
-        (an exhausted window after deep cancellations) raises
-        PrecisionLoss instead, so drivers retry with a wider tower.
+        below-bound slice that is merely *unknown* to be zero (zero
+        leaves, but inexact deeper levels) raises PrecisionLoss instead,
+        so drivers retry with a wider tower.
         """
-        if order_bound is not None and self.coeffs and self.lo < -order_bound:
-            definite = any(_definitely_nonzero(self.coeffs[i])
-                           for i in range(min(len(self.coeffs),
-                                              -order_bound - self.lo)))
-            if not definite:
-                raise PrecisionLoss(
-                    f"cannot certify pole order bound {order_bound} in "
-                    f"{self.ring.var} (window exhausted)")
-            raise OrderExceeded(
-                f"pole order {-self.lo} in {self.ring.var} exceeds bound {order_bound}"
-            )
+        lo, var = self.lo[0], self.ring.names[0]
+        if order_bound is not None and self.coeffs and lo < -order_bound:
+            st = len(self.coeffs) // self.shape[0]
+            low = self.coeffs[:min(self.shape[0], -order_bound - lo) * st]
+            if any(low):
+                first = lo + next(i for i, x in enumerate(low) if x) // st
+                raise OrderExceeded(
+                    f"pole order {-first} in {var} exceeds bound {order_bound}")
+            if any(e != INF for e in self.err[1:]):
+                raise PrecisionLoss(f"cannot certify pole order bound "
+                                    f"{order_bound} in {var} (window exhausted)")
         return self.coefficient(-1)
+
+
+def _mul1(ring, a, b):
+    """a * b on a one-level tower."""
+    (la,), (lb,), (ea,), (eb,) = a.lo, b.lo, a.err, b.err
+    lo, err = la + lb, min(ea + lb, eb + la)
+    ac, bc = a.coeffs, b.coeffs
+    n = len(ac) + len(bc) - 1 if ac and bc else 0
+    if err != INF:
+        n = min(n, err - lo)
+    if n <= 0:
+        return _empty(ring, (lo,), (err,))
+    if len(ac) < len(bc):
+        ac, bc = bc, ac
+    out = [0] * n
+    for i, x in enumerate(bc[:n]):
+        if x:
+            for j, y in enumerate(ac[:n - i], i):
+                out[j] += x * y
+    return Series(ring, (lo,), (n,), out, (err,))
+
+
+def _tops(shape, c, need):
+    """Per level j in `need`, the largest valuation in level j, from the
+    box's low, of a slice of the levels below j with a nonzero leaf."""
+    tops, flags = [0] * len(shape), c
+    for j in range(len(shape) - 1, min(need, default=0) - 1, -1):
+        n = shape[j]
+        if j in need:
+            alive = [True] * (len(flags) // n)
+            for i in range(n):
+                col = flags[i::n]
+                if any(compress(col, alive)):
+                    tops[j] = i
+                    alive = list(map(and_, alive, map(not_, col)))
+                    if not any(alive):
+                        break
+        flags = [any(flags[o:o + n]) for o in range(0, len(flags), n)]
+    return tops
+
+
+def _div1(ring, f, g, p0):
+    """f / g on a one-level tower, g's leading leaf at p0: the rules of
+    Series.__truediv__ in one variable."""
+    gc = g.coeffs
+    v, r = g.lo[0] + p0, _invert(gc[p0])
+    tail = [(m, -x) for m, x in enumerate(gc[p0 + 1:], 1) if x]
+    (lo,), (ef,), (eg,), fc = f.lo, f.err, g.err, f.coeffs
+    lo -= v
+    if not tail and eg == INF:
+        if not fc:
+            return _empty(ring, (lo,), (ef - v,))
+        return Series(ring, (lo,), f.shape, [c * r for c in fc], (ef - v,))
+    err = ef - v
+    if eg != INF:
+        err = min(err, lo + eg - v)
+    if not fc:
+        return _empty(ring, (lo,), (err,))
+    first = next((i for i, x in enumerate(fc) if x), 0)
+    err = min(err, lo + ring.precs[0] + first)
+    n = err - lo if tail else min(err - lo, len(fc))
+    if n <= 0:
+        return _empty(ring, (lo,), (err,))
+    q = fc[:n] + [0] * (n - len(fc))
+    for k in range(n):
+        acc = q[k]
+        for m, c in tail:
+            if m > k:
+                break
+            acc += c * q[k - m]
+        q[k] = acc if r == 1 else acc * r
+    return Series(ring, (lo,), (n,), q, (err,))
+
+
+def _divide_box(f, lo_f, lo, shape, steps, r):
+    """The leaves of the quotient on the box (lo, shape) by the
+    recurrence, leaf by leaf in lex order: f placed in the box, padded
+    at every level by the steps' reach so that a step that reaches
+    below the box reads a zero, then each leaf adds c times the leaf
+    each step reaches back to and is scaled by r."""
+    L, n = len(shape), shape[-1]
+    below = [max([h[j] for h, _ in steps] + [0]) for j in range(L)]
+    above = [max([-h[j] for h, _ in steps] + [0]) for j in range(L)]
+    pshape = tuple(k + x + y for k, x, y in zip(shape, below, above))
+    ps = _strides(pshape)
+    start = sum(x * st for x, st in zip(below, ps))
+    rows = _offsets(shape[:-1], ps[:-1], start)
+    buf = [0] * math.prod(pshape)
+    fc = (f.coeffs if f.shape == shape and tuple(lo_f) == lo
+          else _crop(f.coeffs, lo_f, f.shape, lo, shape))
+    for i, o in enumerate(rows):
+        buf[o:o + n] = fc[i * n:i * n + n]
+    reach = [(sum(x * st for x, st in zip(h, ps)), c) for h, c in steps]
+    pos = chain.from_iterable(range(o, o + n) for o in rows)
+    if r == 1 and len(reach) == 1:
+        (d, c), = reach
+        for p in pos:
+            buf[p] += c * buf[p - d]
+    elif r == 1 and len(reach) == 2:
+        (d, c), (e, k) = reach
+        for p in pos:
+            buf[p] += c * buf[p - d] + k * buf[p - e]
+    elif r == 1 and len(reach) == 3:
+        (d, c), (e, k), (g, m) = reach
+        for p in pos:
+            buf[p] += c * buf[p - d] + k * buf[p - e] + m * buf[p - g]
+    else:
+        for p in pos:
+            acc = buf[p]
+            for d, c in reach:
+                acc += c * buf[p - d]
+            buf[p] = acc if r == 1 else acc * r
+    out = []
+    for o in rows:
+        out += buf[o:o + n]
+    return out
 
 
 class Scaled:
@@ -571,8 +797,8 @@ class Scaled:
     scalars.  A product multiplies the scalars.  A sum brings its terms
     to the largest rational dividing both scalars, which leaves them
     integer multipliers (fraction-free, in the manner of Bareiss).  A
-    quotient or an inverse pulls the leading leaf of the divisor's e,
-    the one leaf the division recurrence inverts, into the scalar, so
+    quotient or an inverse pulls the lex-leading leaf of the divisor's
+    e, the one leaf the division recurrence inverts, into the scalar, so
     the towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
     integer p_m when the variables are scaled as `eps_scale` chooses.
     Where the leading leaf does not divide e, e is divided by as it is
@@ -584,10 +810,6 @@ class Scaled:
     def __init__(self, k, e):
         self.k = k
         self.e = e
-
-    @property
-    def min_exp(self):
-        return self.e.min_exp
 
     @staticmethod
     def _coerce(v):
@@ -667,13 +889,12 @@ class Scaled:
 
     def _unit(self):
         """(c, u) with self = c * u for a tower u: u is e with its
-        leading leaf pulled into c when that leaf divides every leaf of
-        e (then u's leading leaf is 1), else e itself."""
+        lex-leading leaf pulled into c when that leaf divides every leaf
+        of e (then u's leading leaf is 1), else e itself."""
         if not self.k:
             raise ZeroDenominator("inverse of the zero series")
-        e = lead = self.e
-        while isinstance(lead, Series) and lead.coeffs:
-            lead = lead.coeffs[0]
+        e = self.e
+        lead = next((x for x in e.coeffs if x), None)
         unit = _divide_leaves(e, lead) if isinstance(lead, int) else None
         if unit is None:
             return self.k, e
@@ -705,17 +926,12 @@ def _divide_leaves(x, d):
     not an integer multiple of d."""
     if d == 1:
         return x
-    if isinstance(x, Series):
-        out = []
-        for c in x.coeffs:
-            c = _divide_leaves(c, d)
-            if c is None:
-                return None
-            out.append(c)
-        return Series(x.ring, x.lo, out, x.err)
-    if isinstance(x, int) and x % d == 0:
-        return x // d
-    return None
+    out = []
+    for c in x.coeffs:
+        if c.__class__ is not int or c % d:
+            return None
+        out.append(c // d)
+    return Series(x.ring, x.lo, x.shape, out, x.err)
 
 
 def eps_scale(*ratios) -> int:
@@ -735,106 +951,31 @@ def build_tower(varspecs, base=RATIONALS):
     """Build a Laurent tower and its variable atoms.
 
     varspecs: list of (name, prec) pairs, *first entry = first-integrated
-    variable* (outermost data level, innermost/smallest contour).
-    Returns (ring, atoms) where atoms[name] is the generator of its
-    level lifted into the full tower.
+    variable* (level 0, the innermost/smallest contour).  Returns
+    (ring, atoms) where atoms[name] is the generator of its level; with
+    no variables the ring is `base` itself.
     """
-    ring = base
-    for name, prec in reversed(varspecs):
-        ring = SeriesRing(ring, name, prec)
-    atoms = {}
-    level = ring
-    lifts = []
-    for name, _ in varspecs:
-        atom = level.gen()
-        for outer in reversed(lifts):
-            atom = outer.lift(atom)
-        atoms[name] = atom
-        lifts.append(level)
-        level = level.coeff_ring
-    return ring, atoms
-
-
-def _leaf_zero(ring):
-    while ring.is_series:
-        ring = ring.coeff_ring
-    return ring.zero()
-
-
-def _product_coefficient(pairs, k):
-    """Coefficient of x^k in sum a*b over the pairs."""
-    acc = pairs[0][0].ring.coeff_ring.zero()
-    for a, b in pairs:
-        for i, ca in enumerate(a.coeffs):
-            j = k - a.lo - i - b.lo
-            if 0 <= j < len(b.coeffs):
-                acc = acc + ca * b.coeffs[j]
-    return acc
-
-
-def _contract_level(pairs, bound):
-    """One level of the contraction.
-
-    `pairs` holds series (a, b) of one ring whose products sum to an
-    element X.  Raises what X.residue(bound) would raise, then returns
-    the pairs of coefficients whose products sum to X's x^(-1)
-    coefficient, without forming X.
-    """
-    var = pairs[0][0].ring.var
-    err = INF
-    lo = INF
-    for a, b in pairs:
-        err = min(err, a.err + b.min_exp, b.err + a.min_exp)
-        if a.coeffs and b.coeffs:
-            lo = min(lo, a.lo + b.lo)
-    if bound is not None and lo < -bound:
-        # the valuations cannot certify the pole order: form the
-        # coefficients below the bound and check them as Series.residue
-        low = [_product_coefficient(pairs, k)
-               for k in range(lo, min(-bound, err))]
-        known = [k for k, c in zip(range(lo, -bound), low)
-                 if not _is_exact_zero(c)]
-        if any(_definitely_nonzero(c) for c in low):
-            raise OrderExceeded(
-                f"pole order {-known[0]} in {var} exceeds bound {bound}")
-        if known:
-            raise PrecisionLoss(
-                f"cannot certify pole order bound {bound} in {var} "
-                f"(window exhausted)")
-    if -1 >= err:
-        raise PrecisionLoss(f"coefficient {var}^-1 beyond window O(^{err})")
-    out = []
-    for a, b in pairs:
-        aco, bco = a.coeffs, b.coeffs
-        j0 = -1 - a.lo - b.lo  # a.coeffs[i] pairs with b.coeffs[j0 - i]
-        for i in range(max(0, j0 - len(bco) + 1), min(len(aco), j0 + 1)):
-            ca, cb = aco[i], bco[j0 - i]
-            if not (_is_exact_zero(ca) or _is_exact_zero(cb)):
-                out.append((ca, cb))
-    return out
+    if not varspecs:
+        return base, {}
+    ring = Tower([name for name, _ in varspecs],
+                 [prec for _, prec in varspecs], base)
+    return ring, {name: ring.gen(j) for j, (name, _) in enumerate(varspecs)}
 
 
 def iterated_residue(integrand, order_bounds=None):
     """Iterated residue of a tower element, or of the product of a pair
-    (A, B) of elements of one tower, taken by contraction.  Either may
-    be `Scaled`: the contraction runs on the towers and the scalars
-    multiply the result.  An int result is returned as a Fraction.
+    (A, B) of elements of one tower, by contraction: the coefficient of
+    eps^(-1, .., -1) in A*B is sum_e A_e B_(-1-e), one dot product of
+    A's box against B's reversed (reversing the flat list reverses every
+    level), and the product is never built.  Either may be `Scaled`; the
+    scalars multiply the result, an int result is returned as a
+    Fraction, and a single element is the pair (elem, 1).
 
-    The x^(-1) coefficient of A*B is sum_i A_i B_(-1-i), and the residue
-    is linear, so each level turns the pairs whose products sum to the
-    current coefficient into the pairs of their coefficients; the leaf
-    products are summed at the end and the product tower is never built.
-    A single element is the pair (elem, 1).
-
-    `order_bounds` optionally gives the pole-order bound per level,
-    aligned with the tower from the outside in.  Each level raises
-    exactly what residue(bound) on the formed product would:
-    PrecisionLoss when x^(-1) lies past the product's window (the err
-    rule of Series.__mul__ and __add__), OrderExceeded for a definitely
-    nonzero coefficient below the bound, PrecisionLoss for one that is
-    only not known to vanish.  Where the valuations of the pairs certify
-    the bound, no coefficient is formed for the check; otherwise the
-    coefficients below it are formed and checked.
+    `order_bounds` optionally gives the pole-order bound per level.
+    Each level raises what `Series.residue(bound)` on the formed product
+    would: OrderExceeded for a definitely nonzero coefficient below the
+    bound, PrecisionLoss for one only not known to vanish or when
+    x^(-1) lies past the product's window.
     """
     a, b = integrand if isinstance(integrand, tuple) else (integrand, 1)
     k = 1
@@ -848,18 +989,54 @@ def iterated_residue(integrand, order_bounds=None):
         a = b.ring.const(a)
     elif not isinstance(b, Series):
         b = a.ring.const(b)
-    pairs = [(a, b)]
+    return _exact(k * _contract(a, b, list(order_bounds or ())))
+
+
+def _walk(x, bounds):
+    """Series.residue level by level, the product path."""
     level = 0
-    while pairs and isinstance(pairs[0][0], Series):
-        bound = None
-        if order_bounds is not None and level < len(order_bounds):
-            bound = order_bounds[level]
-        pairs = _contract_level(pairs, bound)
+    while isinstance(x, Series):
+        x = x.residue(bounds[level] if level < len(bounds) else None)
         level += 1
-    acc = _leaf_zero(a.ring)
-    for ca, cb in pairs:
-        acc = acc + ca * cb
-    return _exact(k * acc)
+    return x
+
+
+def _contract(a, b, bounds):
+    """The residue of a * b, level by level as `_walk` on the formed
+    product would take it, by one dot product.  A level whose bound the
+    lows of the pair do not certify is left to `_walk` on the product,
+    which forms the slices below the bound and checks them."""
+    ring, L = a.ring, len(a.lo)
+    bounds = bounds + [None] * (L - len(bounds))
+    lo = tuple(map(add, a.lo, b.lo))
+    err = tuple(min(ea + lb, eb + la)
+                for ea, la, eb, lb in zip(a.err, a.lo, b.err, b.lo))
+    shape = (tuple(min(m + n - 1, e - l)
+                   for m, n, e, l in zip(a.shape, b.shape, err, lo))
+             if a.coeffs and b.coeffs else (0,))
+    if min(shape) <= 0:
+        return _walk(_empty(ring, lo, err), bounds)
+    sub = ring
+    for j in range(L):
+        if bounds[j] is not None and lo[j] < -bounds[j]:
+            return _walk(a * b, bounds)
+        if -1 >= err[j]:
+            raise PrecisionLoss(
+                f"coefficient {ring.names[j]}^-1 beyond window O(^{err[j]})")
+        if -1 < lo[j] or (-1 >= lo[j] + shape[j] and j == L - 1):
+            return ring.base.zero()
+        if -1 >= lo[j] + shape[j]:
+            return _walk(_empty(sub.inner, lo[j + 1:], err[j + 1:]),
+                         bounds[j + 1:])
+        if j < L - 1:
+            sub = sub.inner
+    # the overlap of A's box with the reflection of B's, per level
+    alo = [max(la, -lb - n) for la, lb, n in zip(a.lo, b.lo, b.shape)]
+    ahi = [min(la + m, -lb) for la, m, lb in zip(a.lo, a.shape, b.lo)]
+    ashape = [h - l for l, h in zip(alo, ahi)]
+    ax = _crop(a.coeffs, a.lo, a.shape, alo, ashape)
+    bx = _crop(b.coeffs, b.lo, b.shape, [-h for h in ahi], ashape)
+    return sum(map(mul, ax, reversed(bx)))
 
 
 def _exact(v):
@@ -870,31 +1047,21 @@ def _exact(v):
 def residue_drive(specs, build, scale=1):
     """Adaptive iterated-residue evaluation.
 
-    specs: list of (center, order_bound) pairs, one per variable, first
-    entry integrated first (innermost contour).  `build(vars, ring)`
-    receives the shifted variables as a list in spec order, the j-th
-    center_j + scale * eps_j, each a `Scaled` element over the atom of
-    tower level j, and returns the integrand either as an element or
-    as a pair (A, B) of elements whose product it is; the pair is
-    contracted by `iterated_residue` without forming A*B, so a builder
-    keeps its factors in two small halves (say, one per set of
-    variables) instead of one dense product.  The residue in z is
-    `scale` times the residue in eps, once per variable.
+    specs: one (center, order_bound) pair per variable, first entry
+    integrated first (innermost contour).  `build(vars, ring)` gets the
+    shifted variables in spec order, the j-th center_j + scale * eps_j
+    as a `Scaled` element over the atom of level j, and returns the
+    integrand as an element or as a pair (A, B) whose product it is,
+    contracted by `iterated_residue` without forming A*B; the residue in
+    z is `scale` times that in eps, once per variable.  A route picks
+    `scale` with `eps_scale` so that every factor it inverts is a unit
+    on the integer-leaf tower.
 
-    The towers run on integer leaves; the Fractions of the integrand
-    (its weights, the centers and the scalars its inverted factors pull
-    out) collect in the Scaled scalars.  A route picks `scale` with
-    `eps_scale` so that every factor it inverts is a unit on the tower.
-
-    The first tower opens each level's window at its order bound b
-    (at least 2): a level whose pole order is at most b needs b
-    coefficients past the valuation of what it divides.  Errors are
-    those of the residue of the formed product.  A pairing past either
-    window, or a below-bound coefficient not known to vanish, raises
-    PrecisionLoss inside a try, and the driver doubles every window and
-    rebuilds, up to RESIDUE_TRIES towers.  A definitely nonzero
-    coefficient below a level's order_bound raises OrderExceeded at
-    once (the stated pole order was wrong).
+    The first tower opens each level's window at its order bound b (at
+    least 2).  A pairing past a window, or a below-bound coefficient not
+    known to vanish, raises PrecisionLoss, and the driver doubles every
+    window and rebuilds, up to RESIDUE_TRIES towers; a definitely nonzero
+    coefficient below a bound raises OrderExceeded at once.
     """
     bounds = [b for _, b in specs]
     precs = [max(2, b) for b in bounds]
@@ -912,449 +1079,13 @@ def residue_drive(specs, build, scale=1):
 
 
 # ---------------------------------------------------------------------------
-# determinants whose lines each live on one tower level
+# small determinants
 # ---------------------------------------------------------------------------
-#
-# A univariate Laurent polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m).
-
-def _pmul(a, b, hi=INF):
-    """Product of two univariate Laurent polynomials, exponents below hi."""
-    (la, ca), (lb, cb) = a, b
-    lo = la + lb
-    n = len(ca) + len(cb) - 1
-    if hi != INF:
-        n = min(n, hi - lo)
-    if n <= 0:
-        return (lo, [])
-    out = [0] * n
-    for i, x in enumerate(ca[:n]):
-        if x:
-            for j, y in enumerate(cb[:n - i]):
-                out[i + j] += x * y
-    return (lo, out)
-
-
-def _padd(a, b):
-    lo = min(a[0], b[0])
-    out = [0] * (max(a[0] + len(a[1]), b[0] + len(b[1])) - lo)
-    for l, cs in (a, b):
-        for m, c in enumerate(cs):
-            out[l - lo + m] += c
-    return (lo, out)
-
-
-def _plin(k, c, p):
-    """k * p + c for numbers k, c and a univariate Laurent polynomial p."""
-    return _padd((p[0], [k * x for x in p[1]]), (0, [c]))
-
-
-def _trimmed(cs):
-    """cs without its trailing zeros."""
-    j = len(cs)
-    while j and not cs[j - 1]:
-        j -= 1
-    return cs[:j]
-
-
-def _ppowers(p, n):
-    """[p^0, .., p^n] of a univariate Laurent polynomial p."""
-    out = [(0, [1])]
-    for _ in range(n):
-        out.append(_pmul(out[-1], p))
-    return out
-
-
-def _leaf_value(c):
-    """The leaf of an exact constant tower element; TypeError otherwise."""
-    while c.__class__ is Series:
-        if not c.coeffs and c.err == INF:
-            return 0
-        if c.lo or len(c.coeffs) != 1 or c.err != INF:
-            raise TypeError("not an exact polynomial in one tower variable")
-        c = c.coeffs[0]
-    return c
-
-
-def _tower_point(p):
-    """Read a point of a separable determinant: (top, level, poly) with
-    p = poly(eps) for eps the variable of tower level `level` under the
-    outermost ring `top`, poly an exact univariate Laurent polynomial
-    with rational coefficients; (None, None, (0, [p])) for a number.
-    Takes numbers, Series and `Scaled` elements; raises TypeError for a
-    tower element that is not an exact polynomial in one variable."""
-    k, e = (p.k, p.e) if isinstance(p, Scaled) else (1, p)
-    if not isinstance(e, Series):
-        return None, None, (0, [k * e])
-    top, level = e.ring, 0
-    while (e.ring.coeff_ring.is_series and len(e.coeffs) == 1 and not e.lo
-           and e.err == INF):
-        e = e.coeffs[0]
-        level += 1
-    if e.err != INF:
-        raise TypeError("not an exact polynomial in one tower variable")
-    cs = [k * _leaf_value(c) for c in e.coeffs]
-    if not cs or (not e.lo and len(cs) == 1):
-        return None, None, (0, [cs[0] if cs else 0])
-    return top, level, (e.lo, cs)
-
-
-def _content(values):
-    """(k, ints) with values = k * ints, the ints coprime integers; k = 1
-    when every value is 0."""
-    g, q = 0, 1
-    for v in values:
-        if v:
-            g = math.gcd(g, v.numerator)
-            q = math.lcm(q, v.denominator)
-    if not g:
-        return 1, [0] * len(values)
-    return (Fraction(g, q) if q != 1 else g,
-            [v.numerator * (q // v.denominator) // g for v in values])
-
-
-class Line:
-    """One column of a separable determinant: entry i is
-    k * sum_m rows[i][m] eps^(lo + m) + O(eps^err), eps the variable of
-    level `level` of the tower whose outermost ring is `top`; the rows
-    are integer lists of one length."""
-
-    __slots__ = ("k", "top", "level", "lo", "rows", "err")
-
-    def __init__(self, k, top, level, lo, rows, err):
-        self.k, self.top, self.level = k, top, level
-        self.lo, self.rows, self.err = lo, rows, err
-
-
-def _point_line(point, polys, k=1, div=None):
-    """The line of entries k * polys[i] / div[0]^div[1] at a point read
-    by `_tower_point`: a `Line` cut to its level's window, or at a
-    number point the numbers k * polys[i], constant polynomials there.
-
-    polys are exact univariate Laurent polynomials in the point's eps,
-    div an optional (integer polynomial, power) pair, taken at tower
-    points only.  Kept are the exponents below v + prec, v the line's
-    valuation and prec the window of its tower level; the line is
-    exact (err = inf) when that cuts nothing and no divisor leaves a
-    series.  A divisor with one term is a shift; any other is inverted
-    as a power series in integer arithmetic (q_j scaled by u_0^(j+1)),
-    so the window is always finite there.  The rational content goes
-    into the line's k.
-    """
-    top, level, _ = point
-    if top is None:
-        return [k * (p[1][0] if p[1] else 0) for p in polys]
-    ring = top
-    for _ in range(level):
-        ring = ring.coeff_ring
-    d = None
-    if div is not None and div[1]:
-        (dlo, d), power = div
-        j = next(i for i, c in enumerate(d) if c)
-        dlo, d = dlo + j, d[j:]
-        polys = [(lo - dlo * power, cs) for lo, cs in polys]
-        if len(d) == 1:
-            k = k / Fraction(d[0]) ** power
-            d = None
-    lows = [lo + next(i for i, c in enumerate(cs) if c)
-            for lo, cs in polys if any(cs)]
-    if not lows:
-        return Line(1, top, level, 0, [[] for _ in polys], INF)
-    lo = min(lows)
-    w = ring.prec
-    cut = lo + w
-    if d is None:
-        err = INF if all(l + len(cs) <= cut or not any(cs[cut - l:])
-                         for l, cs in polys) else cut
-    else:
-        # 1/u for u = d^power, u_0 != 0, by the division recurrence on
-        # q_m u_0^(m+1), which stays integral; w terms are u_0^-w inv
-        u = (0, [1])
-        for _ in range(power):
-            u = _pmul(u, (0, d), w)
-        u = u[1]
-        inv = [1]
-        for m in range(1, w):
-            inv.append(-sum(u[i] * u[0] ** (i - 1) * inv[m - i]
-                            for i in range(1, min(m + 1, len(u)))))
-        inv = [c * u[0] ** (w - 1 - m) for m, c in enumerate(inv)]
-        k = k / Fraction(u[0]) ** w
-        polys = [_pmul(p, (0, inv), cut) for p in polys]
-        err = cut
-    width = min(cut, max(l + len(cs) for l, cs in polys)) - lo
-    rows = []
-    for l, cs in polys:
-        row = [0] * width
-        for m, c in enumerate(cs):
-            if c and lo <= l + m < cut:
-                row[l + m - lo] = c
-        rows.append(row)
-    kr, flat = _content([c for row in rows for c in row])
-    rows = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
-    return Line(k * kr, top, level, lo, rows, err)
-
-
-def _lincomb(terms):
-    """sum c x over pairs (int c, x) of elements of one ring, leaves or
-    Series, scaled and added coefficient by coefficient: no tower
-    product is formed."""
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    x0 = terms[0][1]
-    if x0.__class__ is not Series:
-        acc = 0
-        for c, x in terms:
-            acc += c * x
-        return acc
-    ring = x0.ring
-    err, lo, hi = INF, INF, -INF
-    for _, x in terms:
-        if x.err < err:
-            err = x.err
-        if x.coeffs:
-            lo = min(lo, x.lo)
-            hi = max(hi, x.lo + len(x.coeffs))
-    hi = min(hi, err)
-    if lo >= hi:
-        return Series(ring, 0, [], err)
-    out = []
-    if ring.coeff_ring.is_series:
-        zero = ring.coeff_ring.zero()
-        for e in range(lo, hi):
-            sub = [(c, x.coeffs[e - x.lo]) for c, x in terms
-                   if x.lo <= e < x.lo + len(x.coeffs)]
-            sub = [(c, y) for c, y in sub if y.coeffs or y.err != INF]
-            out.append(_lincomb(sub) if sub else zero)
-    else:
-        for e in range(lo, hi):
-            acc = 0
-            for c, x in terms:
-                if x.lo <= e < x.lo + len(x.coeffs):
-                    acc += c * x.coeffs[e - x.lo]
-            out.append(acc)
-    return Series(ring, lo, out, err)
-
-
-def line_det(lines):
-    """det M for the square matrix whose j-th column is lines[j]: a list
-    of numbers, or a `Line` on one tower level, no two on one level.
-
-    The determinant is assembled level by level, outermost line first,
-    by Laplace expansion along the lines with the minors memoized by
-    their set of rows: the coefficient of eps^e in the minor on rows R
-    of the lines from j on is sum_(i in R) +- c_(i,e) times the minor
-    on R - {i} of the lines after j, lifted to the next level.  So the
-    only tower operations are integer times tower and tower plus tower;
-    the lines' contents go into the `Scaled` scalar, and number lines,
-    expanded last, give number minors, brought to integers by their
-    common denominator.  Returns a `Scaled` element, or a number when
-    every line is numbers.
-    """
-    s = len(lines)
-    tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
-                   key=lambda j: lines[j].level)
-    order = tower + [j for j in range(s) if not isinstance(lines[j], Line)]
-    cols = [lines[j] for j in order]
-    m = len(tower)
-    memo = {}
-
-    def number_minor(j, mask):
-        if j == s:
-            return 1
-        key = (j, mask)
-        if key not in memo:
-            acc, odd = 0, False
-            for i in range(s):
-                if mask >> i & 1:
-                    x = cols[j][i]
-                    if x:
-                        term = x * number_minor(j + 1, mask ^ (1 << i))
-                        acc = acc - term if odd else acc + term
-                    odd = not odd
-            memo[key] = acc
-        return memo[key]
-
-    full = (1 << s) - 1
-    if not m:
-        return _exact(_perm_sign(order) * number_minor(0, full))
-    top = cols[0].top
-    chain = []
-    ring = top
-    while ring.is_series:
-        chain.append(ring)
-        ring = ring.coeff_ring
-    levels = [c.level for c in cols[:m]]
-    if any(c.top is not top for c in cols[:m]) or len(set(levels)) < m:
-        raise ValueError("lines must lie on distinct levels of one tower")
-    k = _perm_sign(order)
-    for c in cols[:m]:
-        k = k * c.k
-    rests = {mask: number_minor(m, mask) for mask in range(full + 1)
-             if bin(mask).count("1") == s - m}
-    if m < s and all(isinstance(v, (int, Fraction)) for v in rests.values()):
-        q = math.lcm(*(Fraction(v).denominator for v in rests.values()))
-        k = Fraction(k, q)
-        rests = {mask: int(v * q) for mask, v in rests.items()}
-
-    def lift(x, frm, to):
-        for lev in range(frm - 1, to - 1, -1):
-            x = Series(chain[lev], 0, [x], INF)
-        return x
-
-    minors = {}
-
-    def minor(j, mask):
-        # the minor of the lines from j on, on the rows in mask: a number
-        # past the last tower line, else an element of the ring just
-        # inside line j - 1's level
-        if j == m:
-            return rests[mask]
-        key = (j, mask)
-        if key not in minors:
-            col, level = cols[j], levels[j]
-            inner, odd = [], False
-            for i in range(s):
-                if mask >> i & 1:
-                    inner.append((col.rows[i], odd, minor(j + 1, mask ^ (1 << i))))
-                    odd = not odd
-            coeffs = []
-            if j == m - 1:
-                # number minors: sum them, then lift each coefficient
-                for e in range(len(col.rows[0])):
-                    acc = 0
-                    for row, odd, x in inner:
-                        if row[e]:
-                            acc = acc - row[e] * x if odd else acc + row[e] * x
-                    coeffs.append(lift(acc, len(chain), level + 1))
-            else:
-                zero = chain[level].coeff_ring.zero()
-                for e in range(len(col.rows[0])):
-                    terms = [(-row[e] if odd else row[e], x)
-                             for row, odd, x in inner if row[e]]
-                    coeffs.append(_lincomb(terms) if terms else zero)
-            minors[key] = lift(Series(chain[level], col.lo, coeffs, col.err),
-                               level, levels[j - 1] + 1 if j else 0)
-        return minors[key]
-
-    return Scaled(k, minor(0, full))
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials
-# ---------------------------------------------------------------------------
-
-class MultiPoly:
-    """Multivariate polynomial as {exponent tuple: coefficient}.
-
-    Coefficients are Fractions (or complex in numeric mode).  Holds only
-    h_{N,s} (`BoundaryGenFamily.hns_poly`), the Vandermonde-divided
-    determinant polynomial, evaluated at numbers where points coincide;
-    no residue integrand and no identity check evaluates one.  Terms,
-    not the representation, carry the cost.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c != 0:
-                    self.terms[tuple(e)] = c
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c2 = out.get(e, 0) + c
-            if c2 == 0:
-                out.pop(e, None)
-            else:
-                out[e] = c2
-        return MultiPoly(self.nvars, out)
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
-            if other == 0:
-                return MultiPoly(self.nvars)
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def degree(self, i: int) -> int:
-        """Degree in variable i (zero polynomial gives -1)."""
-        return max((e[i] for e in self.terms), default=-1)
-
-    def eval(self, args):
-        """Evaluate at numbers (Fractions or complex)."""
-        if len(args) != self.nvars:
-            raise ValueError("argument count mismatch")
-        maxdeg = [self.degree(i) for i in range(self.nvars)]
-        powers = []
-        for x, d in zip(args, maxdeg):
-            tab = [1]
-            for _ in range(max(d, 0)):
-                tab.append(tab[-1] * x)
-            powers.append(tab)
-        acc = None
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0)
-        return acc
-
-
-def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
-    """Complete homogeneous symmetric polynomial h_k(x_1..x_{upto_var}).
-
-    Embedded in `nvars` variables; h_0 = 1, h_{k<0} = 0.
-    """
-    if k < 0:
-        return MultiPoly(nvars)
-    if k == 0 or upto_var == 0:
-        if upto_var == 0 and k > 0:
-            return MultiPoly(nvars)
-        return MultiPoly.constant(nvars, Fraction(1))
-    # h_k(x_1..x_m) = sum_i x_m^i h_{k-i}(x_1..x_{m-1})
-    xm = MultiPoly.variable(nvars, upto_var - 1)
-    out = MultiPoly(nvars)
-    xpow = MultiPoly.constant(nvars, Fraction(1))
-    for i in range(k + 1):
-        out = out + xpow * complete_homogeneous(nvars, upto_var - 1, k - i)
-        if i < k:
-            xpow = xpow * xm
-    return out
-
 
 def poly_det(matrix):
     """Determinant of a small square matrix over a commutative ring
-    (MultiPoly / Series / Fraction entries), by cofactor expansion."""
+    (multivariate polynomials, tower elements, numbers), by cofactor
+    expansion."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)

@@ -45,8 +45,8 @@ import math
 
 from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
-from .exact_core import (COMPLEXES, INF, Series, _horner, build_tower,
-                         iterated_residue, poly_det)
+from .exact_core import (COMPLEXES, _horner, build_tower, iterated_residue,
+                         poly_det)
 from .ik_engine import (
     DEGENERACY_TOL,
     NumericTriple,
@@ -170,16 +170,8 @@ def _k_kernel(ring, j, kappa):
     for the coefficients kappa of K_n: the residue in eps_j of f k_n is
     sum_m kappa_m m! [eps_j^m] f = K_n(d_eps_j) f at eps_j = 0.  Built
     exact: a power of 1/eps_j from the tower would carry a window."""
-    levels = [ring]
-    for _ in range(j):
-        levels.append(levels[-1].coeff_ring)
-    level = levels[-1]
-    e = Series(level, -len(kappa),
-               [level.coeff_ring.const(kappa[m] * math.factorial(m))
-                for m in reversed(range(len(kappa)))], INF)
-    for outer in reversed(levels[:-1]):
-        e = outer.lift(e)
-    return e
+    return ring.laurent(j, -len(kappa), [kappa[m] * math.factorial(m)
+                                         for m in reversed(range(len(kappa)))])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ polynomial in cot(l-eta) and cot(l+eta)), because finite differences
 lose every digit well before the 2N-2 orders the formula needs.
 
 The same module owns the generating-polynomial family h_M(z) of the
-one-point boundary correlation and its multivariate extension
+one-point boundary correlation (with Z_M, which the routes' prefactors
+take from the same per-weight cache) and its multivariate extension
 h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
 defined by a Vandermonde-divided determinant.  Three forms are
 provided.  The determinant form `hns_vand` returns h_{N,s}(M(z)) times
@@ -21,7 +22,7 @@ the Vandermonde of the z's, for a Moebius map M of the arguments: the
 Vandermonde cancels, so it needs no division, takes coincident points
 and Laurent-tower elements, and is what every residue integrand (which
 carries that Vandermonde itself) multiplies in.  Each column of its
-determinant depends on one point, so `exact_core.line_det` builds it
+determinant depends on one point, so `tower_det.line_det` builds it
 one column at a time: at a tower point, a Laurent polynomial in one
 tower variable eps, the column's entries are expanded in that eps by
 integer polynomial arithmetic (the rows' rational contents are cached
@@ -29,8 +30,9 @@ per (N, s), and the map's numerator and denominator are brought to
 integer content), cut to the level's window, and the determinant is
 assembled level by level without a tower product.  `hns_value` divides
 it by the Vandermonde at pairwise distinct points.  `hns_poly` divides
-the Vandermonde out symbolically by divided differences; no residue
-integrand and no identity check uses it.  It serves only the
+the Vandermonde out symbolically by divided differences into a sparse
+`MultiPoly`; no residue integrand and no identity check uses it.  It
+serves only the
 coincident-point fallback of `partially_inhomogeneous_Z`, the tests as
 a reference, and the benchmark tracer, which binds it by name.
 
@@ -64,10 +66,11 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
-from .exact_core import (MultiPoly, _content, _horner, _padd, _plin, _pmul,
-                         _point_line, _ppowers, _tower_point, _trimmed,
-                         complete_homogeneous, line_det, poly_det)
-from .lattice_oracle import WeightMatrix, WeightTriple, boundary_generating_poly
+from .exact_core import _horner, poly_det
+from .tower_det import (_content, _padd, _plin, _pmul, _point_line, _ppowers,
+                        _tower_point, _trimmed, line_det)
+from .lattice_oracle import (WeightMatrix, WeightTriple,
+                             boundary_generating_poly, enumerate_Z)
 
 DEGENERACY_TOL = 1e-8
 
@@ -257,11 +260,125 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# sparse multivariate polynomials
+# ---------------------------------------------------------------------------
+
+class MultiPoly:
+    """Multivariate polynomial as {exponent tuple: coefficient}.
+
+    Coefficients are Fractions (or complex in numeric mode).  Holds only
+    h_{N,s} (`BoundaryGenFamily.hns_poly`), the Vandermonde-divided
+    determinant polynomial, evaluated at numbers where points coincide;
+    no residue integrand and no identity check evaluates one.  Terms,
+    not the representation, carry the cost.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        if terms:
+            for e, c in terms.items():
+                if c != 0:
+                    self.terms[tuple(e)] = c
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, nvars, i):
+        e = [0] * nvars
+        e[i] = 1
+        return cls(nvars, {tuple(e): Fraction(1)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            c2 = out.get(e, 0) + c
+            if c2 == 0:
+                out.pop(e, None)
+            else:
+                out[e] = c2
+        return MultiPoly(self.nvars, out)
+
+    def __neg__(self):
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, float, complex)):
+            if other == 0:
+                return MultiPoly(self.nvars)
+            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                c = out.get(e, 0) + c1 * c2
+                if c == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = c
+        return MultiPoly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def degree(self, i: int) -> int:
+        """Degree in variable i (zero polynomial gives -1)."""
+        return max((e[i] for e in self.terms), default=-1)
+
+    def eval(self, args):
+        """Evaluate at numbers (Fractions or complex)."""
+        if len(args) != self.nvars:
+            raise ValueError("argument count mismatch")
+        maxdeg = [self.degree(i) for i in range(self.nvars)]
+        powers = []
+        for x, d in zip(args, maxdeg):
+            tab = [1]
+            for _ in range(max(d, 0)):
+                tab.append(tab[-1] * x)
+            powers.append(tab)
+        acc = None
+        for e, c in self.terms.items():
+            term = c
+            for i, k in enumerate(e):
+                if k:
+                    term = term * powers[i][k]
+            acc = term if acc is None else acc + term
+        if acc is None:
+            return Fraction(0)
+        return acc
+
+
+def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
+    """Complete homogeneous symmetric polynomial h_k(x_1..x_{upto_var}).
+
+    Embedded in `nvars` variables; h_0 = 1, h_{k<0} = 0.
+    """
+    if k < 0:
+        return MultiPoly(nvars)
+    if k == 0 or upto_var == 0:
+        if upto_var == 0 and k > 0:
+            return MultiPoly(nvars)
+        return MultiPoly.constant(nvars, Fraction(1))
+    # h_k(x_1..x_m) = sum_i x_m^i h_{k-i}(x_1..x_{m-1})
+    xm = MultiPoly.variable(nvars, upto_var - 1)
+    out = MultiPoly(nvars)
+    xpow = MultiPoly.constant(nvars, Fraction(1))
+    for i in range(k + 1):
+        out = out + xpow * complete_homogeneous(nvars, upto_var - 1, k - i)
+        if i < k:
+            xpow = xpow * xm
+    return out
+
+
+# ---------------------------------------------------------------------------
 # boundary generating polynomials h_M and their multivariate extension
 # ---------------------------------------------------------------------------
 
 class BoundaryGenFamily:
-    """Cache of h_M(z) for M = 1..N at fixed homogeneous weights.
+    """Cache of h_M(z) and Z_M for M = 1..N at fixed homogeneous weights.
 
     Exact (ExactPoly) for a WeightTriple, complex coefficient lists for
     NumericTriple; h_M(1) = 1 holds in both regimes.
@@ -271,6 +388,7 @@ class BoundaryGenFamily:
         self.w = w
         self.exact = isinstance(w, WeightTriple)
         self._h = {}
+        self._z = {}
         self._hns_cache = {}
         self._rows = {}
 
@@ -279,6 +397,13 @@ class BoundaryGenFamily:
             hm = boundary_generating_poly(M, self.w)
             self._h[M] = hm if self.exact else list(hm)
         return self._h[M]
+
+    def z(self, M: int):
+        """Z_M, cached like h(M): the routes' prefactors take it here, so
+        a session at one weight sweeps each lattice size for it once."""
+        if M not in self._z:
+            self._z[M] = enumerate_Z(M, self.w)
+        return self._z[M]
 
     def h_coeffs(self, M: int):
         hm = self.h(M)
@@ -304,13 +429,13 @@ class BoundaryGenFamily:
         The points may be numbers or tower elements, each an exact
         Laurent polynomial in the variable of one tower level: the
         c + D eps of `residue_drive`, or 1/(D eps).  There column j is
-        built by `exact_core._point_line`: with the g_i over their
+        built by `tower_det._point_line`: with the g_i over their
         rational contents (integers cached per (N, s)) and the map's
         numerator and denominator at z_j brought to integer content,
         G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
         de)^-(N-1) a monomial or an integer power series, and the column
         keeps the exponents of its level's window, marked by err where
-        that cuts anything.  `exact_core.line_det` assembles the
+        that cuts anything.  `tower_det.line_det` assembles the
         determinant level by level with integer times tower and tower
         plus tower only, and the contents form its `Scaled` scalar.  A
         window too short for the residue shows up as a PrecisionLoss,
@@ -405,7 +530,7 @@ class BoundaryGenFamily:
 
 def _hns_line(N, s, rows, point, mobius):
     """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
-    `exact_core._tower_point`, for the rows g_i over their contents."""
+    `tower_det._tower_point`, for the rows g_i over their contents."""
     al, be, ga, de = mobius
     top, _, poly = point
     if top is None:
@@ -516,7 +641,7 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
     Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
     det[x_j^m]_{m in S} (x only) times det[c_{k,m}(y)]_{m in S} (y
     only).  Row j of an x-minor depends on x_j alone, so each x-minor
-    is built by `exact_core.line_det` from the integer powers of the
+    is built by `tower_det.line_det` from the integer powers of the
     x_j in their tower variables; the y-minors, whose columns each
     depend on s - 1 of the y's, are cofactor expansions.  On a tower
     this multiplies small one-sided factors instead of expanding
@@ -558,7 +683,7 @@ def cantini_P_confluent(xs, c, delta):
     and letting every y_k -> c takes the m-th y-Taylor coefficient of
     1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  Row j
     depends on x_j alone: at tower points it is expanded in x_j's tower
-    variable and the determinant built by `exact_core.line_det`, a
+    variable and the determinant built by `tower_det.line_det`, a
     `Scaled` element on integer leaves.
     """
     s = len(xs)

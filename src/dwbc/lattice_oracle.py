@@ -35,7 +35,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InvalidRegion, SizeLimit
-from .exact_core import ExactPoly, as_fraction
+from .rational import ExactPoly, as_fraction
 
 ENUM_MAX_N = 6
 TRANSFER_MAX_N = 14

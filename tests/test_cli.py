@@ -387,3 +387,39 @@ class TestNumpyFree:
         record = json.loads(proc.stderr)
         assert record["error"] == "ImportError"
         assert "numpy" in record["message"]
+
+
+_ORACLE_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from dwbc import cli
+    codes = []
+    for args in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(args))
+    print(json.dumps({"exact_core": "dwbc.exact_core" in sys.modules,
+                      "codes": codes}))
+""")
+
+_ORACLE_INVOCATIONS = [
+    ["zn", "--size", "6", "--method", "transfer"] + _W,
+    ["hrow", "--size", "5", "--positions", "1,3"] + _W,
+    ["boundary", "--size", "5"] + _W,
+    ["psi", "--size", "5", "--which", "top", "--positions", "2,4",
+     "--method", "oracle"] + _W,
+    ["efp", "--size", "5", "--r", "3", "--s", "2", "--method", "enum"] + _W,
+]
+
+
+class TestOracleStartup:
+    def test_oracle_subcommands_never_compile_exact_core(self):
+        # the lattice-oracle subcommands take their rationals from
+        # dwbc.rational: the exact engine is never imported
+        env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dwbc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORACLE_CHILD,
+             json.dumps(_ORACLE_INVOCATIONS)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "exact_core": False, "codes": [0] * len(_ORACLE_INVOCATIONS)}

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 from dwbc import exact_core
 from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
-    RATIONALS,
     ExactPoly,
     Scaled,
     Series,
-    SeriesRing,
     build_tower,
-    complete_homogeneous,
     format_rational,
     iterated_residue,
-    line_det,
     parse_rational,
     poly_det,
     residue_drive,
 )
-from dwbc.exact_core import _point_line
+from dwbc.ik_engine import complete_homogeneous
+from dwbc.tower_det import _point_line, line_det
 
 
 class TestScalars:
@@ -51,7 +48,7 @@ class TestSeriesExpand:
     def test_simple_pole(self):
         ring, atoms = build_tower([("z", 2)])
         s = 1 / atoms["z"]
-        assert s.lo == -1 and s.coeffs == [1]
+        assert s.lo == (-1,) and s.coeffs == [1]
         assert s.coefficient(0) == 0
 
     def test_shifted_pole_leading_coefficient(self):
@@ -60,13 +57,13 @@ class TestSeriesExpand:
         z = atoms["z"] + 1
         t, d = Fraction(1), Fraction(0)
         f = (t**2 * z - 2 * d * t + 1) / (t**2 * (z - 1))
-        assert f.lo == -1 and f.coefficient(-1) == 2
+        assert f.lo == (-1,) and f.coefficient(-1) == 2
 
     def test_out_of_range(self):
         # a coefficient past the tracked window is unknown, not zero
         ring, atoms = build_tower([("z", 3)])
         s = 1 / (1 - atoms["z"])
-        assert s.err == 3
+        assert s.err == (3,)
         with pytest.raises(PrecisionLoss):
             s.coefficient(5)
         assert (atoms["z"] ** 2).coefficient(1) == 0
@@ -288,7 +285,7 @@ class TestContraction:
         x, y = atoms["x"], atoms["y"]
         unknown = 1 / (1 - y) - 1 / (1 - y)
         c0 = unknown.coefficient(0)
-        assert not c0.coeffs and c0.err == 3
+        assert not c0.coeffs and c0.err == (3,)
         a, b = x ** -3 * unknown + x ** -1, 1 + x
         for fn in (lambda: iterated_residue((a, b), [2, 1]),
                    lambda: _product_residue(a * b, [2, 1])):
@@ -340,34 +337,34 @@ class TestExactLaurentArithmetic:
     """Series with explicit windows: x^lo .. x^(err-1) known."""
 
     def test_mul_add_track_window(self):
-        ring = SeriesRing(RATIONALS, "x", 4)
+        ring, _ = build_tower([("x", 4)])
         one, two = Fraction(1), Fraction(2)
-        a = Series(ring, -1, [one, 0 * one, two], 2)  # 1/x + 2x, known to x^1
-        b = Series(ring, 0, [one, one, one], 3)       # 1 + x + x^2, to x^2
+        a = ring.laurent(0, -1, [one, 0 * one, two], 2)  # 1/x + 2x, to x^1
+        b = ring.laurent(0, 0, [one, one, one], 3)       # 1 + x + x^2, to x^2
         for c in (a * b, a + b):
-            assert c.lo == -1 and c.err == 2 and c.coeffs == [1, 1, 3]
+            assert c.lo == (-1,) and c.err == (2,) and c.coeffs == [1, 1, 3]
 
     def test_inverse_shifts_lo(self):
-        ring = SeriesRing(RATIONALS, "x", 4)
-        a = Series(ring, -1, [Fraction(1), Fraction(0), Fraction(2)], 2)
+        ring, _ = build_tower([("x", 4)])
+        a = ring.laurent(0, -1, [Fraction(1), Fraction(0), Fraction(2)], 2)
         inv = a.inverse()
-        assert inv.lo == 1 and inv.coeffs == [1, 0, -2] and inv.err == 4
+        assert inv.lo == (1,) and inv.coeffs == [1, 0, -2] and inv.err == (4,)
 
     def test_inverse_on_int_leaves_stays_exact(self):
         # an int leaf +-1 inverts to an int, any other int to an exact
         # Fraction, never to a float
-        ring = SeriesRing(RATIONALS, "x", 4)
-        inv = Series(ring, 0, [2, 1], math.inf).inverse()
+        ring, _ = build_tower([("x", 4)])
+        inv = ring.laurent(0, 0, [2, 1]).inverse()
         assert inv.coeffs == [Fraction(1, 2), Fraction(-1, 4),
                               Fraction(1, 8), Fraction(-1, 16)]
         assert all(type(c) is Fraction for c in inv.coeffs)
-        inv = Series(ring, 0, [1, 3], math.inf).inverse()
+        inv = ring.laurent(0, 0, [1, 3]).inverse()
         assert inv.coeffs == [1, -3, 9, -27]
         assert all(type(c) is int for c in inv.coeffs)
         assert type(ring.const(Fraction(6, 3)).coeffs[0]) is int
 
     def test_scaled_inverse_pulls_out_the_leading_leaf(self):
-        ring = SeriesRing(RATIONALS, "x", 4)
+        ring, _ = build_tower([("x", 4)])
         x = ring.gen()
         # (1/3)(6 + 12x) = 2 (1 + 2x): the unit 1 + 2x is inverted on ints
         inv = Scaled(Fraction(1, 3), 6 + 12 * x).inverse()
@@ -380,36 +377,62 @@ class TestExactLaurentArithmetic:
         assert inv.e.coeffs[0] == Fraction(1, 2)
 
     def test_inverse_requires_nonzero_leading(self):
-        ring = SeriesRing(RATIONALS, "x", 4)
+        ring, _ = build_tower([("x", 4)])
         with pytest.raises(ZeroDenominator):
             ring.zero().inverse()
         with pytest.raises(PrecisionLoss):
-            Series(ring, 0, [], 2).inverse()
+            ring.laurent(0, 0, [], 2).inverse()
+
+
+def _stack(ring, lo, rows, err):
+    """sum_k rows[k] x^(lo + k) + O(x^err) for x the level-0 variable of
+    `ring`, from leaves or elements of the tower of its inner levels:
+    the box spans the rows' boxes and knows what every row knows."""
+    if len(ring.precs) == 1:
+        return exact_core._trim(ring, (lo,), (len(rows),), list(rows), (err,))
+    depth = len(ring.precs) - 1
+    ilo = tuple(min(r.lo[j] for r in rows) for j in range(depth))
+    ierr = tuple(min(r.err[j] for r in rows) for j in range(depth))
+    full = [r for r in rows if r.coeffs]
+    if not full:
+        return exact_core._empty(ring, (lo,) + ilo, (err,) + ierr)
+    ishape = tuple(max(r.lo[j] + r.shape[j] for r in full) - ilo[j]
+                   for j in range(depth))
+    leaves = []
+    for r in rows:
+        leaves += (exact_core._crop(r.coeffs, r.lo, r.shape, ilo, ishape)
+                   if r.coeffs else [0] * math.prod(ishape))
+    return exact_core._trim(ring, (lo,) + ilo, (len(rows),) + ishape, leaves,
+                            (err,) + ierr)
 
 
 def _reference_inverse(x):
     """The dense inverse loop that `Series.__truediv__` replaced, kept
-    as the reference: 1/x as a window-sized series, each coefficient
-    minus c0^-1 times the convolution of x's tail with the ones before
-    it; f / g was f * _reference_inverse(g)."""
+    as the reference: 1/x as a window-sized series in the level-0
+    variable, each coefficient (an element of the inner levels) minus
+    c0^-1 times the convolution of x's tail with the ones before it;
+    f / g was f * _reference_inverse(g)."""
     if not x.coeffs:
-        if x.err == math.inf:
+        if all(e == math.inf for e in x.err):
             raise ZeroDenominator("inverse of the zero series")
         raise PrecisionLoss("inverse of a series with no known terms")
-    window = x.err - x.lo
-    w = x.ring.prec if window == math.inf else min(int(window), x.ring.prec)
-    c0 = x.coeffs[0]
+    lo, err = x.lo[0], x.err[0]
+    rows = [x.coefficient(lo + i) for i in range(x.shape[0])]
+    window = err - lo
+    prec = x.ring.precs[0]
+    w = prec if window == math.inf else min(int(window), prec)
+    c0 = rows[0]
     c0inv = (_reference_inverse(c0) if isinstance(c0, Series)
              else exact_core._invert(c0))
     inv = [c0inv]
     for k in range(1, w):
         acc = None
-        for i in range(1, min(k, len(x.coeffs) - 1) + 1):
-            term = x.coeffs[i] * inv[k - i]
+        for i in range(1, min(k, len(rows) - 1) + 1):
+            term = rows[i] * inv[k - i]
             acc = term if acc is None else acc + term
         inv.append(-(c0inv * acc) if acc is not None
-                   else x.ring.coeff_ring.zero())
-    return Series(x.ring, -x.lo, inv, -x.lo + w)
+                   else (x.ring.inner.zero() if isinstance(c0, Series) else 0))
+    return _stack(x.ring, -lo, inv, -lo + w)
 
 
 def _agree(a, b):
@@ -417,9 +440,9 @@ def _agree(a, b):
     every level."""
     if not isinstance(a, Series):
         return a == b
-    top = min(a.err, b.err)
-    exps = ({a.lo + i for i in range(len(a.coeffs))}
-            | {b.lo + i for i in range(len(b.coeffs))})
+    top = min(a.err[0], b.err[0])
+    exps = ({a.lo[0] + i for i in range(a.shape[0])}
+            | {b.lo[0] + i for i in range(b.shape[0])})
     return all(_agree(a.coefficient(k), b.coefficient(k))
                for k in exps if k < top)
 
@@ -433,16 +456,15 @@ def _division_outcome(fn):
 
 @st.composite
 def _tower_element(draw, ring, leaf):
-    """Up to four coefficients from a random valuation, known to the
-    last one or a little past it, or exact."""
-    lo = draw(st.integers(-2, 2))
-    n = draw(st.integers(0, 4))
-    if ring.coeff_ring.is_series:
-        coeffs = [draw(_tower_element(ring.coeff_ring, leaf)) for _ in range(n)]
-    else:
-        coeffs = [draw(leaf) for _ in range(n)]
-    err = math.inf if draw(st.booleans()) else lo + n + draw(st.integers(0, 2))
-    return Series(ring, lo, coeffs, err)
+    """Up to four coefficients per level from random lows, known to the
+    last one or a little past it, or exact, per level."""
+    depth = len(ring.precs)
+    lo = tuple(draw(st.integers(-2, 2)) for _ in range(depth))
+    shape = tuple(draw(st.integers(0, 4)) for _ in range(depth))
+    err = tuple(math.inf if draw(st.booleans())
+                else l + n + draw(st.integers(0, 2)) for l, n in zip(lo, shape))
+    coeffs = [draw(leaf) for _ in range(math.prod(shape))]
+    return exact_core._trim(ring, lo, shape, coeffs, err)
 
 
 @st.composite
@@ -467,7 +489,7 @@ class TestDivision:
         # except that an exact monomial divisor only shifts f, window
         # and all
         f, g = case
-        monomial = len(g.coeffs) == 1 and g.err == math.inf
+        monomial = g.shape[0] == 1 and g.err[0] == math.inf
         for num, got, want in (
                 (f, lambda: f / g, lambda: f * _reference_inverse(g)),
                 (g.ring.const(1), g.inverse, lambda: _reference_inverse(g))):
@@ -475,7 +497,8 @@ class TestDivision:
             if isinstance(got, type) or isinstance(want, type):
                 assert got == want
                 continue
-            assert got.err == (num.err - g.lo if monomial else want.err)
+            assert got.err[0] == (num.err[0] - g.lo[0] if monomial
+                                  else want.err[0])
             assert _agree(got, want)
 
     def test_monomial_divisor_is_exact(self):
@@ -484,21 +507,22 @@ class TestDivision:
         for name in ("x", "y"):
             inv = 1 / atoms[name]
             assert inv * atoms[name] == 1
-            assert inv.err == math.inf
+            assert all(e == math.inf for e in inv.err)
         inv = 1 / atoms["y"]
-        assert inv.coeffs[0].lo == -1 and inv.coeffs[0].err == math.inf
+        assert inv.lo == (0, -1) and inv.err == (math.inf, math.inf)
         # 1/(3 x^2) too, with the leaf inverted once
         q = 1 / (3 * atoms["x"] ** 2)
-        assert (q.lo, q.coeffs, q.err) == (-2, [Fraction(1, 3)], math.inf)
+        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [Fraction(1, 3)],
+                                           (math.inf, math.inf))
 
     def test_monomial_divisor_keeps_the_window(self):
         # a windowed f over a monomial is f shifted, window included
         ring, atoms = build_tower([("x", 4)])
         x = atoms["x"]
         f = 1 / (1 - x)
-        assert f.err == 4
+        assert f.err == (4,)
         q = f / x ** 2
-        assert (q.lo, q.coeffs, q.err) == (-2, [1, 1, 1, 1], 2)
+        assert (q.lo, q.coeffs, q.err) == ((-2,), [1, 1, 1, 1], (2,))
 
     def test_polynomial_quotient(self):
         # (1 + z)/(1 - z) to the window: each coefficient is one step of
@@ -506,7 +530,7 @@ class TestDivision:
         ring, atoms = build_tower([("z", 6)])
         z = atoms["z"]
         q = (1 + z) / (1 - z)
-        assert q.coeffs == [1, 2, 2, 2, 2, 2] and q.err == 6
+        assert q.coeffs == [1, 2, 2, 2, 2, 2] and q.err == (6,)
 
 
 _leaves = (st.integers(-3, 3)
@@ -600,3 +624,186 @@ class TestMultiPoly:
     def test_poly_det(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
         assert poly_det(m) == -2
+
+
+# ---------------------------------------------------------------------------
+# the flat kernel against a dict-of-multi-index reference
+# ---------------------------------------------------------------------------
+
+def _dict_mul(a, b, hi=None):
+    """The product of two dicts of terms; only the terms below hi."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            if hi is None or all(x < t for x, t in zip(k, hi)):
+                out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
+def _dict_quotient(f, g, hi):
+    """f / g in the iterated Laurent series of the tower (lex order,
+    level 0 first), every term with exponents below hi: g = g_v x^v
+    (1 + sum of terms x^h with h lex-positive), expanded as the
+    geometric series term by term.  A term is dropped once no further
+    steps can bring it below hi: a step whose first nonzero level is p
+    raises level p, and lowers a deeper level j by at most the most
+    negative h_j among such steps."""
+    v = min(k for k, c in g.items() if c)
+    inv = exact_core._invert(g[v])
+    steps = [(tuple(x - y for x, y in zip(k, v)), -c * inv)
+             for k, c in g.items() if c and k != v]
+    depth = len(v)
+    first = [next(j for j, x in enumerate(h) if x) for h, _ in steps]
+    drop = [[max([0] + [-h[j] for (h, _), p in zip(steps, first) if p == q])
+             for j in range(depth)] for q in range(depth)]
+
+    def alive(e):
+        room, counts = [], []
+        for j in range(depth):
+            down = sum(n * drop[q][j] for q, n in enumerate(counts))
+            room.append(e[j] - down < hi[j])
+            counts.append(max(0, hi[j] - 1 - e[j] + down))
+        return all(room)
+
+    out, frontier = {}, {}
+    for k, c in f.items():
+        e = tuple(x - y for x, y in zip(k, v))
+        if c and alive(e):
+            frontier[e] = frontier.get(e, 0) + c * inv
+    while frontier:
+        nxt = {}
+        for e, c in frontier.items():
+            out[e] = out.get(e, 0) + c
+            for h, s in steps:
+                e2 = tuple(x + y for x, y in zip(e, h))
+                if alive(e2):
+                    nxt[e2] = nxt.get(e2, 0) + c * s
+        frontier = nxt
+    return out
+
+
+def _flat(ring, d):
+    """The exact element with the terms of the dict d."""
+    keys = [k for k, c in d.items() if c]
+    if not keys:
+        return ring.zero()
+    lo = tuple(map(min, *keys)) if len(keys) > 1 else keys[0]
+    shape = tuple(h - l + 1 for h, l in zip(map(max, *keys) if len(keys) > 1
+                                            else keys[0], lo))
+    coeffs = [0] * math.prod(shape)
+    for k in keys:
+        p = 0
+        for x, l, n in zip(k, lo, shape):
+            p = p * n + x - l
+        coeffs[p] = d[k]
+    return exact_core._trim(ring, lo, shape, coeffs, (math.inf,) * len(lo))
+
+
+def _value(x, e):
+    """The leaf of x at exponent e, 0 outside its box."""
+    p = 0
+    for k, l, n in zip(e, x.lo, x.shape):
+        if not l <= k < l + n:
+            return 0
+        p = p * n + k - l
+    return x.coeffs[p]
+
+
+def _check_known(x, ref):
+    """Every coefficient x knows equals the reference's."""
+    points = set(ref)
+    for p in range(len(x.coeffs)):
+        e, r = [], p
+        for n in reversed(x.shape):
+            r, i = divmod(r, n)
+            e.append(i)
+        points.add(tuple(l + i for l, i in zip(x.lo, reversed(e))))
+    for e in points:
+        if all(k < t for k, t in zip(e, x.err)):
+            assert _value(x, e) == ref.get(e, 0), e
+
+
+_exps = st.integers(-2, 2)
+
+
+@st.composite
+def _kernel_cases(draw):
+    depth = draw(st.integers(1, 3))
+    windows = draw(st.lists(st.integers(2, 5), min_size=depth,
+                            max_size=depth))
+    kind = draw(st.sampled_from(["int", "fraction", "complex"]))
+    small = st.integers(-3, 3)
+    leaf = {"int": small,
+            "fraction": st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=3),
+            "complex": st.builds(complex, small, small)}[kind]
+    key = st.tuples(*[_exps] * depth)
+    poly = st.dictionaries(key, leaf, min_size=1, max_size=4)
+    unit_terms = [tuple(int(i == j) for i in range(depth))
+                  for j in range(depth)]
+    unit_terms += [tuple(int(i in (j, k)) for i in range(depth))
+                   for j in range(depth) for k in range(j + 1, depth)]
+    unit = {(0,) * depth: 1}
+    for h in draw(st.lists(st.sampled_from(unit_terms), min_size=1,
+                           max_size=3, unique=True)):
+        unit[h] = draw(small.filter(bool))
+    divisors = [unit]
+    if depth > 1:
+        j, l = draw(st.permutations(range(depth)))[:2]
+        mixed = tuple(1 if i == j else -1 if i == l else 0
+                      for i in range(depth))
+        divisors.append({(0,) * depth: 1, mixed: -1})
+    return windows, kind, draw(poly), draw(poly), divisors
+
+
+class TestFlatKernel:
+    """Products, sums, divisions and the pair contraction on random
+    towers, at their windows and at doubled ones, against exact dict
+    arithmetic: every coefficient the kernel calls known is exact."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_kernel_cases())
+    def test_known_coefficients_match_the_reference(self, case):
+        windows, kind, a, b, divisors = case
+        base = exact_core.COMPLEXES if kind == "complex" else exact_core.RATIONALS
+        for scale in (1, 2):
+            ring, _ = build_tower([(f"e{j}", w * scale)
+                                   for j, w in enumerate(windows)], base)
+            fa, fb = _flat(ring, a), _flat(ring, b)
+            _check_known(fa * fb, _dict_mul(a, b))
+            _check_known(fa + fb, _dict_add(a, b))
+            _check_known(fa - fb, _dict_add(a, {k: -v for k, v in b.items()}))
+            q2, ref2 = _quotient(fb, b, divisors[0])
+            for g in divisors:
+                q, ref = _quotient(fa, a, g)
+                for x, y, rx, ry in ((q, fb, ref, b), (q, q2, ref, ref2)):
+                    xy = x * y
+                    _check_known(xy, _dict_mul(rx, ry, [e + 2 for e in xy.err]))
+                    _check_known(x + y, _dict_add(rx, ry))
+                    try:
+                        got = iterated_residue((x, y))
+                    except PrecisionLoss:
+                        continue
+                    assert got == sum(c * ry.get(tuple(-1 - i for i in k), 0)
+                                      for k, c in rx.items())
+
+
+def _quotient(x, d, g):
+    """x / g on the tower and its reference, checked: the reference two
+    exponents past the quotient's window (so a product that claims too
+    much is caught), and past its box where it is exact."""
+    q = x / _flat(x.ring, g)
+    hi = [e + 2 if e != math.inf else 4 + max(
+        [k[j] + 1 for k in d] + [q.lo[j] + q.shape[j]] * bool(q.coeffs))
+          for j, e in enumerate(q.err)]
+    ref = _dict_quotient(d, g, hi)
+    _check_known(q, ref)
+    return q, ref

@@ -335,9 +335,9 @@ def _agree(a, b):
     every level of their tower."""
     if not isinstance(a, Series):
         return a == b
-    top = min(a.err, b.err)
-    exps = ({a.lo + i for i in range(len(a.coeffs))}
-            | {b.lo + i for i in range(len(b.coeffs))})
+    top = min(a.err[0], b.err[0])
+    exps = ({a.lo[0] + i for i in range(a.shape[0])}
+            | {b.lo[0] + i for i in range(b.shape[0])})
     return all(_agree(a.coefficient(k), b.coefficient(k))
                for k in exps if k < top)
 
