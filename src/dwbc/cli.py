@@ -200,19 +200,10 @@ def cmd_hrow(args):
 
 
 def cmd_efp(args):
+    from .lattice_oracle import EfpQuery, efp_oracle
     mode, w = _weights_from_args(args)
-    method = args.method
-    if method == "enum":
-        # the oracle alone (it checks the region), without the exact
-        # engine's modules
-        if mode != "exact":
-            _usage_error(f"--method {method} needs exact --weights")
-        from .lattice_oracle import efp_oracle
-        f = efp_oracle(args.size, args.r, args.s, w, method="enum")
-        return {"N": args.size, "r": args.r, "s": args.s, "method": method,
-                "F": _fmt(f)}
-    from .efp_reps import EfpQuery, efp_by_summation, efp_mir_n, efp_mir_s
     q = EfpQuery(args.size, args.r, args.s)
+    method = args.method
     if method == "ortho":
         if mode != "hom":
             _usage_error("--method ortho needs --lambda/--eta")
@@ -220,11 +211,16 @@ def cmd_efp(args):
         f = efp_ortho(q, *w)
     elif mode != "exact":
         _usage_error(f"--method {method} needs exact --weights")
+    elif method == "enum":
+        f = efp_oracle(q.N, q.r, q.s, w, method="enum")
     elif method == "sum":
+        from .efp_reps import efp_by_summation
         f = efp_by_summation(q, w, args.route)
     elif method == "mir-s":
+        from .efp_reps import efp_mir_s
         f = efp_mir_s(q, w, args.variant)
     elif method == "mir-n":
+        from .efp_reps import efp_mir_n
         f = efp_mir_n(q, w)
     else:
         _usage_error(f"unknown efp method {method!r}")

@@ -27,39 +27,21 @@ integral is an iterated residue evaluated over Laurent towers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .errors import ChainBreak, InvalidRegion
+from .errors import ChainBreak
 from .exact_core import eps_scale, residue_drive
 from .bethe_reps import _pair_quotient, _pole_guard
 from .ik_engine import cantini_P_confluent, cantini_P_vand, family
 from .lattice_oracle import (
+    EfpQuery,
     RowConfig,
     WeightTriple,
     efp_oracle,
     psi_bot,
     psi_top,
 )
-
-
-@dataclass(frozen=True)
-class EfpQuery:
-    """Region of an EFP evaluation: 1 <= s <= r <= N, n = r - s."""
-
-    N: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if not (1 <= self.s <= self.r <= self.N):
-            raise InvalidRegion(
-                f"need 1 <= s <= r <= N, got r={self.r}, s={self.s}, N={self.N}")
-
-    @property
-    def n(self) -> int:
-        return self.r - self.s
 
 
 def _vand_sign(m):
@@ -341,6 +323,11 @@ def _trace_sfold_chain(q, w, record):
                 fy = fy * (ys[k] - ys[j])
         fx = _pair_quotient(fx, xs, 1, 2 * delta, ordered=True)
         fx = fx * fam.hns_vand(N, s, xs, (1, 0, 0, t))
+        # the y side has a pole of order s at each y, so only the
+        # y-powers below s of the x side pair with it: cut them there
+        # before the 1 - x_j y_k factors spread the x side in the y's
+        for k in range(s):
+            fx = fx * ring.laurent(s + k, 0, [1], s)
         for j in range(s):
             for k in range(s):
                 fx = fx / (1 - xs[j] * ys[k])

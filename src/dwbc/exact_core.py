@@ -56,9 +56,20 @@ product would: PrecisionLoss for a pairing past a window, OrderExceeded
 for a definitely nonzero coefficient below a level's pole-order bound.
 
 The determinants the integrands multiply in (h_{N,s} times a
-Vandermonde, the rows of P_s) are built on this tower by
-`dwbc.tower_det`, column by column; `poly_det` here is the cofactor
-determinant over any ring.
+Vandermonde, the rows of P_s) are separable: each column depends on one
+point, and each point is a Laurent polynomial in one tower variable.
+`_tower_point` reads a point's polynomial, `_point_line` expands a
+column's entries in that variable by integer polynomial arithmetic
+(contents pulled out, a divisor other than a monomial inverted as an
+integer power series) and keeps the exponents of the level's window,
+prec past the column's valuation, marking with `err` what that cuts;
+`line_det` then assembles the determinant's box by Laplace expansion
+with minors memoized by their rows, each block an integer combination
+of flat minors, with no tower product.  A window too short for the
+residue raises PrecisionLoss like any other, so it shows as a retry of
+`residue_drive`, never as a wrong value.  A univariate Laurent
+polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m).  `poly_det` is
+the cofactor determinant over any ring.
 """
 
 from __future__ import annotations
@@ -66,8 +77,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import add, and_, mul, not_
+from itertools import chain, compress
+from operator import add, and_, mul, not_, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from .rational import (ExactPoly, _horner, as_fraction,  # noqa: F401
@@ -214,6 +225,14 @@ def _index(p, strides):
 _PLANS = {}
 
 
+def _remember(key, plan):
+    """Cache a plan of at most 256 entries, in at most 1024 plans."""
+    if len(plan) <= 256:
+        if len(_PLANS) >= 1024:
+            _PLANS.clear()
+        _PLANS[key] = plan
+
+
 def _offsets(shape, strides, base=0):
     """Flat offsets, at `strides`, of the leaves of a box of `shape`, in
     row-major order, the first at `base`."""
@@ -222,81 +241,33 @@ def _offsets(shape, strides, base=0):
         offs = [0]
         for n, st in zip(shape, strides):
             offs = [o + i * st for o in offs for i in range(n)]
-        if len(offs) <= 256:
-            if len(_PLANS) >= 1024:
-                _PLANS.clear()
-            _PLANS[shape, strides] = offs
+        _remember((shape, strides), offs)
     return [o + base for o in offs] if base else offs
-
-
-def _indices(shape):
-    """The multi-indices of a small box, in row-major order."""
-    key = (shape, None)
-    out = _PLANS.get(key)
-    if out is None:
-        out = [()]
-        for n in shape:
-            out = [t + (i,) for t in out for i in range(n)]
-        if len(_PLANS) >= 1024:
-            _PLANS.clear()
-        _PLANS[key] = out
-    return out
 
 
 def _add_into(out, strides, base, x):
     """Add the leaves of x into the box with `strides` of out, x's box
     starting at offset `base`."""
-    n, c = x.shape[-1], x.coeffs
-    if n < 8:
-        for o, v in zip(_offsets(x.shape, strides, base), c):
-            if v:
-                out[o] += v
-        return
-    for o, i in zip(_offsets(x.shape[:-1], strides[:-1], base),
-                    range(0, len(c), n)):
-        out[o:o + n] = map(add, out[o:o + n], c[i:i + n])
-
-
-def _rowmap(dlo, dshape, slo, sshape):
-    """([(dst offset, src offset)], m): the innermost rows, m leaves
-    long, of the overlap of a source box (lows slo, shape sshape) with a
-    destination box, as flat offsets into each."""
-    last = len(dlo) - 1
-    lows = [max(a, b) for a, b in zip(dlo, slo)]
-    highs = [min(a + n, b + k) for a, n, b, k in zip(dlo, dshape, slo, sshape)]
-    if any(h <= l for l, h in zip(lows, highs)):
-        return [], 0
-    dst, src = [lows[last] - dlo[last]], [lows[last] - slo[last]]
-    for j, ds, ss in zip(range(last - 1, -1, -1),
-                         _strides(tuple(dshape))[-2::-1],
-                         _strides(tuple(sshape))[-2::-1]):
-        ks = range(lows[j] - dlo[j], highs[j] - dlo[j])
-        ls = range(lows[j] - slo[j], highs[j] - slo[j])
-        dst = [k * ds + o for k in ks for o in dst]
-        src = [k * ss + o for k in ls for o in src]
-    return list(zip(dst, src)), highs[last] - lows[last]
+    for o, v in zip(_offsets(x.shape, strides, base), x.coeffs):
+        if v:
+            out[o] += v
 
 
 def _crop(c, lo, shape, nlo, nshape):
     """The leaves of box (nlo, nshape), taken from c on box (lo, shape)
     and zero outside it."""
-    shape, nshape = tuple(shape), tuple(nshape)
-    if nshape[-1] < 8 and all(a <= b and b + m <= a + n for a, n, b, m
-                              in zip(lo, shape, nlo, nshape)):
-        st = _strides(shape)
-        return [c[p] for p in _offsets(
-            nshape, st, sum((b - a) * k for a, b, k in zip(lo, nlo, st)))]
-    rows, m = _rowmap(nlo, nshape, lo, shape)
-    size = math.prod(nshape)
-    if len(rows) * m == size:
-        out = []
-        for _, s in rows:
-            out += c[s:s + m]
-        return out
-    out = [0] * size
-    for d, s in rows:
-        out[d:d + m] = c[s:s + m]
-    return out
+    key = (tuple(map(sub, nlo, lo)), tuple(shape), tuple(nshape))
+    plan = _PLANS.get(key)
+    if plan is None:
+        # per leaf, its flat position in c, or -1 (the zero appended
+        # below) outside the box
+        plan = [0]
+        for d, n, m, st in zip(key[0], shape, nshape, _strides(key[1])):
+            pos = [(i + d) * st if 0 <= i + d < n else -1 for i in range(m)]
+            plan = [-1 if p < 0 or k < 0 else p + k for p in plan for k in pos]
+        _remember(key, plan)
+    c = c + [0]
+    return [c[p] for p in plan]
 
 
 def _deep_exact(err):
@@ -322,15 +293,6 @@ def _trim(ring, lo, shape, c, err):
     """The element on box (lo, shape): cut at err, its zero slices
     stripped at the top of every level and at the bottom of the levels
     past which every level is exact."""
-    if len(lo) == 1:
-        i, j = 0, min(shape[0], err[0] - lo[0])
-        while i < j and not c[i]:
-            i += 1
-        while j > i and not c[j - 1]:
-            j -= 1
-        if i == j:
-            return _empty(ring, lo, err)
-        return Series(ring, (lo[0] + i,), (j - i,), c[i:j], tuple(err))
     cut = tuple(min(n, e - l) for n, l, e in zip(shape, lo, err))
     if min(cut) <= 0:
         return _empty(ring, lo, err)
@@ -338,25 +300,18 @@ def _trim(ring, lo, shape, c, err):
         c, shape = _crop(c, lo, shape, lo, cut), cut
     if all(c):
         return Series(ring, tuple(lo), shape, c, tuple(err))
-    if len(c) <= 64:
-        nz = [t for t, x in zip(_indices(shape), c) if x]
-        if not nz:
-            return _empty(ring, lo, err)
-        ext = [(a, b + 1)
-               for a, b in zip(map(min, zip(*nz)), map(max, zip(*nz)))]
-    else:
-        n = shape[-1]
-        ext = [None] * len(shape)
-        flags = [any(c[o:o + n]) for o in range(0, len(c), n)]
-        if not any(flags):
-            return _empty(ring, lo, err)
-        cols = [i for i in range(n) if any(c[i::n])]
-        ext[-1] = (cols[0], cols[-1] + 1)
-        for j in range(len(shape) - 2, -1, -1):
-            m = shape[j]
-            ks = [k for k in range(m) if any(flags[k::m])]
-            ext[j] = (ks[0], ks[-1] + 1)
-            flags = [any(flags[o:o + m]) for o in range(0, len(flags), m)]
+    n = shape[-1]
+    ext = [None] * len(shape)
+    flags = [any(c[o:o + n]) for o in range(0, len(c), n)]
+    if not any(flags):
+        return _empty(ring, lo, err)
+    cols = [i for i in range(n) if any(c[i::n])]
+    ext[-1] = (cols[0], cols[-1] + 1)
+    for j in range(len(shape) - 2, -1, -1):
+        m = shape[j]
+        ks = [k for k in range(m) if any(flags[k::m])]
+        ext[j] = (ks[0], ks[-1] + 1)
+        flags = [any(flags[o:o + m]) for o in range(0, len(flags), m)]
     deep = _deep_exact(err)
     nlo = tuple(l + (a if ok else 0) for l, (a, _), ok in zip(lo, ext, deep))
     nshape = tuple(l + b - m for l, (_, b), m in zip(lo, ext, nlo))
@@ -402,13 +357,6 @@ class Series:
 
     def __add__(self, other):
         if other.__class__ is not Series or other.ring is not self.ring:
-            if other.__class__ is int and self.coeffs and not any(self.lo) \
-                    and other and self.ring.base.exact:
-                # a constant added at the box's first leaf
-                c = self.coeffs.copy()
-                c[0] += other
-                if c[0]:
-                    return Series(self.ring, self.lo, self.shape, c, self.err)
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -423,9 +371,6 @@ class Series:
             if lo == b.lo:
                 return _trim(ring, lo, b.shape, b.coeffs, err)
             a = b
-        if a.lo == b.lo and a.shape == b.shape and a is not b:
-            return _trim(ring, lo, a.shape,
-                         list(map(add, a.coeffs, b.coeffs)), err)
         shape = tuple(max(x + n, y + m) - l for x, n, y, m, l
                       in zip(a.lo, a.shape, b.lo, b.shape, lo))
         out, st = [0] * math.prod(shape), _strides(shape)
@@ -451,15 +396,17 @@ class Series:
 
     def __mul__(self, other):
         if other.__class__ is not Series or other.ring is not self.ring:
-            if other.__class__ is int and other and self.ring.base.exact:
+            if isinstance(other, (int, Fraction, float, complex)):
+                # a number scales the leaves
+                x = self.ring.base.const(other)
+                if not x:
+                    return self.ring.zero()
                 return Series(self.ring, self.lo, self.shape,
-                              [other * c for c in self.coeffs], self.err)
+                              [x * c for c in self.coeffs], self.err)
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         a, b, ring = self, other, self.ring
-        if len(a.lo) == 1:
-            return _mul1(ring, a, b)
         lo = tuple(map(add, a.lo, b.lo))
         err = tuple(min(ea + lb, eb + la)
                     for ea, la, eb, lb in zip(a.err, a.lo, b.err, b.lo))
@@ -472,43 +419,23 @@ class Series:
         if len(b.coeffs) > len(a.coeffs):
             a, b = b, a
         if len(b.coeffs) == 1 and shape == a.shape:
+            # a monomial shifts the other factor, as an exact monomial
+            # divisor does
             x = b.coeffs[0]
             return Series(ring, lo, shape, [x * c for c in a.coeffs], err)
-        # b's entries, each times a placed at its offset: leaf by leaf
-        # for short rows, else row by row, in the untruncated box when
-        # the product is small or not cut
-        ac, bc, n = a.coeffs, b.coeffs, a.shape[-1]
+        # each leaf x of b adds x times a placed at its offset, in the
+        # untruncated box, which is then cut to the window
+        ac = a.coeffs
         full = tuple(m + k - 1 for m, k in zip(a.shape, b.shape))
-        if full == shape or len(ac) * len(bc) <= 1024:
-            sf = _strides(full)
-            out = [0] * math.prod(full)
-            offb = _offsets(b.shape, sf)
-            if n < 8:
-                offa = _offsets(a.shape, sf)
-                for x, ob in zip(bc, offb):
-                    if x:
-                        for y, oa in zip(ac, offa):
-                            out[oa + ob] += x * y
-            else:
-                rows = list(zip(_offsets(a.shape[:-1], sf[:-1]),
-                                range(0, len(ac), n)))
-                for x, ob in zip(bc, offb):
-                    if x:
-                        for o, i in rows:
-                            o += ob
-                            out[o:o + n] = map(add, out[o:o + n],
-                                               map(mul, ac[i:i + n], repeat(x)))
-            if full != shape:
-                out = [out[p] for p in _offsets(shape, sf)]
-            return Series(ring, lo, shape, out, err)
-        out = [0] * math.prod(shape)
-        zero, bst = (0,) * len(shape), _strides(b.shape)
-        for p, x in enumerate(bc):
+        sf = _strides(full)
+        out = [0] * math.prod(full)
+        offa = _offsets(a.shape, sf)
+        for x, ob in zip(b.coeffs, _offsets(b.shape, sf)):
             if x:
-                rows, m = _rowmap(zero, shape, _index(p, bst), a.shape)
-                for d, i in rows:
-                    out[d:d + m] = map(add, out[d:d + m],
-                                       map(mul, ac[i:i + m], repeat(x)))
+                for y, oa in zip(ac, offa):
+                    out[oa + ob] += x * y
+        if full != shape:
+            out = _crop(out, lo, full, lo, shape)
         return Series(ring, lo, shape, out, err)
 
     __rmul__ = __mul__
@@ -542,8 +469,6 @@ class Series:
             if all(e == INF for e in g.err):
                 raise ZeroDenominator("division by the zero series")
             raise PrecisionLoss(f"division by O({g.err}) with no known terms")
-        if L == 1:
-            return _div1(ring, f, g, p0)
         gst = _strides(g.shape)
         vrel = _index(p0, gst)
         for j, ok in enumerate(_deep_exact(g.err)):
@@ -564,8 +489,9 @@ class Series:
                           [c * r for c in f.coeffs], tuple(err_f))
         levels = [next(j for j, x in enumerate(h) if x) for h, _ in steps]
         deep = _deep_exact(f.err)
-        tops = (_tops(f.shape, f.coeffs, {j for j in range(L) if deep[j] and (
-            j in levels or g.err[j] != INF)}) if f.coeffs else [0] * L)
+        need = {j for j in range(L)
+                if deep[j] and (j in levels or g.err[j] != INF)}
+        tops = _tops(f.shape, f.coeffs, need) if need and f.coeffs else [0] * L
         lo, hi, err, top, held = [], [], [], [], 0
         for j in range(L):
             stepped = j in levels
@@ -672,31 +598,11 @@ class Series:
         return self.coefficient(-1)
 
 
-def _mul1(ring, a, b):
-    """a * b on a one-level tower."""
-    (la,), (lb,), (ea,), (eb,) = a.lo, b.lo, a.err, b.err
-    lo, err = la + lb, min(ea + lb, eb + la)
-    ac, bc = a.coeffs, b.coeffs
-    n = len(ac) + len(bc) - 1 if ac and bc else 0
-    if err != INF:
-        n = min(n, err - lo)
-    if n <= 0:
-        return _empty(ring, (lo,), (err,))
-    if len(ac) < len(bc):
-        ac, bc = bc, ac
-    out = [0] * n
-    for i, x in enumerate(bc[:n]):
-        if x:
-            for j, y in enumerate(ac[:n - i], i):
-                out[j] += x * y
-    return Series(ring, (lo,), (n,), out, (err,))
-
-
 def _tops(shape, c, need):
     """Per level j in `need`, the largest valuation in level j, from the
     box's low, of a slice of the levels below j with a nonzero leaf."""
     tops, flags = [0] * len(shape), c
-    for j in range(len(shape) - 1, min(need, default=0) - 1, -1):
+    for j in range(len(shape) - 1, min(need) - 1, -1):
         n = shape[j]
         if j in need:
             alive = [True] * (len(flags) // n)
@@ -709,39 +615,6 @@ def _tops(shape, c, need):
                         break
         flags = [any(flags[o:o + n]) for o in range(0, len(flags), n)]
     return tops
-
-
-def _div1(ring, f, g, p0):
-    """f / g on a one-level tower, g's leading leaf at p0: the rules of
-    Series.__truediv__ in one variable."""
-    gc = g.coeffs
-    v, r = g.lo[0] + p0, _invert(gc[p0])
-    tail = [(m, -x) for m, x in enumerate(gc[p0 + 1:], 1) if x]
-    (lo,), (ef,), (eg,), fc = f.lo, f.err, g.err, f.coeffs
-    lo -= v
-    if not tail and eg == INF:
-        if not fc:
-            return _empty(ring, (lo,), (ef - v,))
-        return Series(ring, (lo,), f.shape, [c * r for c in fc], (ef - v,))
-    err = ef - v
-    if eg != INF:
-        err = min(err, lo + eg - v)
-    if not fc:
-        return _empty(ring, (lo,), (err,))
-    first = next((i for i, x in enumerate(fc) if x), 0)
-    err = min(err, lo + ring.precs[0] + first)
-    n = err - lo if tail else min(err - lo, len(fc))
-    if n <= 0:
-        return _empty(ring, (lo,), (err,))
-    q = fc[:n] + [0] * (n - len(fc))
-    for k in range(n):
-        acc = q[k]
-        for m, c in tail:
-            if m > k:
-                break
-            acc += c * q[k - m]
-        q[k] = acc if r == 1 else acc * r
-    return Series(ring, (lo,), (n,), q, (err,))
 
 
 def _divide_box(f, lo_f, lo, shape, steps, r):
@@ -763,25 +636,11 @@ def _divide_box(f, lo_f, lo, shape, steps, r):
     for i, o in enumerate(rows):
         buf[o:o + n] = fc[i * n:i * n + n]
     reach = [(sum(x * st for x, st in zip(h, ps)), c) for h, c in steps]
-    pos = chain.from_iterable(range(o, o + n) for o in rows)
-    if r == 1 and len(reach) == 1:
-        (d, c), = reach
-        for p in pos:
-            buf[p] += c * buf[p - d]
-    elif r == 1 and len(reach) == 2:
-        (d, c), (e, k) = reach
-        for p in pos:
-            buf[p] += c * buf[p - d] + k * buf[p - e]
-    elif r == 1 and len(reach) == 3:
-        (d, c), (e, k), (g, m) = reach
-        for p in pos:
-            buf[p] += c * buf[p - d] + k * buf[p - e] + m * buf[p - g]
-    else:
-        for p in pos:
-            acc = buf[p]
-            for d, c in reach:
-                acc += c * buf[p - d]
-            buf[p] = acc if r == 1 else acc * r
+    for p in chain.from_iterable(range(o, o + n) for o in rows):
+        acc = buf[p]
+        for d, c in reach:
+            acc += c * buf[p - d]
+        buf[p] = acc if r == 1 else acc * r
     out = []
     for o in rows:
         out += buf[o:o + n]
@@ -1109,3 +968,270 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# separable determinants on the tower
+# ---------------------------------------------------------------------------
+
+def _pmul(a, b, hi=INF):
+    """Product of two univariate Laurent polynomials, exponents below hi."""
+    (la, ca), (lb, cb) = a, b
+    lo = la + lb
+    n = len(ca) + len(cb) - 1
+    if hi != INF:
+        n = min(n, hi - lo)
+    if n <= 0:
+        return (lo, [])
+    out = [0] * n
+    for i, x in enumerate(ca[:n]):
+        if x:
+            for j, y in enumerate(cb[:n - i]):
+                out[i + j] += x * y
+    return (lo, out)
+
+
+def _padd(a, b):
+    lo = min(a[0], b[0])
+    out = [0] * (max(a[0] + len(a[1]), b[0] + len(b[1])) - lo)
+    for l, cs in (a, b):
+        for m, c in enumerate(cs):
+            out[l - lo + m] += c
+    return (lo, out)
+
+
+def _plin(k, c, p):
+    """k * p + c for numbers k, c and a univariate Laurent polynomial p."""
+    return _padd((p[0], [k * x for x in p[1]]), (0, [c]))
+
+
+def _trimmed(cs):
+    """cs without its trailing zeros."""
+    j = len(cs)
+    while j and not cs[j - 1]:
+        j -= 1
+    return cs[:j]
+
+
+def _ppowers(p, n):
+    """[p^0, .., p^n] of a univariate Laurent polynomial p."""
+    out = [(0, [1])]
+    for _ in range(n):
+        out.append(_pmul(out[-1], p))
+    return out
+
+
+def _tower_point(p):
+    """Read a point of a separable determinant: (ring, level, poly) with
+    p = poly(eps) for eps the variable of level `level` of the tower
+    `ring`, poly an exact univariate Laurent polynomial with rational
+    coefficients; (None, None, (0, [p])) for a number.  Takes numbers,
+    Series and `Scaled` elements; raises TypeError for a tower element
+    that is not an exact polynomial in one variable."""
+    k, e = (p.k, p.e) if isinstance(p, Scaled) else (1, p)
+    if not isinstance(e, Series):
+        return None, None, (0, [k * e])
+    if any(x != INF for x in e.err):
+        raise TypeError("not an exact polynomial in one tower variable")
+    spread = [j for j, (l, n) in enumerate(zip(e.lo, e.shape)) if l or n > 1]
+    if not e.coeffs or not spread:
+        return None, None, (0, [k * e.coeffs[0] if e.coeffs else 0])
+    if len(spread) > 1:
+        raise TypeError("not an exact polynomial in one tower variable")
+    j = spread[0]
+    return e.ring, j, (e.lo[j], [k * c for c in e.coeffs])
+
+
+def _content(values):
+    """(k, ints) with values = k * ints, the ints coprime integers; k = 1
+    when every value is 0."""
+    g, q = 0, 1
+    for v in values:
+        if v:
+            g = math.gcd(g, v.numerator)
+            q = math.lcm(q, v.denominator)
+    if not g:
+        return 1, [0] * len(values)
+    return (Fraction(g, q) if q != 1 else g,
+            [v.numerator * (q // v.denominator) // g for v in values])
+
+
+class Line:
+    """One column of a separable determinant: entry i is
+    k * sum_m rows[i][m] eps^(lo + m) + O(eps^err), eps the variable of
+    level `level` of the tower `top`; the rows are integer lists of one
+    length."""
+
+    __slots__ = ("k", "top", "level", "lo", "rows", "err")
+
+    def __init__(self, k, top, level, lo, rows, err):
+        self.k, self.top, self.level = k, top, level
+        self.lo, self.rows, self.err = lo, rows, err
+
+
+def _point_line(point, polys, k=1, div=None):
+    """The line of entries k * polys[i] / div[0]^div[1] at a point read
+    by `_tower_point`: a `Line` cut to its level's window, or at a
+    number point the numbers k * polys[i], constant polynomials there.
+
+    polys are exact univariate Laurent polynomials in the point's eps,
+    div an optional (integer polynomial, power) pair, taken at tower
+    points only.  Kept are the exponents below v + prec, v the line's
+    valuation and prec the window of its tower level; the line is
+    exact (err = inf) when that cuts nothing and no divisor leaves a
+    series.  A divisor with one term is a shift; any other is inverted
+    as a power series in integer arithmetic (q_j scaled by u_0^(j+1)),
+    so the window is always finite there.  The rational content goes
+    into the line's k.
+    """
+    top, level, _ = point
+    if top is None:
+        return [k * (p[1][0] if p[1] else 0) for p in polys]
+    d = None
+    if div is not None and div[1]:
+        (dlo, d), power = div
+        j = next(i for i, c in enumerate(d) if c)
+        dlo, d = dlo + j, d[j:]
+        polys = [(lo - dlo * power, cs) for lo, cs in polys]
+        if len(d) == 1:
+            k = k / Fraction(d[0]) ** power
+            d = None
+    lows = [lo + next(i for i, c in enumerate(cs) if c)
+            for lo, cs in polys if any(cs)]
+    if not lows:
+        return Line(1, top, level, 0, [[] for _ in polys], INF)
+    lo = min(lows)
+    w = top.precs[level]
+    cut = lo + w
+    if d is None:
+        err = INF if all(l + len(cs) <= cut or not any(cs[cut - l:])
+                         for l, cs in polys) else cut
+    else:
+        # 1/u for u = d^power, u_0 != 0, by the division recurrence on
+        # q_m u_0^(m+1), which stays integral; w terms are u_0^-w inv
+        u = (0, [1])
+        for _ in range(power):
+            u = _pmul(u, (0, d), w)
+        u = u[1]
+        inv = [1]
+        for m in range(1, w):
+            inv.append(-sum(u[i] * u[0] ** (i - 1) * inv[m - i]
+                            for i in range(1, min(m + 1, len(u)))))
+        inv = [c * u[0] ** (w - 1 - m) for m, c in enumerate(inv)]
+        k = k / Fraction(u[0]) ** w
+        polys = [_pmul(p, (0, inv), cut) for p in polys]
+        err = cut
+    width = min(cut, max(l + len(cs) for l, cs in polys)) - lo
+    rows = []
+    for l, cs in polys:
+        row = [0] * width
+        for m, c in enumerate(cs):
+            if c and lo <= l + m < cut:
+                row[l + m - lo] = c
+        rows.append(row)
+    kr, flat = _content([c for row in rows for c in row])
+    rows = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
+    return Line(k * kr, top, level, lo, rows, err)
+
+
+def _lincomb(terms, size):
+    """sum c x over pairs (int c, list x of `size` leaves)."""
+    acc = None
+    for c, x in terms:
+        if acc is None:
+            acc = x if c == 1 else [c * y for y in x]
+        elif c == 1:
+            acc = list(map(add, acc, x))
+        else:
+            acc = [u + c * y for u, y in zip(acc, x)]
+    return [0] * size if acc is None else acc
+
+
+def line_det(lines):
+    """det M for the square matrix whose j-th column is lines[j]: a list
+    of numbers, or a `Line` on one tower level, no two on one level.
+
+    The determinant's box has, at the level of each tower line, the
+    line's low, width and err, and extent 1 elsewhere.  It is assembled
+    column by column, outermost line first, by Laplace expansion along
+    the lines with the minors memoized by their set of rows: the block
+    of the minor on rows R of the lines from j on at exponent e of line
+    j is sum_(i in R) +- c_(i,e) times the flat minor on R - {i} of the
+    lines after j.  So the only tower operations are integer times list
+    and list plus list; the lines' contents go into the `Scaled`
+    scalar, and number lines, expanded last, give number minors, brought
+    to integers by their common denominator.  Returns a `Scaled`
+    element, or a number when every line is numbers.
+    """
+    s = len(lines)
+    tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
+                   key=lambda j: lines[j].level)
+    order = tower + [j for j in range(s) if not isinstance(lines[j], Line)]
+    cols = [lines[j] for j in order]
+    m = len(tower)
+    memo = {}
+
+    def number_minor(j, mask):
+        if j == s:
+            return 1
+        key = (j, mask)
+        if key not in memo:
+            acc, odd = 0, False
+            for i in range(s):
+                if mask >> i & 1:
+                    x = cols[j][i]
+                    if x:
+                        term = x * number_minor(j + 1, mask ^ (1 << i))
+                        acc = acc - term if odd else acc + term
+                    odd = not odd
+            memo[key] = acc
+        return memo[key]
+
+    full = (1 << s) - 1
+    if not m:
+        return _exact(_perm_sign(order) * number_minor(0, full))
+    top = cols[0].top
+    levels = [c.level for c in cols[:m]]
+    if any(c.top is not top for c in cols[:m]) or len(set(levels)) < m:
+        raise ValueError("lines must lie on distinct levels of one tower")
+    if any(not c.rows[0] for c in cols[:m]):
+        return Scaled(1, top.zero())
+    k = _perm_sign(order)
+    for c in cols[:m]:
+        k = k * c.k
+    rests = {mask: number_minor(m, mask) for mask in range(full + 1)
+             if bin(mask).count("1") == s - m}
+    if m < s and all(isinstance(v, (int, Fraction)) for v in rests.values()):
+        q = math.lcm(*(Fraction(v).denominator for v in rests.values()))
+        k = Fraction(k, q)
+        rests = {mask: int(v * q) for mask, v in rests.items()}
+    sizes = [1] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        sizes[j] = sizes[j + 1] * len(cols[j].rows[0])
+    minors = {}
+
+    def minor(j, mask):
+        # the flat minor of the lines from j on, on the rows in mask
+        if j == m:
+            return [rests[mask]]
+        key = (j, mask)
+        if key not in minors:
+            rows, inner, odd = cols[j].rows, [], False
+            for i in range(s):
+                if mask >> i & 1:
+                    inner.append((rows[i], odd, minor(j + 1, mask ^ (1 << i))))
+                    odd = not odd
+            out = []
+            for e in range(len(rows[0])):
+                out += _lincomb([(-row[e] if odd else row[e], x)
+                                 for row, odd, x in inner if row[e]],
+                                sizes[j + 1])
+            minors[key] = out
+        return minors[key]
+
+    L = len(top.precs)
+    lo, shape, err = [0] * L, [1] * L, [INF] * L
+    for c in cols[:m]:
+        lo[c.level], shape[c.level], err[c.level] = c.lo, len(c.rows[0]), c.err
+    return Scaled(k, _trim(top, tuple(lo), tuple(shape), minor(0, full),
+                           tuple(err)))

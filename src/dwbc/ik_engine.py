@@ -22,7 +22,7 @@ the Vandermonde of the z's, for a Moebius map M of the arguments: the
 Vandermonde cancels, so it needs no division, takes coincident points
 and Laurent-tower elements, and is what every residue integrand (which
 carries that Vandermonde itself) multiplies in.  Each column of its
-determinant depends on one point, so `tower_det.line_det` builds it
+determinant depends on one point, so `exact_core.line_det` builds it
 one column at a time: at a tower point, a Laurent polynomial in one
 tower variable eps, the column's entries are expanded in that eps by
 integer polynomial arithmetic (the rows' rational contents are cached
@@ -66,9 +66,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
-from .exact_core import _horner, poly_det
-from .tower_det import (_content, _padd, _plin, _pmul, _point_line, _ppowers,
-                        _tower_point, _trimmed, line_det)
+from .exact_core import (_content, _horner, _padd, _plin, _pmul, _point_line,
+                         _ppowers, _tower_point, _trimmed, line_det, poly_det)
 from .lattice_oracle import (WeightMatrix, WeightTriple,
                              boundary_generating_poly, enumerate_Z)
 
@@ -429,13 +428,13 @@ class BoundaryGenFamily:
         The points may be numbers or tower elements, each an exact
         Laurent polynomial in the variable of one tower level: the
         c + D eps of `residue_drive`, or 1/(D eps).  There column j is
-        built by `tower_det._point_line`: with the g_i over their
+        built by `exact_core._point_line`: with the g_i over their
         rational contents (integers cached per (N, s)) and the map's
         numerator and denominator at z_j brought to integer content,
         G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
         de)^-(N-1) a monomial or an integer power series, and the column
         keeps the exponents of its level's window, marked by err where
-        that cuts anything.  `tower_det.line_det` assembles the
+        that cuts anything.  `exact_core.line_det` assembles the
         determinant level by level with integer times tower and tower
         plus tower only, and the contents form its `Scaled` scalar.  A
         window too short for the residue shows up as a PrecisionLoss,
@@ -530,7 +529,7 @@ class BoundaryGenFamily:
 
 def _hns_line(N, s, rows, point, mobius):
     """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
-    `tower_det._tower_point`, for the rows g_i over their contents."""
+    `exact_core._tower_point`, for the rows g_i over their contents."""
     al, be, ga, de = mobius
     top, _, poly = point
     if top is None:
@@ -641,7 +640,7 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
     Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
     det[x_j^m]_{m in S} (x only) times det[c_{k,m}(y)]_{m in S} (y
     only).  Row j of an x-minor depends on x_j alone, so each x-minor
-    is built by `tower_det.line_det` from the integer powers of the
+    is built by `exact_core.line_det` from the integer powers of the
     x_j in their tower variables; the y-minors, whose columns each
     depend on s - 1 of the y's, are cofactor expansions.  On a tower
     this multiplies small one-sided factors instead of expanding
@@ -683,7 +682,7 @@ def cantini_P_confluent(xs, c, delta):
     and letting every y_k -> c takes the m-th y-Taylor coefficient of
     1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  Row j
     depends on x_j alone: at tower points it is expanded in x_j's tower
-    variable and the determinant built by `tower_det.line_det`, a
+    variable and the determinant built by `exact_core.line_det`, a
     `Scaled` element on integer leaves.
     """
     s = len(xs)

@@ -461,6 +461,24 @@ def row_config_probability(cfg: RowConfig, w, method="transfer"):
     return _row_probabilities(cfg.n, w, cfg.s, [[cfg.positions]], method)[0]
 
 
+@dataclass(frozen=True)
+class EfpQuery:
+    """Region of an EFP evaluation: 1 <= s <= r <= N, n = r - s."""
+
+    N: int
+    r: int
+    s: int
+
+    def __post_init__(self):
+        if not (1 <= self.s <= self.r <= self.N):
+            raise InvalidRegion(
+                f"need 1 <= s <= r <= N, got r={self.r}, s={self.s}, N={self.N}")
+
+    @property
+    def n(self) -> int:
+        return self.r - self.s
+
+
 def efp_oracle(N, r, s, w, route="efp", method="transfer"):
     """Emptiness formation probability F_N^(r,s) by direct summation.
 
@@ -468,8 +486,7 @@ def efp_oracle(N, r, s, w, route="efp", method="transfer"):
     route 'efpn' freezes positions 1..s on row r = s+n and sums over the
     remaining n up arrows.  The two must agree exactly.
     """
-    if not (1 <= s <= r <= N):
-        raise InvalidRegion(f"need 1 <= s <= r <= N, got r={r}, s={s}, N={N}")
+    EfpQuery(N, r, s)
     if route == "efp":
         row, cfgs = s, list(combinations(range(1, r + 1), s))
     elif route == "efpn":

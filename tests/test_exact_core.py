@@ -14,13 +14,14 @@ from dwbc.exact_core import (
     Series,
     build_tower,
     format_rational,
+    _point_line,
     iterated_residue,
+    line_det,
     parse_rational,
     poly_det,
     residue_drive,
 )
 from dwbc.ik_engine import complete_homogeneous
-from dwbc.tower_det import _point_line, line_det
 
 
 class TestScalars:
@@ -781,6 +782,24 @@ class TestFlatKernel:
             _check_known(fa * fb, _dict_mul(a, b))
             _check_known(fa + fb, _dict_add(a, b))
             _check_known(fa - fb, _dict_add(a, {k: -v for k, v in b.items()}))
+            for k in (3, Fraction(-2, 5), 0):
+                # a number scales the leaves, as the product with its
+                # constant element would
+                x, y = fa * k, fa * ring.const(k)
+                assert (x.lo, x.shape, x.coeffs, x.err) == \
+                    (y.lo, y.shape, y.coeffs, y.err)
+                _check_known(x, {e: k * c for e, c in a.items()})
+            k0, c0 = next(iter(b.items()))
+            if c0 and len(fa.coeffs) > 1:
+                # a monomial shifts the other factor, as the general
+                # product does with the monomial padded by a zero leaf
+                c0, inf, L = ring.base.const(c0), math.inf, len(k0)
+                mono = Series(ring, k0, (1,) * L, [c0], (inf,) * L)
+                padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
+                                (inf,) * L)
+                x, y = fa * mono, fa * padded
+                assert (x.lo, x.err) == (y.lo, y.err) and x == y
+                _check_known(x, _dict_mul(a, {k0: c0}))
             q2, ref2 = _quotient(fb, b, divisors[0])
             for g in divisors:
                 q, ref = _quotient(fa, a, g)
