@@ -27,9 +27,9 @@ The multiple sums are generated by depth-first index generation with an
 exclusion set, literally following the alpha_j not-in {alpha_1..a_{j-1}}
 structure.  Sum representations run in numeric mode only and integral
 representations in exact mode only; the oracle links the two regimes.
-The numeric sums take their determinant minors from `_phi_matrix` and
-`_minor_det`, the only functions here that import numpy, on call; the
-exact integral representations never load it.
+The numeric sums take their determinant minors of `_phi_matrix` from
+`_minor_det`, which imports `elimination` on call; the exact integral
+representations never load it.
 """
 
 from __future__ import annotations
@@ -83,22 +83,17 @@ def _chi(alpha, beta):
 
 
 def _phi_matrix(p: TrigParams):
-    import numpy as np
     c = cmath.sin(2 * p.eta)
-    return np.array(
-        [[c / (a_fn(l, v, p.eta) * b_fn(l, v, p.eta)) for v in p.nus]
-         for l in p.lambdas],
-        dtype=complex,
-    )
+    return [[c / (a_fn(l, v, p.eta) * b_fn(l, v, p.eta)) for v in p.nus]
+            for l in p.lambdas]
 
 
 def _minor_det(m, drop_rows, cols):
-    import numpy as np
-    keep = [i for i in range(m.shape[0]) if (i + 1) not in drop_rows]
-    sub = m[np.ix_(keep, [k - 1 for k in cols])]
-    if sub.size == 0:
-        return 1 + 0j
-    return complex(np.linalg.det(sub))
+    """The minor of m on the rows not in `drop_rows` and the columns
+    `cols`, both 1-based."""
+    from .elimination import det
+    return det([[row[k - 1] for k in cols]
+                for i, row in enumerate(m, 1) if i not in drop_rows])
 
 
 def _check_separation(p: TrigParams):

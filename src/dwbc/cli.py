@@ -4,8 +4,7 @@ Every subcommand prints one JSON object (or CSV with a header row) on
 stdout; exact rationals are emitted as 'p/q' strings, numeric values as
 17-significant-digit decimals, so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 computation error (the error
-name is reported; a numeric route run without numpy is one, reported
-as its ImportError), 2 usage error.
+name is reported), 2 usage error.
 
     dwbc zn --size 3 --weights 1 1 1 --method enum
     dwbc efp --size 3 --r 2 --s 1 --weights 1 1 1 --method mir-n
@@ -388,9 +387,7 @@ def main(argv=None) -> int:
             _usage_error(f"DWBC_MAX_N must be an integer, got {max_n!r}")
     try:
         payload = args.func(args)
-    except (DwbcError, ImportError) as exc:
-        # an ImportError is a numeric route run without numpy: its
-        # message names the missing module
+    except DwbcError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -374,9 +374,22 @@ class Series:
         shape = tuple(max(x + n, y + m) - l for x, n, y, m, l
                       in zip(a.lo, a.shape, b.lo, b.shape, lo))
         out, st = [0] * math.prod(shape), _strides(shape)
-        for x in ((b,) if a is b else (a, b)):
-            base = sum((u - l) * k for u, l, k in zip(x.lo, lo, st))
-            _add_into(out, st, base, x)
+        if len(a.coeffs) < len(b.coeffs):
+            a, b = b, a
+        # the term with more leaves is placed by slices, the other added:
+        # past the last level j where its extent is not the sum's, its
+        # leaves fill whole slices of the sum, so each block of levels
+        # j.. is one slice
+        j = len(shape) - 1
+        while j and a.shape[j] == shape[j]:
+            j -= 1
+        n = math.prod(a.shape[j:])
+        base = sum((u - l) * k for u, l, k in zip(a.lo, lo, st))
+        for i, o in enumerate(_offsets(a.shape[:j], st[:j], base)):
+            out[o:o + n] = a.coeffs[i * n:i * n + n]
+        if b is not a:
+            base = sum((u - l) * k for u, l, k in zip(b.lo, lo, st))
+            _add_into(out, st, base, b)
         return _trim(ring, lo, shape, out, err)
 
     __radd__ = __add__

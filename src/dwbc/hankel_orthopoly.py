@@ -32,10 +32,10 @@ sized for doubles).  A pairing det[K_{n_i}(d_{eps_j})] f|_0 is an
 iterated residue: K_n(d_eps) f|_0 = sum_m kappa_{n,m} m! [eps^m] f is
 the residue of f k_n(eps), k_n(eps) = sum_m kappa_{n,m} m! eps^(-m-1),
 so f is contracted against det[k_{n_i}(eps_j)] by `iterated_residue`.
-The float linear algebra is numpy's:
-`OrthoFamily.__init__`, `OrthoFamily.hankel_det` and
-`bordered_hankel_det` import it when called, so importing the module
-does not load it.
+The Hankel solve and determinants (`OrthoFamily.__init__`,
+`OrthoFamily.hankel_det`, `bordered_hankel_det`) are `elimination`'s,
+exact from their float entries and rounded once; they import it when
+called.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class OrthoFamily:
     the moments c_n = d^n phi/d lam^n, n = 0..2N-2, at (lam, eta)."""
 
     def __init__(self, N, lam, eta, moments):
-        import numpy as np
+        from .elimination import solve
         self.N = N
         self.lam = lam
         self.eta = eta
@@ -79,16 +79,16 @@ class OrthoFamily:
             if n == 0:
                 p = [1.0 + 0j]
             else:
-                m = np.array([[c[i + k] for k in range(n)] for i in range(n)],
-                             dtype=complex)
-                rhs = np.array([-c[n + i] for i in range(n)], dtype=complex)
                 try:
-                    sol = np.linalg.solve(m, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise DegenerateHankel(str(exc)) from exc
-                if not np.all(np.isfinite(sol)):
+                    sol = solve([[c[i + k] for k in range(n)]
+                                 for i in range(n)],
+                                [-c[n + i] for i in range(n)])
+                except (NearDegenerate, Singular) as exc:
+                    raise DegenerateHankel(
+                        f"Hankel minor at n={n}: {exc}") from exc
+                if not all(map(cmath.isfinite, sol)):
                     raise DegenerateHankel(f"singular Hankel minor at n={n}")
-                p = list(sol) + [1.0 + 0j]
+                p = sol + [1.0 + 0j]
             h = sum(p[m2] * c[m2 + n] for m2 in range(n + 1))
             if abs(h) < 1e-13:
                 raise DegenerateHankel(f"vanishing norm h_{n}")
@@ -102,13 +102,9 @@ class OrthoFamily:
 
     def hankel_det(self, n):
         """Leading principal Hankel determinant of order n."""
-        if n == 0:
-            return 1.0 + 0j
-        import numpy as np
+        from .elimination import det
         c = self.moments
-        m = np.array([[c[i + k] for k in range(n)] for i in range(n)],
-                     dtype=complex)
-        return complex(np.linalg.det(m))
+        return det([[c[i + k] for k in range(n)] for i in range(n)])
 
 
 def build_ortho_family(N, lam, eta) -> OrthoFamily:
@@ -123,16 +119,11 @@ def build_ortho_family(N, lam, eta) -> OrthoFamily:
 def bordered_hankel_det(fam: OrthoFamily, xs):
     """The N x N determinant bordering the Hankel block with powers of
     the points xs; equals h_0...h_{N-s-1} det[P_{N-s+i-1}(x_j)]."""
-    import numpy as np
+    from .elimination import det
     N, s = fam.N, len(xs)
     c = fam.moments
-    m = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        for k in range(N - s):
-            m[i, k] = c[i + k]
-        for j, x in enumerate(xs):
-            m[i, N - s + j] = x ** i
-    return complex(np.linalg.det(m))
+    return det([[c[i + k] for k in range(N - s)] + [x ** i for x in xs]
+                for i in range(N)])
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ minors of `cantini_P_vand` each depend on one x_j and take the same
 column kernel; the y-side minors, each of whose columns depends on
 s - 1 of the y's, are cofactor expansions (`poly_det`).
 
-Only the two float determinants, `ik_determinant` and `ik_homogeneous`,
-use numpy, and they import it when called: importing this module and
-everything exact in it need the standard library alone.
+The two float determinants, `ik_determinant` and `ik_homogeneous`,
+take their determinant from `elimination.det`, exact from the float
+entries and rounded once, which they import when called.
 """
 
 from __future__ import annotations
@@ -178,10 +178,8 @@ class NumericTriple:
 def ik_determinant(p: TrigParams) -> complex:
     """Z_N of the inhomogeneous model via the determinant formula.
     Z_0 = 1 (empty lattice)."""
+    from .elimination import det
     N, eta = p.n, p.eta
-    if N == 0:
-        return 1 + 0j
-    import numpy as np
     pref = 1 + 0j
     for l in p.lambdas:
         for v in p.nus:
@@ -191,12 +189,8 @@ def ik_determinant(p: TrigParams) -> complex:
         for j in range(i + 1, N):
             den *= d_fn(p.lambdas[j], p.lambdas[i]) * d_fn(p.nus[i], p.nus[j])
     c = cmath.sin(2 * eta)
-    m = np.array(
-        [[c / (a_fn(l, v, eta) * b_fn(l, v, eta)) for v in p.nus]
-         for l in p.lambdas],
-        dtype=complex,
-    )
-    return pref / den * complex(np.linalg.det(m))
+    return pref / den * det([[c / (a_fn(l, v, eta) * b_fn(l, v, eta))
+                              for v in p.nus] for l in p.lambdas])
 
 
 @lru_cache(maxsize=None)
@@ -248,14 +242,13 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
     Z_0 = 1 (empty lattice)."""
     if N == 0:
         return 1 + 0j
-    import numpy as np
+    from .elimination import det
     a, b, _ = homogeneous_abc(lam, eta)
     cs = phi_derivatives(lam, eta, 2 * N - 2)
-    m = np.array([[cs[i + k] for k in range(N)] for i in range(N)], dtype=complex)
     pref = (a * b) ** (N * N)
     for n in range(1, N):
         pref /= math.factorial(n) ** 2
-    return pref * complex(np.linalg.det(m))
+    return pref * det([[cs[i + k] for k in range(N)] for i in range(N)])
 
 
 # ---------------------------------------------------------------------------

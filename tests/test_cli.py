@@ -287,15 +287,15 @@ class TestContracts:
         assert json.loads(proc.stdout)["Z"] == "7"
 
 
-# Imports all ten dwbc modules and runs every exact invocation through
-# `main` in one child process; prints {"numpy": whether numpy got
-# loaded, "runs": [[exit, stdout], ...]}.
-_EXACT_CHILD = textwrap.dedent("""
+# Imports every dwbc module and runs each invocation through `main` in
+# one child process; prints {"numpy": whether numpy got loaded, "runs":
+# [[exit, stdout], ...]}.
+_CHILD = textwrap.dedent("""
     import contextlib, io, json, sys
     import dwbc
-    from dwbc import (bethe_reps, cli, efp_reps, errors, exact_core,
-                      hankel_orthopoly, identity_suite, ik_engine,
-                      lattice_oracle)
+    from dwbc import (bethe_reps, cli, efp_reps, elimination, errors,
+                      exact_core, hankel_orthopoly, identity_suite,
+                      ik_engine, lattice_oracle)
     runs = []
     for args in json.loads(sys.argv[1]):
         buf = io.StringIO()
@@ -330,6 +330,18 @@ _EXACT_INVOCATIONS = [
     ["verify", "--suite", "cantini", "--trials", "3", "--seed", "42"],
 ]
 
+# the float determinants and solves: IK, Hankel, sums, and a suite
+_NUMERIC_INVOCATIONS = [
+    ["zn", "--size", "3", "--method", "ik", "--lambda", "0.9",
+     "--eta", "0.3"],
+    ["psi", "--size", "3", "--which", "top", "--positions", "1",
+     "--method", "ortho", "--lambda", "0.9", "--eta", "0.3"],
+    ["verify", "--suite", "kmst", "--trials", "2"],
+    ["psi", "--size", "3", "--which", "top", "--positions", "1",
+     "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
+     "0.1", "0.25", "0.42", "--eta", "0.35"],
+]
+
 
 def _stub_numpy(tmp_path):
     """A `numpy` package under tmp_path whose import fails, and the
@@ -343,50 +355,42 @@ def _stub_numpy(tmp_path):
 
 class TestNumpyFree:
     def test_exact_paths_never_load_numpy(self, tmp_path):
-        # a `numpy` whose import fails shadows the real one: the exact
-        # subcommands must run as well and print the same bytes
+        # a `numpy` whose import fails shadows the real one: every
+        # subcommand, exact or numeric, must run as well and print the
+        # same bytes
         stub, root = _stub_numpy(tmp_path)
         env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
+        invocations = _EXACT_INVOCATIONS + _NUMERIC_INVOCATIONS
         results = []
         for path in ([stub, root], [root]):
             env["PYTHONPATH"] = os.pathsep.join(path)
             proc = subprocess.run(
-                [sys.executable, "-c", _EXACT_CHILD,
-                 json.dumps(_EXACT_INVOCATIONS)],
+                [sys.executable, "-c", _CHILD, json.dumps(invocations)],
                 capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 0, proc.stderr
             results.append(json.loads(proc.stdout))
         stubbed, plain = results
         # without the stub numpy is importable, yet nothing imports it
         assert not plain["numpy"]
-        assert [code for code, _ in stubbed["runs"]] == [0] * len(
-            _EXACT_INVOCATIONS)
+        assert [code for code, _ in stubbed["runs"]] == [0] * len(invocations)
         assert stubbed["runs"] == plain["runs"]
 
-    @pytest.mark.parametrize("args", [
-        ["zn", "--size", "3", "--method", "ik", "--lambda", "0.9",
-         "--eta", "0.3"],
-        ["psi", "--size", "3", "--which", "top", "--positions", "1",
-         "--method", "ortho", "--lambda", "0.9", "--eta", "0.3"],
-        ["verify", "--suite", "kmst", "--trials", "2"],
-        ["psi", "--size", "3", "--which", "top", "--positions", "1",
-         "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
-         "0.1", "0.25", "0.42", "--eta", "0.35"],
-    ])
+    @pytest.mark.parametrize("args", _NUMERIC_INVOCATIONS)
     def test_numeric_routes_without_numpy(self, tmp_path, args):
-        # a numeric route without numpy is a computation error: exit 1
-        # and one JSON record naming the module, never a traceback
+        # a numeric route needs no numpy: under the stub it exits 0 and
+        # prints byte for byte what it prints with numpy importable
+        stub, root = _stub_numpy(tmp_path)
         env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
-        env["PYTHONPATH"] = os.pathsep.join(_stub_numpy(tmp_path))
-        proc = subprocess.run([sys.executable, "-m", "dwbc.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        record = json.loads(proc.stderr)
-        assert record["error"] == "ImportError"
-        assert "numpy" in record["message"]
+        outs = []
+        for path in ([stub, root], [root]):
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            proc = subprocess.run([sys.executable, "-m", "dwbc.cli", *args],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] != ""
 
 
 _ORACLE_CHILD = textwrap.dedent("""
