@@ -46,6 +46,20 @@ nesting order also disambiguates iterated contours around
 variable-dependent poles: 1/(w_l - w_j) expands in powers of w_j/w_l
 exactly when w_j sits above w_l in the tower.
 
+What an operation works out from its operands' boxes alone is a plan,
+computed once per key and kept in one store of at most PLAN_CAP (4096)
+plans, emptied when full.  A division's key is the lo, shape and err
+of both operands, the divisor's nonzero leaf positions, the tower's
+precs and the dividend's `_tops` on the levels whose window they set;
+its plan holds the quotient's lo, err and box and the recurrence's
+padded buffer, leaf order and step reaches, while the divisor's leading
+leaf is inverted and its step coefficients read on every call.  A
+sum's key is the lo, shape and err of both terms, its plan the
+placement of each in the sum's box cut at err.  Products keep their
+offsets, and every operation its crops, in the same store.  No leaf
+value enters a plan, so the first operation on a shape pays the set-up
+and every later one a lookup.
+
 `residue_drive` is the one residue path: every integrand is a `build`
 function returning a tower element or a pair (A, B) whose product it
 is, over the shifted variables in integration order; it extracts the
@@ -76,8 +90,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from operator import add, and_, mul, not_, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
@@ -203,13 +216,39 @@ class Tower:
         return f"{self.base!r}[[{', '.join(self.names)}]]/prec={self.precs}"
 
 
-@lru_cache(maxsize=1024)
+# The plan store: what an operation works out from the boxes of its
+# operands alone, never from a leaf value, keyed by those boxes.  Keys
+# of different kinds never meet: strides are keyed by a shape, offsets
+# by (shape, strides), crops by (shift, shape, shape), sums by a flat
+# tuple led by "+", division heads by one led by "/" and divisions by
+# (head key, tops).  A plan is kept only when it holds at most
+# PLAN_LEAVES positions, so a large box, whose own arithmetic dwarfs its
+# set-up, plans afresh; the store is emptied when it reaches PLAN_CAP
+# entries.
+PLAN_CAP = 4096
+PLAN_LEAVES = 256
+_PLANS = {}
+
+
+def _remember(key, plan, size=0):
+    """Store plan under key when its `size` is at most PLAN_LEAVES, and
+    return it."""
+    if size <= PLAN_LEAVES:
+        if len(_PLANS) >= PLAN_CAP:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    return plan
+
+
 def _strides(shape):
-    out, st = [], 1
-    for n in reversed(shape):
-        out.append(st)
-        st *= n
-    return tuple(out[::-1])
+    out = _PLANS.get(shape)
+    if out is None:
+        out, st = [], 1
+        for n in reversed(shape):
+            out.append(st)
+            st *= n
+        out = _remember(shape, tuple(out[::-1]))
+    return out
 
 
 def _index(p, strides):
@@ -221,36 +260,51 @@ def _index(p, strides):
     return out
 
 
-# offset lists of small boxes, the plans every operation walks; bounded
-_PLANS = {}
-
-
-def _remember(key, plan):
-    """Cache a plan of at most 256 entries, in at most 1024 plans."""
-    if len(plan) <= 256:
-        if len(_PLANS) >= 1024:
-            _PLANS.clear()
-        _PLANS[key] = plan
-
-
 def _offsets(shape, strides, base=0):
     """Flat offsets, at `strides`, of the leaves of a box of `shape`, in
-    row-major order, the first at `base`."""
-    offs = _PLANS.get((shape, strides))
+    row-major order, the first at `base`; stored at base 0, the offsets
+    every product asks for, while plans store their own."""
+    offs = None if base else _PLANS.get((shape, strides))
     if offs is None:
-        offs = [0]
+        offs = [base]
         for n, st in zip(shape, strides):
             offs = [o + i * st for o in offs for i in range(n)]
-        _remember((shape, strides), offs)
-    return [o + base for o in offs] if base else offs
+        if not base:
+            _remember((shape, strides), offs, len(offs))
+    return offs
 
 
-def _add_into(out, strides, base, x):
-    """Add the leaves of x into the box with `strides` of out, x's box
-    starting at offset `base`."""
-    for o, v in zip(_offsets(x.shape, strides, base), x.coeffs):
-        if v:
-            out[o] += v
+def _scatter(lo, shape, nlo, nshape):
+    """Per leaf of the box (lo, shape), its flat position in the box
+    (nlo, nshape), or -1 outside it."""
+    plan = [0]
+    for l, n, nl, m, st in zip(lo, shape, nlo, nshape,
+                               _strides(tuple(nshape))):
+        pos = [(i + l - nl) * st if 0 <= i + l - nl < m else -1
+               for i in range(n)]
+        plan = [-1 if p < 0 or k < 0 else p + k for p in plan for k in pos]
+    return plan
+
+
+def _runs(lo, shape, clo, cshape, dlo, dshape):
+    """The box (lo, shape) clipped to the box (clo, cshape) and placed in
+    the box (dlo, dshape) that holds the clip box, as runs (k, dst, src):
+    k leaves from each flat position src[m] of the source to dst[m] of
+    the destination.  A run spans the innermost levels that both boxes
+    hold whole."""
+    blo = [max(a, b) for a, b in zip(lo, clo)]
+    bn = [min(a + n, b + m) - x
+          for a, n, b, m, x in zip(lo, shape, clo, cshape, blo)]
+    if min(bn) <= 0:
+        return 0, [], []
+    j = len(lo) - 1
+    while j and bn[j] == shape[j] == dshape[j]:
+        j -= 1
+    k, outer = math.prod(bn[j:]), tuple(bn[:j])
+    sst, dst = _strides(tuple(shape)), _strides(tuple(dshape))
+    src = _offsets(outer, sst[:j], sum(map(mul, map(sub, blo, lo), sst)))
+    dst = _offsets(outer, dst[:j], sum(map(mul, map(sub, blo, dlo), dst)))
+    return k, dst, src
 
 
 def _crop(c, lo, shape, nlo, nshape):
@@ -261,11 +315,8 @@ def _crop(c, lo, shape, nlo, nshape):
     if plan is None:
         # per leaf, its flat position in c, or -1 (the zero appended
         # below) outside the box
-        plan = [0]
-        for d, n, m, st in zip(key[0], shape, nshape, _strides(key[1])):
-            pos = [(i + d) * st if 0 <= i + d < n else -1 for i in range(m)]
-            plan = [-1 if p < 0 or k < 0 else p + k for p in plan for k in pos]
-        _remember(key, plan)
+        plan = _scatter(nlo, nshape, lo, shape)
+        _remember(key, plan, len(plan))
     c = c + [0]
     return [c[p] for p in plan]
 
@@ -298,26 +349,65 @@ def _trim(ring, lo, shape, c, err):
         return _empty(ring, lo, err)
     if cut != shape:
         c, shape = _crop(c, lo, shape, lo, cut), cut
+    return _strip(ring, lo, shape, c, err)
+
+
+def _live(c, k, m, inner):
+    """Whether slice k of a level of extent m, with `inner` leaves per
+    exponent of that level, holds a nonzero leaf of the flat box c."""
+    if inner == 1:
+        return any(c[k::m])
+    return any(any(c[b:b + inner])
+               for b in range(k * inner, len(c), m * inner))
+
+
+def _strip(ring, lo, shape, c, err):
+    """`_trim` of a box that lies below err: each level is scanned from
+    its top slice down, and from its bottom slice up where every deeper
+    level is exact, to its first slice with a nonzero leaf, so a box
+    whose boundary slices are nonzero costs one slice per end."""
     if all(c):
         return Series(ring, tuple(lo), shape, c, tuple(err))
-    n = shape[-1]
-    ext = [None] * len(shape)
-    flags = [any(c[o:o + n]) for o in range(0, len(c), n)]
-    if not any(flags):
+    if not any(c):
         return _empty(ring, lo, err)
-    cols = [i for i in range(n) if any(c[i::n])]
-    ext[-1] = (cols[0], cols[-1] + 1)
-    for j in range(len(shape) - 2, -1, -1):
-        m = shape[j]
-        ks = [k for k in range(m) if any(flags[k::m])]
-        ext[j] = (ks[0], ks[-1] + 1)
-        flags = [any(flags[o:o + m]) for o in range(0, len(flags), m)]
-    deep = _deep_exact(err)
-    nlo = tuple(l + (a if ok else 0) for l, (a, _), ok in zip(lo, ext, deep))
-    nshape = tuple(l + b - m for l, (_, b), m in zip(lo, ext, nlo))
+    nlo, nshape, inner = [], [], len(c)
+    for l, m, ok in zip(lo, shape, _deep_exact(err)):
+        inner //= m
+        top, bot = m, 0
+        while not _live(c, top - 1, m, inner):
+            top -= 1
+        while ok and not _live(c, bot, m, inner):
+            bot += 1
+        nlo.append(l + bot)
+        nshape.append(top - bot)
+    nlo, nshape = tuple(nlo), tuple(nshape)
     if nlo != lo or nshape != shape:
         c = _crop(c, lo, shape, nlo, nshape)
     return Series(ring, nlo, nshape, c, tuple(err))
+
+
+def _sum_plan(key, a, b):
+    """The plan of a + b, stored under key: (lo, err, box, runs, offs,
+    swap).  The sum's box starts at the per-level minima of the lows
+    and is cut at the minima of the errs; box is None when that leaves
+    nothing.  The term with more leaves (b when swap) is placed by
+    `_runs`, the other's leaves added at offs (-1 past the box), None
+    when it has no leaves."""
+    err = tuple(map(min, a.err, b.err))
+    lo = tuple(map(min, a.lo, b.lo))
+    swap = len(a.coeffs) < len(b.coeffs)
+    x, y = (b, a) if swap else (a, b)
+    # the box of a term without leaves adds nothing
+    z = y if y.coeffs else x
+    box = x.coeffs and tuple(
+        min(max(u + n, w + m), e) - l for u, n, w, m, e, l
+        in zip(x.lo, x.shape, z.lo, z.shape, err, lo))
+    if not box or min(box) <= 0:
+        return _remember(key, (lo, err, None, None, None, False))
+    runs = _runs(x.lo, x.shape, lo, box, lo, box)
+    offs = _scatter(y.lo, y.shape, lo, box) if y.coeffs else None
+    return _remember(key, (lo, err, box, runs, offs, swap),
+                     len(runs[1]) + len(offs or ()))
 
 
 class Series:
@@ -360,37 +450,26 @@ class Series:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, ring = self, other, self.ring
-        err = tuple(map(min, a.err, b.err))
-        lo = tuple(map(min, a.lo, b.lo))
-        if not b.coeffs:
-            a, b = b, a
-        if not b.coeffs:
-            return _empty(ring, lo, err)
-        if not a.coeffs:
-            if lo == b.lo:
-                return _trim(ring, lo, b.shape, b.coeffs, err)
-            a = b
-        shape = tuple(max(x + n, y + m) - l for x, n, y, m, l
-                      in zip(a.lo, a.shape, b.lo, b.shape, lo))
-        out, st = [0] * math.prod(shape), _strides(shape)
-        if len(a.coeffs) < len(b.coeffs):
-            a, b = b, a
-        # the term with more leaves is placed by slices, the other added:
-        # past the last level j where its extent is not the sum's, its
-        # leaves fill whole slices of the sum, so each block of levels
-        # j.. is one slice
-        j = len(shape) - 1
-        while j and a.shape[j] == shape[j]:
-            j -= 1
-        n = math.prod(a.shape[j:])
-        base = sum((u - l) * k for u, l, k in zip(a.lo, lo, st))
-        for i, o in enumerate(_offsets(a.shape[:j], st[:j], base)):
-            out[o:o + n] = a.coeffs[i * n:i * n + n]
-        if b is not a:
-            base = sum((u - l) * k for u, l, k in zip(b.lo, lo, st))
-            _add_into(out, st, base, b)
-        return _trim(ring, lo, shape, out, err)
+        key = ("+", *self.lo, *self.shape, *self.err,
+               *other.lo, *other.shape, *other.err)
+        lo, err, box, runs, offs, swap = (_PLANS.get(key)
+                                          or _sum_plan(key, self, other))
+        if box is None:
+            return _empty(self.ring, lo, err)
+        a, b = (other, self) if swap else (self, other)
+        # a is placed by runs, b's leaves added one by one, those outside
+        # the box into a last slot that is dropped
+        out = [0] * (math.prod(box) + 1)
+        ac = a.coeffs
+        k, dst, src = runs
+        for o, i in zip(dst, src):
+            out[o:o + k] = ac[i:i + k]
+        if offs:
+            for o, v in zip(offs, b.coeffs):
+                if v:
+                    out[o] += v
+        out.pop()
+        return _strip(self.ring, lo, box, out, err)
 
     __radd__ = __add__
 
@@ -476,65 +555,39 @@ class Series:
             if other is NotImplemented:
                 return NotImplemented
         f, g, ring = self, other, self.ring
-        L = len(g.lo)
-        p0 = next((p for p, x in enumerate(g.coeffs) if x), None)
-        if p0 is None:
-            if all(e == INF for e in g.err):
-                raise ZeroDenominator("division by the zero series")
-            raise PrecisionLoss(f"division by O({g.err}) with no known terms")
-        gst = _strides(g.shape)
-        vrel = _index(p0, gst)
-        for j, ok in enumerate(_deep_exact(g.err)):
-            if vrel[j] and not ok:
-                raise PrecisionLoss(
-                    "division by a leading coefficient not known to be nonzero")
-        v = [l + i for l, i in zip(g.lo, vrel)]
-        r = _invert(g.coeffs[p0])
-        steps = [([i - u for i, u in zip(_index(p, gst), vrel)], -x)
-                 for p, x in enumerate(g.coeffs[p0 + 1:], p0 + 1) if x]
-        lo_f = [l - u for l, u in zip(f.lo, v)]
-        err_f = [e - u for e, u in zip(f.err, v)]
-        if not steps and all(e == INF for e in g.err):
+        gc = g.coeffs
+        # the divisor's nonzero leaves, the first its lex-leading one
+        nz = tuple(compress(range(len(gc)), gc))
+        key = ("/", nz, *f.lo, *f.shape, *f.err, *g.lo, *g.shape, *g.err,
+               *ring.precs)
+        need = _PLANS.get(key)
+        if need is None:
+            need = _division_head(key, f, g, nz)
+        key = (key, _tops(f.shape, f.coeffs, need))
+        lo, err, shape, size, runs, order, reach, out, trim = (
+            _PLANS.get(key) or _division_plan(key, f, g, nz, need, ring.precs))
+        r = _invert(gc[nz[0]])
+        if order is None:
+            if shape is None:
+                return _empty(ring, lo, err)
             # an exact monomial: the quotient is f shifted, window and all
-            if not f.coeffs:
-                return _empty(ring, lo_f, err_f)
-            return Series(ring, tuple(lo_f), f.shape,
-                          [c * r for c in f.coeffs], tuple(err_f))
-        levels = [next(j for j, x in enumerate(h) if x) for h, _ in steps]
-        deep = _deep_exact(f.err)
-        need = {j for j in range(L)
-                if deep[j] and (j in levels or g.err[j] != INF)}
-        tops = _tops(f.shape, f.coeffs, need) if need and f.coeffs else [0] * L
-        lo, hi, err, top, held = [], [], [], [], 0
-        for j in range(L):
-            stepped = j in levels
-            low = min(0, g.lo[j] - v[j]) * held
-            known = err_f[j] + low
-            if g.err[j] != INF:
-                known = min(known, lo_f[j] + g.err[j] - v[j] + low)
-            if stepped or g.err[j] != INF:
-                known = min(known, lo_f[j] + ring.precs[j]
-                            + (max(0, tops[j] - j) if deep[j] else 0))
-            t = known - low
-            if not stepped:
-                t = min(t, lo_f[j] + f.shape[j]
-                        + max(0, g.lo[j] + g.shape[j] - 1 - v[j]) * held)
-            lo.append(lo_f[j] + low)
-            err.append(known)
-            top.append(t)
-            hi.append(min(known, t))
-            if stepped and lo[j] != INF:
-                held += known - 1 - lo[j]
-        if not f.coeffs or any(h <= l for l, h in zip(lo, hi)):
-            return _empty(ring, lo, err)
-        lo, err = tuple(lo), tuple(err)
-        work = tuple(t - l for t, l in zip(top, lo))
-        q = _divide_box(f, lo_f, lo, work, steps, r)
-        if held and min(g.lo[j] - v[j] for j in range(L)) < 0:
-            return _trim(ring, lo, work, q, err)
-        shape = tuple(h - l for h, l in zip(hi, lo))
-        if work != shape:
-            q = _crop(q, lo, work, lo, shape)
+            return Series(ring, lo, shape, [c * r for c in f.coeffs], err)
+        # f in the padded buffer, then each leaf in lex order adds c
+        # times the leaf each step reaches back to and is scaled by r
+        buf = [0] * size
+        fc = f.coeffs
+        k, dst, src = runs
+        for o, i in zip(dst, src):
+            buf[o:o + k] = fc[i:i + k]
+        steps = [(d, -gc[p]) for d, p in zip(reach, nz[1:])]
+        for p in order:
+            acc = buf[p]
+            for d, c in steps:
+                acc += c * buf[p - d]
+            buf[p] = acc if r == 1 else acc * r
+        q = [buf[p] for p in out]
+        if trim:
+            return _trim(ring, lo, shape, q, err)
         return Series(ring, lo, shape, q, err)
 
     def __rtruediv__(self, other):
@@ -612,10 +665,13 @@ class Series:
 
 
 def _tops(shape, c, need):
-    """Per level j in `need`, the largest valuation in level j, from the
-    box's low, of a slice of the levels below j with a nonzero leaf."""
+    """Per level j in `need`, ascending, the largest valuation in level
+    j, from the box's low, of a slice of the levels below j with a
+    nonzero leaf."""
+    if not need:
+        return ()
     tops, flags = [0] * len(shape), c
-    for j in range(len(shape) - 1, min(need) - 1, -1):
+    for j in range(len(shape) - 1, need[0] - 1, -1):
         n = shape[j]
         if j in need:
             alive = [True] * (len(flags) // n)
@@ -627,37 +683,98 @@ def _tops(shape, c, need):
                     if not any(alive):
                         break
         flags = [any(flags[o:o + n]) for o in range(0, len(flags), n)]
-    return tops
+    return tuple(tops[j] for j in need)
 
 
-def _divide_box(f, lo_f, lo, shape, steps, r):
-    """The leaves of the quotient on the box (lo, shape) by the
-    recurrence, leaf by leaf in lex order: f placed in the box, padded
-    at every level by the steps' reach so that a step that reaches
-    below the box reads a zero, then each leaf adds c times the leaf
-    each step reaches back to and is scaled by r."""
-    L, n = len(shape), shape[-1]
-    below = [max([h[j] for h, _ in steps] + [0]) for j in range(L)]
-    above = [max([-h[j] for h, _ in steps] + [0]) for j in range(L)]
-    pshape = tuple(k + x + y for k, x, y in zip(shape, below, above))
+def _divisor(g, nz):
+    """(v, hs, levels) of a divisor g with nonzero leaves nz: v the
+    exponent of its lex-leading leaf nz[0], hs the offset from v of each
+    further nonzero leaf (one step of the recurrence each), levels
+    their first nonzero levels.  Raises what a divisor without a certain
+    leading leaf must."""
+    if not nz:
+        if all(e == INF for e in g.err):
+            raise ZeroDenominator("division by the zero series")
+        raise PrecisionLoss(f"division by O({g.err}) with no known terms")
+    gst = _strides(g.shape)
+    vrel = _index(nz[0], gst)
+    for j, ok in enumerate(_deep_exact(g.err)):
+        if vrel[j] and not ok:
+            raise PrecisionLoss(
+                "division by a leading coefficient not known to be nonzero")
+    v = [l + i for l, i in zip(g.lo, vrel)]
+    hs = [[i - u for i, u in zip(_index(p, gst), vrel)] for p in nz[1:]]
+    return v, hs, {next(j for j, x in enumerate(h) if x) for h in hs}
+
+
+def _division_head(key, f, g, nz):
+    """The levels whose `_tops` of f the plan of f / g reads, stored
+    under key."""
+    _, _, levels = _divisor(g, nz)
+    deep = _deep_exact(f.err)
+    return _remember(key, tuple(
+        j for j in range(len(g.lo)) if f.coeffs and deep[j]
+        and (j in levels or g.err[j] != INF)))
+
+
+def _division_plan(key, f, g, nz, need, precs):
+    """The plan of f / g, stored under key, which ends with f's `_tops`
+    on the levels `need`: (lo, err, shape, size, runs, order, reach,
+    out, trim).  The quotient lies on the box (lo, shape) and knows
+    below err; order is None for an exact monomial g (then shape is
+    f's) and shape None for an empty quotient.  Otherwise the
+    recurrence runs in a buffer of `size` leaves, its work box padded
+    at every level by the steps' reach so that a step reaching below
+    the box reads a zero: f enters by `_runs`, order lists the work
+    box's leaves, reach each step's flat offset, and out the leaves of
+    the quotient's box, which is then trimmed when trim is set."""
+    v, hs, levels = _divisor(g, nz)
+    tops = dict(zip(need, key[-1]))
+    L = len(v)
+    lo_f = tuple(l - u for l, u in zip(f.lo, v))
+    err_f = tuple(e - u for e, u in zip(f.err, v))
+    if not hs and all(e == INF for e in g.err):
+        return _remember(key, (lo_f, err_f, f.shape if f.coeffs else None, 0,
+                               None, None, None, None, False))
+    deep = _deep_exact(f.err)
+    lo, hi, err, top, held = [], [], [], [], 0
+    for j in range(L):
+        stepped = j in levels
+        low = min(0, g.lo[j] - v[j]) * held
+        known = err_f[j] + low
+        if g.err[j] != INF:
+            known = min(known, lo_f[j] + g.err[j] - v[j] + low)
+        if stepped or g.err[j] != INF:
+            known = min(known, lo_f[j] + precs[j]
+                        + (max(0, tops.get(j, 0) - j) if deep[j] else 0))
+        t = known - low
+        if not stepped:
+            t = min(t, lo_f[j] + f.shape[j]
+                    + max(0, g.lo[j] + g.shape[j] - 1 - v[j]) * held)
+        lo.append(lo_f[j] + low)
+        err.append(known)
+        top.append(t)
+        hi.append(min(known, t))
+        if stepped and lo[j] != INF:
+            held += known - 1 - lo[j]
+    lo, err = tuple(lo), tuple(err)
+    if not f.coeffs or any(h <= l for l, h in zip(lo, hi)):
+        return _remember(key, (lo, err, None, 0,
+                               None, None, None, None, False))
+    work = tuple(t - l for t, l in zip(top, lo))
+    below = [max([h[j] for h in hs] + [0]) for j in range(L)]
+    above = [max([-h[j] for h in hs] + [0]) for j in range(L)]
+    pshape = tuple(k + x + y for k, x, y in zip(work, below, above))
     ps = _strides(pshape)
-    start = sum(x * st for x, st in zip(below, ps))
-    rows = _offsets(shape[:-1], ps[:-1], start)
-    buf = [0] * math.prod(pshape)
-    fc = (f.coeffs if f.shape == shape and tuple(lo_f) == lo
-          else _crop(f.coeffs, lo_f, f.shape, lo, shape))
-    for i, o in enumerate(rows):
-        buf[o:o + n] = fc[i * n:i * n + n]
-    reach = [(sum(x * st for x, st in zip(h, ps)), c) for h, c in steps]
-    for p in chain.from_iterable(range(o, o + n) for o in rows):
-        acc = buf[p]
-        for d, c in reach:
-            acc += c * buf[p - d]
-        buf[p] = acc if r == 1 else acc * r
-    out = []
-    for o in rows:
-        out += buf[o:o + n]
-    return out
+    start = sum(map(mul, below, ps))
+    order = _offsets(work, ps, start)
+    runs = _runs(lo_f, f.shape, lo, work, tuple(map(sub, lo, below)), pshape)
+    reach = [sum(map(mul, h, ps)) for h in hs]
+    trim = held and min(g.lo[j] - v[j] for j in range(L)) < 0
+    shape = work if trim else tuple(h - l for h, l in zip(hi, lo))
+    out = order if shape == work else _offsets(shape, ps, start)
+    return _remember(key, (lo, err, shape, math.prod(pshape), runs, order,
+                           reach, out, trim), len(order))
 
 
 class Scaled:

@@ -66,8 +66,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, NearDegenerate, Singular
-from .exact_core import (_content, _horner, _padd, _plin, _pmul, _point_line,
-                         _ppowers, _tower_point, _trimmed, line_det, poly_det)
+from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
+                         _point_line, _ppowers, _tower_point, _trimmed,
+                         line_det, poly_det)
 from .lattice_oracle import (WeightMatrix, WeightTriple,
                              boundary_generating_poly, enumerate_Z)
 
@@ -427,9 +428,11 @@ class BoundaryGenFamily:
         G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
         de)^-(N-1) a monomial or an integer power series, and the column
         keeps the exponents of its level's window, marked by err where
-        that cuts anything.  `exact_core.line_det` assembles the
-        determinant level by level with integer times tower and tower
-        plus tower only, and the contents form its `Scaled` scalar.  A
+        that cuts anything; points with one polynomial and one window
+        share one column, moved to each point's level (`_point_lines`).
+        `exact_core.line_det` assembles the determinant level by level
+        with integer times tower and tower plus tower only, and the
+        contents form its `Scaled` scalar.  A
         window too short for the residue shows up as a PrecisionLoss,
         so `residue_drive` retries on wider towers; it never gives a
         wrong value.
@@ -444,7 +447,9 @@ class BoundaryGenFamily:
         if s == 0:
             return Fraction(1) if self.exact else 1 + 0j
         rho, rows = self._hns_rows(N, s)
-        lines = [_hns_line(N, s, rows, _tower_point(z), mobius) for z in zs]
+        points = [_tower_point(z) for z in zs]
+        lines = _point_lines(points, lambda i: _hns_line(N, s, rows, points[i],
+                                                         mobius))
         return line_det(lines) * (rho / det_m ** (s * (s - 1) // 2))
 
     def hns_value(self, N: int, s: int, points):
@@ -555,6 +560,23 @@ def _hns_line(N, s, rows, point, mobius):
                        ((lo, d), N - 1))
 
 
+def _point_lines(points, make):
+    """[make(i) for each point i] of points read by
+    `exact_core._tower_point`, each distinct line made once: a point
+    with the polynomial and the window of an earlier one takes that
+    point's `Line` moved to its own level."""
+    made, out = {}, []
+    for i, (top, level, (lo, cs)) in enumerate(points):
+        key = (top and top.precs[level], lo, tuple(cs))
+        line = made.get(key)
+        if line is None:
+            line = made[key] = make(i)
+        elif top is not None:
+            line = Line(line.k, top, level, line.lo, line.rows, line.err)
+        out.append(line)
+    return out
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def family(w) -> BoundaryGenFamily:
     """Memoized family per weight triple (WeightTriple or NumericTriple,
@@ -658,8 +680,8 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
         coeffs.append(cs)
     points = [_tower_point(x) for x in xs]
     powers = [_ppowers(p[2], 2 * s - 2) for p in points]
-    terms = [line_det([_point_line(p, [pw[m] for m in S])
-                       for p, pw in zip(points, powers)])
+    terms = [line_det(_point_lines(points, lambda i: _point_line(
+                 points[i], [powers[i][m] for m in S])))
              * (yfactor * poly_det([[cs[m] for cs in coeffs] for m in S]))
              for S in combinations(range(2 * s - 1), s)]
     return sum(terms[1:], terms[0])

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from dwbc.exact_core import (
     ExactPoly,
     Scaled,
     Series,
+    approx_eq,
     build_tower,
     format_rational,
     _point_line,
@@ -718,8 +720,8 @@ def _value(x, e):
     return x.coeffs[p]
 
 
-def _check_known(x, ref):
-    """Every coefficient x knows equals the reference's."""
+def _check_known(x, ref, eq=operator.eq):
+    """Every coefficient x knows equals the reference's (by `eq`)."""
     points = set(ref)
     for p in range(len(x.coeffs)):
         e, r = [], p
@@ -729,7 +731,7 @@ def _check_known(x, ref):
         points.add(tuple(l + i for l, i in zip(x.lo, reversed(e))))
     for e in points:
         if all(k < t for k, t in zip(e, x.err)):
-            assert _value(x, e) == ref.get(e, 0), e
+            assert eq(_value(x, e), ref.get(e, 0)), e
 
 
 _exps = st.integers(-2, 2)
@@ -816,13 +818,131 @@ class TestFlatKernel:
 
 
 def _quotient(x, d, g):
-    """x / g on the tower and its reference, checked: the reference two
-    exponents past the quotient's window (so a product that claims too
-    much is caught), and past its box where it is exact."""
+    """x / g on the tower and its reference, checked."""
     q = x / _flat(x.ring, g)
-    hi = [e + 2 if e != math.inf else 4 + max(
-        [k[j] + 1 for k in d] + [q.lo[j] + q.shape[j]] * bool(q.coeffs))
-          for j, e in enumerate(q.err)]
-    ref = _dict_quotient(d, g, hi)
+    ref = _quotient_reference(q, d, g)
     _check_known(q, ref)
     return q, ref
+
+
+def _quotient_reference(q, d, g):
+    """The reference of the quotient q of the dicts d / g, two exponents
+    past q's window (so a product that claims too much is caught), and
+    past its box where it is exact."""
+    hi = [e + 2 if e != math.inf else 4 + max(
+        [0] + [k[j] + 1 for k in d] + [q.lo[j] + q.shape[j]] * bool(q.coeffs))
+          for j, e in enumerate(q.err)]
+    return _dict_quotient(d, g, hi)
+
+
+def _boxed(ring, lo, shape, leaves, err=None):
+    """The element on the box (lo, shape) with these leaves, its zero
+    slices kept, known below err (exact by default), and its terms as a
+    dict."""
+    ring_leaves = [ring.base.const(c) for c in leaves]
+    terms = {}
+    for p, c in enumerate(ring_leaves):
+        if c:
+            e, r = [], p
+            for n in reversed(shape):
+                r, i = divmod(r, n)
+                e.append(i)
+            terms[tuple(l + i for l, i in zip(lo, reversed(e)))] = c
+    return (Series(ring, lo, shape, ring_leaves,
+                   err or (math.inf,) * len(lo)), terms)
+
+
+@st.composite
+def _plan_cases(draw):
+    """Two dividends on one box and two divisors on another, drawn apart
+    in their leaves, so in the dividends' `_tops` and in the divisors'
+    zero patterns, and the dividends in which levels they know only up
+    to their box's top; a divisor keeps a nonzero leaf at exponent 0,
+    lex first in its box (a mixed-sign divisor 1 - x_j/x_l has its box
+    reach x_l^-1 below the leading leaf)."""
+    depth = draw(st.integers(1, 3))
+    windows = draw(st.lists(st.integers(2, 4), min_size=depth,
+                            max_size=depth))
+    kind = draw(st.sampled_from(["int", "fraction", "complex"]))
+    lo = tuple(draw(st.lists(_exps, min_size=depth, max_size=depth)))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=depth,
+                                max_size=depth)))
+    small = st.integers(-3, 3)
+    # leaves are zero half the time, so the zero patterns differ
+    sparse = st.one_of(st.just(0), small)
+    dividends = [(draw(st.lists(sparse, min_size=math.prod(shape),
+                                max_size=math.prod(shape))),
+                  tuple(l + n if draw(st.booleans()) else math.inf
+                        for l, n in zip(lo, shape)))
+                 for _ in range(2)]
+    mixed = depth > 1 and draw(st.booleans())
+    glo = tuple(-int(mixed and j == depth - 1) for j in range(depth))
+    gshape = tuple((2 if j in (0, depth - 1) else 1) if mixed
+                   else draw(st.integers(1, 2)) for j in range(depth))
+    divisors = []
+    for _ in range(2):
+        leaves = draw(st.lists(sparse, min_size=math.prod(gshape),
+                               max_size=math.prod(gshape)))
+        # zero before the leading leaf, which sits at exponent 0
+        lead = sum(-l * k for l, k in zip(glo, exact_core._strides(gshape)))
+        leaves[:lead] = [0] * lead
+        leaves[lead] = draw(small.filter(bool))
+        divisors.append(leaves)
+    return (windows, kind, (lo, shape, dividends), (glo, gshape, divisors))
+
+
+class TestPlanStore:
+    """A division or a sum planned afresh and one that finds its plan
+    stored give the same element, equal to the dict reference: a plan
+    holds no leaf value, and its key tells apart what the leaves decide."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_plan_cases())
+    def test_warm_plans_give_the_cold_results(self, case):
+        windows, kind, (lo, shape, fs), (glo, gshape, gs) = case
+        base = (exact_core.COMPLEXES if kind == "complex"
+                else exact_core.RATIONALS)
+        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)],
+                              base)
+        xs = [_boxed(ring, lo, shape, c, err) for c, err in fs]
+        ds = [_boxed(ring, glo, gshape, c) for c in gs]
+        ops = [(x, d, "/") for x in xs for d in ds]
+        ops += [(x, y, "+") for x in xs for y in xs + ds]
+
+        def run(x, y, op):
+            z = x[0] / y[0] if op == "/" else x[0] + y[0]
+            return z.lo, z.shape, z.coeffs, z.err
+
+        cold = []
+        for x, y, op in ops:
+            exact_core._PLANS.clear()
+            cold.append(run(x, y, op))
+        exact_core._PLANS.clear()
+        for _ in range(2):
+            assert [run(*o) for o in ops] == cold
+        # complex leaves round where a leaf is scaled by 1/g_v
+        eq = approx_eq if kind == "complex" else operator.eq
+        for (x, y, op), z in zip(ops, cold):
+            z = Series(ring, *z)
+            ref = (_dict_add(x[1], y[1]) if op == "+"
+                   else _quotient_reference(z, x[1], y[1]))
+            _check_known(z, ref, eq)
+
+    def test_store_stays_within_its_cap(self, monkeypatch):
+        class Store(dict):
+            peak = 0
+
+            def __setitem__(self, key, plan):
+                super().__setitem__(key, plan)
+                Store.peak = max(Store.peak, len(self))
+
+        monkeypatch.setattr(exact_core, "PLAN_CAP", 8)
+        monkeypatch.setattr(exact_core, "_PLANS", Store())
+        ring, at = build_tower([("a", 4), ("b", 3)])
+        a, b = at["a"], at["b"]
+        x = 1 + a + 2 * b
+        for k in range(1, 12):
+            for y in (x * (1 - k * a), x + k * b * b, x / (1 - k * a * b + a),
+                      (1 + a) / (1 - b) ** k):
+                assert y.coeffs
+        assert Store.peak == 8
