@@ -43,6 +43,10 @@ from .lattice_oracle import (
     psi_top,
 )
 
+# the largest s at which `efp_double_contour_trace` takes the 2s-fold
+# double-contour steps (their towers grow about as prec^(2s))
+MAX_DOUBLE_S = 3
+
 
 def _vand_sign(m):
     """(-1)^(m(m-1)/2): prod over ordered pairs j != k of (z_j - z_k) is
@@ -553,13 +557,12 @@ def _flipped_contour_value(q, w) -> Fraction:
                          eps_scale(t, 2 * delta))
 
 
-def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,
-                             max_double_s: int = 3):
+def efp_double_contour_trace(q: EfpQuery, w: WeightTriple):
     """Evaluate both derivation chains exactly, step by step.
 
     Returns the ordered list of (step, value); raises ChainBreak at the
     first step whose value differs from the running one.  The 2s-fold
-    double-contour steps are evaluated only for s <= max_double_s: their
+    double-contour steps are evaluated only for s <= MAX_DOUBLE_S: their
     integrands are contracted as an x-side and a y-side tower, but each
     side is still dense in up to 2s variables and its size grows about
     as prec^(2s), with windows of r + 1 and s + 1 per level.  All other
@@ -577,7 +580,7 @@ def efp_double_contour_trace(q: EfpQuery, w: WeightTriple,
 
     record("efp-sum", efp_by_summation(q, w, "efp"))
     record("efpn-sum", efp_by_summation(q, w, "efpn"))
-    if q.s <= max_double_s:
+    if q.s <= MAX_DOUBLE_S:
         _trace_sfold_chain(q, w, record)
     else:
         record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))

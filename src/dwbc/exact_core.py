@@ -77,13 +77,20 @@ column's entries in that variable by integer polynomial arithmetic
 (contents pulled out, a divisor other than a monomial inverted as an
 integer power series) and keeps the exponents of the level's window,
 prec past the column's valuation, marking with `err` what that cuts;
-`line_det` then assembles the determinant's box by Laplace expansion
-with minors memoized by their rows, each block an integer combination
-of flat minors, with no tower product.  A window too short for the
-residue raises PrecisionLoss like any other, so it shows as a retry of
-`residue_drive`, never as a wrong value.  A univariate Laurent
-polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m).  `poly_det` is
-the cofactor determinant over any ring.
+`line_det` then assembles the determinant's box by one Laplace
+recursion over all its columns, a number column being one of width
+one, with minors memoized by their rows, each block an integer
+combination of flat minors, with no tower product.  A window too short
+for the residue raises PrecisionLoss like any other, so it shows as a
+retry of `residue_drive`, never as a wrong value.
+
+One helper does each job for the whole package.  A univariate Laurent
+polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m) over any ring,
+multiplied by `_pmul` and raised to powers by `_ppowers`; `_content`
+splits rationals into a positive rational times coprime integers (the
+columns of `line_det`, the rows of h_{N,s}, a `Scaled` sum's scalars);
+`_product_box` is a tower product's box, formed or contracted.
+`poly_det` is the cofactor determinant over any ring.
 """
 
 from __future__ import annotations
@@ -499,14 +506,8 @@ class Series:
             if other is NotImplemented:
                 return NotImplemented
         a, b, ring = self, other, self.ring
-        lo = tuple(map(add, a.lo, b.lo))
-        err = tuple(min(ea + lb, eb + la)
-                    for ea, la, eb, lb in zip(a.err, a.lo, b.err, b.lo))
-        if not a.coeffs or not b.coeffs:
-            return _empty(ring, lo, err)
-        shape = tuple(min(m + n - 1, e - l)
-                      for m, n, e, l in zip(a.shape, b.shape, err, lo))
-        if min(shape) <= 0:
+        lo, err, shape = _product_box(a, b)
+        if shape is None:
             return _empty(ring, lo, err)
         if len(b.coeffs) > len(a.coeffs):
             a, b = b, a
@@ -664,6 +665,20 @@ class Series:
         return self.coefficient(-1)
 
 
+def _product_box(a, b):
+    """(lo, err, shape) of the product a * b: the lows add, level j
+    knows below min(err_a + lo_b, err_b + lo_a), and the box is the
+    untruncated product's cut at err; shape is None when no leaf is
+    left."""
+    lo = tuple(map(add, a.lo, b.lo))
+    err = tuple(map(min, map(add, a.err, b.lo), map(add, b.err, a.lo)))
+    if not a.coeffs or not b.coeffs:
+        return lo, err, None
+    shape = tuple(min(m + n - 1, e - l)
+                  for m, n, e, l in zip(a.shape, b.shape, err, lo))
+    return lo, err, shape if min(shape) > 0 else None
+
+
 def _tops(shape, c, need):
     """Per level j in `need`, ascending, the largest valuation in level
     j, from the box's low, of a slice of the levels below j with a
@@ -784,14 +799,15 @@ class Scaled:
     elements, so an integrand is written over the rationals while its
     towers stay on integer leaves and the Fractions collect in the
     scalars.  A product multiplies the scalars.  A sum brings its terms
-    to the largest rational dividing both scalars, which leaves them
-    integer multipliers (fraction-free, in the manner of Bareiss).  A
-    quotient or an inverse pulls the lex-leading leaf of the divisor's
-    e, the one leaf the division recurrence inverts, into the scalar, so
-    the towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
-    integer p_m when the variables are scaled as `eps_scale` chooses.
-    Where the leading leaf does not divide e, e is divided by as it is
-    and the quotient's leaves become Fractions.
+    to the content of both scalars (`_content`), the largest rational
+    dividing them, which leaves them integer multipliers (fraction-free,
+    in the manner of Bareiss).  A quotient or an inverse pulls the
+    lex-leading leaf of the divisor's e, the one leaf the division
+    recurrence inverts, into the scalar, so the towers divide by a
+    unit: a factor c (1 + sum_m p_m eps^m) has integer p_m when the
+    variables are scaled as `eps_scale` chooses.  Where the leading
+    leaf does not divide e, e is divided by as it is and the quotient's
+    leaves become Fractions.
     """
 
     __slots__ = ("k", "e")
@@ -829,7 +845,7 @@ class Scaled:
             return self
         if not self.k:
             return other
-        k, m1, m2 = _common_scale(self.k, other.k)
+        k, (m1, m2) = _content((self.k, other.k))
         return Scaled(k, _times(self.e, m1) + _times(other.e, m2))
 
     __radd__ = __add__
@@ -897,17 +913,6 @@ def _times(a, b):
     if isinstance(a, int) and a == 1:
         return b
     return a * b
-
-
-def _common_scale(k1, k2):
-    """(k, m1, m2) with k1 = m1 k and k2 = m2 k for coprime integers
-    m1, m2: k is the gcd of the numerators over the lcm of the
-    denominators."""
-    p1, q1, p2, q2 = k1.numerator, k1.denominator, k2.numerator, k2.denominator
-    g = math.gcd(p1, p2)
-    q = math.lcm(q1, q2)
-    return (Fraction(g, q) if q != 1 else g,
-            p1 * (q // q1) // g, p2 * (q // q2) // g)
 
 
 def _divide_leaves(x, d):
@@ -997,13 +1002,8 @@ def _contract(a, b, bounds):
     which forms the slices below the bound and checks them."""
     ring, L = a.ring, len(a.lo)
     bounds = bounds + [None] * (L - len(bounds))
-    lo = tuple(map(add, a.lo, b.lo))
-    err = tuple(min(ea + lb, eb + la)
-                for ea, la, eb, lb in zip(a.err, a.lo, b.err, b.lo))
-    shape = (tuple(min(m + n - 1, e - l)
-                   for m, n, e, l in zip(a.shape, b.shape, err, lo))
-             if a.coeffs and b.coeffs else (0,))
-    if min(shape) <= 0:
+    lo, err, shape = _product_box(a, b)
+    if shape is None:
         return _walk(_empty(ring, lo, err), bounds)
     sub = ring
     for j in range(L):
@@ -1105,7 +1105,9 @@ def _perm_sign(perm):
 # ---------------------------------------------------------------------------
 
 def _pmul(a, b, hi=INF):
-    """Product of two univariate Laurent polynomials, exponents below hi."""
+    """Product of two univariate Laurent polynomials over any ring,
+    exponents below hi; a zero coefficient of a adds nothing, so an
+    entry no nonzero pair reaches stays the int 0."""
     (la, ca), (lb, cb) = a, b
     lo = la + lb
     n = len(ca) + len(cb) - 1
@@ -1173,8 +1175,8 @@ def _tower_point(p):
 
 
 def _content(values):
-    """(k, ints) with values = k * ints, the ints coprime integers; k = 1
-    when every value is 0."""
+    """(k, ints) with values = k * ints for rational values, the ints
+    coprime integers and k > 0; k = 1 when every value is 0."""
     g, q = 0, 1
     for v in values:
         if v:
@@ -1283,70 +1285,54 @@ def line_det(lines):
 
     The determinant's box has, at the level of each tower line, the
     line's low, width and err, and extent 1 elsewhere.  It is assembled
-    column by column, outermost line first, by Laplace expansion along
-    the lines with the minors memoized by their set of rows: the block
-    of the minor on rows R of the lines from j on at exponent e of line
-    j is sum_(i in R) +- c_(i,e) times the flat minor on R - {i} of the
-    lines after j.  So the only tower operations are integer times list
-    and list plus list; the lines' contents go into the `Scaled`
-    scalar, and number lines, expanded last, give number minors, brought
-    to integers by their common denominator.  Returns a `Scaled`
-    element, or a number when every line is numbers.
+    column by column, the tower lines outermost first and the number
+    columns last, by Laplace expansion along the columns with the minors
+    memoized by their set of rows: the block of the minor on rows R of
+    the columns from j on at exponent e of column j is sum_(i in R) +-
+    c_(i,e) times the flat minor on R - {i} of the columns after j.  A
+    number column is a column of width one: `_content` moves a rational
+    column's content into the scalar, a complex column is taken as it
+    is.  So the only tower operations are integer times list and list
+    plus list, and the contents form the `Scaled` scalar.  Returns a
+    `Scaled` element, or a number when every line is numbers.
     """
     s = len(lines)
     tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
                    key=lambda j: lines[j].level)
     order = tower + [j for j in range(s) if not isinstance(lines[j], Line)]
-    cols = [lines[j] for j in order]
     m = len(tower)
-    memo = {}
-
-    def number_minor(j, mask):
-        if j == s:
-            return 1
-        key = (j, mask)
-        if key not in memo:
-            acc, odd = 0, False
-            for i in range(s):
-                if mask >> i & 1:
-                    x = cols[j][i]
-                    if x:
-                        term = x * number_minor(j + 1, mask ^ (1 << i))
-                        acc = acc - term if odd else acc + term
-                    odd = not odd
-            memo[key] = acc
-        return memo[key]
-
-    full = (1 << s) - 1
-    if not m:
-        return _exact(_perm_sign(order) * number_minor(0, full))
-    top = cols[0].top
-    levels = [c.level for c in cols[:m]]
-    if any(c.top is not top for c in cols[:m]) or len(set(levels)) < m:
+    lines = [lines[j] for j in order]
+    top = lines[0].top if m else None
+    levels = [c.level for c in lines[:m]]
+    if any(c.top is not top for c in lines[:m]) or len(set(levels)) < m:
         raise ValueError("lines must lie on distinct levels of one tower")
-    if any(not c.rows[0] for c in cols[:m]):
+    if any(not c.rows[0] for c in lines[:m]):
         return Scaled(1, top.zero())
-    k = _perm_sign(order)
-    for c in cols[:m]:
-        k = k * c.k
-    rests = {mask: number_minor(m, mask) for mask in range(full + 1)
-             if bin(mask).count("1") == s - m}
-    if m < s and all(isinstance(v, (int, Fraction)) for v in rests.values()):
-        q = math.lcm(*(Fraction(v).denominator for v in rests.values()))
-        k = Fraction(k, q)
-        rests = {mask: int(v * q) for mask, v in rests.items()}
-    sizes = [1] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        sizes[j] = sizes[j + 1] * len(cols[j].rows[0])
+    # one: the empty minor, 1 in the leaves' ring
+    k, one, cols = _perm_sign(order), 1, []
+    for c in lines:
+        if isinstance(c, Line):
+            k *= c.k
+            cols.append(c.rows)
+            continue
+        if all(isinstance(x, (int, Fraction)) for x in c):
+            kc, c = _content(c)
+            k *= kc
+        else:
+            one = 1 + 0j
+        cols.append([[x] for x in c])
+    sizes = [1] * (s + 1)
+    for j in range(s - 1, -1, -1):
+        sizes[j] = sizes[j + 1] * len(cols[j][0])
     minors = {}
 
     def minor(j, mask):
-        # the flat minor of the lines from j on, on the rows in mask
-        if j == m:
-            return [rests[mask]]
+        # the flat minor of the columns from j on, on the rows in mask
+        if j == s:
+            return [one]
         key = (j, mask)
         if key not in minors:
-            rows, inner, odd = cols[j].rows, [], False
+            rows, inner, odd = cols[j], [], False
             for i in range(s):
                 if mask >> i & 1:
                     inner.append((rows[i], odd, minor(j + 1, mask ^ (1 << i))))
@@ -1359,9 +1345,11 @@ def line_det(lines):
             minors[key] = out
         return minors[key]
 
+    flat = minor(0, (1 << s) - 1)
+    if not m:
+        return _exact(k * flat[0])
     L = len(top.precs)
     lo, shape, err = [0] * L, [1] * L, [INF] * L
-    for c in cols[:m]:
+    for c in lines[:m]:
         lo[c.level], shape[c.level], err[c.level] = c.lo, len(c.rows[0]), c.err
-    return Scaled(k, _trim(top, tuple(lo), tuple(shape), minor(0, full),
-                           tuple(err)))
+    return Scaled(k, _trim(top, tuple(lo), tuple(shape), flat, tuple(err)))

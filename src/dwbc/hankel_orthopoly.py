@@ -45,8 +45,8 @@ import math
 
 from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
-from .exact_core import (COMPLEXES, _horner, build_tower, iterated_residue,
-                         poly_det)
+from .exact_core import (COMPLEXES, _horner, _pmul, _ppowers, build_tower,
+                         iterated_residue, poly_det)
 from .ik_engine import (
     DEGENERACY_TOL,
     NumericTriple,
@@ -174,14 +174,15 @@ def verify_claim(N, lam, eta, f_coeffs) -> float:
     polynomial f (ascending complex coefficients).
 
     LHS: K_{N-1}(d_eps) f(omega(eps)) at eps = 0.
-    RHS: [z^(N-1)] (z-1)^(N-1) h_N(z) f(z) with h_N from the oracle.
+    RHS: [z^(N-1)] (z-1)^(N-1) h_N(z) f(z) with h_N from the oracle,
+    the products by `exact_core._pmul`.
     """
     lhs = _det_pairing(N, 1, lam, eta,
                        lambda ring, oms, omts: _horner(f_coeffs, oms[0]))
 
     h_n = _h_poly_numeric(N, lam, eta)
-    zpow = _convolve(_binom_poly(N - 1), h_n)
-    zpow = _convolve(zpow, list(f_coeffs))
+    zpow = _pmul(_ppowers((0, [-1, 1]), N - 1)[-1], (0, h_n))
+    _, zpow = _pmul(zpow, (0, list(f_coeffs)), N)
     rhs = zpow[N - 1] if N - 1 < len(zpow) else 0j
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
@@ -190,22 +191,6 @@ def _h_poly_numeric(N, lam, eta):
     from .lattice_oracle import boundary_generating_poly
     a, b, c = homogeneous_abc(lam, eta)
     return list(boundary_generating_poly(N, NumericTriple(a, b, c)))
-
-
-def _binom_poly(n):
-    """(z - 1)^n ascending."""
-    out = [0j] * (n + 1)
-    for k in range(n + 1):
-        out[k] = complex(math.comb(n, k) * (-1) ** (n - k))
-    return out
-
-
-def _convolve(a, b):
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import permutations
 from .errors import SamplePoleHit
 from .bethe_reps import (_crossed_params, _nested_exclusion, psi_bot_sum,
                          psi_top_sum)
-from .exact_core import _perm_sign, format_rational, poly_det
+from .exact_core import _perm_sign, _pmul, format_rational, poly_det
 from .ik_engine import (
     TrigParams,
     a_fn,
@@ -241,26 +241,17 @@ def _lagrange_coeffs(pts, vals):
     n = len(pts)
     coeffs = [Fraction(0)] * n
     for i in range(n):
-        basis = [Fraction(1)]
+        basis = (0, [Fraction(1)])
         denom = Fraction(1)
         for j in range(n):
             if j == i:
                 continue
-            basis = _polymul1(basis, pts[j])
+            basis = _pmul(basis, (0, [-pts[j], 1]))
             denom *= pts[i] - pts[j]
         scale = vals[i] / denom
-        for k, c in enumerate(basis):
+        for k, c in enumerate(basis[1]):
             coeffs[k] += scale * c
     return coeffs
-
-
-def _polymul1(poly, root):
-    """poly(x) * (x - root), ascending coefficients."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for k, c in enumerate(poly):
-        out[k + 1] += c
-        out[k] -= c * root
-    return out
 
 
 def _distinct_fractions(rng, count, guard=None):

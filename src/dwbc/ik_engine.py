@@ -158,12 +158,6 @@ class NumericTriple:
         for name in ("a", "b", "c"):
             object.__setattr__(self, name, complex(getattr(self, name)))
 
-    def delta(self):
-        return (self.a**2 + self.b**2 - self.c**2) / (2 * self.a * self.b)
-
-    def t(self):
-        return self.b / self.a
-
     def weight(self, alpha, k, kind):
         return getattr(self, kind)
 
@@ -651,8 +645,9 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
     Vandermondes, so nothing is divided.  The points may coincide and
     may be Fractions or Laurent-tower elements; at `Scaled` points the
     value is `Scaled`, on integer leaves, as nothing is inverted.  With
-    g_k(x) = sum_m c_{k,m}(y) x^m the determinant is taken by
-    Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
+    g_k(x) = sum_m c_{k,m}(y) x^m, its quadratic factors multiplied by
+    `exact_core._pmul` over the ring of the y's, the determinant is
+    taken by Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
     det[x_j^m]_{m in S} (x only) times det[c_{k,m}(y)]_{m in S} (y
     only).  Row j of an x-minor depends on x_j alone, so each x-minor
     is built by `exact_core.line_det` from the integer powers of the
@@ -669,15 +664,11 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
              for y in ys]
     coeffs = []
     for k in range(s):
-        cs = [1]
+        cs = (0, [1])
         for kp in range(s):
             if kp != k:
-                out = [0] * (len(cs) + 2)
-                for i, a in enumerate(cs):
-                    for l, b in enumerate(quads[kp]):
-                        out[i + l] = out[i + l] + a * b
-                cs = out
-        coeffs.append(cs)
+                cs = _pmul(cs, (0, quads[kp]))
+        coeffs.append(cs[1])
     points = [_tower_point(x) for x in xs]
     powers = [_ppowers(p[2], 2 * s - 2) for p in points]
     terms = [line_det(_point_lines(points, lambda i: _point_line(

@@ -53,11 +53,6 @@ class ExactPoly:
             cs.pop()
         self.coeffs = cs
 
-    def __eq__(self, other):
-        if isinstance(other, ExactPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
     def __repr__(self):
         return f"ExactPoly({[format_rational(c) for c in self.coeffs]})"
 

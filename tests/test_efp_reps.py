@@ -114,15 +114,16 @@ class TestRoutes:
 
 
 class TestTrace:
-    def test_flipped_step_off_the_trace_grid_weights(self):
+    def test_flipped_step_off_the_trace_grid_weights(self, monkeypatch):
         # at N = 4 the criterion-5 grid reaches the flipped-contour step
-        # only at weights (1, 2, 2)
+        # only at weights (1, 2, 2); the double-contour steps are skipped
+        monkeypatch.setattr(efp_reps, "MAX_DOUBLE_S", 0)
         for w in (ICE_POINT,
                   WeightTriple(Fraction(2, 3), Fraction(5, 4), Fraction(1, 2))):
             for n in (1, 2):
                 for s in range(1, 5 - n):
                     steps = dict(efp_double_contour_trace(
-                        EfpQuery(4, s + n, s), w, max_double_s=0))
+                        EfpQuery(4, s + n, s), w))
                     assert steps["nfold-flipped"] == efp_oracle(4, s + n, s, w)
 
     def test_full_chain_ice(self):

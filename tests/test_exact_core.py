@@ -612,6 +612,60 @@ class TestLineDet:
             line_det([line, line])
 
 
+@st.composite
+def _laurent_pairs(draw):
+    """(a, b, hi): two univariate Laurent polynomials (lo, cs) with lows
+    down to -3, zero entries, and leaves all int, all Fraction or all
+    complex, and an optional cut hi."""
+    leaves = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.complex_numbers(max_magnitude=4, allow_nan=False,
+                           allow_infinity=False)]))
+    a, b = [(draw(st.integers(-3, 2)),
+             draw(st.lists(leaves | st.just(0), max_size=5)))
+            for _ in range(2)]
+    return a, b, draw(st.none() | st.integers(-6, 6))
+
+
+class TestUnivariateHelpers:
+    """The univariate product and the rational content every separable
+    determinant, `Scaled` sum and polynomial identity goes through."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_laurent_pairs())
+    def test_pmul_matches_dict_convolution(self, case):
+        (la, ca), (lb, cb), hi = case
+        want = {}
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                e = la + lb + i + j
+                want[e] = want.get(e, 0) + x * y
+        lo, got = (exact_core._pmul((la, ca), (lb, cb)) if hi is None
+                   else exact_core._pmul((la, ca), (lb, cb), hi))
+        top = la + lb + len(ca) + len(cb) - 1
+        if hi is not None:
+            top = min(top, hi)
+        assert lo == la + lb and len(got) == max(0, top - lo)
+        for e in range(lo, top):
+            x, y = got[e - lo], want.get(e, 0)
+            assert approx_eq(x, y) if complex in (type(x), type(y)) \
+                else x == y
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-30, 30)
+                    | st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=12), max_size=6))
+    def test_content(self, values):
+        k, ints = exact_core._content(values)
+        assert all(type(n) is int for n in ints)
+        assert [k * n for n in ints] == values
+        if any(values):
+            assert k > 0 and math.gcd(*ints) == 1
+        else:
+            assert (k, ints) == (1, [0] * len(values))
+
+
 class TestPoly:
     def test_eval_and_derivative(self):
         p = ExactPoly([1, 0, 3])
