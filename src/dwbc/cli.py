@@ -213,8 +213,7 @@ def cmd_efp(args):
     elif method == "enum":
         f = efp_oracle(q.N, q.r, q.s, w, method="enum")
     elif method == "sum":
-        from .efp_reps import efp_by_summation
-        f = efp_by_summation(q, w, args.route)
+        f = efp_oracle(q.N, q.r, q.s, w, args.route)
     elif method == "mir-s":
         from .efp_reps import efp_mir_s
         f = efp_mir_s(q, w, args.variant)

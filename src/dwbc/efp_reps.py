@@ -103,6 +103,7 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     N, r, s = q.N, q.r, q.s
     t, delta = _pole_guard(w)
     fam = family(w)
+    fam.sweep(N)  # Z_s and h_M for M <= N
     tt = t * t - 2 * delta * t
 
     if variant == "efpMIR1":
@@ -157,6 +158,7 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     N, s, n = q.N, q.s, q.n
     t, delta = _pole_guard(w)
     fam = family(w)
+    fam.sweep(N)  # Z_(s+n), Z_(N-s), Z_N and h_M for M <= N
     pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n)) * t ** (n * (n - 1))
             / (math.factorial(n) * fam.z(N)

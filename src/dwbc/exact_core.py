@@ -55,10 +55,14 @@ its plan holds the quotient's lo, err and box and the recurrence's
 padded buffer, leaf order and step reaches, while the divisor's leading
 leaf is inverted and its step coefficients read on every call.  A
 sum's key is the lo, shape and err of both terms, its plan the
-placement of each in the sum's box cut at err.  Products keep their
-offsets, and every operation its crops, in the same store.  No leaf
-value enters a plan, so the first operation on a shape pays the set-up
-and every later one a lookup.
+placement of each in the sum's box cut at err.  A product's key is the
+lo, shape and err of both factors; its plan holds the product's lo, err
+and box, which factor is placed, and per leaf of the other only the
+leaves of the placed factor that land inside the box cut at err, with
+where they land, so a product forms no leaf that a window drops.  Every
+operation keeps its crops in the same store.  No leaf value enters a
+plan, so the first operation on a shape pays the set-up and every later
+one a lookup.
 
 `residue_drive` is the one residue path: every integrand is a `build`
 function returning a tower element or a pair (A, B) whose product it
@@ -97,7 +101,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from operator import add, and_, mul, not_, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
@@ -227,7 +231,8 @@ class Tower:
 # operands alone, never from a leaf value, keyed by those boxes.  Keys
 # of different kinds never meet: strides are keyed by a shape, offsets
 # by (shape, strides), crops by (shift, shape, shape), sums by a flat
-# tuple led by "+", division heads by one led by "/" and divisions by
+# tuple led by "+", products by one led by "*" (the lo, shape and err of
+# both factors), division heads by one led by "/" and divisions by
 # (head key, tops).  A plan is kept only when it holds at most
 # PLAN_LEAVES positions, so a large box, whose own arithmetic dwarfs its
 # set-up, plans afresh; the store is emptied when it reaches PLAN_CAP
@@ -505,31 +510,32 @@ class Series:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, ring = self, other, self.ring
-        lo, err, shape = _product_box(a, b)
+        key = ("*", *self.lo, *self.shape, *self.err,
+               *other.lo, *other.shape, *other.err)
+        lo, err, shape, swap, offa, obs, parts = (
+            _PLANS.get(key) or _product_plan(key, self, other))
         if shape is None:
-            return _empty(ring, lo, err)
-        if len(b.coeffs) > len(a.coeffs):
-            a, b = b, a
-        if len(b.coeffs) == 1 and shape == a.shape:
+            return _empty(self.ring, lo, err)
+        a, b = (other, self) if swap else (self, other)
+        ac = a.coeffs
+        if parts is None:
             # a monomial shifts the other factor, as an exact monomial
             # divisor does
             x = b.coeffs[0]
-            return Series(ring, lo, shape, [x * c for c in a.coeffs], err)
-        # each leaf x of b adds x times a placed at its offset, in the
-        # untruncated box, which is then cut to the window
-        ac = a.coeffs
-        full = tuple(m + k - 1 for m, k in zip(a.shape, b.shape))
-        sf = _strides(full)
-        out = [0] * math.prod(full)
-        offa = _offsets(a.shape, sf)
-        for x, ob in zip(b.coeffs, _offsets(b.shape, sf)):
-            if x:
-                for y, oa in zip(ac, offa):
-                    out[oa + ob] += x * y
-        if full != shape:
-            out = _crop(out, lo, full, lo, shape)
-        return Series(ring, lo, shape, out, err)
+            return Series(self.ring, lo, shape, [x * c for c in ac], err)
+        # each leaf x of b adds x times the leaves of a that land in the
+        # box, each slot taking its terms in the order of b's leaves
+        out = [0] * math.prod(shape)
+        for x, ob, ia in zip(b.coeffs, obs, parts):
+            if not x:
+                continue
+            if ia is None:
+                for y, o in zip(ac, offa):
+                    out[o + ob] += x * y
+            else:
+                for i in ia:
+                    out[offa[i] + ob] += x * ac[i]
+        return Series(self.ring, lo, shape, out, err)
 
     __rmul__ = __mul__
 
@@ -677,6 +683,39 @@ def _product_box(a, b):
     shape = tuple(min(m + n - 1, e - l)
                   for m, n, e, l in zip(a.shape, b.shape, err, lo))
     return lo, err, shape if min(shape) > 0 else None
+
+
+def _product_plan(key, a, b):
+    """The plan of a * b, stored under key: (lo, err, shape, swap, offa,
+    obs, parts); shape is None when no leaf is left.  The factor with
+    more leaves, a (b when swap), is placed at each leaf j of the other:
+    its leaf i lands at offa[i] + obs[j] in the box cut at err.
+    parts[j] lists the leaves i of a that land inside that box, None for
+    all of them; the leaves j with one clip of a share its list.  parts
+    is None when the other factor is one leaf that shifts a onto the
+    whole box."""
+    lo, err, shape = _product_box(a, b)
+    # the one INF, so the elements and keys made from this err share it
+    err = tuple(INF if e == INF else e for e in err)
+    if shape is None:
+        return _remember(key, (lo, err, None, False, None, None, None))
+    swap = len(b.coeffs) > len(a.coeffs)
+    if swap:
+        a, b = b, a
+    if len(b.coeffs) == 1 and shape == a.shape:
+        return _remember(key, (lo, err, shape, swap, None, None, None))
+    st = _strides(shape)
+    clips, parts = {a.shape: None}, []
+    for beta in product(*map(range, b.shape)):
+        # the leaves of a at most shape - 1 - beta per level
+        clip = tuple(map(min, a.shape, map(sub, shape, beta)))
+        if clip not in clips:
+            clips[clip] = (_offsets(clip, _strides(a.shape))
+                           if min(clip) > 0 else ())
+        parts.append(clips[clip])
+    size = len(parts) + sum(map(len, filter(None, clips.values())))
+    return _remember(key, (lo, err, shape, swap, _offsets(a.shape, st),
+                           _offsets(b.shape, st), tuple(parts)), size)
 
 
 def _tops(shape, c, need):

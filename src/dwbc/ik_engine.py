@@ -14,7 +14,9 @@ lose every digit well before the 2N-2 orders the formula needs.
 
 The same module owns the generating-polynomial family h_M(z) of the
 one-point boundary correlation (with Z_M, which the routes' prefactors
-take from the same per-weight cache) and its multivariate extension
+take from the same per-weight cache; both come from one
+`lattice_oracle.frozen_column_sweep` at the largest size a route
+states) and its multivariate extension
 h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
 defined by a Vandermonde-divided determinant.  Three forms are
 provided.  The determinant form `hns_vand` returns h_{N,s}(M(z)) times
@@ -65,12 +67,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DegeneratePoints, NearDegenerate, Singular
+from .errors import DegeneratePoints, InvalidRegion, NearDegenerate, Singular
 from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          _point_line, _ppowers, _tower_point, _trimmed,
                          line_det, poly_det)
-from .lattice_oracle import (WeightMatrix, WeightTriple,
-                             boundary_generating_poly, enumerate_Z)
+from .lattice_oracle import WeightMatrix, WeightTriple, frozen_column_sweep
+from .rational import ExactPoly
 
 DEGENERACY_TOL = 1e-8
 
@@ -365,31 +367,39 @@ def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 class BoundaryGenFamily:
-    """Cache of h_M(z) and Z_M for M = 1..N at fixed homogeneous weights.
+    """Cache of h_M(z) and Z_M for M = 0..N at fixed homogeneous weights.
 
     Exact (ExactPoly) for a WeightTriple, complex coefficient lists for
-    NumericTriple; h_M(1) = 1 holds in both regimes.
+    NumericTriple; h_M(1) = 1 holds in both regimes.  Every entry comes
+    from one `frozen_column_sweep` at the largest size asked for so far.
     """
 
     def __init__(self, w):
         self.w = w
         self.exact = isinstance(w, WeightTriple)
-        self._h = {}
-        self._z = {}
+        self._z, self._h = [], []
         self._hns_cache = {}
         self._rows = {}
 
+    def sweep(self, N: int):
+        """Sweep once for Z_M and h_M, M <= N, unless an earlier sweep
+        reached N.  A route states its largest size here first, so a
+        cold query sweeps once; a later request above it sweeps again,
+        at that size."""
+        if not 0 <= N < len(self._z):
+            swept = frozen_column_sweep(N, self.w)
+            self._z = [z for z, _ in swept]
+            self._h = [ExactPoly(h) if self.exact else h for _, h in swept]
+
     def h(self, M: int):
-        if M not in self._h:
-            hm = boundary_generating_poly(M, self.w)
-            self._h[M] = hm if self.exact else list(hm)
+        if M < 1:
+            raise InvalidRegion(f"h_N needs N >= 1, got N={M}")
+        self.sweep(M)
         return self._h[M]
 
     def z(self, M: int):
-        """Z_M, cached like h(M): the routes' prefactors take it here, so
-        a session at one weight sweeps each lattice size for it once."""
-        if M not in self._z:
-            self._z[M] = enumerate_Z(M, self.w)
+        """Z_M, cached like h(M): the routes' prefactors take it here."""
+        self.sweep(M)
         return self._z[M]
 
     def h_coeffs(self, M: int):
@@ -512,6 +522,7 @@ class BoundaryGenFamily:
 
     def _row_coeffs(self, N, s, i):
         """Coefficients of g_i(z) = z^(s-i) (z-1)^(i-1) h_{N-s+i}(z)."""
+        self.sweep(N)  # g_1..g_s take h_(N-s+1)..h_N: one sweep for all
         out = [Fraction(0)] * (s - i) + self.h_coeffs(N - s + i)
         for _ in range(i - 1):  # multiply by (z - 1)
             out = [-out[0]] + [out[k - 1] - out[k] for k in range(1, len(out))] \

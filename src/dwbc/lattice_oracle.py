@@ -20,6 +20,19 @@ weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
 agree bit-exactly in the exact regime; the rest of the package is tested
 against them.
 
+The prefactors of the closed-form routes, Z_M and h_M for every M <= N
+at homogeneous weights, come from one upward transfer sweep over the
+N x N lattice (`frozen_column_sweep`), by the frozen-column identity.
+On the bottom M rows, a cut state whose up arrows fill positions
+1..N-M freezes those N - M columns to a-vertices and leaves the other
+M columns an M x M lattice with domain-wall boundaries.  So after M
+rows of the sweep that state holds a^(M(N-M)) Z_M, and after M - 1 rows
+the state with positions 1..N-M and N-M+r holds a^((M-1)(N-M)) times
+psi_bot of the M-lattice at row-1 position r; with psi_top of that row,
+a^(M-r) c b^(r-1), the cut sum gives h_M.  `enumerate_Z`,
+`boundary_generating_poly` and the psi functions below stay separate
+sweeps, the independent oracle the routes are tested against.
+
 Conventions: vertical lines are counted alpha = 1..N from the *right*,
 horizontal lines k = 1..N from the top.  Row s is the set of N vertical
 edges between horizontal lines s and s+1; it carries exactly s up
@@ -355,12 +368,13 @@ def _cross_vertex(left, right, bit, a, b, c):
     return new_left, new_right
 
 
-def _transfer_bracket(N, weight, rows, states, upward=False):
+def _transfer_bracket(N, weight, rows, states, upward=False, cuts=None):
     """Sweep {row-state bitmask: value} across `rows`, in the order given.
 
     Downward, `states` lies on the cut above the first row and the result
     on the cut below the last; upward, the other way round.  `weight` is
-    the leaf weight function of `_leaves`.
+    the leaf weight function of `_leaves`.  A list `cuts` receives the
+    states of every cut the sweep crosses, the result last.
     """
     cols = range(1, N + 1) if upward else range(N, 0, -1)
     for k in rows:
@@ -370,6 +384,8 @@ def _transfer_bracket(N, weight, rows, states, upward=False):
                 left, right, 1 << (alpha - 1), weight(alpha, k, "a"),
                 weight(alpha, k, "b"), weight(alpha, k, "c"))
         states = left if upward else right
+        if cuts is not None:
+            cuts.append(states)
     return states
 
 
@@ -383,6 +399,29 @@ def _bottom_states(N, weight, s):
     state."""
     return _transfer_bracket(N, weight, range(N, s, -1), {(1 << N) - 1: 1},
                              upward=True)
+
+
+def frozen_column_sweep(N, w):
+    """[(Z_M, coefficients of h_M) for M = 0..N] at homogeneous weights
+    (a WeightTriple, or any triple whose `weight` ignores the site), from
+    one upward sweep over the N x N lattice by the frozen-column
+    identity of the module docstring.  The empty lattice has no first
+    row, so the list of h_0 is empty."""
+    _check_size(N, "transfer")
+    weight, d = _leaves(w)
+    a, b, c = (weight(1, 1, kind) for kind in "abc")
+    cuts = [{(1 << N) - 1: 1}]  # after M rows, cuts[M]
+    _transfer_bracket(N, weight, range(N, 0, -1), cuts[0], True, cuts)
+    out = [(_one_like(w), [])]
+    for M in range(1, N + 1):
+        frozen = (1 << (N - M)) - 1
+        z = _ratio(w, cuts[M][frozen], a ** (M * (N - M)) * d ** (M * M))
+        psi = [a ** (M - r) * c * b ** (r - 1)
+               * cuts[M - 1][frozen | 1 << (N - M + r - 1)]
+               for r in range(1, M + 1)]
+        total = sum(psi)
+        out.append((z, [_ratio(w, v, total) for v in psi]))
+    return out
 
 
 def psi_top(cfg: RowConfig, w, method="transfer"):

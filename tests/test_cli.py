@@ -411,6 +411,8 @@ _ORACLE_INVOCATIONS = [
     ["psi", "--size", "5", "--which", "top", "--positions", "2,4",
      "--method", "oracle"] + _W,
     ["efp", "--size", "5", "--r", "3", "--s", "2", "--method", "enum"] + _W,
+    ["efp", "--size", "5", "--r", "4", "--s", "2", "--method", "sum",
+     "--route", "efpn"] + _W,
 ]
 
 

@@ -24,7 +24,7 @@ from dwbc.efp_reps import (
     efp_mir_s,
     psi_top_mir_origin,
 )
-from dwbc.errors import ChainBreak, InvalidRegion
+from dwbc.errors import ChainBreak, InvalidRegion, SizeLimit
 from dwbc.exact_core import build_tower
 from dwbc.ik_engine import cantini_P_vand, family
 from dwbc.lattice_oracle import (
@@ -416,6 +416,48 @@ class TestTowerBuilds:
 
 
 class TestSharedPrefactors:
+    def test_cold_query_sweeps_once(self):
+        # fresh weights: the family sweeps once, at the route's largest
+        # size, for Z_4, Z_6 and h_1..h_4, and calls no per-size oracle
+        w = WeightTriple(Fraction(11, 4), Fraction(7, 9), Fraction(5, 2))
+        sweeps = []
+        bracket = lattice_oracle._transfer_bracket
+
+        def counted(N, *args, **kwargs):
+            sweeps.append(N)
+            return bracket(N, *args, **kwargs)
+
+        def per_size(*args, **kwargs):
+            raise AssertionError("a per-size oracle call")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_oracle, "_transfer_bracket", counted)
+            for name in ("enumerate_Z", "boundary_generating_poly"):
+                mp.setattr(lattice_oracle, name, per_size)
+            got = efp_mir_n(EfpQuery(6, 4, 2), w)
+        assert sweeps == [6]
+        assert got == efp_oracle(6, 4, 2, w)
+
+    def test_routes_keep_the_sweep_size_cap(self, monkeypatch):
+        monkeypatch.delenv("DWBC_MAX_N", raising=False)
+        w = WeightTriple(Fraction(3, 2), 2, Fraction(5, 3))
+        N = lattice_oracle.TRANSFER_MAX_N + 1
+        q = EfpQuery(N, 3, 2)
+        for route in (lambda: efp_mir_n(q, w), lambda: efp_mir_s(q, w),
+                      lambda: efp_mir_s(q, w, "efpMIR1"),
+                      lambda: psi_bot_mir(RowConfig(N, (1, 3)), w)):
+            with pytest.raises(SizeLimit):
+                route()
+        # DWBC_MAX_N lifts the cap, shown on a lowered one at fresh
+        # weights, where the sizes are cheap
+        monkeypatch.setattr(lattice_oracle, "TRANSFER_MAX_N", 5)
+        w = WeightTriple(Fraction(13, 11), Fraction(17, 7), Fraction(19, 5))
+        q = EfpQuery(6, 3, 2)
+        with pytest.raises(SizeLimit):
+            efp_mir_n(q, w)
+        monkeypatch.setenv("DWBC_MAX_N", "6")
+        assert efp_mir_n(q, w) == efp_oracle(6, 3, 2, w)
+
     def test_grid_sweeps_each_lattice_size_at_most_thrice(self):
         # the routes take Z_M from the per-weight family: a whole N = 6
         # grid by mir-n and mir-s sweeps each lattice size once for Z_M

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dwbc import exact_core
@@ -830,52 +830,85 @@ class TestFlatKernel:
     @given(_kernel_cases())
     def test_known_coefficients_match_the_reference(self, case):
         windows, kind, a, b, divisors = case
+        if kind == "complex":
+            # doubles add and multiply Gaussian integers exactly below
+            # 2^53; each value the checks compute, and each partial sum
+            # on the way, is bounded leaf by leaf by the same value
+            # computed on the majorant, which has no cancellation
+            peak = [0]
+
+            def record(x, ref):
+                peak[0] = max([peak[0], *map(abs, x.coeffs),
+                               *map(abs, ref.values())])
+
+            _kernel_checks(windows, exact_core.RATIONALS, _majorant(a),
+                           _majorant(b), [_majorant(g, True) for g in divisors],
+                           record)
+            assume(peak[0] < 2 ** 53)
         base = exact_core.COMPLEXES if kind == "complex" else exact_core.RATIONALS
-        for scale in (1, 2):
-            ring, _ = build_tower([(f"e{j}", w * scale)
-                                   for j, w in enumerate(windows)], base)
-            fa, fb = _flat(ring, a), _flat(ring, b)
-            _check_known(fa * fb, _dict_mul(a, b))
-            _check_known(fa + fb, _dict_add(a, b))
-            _check_known(fa - fb, _dict_add(a, {k: -v for k, v in b.items()}))
-            for k in (3, Fraction(-2, 5), 0):
-                # a number scales the leaves, as the product with its
-                # constant element would
-                x, y = fa * k, fa * ring.const(k)
-                assert (x.lo, x.shape, x.coeffs, x.err) == \
-                    (y.lo, y.shape, y.coeffs, y.err)
-                _check_known(x, {e: k * c for e, c in a.items()})
-            k0, c0 = next(iter(b.items()))
-            if c0 and len(fa.coeffs) > 1:
-                # a monomial shifts the other factor, as the general
-                # product does with the monomial padded by a zero leaf
-                c0, inf, L = ring.base.const(c0), math.inf, len(k0)
-                mono = Series(ring, k0, (1,) * L, [c0], (inf,) * L)
-                padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
-                                (inf,) * L)
-                x, y = fa * mono, fa * padded
-                assert (x.lo, x.err) == (y.lo, y.err) and x == y
-                _check_known(x, _dict_mul(a, {k0: c0}))
-            q2, ref2 = _quotient(fb, b, divisors[0])
-            for g in divisors:
-                q, ref = _quotient(fa, a, g)
-                for x, y, rx, ry in ((q, fb, ref, b), (q, q2, ref, ref2)):
-                    xy = x * y
-                    _check_known(xy, _dict_mul(rx, ry, [e + 2 for e in xy.err]))
-                    _check_known(x + y, _dict_add(rx, ry))
-                    try:
-                        got = iterated_residue((x, y))
-                    except PrecisionLoss:
-                        continue
-                    assert got == sum(c * ry.get(tuple(-1 - i for i in k), 0)
-                                      for k, c in rx.items())
+        _kernel_checks(windows, base, a, b, divisors, _check_known)
 
 
-def _quotient(x, d, g):
+def _majorant(d, divisor=False):
+    """The dict d with each leaf c replaced by |Re c| + |Im c|; for a
+    divisor, every leaf past its lex-leading one negated, so that its
+    quotients are the positive geometric series that bound the others'."""
+    lead = min(d) if divisor else None
+    out = {}
+    for k, c in d.items():
+        m = abs(complex(c).real) + abs(complex(c).imag)
+        out[k] = int(m) if k == lead or not divisor else -int(m)
+    return out
+
+
+def _kernel_checks(windows, base, a, b, divisors, check):
+    """Every check of `TestFlatKernel`, each tower result handed to
+    check(result, its reference)."""
+    for scale in (1, 2):
+        ring, _ = build_tower([(f"e{j}", w * scale)
+                               for j, w in enumerate(windows)], base)
+        fa, fb = _flat(ring, a), _flat(ring, b)
+        check(fa * fb, _dict_mul(a, b))
+        check(fa + fb, _dict_add(a, b))
+        check(fa - fb, _dict_add(a, {k: -v for k, v in b.items()}))
+        for k in (3, Fraction(-2, 5), 0):
+            # a number scales the leaves, as the product with its
+            # constant element would
+            x, y = fa * k, fa * ring.const(k)
+            assert (x.lo, x.shape, x.coeffs, x.err) == \
+                (y.lo, y.shape, y.coeffs, y.err)
+            check(x, {e: k * c for e, c in a.items()})
+        k0, c0 = next(iter(b.items()))
+        if c0 and len(fa.coeffs) > 1:
+            # a monomial shifts the other factor, as the general
+            # product does with the monomial padded by a zero leaf
+            c0, inf, L = ring.base.const(c0), math.inf, len(k0)
+            mono = Series(ring, k0, (1,) * L, [c0], (inf,) * L)
+            padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
+                            (inf,) * L)
+            x, y = fa * mono, fa * padded
+            assert (x.lo, x.err) == (y.lo, y.err) and x == y
+            check(x, _dict_mul(a, {k0: c0}))
+        q2, ref2 = _quotient(fb, b, divisors[0], check)
+        for g in divisors:
+            q, ref = _quotient(fa, a, g, check)
+            for x, y, rx, ry in ((q, fb, ref, b), (q, q2, ref, ref2)):
+                xy = x * y
+                check(xy, _dict_mul(rx, ry, [e + 2 for e in xy.err]))
+                check(x + y, _dict_add(rx, ry))
+                try:
+                    got = iterated_residue((x, y))
+                except PrecisionLoss:
+                    continue
+                assert got == sum(c * ry.get(tuple(-1 - i for i in k), 0)
+                                  for k, c in rx.items())
+
+
+def _quotient(x, d, g, check=_check_known):
     """x / g on the tower and its reference, checked."""
     q = x / _flat(x.ring, g)
     ref = _quotient_reference(q, d, g)
-    _check_known(q, ref)
+    check(q, ref)
     return q, ref
 
 
@@ -904,6 +937,47 @@ def _boxed(ring, lo, shape, leaves, err=None):
             terms[tuple(l + i for l, i in zip(lo, reversed(e)))] = c
     return (Series(ring, lo, shape, ring_leaves,
                    err or (math.inf,) * len(lo)), terms)
+
+
+def _multi(p, shape):
+    """The multi-index of flat position p in a box of `shape`."""
+    e = []
+    for n in reversed(shape):
+        p, i = divmod(p, n)
+        e.append(i)
+    return e[::-1]
+
+
+def _full_box_product(a, b):
+    """(lo, shape, leaves, err) of a * b formed in the untruncated box
+    and then cut to the product's: each leaf x of the factor with fewer
+    leaves adds x times the other at its offset, a one-leaf factor that
+    keeps the other's box scales its leaves."""
+    lo, err, shape = exact_core._product_box(a, b)
+    if shape is None:
+        z = exact_core._empty(a.ring, lo, err)
+        return z.lo, z.shape, z.coeffs, z.err
+    if len(b.coeffs) > len(a.coeffs):
+        a, b = b, a
+    if len(b.coeffs) == 1 and shape == a.shape:
+        return lo, shape, [b.coeffs[0] * c for c in a.coeffs], err
+    full = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    out = [0] * math.prod(full)
+    for p, x in enumerate(b.coeffs):
+        if x:
+            eb = _multi(p, b.shape)
+            for q, y in enumerate(a.coeffs):
+                f = 0
+                for i, j, n in zip(_multi(q, a.shape), eb, full):
+                    f = f * n + i + j
+                out[f] += x * y
+    cut = []
+    for p in range(math.prod(shape)):
+        f = 0
+        for i, n in zip(_multi(p, shape), full):
+            f = f * n + i
+        cut.append(out[f])
+    return lo, shape, cut, err
 
 
 @st.composite
@@ -982,6 +1056,39 @@ class TestPlanStore:
                    else _quotient_reference(z, x[1], y[1]))
             _check_known(z, ref, eq)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_plan_cases())
+    def test_warm_product_plans_give_the_cold_results(self, case):
+        windows, kind, (lo, shape, fs), (glo, gshape, gs) = case
+        base = (exact_core.COMPLEXES if kind == "complex"
+                else exact_core.RATIONALS)
+        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)],
+                              base)
+        # the factors: leaves zero half the time, the dividends known
+        # only up to their box's top in some levels, and a monomial,
+        # which shifts the other factor
+        terms = [_boxed(ring, lo, shape, c, err) for c, err in fs]
+        terms += [_boxed(ring, glo, gshape, c) for c in gs]
+        terms.append(_boxed(ring, glo, (1,) * len(glo), [gs[0][0] or 1]))
+        # every ordered pair, x * x one object as both factors
+        ops = [(x, y) for x in terms for y in terms]
+
+        def run(x, y):
+            z = x[0] * y[0]
+            return z.lo, z.shape, z.coeffs, z.err
+
+        cold = []
+        for x, y in ops:
+            exact_core._PLANS.clear()
+            cold.append(run(x, y))
+        exact_core._PLANS.clear()
+        for _ in range(2):
+            assert [run(*o) for o in ops] == cold
+        for (x, y), z in zip(ops, cold):
+            # bit for bit: every slot takes its terms in the same order
+            assert repr(z) == repr(_full_box_product(x[0], y[0]))
+            _check_known(Series(ring, *z), _dict_mul(x[1], y[1]))
+
     def test_store_stays_within_its_cap(self, monkeypatch):
         class Store(dict):
             peak = 0
@@ -997,6 +1104,6 @@ class TestPlanStore:
         x = 1 + a + 2 * b
         for k in range(1, 12):
             for y in (x * (1 - k * a), x + k * b * b, x / (1 - k * a * b + a),
-                      (1 + a) / (1 - b) ** k):
+                      (1 + a) / (1 - b) ** k, x * x * (k * a), x * b ** k):
                 assert y.coeffs
         assert Store.peak == 8

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwbc.errors import InvalidRegion, SizeLimit
 from dwbc.lattice_oracle import (
@@ -14,6 +16,7 @@ from dwbc.lattice_oracle import (
     boundary_generating_poly,
     efp_oracle,
     enumerate_Z,
+    frozen_column_sweep,
     polarization_oracle,
     psi_bot,
     psi_top,
@@ -75,6 +78,30 @@ class TestPartitionFunction:
             enumerate_Z(4, ICE_POINT, "enum")
         monkeypatch.setenv("DWBC_MAX_N", "16")
         assert enumerate_Z(7, ICE_POINT, "transfer") == 218348
+
+
+_WEIGHT = st.fractions(min_value=Fraction(1, 9), max_value=9,
+                       max_denominator=9)
+
+
+class TestFrozenColumnSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 9), st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+    def test_every_prefactor_equals_the_oracle(self, N, abc):
+        # one sweep at N gives what the oracle computes per size M <= N
+        w = WeightTriple(*abc)
+        swept = frozen_column_sweep(N, w)
+        assert len(swept) == N + 1 and swept[0] == (1, [])
+        for M, (z, h) in enumerate(swept[1:], start=1):
+            assert z == enumerate_Z(M, w)
+            assert h == boundary_generating_poly(M, w).coeffs
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.delenv("DWBC_MAX_N", raising=False)
+        with pytest.raises(SizeLimit):
+            frozen_column_sweep(15, ICE_POINT)
+        with pytest.raises(InvalidRegion):
+            frozen_column_sweep(-1, ICE_POINT)
 
 
 class TestRowConfig:
