@@ -53,8 +53,7 @@ from .ik_engine import (
     homogeneous_abc,
     phi_derivatives,
 )
-from .lattice_oracle import RowConfig, enumerate_Z
-from .efp_reps import EfpQuery
+from .lattice_oracle import EfpQuery, RowConfig, enumerate_Z
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +106,17 @@ class OrthoFamily:
         return det([[c[i + k] for k in range(n)] for i in range(n)])
 
 
-def build_ortho_family(N, lam, eta) -> OrthoFamily:
+def _moments(lam, eta, nmax):
+    """phi_derivatives, with moments that lost their digits refused as
+    DegenerateHankel: no family can be built from them."""
     try:
-        moments = phi_derivatives(lam, eta, 2 * N - 2)
+        return phi_derivatives(lam, eta, nmax)
     except NearDegenerate as exc:
-        # moments without digits: no family can be built from them
         raise DegenerateHankel(str(exc)) from exc
-    return OrthoFamily(N, lam, eta, moments)
+
+
+def build_ortho_family(N, lam, eta) -> OrthoFamily:
+    return OrthoFamily(N, lam, eta, _moments(lam, eta, 2 * N - 2))
 
 
 def bordered_hankel_det(fam: OrthoFamily, xs):
@@ -253,6 +256,9 @@ def psi_bot_ortho(cfg: RowConfig, lam, eta) -> complex:
     N, s, rs = cfg.n, cfg.s, cfg.positions
     a, b, c = homogeneous_abc(lam, eta)
     _check_c(c)
+    # refuse a lam without moments before the prefactor divides by
+    # b = sin(lam - eta), which is 0 where phi is undefined
+    _moments(lam, eta, 0)
 
     def build_f(ring, oms, omts):
         f = ring.const(1)
@@ -275,5 +281,7 @@ def psi_bot_ortho(cfg: RowConfig, lam, eta) -> complex:
 def psi_top_ortho(cfg: RowConfig, lam, eta) -> complex:
     """Top component as the a<->b crossing image of psi_bot_ortho in the
     complementary positions: lam -> pi - lam swaps a and b, and Z_N is
-    symmetric under the swap."""
+    symmetric under the swap.  lam is checked before the crossing, so
+    that a refusal names the lam given, not pi - lam."""
+    _moments(lam, eta, 0)
     return psi_bot_ortho(cfg.complement(), math.pi - lam, eta)

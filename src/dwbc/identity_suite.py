@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
-from .bethe_reps import (_crossed_params, _nested_exclusion, psi_bot_sum,
-                         psi_top_sum)
 from .exact_core import _perm_sign, _pmul, format_rational, poly_det
 from .ik_engine import (
     TrigParams,
@@ -37,25 +34,27 @@ from .ik_engine import (
     ik_determinant,
     psi_kernel,
 )
-from .lattice_oracle import (RowConfig, WeightTriple, enumerate_Z, psi_bot,
-                             psi_top)
-from .efp_reps import EfpQuery, efp_mir_n, efp_mir_s
+from .lattice_oracle import (EfpQuery, Record, RowConfig, WeightTriple,
+                             enumerate_Z, psi_bot, psi_top)
 
 NUMERIC_TOL = 1e-8
 SEPARATION = 0.05
 
 
-@dataclass
-class IdentityCase:
+class IdentityCase(Record):
     """One evaluated identity instance."""
 
-    name: str
-    mode: str                      # 'exact' | 'numeric'
-    params: dict
-    lhs: object = None
-    rhs: object = None
-    residual: float = 0.0
-    ok: bool = True
+    _fields = ("name", "mode", "params", "lhs", "rhs", "residual", "ok")
+
+    def __init__(self, name, mode, params, lhs=None, rhs=None, residual=0.0,
+                 ok=True):
+        self.name = name
+        self.mode = mode               # 'exact' | 'numeric'
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.ok = ok
 
     def as_json(self):
         def fmt(v):
@@ -380,6 +379,7 @@ def check_whom(s, zs, w: WeightTriple) -> IdentityCase:
 def check_bigid(s, rs, lams, nus, eta) -> IdentityCase:
     """Permutation-sum form of the top component against the
     nested-exclusion sum with the inner s x s partition function."""
+    from .bethe_reps import _nested_exclusion
     case = IdentityCase("bigid", "numeric", {"s": s, "rs": tuple(rs)})
     c = cmath.sin(2 * eta)
 
@@ -511,6 +511,7 @@ def second_order_hierarchy_instance(N, w: WeightTriple):
     Returns (IdentityCase, inspection record with the h-derivative data
     entering both sides).  No closed form is conjectured.
     """
+    from .efp_reps import efp_mir_n, efp_mir_s
     case = IdentityCase("hierarchy-2nd", "exact", {"N": N, "r": 3, "s": 2})
     q = EfpQuery(N, 3, 2)
     case.lhs = efp_mir_s(q, w, "efpMIR2")
@@ -656,6 +657,7 @@ def run_suite(suite: str, trials: int = 20, seed: int = 0):
 def _crossing_cases(rng, trials):
     """Duality of the sublattice partition functions under
     lam -> pi - lam, nu -> -nu, cfg -> complement."""
+    from .bethe_reps import _crossed_params, psi_bot_sum, psi_top_sum
     cases = []
     for _ in range(trials):
         N = rng.randint(2, 4)

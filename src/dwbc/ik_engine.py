@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -71,7 +70,8 @@ from .errors import DegeneratePoints, InvalidRegion, NearDegenerate, Singular
 from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          _point_line, _ppowers, _tower_point, _trimmed,
                          line_det, poly_det)
-from .lattice_oracle import WeightMatrix, WeightTriple, frozen_column_sweep
+from .lattice_oracle import (FrozenRecord, WeightMatrix, WeightTriple,
+                             frozen_column_sweep)
 from .rational import ExactPoly
 
 DEGENERACY_TOL = 1e-8
@@ -100,8 +100,7 @@ def e_fn(x, y, eta):
     return cmath.sin(x - y + 2 * eta)
 
 
-@dataclass(frozen=True)
-class TrigParams:
+class TrigParams(FrozenRecord):
     """Spectral parameters of the inhomogeneous model.
 
     lambdas attach to vertical lines (right to left), nus to horizontal
@@ -111,9 +110,7 @@ class TrigParams:
     which `allow_coincident_lambdas` admits (nu's stay constrained).
     """
 
-    lambdas: tuple
-    nus: tuple
-    eta: complex
+    _fields = ("lambdas", "nus", "eta")
 
     def __init__(self, lambdas, nus, eta, allow_coincident_lambdas=False):
         object.__setattr__(self, "lambdas", tuple(lambdas))
@@ -147,18 +144,16 @@ def homogeneous_abc(lam, eta):
     return (cmath.sin(lam + eta), cmath.sin(lam - eta), cmath.sin(2 * eta))
 
 
-@dataclass(frozen=True)
-class NumericTriple:
+class NumericTriple(FrozenRecord):
     """Homogeneous complex weights with the lattice_oracle interface;
     hashes by value, like WeightTriple, so `family` caches it."""
 
-    a: complex
-    b: complex
-    c: complex
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", complex(a))
+        object.__setattr__(self, "b", complex(b))
+        object.__setattr__(self, "c", complex(c))
 
     def weight(self, alpha, k, kind):
         return getattr(self, kind)

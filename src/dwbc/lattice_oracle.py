@@ -42,10 +42,10 @@ arrows, at positions 1 <= r_1 < ... < r_s <= N (again from the right).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import attrgetter
 
 from .errors import InvalidRegion, SizeLimit
 from .rational import ExactPoly, as_fraction
@@ -75,18 +75,57 @@ def _check_size(N: int, kind: str):
 # weights and row configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightTriple:
+class Record:
+    """A plain class compared and printed by the fields named in its
+    `_fields`.
+
+    Two records are equal when they are of the same class with equal
+    fields; the repr reads `Name(field=value, ...)`.  Defining `__eq__`
+    leaves a Record unhashable.  Being plain classes, records need no
+    import of the standard library's class generator, nor the `inspect`
+    and `ast` it would load into every `dwbc` process.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its fields, which `__init__` sets with
+    `object.__setattr__` and nothing may assign or delete afterwards."""
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightTriple(FrozenRecord):
     """Exact positive Boltzmann weights of the homogeneous model."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "c", as_fraction(self.c))
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+        object.__setattr__(self, "c", as_fraction(c))
         if not (self.a > 0 and self.b > 0 and self.c > 0):
             raise ValueError("weights must be strictly positive")
 
@@ -129,16 +168,14 @@ class WeightMatrix:
         return 0j
 
 
-@dataclass(frozen=True)
-class RowConfig:
+class RowConfig(FrozenRecord):
     """Strictly increasing up-arrow positions on a row.
 
     `n` is the lattice size, `positions` the tuple r_1 < ... < r_s
     (possibly empty: the 0th row carries no up arrows).
     """
 
-    n: int
-    positions: tuple
+    _fields = ("n", "positions")
 
     def __init__(self, n, positions):
         positions = tuple(int(p) for p in positions)
@@ -500,18 +537,18 @@ def row_config_probability(cfg: RowConfig, w, method="transfer"):
     return _row_probabilities(cfg.n, w, cfg.s, [[cfg.positions]], method)[0]
 
 
-@dataclass(frozen=True)
-class EfpQuery:
+class EfpQuery(FrozenRecord):
     """Region of an EFP evaluation: 1 <= s <= r <= N, n = r - s."""
 
-    N: int
-    r: int
-    s: int
+    _fields = ("N", "r", "s")
 
-    def __post_init__(self):
-        if not (1 <= self.s <= self.r <= self.N):
+    def __init__(self, N, r, s):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        if not (1 <= s <= r <= N):
             raise InvalidRegion(
-                f"need 1 <= s <= r <= N, got r={self.r}, s={self.s}, N={self.N}")
+                f"need 1 <= s <= r <= N, got r={r}, s={s}, N={N}")
 
     @property
     def n(self) -> int:

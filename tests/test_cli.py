@@ -211,6 +211,25 @@ class TestContracts:
             assert record["error"] == "InvalidRegion"
             assert "DWBC_MAX_N" not in record["message"]
 
+    def test_ortho_refusals_name_the_given_lambda(self, capsys):
+        # psi_top is psi_bot at pi - lam, but a refusal names the lam the
+        # user gave; at lam = eta the bottom route refuses with a record
+        # before its prefactor divides by b = sin(lam - eta) = 0
+        for which in ("top", "bottom"):
+            code = main(["psi", "--size", "3", "--which", which,
+                         "--positions", "1", "--method", "ortho",
+                         "--lambda", "1e300", "--eta", "0.3"])
+            record = json.loads(capsys.readouterr().err)
+            assert code == 1
+            assert record["error"] == "DegenerateHankel"
+            assert record["message"].startswith(
+                "lam = 1e+300 swamps eta = 0.3:"), record
+            code = main(["psi", "--size", "3", "--which", which,
+                         "--positions", "1", "--method", "ortho",
+                         "--lambda", "0.3", "--eta", "0.3"])
+            assert code == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "Singular"
+
     def test_empty_lattice(self, capsys):
         # s = 0 is the empty top lattice: psi_top = 1 by every route, the
         # sum's determinant of the empty matrix included
@@ -393,39 +412,90 @@ class TestNumpyFree:
         assert outs[0] == outs[1] != ""
 
 
-_ORACLE_CHILD = textwrap.dedent("""
+# Runs one invocation through `main` in a fresh child process; prints
+# {"code": exit code, "modules": every module loaded by then}.
+_BUDGET_CHILD = textwrap.dedent("""
     import contextlib, io, json, sys
     from dwbc import cli
-    codes = []
-    for args in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(cli.main(args))
-    print(json.dumps({"exact_core": "dwbc.exact_core" in sys.modules,
-                      "codes": codes}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(json.loads(sys.argv[1]))
+    print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """)
 
-_ORACLE_INVOCATIONS = [
-    ["zn", "--size", "6", "--method", "transfer"] + _W,
-    ["hrow", "--size", "5", "--positions", "1,3"] + _W,
-    ["boundary", "--size", "5"] + _W,
-    ["psi", "--size", "5", "--which", "top", "--positions", "2,4",
-     "--method", "oracle"] + _W,
-    ["efp", "--size", "5", "--r", "3", "--s", "2", "--method", "enum"] + _W,
-    ["efp", "--size", "5", "--r", "4", "--s", "2", "--method", "sum",
-     "--route", "efpn"] + _W,
+_ORACLE = {"dwbc.exact_core"}
+_REPS = {"dwbc.bethe_reps", "dwbc.efp_reps"}
+_ORTHO = ["--lambda", "0.9", "--eta", "0.3"]
+
+# (invocation, the dwbc modules it must not load); no invocation loads
+# the standard library's class generator or what it imports
+_NEVER = {"dataclasses", "inspect"}
+_IMPORT_BUDGET = [
+    # the lattice-oracle subcommands take their rationals from
+    # dwbc.rational: the exact engine is never imported
+    (["zn", "--size", "6", "--method", "transfer"] + _W, _ORACLE),
+    (["hrow", "--size", "5", "--positions", "1,3"] + _W, _ORACLE),
+    (["boundary", "--size", "5"] + _W, _ORACLE),
+    (["psi", "--size", "5", "--which", "top", "--positions", "2,4",
+      "--method", "oracle"] + _W, _ORACLE),
+    (["efp", "--size", "5", "--r", "3", "--s", "2", "--method", "enum"] + _W,
+     _ORACLE),
+    (["efp", "--size", "5", "--r", "4", "--s", "2", "--method", "sum",
+      "--route", "efpn"] + _W, _ORACLE),
+    # the psi residue routes live in bethe_reps alone
+    (["psi", "--size", "4", "--which", "bottom", "--positions", "1,3",
+      "--method", "mir"] + _W, {"dwbc.efp_reps"}),
+    (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+      "--method", "mir-new"] + _W, {"dwbc.efp_reps"}),
+    (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+      "--method", "dual"] + _W, {"dwbc.efp_reps"}),
+    # the Hankel routes need neither residue-route module
+    (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "ortho"]
+     + _ORTHO, _REPS),
+    (["psi", "--size", "4", "--which", "top", "--positions", "2",
+      "--method", "ortho"] + _ORTHO, _REPS),
+    (["psi", "--size", "4", "--which", "bottom", "--positions", "2",
+      "--method", "ortho"] + _ORTHO, _REPS),
+    # the rational identity suites need no route module
+    (["verify", "--suite", "cantini", "--trials", "3", "--seed", "42"],
+     _REPS | {"dwbc.hankel_orthopoly"}),
+    (["verify", "--suite", "psxx", "--trials", "3", "--seed", "42"],
+     _REPS | {"dwbc.hankel_orthopoly"}),
+    (["verify", "--suite", "whom", "--trials", "3", "--seed", "42"],
+     _REPS | {"dwbc.hankel_orthopoly"}),
+    # the rest loads what it runs, and only _NEVER is excluded
+    (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+      "--method", "mir-origin"] + _W, set()),
+    (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-s"]
+     + _W, set()),
+    (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-n"]
+     + _W, set()),
+    (["trace-efp", "--size", "3", "--r", "2", "--s", "1"] + _W, set()),
+    (["zn", "--size", "3", "--method", "ik"] + _ORTHO, set()),
+    (["psi", "--size", "3", "--which", "top", "--positions", "1",
+      "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
+      "0.1", "0.25", "0.42", "--eta", "0.35"], set()),
+    (["verify", "--suite", "all", "--trials", "1", "--seed", "1"], set()),
 ]
 
 
-class TestOracleStartup:
-    def test_oracle_subcommands_never_compile_exact_core(self):
-        # the lattice-oracle subcommands take their rationals from
-        # dwbc.rational: the exact engine is never imported
+def _budget_id(args):
+    """The subcommand and the values that pick its route."""
+    return " ".join([args[0]] + [args[args.index(flag) + 1]
+                                 for flag in ("--which", "--method", "--suite")
+                                 if flag in args])
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("args, banned", _IMPORT_BUDGET,
+                             ids=[_budget_id(a) for a, _ in _IMPORT_BUDGET])
+    def test_loads_only_what_it_runs(self, args, banned):
+        # one interpreter per invocation: what it loads is its own
         env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dwbc.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", _ORACLE_CHILD,
-             json.dumps(_ORACLE_INVOCATIONS)],
+            [sys.executable, "-c", _BUDGET_CHILD, json.dumps(args)],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "exact_core": False, "codes": [0] * len(_ORACLE_INVOCATIONS)}
+        record = json.loads(proc.stdout)
+        assert record["code"] == 0
+        assert not (_NEVER | banned) & set(record["modules"])
