@@ -27,9 +27,9 @@ The multiple sums are generated by depth-first index generation with an
 exclusion set, literally following the alpha_j not-in {alpha_1..a_{j-1}}
 structure.  Sum representations run in numeric mode only and integral
 representations in exact mode only; the oracle links the two regimes.
-The numeric sums take their determinant minors of `_phi_matrix` from
-`_minor_det`, which imports `elimination` on call; the exact integral
-representations never load it.
+The numeric sums take their determinant minors of `ik_engine`'s
+`_phi_matrix` from `_minor_det`, which imports `elimination` on call;
+the exact integral representations never load it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,14 @@ import cmath
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import NearDegenerate, PoleCollision
+from .errors import NearDegenerate
 from .exact_core import _perm_sign, eps_scale, residue_drive
 from .ik_engine import (
     TrigParams,
+    _divisor_weight,
+    _pair_quotient,
+    _phi_matrix,
+    _pole_guard,
     a_fn,
     b_fn,
     d_fn,
@@ -82,12 +86,6 @@ def _chi(alpha, beta):
     return 0 if alpha < beta else 1
 
 
-def _phi_matrix(p: TrigParams):
-    c = cmath.sin(2 * p.eta)
-    return [[c / (a_fn(l, v, p.eta) * b_fn(l, v, p.eta)) for v in p.nus]
-            for l in p.lambdas]
-
-
 def _minor_det(m, drop_rows, cols):
     """The minor of m on the rows not in `drop_rows` and the columns
     `cols`, both 1-based."""
@@ -97,10 +95,18 @@ def _minor_det(m, drop_rows, cols):
 
 
 def _check_separation(p: TrigParams):
+    """The sums divide by d(l_i, l_j) and by e(l_i, l_j) = sin(l_i - l_j
+    + 2 eta), each of which must be clear of 0.  The diagonal e(l, l) is
+    c, and at c = 0 every psi of one row or more is 0 anyway."""
     for i in range(p.n):
         for j in range(i + 1, p.n):
             if abs(d_fn(p.lambdas[i], p.lambdas[j])) <= SEPARATION_TOL:
                 raise NearDegenerate("lambda separation below tolerance")
+        for j in range(p.n):
+            if abs(e_fn(p.lambdas[i], p.lambdas[j], p.eta)) <= SEPARATION_TOL:
+                raise NearDegenerate(
+                    f"e(lambda[{i}], lambda[{j}]) = sin(lambda[{i}] - "
+                    f"lambda[{j}] + 2 eta) below tolerance")
 
 
 def _crossed_params(p: TrigParams, s) -> TrigParams:
@@ -110,26 +116,6 @@ def _crossed_params(p: TrigParams, s) -> TrigParams:
     nu's, so no two of them collide."""
     return TrigParams([cmath.pi - l for l in p.lambdas],
                       [-v for v in p.nus[s:] + p.nus[:s]], p.eta)
-
-
-def _pole_guard(w: WeightTriple):
-    t, delta = w.t(), w.delta()
-    if t * t - 2 * delta * t + 1 == 0:
-        raise PoleCollision("t^2 - 2*Delta*t + 1 = 0 (equals c^2/a^2)")
-    return t, delta
-
-
-def _pair_quotient(f, zs, p, q, ordered=False):
-    """f / prod (p z_j z_k - q z_j + 1) over the pairs j < k, or over
-    all j != k when `ordered`.  Each pair factor divides f in turn: on
-    a tower that costs size(f) * terms(factor), where dividing by their
-    product would first expand it densely."""
-    n = len(zs)
-    for j in range(n):
-        for k in range(n):
-            if k > j or (ordered and k != j):
-                f = f / (p * zs[j] * zs[k] - q * zs[j] + 1)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +231,11 @@ def psi_top_coordinate(cfg: RowConfig, p: TrigParams) -> complex:
         sign = _perm_sign(perm)
         term = complex(sign)
         for j in range(s):
-            vk = nu[perm[j]]
-            for beta in range(rs[j] - 1):
-                term *= b_fn(lam[beta], vk, eta) / a_fn(lam[beta], vk, eta)
-            term /= a_fn(lam[rs[j] - 1], vk, eta)
+            vk, k = nu[perm[j]], perm[j] + 1
+            for beta in range(1, rs[j]):
+                term *= (b_fn(lam[beta - 1], vk, eta)
+                         / _divisor_weight(p, "a", beta, k))
+            term /= _divisor_weight(p, "a", rs[j], k)
         for j in range(s):
             for k in range(j + 1, s):
                 term *= e_fn(nu[perm[j]], nu[perm[k]], eta)

@@ -260,19 +260,16 @@ def cmd_psi(args):
         fn = psi_top if which == "top" else psi_bot
         val = fn(cfg, _oracle_weights(mode, w),
                  "transfer" if method == "oracle" else "enum")
+    elif mode != "exact":
+        _usage_error(f"--method {method} needs exact --weights")
+    elif (which, method) == ("top", "mir-origin"):
+        # the one psi route of efp_reps, which needs no bethe_reps
+        from .efp_reps import psi_top_mir_origin
+        val = psi_top_mir_origin(cfg.n, 0, cfg.positions, w)
     else:
-        if mode != "exact":
-            _usage_error(f"--method {method} needs exact --weights")
         from . import bethe_reps as br
-
-        def mir_origin(cfg, w):
-            # the one psi route of efp_reps: only it compiles that module
-            from .efp_reps import psi_top_mir_origin
-            return psi_top_mir_origin(cfg.n, 0, cfg.positions, w)
-
         fn = {("top", "mir-new"): br.psi_top_mir_new,
               ("top", "mir-coordinate"): br.psi_top_mir_coordinate,
-              ("top", "mir-origin"): mir_origin,
               ("top", "dual"): br.psi_top_mir_dual,
               ("bottom", "mir"): br.psi_bot_mir,
               ("bottom", "dual"): br.psi_bot_mir_dual}.get((which, method))

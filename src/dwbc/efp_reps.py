@@ -32,8 +32,8 @@ from itertools import combinations, permutations
 
 from .errors import ChainBreak
 from .exact_core import eps_scale, residue_drive
-from .bethe_reps import _pair_quotient, _pole_guard
-from .ik_engine import cantini_P_confluent, cantini_P_vand, family
+from .ik_engine import (_pair_quotient, _pole_guard, cantini_P_confluent,
+                        cantini_P_vand, family)
 from .lattice_oracle import (
     EfpQuery,
     RowConfig,

@@ -259,6 +259,8 @@ def psi_bot_ortho(cfg: RowConfig, lam, eta) -> complex:
     # refuse a lam without moments before the prefactor divides by
     # b = sin(lam - eta), which is 0 where phi is undefined
     _moments(lam, eta, 0)
+    if N == 0:
+        return 1 + 0j  # the empty lattice, which has no Hankel family
 
     def build_f(ring, oms, omts):
         f = ring.const(1)

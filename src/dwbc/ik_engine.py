@@ -55,7 +55,11 @@ s - 1 of the y's, are cofactor expansions (`poly_det`).
 
 The two float determinants, `ik_determinant` and `ik_homogeneous`,
 take their determinant from `elimination.det`, exact from the float
-entries and rounded once, which they import when called.
+entries and rounded once, which they import when called.  The phi
+matrix, which the psi sums of `bethe_reps` share, refuses an a or b
+weight that is exactly 0 at a site (`_divisor_weight`).  The pair
+factors of the residue integrands (`_pole_guard`, `_pair_quotient`)
+live here too, so that `efp_reps` needs nothing from `bethe_reps`.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DegeneratePoints, InvalidRegion, NearDegenerate, Singular
+from .errors import (DegeneratePoints, InvalidRegion, NearDegenerate,
+                     PoleCollision, Singular)
 from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          _point_line, _ppowers, _tower_point, _trimmed,
                          line_det, poly_det)
@@ -180,9 +185,28 @@ def ik_determinant(p: TrigParams) -> complex:
     for i in range(N):
         for j in range(i + 1, N):
             den *= d_fn(p.lambdas[j], p.lambdas[i]) * d_fn(p.nus[i], p.nus[j])
-    c = cmath.sin(2 * eta)
-    return pref / den * det([[c / (a_fn(l, v, eta) * b_fn(l, v, eta))
-                              for v in p.nus] for l in p.lambdas])
+    return pref / den * det(_phi_matrix(p))
+
+
+def _divisor_weight(p: TrigParams, kind, alpha, k):
+    """The a or b weight at site (alpha, k), 1-based, for a route that
+    divides by it.  Float cancellation in l - nu +/- eta can make it
+    exactly 0, which raises Singular naming the site and the weight."""
+    fn = a_fn if kind == "a" else b_fn
+    x = fn(p.lambdas[alpha - 1], p.nus[k - 1], p.eta)
+    if x == 0:
+        raise Singular(f"{kind} = 0 at site (alpha, k) = ({alpha}, {k}), "
+                       "which the route divides by")
+    return x
+
+
+def _phi_matrix(p: TrigParams):
+    """phi(l_alpha, nu_k) = c / (a b) at every site (alpha, k)."""
+    c = cmath.sin(2 * p.eta)
+    return [[c / (_divisor_weight(p, "a", alpha, k)
+                  * _divisor_weight(p, "b", alpha, k))
+             for k in range(1, len(p.nus) + 1)]
+            for alpha in range(1, len(p.lambdas) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -583,6 +607,29 @@ def family(w) -> BoundaryGenFamily:
     both hashed by value), least recently used first out past
     CACHE_SIZE triples."""
     return BoundaryGenFamily(w)
+
+
+def _pole_guard(w: WeightTriple):
+    """(t, Delta) for the residue integrands of bethe_reps and efp_reps,
+    whose pair factors p z_j z_k - q z_j + 1 (`_pair_quotient`) need
+    t^2 - 2 Delta t + 1 = c^2/a^2 nonzero."""
+    t, delta = w.t(), w.delta()
+    if t * t - 2 * delta * t + 1 == 0:
+        raise PoleCollision("t^2 - 2*Delta*t + 1 = 0 (equals c^2/a^2)")
+    return t, delta
+
+
+def _pair_quotient(f, zs, p, q, ordered=False):
+    """f / prod (p z_j z_k - q z_j + 1) over the pairs j < k, or over
+    all j != k when `ordered`.  Each pair factor divides f in turn: on
+    a tower that costs size(f) * terms(factor), where dividing by their
+    product would first expand it densely."""
+    n = len(zs)
+    for j in range(n):
+        for k in range(n):
+            if k > j or (ordered and k != j):
+                f = f / (p * zs[j] * zs[k] - q * zs[j] + 1)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ Two independent backends:
   alternating sign matrix numbers, so this is capped at small N), and
 
 * a *transfer* backend: a vertex-by-vertex row sweep that carries the
-  weights of every row state (vertical-edge bitmask) at once, downward
-  from the all-down top boundary or upward from the all-up bottom one.
-  A downward sweep over rows 1..s gives psi_top of every row-s state,
-  an upward one over rows N..s+1 gives psi_bot, and Z_N is their cut
-  sum; it is fast enough for N up to ~14.  Exact weights are scaled to
-  integers first (D = lcm of the denominators of a, b, c), so the sweep
-  adds and multiplies Python ints and divides by D^(vertices) once.
+  weights of every row state (vertical-edge bitmask) at once, upward
+  from the all-up bottom boundary: rows N..s+1 give psi_bot of every
+  row-s state.  A half-turn maps the lattice to itself (each vertex
+  kind to itself, the all-down top to the all-up bottom), so psi_top is
+  psi_bot of the turned lattice, and Z_N the cut sum at row N // 2; it
+  is fast enough for N up to ~14.  Exact weights are scaled to integers
+  first (D = lcm of the denominators of a, b, c), so the sweep adds and
+  multiplies Python ints and divides by D^(vertices) once.
 
 Both run on exact rational weights (a, b, c) or on complex inhomogeneous
 weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
@@ -43,11 +44,12 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import attrgetter
 
-from .errors import InvalidRegion, SizeLimit
+from .errors import InvalidRegion, SizeLimit, Singular
 from .rational import ExactPoly, as_fraction
 
 ENUM_MAX_N = 6
@@ -297,17 +299,18 @@ def enumerate_Z(N, w, method="auto"):
 
     method: 'enum' walks every configuration of the lattice one by one
     (the independent check; N <= 6 unless DWBC_MAX_N raises the cap);
-    'transfer' sweeps the lattice row by row from the all-down top
-    boundary and reads the all-up bottom state; 'auto' is 'transfer',
-    for every weight type.  Z_0 = 1 (empty lattice).
+    'transfer' sums psi_top * psi_bot over the states of row N // 2,
+    from ceil(N/2) rows of sweep at site-independent weights; 'auto' is
+    'transfer', for every weight type.  Z_0 = 1 (empty lattice).
     """
     if N == 0:
         return _one_like(w)
     if method in ("auto", "transfer"):
         _check_size(N, "transfer")
         weight, d = _leaves(w)
-        states = _top_states(N, weight, N)
-        return _ratio(w, states[(1 << N) - 1], d ** (N * N))
+        top, bot = _split_states(N, w, weight, N // 2)
+        z = sum(v * top[_rot(N, m)] for m, v in bot.items())
+        return _ratio(w, z, d ** (N * N))
     if method == "enum":
         _check_size(N, "enum")
         all_up = (1 << N) - 1
@@ -357,13 +360,13 @@ def row_state_weights(N, w, s):
 #   R, down -> b: R, down
 #   L, up   -> b: L, up
 #   L, down -> a: L, down    c: R, up
-# on the far side, and the table reads the same from either side.  A
-# downward sweep crosses each row from left to right (alpha = N..1),
-# entering with the arrow pointing left and trading each vertical edge
-# above for the one below, and keeps the states that leave pointing
-# right.  An upward sweep crosses it from right to left (alpha = 1..N),
-# entering pointing right and trading edges below for edges above, and
-# keeps the states that leave pointing left.
+# on the far side.  The one sweep direction is upward: right to left
+# across each row (alpha = 1..N), entering pointing right and keeping the
+# states that leave pointing left.  The top s rows are the bottom s rows
+# of the half-turned lattice, whose vertex (alpha, k) is (N+1-alpha,
+# N+1-k) here and whose row-(N-s) state rot(m) is row-s state m here.
+# Weights that ignore the site (WeightTriple, NumericTriple) are their
+# own half-turn and share one sweep; a WeightMatrix sweeps its turned grid.
 #
 # Leaves are integers for a WeightTriple: D = lcm of the denominators of
 # (a, b, c) scales every vertex weight to an integer, a region of V
@@ -382,7 +385,9 @@ def _leaves(w):
 
 
 def _ratio(w, num, den):
-    """num / den in the arithmetic of the weights `w`."""
+    """num / den in the arithmetic of `w`; den = 0 is a vanishing Z."""
+    if den == 0:
+        raise Singular("Z = 0 at these weights: probabilities undefined")
     return Fraction(num, den) if isinstance(w, WeightTriple) else num / den
 
 
@@ -405,37 +410,53 @@ def _cross_vertex(left, right, bit, a, b, c):
     return new_left, new_right
 
 
-def _transfer_bracket(N, weight, rows, states, upward=False, cuts=None):
-    """Sweep {row-state bitmask: value} across `rows`, in the order given.
-
-    Downward, `states` lies on the cut above the first row and the result
-    on the cut below the last; upward, the other way round.  `weight` is
-    the leaf weight function of `_leaves`.  A list `cuts` receives the
-    states of every cut the sweep crosses, the result last.
-    """
-    cols = range(1, N + 1) if upward else range(N, 0, -1)
-    for k in rows:
-        left, right = ({}, states) if upward else (states, {})
-        for alpha in cols:
+def _transfer_bracket(N, weight, rows, states, cuts=None):
+    """Sweep {row-state bitmask: value} upward across `rows`, in the order
+    given, from `states` on the cut below the first row; `weight` is the
+    leaf weight function of `_leaves`.  A dict `cuts` receives, under each
+    of its keys j > 0, the states on the cut after j rows."""
+    for j, k in enumerate(rows, 1):
+        left, right = {}, states
+        for alpha in range(1, N + 1):
             left, right = _cross_vertex(
                 left, right, 1 << (alpha - 1), weight(alpha, k, "a"),
                 weight(alpha, k, "b"), weight(alpha, k, "c"))
-        states = left if upward else right
-        if cuts is not None:
-            cuts.append(states)
+        states = left
+        if cuts is not None and j in cuts:
+            cuts[j] = states
     return states
 
 
-def _top_states(N, weight, s):
-    """Sweep values of the N x s top sublattice, for every row-s state."""
-    return _transfer_bracket(N, weight, range(1, s + 1), {0: 1})
+@lru_cache(maxsize=1 << 16)
+def _rot(N, m):
+    """The half-turn of row state m: its N-bit reversal, complemented."""
+    return ((1 << N) - 1) ^ int(format(m, f"0{N}b")[::-1], 2)
 
 
-def _bottom_states(N, weight, s):
+def _bottom_states(N, weight, s, cuts=None):
     """Sweep values of the N x (N-s) bottom sublattice, for every row-s
     state."""
     return _transfer_bracket(N, weight, range(N, s, -1), {(1 << N) - 1: 1},
-                             upward=True)
+                             cuts)
+
+
+def _top_states(N, w, weight, s):
+    """Sweep values of the N x s top sublattice, for every row-s state m
+    keyed by rot(m): the bottom sublattice of the half-turned lattice."""
+    if isinstance(w, WeightMatrix):
+        weight = (lambda alpha, k, kind, f=weight:
+                  f(N + 1 - alpha, N + 1 - k, kind))
+    return _bottom_states(N, weight, N - s)
+
+
+def _split_states(N, w, weight, s):
+    """(`_top_states`, `_bottom_states`) at row s, from one sweep over
+    max(s, N - s) rows unless the weights depend on the site."""
+    if isinstance(w, WeightMatrix):
+        return _top_states(N, w, weight, s), _bottom_states(N, weight, s)
+    cuts = dict.fromkeys((s, N - s), {(1 << N) - 1: 1})  # 0 rows: the start
+    _bottom_states(N, weight, min(s, N - s), cuts)
+    return cuts[s], cuts[N - s]
 
 
 def frozen_column_sweep(N, w):
@@ -447,8 +468,8 @@ def frozen_column_sweep(N, w):
     _check_size(N, "transfer")
     weight, d = _leaves(w)
     a, b, c = (weight(1, 1, kind) for kind in "abc")
-    cuts = [{(1 << N) - 1: 1}]  # after M rows, cuts[M]
-    _transfer_bracket(N, weight, range(N, 0, -1), cuts[0], True, cuts)
+    cuts = dict.fromkeys(range(N + 1), {(1 << N) - 1: 1})  # M rows: cuts[M]
+    _bottom_states(N, weight, 0, cuts)
     out = [(_one_like(w), [])]
     for M in range(1, N + 1):
         frozen = (1 << (N - M)) - 1
@@ -463,17 +484,16 @@ def frozen_column_sweep(N, w):
 
 def psi_top(cfg: RowConfig, w, method="transfer"):
     """Partition function of the N x s top sublattice with up arrows of
-    `cfg` on its lower cut: a downward sweep over rows 1..s from the
-    all-down top boundary, read at `cfg`.  The 0-row sublattice has
-    psi_top = 1."""
+    `cfg` on its lower cut: an upward sweep over the half-turned top
+    rows, read at rot(cfg).  The 0-row sublattice has psi_top = 1."""
     N, s = cfg.n, cfg.s
     if s == 0:
         return _one_like(w)
     if method == "transfer":
         _check_size(N, "transfer")
         weight, d = _leaves(w)
-        top = _top_states(N, weight, s)
-        return _ratio(w, top[cfg.bitmask()], d ** (N * s))
+        top = _top_states(N, w, weight, s)
+        return _ratio(w, top[_rot(N, cfg.bitmask())], d ** (N * s))
     _check_size(N, "enum")
     return enumerate_region(N, w, 1, s, 0, cfg.bitmask())
 
@@ -508,9 +528,9 @@ def _row_probabilities(N, w, s, groups, method):
     """For each group of row-s position tuples, the sum of their row
     configuration probabilities psi_top * psi_bot / Z_N.
 
-    The transfer backend splits the lattice at row s once: one downward
-    and one upward sweep give psi_top and psi_bot of every row-s state,
-    and Z_N is the cut identity sum_states psi_top * psi_bot.
+    The transfer backend splits the lattice at row s once: the sweeps of
+    `_split_states` give psi_top and psi_bot of every row-s state, and
+    Z_N is the cut identity sum_states psi_top * psi_bot.
     """
     if method != "transfer":
         z = enumerate_Z(N, w, "enum")
@@ -520,12 +540,12 @@ def _row_probabilities(N, w, s, groups, method):
             for pos in group:
                 cfg = RowConfig(N, pos)
                 total += psi_top(cfg, w, method) * psi_bot(cfg, w, method)
-            out.append(total / z)
+            out.append(_ratio(w, total, z))
         return out
     _check_size(N, "transfer")
     weight, _ = _leaves(w)  # every ratio below is of two N^2-vertex values
-    bot = _bottom_states(N, weight, s)
-    prod = {m: v * bot[m] for m, v in _top_states(N, weight, s).items()}
+    top, bot = _split_states(N, w, weight, s)
+    prod = {m: top[_rot(N, m)] * v for m, v in bot.items()}
     z = sum(prod.values())
     return [_ratio(w, sum(prod[RowConfig(N, pos).bitmask()] for pos in group),
                    z)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dwbc
 from dwbc.cli import main
@@ -16,6 +19,12 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+# inhomogeneous parameters whose b weight at site (alpha, k) = (2, 4) is
+# sin(0.9 - 0.5 - 0.4), exactly 0 in floats
+_ZERO_B = ["--lambdas", "0.3", "0.9", "1.4", "2.0", "--nus", "-0.3", "0.0",
+           "0.2", "0.5", "--eta", "0.4"]
 
 
 class TestSubcommands:
@@ -196,6 +205,18 @@ class TestContracts:
         err = capsys.readouterr().err
         assert code == 1
         assert json.loads(err)["error"] == "NearDegenerate"
+        # a zero b weight, which the IK determinant and the sum's phi
+        # matrix would divide by
+        for args in (["zn", "--size", "4", "--method", "ik"],
+                     ["psi", "--size", "4", "--which", "bottom",
+                      "--positions", "1,3", "--method", "sum"]):
+            code = main(args + _ZERO_B)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "Traceback" not in err
+            record = json.loads(err)
+            assert record["error"] == "Singular"
+            assert "b = 0 at site (alpha, k) = (2, 4)" in record["message"]
         # h_N needs a first row; no size cap is to blame, so the error
         # names none, whatever DWBC_MAX_N says
         for max_n in (None, "20"):
@@ -462,14 +483,19 @@ _IMPORT_BUDGET = [
      _REPS | {"dwbc.hankel_orthopoly"}),
     (["verify", "--suite", "whom", "--trials", "3", "--seed", "42"],
      _REPS | {"dwbc.hankel_orthopoly"}),
-    # the rest loads what it runs, and only _NEVER is excluded
+    # the EFP routes, their trace and the hierarchy suite need efp_reps
+    # and nothing of bethe_reps
     (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
-      "--method", "mir-origin"] + _W, set()),
+      "--method", "mir-origin"] + _W, {"dwbc.bethe_reps"}),
     (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-s"]
-     + _W, set()),
+     + _W, {"dwbc.bethe_reps"}),
     (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-n"]
-     + _W, set()),
-    (["trace-efp", "--size", "3", "--r", "2", "--s", "1"] + _W, set()),
+     + _W, {"dwbc.bethe_reps"}),
+    (["trace-efp", "--size", "3", "--r", "2", "--s", "1"] + _W,
+     {"dwbc.bethe_reps"}),
+    (["verify", "--suite", "hierarchy", "--trials", "1", "--seed", "1"],
+     {"dwbc.bethe_reps"}),
+    # the rest loads what it runs, and only _NEVER is excluded
     (["zn", "--size", "3", "--method", "ik"] + _ORTHO, set()),
     (["psi", "--size", "3", "--which", "top", "--positions", "1",
       "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
@@ -499,3 +525,101 @@ class TestImportBudget:
         record = json.loads(proc.stdout)
         assert record["code"] == 0
         assert not (_NEVER | banned) & set(record["modules"])
+
+
+# Binary fractions: l - nu + eta and l - nu - eta are exact in floats,
+# so the draws hit the exact zeros of the a and b weights
+_EIGHTHS = st.sampled_from([k / 8 for k in range(-4, 13)])
+_METHODS = {
+    "zn": ["auto", "enum", "transfer", "ik"],
+    "hrow": ["transfer", "enum"],
+    "efp": ["enum", "sum", "mir-s", "mir-n", "ortho"],
+    "boundary": [None],
+    "psi": ["oracle", "enum", "mir", "mir-new", "mir-coordinate",
+            "mir-origin", "dual", "sum", "sum-dual", "coordinate", "ortho"],
+    "trace-efp": [None],
+}
+_SUITES = ["kmst", "cantini", "psxx", "whom", "bigid", "c4", "tangent",
+           "hierarchy", "crossing", "claim", "all"]
+
+
+@st.composite
+def _invocations(draw):
+    """A `dwbc` argv: a subcommand, one of its methods, small sizes and
+    positions (some out of range), and exact, homogeneous or
+    inhomogeneous weights (some malformed)."""
+    cmd = draw(st.sampled_from(sorted(_METHODS) + ["verify"]))
+    if cmd == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(_SUITES)),
+                "--trials", str(draw(st.integers(0, 2))),
+                "--seed", str(draw(st.integers(0, 99)))]
+    n = draw(st.integers(-1, 5))
+    args = [cmd, "--size", str(n)]
+    method = draw(st.sampled_from(_METHODS[cmd]))
+    if method is not None:
+        args += ["--method", method]
+    if cmd == "psi":
+        args += ["--which", draw(st.sampled_from(["top", "bottom"]))]
+    if cmd in ("hrow", "psi"):
+        pos = draw(st.lists(st.integers(0, n + 1), max_size=max(n, 0) + 1))
+        args += ["--positions", ",".join(map(str, pos))]
+    if cmd in ("efp", "trace-efp"):
+        args += ["--r", str(draw(st.integers(0, n + 1))),
+                 "--s", str(draw(st.integers(0, n + 1)))]
+    if cmd == "efp" and draw(st.booleans()):
+        args += ["--route", draw(st.sampled_from(["efp", "efpn"]))]
+    mode = draw(st.sampled_from(["exact", "hom", "inhom"]))
+    if mode == "exact":
+        args += ["--weights"] + draw(st.lists(
+            st.sampled_from(["1", "2", "3/2", "5/3", "0", "-1"]),
+            min_size=3, max_size=3))
+    elif mode == "hom":
+        args += ["--lambda", repr(draw(_EIGHTHS)),
+                 "--eta", repr(draw(_EIGHTHS))]
+    else:
+        # mostly --size values per list, sometimes one too many
+        m = draw(st.sampled_from([max(n, 1), max(n, 1), n + 1]))
+        for flag in ("--lambdas", "--nus"):
+            args += [flag] + [repr(x) for x in draw(
+                st.lists(_EIGHTHS, min_size=m, max_size=m))]
+        args += ["--eta", repr(draw(_EIGHTHS))]
+    if draw(st.booleans()):
+        args += ["--format", "csv"]
+    return args
+
+
+class TestFuzz:
+    @given(_invocations())
+    @example(["zn", "--size", "4", "--method", "ik"] + _ZERO_B)
+    @example(["psi", "--size", "4", "--which", "bottom", "--positions",
+              "1,3", "--method", "sum"] + _ZERO_B)
+    # a = sin(0.25 - 0.5 + 0.25) = 0 at site (1, 1), which the
+    # coordinate sum divides by
+    @example(["psi", "--size", "3", "--which", "top", "--positions", "2,3",
+              "--method", "coordinate", "--lambdas", "0.25", "0.5", "1.0",
+              "--nus", "0.5", "0.75", "0.125", "--eta", "0.25"])
+    # e = sin(l_i - l_j + 2 eta) = 0 for a lambda pair of the dual sum
+    @example(["psi", "--size", "3", "--which", "top", "--positions", "",
+              "--method", "sum-dual", "--lambdas", "-0.5", "-0.375", "-0.25",
+              "--nus", "-0.5", "-0.375", "-0.25", "--eta", "-0.125"])
+    # c = 0 at eta = 0: Z_1 = c = 0, so h_1 is 0/0
+    @example(["boundary", "--size", "1", "--lambda", "-0.5", "--eta", "0.0"])
+    # the empty lattice has no Hankel family, and psi = 1
+    @example(["psi", "--size", "0", "--which", "top", "--positions", "",
+              "--method", "ortho", "--lambda", "-0.5", "--eta", "-0.375"])
+    @settings(max_examples=300, deadline=None)
+    def test_every_invocation_exits_cleanly(self, args):
+        # exit 0, 1 with one JSON error record, or 2 with a usage
+        # message; any other exception escapes main and fails the test.
+        # 300 examples take about 2 s of a 5 s budget
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), args
+        assert "Traceback" not in err, args
+        if code == 1:
+            assert set(json.loads(err)) == {"error", "message"}, args

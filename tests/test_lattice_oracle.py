@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwbc import lattice_oracle
 from dwbc.errors import InvalidRegion, SizeLimit
 from dwbc.lattice_oracle import (
     ICE_POINT,
@@ -102,6 +103,64 @@ class TestFrozenColumnSweep:
             frozen_column_sweep(15, ICE_POINT)
         with pytest.raises(InvalidRegion):
             frozen_column_sweep(-1, ICE_POINT)
+
+
+def _grid(rng, n):
+    return [[complex(rng.uniform(0.2, 2), rng.uniform(-1, 1))
+             for _ in range(n)] for _ in range(n)]
+
+
+class TestHalfTurn:
+    # psi_top is swept as psi_bot of the half-turned lattice: these pin
+    # the turn against the enumeration backend, which never uses it
+    def test_every_state_matches_enumeration(self):
+        rng = random.Random(29)
+        for n in range(1, 7):
+            w = rand_triple(rng)
+            for s in range(0, n + 1):
+                # psi_top by enumeration of every state at once
+                tops = region_state_weights(n, w, 1, s, 0)
+                for cfg in all_row_configs(n, s):
+                    assert psi_top(cfg, w) == tops[cfg.bitmask()]
+                    assert psi_bot(cfg, w) == psi_bot(cfg, w, method="enum")
+
+    def test_every_state_matches_enumeration_site_weights(self):
+        # distinct weights at every site: the turned grid is read at
+        # (N + 1 - alpha, N + 1 - k)
+        rng = random.Random(31)
+        for n in range(1, 7):
+            w = WeightMatrix(_grid(rng, n), _grid(rng, n),
+                             complex(0.8, 0.3))
+            for s in range(0, n + 1):
+                for cfg in all_row_configs(n, s):
+                    for fn in (psi_top, psi_bot):
+                        want = fn(cfg, w, method="enum")
+                        assert abs(fn(cfg, w) - want) <= 1e-12 * abs(want)
+
+    def test_rows_swept_per_query(self, monkeypatch):
+        # site-independent weights: Z_N crosses ceil(N/2) rows and a row
+        # marginal max(s, N - s), each in one sweep; the frozen-column
+        # sweep still crosses all N
+        w = WeightTriple(Fraction(11, 4), Fraction(7, 9), Fraction(5, 2))
+        sweeps = []
+        bracket = lattice_oracle._transfer_bracket
+
+        def counted(N, weight, rows, *args, **kwargs):
+            sweeps.append((N, len(rows)))
+            return bracket(N, weight, rows, *args, **kwargs)
+
+        monkeypatch.setattr(lattice_oracle, "_transfer_bracket", counted)
+        for n in range(1, 9):
+            sweeps.clear()
+            enumerate_Z(n, w)
+            assert sweeps == [(n, (n + 1) // 2)]
+            for s in range(0, n + 1):
+                sweeps.clear()
+                row_config_probability(RowConfig(n, range(1, s + 1)), w)
+                assert sweeps == [(n, max(s, n - s))]
+            sweeps.clear()
+            frozen_column_sweep(n, w)
+            assert sweeps == [(n, n)]
 
 
 class TestRowConfig:
