@@ -5,9 +5,10 @@ constructively different forms:
 
 * nested-exclusion multiple sums over alpha_1 <= r_1, ..., alpha_s <=
   r_s with alpha_j distinct, for the fully inhomogeneous model (numeric:
-  the summands involve sines of free spectral parameters); the dual
-  sum, in the complementary positions, is the a<->b crossing image of
-  psi_bot_sum (lam -> pi - lam, the nu's negated and rotated);
+  the summands involve sines of free spectral parameters, all of them
+  `trig`'s weight functions); the dual sum, in the complementary
+  positions, is the a<->b crossing image of psi_bot_sum (lam -> pi -
+  lam, the nu's negated and rotated);
 
 * the coordinate-wavefunction permutation sum (numeric, fully
   inhomogeneous variant; the equal-lambdas special case is the classic
@@ -41,21 +42,15 @@ from itertools import permutations
 from .errors import NearDegenerate
 from .exact_core import _perm_sign, eps_scale, residue_drive
 from .ik_engine import (
-    TrigParams,
     _divisor_weight,
     _pair_quotient,
     _phi_matrix,
     _pole_guard,
-    a_fn,
-    b_fn,
-    d_fn,
-    e_fn,
     family,
     ik_determinant,
 )
 from .lattice_oracle import RowConfig, WeightTriple
-
-SEPARATION_TOL = 1e-8
+from .trig import DEGENERACY_TOL, TrigParams, a_fn, b_fn, c_fn, d_fn, e_fn
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +95,10 @@ def _check_separation(p: TrigParams):
     c, and at c = 0 every psi of one row or more is 0 anyway."""
     for i in range(p.n):
         for j in range(i + 1, p.n):
-            if abs(d_fn(p.lambdas[i], p.lambdas[j])) <= SEPARATION_TOL:
+            if abs(d_fn(p.lambdas[i], p.lambdas[j])) <= DEGENERACY_TOL:
                 raise NearDegenerate("lambda separation below tolerance")
         for j in range(p.n):
-            if abs(e_fn(p.lambdas[i], p.lambdas[j], p.eta)) <= SEPARATION_TOL:
+            if abs(e_fn(p.lambdas[i], p.lambdas[j], p.eta)) <= DEGENERACY_TOL:
                 raise NearDegenerate(
                     f"e(lambda[{i}], lambda[{j}]) = sin(lambda[{i}] - "
                     f"lambda[{j}] + 2 eta) below tolerance")
@@ -172,7 +167,7 @@ def psi_top_sum(cfg: RowConfig, p: TrigParams) -> complex:
     _check_separation(p)
     N, s, rs = cfg.n, cfg.s, cfg.positions
     lam, nu, eta = p.lambdas, p.nus, p.eta
-    c = cmath.sin(2 * eta)
+    c = c_fn(eta)
     total = 0j
     for alphas in _nested_exclusion(rs):
         term = 1 + 0j
@@ -210,15 +205,12 @@ def psi_top_coordinate(cfg: RowConfig, p: TrigParams) -> complex:
     """Fully inhomogeneous coordinate-wavefunction permutation sum.
 
     Needs only nu-separation (the lambda differences never appear in a
-    denominator), so it covers the equal-lambdas wavefunction limit.
+    denominator), so it covers the equal-lambdas wavefunction limit;
+    `TrigParams` refuses colliding nu's when it is built.
     """
-    for i in range(cfg.s):
-        for j in range(i + 1, cfg.s):
-            if abs(d_fn(p.nus[i], p.nus[j])) <= SEPARATION_TOL:
-                raise NearDegenerate("nu separation below tolerance")
     N, s, rs = cfg.n, cfg.s, cfg.positions
     lam, nu, eta = p.lambdas, p.nus, p.eta
-    c = cmath.sin(2 * eta)
+    c = c_fn(eta)
     pref = c ** s
     for beta in range(N):
         for k in range(s):

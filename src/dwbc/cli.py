@@ -134,7 +134,7 @@ def _weights_from_args(args):
         _usage_error("--lambdas requires --nus and --eta")
     if not len(args.lambdas) == len(args.nus) == args.size:
         _usage_error("--lambdas and --nus need --size values each")
-    from .ik_engine import TrigParams
+    from .trig import TrigParams
     return ("inhom", TrigParams(args.lambdas, args.nus, args.eta))
 
 
@@ -163,7 +163,7 @@ def _oracle_weights(mode, w):
     if mode == "exact":
         return w
     if mode == "hom":
-        from .ik_engine import NumericTriple, homogeneous_abc
+        from .trig import NumericTriple, homogeneous_abc
         return NumericTriple(*homogeneous_abc(*w))
     return w.weight_matrix()
 

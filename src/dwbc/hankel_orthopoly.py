@@ -32,6 +32,7 @@ sized for doubles).  A pairing det[K_{n_i}(d_{eps_j})] f|_0 is an
 iterated residue: K_n(d_eps) f|_0 = sum_m kappa_{n,m} m! [eps^m] f is
 the residue of f k_n(eps), k_n(eps) = sum_m kappa_{n,m} m! eps^(-m-1),
 so f is contracted against det[k_{n_i}(eps_j)] by `iterated_residue`.
+The Taylor series start from the sines and cosines of `trig`.
 The Hankel solve and determinants (`OrthoFamily.__init__`,
 `OrthoFamily.hankel_det`, `bordered_hankel_det`) are `elimination`'s,
 exact from their float entries and rounded once; they import it when
@@ -47,13 +48,10 @@ from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
 from .exact_core import (COMPLEXES, _horner, _pmul, _ppowers, build_tower,
                          iterated_residue, poly_det)
-from .ik_engine import (
-    DEGENERACY_TOL,
-    NumericTriple,
-    homogeneous_abc,
-    phi_derivatives,
-)
+from .ik_engine import phi_derivatives
 from .lattice_oracle import EfpQuery, RowConfig, enumerate_Z
+from .trig import (DEGENERACY_TOL, NumericTriple, homogeneous_abc, sin_cos,
+                   sin_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ def bordered_hankel_det(fam: OrthoFamily, xs):
 def sin_taylor(eps, shift, order):
     """Taylor of sin(eps + shift) around eps = 0 on the tower."""
     ring = eps.ring
-    c, s = cmath.cos(shift), cmath.sin(shift)
+    s, c = sin_cos(shift)
     acc = ring.const(s)
     term = eps
     for k in range(1, order + 1):
@@ -149,13 +147,13 @@ def sin_taylor(eps, shift, order):
 
 def omega_taylor(eps, lam, eta, order):
     """omega(eps) = [sin(lam+eta)/sin(lam-eta)] sin(eps)/sin(eps-2eta)."""
-    pref = cmath.sin(lam + eta) / cmath.sin(lam - eta)
+    pref = sin_ratio(lam + eta, lam - eta)
     return pref * sin_taylor(eps, 0.0, order) / sin_taylor(eps, -2 * eta, order)
 
 
 def omegat_taylor(eps, lam, eta, order):
     """omegat(eps) = [sin(lam-eta)/sin(lam+eta)] sin(eps)/sin(eps+2eta)."""
-    pref = cmath.sin(lam - eta) / cmath.sin(lam + eta)
+    pref = sin_ratio(lam - eta, lam + eta)
     return pref * sin_taylor(eps, 0.0, order) / sin_taylor(eps, 2 * eta, order)
 
 

@@ -15,27 +15,17 @@ at least 0.05.
 
 from __future__ import annotations
 
-import cmath
 import random
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
 from .exact_core import _perm_sign, _pmul, format_rational, poly_det
-from .ik_engine import (
-    TrigParams,
-    a_fn,
-    b_fn,
-    cantini_P_confluent,
-    cantini_W_value,
-    d_fn,
-    e_fn,
-    family,
-    ik_determinant,
-    psi_kernel,
-)
+from .ik_engine import (cantini_P_confluent, cantini_W_value, family,
+                        ik_determinant, psi_kernel)
 from .lattice_oracle import (EfpQuery, Record, RowConfig, WeightTriple,
                              enumerate_Z, psi_bot, psi_top)
+from .trig import TrigParams, a_fn, b_fn, c_fn, d_fn, e_fn
 
 NUMERIC_TOL = 1e-8
 SEPARATION = 0.05
@@ -381,7 +371,7 @@ def check_bigid(s, rs, lams, nus, eta) -> IdentityCase:
     nested-exclusion sum with the inner s x s partition function."""
     from .bethe_reps import _nested_exclusion
     case = IdentityCase("bigid", "numeric", {"s": s, "rs": tuple(rs)})
-    c = cmath.sin(2 * eta)
+    c = c_fn(eta)
 
     lhs = c ** s
     for j in range(s):
@@ -427,7 +417,7 @@ def check_bigid(s, rs, lams, nus, eta) -> IdentityCase:
 def check_c4(s, lams, nus, eta) -> IdentityCase:
     """The frozen-corner case r_j = j: permutation sum equals Z_s."""
     case = IdentityCase("c4", "numeric", {"s": s})
-    c = cmath.sin(2 * eta)
+    c = c_fn(eta)
     lhs = c ** s
     for j in range(s):
         for k in range(j + 1, s):

@@ -6,11 +6,14 @@ The inhomogeneous partition function is the Izergin-Korepin determinant
           * det[ phi(l_a, n_k) ],      phi = c / (a b),
 
 with a(l,n) = sin(l-n+eta), b(l,n) = sin(l-n-eta), c = sin 2eta and
-d(l,l') = sin(l-l').  In the homogeneous limit it becomes a Hankel
-determinant of derivatives of phi(l); those derivatives are generated
-exactly through the cotangent recurrence (each one is an integer
-polynomial in cot(l-eta) and cot(l+eta)), because finite differences
-lose every digit well before the 2N-2 orders the formula needs.
+d(l,l') = sin(l-l'), the weights of `trig`, which also holds the
+parameter records `TrigParams` and `NumericTriple` and takes every
+sine and cosine this module needs.  In the homogeneous limit it
+becomes a Hankel determinant of derivatives of phi(l); those
+derivatives are generated exactly through the cotangent recurrence
+(each one is an integer polynomial in cot(l-eta) and cot(l+eta)),
+because finite differences lose every digit well before the 2N-2
+orders the formula needs.
 
 The same module owns the generating-polynomial family h_M(z) of the
 one-point boundary correlation (with Z_M, which the routes' prefactors
@@ -64,7 +67,6 @@ live here too, so that `efp_reps` needs nothing from `bethe_reps`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -75,97 +77,13 @@ from .errors import (DegeneratePoints, InvalidRegion, NearDegenerate,
 from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          _point_line, _ppowers, _tower_point, _trimmed,
                          line_det, poly_det)
-from .lattice_oracle import (FrozenRecord, WeightMatrix, WeightTriple,
-                             frozen_column_sweep)
+from .lattice_oracle import WeightTriple, frozen_column_sweep
 from .rational import ExactPoly
-
-DEGENERACY_TOL = 1e-8
+from .trig import (DEGENERACY_TOL, NumericTriple, TrigParams, a_fn, b_fn,
+                   c_fn, d_fn, homogeneous_abc, sin_cos)
 
 # bound of the per-weight cache `family`
 CACHE_SIZE = 64
-
-
-# ---------------------------------------------------------------------------
-# trigonometric parametrization
-# ---------------------------------------------------------------------------
-
-def a_fn(l, n, eta):
-    return cmath.sin(l - n + eta)
-
-
-def b_fn(l, n, eta):
-    return cmath.sin(l - n - eta)
-
-
-def d_fn(x, y):
-    return cmath.sin(x - y)
-
-
-def e_fn(x, y, eta):
-    return cmath.sin(x - y + 2 * eta)
-
-
-class TrigParams(FrozenRecord):
-    """Spectral parameters of the inhomogeneous model.
-
-    lambdas attach to vertical lines (right to left), nus to horizontal
-    lines (top to bottom); eta is the coupling.  Each set must be
-    pairwise distinct or the determinant prefactors are 0/0; the
-    coordinate-wavefunction limit legitimately takes all lambdas equal,
-    which `allow_coincident_lambdas` admits (nu's stay constrained).
-    """
-
-    _fields = ("lambdas", "nus", "eta")
-
-    def __init__(self, lambdas, nus, eta, allow_coincident_lambdas=False):
-        object.__setattr__(self, "lambdas", tuple(lambdas))
-        object.__setattr__(self, "nus", tuple(nus))
-        object.__setattr__(self, "eta", eta)
-        sets = [("nu", self.nus)]
-        if not allow_coincident_lambdas:
-            sets.append(("lambda", self.lambdas))
-        for name, vals in sets:
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    if abs(d_fn(vals[i], vals[j])) <= DEGENERACY_TOL:
-                        raise NearDegenerate(
-                            f"{name}[{i}] and {name}[{j}] collide within "
-                            f"{DEGENERACY_TOL}")
-
-    @property
-    def n(self):
-        return len(self.lambdas)
-
-    def weight_matrix(self) -> WeightMatrix:
-        """Numeric vertex weights a_{alpha k} = a(l_alpha, nu_k) etc."""
-        a = [[a_fn(l, v, self.eta) for v in self.nus] for l in self.lambdas]
-        b = [[b_fn(l, v, self.eta) for v in self.nus] for l in self.lambdas]
-        return WeightMatrix(a, b, cmath.sin(2 * self.eta))
-
-
-def homogeneous_abc(lam, eta):
-    """Weights of the homogeneous model (nu = 0): a = sin(lam+eta),
-    b = sin(lam-eta), c = sin 2eta."""
-    return (cmath.sin(lam + eta), cmath.sin(lam - eta), cmath.sin(2 * eta))
-
-
-class NumericTriple(FrozenRecord):
-    """Homogeneous complex weights with the lattice_oracle interface;
-    hashes by value, like WeightTriple, so `family` caches it."""
-
-    _fields = ("a", "b", "c")
-
-    def __init__(self, a, b, c):
-        object.__setattr__(self, "a", complex(a))
-        object.__setattr__(self, "b", complex(b))
-        object.__setattr__(self, "c", complex(c))
-
-    def weight(self, alpha, k, kind):
-        return getattr(self, kind)
-
-    @staticmethod
-    def zero():
-        return 0j
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +120,7 @@ def _divisor_weight(p: TrigParams, kind, alpha, k):
 
 def _phi_matrix(p: TrigParams):
     """phi(l_alpha, nu_k) = c / (a b) at every site (alpha, k)."""
-    c = cmath.sin(2 * p.eta)
+    c = c_fn(p.eta)
     return [[c / (_divisor_weight(p, "a", alpha, k)
                   * _divisor_weight(p, "b", alpha, k))
              for k in range(1, len(p.nus) + 1)]
@@ -243,11 +161,12 @@ def phi_derivatives(lam, eta, nmax: int):
         raise NearDegenerate(
             f"lam = {lam} swamps eta = {eta}: lam + eta and lam - eta "
             f"differ by {(lam + eta) - (lam - eta)}, not 2 eta")
-    su, sv = cmath.sin(lam - eta), cmath.sin(lam + eta)
+    su, cu = sin_cos(lam - eta)
+    sv, cv = sin_cos(lam + eta)
     if min(abs(su), abs(sv)) <= DEGENERACY_TOL:
         raise Singular("lam = +/- eta (mod pi): phi undefined")
-    u = cmath.cos(lam - eta) / su
-    v = cmath.cos(lam + eta) / sv
+    u = cu / su
+    v = cv / sv
     polys = _phi_cot_polys(nmax)
     return [complex(_horner(q, u)) - complex(_horner(q, v))
             for q in polys[: nmax + 1]]

@@ -24,7 +24,7 @@ from dwbc.efp_reps import (
 )
 from dwbc.hankel_orthopoly import build_ortho_family, efp_ortho, verify_claim
 from dwbc.identity_suite import run_suite
-from dwbc.ik_engine import TrigParams, homogeneous_abc, ik_determinant
+from dwbc.ik_engine import ik_determinant
 from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
@@ -37,6 +37,7 @@ from dwbc.lattice_oracle import (
     psi_top,
     row_config_probability,
 )
+from dwbc.trig import TrigParams, homogeneous_abc
 
 
 def _report(criterion, ok, elapsed, detail=""):

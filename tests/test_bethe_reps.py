@@ -17,7 +17,7 @@ from dwbc.bethe_reps import (
 )
 from dwbc.errors import PoleCollision
 from dwbc.exact_core import residue_drive
-from dwbc.ik_engine import TrigParams, a_fn, b_fn, d_fn, e_fn, ik_determinant
+from dwbc.ik_engine import ik_determinant
 from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
@@ -27,6 +27,7 @@ from dwbc.lattice_oracle import (
     psi_bot,
     psi_top,
 )
+from dwbc.trig import TrigParams, a_fn, b_fn, d_fn, e_fn
 
 
 def draw_params(rng, n):

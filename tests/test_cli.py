@@ -446,6 +446,9 @@ _BUDGET_CHILD = textwrap.dedent("""
 _ORACLE = {"dwbc.exact_core"}
 _REPS = {"dwbc.bethe_reps", "dwbc.efp_reps"}
 _ORTHO = ["--lambda", "0.9", "--eta", "0.3"]
+_INHOM = ["--lambdas", "0.3", "0.9", "1.4", "2.0",
+          "--nus", "-0.3", "0.0", "0.2", "0.45", "--eta", "0.4"]
+_ENGINE = {"dwbc.exact_core", "dwbc.ik_engine", "dwbc.elimination"}
 
 # (invocation, the dwbc modules it must not load); no invocation loads
 # the standard library's class generator or what it imports
@@ -462,6 +465,16 @@ _IMPORT_BUDGET = [
      _ORACLE),
     (["efp", "--size", "5", "--r", "4", "--s", "2", "--method", "sum",
       "--route", "efpn"] + _W, _ORACLE),
+    # given trigonometric parameters they take the weights from
+    # dwbc.trig, and still load no part of the exact engine
+    (["zn", "--size", "6", "--method", "transfer"] + _ORTHO, _ENGINE),
+    (["hrow", "--size", "5", "--positions", "1,3"] + _ORTHO, _ENGINE),
+    (["boundary", "--size", "5"] + _ORTHO, _ENGINE),
+    (["psi", "--size", "5", "--which", "top", "--positions", "2,4",
+      "--method", "oracle"] + _ORTHO, _ENGINE),
+    (["hrow", "--size", "4", "--positions", "1,3"] + _INHOM, _ENGINE),
+    (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
+      "--method", "enum"] + _INHOM, _ENGINE),
     # the psi residue routes live in bethe_reps alone
     (["psi", "--size", "4", "--which", "bottom", "--positions", "1,3",
       "--method", "mir"] + _W, {"dwbc.efp_reps"}),
@@ -504,16 +517,26 @@ _IMPORT_BUDGET = [
 ]
 
 
-def _budget_id(args):
-    """The subcommand and the values that pick its route."""
-    return " ".join([args[0]] + [args[args.index(flag) + 1]
-                                 for flag in ("--which", "--method", "--suite")
-                                 if flag in args])
+def _budget_ids(budget):
+    """The subcommand and the values that pick its route, and the weight
+    flag of a row whose route an earlier row already names."""
+    ids = []
+    for args, _ in budget:
+        name = " ".join([args[0]] + [args[args.index(flag) + 1]
+                                     for flag in ("--which", "--method",
+                                                  "--suite")
+                                     if flag in args])
+        if name in ids:
+            name += " " + next(flag for flag in ("--weights", "--lambda",
+                                                 "--lambdas")
+                               if flag in args)
+        ids.append(name)
+    return ids
 
 
 class TestImportBudget:
     @pytest.mark.parametrize("args, banned", _IMPORT_BUDGET,
-                             ids=[_budget_id(a) for a, _ in _IMPORT_BUDGET])
+                             ids=_budget_ids(_IMPORT_BUDGET))
     def test_loads_only_what_it_runs(self, args, banned):
         # one interpreter per invocation: what it loads is its own
         env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}

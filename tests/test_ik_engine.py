@@ -12,14 +12,11 @@ from dwbc.bethe_reps import _crossed
 from dwbc.errors import DegeneratePoints, NearDegenerate, Singular
 from dwbc.ik_engine import (
     CACHE_SIZE,
-    NumericTriple,
-    TrigParams,
     cantini_P_confluent,
     cantini_P_vand,
     cantini_W_value,
     family,
     gamma_change,
-    homogeneous_abc,
     ik_determinant,
     ik_homogeneous,
     partially_inhomogeneous_Z,
@@ -28,6 +25,7 @@ from dwbc.ik_engine import (
 from dwbc.exact_core import Scaled, Series, build_tower, residue_drive
 from dwbc.identity_suite import p_s_value
 from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z
+from dwbc.trig import NumericTriple, TrigParams, homogeneous_abc
 
 
 def draw_params(rng, n):

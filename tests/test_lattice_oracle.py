@@ -239,7 +239,7 @@ class TestSublatticeComponents:
         # comes from the transfer backend
         from dwbc.exact_core import DEFAULT_RTOL
         from dwbc.hankel_orthopoly import psi_bot_ortho, psi_top_ortho
-        from dwbc.ik_engine import NumericTriple, homogeneous_abc
+        from dwbc.trig import NumericTriple, homogeneous_abc
         lam, eta = 0.9, 0.3
         w = NumericTriple(*homogeneous_abc(lam, eta))
         for cfg, ortho, oracle in (

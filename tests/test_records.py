@@ -8,8 +8,9 @@ import pytest
 
 from dwbc.errors import InvalidRegion, NearDegenerate
 from dwbc.identity_suite import IdentityCase
-from dwbc.ik_engine import NumericTriple, TrigParams, family
+from dwbc.ik_engine import family
 from dwbc.lattice_oracle import EfpQuery, RowConfig, WeightTriple
+from dwbc.trig import NumericTriple, TrigParams
 
 # each built twice from different but equal arguments, and a third
 # instance that differs in one field
