@@ -178,7 +178,7 @@ def cmd_zn(args):
     n = args.size
     method = args.method
     if method == "ik":
-        from .ik_engine import ik_determinant, ik_homogeneous
+        from .ik_numeric import ik_determinant, ik_homogeneous
         if mode == "inhom":
             z = ik_determinant(w)
         elif mode == "hom":
@@ -243,11 +243,11 @@ def cmd_psi(args):
     if method in ("sum", "sum-dual", "coordinate"):
         if mode != "inhom":
             _usage_error("sum representations need --lambdas/--nus/--eta")
-        from . import bethe_reps as br
-        fn = {("top", "sum"): br.psi_top_sum,
-              ("top", "sum-dual"): br.psi_top_dual_sum,
-              ("top", "coordinate"): br.psi_top_coordinate,
-              ("bottom", "sum"): br.psi_bot_sum}.get((which, method))
+        from . import ik_numeric as ikn
+        fn = {("top", "sum"): ikn.psi_top_sum,
+              ("top", "sum-dual"): ikn.psi_top_dual_sum,
+              ("top", "coordinate"): ikn.psi_top_coordinate,
+              ("bottom", "sum"): ikn.psi_bot_sum}.get((which, method))
         if fn is None:
             _usage_error(f"no {method!r} representation for psi_{which}")
         val = fn(cfg, w)

@@ -105,8 +105,8 @@ from itertools import compress, product
 from operator import add, and_, mul, not_, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
-from .rational import (ExactPoly, _horner, as_fraction,  # noqa: F401
-                       format_rational, parse_rational)
+from .rational import (ExactPoly, _horner, _perm_sign,  # noqa: F401
+                       as_fraction, format_rational, parse_rational)
 
 INF = math.inf
 
@@ -1127,16 +1127,6 @@ def poly_det(matrix):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-def _perm_sign(perm):
-    """Sign of a permutation of 0..n-1, by counting inversions."""
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

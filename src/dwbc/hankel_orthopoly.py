@@ -32,7 +32,9 @@ sized for doubles).  A pairing det[K_{n_i}(d_{eps_j})] f|_0 is an
 iterated residue: K_n(d_eps) f|_0 = sum_m kappa_{n,m} m! [eps^m] f is
 the residue of f k_n(eps), k_n(eps) = sum_m kappa_{n,m} m! eps^(-m-1),
 so f is contracted against det[k_{n_i}(eps_j)] by `iterated_residue`.
-The Taylor series start from the sines and cosines of `trig`.
+The Taylor series start from the sines and cosines of `trig`, the
+moments are `ik_numeric.phi_derivatives`, and nothing here needs
+`ik_engine`, so no ortho route loads it.
 The Hankel solve and determinants (`OrthoFamily.__init__`,
 `OrthoFamily.hankel_det`, `bordered_hankel_det`) are `elimination`'s,
 exact from their float entries and rounded once; they import it when
@@ -48,7 +50,7 @@ from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
 from .exact_core import (COMPLEXES, _horner, _pmul, _ppowers, build_tower,
                          iterated_residue, poly_det)
-from .ik_engine import phi_derivatives
+from .ik_numeric import phi_derivatives
 from .lattice_oracle import EfpQuery, RowConfig, enumerate_Z
 from .trig import (DEGENERACY_TOL, NumericTriple, homogeneous_abc, sin_cos,
                    sin_ratio)

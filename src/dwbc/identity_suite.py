@@ -20,11 +20,14 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
-from .exact_core import _perm_sign, _pmul, format_rational, poly_det
+from .exact_core import _pmul, format_rational, poly_det
 from .ik_engine import (cantini_P_confluent, cantini_W_value, family,
-                        ik_determinant, psi_kernel)
+                        psi_kernel)
+from .ik_numeric import (_crossed_params, _nested_exclusion, ik_determinant,
+                         psi_bot_sum, psi_top_sum)
 from .lattice_oracle import (EfpQuery, Record, RowConfig, WeightTriple,
                              enumerate_Z, psi_bot, psi_top)
+from .rational import _perm_sign
 from .trig import TrigParams, a_fn, b_fn, c_fn, d_fn, e_fn
 
 NUMERIC_TOL = 1e-8
@@ -369,7 +372,6 @@ def check_whom(s, zs, w: WeightTriple) -> IdentityCase:
 def check_bigid(s, rs, lams, nus, eta) -> IdentityCase:
     """Permutation-sum form of the top component against the
     nested-exclusion sum with the inner s x s partition function."""
-    from .bethe_reps import _nested_exclusion
     case = IdentityCase("bigid", "numeric", {"s": s, "rs": tuple(rs)})
     c = c_fn(eta)
 
@@ -647,7 +649,6 @@ def run_suite(suite: str, trials: int = 20, seed: int = 0):
 def _crossing_cases(rng, trials):
     """Duality of the sublattice partition functions under
     lam -> pi - lam, nu -> -nu, cfg -> complement."""
-    from .bethe_reps import _crossed_params, psi_bot_sum, psi_top_sum
     cases = []
     for _ in range(trials):
         N = rng.randint(2, 4)

@@ -1,21 +1,13 @@
-"""Determinant formulas and the boundary-correlation polynomial family.
+"""The boundary-correlation polynomial family and the determinant
+algebra of the residue integrands.
 
-The inhomogeneous partition function is the Izergin-Korepin determinant
+The float Izergin-Korepin determinants (inhomogeneous and the
+homogeneous Hankel limit) live in `ik_numeric`, which needs no part of
+the exact engine; `partially_inhomogeneous_Z` imports its homogeneous
+Z_N from there when called, so no exact route loads it.  Every sine of
+a float parameter this module needs is `trig`'s.
 
-    Z_N = prod a(l_a,n_k) b(l_a,n_k) / (prod d(l_b,l_a) prod d(n_j,n_k))
-          * det[ phi(l_a, n_k) ],      phi = c / (a b),
-
-with a(l,n) = sin(l-n+eta), b(l,n) = sin(l-n-eta), c = sin 2eta and
-d(l,l') = sin(l-l'), the weights of `trig`, which also holds the
-parameter records `TrigParams` and `NumericTriple` and takes every
-sine and cosine this module needs.  In the homogeneous limit it
-becomes a Hankel determinant of derivatives of phi(l); those
-derivatives are generated exactly through the cotangent recurrence
-(each one is an integer polynomial in cot(l-eta) and cot(l+eta)),
-because finite differences lose every digit well before the 2N-2
-orders the formula needs.
-
-The same module owns the generating-polynomial family h_M(z) of the
+This module owns the generating-polynomial family h_M(z) of the
 one-point boundary correlation (with Z_M, which the routes' prefactors
 take from the same per-weight cache; both come from one
 `lattice_oracle.frozen_column_sweep` at the largest size a route
@@ -56,134 +48,30 @@ minors of `cantini_P_vand` each depend on one x_j and take the same
 column kernel; the y-side minors, each of whose columns depends on
 s - 1 of the y's, are cofactor expansions (`poly_det`).
 
-The two float determinants, `ik_determinant` and `ik_homogeneous`,
-take their determinant from `elimination.det`, exact from the float
-entries and rounded once, which they import when called.  The phi
-matrix, which the psi sums of `bethe_reps` share, refuses an a or b
-weight that is exactly 0 at a site (`_divisor_weight`).  The pair
-factors of the residue integrands (`_pole_guard`, `_pair_quotient`)
-live here too, so that `efp_reps` needs nothing from `bethe_reps`.
+The pair factors of the residue integrands (`_pole_guard`,
+`_pair_quotient`) live here too, so that `efp_reps` needs nothing from
+`bethe_reps`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import (DegeneratePoints, InvalidRegion, NearDegenerate,
-                     PoleCollision, Singular)
+from .errors import DegeneratePoints, InvalidRegion, PoleCollision
 from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          _point_line, _ppowers, _tower_point, _trimmed,
                          line_det, poly_det)
 from .lattice_oracle import WeightTriple, frozen_column_sweep
 from .rational import ExactPoly
-from .trig import (DEGENERACY_TOL, NumericTriple, TrigParams, a_fn, b_fn,
-                   c_fn, d_fn, homogeneous_abc, sin_cos)
+# TrigParams is unused here: perfbench/workloads.py reads it, with
+# NumericTriple and homogeneous_abc, as an attribute of this module
+from .trig import (DEGENERACY_TOL, NumericTriple, TrigParams,  # noqa: F401
+                   a_fn, b_fn, homogeneous_abc)
 
 # bound of the per-weight cache `family`
 CACHE_SIZE = 64
-
-
-# ---------------------------------------------------------------------------
-# Izergin-Korepin determinants
-# ---------------------------------------------------------------------------
-
-def ik_determinant(p: TrigParams) -> complex:
-    """Z_N of the inhomogeneous model via the determinant formula.
-    Z_0 = 1 (empty lattice)."""
-    from .elimination import det
-    N, eta = p.n, p.eta
-    pref = 1 + 0j
-    for l in p.lambdas:
-        for v in p.nus:
-            pref *= a_fn(l, v, eta) * b_fn(l, v, eta)
-    den = 1 + 0j
-    for i in range(N):
-        for j in range(i + 1, N):
-            den *= d_fn(p.lambdas[j], p.lambdas[i]) * d_fn(p.nus[i], p.nus[j])
-    return pref / den * det(_phi_matrix(p))
-
-
-def _divisor_weight(p: TrigParams, kind, alpha, k):
-    """The a or b weight at site (alpha, k), 1-based, for a route that
-    divides by it.  Float cancellation in l - nu +/- eta can make it
-    exactly 0, which raises Singular naming the site and the weight."""
-    fn = a_fn if kind == "a" else b_fn
-    x = fn(p.lambdas[alpha - 1], p.nus[k - 1], p.eta)
-    if x == 0:
-        raise Singular(f"{kind} = 0 at site (alpha, k) = ({alpha}, {k}), "
-                       "which the route divides by")
-    return x
-
-
-def _phi_matrix(p: TrigParams):
-    """phi(l_alpha, nu_k) = c / (a b) at every site (alpha, k)."""
-    c = c_fn(p.eta)
-    return [[c / (_divisor_weight(p, "a", alpha, k)
-                  * _divisor_weight(p, "b", alpha, k))
-             for k in range(1, len(p.nus) + 1)]
-            for alpha in range(1, len(p.lambdas) + 1)]
-
-
-@lru_cache(maxsize=None)
-def _phi_cot_polys(nmax: int):
-    """Integer coefficient lists (ascending) of the polynomials q_n with
-    d^n/dl^n cot(l+const) = q_n(cot), n = 0..nmax.
-
-    q_0(x) = x and differentiation acts on monomials as
-    D x^k = -k (x^(k-1) + x^(k+1)), since (cot)' = -(1 + cot^2).
-    """
-    polys = [[0, 1]]
-    for _ in range(nmax):
-        prev = polys[-1]
-        nxt = [0] * (len(prev) + 1)
-        for k in range(1, len(prev)):
-            nxt[k - 1] -= k * prev[k]
-            nxt[k + 1] -= k * prev[k]
-        polys.append(nxt)
-    return polys
-
-
-def phi_derivatives(lam, eta, nmax: int):
-    """[d^n phi / d lam^n for n = 0..nmax] with phi = sin2eta /
-    (sin(lam-eta) sin(lam+eta)) = cot(lam-eta) - cot(lam+eta).
-
-    The difference of the two cotangents is only as good as the
-    computed arguments: once |lam| is so large against |eta| that
-    lam + eta and lam - eta no longer differ by 2 eta to DEGENERACY_TOL
-    (relative), the digits of phi are gone (at lam + eta == lam - eta
-    it is exactly 0), so that raises NearDegenerate instead of
-    returning them."""
-    if abs(((lam + eta) - (lam - eta)) - 2 * eta) \
-            > DEGENERACY_TOL * abs(2 * eta):
-        raise NearDegenerate(
-            f"lam = {lam} swamps eta = {eta}: lam + eta and lam - eta "
-            f"differ by {(lam + eta) - (lam - eta)}, not 2 eta")
-    su, cu = sin_cos(lam - eta)
-    sv, cv = sin_cos(lam + eta)
-    if min(abs(su), abs(sv)) <= DEGENERACY_TOL:
-        raise Singular("lam = +/- eta (mod pi): phi undefined")
-    u = cu / su
-    v = cv / sv
-    polys = _phi_cot_polys(nmax)
-    return [complex(_horner(q, u)) - complex(_horner(q, v))
-            for q in polys[: nmax + 1]]
-
-
-def ik_homogeneous(N: int, lam, eta) -> complex:
-    """Homogeneous Z_N via the Hankel determinant of phi-derivatives.
-    Z_0 = 1 (empty lattice)."""
-    if N == 0:
-        return 1 + 0j
-    from .elimination import det
-    a, b, _ = homogeneous_abc(lam, eta)
-    cs = phi_derivatives(lam, eta, 2 * N - 2)
-    pref = (a * b) ** (N * N)
-    for n in range(1, N):
-        pref /= math.factorial(n) ** 2
-    return pref * det([[cs[i + k] for k in range(N)] for i in range(N)])
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +452,7 @@ def gamma_change(xi, lam, eta):
 def partially_inhomogeneous_Z(lambdas, lam0, eta) -> complex:
     """Z_N(l_1..l_N; 0..0) from the homogeneous Z and h_{N,N} evaluated
     at gamma(l_j - lam0)."""
+    from .ik_numeric import ik_homogeneous
     N = len(lambdas)
     a0, b0, c0 = homogeneous_abc(lam0, eta)
     fam = family(NumericTriple(a0, b0, c0))

@@ -1,8 +1,10 @@
 """Exact rational scalars and dense univariate polynomials over them.
 
-Standard library only, and small: the lattice oracle and the command
-line need nothing else from the exact engine, so they import this
-module and never compile `exact_core`, which re-exports every name here.
+Standard library only, and small: the lattice oracle, the command line
+and the float routes of `ik_numeric` (which take `_horner` and
+`_perm_sign`, the sign of a permutation, from here) need nothing else
+from the exact engine, so they import this module and never compile
+`exact_core`, which re-exports every name here.
 """
 
 from __future__ import annotations
@@ -73,3 +75,13 @@ def _horner(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def _perm_sign(perm):
+    """Sign of a permutation of 0..n-1, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign

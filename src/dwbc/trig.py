@@ -7,7 +7,7 @@ Every sine and cosine of a float parameter in the package is taken
 here: the weight functions, the spectral-parameter record `TrigParams`
 with its weight matrix, the homogeneous triple `NumericTriple`, and the
 few sines and cosines the Hankel moments and the Taylor calculus of
-`ik_engine` and `hankel_orthopoly` start from.  The module needs only
+`ik_numeric` and `hankel_orthopoly` start from.  The module needs only
 `lattice_oracle`'s record and weight classes, so an oracle subcommand
 given float parameters loads no part of the exact engine.
 """

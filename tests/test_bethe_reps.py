@@ -7,17 +7,19 @@ import pytest
 
 from dwbc.bethe_reps import (
     psi_bot_mir,
-    psi_bot_sum,
     psi_dual_mirs,
-    psi_top_coordinate,
-    psi_top_dual_sum,
     psi_top_mir_coordinate,
     psi_top_mir_new,
-    psi_top_sum,
 )
 from dwbc.errors import PoleCollision
 from dwbc.exact_core import residue_drive
-from dwbc.ik_engine import ik_determinant
+from dwbc.ik_numeric import (
+    ik_determinant,
+    psi_bot_sum,
+    psi_top_coordinate,
+    psi_top_dual_sum,
+    psi_top_sum,
+)
 from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,

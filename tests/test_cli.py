@@ -217,6 +217,24 @@ class TestContracts:
             record = json.loads(err)
             assert record["error"] == "Singular"
             assert "b = 0 at site (alpha, k) = (2, 4)" in record["message"]
+        # past the float range: at N = 19 (ab)^(N^2) / prod k!^2
+        # underflows to 0 while the Hankel determinant overflows, and at
+        # N = 30 the product of the d-factors underflows to 0; a record,
+        # not Z = nan or a ZeroDivisionError traceback
+        lams = [repr(0.2 + 0.05 * k) for k in range(30)]
+        nus = [repr(-0.6 + 0.04 * k) for k in range(30)]
+        for args in (["zn", "--size", "19", "--method", "ik", "--lambda",
+                      "0.9", "--eta", "0.3"],
+                     ["zn", "--size", "30", "--method", "ik", "--lambdas"]
+                     + lams + ["--nus"] + nus + ["--eta", "0.4"]):
+            capsys.readouterr()
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            record = json.loads(captured.err)
+            assert record["error"] == "SizeLimit"
+            assert "float range" in record["message"]
         # h_N needs a first row; no size cap is to blame, so the error
         # names none, whatever DWBC_MAX_N says
         for max_n in (None, "20"):
@@ -449,6 +467,11 @@ _ORTHO = ["--lambda", "0.9", "--eta", "0.3"]
 _INHOM = ["--lambdas", "0.3", "0.9", "1.4", "2.0",
           "--nus", "-0.3", "0.0", "0.2", "0.45", "--eta", "0.4"]
 _ENGINE = {"dwbc.exact_core", "dwbc.ik_engine", "dwbc.elimination"}
+# the float IK determinants and psi sums of dwbc.ik_numeric
+_NUMERIC = {"dwbc.exact_core", "dwbc.ik_engine", "dwbc.bethe_reps",
+            "dwbc.efp_reps", "dwbc.hankel_orthopoly"}
+_INHOM3 = ["--lambdas", "0.3", "0.8", "1.2", "--nus", "0.1", "0.25", "0.42",
+           "--eta", "0.35"]
 
 # (invocation, the dwbc modules it must not load); no invocation loads
 # the standard library's class generator or what it imports
@@ -475,20 +498,33 @@ _IMPORT_BUDGET = [
     (["hrow", "--size", "4", "--positions", "1,3"] + _INHOM, _ENGINE),
     (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
       "--method", "enum"] + _INHOM, _ENGINE),
+    # the float IK determinants and psi sums load no part of the exact
+    # engine and no route module
+    (["zn", "--size", "3", "--method", "ik"] + _ORTHO, _NUMERIC),
+    (["zn", "--size", "3", "--method", "ik"] + _INHOM3, _NUMERIC),
+    (["psi", "--size", "3", "--which", "bottom", "--positions", "1,3",
+      "--method", "sum"] + _INHOM3, _NUMERIC),
+    (["psi", "--size", "3", "--which", "top", "--positions", "1,3",
+      "--method", "sum"] + _INHOM3, _NUMERIC),
+    (["psi", "--size", "3", "--which", "top", "--positions", "1",
+      "--method", "sum-dual"] + _INHOM3, _NUMERIC),
+    (["psi", "--size", "3", "--which", "top", "--positions", "1",
+      "--method", "coordinate"] + _INHOM3, _NUMERIC),
     # the psi residue routes live in bethe_reps alone
     (["psi", "--size", "4", "--which", "bottom", "--positions", "1,3",
-      "--method", "mir"] + _W, {"dwbc.efp_reps"}),
+      "--method", "mir"] + _W, {"dwbc.efp_reps", "dwbc.ik_numeric"}),
     (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
-      "--method", "mir-new"] + _W, {"dwbc.efp_reps"}),
+      "--method", "mir-new"] + _W, {"dwbc.efp_reps", "dwbc.ik_numeric"}),
     (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
-      "--method", "dual"] + _W, {"dwbc.efp_reps"}),
-    # the Hankel routes need neither residue-route module
+      "--method", "dual"] + _W, {"dwbc.efp_reps", "dwbc.ik_numeric"}),
+    # the Hankel routes need neither residue-route module, nor the
+    # h_M family of ik_engine
     (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "ortho"]
-     + _ORTHO, _REPS),
+     + _ORTHO, _REPS | {"dwbc.ik_engine"}),
     (["psi", "--size", "4", "--which", "top", "--positions", "2",
-      "--method", "ortho"] + _ORTHO, _REPS),
+      "--method", "ortho"] + _ORTHO, _REPS | {"dwbc.ik_engine"}),
     (["psi", "--size", "4", "--which", "bottom", "--positions", "2",
-      "--method", "ortho"] + _ORTHO, _REPS),
+      "--method", "ortho"] + _ORTHO, _REPS | {"dwbc.ik_engine"}),
     # the rational identity suites need no route module
     (["verify", "--suite", "cantini", "--trials", "3", "--seed", "42"],
      _REPS | {"dwbc.hankel_orthopoly"}),
@@ -496,23 +532,20 @@ _IMPORT_BUDGET = [
      _REPS | {"dwbc.hankel_orthopoly"}),
     (["verify", "--suite", "whom", "--trials", "3", "--seed", "42"],
      _REPS | {"dwbc.hankel_orthopoly"}),
-    # the EFP routes, their trace and the hierarchy suite need efp_reps
-    # and nothing of bethe_reps
+    # the EFP routes and their trace need efp_reps and nothing of
+    # bethe_reps, nor any float route; the hierarchy suite loads
+    # ik_numeric with identity_suite
     (["psi", "--size", "4", "--which", "top", "--positions", "2,4",
-      "--method", "mir-origin"] + _W, {"dwbc.bethe_reps"}),
+      "--method", "mir-origin"] + _W, {"dwbc.bethe_reps", "dwbc.ik_numeric"}),
     (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-s"]
-     + _W, {"dwbc.bethe_reps"}),
+     + _W, {"dwbc.bethe_reps", "dwbc.ik_numeric"}),
     (["efp", "--size", "4", "--r", "3", "--s", "2", "--method", "mir-n"]
-     + _W, {"dwbc.bethe_reps"}),
+     + _W, {"dwbc.bethe_reps", "dwbc.ik_numeric"}),
     (["trace-efp", "--size", "3", "--r", "2", "--s", "1"] + _W,
-     {"dwbc.bethe_reps"}),
+     {"dwbc.bethe_reps", "dwbc.ik_numeric"}),
     (["verify", "--suite", "hierarchy", "--trials", "1", "--seed", "1"],
      {"dwbc.bethe_reps"}),
     # the rest loads what it runs, and only _NEVER is excluded
-    (["zn", "--size", "3", "--method", "ik"] + _ORTHO, set()),
-    (["psi", "--size", "3", "--which", "top", "--positions", "1",
-      "--method", "sum-dual", "--lambdas", "0.3", "0.8", "1.2", "--nus",
-      "0.1", "0.25", "0.42", "--eta", "0.35"], set()),
     (["verify", "--suite", "all", "--trials", "1", "--seed", "1"], set()),
 ]
 

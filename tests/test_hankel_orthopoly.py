@@ -17,7 +17,7 @@ from dwbc.hankel_orthopoly import (
     psi_top_ortho,
     verify_claim,
 )
-from dwbc.ik_engine import phi_derivatives
+from dwbc.ik_numeric import phi_derivatives
 from dwbc.lattice_oracle import (
     RowConfig,
     WeightTriple,

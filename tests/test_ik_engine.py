@@ -17,11 +17,9 @@ from dwbc.ik_engine import (
     cantini_W_value,
     family,
     gamma_change,
-    ik_determinant,
-    ik_homogeneous,
     partially_inhomogeneous_Z,
-    phi_derivatives,
 )
+from dwbc.ik_numeric import ik_determinant, ik_homogeneous, phi_derivatives
 from dwbc.exact_core import Scaled, Series, build_tower, residue_drive
 from dwbc.identity_suite import p_s_value
 from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z

@@ -52,7 +52,7 @@ class TestPartitionFunction:
         # model at unit scale carries weights (3/5, 4/5, 1)
         import math
         from dwbc.exact_core import approx_eq
-        from dwbc.ik_engine import ik_homogeneous
+        from dwbc.ik_numeric import ik_homogeneous
         z_exact = enumerate_Z(2, WeightTriple(3, 4, 5))
         assert z_exact == 625
         lam = math.atan2(7, -1)
