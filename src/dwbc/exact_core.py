@@ -88,7 +88,10 @@ combination of flat minors, with no tower product.  A window too short
 for the residue raises PrecisionLoss like any other, so it shows as a
 retry of `residue_drive`, never as a wrong value.
 
-One helper does each job for the whole package.  A univariate Laurent
+One helper does each job for the whole package.  `_leaf` makes every
+leaf: an int or a complex number stays as it is (the Taylor towers of
+`hankel_orthopoly` are complex), any other number becomes its exact
+Fraction, an int where it is integral.  A univariate Laurent
 polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m) over any ring,
 multiplied by `_pmul` and raised to powers by `_ppowers`; `_content`
 splits rationals into a positive rational times coprime integers (the
@@ -126,35 +129,13 @@ def approx_eq(x, y, rtol=DEFAULT_RTOL):
 # Laurent series towers
 # ---------------------------------------------------------------------------
 
-class ScalarRing:
-    """Leaf ring of a tower: exact rationals or complex doubles.
-
-    The rational ring keeps every integral value a Python int (`const`,
-    `zero`, and the inverse of +-1), so a tower built from integers
-    stays on ints and only a leaf it has to invert turns into a
-    Fraction."""
-
-    def __init__(self, exact, name):
-        self.exact = exact
-        self.name = name
-
-    def const(self, v):
-        if not self.exact:
-            return complex(v)
-        if isinstance(v, int):
-            return v
-        q = as_fraction(v)
-        return q.numerator if q.denominator == 1 else q
-
-    def zero(self):
-        return 0 if self.exact else 0j
-
-    def __repr__(self):
-        return self.name
-
-
-RATIONALS = ScalarRing(True, "Q")
-COMPLEXES = ScalarRing(False, "C")
+def _leaf(v):
+    """A number as a tower leaf: an int or a complex number as it is,
+    anything else as its exact Fraction, an int where that is integral."""
+    if isinstance(v, (int, complex)):
+        return v
+    q = as_fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _invert(x):
@@ -168,23 +149,24 @@ def _invert(x):
 
 
 class Tower:
-    """The ring of an L-level tower over the leaf ring `base`: level j
+    """The ring of an L-level tower, its leaves made by `_leaf`: level j
     is the variable names[j], whose quotients keep precs[j] coefficients
     past their valuation.  `inner` is the tower of levels 1.., where a
-    coefficient in the level-0 variable lives."""
+    coefficient in the level-0 variable lives.  A tower of no levels
+    has its leaves as its elements."""
 
-    __slots__ = ("names", "precs", "base", "_inner")
+    __slots__ = ("names", "precs", "_inner")
 
-    def __init__(self, names, precs, base):
-        if min(precs) < 1:
+    def __init__(self, names, precs):
+        if min(precs, default=1) < 1:
             raise ValueError("prec must be >= 1")
-        self.names, self.precs, self.base = tuple(names), tuple(precs), base
+        self.names, self.precs = tuple(names), tuple(precs)
         self._inner = None
 
     @property
     def inner(self):
         if self._inner is None:
-            self._inner = Tower(self.names[1:], self.precs[1:], self.base)
+            self._inner = Tower(self.names[1:], self.precs[1:])
         return self._inner
 
     def laurent(self, level, lo, coeffs, err=INF):
@@ -192,7 +174,7 @@ class Tower:
         `level`: a Laurent polynomial in one level, exact in the others
         (and in its own when err is inf)."""
         L = len(self.precs)
-        cs = [self.base.const(c) for c in coeffs]
+        cs = [_leaf(c) for c in coeffs]
         if err != INF:
             cs = cs[:max(0, err - lo)]
         i, j = 0, len(cs)
@@ -211,7 +193,9 @@ class Tower:
     def const(self, v):
         if isinstance(v, Series) and v.ring is self:
             return v
-        c, L = self.base.const(v), len(self.precs)
+        c, L = _leaf(v), len(self.precs)
+        if not L:
+            return c
         if not c:
             return self.zero()
         return Series(self, (0,) * L, (1,) * L, [c], (INF,) * L)
@@ -224,7 +208,7 @@ class Tower:
         return Series(self, (INF,) * L, (0,) * L, [], (INF,) * L)
 
     def __repr__(self):
-        return f"{self.base!r}[[{', '.join(self.names)}]]/prec={self.precs}"
+        return f"Tower[[{', '.join(self.names)}]]/prec={self.precs}"
 
 
 # The plan store: what an operation works out from the boxes of its
@@ -502,7 +486,7 @@ class Series:
         if other.__class__ is not Series or other.ring is not self.ring:
             if isinstance(other, (int, Fraction, float, complex)):
                 # a number scales the leaves
-                x = self.ring.base.const(other)
+                x = _leaf(other)
                 if not x:
                     return self.ring.zero()
                 return Series(self.ring, self.lo, self.shape,
@@ -636,7 +620,7 @@ class Series:
         if len(self.lo) == 1:
             if self.coeffs and lo <= k < lo + n:
                 return self.coeffs[k - lo]
-            return self.ring.base.zero()
+            return 0
         inner = self.ring.inner
         if k < lo:
             return inner.zero()
@@ -980,18 +964,16 @@ def eps_scale(*ratios) -> int:
     return math.lcm(1, *(as_fraction(q).denominator for q in ratios))
 
 
-def build_tower(varspecs, base=RATIONALS):
+def build_tower(varspecs):
     """Build a Laurent tower and its variable atoms.
 
     varspecs: list of (name, prec) pairs, *first entry = first-integrated
     variable* (level 0, the innermost/smallest contour).  Returns
     (ring, atoms) where atoms[name] is the generator of its level; with
-    no variables the ring is `base` itself.
+    no variables the ring's `const` gives the leaf itself.
     """
-    if not varspecs:
-        return base, {}
     ring = Tower([name for name, _ in varspecs],
-                 [prec for _, prec in varspecs], base)
+                 [prec for _, prec in varspecs])
     return ring, {name: ring.gen(j) for j, (name, _) in enumerate(varspecs)}
 
 
@@ -1052,7 +1034,7 @@ def _contract(a, b, bounds):
             raise PrecisionLoss(
                 f"coefficient {ring.names[j]}^-1 beyond window O(^{err[j]})")
         if -1 < lo[j] or (-1 >= lo[j] + shape[j] and j == L - 1):
-            return ring.base.zero()
+            return 0
         if -1 >= lo[j] + shape[j]:
             return _walk(_empty(sub.inner, lo[j + 1:], err[j + 1:]),
                          bounds[j + 1:])
@@ -1319,11 +1301,11 @@ def line_det(lines):
     memoized by their set of rows: the block of the minor on rows R of
     the columns from j on at exponent e of column j is sum_(i in R) +-
     c_(i,e) times the flat minor on R - {i} of the columns after j.  A
-    number column is a column of width one: `_content` moves a rational
-    column's content into the scalar, a complex column is taken as it
-    is.  So the only tower operations are integer times list and list
-    plus list, and the contents form the `Scaled` scalar.  Returns a
-    `Scaled` element, or a number when every line is numbers.
+    number column is a column of width one, a list of rationals whose
+    content `_content` moves into the scalar.  So the only tower
+    operations are integer times list and list plus list, and the
+    contents form the `Scaled` scalar.  Returns a `Scaled` element, or a
+    Fraction when every line is numbers.
     """
     s = len(lines)
     tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
@@ -1337,18 +1319,14 @@ def line_det(lines):
         raise ValueError("lines must lie on distinct levels of one tower")
     if any(not c.rows[0] for c in lines[:m]):
         return Scaled(1, top.zero())
-    # one: the empty minor, 1 in the leaves' ring
-    k, one, cols = _perm_sign(order), 1, []
+    k, cols = _perm_sign(order), []
     for c in lines:
         if isinstance(c, Line):
             k *= c.k
             cols.append(c.rows)
             continue
-        if all(isinstance(x, (int, Fraction)) for x in c):
-            kc, c = _content(c)
-            k *= kc
-        else:
-            one = 1 + 0j
+        kc, c = _content(c)
+        k *= kc
         cols.append([[x] for x in c])
     sizes = [1] * (s + 1)
     for j in range(s - 1, -1, -1):
@@ -1358,7 +1336,7 @@ def line_det(lines):
     def minor(j, mask):
         # the flat minor of the columns from j on, on the rows in mask
         if j == s:
-            return [one]
+            return [1]
         key = (j, mask)
         if key not in minors:
             rows, inner, odd = cols[j], [], False

@@ -48,7 +48,7 @@ import math
 
 from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
-from .exact_core import (COMPLEXES, _horner, _pmul, _ppowers, build_tower,
+from .exact_core import (_horner, _pmul, _ppowers, build_tower,
                          iterated_residue, poly_det)
 from .ik_numeric import phi_derivatives
 from .lattice_oracle import EfpQuery, RowConfig, enumerate_Z
@@ -213,14 +213,15 @@ def _det_pairing(N, s, lam, eta, build_f, order=None):
     fam = build_ortho_family(N, lam, eta)
     order = N - 1 if order is None else order
     # complex Taylor tower in eps_0..eps_{s-1}, each to `order`
-    ring, atoms = build_tower([(f"e{j}", order + 1) for j in range(s)],
-                              base=COMPLEXES)
+    ring, atoms = build_tower([(f"e{j}", order + 1) for j in range(s)])
     eps = [atoms[f"e{j}"] for j in range(s)]
     oms = [omega_taylor(e, lam, eta, order) for e in eps]
     omts = [omegat_taylor(e, lam, eta, order) for e in eps]
     kernel = poly_det([[_k_kernel(ring, j, fam.K_coeffs(N - s + i))
                         for j in range(s)] for i in range(s)])
-    return iterated_residue((build_f(ring, oms, omts), kernel))
+    # a pairing that vanishes exactly, or one of no variables, comes out
+    # of the tower as a Fraction: the value is complex all the same
+    return complex(iterated_residue((build_f(ring, oms, omts), kernel)))
 
 
 def efp_ortho(q: EfpQuery, lam, eta) -> complex:

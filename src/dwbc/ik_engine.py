@@ -3,9 +3,8 @@ algebra of the residue integrands.
 
 The float Izergin-Korepin determinants (inhomogeneous and the
 homogeneous Hankel limit) live in `ik_numeric`, which needs no part of
-the exact engine; `partially_inhomogeneous_Z` imports its homogeneous
-Z_N from there when called, so no exact route loads it.  Every sine of
-a float parameter this module needs is `trig`'s.
+the exact engine, and nothing here takes a float weight: the family is
+exact only.
 
 This module owns the generating-polynomial family h_M(z) of the
 one-point boundary correlation (with Z_M, which the routes' prefactors
@@ -29,9 +28,8 @@ assembled level by level without a tower product.  `hns_value` divides
 it by the Vandermonde at pairwise distinct points.  `hns_poly` divides
 the Vandermonde out symbolically by divided differences into a sparse
 `MultiPoly`; no residue integrand and no identity check uses it.  It
-serves only the
-coincident-point fallback of `partially_inhomogeneous_Z`, the tests as
-a reference, and the benchmark tracer, which binds it by name.
+is kept for the tests, as a reference, and for the benchmark tracer,
+which binds it by name.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
@@ -65,10 +63,9 @@ from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
                          line_det, poly_det)
 from .lattice_oracle import WeightTriple, frozen_column_sweep
 from .rational import ExactPoly
-# TrigParams is unused here: perfbench/workloads.py reads it, with
-# NumericTriple and homogeneous_abc, as an attribute of this module
-from .trig import (DEGENERACY_TOL, NumericTriple, TrigParams,  # noqa: F401
-                   a_fn, b_fn, homogeneous_abc)
+# unused here: perfbench/workloads.py reads these as attributes of this
+# module
+from .trig import NumericTriple, TrigParams, homogeneous_abc  # noqa: F401
 
 # bound of the per-weight cache `family`
 CACHE_SIZE = 64
@@ -81,11 +78,11 @@ CACHE_SIZE = 64
 class MultiPoly:
     """Multivariate polynomial as {exponent tuple: coefficient}.
 
-    Coefficients are Fractions (or complex in numeric mode).  Holds only
-    h_{N,s} (`BoundaryGenFamily.hns_poly`), the Vandermonde-divided
-    determinant polynomial, evaluated at numbers where points coincide;
-    no residue integrand and no identity check evaluates one.  Terms,
-    not the representation, carry the cost.
+    Coefficients are Fractions.  Holds only h_{N,s}
+    (`BoundaryGenFamily.hns_poly`), the Vandermonde-divided determinant
+    polynomial, evaluated at numbers where points coincide; no residue
+    integrand and no identity check evaluates one.  Terms, not the
+    representation, carry the cost.
     """
 
     __slots__ = ("nvars", "terms")
@@ -122,7 +119,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
+        if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MultiPoly(self.nvars)
             return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
@@ -144,7 +141,7 @@ class MultiPoly:
         return max((e[i] for e in self.terms), default=-1)
 
     def eval(self, args):
-        """Evaluate at numbers (Fractions or complex)."""
+        """Evaluate at Fractions or tower elements."""
         if len(args) != self.nvars:
             raise ValueError("argument count mismatch")
         maxdeg = [self.degree(i) for i in range(self.nvars)]
@@ -193,16 +190,13 @@ def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 class BoundaryGenFamily:
-    """Cache of h_M(z) and Z_M for M = 0..N at fixed homogeneous weights.
-
-    Exact (ExactPoly) for a WeightTriple, complex coefficient lists for
-    NumericTriple; h_M(1) = 1 holds in both regimes.  Every entry comes
-    from one `frozen_column_sweep` at the largest size asked for so far.
+    """Cache of h_M(z) (an ExactPoly, h_M(1) = 1) and Z_M for M = 0..N
+    at a fixed WeightTriple.  Every entry comes from one
+    `frozen_column_sweep` at the largest size asked for so far.
     """
 
     def __init__(self, w):
         self.w = w
-        self.exact = isinstance(w, WeightTriple)
         self._z, self._h = [], []
         self._hns_cache = {}
         self._rows = {}
@@ -215,7 +209,7 @@ class BoundaryGenFamily:
         if not 0 <= N < len(self._z):
             swept = frozen_column_sweep(N, self.w)
             self._z = [z for z, _ in swept]
-            self._h = [ExactPoly(h) if self.exact else h for _, h in swept]
+            self._h = [ExactPoly(h) for _, h in swept]
 
     def h(self, M: int):
         if M < 1:
@@ -229,8 +223,7 @@ class BoundaryGenFamily:
         return self._z[M]
 
     def h_coeffs(self, M: int):
-        hm = self.h(M)
-        return list(hm.coeffs) if self.exact else list(hm)
+        return list(self.h(M).coeffs)
 
     # -- determinant form ----------------------------------------------
 
@@ -274,8 +267,6 @@ class BoundaryGenFamily:
         det_m = al * de - be * ga
         if det_m == 0:
             raise ValueError("degenerate Moebius map")
-        if s == 0:
-            return Fraction(1) if self.exact else 1 + 0j
         rho, rows = self._hns_rows(N, s)
         points = [_tower_point(z) for z in zs]
         lines = _point_lines(points, lambda i: _hns_line(N, s, rows, points[i],
@@ -290,9 +281,7 @@ class BoundaryGenFamily:
         van = 1
         for i in range(s):
             for j in range(i + 1, s):
-                if pts[i] == pts[j] or (
-                    not self.exact and abs(pts[i] - pts[j]) <= DEGENERACY_TOL
-                ):
+                if pts[i] == pts[j]:
                     raise DegeneratePoints(
                         "coincident points: use the polynomial form")
                 van = van * (pts[j] - pts[i])
@@ -332,17 +321,15 @@ class BoundaryGenFamily:
 
     def _hns_rows(self, N, s):
         """(rho, rows): the coefficient lists of g_1..g_s, each over its
-        rational content, integers whose contents multiply to rho (raw,
-        with rho = 1, for complex weights); cached per (N, s)."""
+        rational content, integers whose contents multiply to rho; cached
+        per (N, s)."""
         key = (N, s)
         if key not in self._rows:
-            rows = [self._row_coeffs(N, s, i) for i in range(1, s + 1)]
-            rho = Fraction(1)
-            if self.exact:
-                contents = [_content(cs) for cs in rows]
-                rows = [cs for _, cs in contents]
-                for k, _ in contents:
-                    rho *= k
+            rho, rows = Fraction(1), []
+            for i in range(1, s + 1):
+                k, cs = _content(self._row_coeffs(N, s, i))
+                rho *= k
+                rows.append(cs)
             self._rows[key] = rho, rows
         return self._rows[key]
 
@@ -409,10 +396,9 @@ def _point_lines(points, make):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def family(w) -> BoundaryGenFamily:
-    """Memoized family per weight triple (WeightTriple or NumericTriple,
-    both hashed by value), least recently used first out past
-    CACHE_SIZE triples."""
+def family(w: WeightTriple) -> BoundaryGenFamily:
+    """Memoized family per WeightTriple (hashed by value), least
+    recently used first out past CACHE_SIZE triples."""
     return BoundaryGenFamily(w)
 
 
@@ -437,35 +423,6 @@ def _pair_quotient(f, zs, p, q, ordered=False):
             if k > j or (ordered and k != j):
                 f = f / (p * zs[j] * zs[k] - q * zs[j] + 1)
     return f
-
-
-# ---------------------------------------------------------------------------
-# partially inhomogeneous partition function
-# ---------------------------------------------------------------------------
-
-def gamma_change(xi, lam, eta):
-    """gamma(xi) = [a(lam,0)/b(lam,0)] * [b(lam+xi,0)/a(lam+xi,0)]."""
-    return (a_fn(lam, 0, eta) / b_fn(lam, 0, eta)) \
-        * (b_fn(lam + xi, 0, eta) / a_fn(lam + xi, 0, eta))
-
-
-def partially_inhomogeneous_Z(lambdas, lam0, eta) -> complex:
-    """Z_N(l_1..l_N; 0..0) from the homogeneous Z and h_{N,N} evaluated
-    at gamma(l_j - lam0)."""
-    from .ik_numeric import ik_homogeneous
-    N = len(lambdas)
-    a0, b0, c0 = homogeneous_abc(lam0, eta)
-    fam = family(NumericTriple(a0, b0, c0))
-    z_hom = ik_homogeneous(N, lam0, eta)
-    pref = 1 + 0j
-    for l in lambdas:
-        pref *= (a_fn(l, 0, eta) / a0) ** (N - 1)
-    pts = [gamma_change(l - lam0, lam0, eta) for l in lambdas]
-    try:
-        h = fam.hns_value(N, N, pts)
-    except DegeneratePoints:
-        h = fam.hns_poly(N, N).eval(pts)
-    return z_hom * pref * h
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,16 @@ exclusion set, literally following the alpha_j not-in
 
 Every determinant here (the IK determinants and the sums' minors) is
 `elimination.det`, exact from the float entries and rounded once,
-which is imported when called.  The phi matrix refuses an a or b
-weight that is exactly 0 at a site (`_divisor_weight`), and a Z_N
-past the float range, whose factors underflow to 0 or overflow, is
-refused as SizeLimit rather than printed as nan or inf.  Nothing here
-touches the exact engine: the module needs `errors`, `rational` and
-`trig` only (and `RowConfig` of `lattice_oracle`, which `trig` loads
-anyway), so a float route never compiles `exact_core`.
+which is imported when called.  The routes that divide by d(l_i,
+l_j), the IK determinant and the sums, refuse coincident lambdas
+themselves (NearDegenerate): `TrigParams` checks only the nus, so the
+coordinate sum takes the equal-lambdas limit.  The phi matrix refuses
+an a or b weight that is exactly 0 at a site (`_divisor_weight`), and
+a Z_N past the float range, whose factors underflow to 0 or overflow,
+is refused as SizeLimit rather than printed as 0, nan or inf.  Nothing
+here touches the exact engine: the module needs `errors`, `rational`
+and `trig` only (and `RowConfig` of `lattice_oracle`, which `trig`
+loads anyway), so a float route never compiles `exact_core`.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from itertools import permutations
 from .errors import NearDegenerate, SizeLimit, Singular
 from .lattice_oracle import RowConfig
 from .rational import _horner, _perm_sign
-from .trig import (DEGENERACY_TOL, TrigParams, a_fn, b_fn, c_fn, d_fn, e_fn,
-                   homogeneous_abc, sin_cos)
+from .trig import (DEGENERACY_TOL, TrigParams, a_fn, b_fn, c_fn,
+                   check_distinct, d_fn, e_fn, homogeneous_abc, sin_cos)
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +73,19 @@ def _float_range(N, z):
     return z
 
 
+def _nonzero(N, x, what):
+    """Raise SizeLimit naming `what` when x, a product of nonzero
+    factors, underflowed to 0."""
+    if x == 0:
+        raise SizeLimit(f"Z_{N} leaves the float range: {what} underflows "
+                        "to 0 (below about 4.9e-324)")
+
+
 def ik_determinant(p: TrigParams) -> complex:
     """Z_N of the inhomogeneous model via the determinant formula.
     Z_0 = 1 (empty lattice)."""
     from .elimination import det
+    check_distinct("lambda", p.lambdas)
     N, eta = p.n, p.eta
     pref = 1 + 0j
     for l in p.lambdas:
@@ -83,12 +95,12 @@ def ik_determinant(p: TrigParams) -> complex:
     for i in range(N):
         for j in range(i + 1, N):
             den *= d_fn(p.lambdas[j], p.lambdas[i]) * d_fn(p.nus[i], p.nus[j])
-    if den == 0:
-        # TrigParams keeps every d-factor clear of 0: only their
-        # product can underflow
-        raise SizeLimit(f"Z_{N} leaves the float range: the product of the "
-                        "d-factors underflows to 0 (below about 4.9e-324)")
-    return _float_range(N, pref / den * det(_phi_matrix(p)))
+    # the separation checks keep every d-factor clear of 0, and
+    # `_phi_matrix` every a and b (or names the site)
+    _nonzero(N, den, "the product of the d-factors")
+    phi = _phi_matrix(p)
+    _nonzero(N, pref, "the product of the a and b weights")
+    return _float_range(N, pref / den * det(phi))
 
 
 def _divisor_weight(p: TrigParams, kind, alpha, k):
@@ -173,6 +185,8 @@ def ik_homogeneous(N: int, lam, eta) -> complex:
     pref = (a * b) ** (N * N)
     for n in range(1, N):
         pref /= math.factorial(n) ** 2
+    # phi_derivatives refuses a or b near 0
+    _nonzero(N, pref, "the prefactor (ab)^(N^2) / prod k!^2")
     return _float_range(
         N, pref * det([[cs[i + k] for k in range(N)] for i in range(N)]))
 
@@ -217,10 +231,8 @@ def _check_separation(p: TrigParams):
     """The sums divide by d(l_i, l_j) and by e(l_i, l_j) = sin(l_i - l_j
     + 2 eta), each of which must be clear of 0.  The diagonal e(l, l) is
     c, and at c = 0 every psi of one row or more is 0 anyway."""
+    check_distinct("lambda", p.lambdas)
     for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if abs(d_fn(p.lambdas[i], p.lambdas[j])) <= DEGENERACY_TOL:
-                raise NearDegenerate("lambda separation below tolerance")
         for j in range(p.n):
             if abs(e_fn(p.lambdas[i], p.lambdas[j], p.eta)) <= DEGENERACY_TOL:
                 raise NearDegenerate(

@@ -52,32 +52,34 @@ def sin_ratio(x, y):
     return cmath.sin(x) / cmath.sin(y)
 
 
+def check_distinct(name, vals):
+    """Refuse two parameters x, y of `vals` with |d(x, y)| within
+    DEGENERACY_TOL of 0, where a prefactor dividing by d(x, y) is 0/0."""
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if abs(d_fn(vals[i], vals[j])) <= DEGENERACY_TOL:
+                raise NearDegenerate(f"{name}[{i}] and {name}[{j}] collide "
+                                     f"within {DEGENERACY_TOL}")
+
+
 class TrigParams(FrozenRecord):
     """Spectral parameters of the inhomogeneous model.
 
     lambdas attach to vertical lines (right to left), nus to horizontal
-    lines (top to bottom); eta is the coupling.  Each set must be
-    pairwise distinct or the determinant prefactors are 0/0; the
-    coordinate-wavefunction limit legitimately takes all lambdas equal,
-    which `allow_coincident_lambdas` admits (nu's stay constrained).
+    lines (top to bottom); eta is the coupling.  The nus must be
+    pairwise distinct, or every route's prefactor is 0/0.  The lambdas
+    may coincide: the lattice and the coordinate wavefunction are
+    defined there (all lambdas equal is the classic wavefunction limit),
+    and the routes that divide by d(l_i, l_j) check them themselves.
     """
 
     _fields = ("lambdas", "nus", "eta")
 
-    def __init__(self, lambdas, nus, eta, allow_coincident_lambdas=False):
+    def __init__(self, lambdas, nus, eta):
         object.__setattr__(self, "lambdas", tuple(lambdas))
         object.__setattr__(self, "nus", tuple(nus))
         object.__setattr__(self, "eta", eta)
-        sets = [("nu", self.nus)]
-        if not allow_coincident_lambdas:
-            sets.append(("lambda", self.lambdas))
-        for name, vals in sets:
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    if abs(d_fn(vals[i], vals[j])) <= DEGENERACY_TOL:
-                        raise NearDegenerate(
-                            f"{name}[{i}] and {name}[{j}] collide within "
-                            f"{DEGENERACY_TOL}")
+        check_distinct("nu", self.nus)
 
     @property
     def n(self):
@@ -97,9 +99,8 @@ def homogeneous_abc(lam, eta):
 
 
 class NumericTriple(FrozenRecord):
-    """Homogeneous complex weights with the lattice_oracle interface;
-    hashes by value, like WeightTriple, so `ik_engine.family` caches
-    it."""
+    """Homogeneous complex weights with the lattice_oracle interface,
+    hashed by value like WeightTriple."""
 
     _fields = ("a", "b", "c")
 

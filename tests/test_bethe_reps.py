@@ -127,8 +127,7 @@ class TestSumRepresentations:
         lam, eta = 1.1, 0.3
         nus = [0.05, 0.31]
         n, s = 3, 2
-        p = TrigParams([lam] * n, nus + [0.6], eta,
-                       allow_coincident_lambdas=True)
+        p = TrigParams([lam] * n, nus + [0.6], eta)
         cfg = RowConfig(n, (1, 3))
         ts = [b_fn(lam, v, eta) / a_fn(lam, v, eta) for v in nus]
         delta = math.cos(2 * eta)
@@ -288,8 +287,7 @@ class TestContourDeformation:
         n, s = 3, 2
         rs = (1, 3)
         c = cmath.sin(2 * eta)
-        p = TrigParams([lam] * n, nus + [0.9], eta,
-                       allow_coincident_lambdas=True)
+        p = TrigParams([lam] * n, nus + [0.9], eta)
         cfg = RowConfig(n, rs)
         oracle = psi_top_coordinate(cfg, p)
 

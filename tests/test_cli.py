@@ -217,14 +217,26 @@ class TestContracts:
             record = json.loads(err)
             assert record["error"] == "Singular"
             assert "b = 0 at site (alpha, k) = (2, 4)" in record["message"]
-        # past the float range: at N = 19 (ab)^(N^2) / prod k!^2
-        # underflows to 0 while the Hankel determinant overflows, and at
-        # N = 30 the product of the d-factors underflows to 0; a record,
-        # not Z = nan or a ZeroDivisionError traceback
+        # past the float range: at N = 13 and N = 19 (ab)^(N^2) / prod
+        # k!^2 underflows to 0 (at N = 19 the Hankel determinant
+        # overflows too), at N = 25 the product of the a and b weights
+        # underflows to 0 (|Z| is about 1e-84), and at N = 30 the
+        # product of the d-factors does; a record, not Z = 0, nan or a
+        # ZeroDivisionError traceback
         lams = [repr(0.2 + 0.05 * k) for k in range(30)]
         nus = [repr(-0.6 + 0.04 * k) for k in range(30)]
-        for args in (["zn", "--size", "19", "--method", "ik", "--lambda",
+        lams25 = ("0.22 0.24 0.25 0.303 0.325 0.598 0.632 0.882 0.895 0.958 "
+                  "0.981 1.006 1.258 1.259 1.473 1.75 1.85 1.863 1.933 2.001 "
+                  "2.059 2.245 2.272 2.301 2.345").split()
+        nus25 = ("-0.556 -0.542 -0.506 -0.491 -0.47 -0.421 -0.406 -0.387 "
+                 "-0.225 -0.22 -0.192 -0.191 0.03 0.054 0.133 0.227 0.298 "
+                 "0.331 0.357 0.432 0.502 0.509 0.535 0.584 0.596").split()
+        for args in (["zn", "--size", "13", "--method", "ik", "--lambda",
+                      "0.35", "--eta", "0.3"],
+                     ["zn", "--size", "19", "--method", "ik", "--lambda",
                       "0.9", "--eta", "0.3"],
+                     ["zn", "--size", "25", "--method", "ik", "--eta",
+                      "0.413", "--lambdas"] + lams25 + ["--nus"] + nus25,
                      ["zn", "--size", "30", "--method", "ik", "--lambdas"]
                      + lams + ["--nus"] + nus + ["--eta", "0.4"]):
             capsys.readouterr()
@@ -249,6 +261,26 @@ class TestContracts:
             assert code == 1
             assert record["error"] == "InvalidRegion"
             assert "DWBC_MAX_N" not in record["message"]
+
+    def test_coincident_lambdas(self, capsys):
+        # the lattice and the coordinate wavefunction are defined at
+        # equal lambdas; the routes that divide by d(l_i, l_j) refuse
+        # them
+        params = ["--lambdas", "0.7", "0.7", "0.7", "--nus", "0.05", "0.31",
+                  "0.6", "--eta", "0.35"]
+        psi = ["psi", "--size", "3", "--which", "top", "--positions", "1,3"]
+        values = []
+        for method in ("coordinate", "oracle", "enum"):
+            code, out = run_cli(psi + ["--method", method] + params, capsys)
+            assert code == 0
+            values.append(complex(json.loads(out)["psi"]))
+        assert all(abs(v - values[1]) <= 1e-12 for v in values)
+        for args in (["zn", "--size", "3", "--method", "ik"],
+                     psi + ["--method", "sum"], psi + ["--method", "sum-dual"]):
+            code = main(args + params)
+            assert code == 1
+            assert json.loads(capsys.readouterr().err)["error"] \
+                == "NearDegenerate"
 
     def test_ortho_refusals_name_the_given_lambda(self, capsys):
         # psi_top is psi_bot at pi - lam, but a refusal names the lam the

@@ -295,25 +295,25 @@ class TestMultisumIdentity:
 
 @contextmanager
 def _strict_leaves():
-    """Every tower leaf an int and every inverted leaf +-1: a leaf
-    const that is not an integer, or a leaf inverse that is not a unit,
+    """Every tower leaf an int and every inverted leaf +-1: a leaf made
+    that is not an integer, or a leaf inverse that is not a unit,
     raises."""
-    invert, const = exact_core._invert, exact_core.RATIONALS.const
+    invert, leaf = exact_core._invert, exact_core._leaf
 
     def unit_invert(x):
         if not isinstance(x, exact_core.Series) and x not in (1, -1):
             raise AssertionError(f"non-unit leaf {x!r} inverted")
         return invert(x)
 
-    def int_const(v):
-        c = const(v)
+    def int_leaf(v):
+        c = leaf(v)
         if type(c) is not int:
             raise AssertionError(f"fraction leaf {c!r}")
         return c
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_core, "_invert", unit_invert)
-        mp.setattr(exact_core.RATIONALS, "const", int_const)
+        mp.setattr(exact_core, "_leaf", int_leaf)
         yield
 
 

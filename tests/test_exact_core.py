@@ -542,11 +542,10 @@ _leaves = (st.integers(-3, 3)
 
 @st.composite
 def _line_matrices(draw):
-    """(lines, columns): 1-4 lines, each a column of numbers (rational,
-    or complex when every line is numbers) or of polynomial or Laurent
-    entries on its own level of a tower of up to 5 levels, some levels
-    left unused; the columns are the same entries as numbers and exact
-    tower elements."""
+    """(lines, columns): 1-4 lines, each a column of rationals or of
+    polynomial or Laurent entries on its own level of a tower of up to 5
+    levels, some levels left unused; the columns are the same entries as
+    numbers and exact tower elements."""
     s = draw(st.integers(1, 4))
     kinds = draw(st.lists(st.sampled_from(["number", "poly", "laurent"]),
                           min_size=s, max_size=s))
@@ -554,14 +553,10 @@ def _line_matrices(draw):
     precs = draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth))
     levels = draw(st.permutations(range(depth)))
     ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
-    numbers = _leaves
-    if all(kind == "number" for kind in kinds) and draw(st.booleans()):
-        numbers = st.complex_numbers(max_magnitude=4, allow_nan=False,
-                                     allow_infinity=False)
     lines, cols = [], []
     for j, kind in enumerate(kinds):
         if kind == "number":
-            col = [draw(numbers) for _ in range(s)]
+            col = [draw(_leaves) for _ in range(s)]
             lines.append(col)
             cols.append(col)
             continue
@@ -585,8 +580,7 @@ class TestLineDet:
         want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
         got = line_det(lines)
         if not isinstance(got, Scaled):
-            assert exact_core.approx_eq(got, want) if isinstance(got, complex) \
-                else got == want
+            assert got == want
             return
         # the kernel knows fewer coefficients (each line is cut to its
         # level's window), and those it knows are the exact ones
@@ -841,12 +835,10 @@ class TestFlatKernel:
                 peak[0] = max([peak[0], *map(abs, x.coeffs),
                                *map(abs, ref.values())])
 
-            _kernel_checks(windows, exact_core.RATIONALS, _majorant(a),
-                           _majorant(b), [_majorant(g, True) for g in divisors],
-                           record)
+            _kernel_checks(windows, _majorant(a), _majorant(b),
+                           [_majorant(g, True) for g in divisors], record)
             assume(peak[0] < 2 ** 53)
-        base = exact_core.COMPLEXES if kind == "complex" else exact_core.RATIONALS
-        _kernel_checks(windows, base, a, b, divisors, _check_known)
+        _kernel_checks(windows, a, b, divisors, _check_known)
 
 
 def _majorant(d, divisor=False):
@@ -861,12 +853,12 @@ def _majorant(d, divisor=False):
     return out
 
 
-def _kernel_checks(windows, base, a, b, divisors, check):
+def _kernel_checks(windows, a, b, divisors, check):
     """Every check of `TestFlatKernel`, each tower result handed to
     check(result, its reference)."""
     for scale in (1, 2):
         ring, _ = build_tower([(f"e{j}", w * scale)
-                               for j, w in enumerate(windows)], base)
+                               for j, w in enumerate(windows)])
         fa, fb = _flat(ring, a), _flat(ring, b)
         check(fa * fb, _dict_mul(a, b))
         check(fa + fb, _dict_add(a, b))
@@ -882,7 +874,7 @@ def _kernel_checks(windows, base, a, b, divisors, check):
         if c0 and len(fa.coeffs) > 1:
             # a monomial shifts the other factor, as the general
             # product does with the monomial padded by a zero leaf
-            c0, inf, L = ring.base.const(c0), math.inf, len(k0)
+            c0, inf, L = exact_core._leaf(c0), math.inf, len(k0)
             mono = Series(ring, k0, (1,) * L, [c0], (inf,) * L)
             padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
                             (inf,) * L)
@@ -926,7 +918,7 @@ def _boxed(ring, lo, shape, leaves, err=None):
     """The element on the box (lo, shape) with these leaves, its zero
     slices kept, known below err (exact by default), and its terms as a
     dict."""
-    ring_leaves = [ring.base.const(c) for c in leaves]
+    ring_leaves = [exact_core._leaf(c) for c in leaves]
     terms = {}
     for p, c in enumerate(ring_leaves):
         if c:
@@ -1016,6 +1008,9 @@ def _plan_cases(draw):
         leaves[:lead] = [0] * lead
         leaves[lead] = draw(small.filter(bool))
         divisors.append(leaves)
+    if kind == "complex":
+        dividends = [(list(map(complex, c)), err) for c, err in dividends]
+        divisors = [list(map(complex, c)) for c in divisors]
     return (windows, kind, (lo, shape, dividends), (glo, gshape, divisors))
 
 
@@ -1028,10 +1023,7 @@ class TestPlanStore:
     @given(_plan_cases())
     def test_warm_plans_give_the_cold_results(self, case):
         windows, kind, (lo, shape, fs), (glo, gshape, gs) = case
-        base = (exact_core.COMPLEXES if kind == "complex"
-                else exact_core.RATIONALS)
-        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)],
-                              base)
+        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)])
         xs = [_boxed(ring, lo, shape, c, err) for c, err in fs]
         ds = [_boxed(ring, glo, gshape, c) for c in gs]
         ops = [(x, d, "/") for x in xs for d in ds]
@@ -1060,10 +1052,7 @@ class TestPlanStore:
     @given(_plan_cases())
     def test_warm_product_plans_give_the_cold_results(self, case):
         windows, kind, (lo, shape, fs), (glo, gshape, gs) = case
-        base = (exact_core.COMPLEXES if kind == "complex"
-                else exact_core.RATIONALS)
-        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)],
-                              base)
+        ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)])
         # the factors: leaves zero half the time, the dividends known
         # only up to their box's top in some levels, and a monomial,
         # which shifts the other factor

@@ -9,6 +9,7 @@ from dwbc.efp_reps import EfpQuery, efp_mir_s
 from dwbc.errors import DegenerateHankel
 from dwbc.exact_core import DEFAULT_RTOL
 from dwbc.hankel_orthopoly import (
+    _det_pairing,
     bordered_hankel_det,
     boundary_correlation_ortho,
     build_ortho_family,
@@ -161,6 +162,16 @@ class TestRepresentations:
         got = efp_ortho(q, LAM, ETA)
         want = float(efp_mir_s(q, wx))
         assert abs(got - want) <= 1e-6 * max(1, abs(want))
+
+    def test_pairings_stay_complex(self):
+        # a pairing that vanishes exactly (omega^N has valuation N, past
+        # every pole of k_(N-1)) and one of no variables come out of the
+        # tower as Fractions; the pairing is complex all the same, so a
+        # sign flips the zero's sign as it does on a complex zero
+        zero = _det_pairing(3, 1, LAM, ETA, lambda ring, oms, omts: oms[0] ** 3)
+        assert repr(zero) == "0j" and repr(-1 * zero) == "(-0+0j)"
+        one = _det_pairing(3, 0, LAM, ETA, lambda ring, oms, omts: ring.const(1))
+        assert repr(one) == "(1+0j)"
 
     # the float pairing cancels most of its digits as N grows: relative
     # errors 13.1, 5.8e-3 and 1.9e-6 against the oracle
