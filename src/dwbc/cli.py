@@ -382,9 +382,11 @@ def main(argv=None) -> int:
     max_n = os.environ.get("DWBC_MAX_N")
     if max_n:
         try:
-            int(max_n)
+            valid = int(max_n) >= 0
         except ValueError:
-            _usage_error(f"DWBC_MAX_N must be an integer, got {max_n!r}")
+            valid = False
+        if not valid:
+            _usage_error(f"DWBC_MAX_N must be an integer >= 0, got {max_n!r}")
     try:
         payload = args.func(args)
     except DwbcError as exc:

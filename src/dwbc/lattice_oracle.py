@@ -14,7 +14,11 @@ Two independent backends:
   psi_bot of the turned lattice, and Z_N the cut sum at row N // 2; it
   is fast enough for N up to ~14.  Exact weights are scaled to integers
   first (D = lcm of the denominators of a, b, c), so the sweep adds and
-  multiplies Python ints and divides by D^(vertices) once.
+  multiplies Python ints and divides by D^(vertices) once.  The states
+  of a cut are one popcount class, held as a list in an order that
+  turns one bit per vertex column, so crossing a column is a few passes
+  over gathered values; the gathers hold no weight, and a bounded store
+  keeps them for the sweeps that follow.
 
 Both run on exact rational weights (a, b, c) or on complex inhomogeneous
 weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
@@ -44,10 +48,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import lcm
-from operator import attrgetter
+from itertools import combinations, islice, repeat
+from math import comb, lcm
+from operator import add, attrgetter, itemgetter, mul
 
 from .errors import InvalidRegion, SizeLimit, Singular
 from .rational import ExactPoly, as_fraction
@@ -309,7 +312,7 @@ def enumerate_Z(N, w, method="auto"):
         _check_size(N, "transfer")
         weight, d = _leaves(w)
         top, bot = _split_states(N, w, weight, N // 2)
-        z = sum(v * top[_rot(N, m)] for m, v in bot.items())
+        z = sum(map(mul, bot.values(), _paired(N, N // 2, top)))
         return _ratio(w, z, d ** (N * N))
     if method == "enum":
         _check_size(N, "enum")
@@ -350,12 +353,12 @@ def row_state_weights(N, w, s):
 # transfer backend (row sweep)
 # ---------------------------------------------------------------------------
 #
-# The sweep carries {row-state bitmask: value} across the lattice one
-# vertex at a time.  Part way along a row, the state also holds the
-# arrow on the horizontal edge the sweep stands on, so a half-done row
-# is two dicts: `left` (that arrow points left) and `right` (it points
-# right).  By the ice rule, a vertex entered with (horizontal arrow,
-# vertical edge) on one side leaves with
+# The sweep carries the value of every row state (vertical-edge bitmask)
+# across the lattice one vertex at a time.  Part way along a row, the
+# state also holds the arrow on the horizontal edge the sweep stands on,
+# so a half-done row has two halves: `left` (that arrow points left) and
+# `right` (it points right).  By the ice rule, a vertex entered with
+# (horizontal arrow, vertical edge) on one side leaves with
 #   R, up   -> a: R, up      c: L, down
 #   R, down -> b: R, down
 #   L, up   -> b: L, up
@@ -367,6 +370,45 @@ def row_state_weights(N, w, s):
 # N+1-k) here and whose row-(N-s) state rot(m) is row-s state m here.
 # Weights that ignore the site (WeightTriple, NumericTriple) are their
 # own half-turn and share one sweep; a WeightMatrix sweeps its turned grid.
+#
+# Popcount classes.  After j rows up from the all-up boundary the states
+# are every mask with p = N - j up arrows.  Along the next row `right`
+# stays that whole class and `left` fills the class of p - 1: crossing
+# column `bit` (bit i, alpha = i + 1), with x a mask without `bit` and
+# y = x | bit,
+#   left[x]  <- right[y] c + left[x] a      left[y]  <- left[y] b
+#   right[y] <- right[y] a + left[x] c      right[x] <- right[x] b,
+# where a left[x] not reached yet adds nothing.  Before column i, `left`
+# lacks exactly the masks that hold all of bits 0..i-1.
+#
+# Class lists.  Each half is a list over its class, ordered before column
+# i by the key of column i: the mask turned left by N-1-i bits, which
+# reads bits i, i-1, ..., 0, N-1, ..., i+1 from the top.  In that order
+#   * the x's come first and the y's last: `rx` and `ry` are slices;
+#   * x -> x | bit keeps the order, so the n-th x of `left` partners the
+#     n-th y of `right`, a pairing that needs no index;
+#   * the masks `left` lacks come last among its x's and last among its
+#     y's, so its present x's, `lx`, and y's, `ly`, are slices too, and
+#     `ry` splits into the `head` that lx partners and the `tail`.
+# The key of column i + 1 is that of column i turned right by one bit, so
+# one gather per class, its `turn`, takes a list to the next column's
+# order.  After column N - 1 the key is the mask itself: a finished row
+# is in increasing mask order, one turn from the next row's first order.
+#
+# Row plans.  `_row_columns` composes the slices and turns of a row into
+# gathers of positions: each column gathers from the list the column
+# before left and builds its own in one list display: the sums head c +
+# lx a and lx c + head a, then tail c, tail a, ly b and rx b.  Class
+# orders, row plans and the half-turn pairings depend only on (N, p), so
+# one store, `_INDEX`, keeps them across sweeps within a bound on the
+# masks and positions it holds; a row past the bound builds each column
+# as the sweep reaches it and drops it after.  Each product is value *
+# weight, as in the vertex-by-vertex dict sweep (kept in the tests as the
+# reference); right[y] adds lx c + head a, the dict sweep's operands
+# swapped, which no sum of ints, Fractions, floats or complex numbers
+# can tell apart (IEEE addition commutes exactly).  So
+# every value is bit-identical to the dict sweep's, and every dict
+# returned has its keys in the same, increasing, order.
 #
 # Leaves are integers for a WeightTriple: D = lcm of the denominators of
 # (a, b, c) scales every vertex weight to an integer, a region of V
@@ -391,46 +433,160 @@ def _ratio(w, num, den):
     return Fraction(num, den) if isinstance(w, WeightTriple) else num / den
 
 
-def _cross_vertex(left, right, bit, a, b, c):
-    """Carry the two halves of a row state across one vertex column."""
-    new_left, new_right = {}, {}
-    for m, v in right.items():
-        if m & bit:
-            new_right[m] = v * a
-            new_left[m ^ bit] = v * c
-        else:
-            new_right[m] = v * b
-    for m, v in left.items():
-        if m & bit:
-            new_left[m] = v * b
-        else:
-            new_left[m] = new_left[m] + v * a if m in new_left else v * a
-            u = m | bit
-            new_right[u] = new_right[u] + v * c if u in new_right else v * c
-    return new_left, new_right
+def _gather(positions):
+    """itemgetter(*positions), returning a sequence for any length."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions
+                      else slice(0))
+
+
+def _comb(n, k):
+    return comb(n, k) if n >= 0 and k >= 0 else 0
+
+
+class _IndexStore:
+    """Index data of the sweep, built on first use and kept while it fits.
+
+    It holds masks and list positions, never a leaf value, so an entry
+    serves every weight swept after it.  `size` counts the masks and
+    positions its entries hold (for a row plan, a bound on them).  An
+    entry that would take `size` past `bound` first evicts the oldest
+    ones; an entry larger than `bound` on its own is not kept.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.size = 0
+        self.entries = {}  # key -> (value, size), oldest first
+
+    def get(self, build, *args):
+        """`build(*args)` -> (value, size), kept under (build, args)."""
+        key = build, args
+        hit = self.entries.get(key)
+        if hit is not None:
+            return hit[0]
+        value, size = build(*args)
+        if size <= self.bound:
+            while self.size + size > self.bound:
+                self.size -= self.entries.pop(next(iter(self.entries)))[1]
+            self.entries[key] = (value, size)
+            self.size += size
+        return value
+
+
+# every class order, row plan and half-turn pairing of N <= 10 fits at
+# once: 63366 of the bound, about 0.7 MB
+_INDEX = _IndexStore(1 << 16)
+
+
+def _class_order(N, q):
+    """((the masks of popcount q below 2^N, increasing; `turn`, the gather
+    that takes a list over them from one column's order to the next),
+    the number of masks and positions held)."""
+    pows = [1 << i for i in range(N - 1, -1, -1)]
+    masks = tuple(map(sum, combinations(pows, q)))[::-1] \
+        if 0 <= q <= N else ()
+    # the next column's key turns the mask right by one more bit
+    top = max(N - 1, 0)
+    keys = [(m >> 1) | ((m & 1) << top) for m in masks]
+    turn = sorted(range(len(masks)), key=keys.__getitem__)
+    return (masks, _gather(turn)), 2 * len(masks)
+
+
+def _row_plan(N, p):
+    """((the masks of popcount p - 1, increasing; the columns that cross
+    one row whose right half is the class of popcount p), a bound on the
+    positions they hold).  Columns past the store's bound are built only
+    as the sweep reaches them."""
+    # a column holds 4h + t + u + xs_hi <= 3 xs_lo + n_lo + xs_hi of them,
+    # and the masks n_lo more
+    n_lo = _comb(N, p - 1)
+    size = N * (3 * _comb(N - 1, p - 1) + _comb(N - 1, p)) + (N + 1) * n_lo
+    columns = _row_columns(N, p)
+    if size <= _INDEX.bound:
+        columns = tuple(columns)
+    return (_INDEX.get(_class_order, N, p - 1)[0], columns), size
+
+
+def _row_columns(N, p):
+    """Yield, for each column of a row whose right half is the class of
+    popcount p, the gathers, from the list the column before left, of
+    the values it multiplies by c, (head, lx, tail), and by a, (lx, head,
+    tail); how many of those products the sums add pairwise; and the
+    gather of the values it multiplies by b, (ly, rx).  A column's list
+    is the sums head c + lx a and lx c + head a, then tail c, tail a,
+    ly b and rx b; turns put `left` (sums, tail c, ly b) and `right`
+    (rx b, sums, tail a) in the next column's order.  The last column
+    keeps `left` alone, in increasing mask order."""
+    masks_hi, turn_hi = _INDEX.get(_class_order, N, p)
+    masks_lo, turn_lo = _INDEX.get(_class_order, N, p - 1)
+    n_lo = len(masks_lo)
+    xs_hi, xs_lo = _comb(N - 1, p), _comb(N - 1, p - 1)
+    # one int object per position, shared by every gather of the row
+    ints = tuple(range(len(masks_hi) + n_lo + xs_lo))
+    pos_r, pos_l = turn_hi(ints[:len(masks_hi)]), ()
+    for i in range(N):
+        # `left` lacks the masks that hold bits 0..i-1: the last of its x's
+        # and the last of its y's
+        h = xs_lo - _comb(N - 1 - i, p - 1 - i)
+        y_end = n_lo - _comb(N - 1 - i, p - 2 - i)
+        rx, ry = pos_r[:xs_hi], pos_r[xs_hi:]
+        lx, ly = pos_l[:h], pos_l[xs_lo:y_end]
+        head, tail = ry[:h], ry[h:]
+        if i == N - 1:
+            yield _gather((*head, *tail)), _gather(lx), h, _gather(ly)
+            return
+        yield (_gather((*head, *lx, *tail)), _gather((*lx, *head, *tail)),
+               2 * h, _gather((*ly, *rx)))
+        t, u = len(tail), len(ly)
+        o = 2 * h + 2 * t
+        pos_l = turn_lo((*ints[:h], *ints[2 * h:2 * h + t], *ints[o:o + u],
+                         *repeat(0, n_lo - y_end)))
+        pos_r = turn_hi((*ints[o + u:o + u + xs_hi], *ints[h:2 * h],
+                         *ints[2 * h + t:o]))
 
 
 def _transfer_bracket(N, weight, rows, states, cuts=None):
-    """Sweep {row-state bitmask: value} upward across `rows`, in the order
-    given, from `states` on the cut below the first row; `weight` is the
-    leaf weight function of `_leaves`.  A dict `cuts` receives, under each
-    of its keys j > 0, the states on the cut after j rows."""
+    """Sweep row-state values upward across `rows`, in the order given,
+    from `states`, a dict over every mask of one popcount class on the
+    cut below the first row; `weight` is the leaf weight function of
+    `_leaves`.  Returns {mask: value} on the cut above the last row, in
+    increasing mask order; a dict `cuts` receives, under each of its keys
+    j > 0, the same for the cut after j rows."""
+    p = next(iter(states)).bit_count()
+    masks = _INDEX.get(_class_order, N, p)[0]
+    values = [states[m] for m in masks]
     for j, k in enumerate(rows, 1):
-        left, right = {}, states
-        for alpha in range(1, N + 1):
-            left, right = _cross_vertex(
-                left, right, 1 << (alpha - 1), weight(alpha, k, "a"),
-                weight(alpha, k, "b"), weight(alpha, k, "c"))
-        states = left
+        masks, columns = _INDEX.get(_row_plan, N, p)
+        for alpha, (by_c, by_a, sums, ly_rx) in enumerate(columns, 1):
+            c = map(mul, by_c(values), repeat(weight(alpha, k, "c")))
+            a = map(mul, by_a(values), repeat(weight(alpha, k, "a")))
+            values = [*map(add, islice(c, sums), a), *c, *a,
+                      *map(mul, ly_rx(values), repeat(weight(alpha, k, "b")))]
+        p -= 1
         if cuts is not None and j in cuts:
-            cuts[j] = states
-    return states
+            cuts[j] = dict(zip(masks, values))
+    return dict(zip(masks, values))
 
 
-@lru_cache(maxsize=1 << 16)
 def _rot(N, m):
     """The half-turn of row state m: its N-bit reversal, complemented."""
     return ((1 << N) - 1) ^ int(format(m, f"0{N}b")[::-1], 2)
+
+
+def _paired(N, s, top):
+    """The values of `top` (row-s states keyed by their half-turns, in
+    increasing order of those) in increasing order of the row-s states."""
+    return _INDEX.get(_half_turn, N, s)(tuple(top.values()))
+
+
+def _half_turn(N, s):
+    """(the gather of `_paired`, the number of positions it holds)."""
+    turned = _INDEX.get(_class_order, N, N - s)[0]
+    rank = dict(zip(turned, range(len(turned))))
+    return _gather([rank[_rot(N, m)]
+                    for m in _INDEX.get(_class_order, N, s)[0]]), len(rank)
 
 
 def _bottom_states(N, weight, s, cuts=None):
@@ -545,7 +701,7 @@ def _row_probabilities(N, w, s, groups, method):
     _check_size(N, "transfer")
     weight, _ = _leaves(w)  # every ratio below is of two N^2-vertex values
     top, bot = _split_states(N, w, weight, s)
-    prod = {m: top[_rot(N, m)] * v for m, v in bot.items()}
+    prod = dict(zip(bot, map(mul, _paired(N, s, top), bot.values())))
     z = sum(prod.values())
     return [_ratio(w, sum(prod[RowConfig(N, pos).bitmask()] for pos in group),
                    z)

@@ -324,6 +324,7 @@ class TestContracts:
             (["hrow", "--size", "4", "--positions", "1,a",
               "--weights", "1", "1", "1"], None),
             (["zn", "--size", "3", "--weights", "1", "1", "1"], "abc"),
+            (["zn", "--size", "3", "--weights", "1", "1", "1"], "-1"),
             (["psi", "--size", "3", "--which", "bottom", "--positions",
               "1,3", "--lambdas", "0.3", "0.8", "1.2", "--eta", "0.35",
               "--method", "sum"], None),

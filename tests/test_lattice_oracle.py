@@ -25,6 +25,7 @@ from dwbc.lattice_oracle import (
     row_state_weights,
 )
 from dwbc.lattice_oracle import region_state_weights
+from dwbc.trig import NumericTriple, homogeneous_abc
 
 
 def rand_triple(rng):
@@ -110,6 +111,51 @@ def _grid(rng, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def _dict_sweep(N, weight, rows, states, cuts=None):
+    """The row sweep on {mask: value} dicts that the class-list sweep of
+    `_transfer_bracket` replaced, kept as an independent reference: one
+    vertex at a time, `left` and `right` the halves whose horizontal arrow
+    points left and right."""
+    for j, k in enumerate(rows, 1):
+        left, right = {}, states
+        for alpha in range(1, N + 1):
+            bit = 1 << (alpha - 1)
+            a, b, c = (weight(alpha, k, kind) for kind in "abc")
+            new_left, new_right = {}, {}
+            for m, v in right.items():
+                if m & bit:
+                    new_right[m] = v * a
+                    new_left[m ^ bit] = v * c
+                else:
+                    new_right[m] = v * b
+            for m, v in left.items():
+                if m & bit:
+                    new_left[m] = v * b
+                else:
+                    new_left[m] = (new_left[m] + v * a if m in new_left
+                                   else v * a)
+                    u = m | bit
+                    new_right[u] = (new_right[u] + v * c if u in new_right
+                                    else v * c)
+            left, right = new_left, new_right
+        states = left
+        if cuts is not None and j in cuts:
+            cuts[j] = states
+    return states
+
+
+def _assert_sweeps_agree(N, weight, n_rows):
+    # equal values (floats by ==), keys in the same order, every cut
+    rows = range(N, N - n_rows, -1)
+    start = {(1 << N) - 1: 1}
+    got, want = (dict.fromkeys(range(1, n_rows + 1)) for _ in range(2))
+    assert list(lattice_oracle._transfer_bracket(
+        N, weight, rows, start, got).items()) \
+        == list(_dict_sweep(N, weight, rows, start, want).items())
+    assert {j: list(cut.items()) for j, cut in got.items()} \
+        == {j: list(cut.items()) for j, cut in want.items()}
+
+
 class TestHalfTurn:
     # psi_top is swept as psi_bot of the half-turned lattice: these pin
     # the turn against the enumeration backend, which never uses it
@@ -136,6 +182,50 @@ class TestHalfTurn:
                     for fn in (psi_top, psi_bot):
                         want = fn(cfg, w, method="enum")
                         assert abs(fn(cfg, w) - want) <= 1e-12 * abs(want)
+
+    def test_sweep_matches_dict_reference(self):
+        # every N <= 8 and number of rows: integer leaves (a scaled
+        # WeightTriple), complex homogeneous leaves (NumericTriple) and
+        # real site weights of both signs (WeightMatrix)
+        rng = random.Random(37)
+        for n in range(0, 9):
+            real = [[rng.uniform(-1.5, 1.5) for _ in range(n)]
+                    for _ in range(n)]
+            weights = [
+                lattice_oracle._leaves(rand_triple(rng))[0],
+                NumericTriple(*homogeneous_abc(rng.uniform(0.5, 1.5),
+                                               rng.uniform(0.1, 0.4))).weight,
+                WeightMatrix(real, [row[::-1] for row in real],
+                             rng.uniform(-1, 1)).weight,
+            ]
+            for weight in weights:
+                for n_rows in range(n + 1):
+                    _assert_sweeps_agree(n, weight, n_rows)
+
+    def test_index_store_bounded(self, monkeypatch):
+        # the sweep's masks and positions stay within the store's bound;
+        # every row plan of N <= 10 fits in it at once
+        store = lattice_oracle._IndexStore(lattice_oracle._INDEX.bound)
+        monkeypatch.setattr(lattice_oracle, "_INDEX", store)
+        w = WeightTriple(Fraction(11, 4), Fraction(7, 9), Fraction(5, 2))
+        for n in range(1, 13):
+            frozen_column_sweep(n, w)
+            enumerate_Z(n, w)
+            assert store.size <= store.bound
+            assert store.size == sum(size for _, size
+                                     in store.entries.values())
+            if n == 10:
+                rows = [build for build, _ in store.entries
+                        if build is lattice_oracle._row_plan]
+                assert len(rows) == sum(range(1, 11))
+        # lists past the bound are built, used and dropped
+        tiny = lattice_oracle._IndexStore(0)
+        monkeypatch.setattr(lattice_oracle, "_INDEX", tiny)
+        weight = lattice_oracle._leaves(w)[0]
+        for n_rows in range(9):
+            _assert_sweeps_agree(8, weight, n_rows)
+        assert enumerate_Z(6, w) == enumerate_Z(6, w, "enum")
+        assert tiny.entries == {} and tiny.size == 0
 
     def test_rows_swept_per_query(self, monkeypatch):
         # site-independent weights: Z_N crosses ceil(N/2) rows and a row
