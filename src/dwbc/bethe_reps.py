@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_core import eps_scale, residue_drive
-from .ik_engine import _pair_quotient, _pole_guard, family
+from .ik_engine import _pair_quotient, family
 from .lattice_oracle import RowConfig, WeightTriple
 
 
@@ -43,7 +43,7 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
     fam = family(w)
     if s == 0:
         return fam.z(N)
-    t, delta = _pole_guard(w)
+    t, delta = fam.pole_guard()
     pref = fam.z(N) / (w.a ** (s * (N - 1)) * w.c ** s)
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
@@ -66,7 +66,7 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     N, s, rs = cfg.n, cfg.s, cfg.positions
     if s == 0:
         return Fraction(1)
-    t, delta = _pole_guard(w)
+    t, delta = family(w).pole_guard()
     pref = w.c ** s * w.a ** (s * (N - 1))
     for j in range(1, s + 1):
         pref *= t ** (rs[j - 1] - j)
@@ -102,8 +102,8 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
     N, s, rs = cfg.n, cfg.s, cfg.positions
     if s == 0:
         return Fraction(1)
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     pref = fam.z(s) * w.a ** (s * (N - s))
     for j in range(1, s + 1):
         pref *= t ** (j - rs[j - 1])
@@ -148,5 +148,8 @@ def psi_bot_mir_dual(cfg: RowConfig, w: WeightTriple) -> Fraction:
 
 
 def psi_dual_mirs(cfg: RowConfig, w: WeightTriple):
-    """(psi_top, psi_bot) through the complement-position dual routes."""
-    return psi_top_mir_dual(cfg, w), psi_bot_mir_dual(cfg, w)
+    """(psi_top, psi_bot) through the complement-position dual routes:
+    `psi_top_mir_dual` and `psi_bot_mir_dual` on one complement and one
+    crossing of the weights."""
+    cfg, w = cfg.complement(), _crossed(w)
+    return psi_bot_mir(cfg, w), psi_top_mir_new(cfg, w)

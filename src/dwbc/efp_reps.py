@@ -32,8 +32,8 @@ from itertools import combinations, permutations
 
 from .errors import ChainBreak
 from .exact_core import eps_scale, residue_drive
-from .ik_engine import (_pair_quotient, _pole_guard, cantini_P_confluent,
-                        cantini_P_vand, family)
+from .ik_engine import (_pair_quotient, cantini_P_confluent, cantini_P_vand,
+                        family)
 from .lattice_oracle import (
     EfpQuery,
     RowConfig,
@@ -58,8 +58,8 @@ def _vand_sign(m):
 # Moebius maps (al, be, ga, de) of the composed h arguments, for
 # BoundaryGenFamily.hns_vand; the scalings z/t = (1, 0, 0, t) and
 # 1/(t z) = (0, 1, t, 0) are written inline.  Each has al de - be ga a
-# nonzero multiple of t or of t^2 - 2 Delta t + 1, which _pole_guard
-# keeps nonzero.
+# nonzero multiple of t or of t^2 - 2 Delta t + 1, which
+# BoundaryGenFamily.pole_guard keeps nonzero.
 
 def _u_map(t, delta):
     """u(z) = -(z - 1)/((t^2 - 2 Delta t) z + 1), the composed argument
@@ -101,8 +101,8 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     antisymmetrization identity in action.
     """
     N, r, s = q.N, q.r, q.s
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     fam.sweep(N)  # Z_s and h_M for M <= N
     tt = t * t - 2 * delta * t
 
@@ -156,8 +156,8 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     s+n-1 and the explicit factor one more.
     """
     N, s, n = q.N, q.s, q.n
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     fam.sweep(N)  # Z_(s+n), Z_(N-s), Z_N and h_M for M <= N
     pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n)) * t ** (n * (n - 1))
@@ -204,8 +204,8 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
     s = s'.
     """
     n = len(ls)
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     pref = fam.z(s + n) * w.a ** ((s + n) * (N - s - n))
     if n == 0:
         return pref
@@ -227,8 +227,8 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
 def _psi_bot_frozen_mir(N, s, ls, w):
     """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
     n = len(ls)
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     pref = fam.z(N - s) * w.a ** (s * (N - s)) \
         / (w.c ** n * w.a ** (n * (N - 1)))
     if n == 0:
@@ -251,8 +251,8 @@ def _trace_sfold_chain(q, w, record):
     extended multisum -> double antisymmetrization -> y-integration ->
     the two s-fold forms."""
     N, r, s = q.N, q.r, q.s
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     inv_t = 1 / t
 
     # shared x/y integrand pieces -------------------------------------
@@ -371,8 +371,8 @@ def _trace_nfold_chain(q, w, record):
     -> extended multisum -> double antisymmetrization -> contour flip
     onto the 1/w poles -> symmetric integration -> the n-fold form."""
     N, r, s, n = q.N, q.r, q.s, q.n
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     z_n = fam.z(N)
     pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n))
@@ -515,8 +515,8 @@ def _flipped_contour_value(q, w) -> Fraction:
     within the window.
     """
     N, s, n = q.N, q.s, q.n
-    t, delta = _pole_guard(w)
     fam = family(w)
+    t, delta = fam.pole_guard()
     warg = _warg_map(t, delta)
 
     def build(ws, ring):

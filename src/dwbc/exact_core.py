@@ -1211,6 +1211,24 @@ class Line:
         self.k, self.top, self.level = k, top, level
         self.lo, self.rows, self.err = lo, rows, err
 
+    def moved(self, top, level):
+        """This line on level `level` of the tower `top`, whose window is
+        no wider than the one it was made for: the rows cut to that
+        window and brought to integer content again, err the cut when
+        anything lies past it.  Equals the line `_point_line` makes
+        there."""
+        if top is self.top and level == self.level:
+            return self
+        w = top.precs[level]
+        k, rows, err = self.k, self.rows, self.err
+        if err != INF or any(any(row[w:]) for row in rows):
+            err = self.lo + w
+        if rows and len(rows[0]) > w:
+            kr, flat = _content([c for row in rows for c in row[:w]])
+            rows = [flat[i * w:(i + 1) * w] for i in range(len(rows))]
+            k = k * kr
+        return Line(k, top, level, self.lo, rows, err)
+
 
 def _point_line(point, polys, k=1, div=None):
     """The line of entries k * polys[i] / div[0]^div[1] at a point read

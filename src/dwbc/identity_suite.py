@@ -154,25 +154,36 @@ def check_cantini(s, delta, xs, ys) -> IdentityCase:
             if xs[j] + ys[k] - 2 * delta * xs[j] * ys[k] == 0:
                 raise SamplePoleHit("psi denominator vanishes")
 
-    def summand(x, y):
-        val = Fraction(1)
-        prod = Fraction(1)
-        for j in range(s):
-            prod *= x[j] * y[j]
-            if prod == 1:
-                raise SamplePoleHit("nested product hits 1")
-            val *= (x[j] * y[j]) ** (s - 1 - j) / (1 - prod)
-        for j in range(s):
-            for k in range(j + 1, s):
-                val *= (x[j] * x[k] - 2 * delta * x[k] + 1) \
-                    * (y[j] * y[k] - 2 * delta * y[k] + 1)
-        return val
+    def sides(zs):
+        """For every ordering z of zs: its sign times prod_j z_j^(s-1-j)
+        prod_{j<k} (z_j z_k - 2 delta z_k + 1), the part of a summand
+        that depends on one set, and the prefix products of z."""
+        out = []
+        for perm in permutations(range(s)):
+            z = [zs[p] for p in perm]
+            f, acc, prefix = Fraction(_perm_sign(perm)), Fraction(1), []
+            for j in range(s):
+                f *= z[j] ** (s - 1 - j)
+                for k in range(j + 1, s):
+                    f *= z[j] * z[k] - 2 * delta * z[k] + 1
+                acc *= z[j]
+                prefix.append(acc)
+            out.append((f, prefix))
+        return out
 
+    # summand(sigma, tau) = x-side * y-side / prod_j (1 - X_j Y_j), X_j and
+    # Y_j the prefix products: the nested products of x_sigma(i) y_tau(i)
     lhs = Fraction(0)
-    for sig in permutations(range(s)):
-        for tau in permutations(range(s)):
-            lhs += _perm_sign(sig) * _perm_sign(tau) \
-                * summand([xs[p] for p in sig], [ys[p] for p in tau])
+    y_sides = sides(ys)
+    for fx, px in sides(xs):
+        for fy, py in y_sides:
+            den = Fraction(1)
+            for u, v in zip(px, py):
+                prod = u * v
+                if prod == 1:
+                    raise SamplePoleHit("nested product hits 1")
+                den *= 1 - prod
+            lhs += fx * fy / den
     rhs = Fraction(1)
     for j in range(s):
         for k in range(s):

@@ -7,29 +7,34 @@ the exact engine, and nothing here takes a float weight: the family is
 exact only.
 
 This module owns the generating-polynomial family h_M(z) of the
-one-point boundary correlation (with Z_M, which the routes' prefactors
-take from the same per-weight cache; both come from one
-`lattice_oracle.frozen_column_sweep` at the largest size a route
-states) and its multivariate extension
-h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
-defined by a Vandermonde-divided determinant.  Three forms are
-provided.  The determinant form `hns_vand` returns h_{N,s}(M(z)) times
-the Vandermonde of the z's, for a Moebius map M of the arguments: the
-Vandermonde cancels, so it needs no division, takes coincident points
-and Laurent-tower elements, and is what every residue integrand (which
-carries that Vandermonde itself) multiplies in.  Each column of its
-determinant depends on one point, so `exact_core.line_det` builds it
-one column at a time: at a tower point, a Laurent polynomial in one
-tower variable eps, the column's entries are expanded in that eps by
-integer polynomial arithmetic (the rows' rational contents are cached
-per (N, s), and the map's numerator and denominator are brought to
-integer content), cut to the level's window, and the determinant is
-assembled level by level without a tower product.  `hns_value` divides
-it by the Vandermonde at pairwise distinct points.  `hns_poly` divides
-the Vandermonde out symbolically by divided differences into a sparse
-`MultiPoly`; no residue integrand and no identity check uses it.  It
-is kept for the tests, as a reference, and for the benchmark tracer,
-which binds it by name.
+one-point boundary correlation, with Z_M, in `BoundaryGenFamily`: the
+one per-triple context of every exact route, memoized by `family`.  It
+keeps the integers of one frozen-column sweep
+(`lattice_oracle._frozen_cuts`) at the largest size a route states,
+makes Fractions of Z_M and h_M only where they are read, and computes
+t, Delta and the pole-collision check once.  The family also holds the
+multivariate extension h_{N,s}(z_1..z_s), a symmetric polynomial of
+degree N-1 per variable defined by a Vandermonde-divided determinant.
+Three forms are provided.  The determinant form `hns_vand` returns
+h_{N,s}(M(z)) times the Vandermonde of the z's, for a Moebius map M of
+the arguments: the Vandermonde cancels, so it needs no division, takes
+coincident points and Laurent-tower elements, and is what every
+residue integrand (which carries that Vandermonde itself) multiplies
+in.  Each column of its determinant depends on one point, so
+`exact_core.line_det` builds it one column at a time: at a tower
+point, a Laurent polynomial in one tower variable eps, the column's
+entries are expanded in that eps by integer polynomial arithmetic (the
+rows, built from the sweep's integers, and their rational contents are
+cached per (N, s), and the map's numerator and denominator are brought
+to integer content), cut to the level's window, and the determinant is
+assembled level by level without a tower product; points that share a
+polynomial share one column, made at the widest of their windows and
+cut to the others.  `hns_value` divides it by the Vandermonde at
+pairwise distinct points.  `hns_poly` divides the Vandermonde out
+symbolically by divided differences into a sparse `MultiPoly`; no
+residue integrand and no identity check uses it.  It is kept for the
+tests, as a reference, and for the benchmark tracer, which binds it by
+name.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
@@ -46,9 +51,9 @@ minors of `cantini_P_vand` each depend on one x_j and take the same
 column kernel; the y-side minors, each of whose columns depends on
 s - 1 of the y's, are cofactor expansions (`poly_det`).
 
-The pair factors of the residue integrands (`_pole_guard`,
-`_pair_quotient`) live here too, so that `efp_reps` needs nothing from
-`bethe_reps`.
+The pair factors of the residue integrands (`pole_guard` of the
+family, `_pair_quotient`) live here too, so that `efp_reps` needs
+nothing from `bethe_reps`.
 """
 
 from __future__ import annotations
@@ -58,10 +63,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (Line, _content, _horner, _padd, _plin, _pmul,
-                         _point_line, _ppowers, _tower_point, _trimmed,
-                         line_det, poly_det)
-from .lattice_oracle import WeightTriple, frozen_column_sweep
+from .exact_core import (_content, _horner, _padd, _plin, _pmul, _point_line,
+                         _ppowers, _tower_point, _trimmed, line_det,
+                         poly_det)
+from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
 # module
@@ -190,14 +195,21 @@ def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 class BoundaryGenFamily:
-    """Cache of h_M(z) (an ExactPoly, h_M(1) = 1) and Z_M for M = 0..N
-    at a fixed WeightTriple.  Every entry comes from one
-    `frozen_column_sweep` at the largest size asked for so far.
+    """The per-triple context of the exact routes at a fixed WeightTriple:
+    Z_M, h_M(z) (an ExactPoly, h_M(1) = 1) for M = 0..N, the rows of the
+    h_{N,s} determinants and the (t, Delta) of the pair factors.
+
+    The sweep data are kept as `lattice_oracle._frozen_cuts` gives them,
+    integers from one sweep at the largest size asked for so far; Z_M
+    and h_M become Fractions only when read, once each, and the rows of
+    `_hns_rows` are built from the integers.
     """
 
     def __init__(self, w):
         self.w = w
-        self._z, self._h = [], []
+        self._cuts = []
+        self._z, self._h = {}, {}
+        self._guard = None
         self._hns_cache = {}
         self._rows = {}
 
@@ -206,24 +218,43 @@ class BoundaryGenFamily:
         reached N.  A route states its largest size here first, so a
         cold query sweeps once; a later request above it sweeps again,
         at that size."""
-        if not 0 <= N < len(self._z):
-            swept = frozen_column_sweep(N, self.w)
-            self._z = [z for z, _ in swept]
-            self._h = [ExactPoly(h) for _, h in swept]
+        if not 0 <= N < len(self._cuts):
+            self._cuts = _frozen_cuts(N, self.w)
 
     def h(self, M: int):
         if M < 1:
             raise InvalidRegion(f"h_N needs N >= 1, got N={M}")
-        self.sweep(M)
-        return self._h[M]
+        poly = self._h.get(M)
+        if poly is None:
+            self.sweep(M)
+            psi = self._cuts[M][2]
+            total = sum(psi)
+            poly = self._h[M] = ExactPoly([Fraction(v, total) for v in psi])
+        return poly
 
     def z(self, M: int):
         """Z_M, cached like h(M): the routes' prefactors take it here."""
-        self.sweep(M)
-        return self._z[M]
+        z = self._z.get(M)
+        if z is None:
+            self.sweep(M)
+            num, den, _ = self._cuts[M]
+            z = self._z[M] = Fraction(num, den)
+        return z
 
     def h_coeffs(self, M: int):
         return list(self.h(M).coeffs)
+
+    def pole_guard(self):
+        """(t, Delta) for the residue integrands of bethe_reps and
+        efp_reps, whose pair factors p z_j z_k - q z_j + 1
+        (`_pair_quotient`) need t^2 - 2 Delta t + 1 = c^2/a^2 nonzero;
+        PoleCollision where it vanishes."""
+        if self._guard is None:
+            t, delta = self.w.t(), self.w.delta()
+            if t * t - 2 * delta * t + 1 == 0:
+                raise PoleCollision("t^2 - 2*Delta*t + 1 = 0 (equals c^2/a^2)")
+            self._guard = t, delta
+        return self._guard
 
     # -- determinant form ----------------------------------------------
 
@@ -251,8 +282,9 @@ class BoundaryGenFamily:
         G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
         de)^-(N-1) a monomial or an integer power series, and the column
         keeps the exponents of its level's window, marked by err where
-        that cuts anything; points with one polynomial and one window
-        share one column, moved to each point's level (`_point_lines`).
+        that cuts anything; points with one polynomial share one column,
+        made at the widest of their windows and cut to each point's
+        level (`_point_lines`).
         `exact_core.line_det` assembles the determinant level by level
         with integer times tower and tower plus tower only, and the
         contents form its `Scaled` scalar.  A
@@ -322,25 +354,34 @@ class BoundaryGenFamily:
     def _hns_rows(self, N, s):
         """(rho, rows): the coefficient lists of g_1..g_s, each over its
         rational content, integers whose contents multiply to rho; cached
-        per (N, s)."""
+        per (N, s).  g_i is built on the integer psi list of h_M, which
+        is h_M times the psi sum."""
         key = (N, s)
         if key not in self._rows:
+            self.sweep(N)  # g_1..g_s take h_(N-s+1)..h_N: one sweep for all
             rho, rows = Fraction(1), []
             for i in range(1, s + 1):
-                k, cs = _content(self._row_coeffs(N, s, i))
-                rho *= k
+                psi = self._cuts[N - s + i][2]
+                k, cs = _content(_g_row(psi, s, i))
+                rho *= Fraction(k, sum(psi))
                 rows.append(cs)
             self._rows[key] = rho, rows
         return self._rows[key]
 
     def _row_coeffs(self, N, s, i):
-        """Coefficients of g_i(z) = z^(s-i) (z-1)^(i-1) h_{N-s+i}(z)."""
-        self.sweep(N)  # g_1..g_s take h_(N-s+1)..h_N: one sweep for all
-        out = [Fraction(0)] * (s - i) + self.h_coeffs(N - s + i)
-        for _ in range(i - 1):  # multiply by (z - 1)
-            out = [-out[0]] + [out[k - 1] - out[k] for k in range(1, len(out))] \
-                  + [out[-1]]
-        return out
+        """Coefficients of g_i(z) as Fractions: `hns_poly`'s rows."""
+        self.sweep(N)
+        return _g_row(self.h_coeffs(N - s + i), s, i)
+
+
+def _g_row(h, s, i):
+    """Coefficients of g_i(z) = z^(s-i) (z-1)^(i-1) h(z), h the
+    coefficient list of h_(N-s+i) or a multiple of it."""
+    out = [0] * (s - i) + list(h)
+    for _ in range(i - 1):  # multiply by (z - 1)
+        out = [-out[0]] + [out[k - 1] - out[k] for k in range(1, len(out))] \
+              + [out[-1]]
+    return out
 
 
 def _hns_line(N, s, rows, point, mobius):
@@ -380,18 +421,21 @@ def _hns_line(N, s, rows, point, mobius):
 
 def _point_lines(points, make):
     """[make(i) for each point i] of points read by
-    `exact_core._tower_point`, each distinct line made once: a point
-    with the polynomial and the window of an earlier one takes that
-    point's `Line` moved to its own level."""
+    `exact_core._tower_point`, one line made per polynomial: at the
+    point with the widest window among those that share it, then moved
+    and cut to each point's own level (`Line.moved`)."""
+    keys = [(top is None, lo, tuple(cs)) for top, _, (lo, cs) in points]
+    widest = {}
+    for i, (key, (top, level, _)) in enumerate(zip(keys, points)):
+        w = top.precs[level] if top is not None else 0
+        if key not in widest or w > widest[key][0]:
+            widest[key] = w, i
     made, out = {}, []
-    for i, (top, level, (lo, cs)) in enumerate(points):
-        key = (top and top.precs[level], lo, tuple(cs))
+    for key, (top, level, _) in zip(keys, points):
         line = made.get(key)
         if line is None:
-            line = made[key] = make(i)
-        elif top is not None:
-            line = Line(line.k, top, level, line.lo, line.rows, line.err)
-        out.append(line)
+            line = made[key] = make(widest[key][1])
+        out.append(line if top is None else line.moved(top, level))
     return out
 
 
@@ -400,16 +444,6 @@ def family(w: WeightTriple) -> BoundaryGenFamily:
     """Memoized family per WeightTriple (hashed by value), least
     recently used first out past CACHE_SIZE triples."""
     return BoundaryGenFamily(w)
-
-
-def _pole_guard(w: WeightTriple):
-    """(t, Delta) for the residue integrands of bethe_reps and efp_reps,
-    whose pair factors p z_j z_k - q z_j + 1 (`_pair_quotient`) need
-    t^2 - 2 Delta t + 1 = c^2/a^2 nonzero."""
-    t, delta = w.t(), w.delta()
-    if t * t - 2 * delta * t + 1 == 0:
-        raise PoleCollision("t^2 - 2*Delta*t + 1 = 0 (equals c^2/a^2)")
-    return t, delta
 
 
 def _pair_quotient(f, zs, p, q, ordered=False):

@@ -27,7 +27,9 @@ against them.
 
 The prefactors of the closed-form routes, Z_M and h_M for every M <= N
 at homogeneous weights, come from one upward transfer sweep over the
-N x N lattice (`frozen_column_sweep`), by the frozen-column identity.
+N x N lattice (`frozen_column_sweep`; the routes' family keeps the
+integers of `_frozen_cuts`, before it divides), by the frozen-column
+identity.
 On the bottom M rows, a cut state whose up arrows fill positions
 1..N-M freezes those N - M columns to a-vertices and leaves the other
 M columns an M x M lattice with domain-wall boundaries.  So after M
@@ -203,10 +205,15 @@ class RowConfig(FrozenRecord):
 
     def bitmask(self) -> int:
         """Bit alpha-1 set iff the edge at position alpha points up."""
-        m = 0
-        for p in self.positions:
-            m |= 1 << (p - 1)
-        return m
+        return _bitmask(self.positions)
+
+
+def _bitmask(positions):
+    """The row-state mask of up-arrow positions: bit p-1 for each p."""
+    m = 0
+    for p in positions:
+        m |= 1 << (p - 1)
+    return m
 
 
 def all_row_configs(N: int, s: int):
@@ -615,26 +622,37 @@ def _split_states(N, w, weight, s):
     return cuts[s], cuts[N - s]
 
 
+def _frozen_cuts(N, w):
+    """[(the frozen-mask cut value, its unscaling denominator, psi) for
+    M = 0..N]: the sweep of `frozen_column_sweep` before any division,
+    in the arithmetic of the scaled leaves (ints for a WeightTriple).
+    Z_M is the cut value over its denominator and h_M the psi list over
+    its sum; M = 0 gives (1, 1, [])."""
+    _check_size(N, "transfer")
+    weight, d = _leaves(w)
+    a, b, c = (weight(1, 1, kind) for kind in "abc")
+    cuts = dict.fromkeys(range(N + 1), {(1 << N) - 1: 1})  # M rows: cuts[M]
+    _bottom_states(N, weight, 0, cuts)
+    out = [(1, 1, [])]
+    for M in range(1, N + 1):
+        frozen = (1 << (N - M)) - 1
+        psi = [a ** (M - r) * c * b ** (r - 1)
+               * cuts[M - 1][frozen | 1 << (N - M + r - 1)]
+               for r in range(1, M + 1)]
+        out.append((cuts[M][frozen], a ** (M * (N - M)) * d ** (M * M), psi))
+    return out
+
+
 def frozen_column_sweep(N, w):
     """[(Z_M, coefficients of h_M) for M = 0..N] at homogeneous weights
     (a WeightTriple, or any triple whose `weight` ignores the site), from
     one upward sweep over the N x N lattice by the frozen-column
     identity of the module docstring.  The empty lattice has no first
     row, so the list of h_0 is empty."""
-    _check_size(N, "transfer")
-    weight, d = _leaves(w)
-    a, b, c = (weight(1, 1, kind) for kind in "abc")
-    cuts = dict.fromkeys(range(N + 1), {(1 << N) - 1: 1})  # M rows: cuts[M]
-    _bottom_states(N, weight, 0, cuts)
     out = [(_one_like(w), [])]
-    for M in range(1, N + 1):
-        frozen = (1 << (N - M)) - 1
-        z = _ratio(w, cuts[M][frozen], a ** (M * (N - M)) * d ** (M * M))
-        psi = [a ** (M - r) * c * b ** (r - 1)
-               * cuts[M - 1][frozen | 1 << (N - M + r - 1)]
-               for r in range(1, M + 1)]
+    for num, den, psi in _frozen_cuts(N, w)[1:]:
         total = sum(psi)
-        out.append((z, [_ratio(w, v, total) for v in psi]))
+        out.append((_ratio(w, num, den), [_ratio(w, v, total) for v in psi]))
     return out
 
 
@@ -682,7 +700,9 @@ def _one_like(w):
 
 def _row_probabilities(N, w, s, groups, method):
     """For each group of row-s position tuples, the sum of their row
-    configuration probabilities psi_top * psi_bot / Z_N.
+    configuration probabilities psi_top * psi_bot / Z_N.  The tuples are
+    valid (a RowConfig's, or drawn by `combinations`), so the transfer
+    backend reads their masks without making a RowConfig.
 
     The transfer backend splits the lattice at row s once: the sweeps of
     `_split_states` give psi_top and psi_bot of every row-s state, and
@@ -703,8 +723,7 @@ def _row_probabilities(N, w, s, groups, method):
     top, bot = _split_states(N, w, weight, s)
     prod = dict(zip(bot, map(mul, _paired(N, s, top), bot.values())))
     z = sum(prod.values())
-    return [_ratio(w, sum(prod[RowConfig(N, pos).bitmask()] for pos in group),
-                   z)
+    return [_ratio(w, sum(prod[_bitmask(pos)] for pos in group), z)
             for group in groups]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dwbc.errors import SamplePoleHit
 from dwbc.identity_suite import (
     check_cantini,
     check_hierarchy,
@@ -32,6 +33,13 @@ class TestSpecExamples:
         case = check_cantini(2, Fraction(1, 2), [Fraction(2), Fraction(3)],
                              [Fraction(1, 5), Fraction(1, 7)])
         assert case.ok
+
+    def test_cantini_nested_pole(self):
+        # no x_j y_k is 1, but x_1 x_2 y_1 y_2 is: a nested product of the
+        # double sum hits 1 and the draw is refused
+        with pytest.raises(SamplePoleHit, match="nested product"):
+            check_cantini(2, Fraction(1, 3), [Fraction(2), Fraction(3)],
+                          [Fraction(1, 5), Fraction(5, 6)])
 
     def test_psxx_s1(self):
         case = check_psxx(1, Fraction(1, 3), [Fraction(5, 2)])

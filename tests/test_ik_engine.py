@@ -8,19 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwbc.bethe_reps import _crossed
+from dwbc import ik_engine
+from dwbc.bethe_reps import _crossed, psi_bot_mir
 from dwbc.errors import DegeneratePoints, NearDegenerate, Singular
 from dwbc.ik_engine import (
     CACHE_SIZE,
+    BoundaryGenFamily,
     cantini_P_confluent,
     cantini_P_vand,
     cantini_W_value,
     family,
 )
 from dwbc.ik_numeric import ik_determinant, ik_homogeneous, phi_derivatives
-from dwbc.exact_core import Scaled, Series, build_tower, residue_drive
+from dwbc.exact_core import (Scaled, Series, _content, _tower_point,
+                             build_tower, residue_drive)
 from dwbc.identity_suite import p_s_value
-from dwbc.lattice_oracle import WeightMatrix, WeightTriple, enumerate_Z
+from dwbc.lattice_oracle import (RowConfig, WeightMatrix, WeightTriple,
+                                 enumerate_Z, psi_bot)
 from dwbc.trig import NumericTriple, TrigParams, homogeneous_abc
 
 
@@ -250,6 +254,87 @@ class TestBoundaryFamily:
         got, want = (v * ring.const(1) for v in (got, want))
         assert _agree(*(v.e * v.k if isinstance(v, Scaled) else v
                         for v in (got, want)))
+
+    def test_integer_rows_are_the_fraction_rows(self):
+        # the rows of hns_vand, built on the integer psi lists of the
+        # sweep, are the contents of the Fraction rows hns_poly takes
+        rng = random.Random(31)
+        for _ in range(6):
+            w = WeightTriple(*(Fraction(rng.randint(1, 12), rng.randint(1, 7))
+                               for _ in range(3)))
+            fam = BoundaryGenFamily(w)
+            for n in range(1, 8):
+                for s in range(n + 1):
+                    rho, rows = Fraction(1), []
+                    for i in range(1, s + 1):
+                        k, cs = _content(fam._row_coeffs(n, s, i))
+                        rho *= k
+                        rows.append(cs)
+                    assert fam._hns_rows(n, s) == (rho, rows)
+
+    def test_cold_route_sweeps_once(self, monkeypatch):
+        # a cold psi_bot_mir at N = 7 sweeps once, at N, reads Z_7 and
+        # turns no h_M into Fractions: its rows come from the integers
+        sweeps = []
+        cuts = ik_engine._frozen_cuts
+
+        def counted(N, w):
+            sweeps.append(N)
+            return cuts(N, w)
+
+        monkeypatch.setattr(ik_engine, "_frozen_cuts", counted)
+        w = WeightTriple(Fraction(13, 5), Fraction(7, 3), Fraction(11, 4))
+        family.cache_clear()
+        cfg = RowConfig(7, (2, 5, 6))
+        assert psi_bot_mir(cfg, w) == psi_bot(cfg, w)
+        fam = family(w)
+        assert sweeps == [7]
+        assert list(fam._z) == [7] and fam._h == {}
+
+    def test_shared_lines_cut_to_each_window(self, monkeypatch):
+        # points with one polynomial on levels of different windows share
+        # a line made at the widest one and cut for the others; the lines
+        # and hns_vand equal those made one per point
+        fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
+        t, d = fam.pole_guard()
+        maps = [(1, 0, 0, 1), (1, 0, 0, t), (-1, 3, -2, 1),
+                (t * t, 1 - 2 * d * t, t * t, -t * t),
+                (2 * d * t - 1, -t, t * t, -t)]
+        precs = [3, 6, 2, 4]
+        ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
+
+        def own(points, make):
+            return [make(i) for i in range(len(points))]
+
+        def entries(line):
+            if isinstance(line, list):
+                return line
+            return (line.lo, line.err, [[line.k * c for c in row]
+                                        for row in line.rows])
+
+        for mob in maps:
+            for point in (lambda e: e + 1, lambda e: 1 / e,
+                          lambda e: e - Fraction(2, 3)):
+                for n in (4, 6):
+                    zs = [point(Scaled(2, atoms[f"e{j}"])) for j in range(4)]
+                    zs[3] = Fraction(1, 5)
+                    rows = fam._hns_rows(n, 4)[1]
+                    points = [_tower_point(z) for z in zs]
+
+                    def make(i):
+                        return ik_engine._hns_line(n, 4, rows, points[i], mob)
+
+                    shared = ik_engine._point_lines(points, make)
+                    assert list(map(entries, shared)) \
+                        == list(map(entries, own(points, make)))
+                    got = fam.hns_vand(n, 4, zs, mob) * ring.const(1)
+                    monkeypatch.setattr(ik_engine, "_point_lines", own)
+                    want = fam.hns_vand(n, 4, zs, mob) * ring.const(1)
+                    monkeypatch.undo()
+                    got, want = (v.e * v.k for v in (got, want))
+                    assert (got.lo, got.shape, got.err) \
+                        == (want.lo, want.shape, want.err)
+                    assert got == want
 
     def test_htilde_reversal(self):
         # the reversed family htilde_M(z) = z^(M-1) h_M(1/z) is h_M of the
