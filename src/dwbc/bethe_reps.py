@@ -1,8 +1,10 @@
 """Closed-form representations of the sublattice partition functions:
 the multiple-integral representations of psi_top (N x s) and psi_bot
 (N x (N-s)) for the homogeneous model, evaluated exactly as iterated
-residues at z = 0 or z = 1 over the rational weight data (t = b/a,
-Delta, the h_{N,s} polynomials).
+residues at z = 0 or z = 1 over the weight data in integers (t = B/A
+and Delta = (A^2 + B^2 - C^2)/(2AB) for (a, b, c) = g (A, B, C), the
+h_{N,s} polynomials; `ik_engine.TripleInts`), each prefactor an
+integer pair made a Fraction once, with the residue.
 
 psi_top comes as the QISM route `psi_top_mir_new`, whose integrand
 carries h_{s,s}, and from the coordinate wavefunction
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_core import eps_scale, residue_drive
-from .ik_engine import _pair_quotient, family
+from .ik_engine import _pair_quotient, _pref, family
 from .lattice_oracle import RowConfig, WeightTriple
 
 
@@ -43,21 +45,25 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
     fam = family(w)
     if s == 0:
         return fam.z(N)
-    t, delta = fam.pole_guard()
-    pref = fam.z(N) / (w.a ** (s * (N - 1)) * w.c ** s)
-    for j in range(1, s + 1):
-        pref *= t ** (j - rs[j - 1])
+    wi = fam.pole_guard()
+    A, B = wi.A, wi.B
+    et = sum(j - r for j, r in enumerate(rs, 1))
+    # a = g A, c = g C, t = B/A; the pair factors are (B^2 z_j z_k - E z_j
+    # + A^2)/A^2, so each puts A^2 into the prefactor
+    pref = _pref(*fam.z_pair(N), (B, et), (wi.C, -s),
+                 (A, s * (s - 1) - et - s * (N - 1)),
+                 (wi.gn, -s * N), (wi.gd, s * N))
 
     def build(zs, ring):
         f = ring.const(1)
         for j in range(s):
             f = f * zs[j] ** (-rs[j])
-        f = _pair_quotient(f, zs, t * t, 2 * delta * t)
+        f = _pair_quotient(f, zs, B * B, wi.E, A * A)
         return f, fam.hns_vand(N, s, zs)
 
     # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k at z = 0
-    return pref * residue_drive([(0, r) for r in rs], build,
-                                eps_scale(t, 2 * delta * t))
+    return residue_drive([(0, r) for r in rs], build,
+                         eps_scale(wi.t, wi.two_dt), pref)
 
 
 def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -66,10 +72,13 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     N, s, rs = cfg.n, cfg.s, cfg.positions
     if s == 0:
         return Fraction(1)
-    t, delta = family(w).pole_guard()
-    pref = w.c ** s * w.a ** (s * (N - 1))
-    for j in range(1, s + 1):
-        pref *= t ** (rs[j - 1] - j)
+    wi = family(w).pole_guard()
+    A, B = wi.A, wi.B
+    et = sum(r - j for j, r in enumerate(rs, 1))
+    # the pair factors multiplied in are (B^2 w_j w_k - E w_j + A^2)/A^2
+    pref = _pref(1, 1, (B, et), (wi.C, s),
+                 (A, s * (N - 1) - et - s * (s - 1)),
+                 (wi.gn, s * N), (wi.gd, -s * N))
 
     def build(ws, ring):
         f = ring.const(1)
@@ -82,12 +91,12 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
         for j in range(s):
             for k in range(j + 1, s):
                 f = f * (ws[j] - ws[k]) \
-                    * (t * t * ws[j] * ws[k] - 2 * delta * t * ws[j] + 1)
+                    * (B * B * ws[j] * ws[k] - wi.E * ws[j] + A * A)
         return f
 
     # inverted: the monomials (w - 1)^s and w^(r-1) = (1 + e)^(r-1), a
     # unit on integer leaves, so no eps scale is needed
-    return pref * residue_drive([(1, s)] * s, build)
+    return residue_drive([(1, s)] * s, build, 1, pref)
 
 
 def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
@@ -103,25 +112,28 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
     if s == 0:
         return Fraction(1)
     fam = family(w)
-    t, delta = fam.pole_guard()
-    pref = fam.z(s) * w.a ** (s * (N - s))
-    for j in range(1, s + 1):
-        pref *= t ** (j - rs[j - 1])
+    wi = fam.pole_guard()
+    A, B, C = wi.A, wi.B, wi.C
+    et = sum(j - r for j, r in enumerate(rs, 1))
+    # t^2 w - 2 Delta t + 1 = (B^2 w + C^2 - B^2)/A^2 to the power r_j - 1
+    # is multiplied in, and each pair factor divided by puts A^2 into the
+    # prefactor (psi_bot_mir)
+    pref = _pref(*fam.z_pair(s), (B, et),
+                 (A, s * (N - s) - et - 2 * (sum(rs) - s) + s * (s - 1)),
+                 (wi.gn, s * (N - s)), (wi.gd, -s * (N - s)))
 
     def build(ws, ring):
         f = ring.const(1)
         for j in range(s):
-            f = f * (t * t * ws[j] - 2 * delta * t + 1) ** (rs[j] - 1) \
+            f = f * (B * B * ws[j] + (C * C - B * B)) ** (rs[j] - 1) \
                 * (ws[j] - 1) ** (-rs[j])
-        f = _pair_quotient(f, ws, t * t, 2 * delta * t)
+        f = _pair_quotient(f, ws, B * B, wi.E, A * A)
         return f, fam.hns_vand(s, s, ws)
 
     # inverted: the pair factors at w = 1 + e, kappa (1 + (kappa - 1)/kappa
-    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1
-    kappa = t * t - 2 * delta * t + 1
-    return pref * residue_drive(
-        [(1, r) for r in rs], build,
-        eps_scale((kappa - 1) / kappa, t * t / kappa))
+    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1 = C^2/A^2
+    return residue_drive([(1, r) for r in rs], build,
+                         eps_scale(*wi.at_one), pref)
 
 
 def _crossed(w: WeightTriple) -> WeightTriple:

@@ -32,8 +32,8 @@ from itertools import combinations, permutations
 
 from .errors import ChainBreak
 from .exact_core import eps_scale, residue_drive
-from .ik_engine import (_pair_quotient, cantini_P_confluent, cantini_P_vand,
-                        family)
+from .ik_engine import (_pair_quotient, _pref, cantini_P_confluent,
+                        cantini_P_vand, family)
 from .lattice_oracle import (
     EfpQuery,
     RowConfig,
@@ -55,28 +55,14 @@ def _vand_sign(m):
     return -1 if (m * (m - 1) // 2) % 2 else 1
 
 
-# Moebius maps (al, be, ga, de) of the composed h arguments, for
-# BoundaryGenFamily.hns_vand; the scalings z/t = (1, 0, 0, t) and
-# 1/(t z) = (0, 1, t, 0) are written inline.  Each has al de - be ga a
-# nonzero multiple of t or of t^2 - 2 Delta t + 1, which
-# BoundaryGenFamily.pole_guard keeps nonzero.
-
-def _u_map(t, delta):
-    """u(z) = -(z - 1)/((t^2 - 2 Delta t) z + 1), the composed argument
-    of h_{s,s} in the symmetric s-fold representation."""
-    return (-1, 1, t * t - 2 * delta * t, 1)
-
-
-def _w_map(t, delta):
-    """(t^2 z - 2 Delta t + 1)/(t^2 (z - 1)): argument of h_{s+n,n} in
-    the n-fold representation (simple pole at z = 1)."""
-    return (t * t, 1 - 2 * delta * t, t * t, -t * t)
-
-
-def _warg_map(t, delta):
-    """((2 Delta t - 1) w - t)/(t (t w - 1)): argument of h_{S,S} in the
-    origin forms of the top component."""
-    return (2 * delta * t - 1, -t, t * t, -t)
+# The Moebius maps (al, be, ga, de) of the composed h arguments, for
+# BoundaryGenFamily.hns_vand, are integer attributes of the family's
+# `TripleInts`: u_map, the argument of h_{s,s} in the symmetric s-fold
+# representation; w_map, that of h_{s+n,n} in the n-fold representation
+# (simple pole at z = 1); warg_map, that of h_{S,S} in the origin forms of
+# the top component; and the scalings over_t (z/t) and inv_tz (1/(t z)).
+# Each has al de - be ga a nonzero multiple of t or of t^2 - 2 Delta t +
+# 1, which BoundaryGenFamily.pole_guard keeps nonzero.
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +88,49 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     """
     N, r, s = q.N, q.r, q.s
     fam = family(w)
-    t, delta = fam.pole_guard()
+    wi = fam.pole_guard()
     fam.sweep(N)  # Z_s and h_M for M <= N
-    tt = t * t - 2 * delta * t
+    A, B, E = wi.A, wi.B, wi.E
+    # (t^2 - 2 Delta t) z + 1 = (tt z + A^2)/A^2 and the pair factors
+    # (B^2 z_j z_k - E z_j + A^2)/A^2: in both variants the A^2 of the
+    # factors multiplied in cancel those of the pair factors divided by
+    tt = wi.tt[0]
+    sign = (-1) ** s * _vand_sign(s)
 
     if variant == "efpMIR1":
-        pref = Fraction(-1) ** s * _vand_sign(s)
+        pref = sign, 1
 
         def build(zs, ring):
             f = ring.const(1)
             for j in range(s):
-                f = f * (tt * zs[j] + 1) ** (s - 1 - j) \
+                f = f * (tt * zs[j] + A * A) ** (s - 1 - j) \
                     * zs[j] ** (-r) * (zs[j] - 1) ** (-(s - j))
-            f = _pair_quotient(f, zs, t * t, 2 * delta * t)
+            f = _pair_quotient(f, zs, B * B, E, A * A)
             return f, fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
-        pref = Fraction(-1) ** s * _vand_sign(s) * fam.z(s) \
-            / (math.factorial(s) * w.a ** (s * (s - 1)) * w.c ** s)
-        u_map = _u_map(t, delta)
+        # Z_s / (s! a^(s(s-1)) c^s), a = g A, c = g C
+        zn, zd = fam.z_pair(s)
+        pref = _pref(sign * zn, zd * math.factorial(s),
+                     (A, -s * (s - 1)), (wi.C, -s),
+                     (wi.gn, -s * s), (wi.gd, s * s))
 
         def build(zs, ring):
             # as in efp_mir_n, the factors divide h_{N,s} Vand in turn
             f = fam.hns_vand(N, s, zs)
             for j in range(s):
-                f = f * (tt * zs[j] + 1) ** (s - 1) \
+                f = f * (tt * zs[j] + A * A) ** (s - 1) \
                     / (zs[j] ** r * (zs[j] - 1) ** s)
-            f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
-            return f, fam.hns_vand(s, s, zs, u_map)
+            f = _pair_quotient(f, zs, B * B, E, A * A, ordered=True)
+            return f, fam.hns_vand(s, s, zs, wi.u_map)
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
     # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k and the
     # denominator 1 + (t^2 - 2 Delta t) z of u(z), at z = 0
-    return pref * residue_drive([(0, r)] * s, build,
-                                eps_scale(t, 2 * delta * t, tt))
+    return residue_drive([(0, r)] * s, build,
+                         eps_scale(wi.t, wi.two_dt, wi.tt), pref)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +150,18 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
     """
     N, s, n = q.N, q.s, q.n
     fam = family(w)
-    t, delta = fam.pole_guard()
+    wi = fam.pole_guard()
     fam.sweep(N)  # Z_(s+n), Z_(N-s), Z_N and h_M for M <= N
-    pref = (fam.z(s + n) * fam.z(N - s)
-            * w.a ** (2 * s * (N - s - n)) * t ** (n * (n - 1))
-            / (math.factorial(n) * fam.z(N)
-               * w.c ** n * w.a ** (n * (n - 1))))
+    A, B, C = wi.A, wi.B, wi.C
+    (zsn, zsd), (zbn, zbd), (zn, zd) = map(fam.z_pair, (s + n, N - s, N))
+    # a = g A, c = g C, t = B/A, and A^2 per pair factor (psi_bot_mir)
+    ea = 2 * s * (N - s - n) - n * (n - 1)
+    pref = _pref(_vand_sign(n) * zsn * zbn * zd,
+                 math.factorial(n) * zsd * zbd * zn,
+                 (B, n * (n - 1)), (A, ea + n * (n - 1)), (C, -n),
+                 (wi.gn, ea - n), (wi.gd, n - ea))
     if n == 0:
-        return pref
-    w_map = _w_map(t, delta)
+        return Fraction(*pref)
 
     def build(zs, ring):
         # the factors divide h_{N-s,n} Vand one at a time, at size(h) times
@@ -174,15 +170,14 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         f = fam.hns_vand(N - s, n, zs)
         for j in range(n):
             f = f / (zs[j] - 1)
-        f = _pair_quotient(f, zs, t * t, 2 * delta * t, ordered=True)
-        return f, fam.hns_vand(s + n, n, zs, w_map)
+        f = _pair_quotient(f, zs, B * B, wi.E, A * A, ordered=True)
+        return f, fam.hns_vand(s + n, n, zs, wi.w_map)
 
     # inverted: the pair factors at z = 1 + e, kappa (1 + (kappa - 1)/kappa
-    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1;
+    # e_j + t^2/kappa (e_k + e_j e_k)), kappa = t^2 - 2 Delta t + 1 = C^2/A^2;
     # the denominator t^2 (z - 1) of the h argument is a monomial
-    kappa = t * t - 2 * delta * t + 1
-    return pref * _vand_sign(n) * residue_drive(
-        [(1, s + n)] * n, build, eps_scale((kappa - 1) / kappa, t * t / kappa))
+    return residue_drive([(1, s + n)] * n, build,
+                         eps_scale(*wi.at_one), pref)
 
 
 # ---------------------------------------------------------------------------
@@ -205,45 +200,52 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
     """
     n = len(ls)
     fam = family(w)
-    t, delta = fam.pole_guard()
-    pref = fam.z(s + n) * w.a ** ((s + n) * (N - s - n))
+    wi = fam.pole_guard()
+    A, B = wi.A, wi.B
+    # a = g A; 1 - t w = (A - B w)/A and the pair factors (AB w_j w_k -
+    # E w_j + AB)/(AB) divide, putting A and AB into the prefactor
+    ea, pairs = (s + n) * (N - s - n), n * (n - 1) // 2
+    pref = _pref(*fam.z_pair(s + n), (A, ea + n + pairs), (B, pairs),
+                 (wi.gn, ea), (wi.gd, -ea))
     if n == 0:
-        return pref
-    warg = _warg_map(t, delta)
+        return Fraction(*pref)
 
     def build(ws, ring):
         f = ring.const(1)
         for j in range(n):
-            f = f / (ws[j] ** ls[j] * (1 - t * ws[j]))
-        f = _pair_quotient(f, ws, 1, 2 * delta)
-        return f, fam.hns_vand(s + n, n, ws, warg)
+            f = f / (ws[j] ** ls[j] * (A - B * ws[j]))
+        f = _pair_quotient(f, ws, A * B, wi.E, A * B)
+        return f, fam.hns_vand(s + n, n, ws, wi.warg_map)
 
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
     # the h argument's denominator t (t w - 1), at w = 0
-    return pref * residue_drive([(0, l) for l in ls], build,
-                                eps_scale(t, 2 * delta))
+    return residue_drive([(0, l) for l in ls], build,
+                         eps_scale(wi.t, wi.two_delta), pref)
 
 
 def _psi_bot_frozen_mir(N, s, ls, w):
     """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
     n = len(ls)
     fam = family(w)
-    t, delta = fam.pole_guard()
-    pref = fam.z(N - s) * w.a ** (s * (N - s)) \
-        / (w.c ** n * w.a ** (n * (N - 1)))
+    wi = fam.pole_guard()
+    A, B = wi.A, wi.B
+    # a = g A, c = g C, and AB per pair factor (psi_top_mir_origin)
+    ea, pairs = s * (N - s) - n * (N - 1), n * (n - 1) // 2
+    pref = _pref(*fam.z_pair(N - s), (A, ea + pairs), (B, pairs),
+                 (wi.C, -n), (wi.gn, ea - n), (wi.gd, n - ea))
     if n == 0:
-        return pref
+        return Fraction(*pref)
 
     def build(zs, ring):
         f = ring.const(1)
         for j in range(n):
             f = f * zs[j] ** (-ls[j])
-        f = _pair_quotient(f, zs, 1, 2 * delta)
-        return f, fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # z/t
+        f = _pair_quotient(f, zs, A * B, wi.E, A * B)
+        return f, fam.hns_vand(N - s, n, zs, wi.over_t)
 
     # inverted: the pair factors 1 - 2 Delta z_j + z_j z_k at z = 0
-    return pref * residue_drive([(0, l) for l in ls], build,
-                                eps_scale(2 * delta))
+    return residue_drive([(0, l) for l in ls], build,
+                         eps_scale(wi.two_delta), pref)
 
 
 def _trace_sfold_chain(q, w, record):
@@ -252,7 +254,8 @@ def _trace_sfold_chain(q, w, record):
     the two s-fold forms."""
     N, r, s = q.N, q.r, q.s
     fam = family(w)
-    t, delta = fam.pole_guard()
+    wi = fam.pole_guard()
+    t, delta = w.t(), w.delta()
     inv_t = 1 / t
 
     # shared x/y integrand pieces -------------------------------------
@@ -264,7 +267,7 @@ def _trace_sfold_chain(q, w, record):
         """f / prod_{j<k} (x_j x_k - 2D x_j + 1) times h_{N,s}(x/t) and
         the Vandermonde of the x's."""
         f = _pair_quotient(f, xs, 1, 2 * delta)
-        return f * fam.hns_vand(N, s, xs, (1, 0, 0, t))
+        return f * fam.hns_vand(N, s, xs, wi.over_t)
 
     def y_side(ys, f):
         """f * prod_{j<k} (y_k - y_j)(y_j y_k - 2D y_k + 1)."""
@@ -279,7 +282,7 @@ def _trace_sfold_chain(q, w, record):
     # inverted: the x pair factors 1 - 2 Delta x_j + x_j x_k at x = 0,
     # and, at y = 1/t, y = (1 + t (y - 1/t))/t and 1 - x y = 1 - x/t -
     # x (y - 1/t)
-    scale = eps_scale(t, inv_t, 2 * delta)
+    scale = eps_scale(wi.t, wi.t[::-1], wi.two_delta)
 
     def build_double(vs, ring):
         xs, ys = vs[:s], vs[s:]
@@ -328,7 +331,7 @@ def _trace_sfold_chain(q, w, record):
             for k in range(j + 1, s):
                 fy = fy * (ys[k] - ys[j])
         fx = _pair_quotient(fx, xs, 1, 2 * delta, ordered=True)
-        fx = fx * fam.hns_vand(N, s, xs, (1, 0, 0, t))
+        fx = fx * fam.hns_vand(N, s, xs, wi.over_t)
         # the y side has a pole of order s at each y, so only the
         # y-powers below s of the x side pair with it: cut them there
         # before the 1 - x_j y_k factors spread the x side in the y's
@@ -356,7 +359,7 @@ def _trace_sfold_chain(q, w, record):
         f = f * cantini_P_confluent(xs, inv_t, delta)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
-        return f, fam.hns_vand(N, s, xs, (1, 0, 0, t))
+        return f, fam.hns_vand(N, s, xs, wi.over_t)
 
     record("sfold-recovered",
            _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
@@ -372,7 +375,8 @@ def _trace_nfold_chain(q, w, record):
     onto the 1/w poles -> symmetric integration -> the n-fold form."""
     N, r, s, n = q.N, q.r, q.s, q.n
     fam = family(w)
-    t, delta = fam.pole_guard()
+    wi = fam.pole_guard()
+    t, delta = w.t(), w.delta()
     z_n = fam.z(N)
     pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n))
@@ -382,13 +386,11 @@ def _trace_nfold_chain(q, w, record):
         record("nfold-final", efp_mir_n(q, w))
         return
 
-    warg = _warg_map(t, delta)
-
     def h_top(ws):
         """h_{s+n,n}(warg(w)) times the Vandermonde of the w's."""
-        return fam.hns_vand(s + n, n, ws, warg)
+        return fam.hns_vand(s + n, n, ws, wi.warg_map)
 
-    def h_bot(zs, mobius=(1, 0, 0, t)):
+    def h_bot(zs, mobius=wi.over_t):
         """h_{N-s,n}(z/t) times the Vandermonde of the z's."""
         return fam.hns_vand(N - s, n, zs, mobius)
 
@@ -413,7 +415,7 @@ def _trace_nfold_chain(q, w, record):
     specs = [(0, N - s)] * (2 * n)
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
     # the h_top argument's denominator t (t w - 1), at the origin
-    scale = eps_scale(t, 2 * delta)
+    scale = eps_scale(wi.t, wi.two_delta)
 
     # each 2n-fold integrand is a (w side, z side) pair for residue_drive
     # to contract, the w's integrated first; the coupling factors go onto
@@ -475,7 +477,7 @@ def _trace_nfold_chain(q, w, record):
             f = f / (ws[j] * (1 - t * ws[j]))
         f = _pair_quotient(f, ws, 1, 2 * delta, ordered=True)
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
-        return f * h_top(ws), h_bot(ws, (0, 1, t, 0))
+        return f * h_top(ws), h_bot(ws, wi.inv_tz)
 
     record("nfold-integrated",
            pref * _vand_sign(n) / math.factorial(n)
@@ -516,8 +518,8 @@ def _flipped_contour_value(q, w) -> Fraction:
     """
     N, s, n = q.N, q.s, q.n
     fam = family(w)
-    t, delta = fam.pole_guard()
-    warg = _warg_map(t, delta)
+    wi = fam.pole_guard()
+    t, delta = w.t(), w.delta()
 
     def build(ws, ring):
         # w-only prefactor of the integrand times P_n(w; 1/w) and the
@@ -528,7 +530,7 @@ def _flipped_contour_value(q, w) -> Fraction:
             base = base / ((1 - t * ws[j]) * ws[j] ** n)
             for k in range(j + 1, n):
                 base = base * (ws[k] - ws[j])
-        base = base * fam.hns_vand(s + n, n, ws, warg)
+        base = base * fam.hns_vand(s + n, n, ws, wi.warg_map)
 
         total = ring.const(0)
         for sigma in permutations(range(n)):
@@ -539,7 +541,7 @@ def _flipped_contour_value(q, w) -> Fraction:
             for j in range(n):
                 for k in range(j + 1, n):
                     term = term * (zs[k] - zs[j])
-            term = term * fam.hns_vand(N - s, n, zs, (1, 0, 0, t))  # h(z/t)
+            term = term * fam.hns_vand(N - s, n, zs, wi.over_t)  # h(z/t)
             # 1 - w_j z_k = 1 - w_j/w_l expands in the outer of w_j, w_l
             # over the inner, so the quotient reaches lower in the inner
             # variable row by row; a tower keeps one window per variable,
@@ -556,7 +558,7 @@ def _flipped_contour_value(q, w) -> Fraction:
     # inverted: 1 - t w and the pair factors in the w's and in the z's
     # (z_j z_k - 2 Delta z_j + 1, at z = 1/w a multiple of w^-2)
     return residue_drive([(0, (N - s) + n + 1)] * n, build,
-                         eps_scale(t, 2 * delta))
+                         eps_scale(wi.t, wi.two_delta))
 
 
 def efp_double_contour_trace(q: EfpQuery, w: WeightTriple):

@@ -22,11 +22,15 @@ per-level minima.  The leaves of every residue integrand are Python
 ints: `residue_drive` substitutes z = center + D eps, D from
 `eps_scale` (the lcm of the denominators of the route's factor ratios,
 as the lattice sweep scales its weights), and hands the integrand
-`Scaled` elements, a rational scalar times a tower on int leaves; the
-Fractions of the weights, the centers and the constants that inverted
-factors pull out (each becomes its constant times 1 + an integer
-polynomial in the eps's, a unit) stay in the scalars.  A leaf is a
-Fraction only where a route inverts a factor with no such unit form.
+`Scaled` elements, a scalar n/d kept as two ints times a tower on int
+leaves.  The routes write their factors with integer coefficients, so
+the constants that inverted factors pull out (each becomes its
+constant times 1 + an integer polynomial in the eps's, a unit) go into
+the scalars' denominators, and no scalar is a Fraction: the residue,
+times the route's prefactor as one integer pair, becomes one Fraction
+at the end of `residue_drive` (the gcd-saving of rational products in
+Knuth, TAOCP vol. 2, sec. 4.5.1).  A leaf is a Fraction only where a
+route inverts a factor with no such unit form.
 
 Division runs the power-series division recurrence (Knuth, TAOCP vol.
 2, sec. 4.7) over the box in lexicographic level order, outermost level
@@ -94,8 +98,8 @@ leaf: an int or a complex number stays as it is (the Taylor towers of
 Fraction, an int where it is integral.  A univariate Laurent
 polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m) over any ring,
 multiplied by `_pmul` and raised to powers by `_ppowers`; `_content`
-splits rationals into a positive rational times coprime integers (the
-columns of `line_det`, the rows of h_{N,s}, a `Scaled` sum's scalars);
+splits rationals into a positive integer pair g/q times coprime
+integers (the columns of `line_det`, the rows of h_{N,s});
 `_product_box` is a tower product's box, formed or contracted.
 `poly_det` is the cofactor determinant over any ring.
 """
@@ -816,28 +820,32 @@ def _division_plan(key, f, g, nz, need, precs):
 
 
 class Scaled:
-    """k * e: a rational scalar k times a tower element (or an int) e.
+    """(n/d) * e: a rational scalar, kept as the integers n and d > 0,
+    times a tower element (or an int) e.
 
     `residue_drive` hands every integrand its variables as Scaled
     elements, so an integrand is written over the rationals while its
-    towers stay on integer leaves and the Fractions collect in the
-    scalars.  A product multiplies the scalars.  A sum brings its terms
-    to the content of both scalars (`_content`), the largest rational
-    dividing them, which leaves them integer multipliers (fraction-free,
-    in the manner of Bareiss).  A quotient or an inverse pulls the
-    lex-leading leaf of the divisor's e, the one leaf the division
-    recurrence inverts, into the scalar, so the towers divide by a
-    unit: a factor c (1 + sum_m p_m eps^m) has integer p_m when the
-    variables are scaled as `eps_scale` chooses.  Where the leading
-    leaf does not divide e, e is divided by as it is and the quotient's
-    leaves become Fractions.
+    towers stay on integer leaves and the scalars stay integer pairs,
+    never reduced: a product multiplies numerators and denominators.  A
+    sum brings its terms to the content of both scalars, the largest
+    rational dividing them (one gcd), which leaves them integer
+    multipliers (fraction-free, in the manner of Bareiss).  A quotient
+    or an inverse pulls the lex-leading leaf of the divisor's e, the one
+    leaf the division recurrence inverts, into the scalar, so the
+    towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
+    integer p_m when the variables are scaled as `eps_scale` chooses.
+    Where the leading leaf does not divide e, e is divided by as it is
+    and the quotient's leaves become Fractions.  The scalar becomes a
+    Fraction once, with the residue (`iterated_residue`,
+    `residue_drive`).  A rational n is taken apart into the pair.
     """
 
-    __slots__ = ("k", "e")
+    __slots__ = ("n", "d", "e")
 
-    def __init__(self, k, e):
-        self.k = k
-        self.e = e
+    def __init__(self, n, e, d=1):
+        if n.__class__ is not int:
+            n, d = n.numerator, n.denominator * d
+        self.n, self.d, self.e = n, d, e
 
     @staticmethod
     def _coerce(v):
@@ -850,13 +858,14 @@ class Scaled:
         return NotImplemented
 
     def __repr__(self):
-        return f"Scaled({self.k!r}, {self.e!r})"
+        return f"Scaled({self.n!r}/{self.d!r}, {self.e!r})"
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return Scaled(self.k * other.k, _times(self.e, other.e))
+        return Scaled(self.n * other.n, _times(self.e, other.e),
+                      self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -864,17 +873,23 @@ class Scaled:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        if not other.k:
+        if not other.n:
             return self
-        if not self.k:
+        if not self.n:
             return other
-        k, (m1, m2) = _content((self.k, other.k))
-        return Scaled(k, _times(self.e, m1) + _times(other.e, m2))
+        d = self.d
+        if d == other.d:
+            x, y = self.n, other.n
+        else:
+            d = math.lcm(d, other.d)
+            x, y = self.n * (d // self.d), other.n * (d // other.d)
+        g = math.gcd(x, y)
+        return Scaled(g, _times(self.e, x // g) + _times(other.e, y // g), d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scaled(-self.k, self.e)
+        return Scaled(-self.n, self.e, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -891,9 +906,9 @@ class Scaled:
             return other
         if not isinstance(other.e, Series):
             return self * other.inverse()
-        c, u = other._unit()
+        cn, cd, u = other._unit()
         e = self.e if isinstance(self.e, Series) else u.ring.const(self.e)
-        return Scaled(self.k / Fraction(c), e / u)
+        return _scaled(self.n * cd, e / u, self.d * cn)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -904,29 +919,34 @@ class Scaled:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return Scaled(self.k ** n, self.e ** n)
+        return Scaled(self.n ** n, self.e ** n, self.d ** n)
 
     def inverse(self) -> "Scaled":
         e = self.e
         if not isinstance(e, Series):
-            if not (self.k and e):
+            if not (self.n and e):
                 raise ZeroDenominator("scalar division by zero")
-            return Scaled(1 / Fraction(self.k * e), 1)
-        c, u = self._unit()
-        return Scaled(1 / Fraction(c), u.inverse())
+            return Scaled(Fraction(self.d) / (self.n * e), 1)
+        cn, cd, u = self._unit()
+        return _scaled(cd, u.inverse(), cn)
 
     def _unit(self):
-        """(c, u) with self = c * u for a tower u: u is e with its
-        lex-leading leaf pulled into c when that leaf divides every leaf
-        of e (then u's leading leaf is 1), else e itself."""
-        if not self.k:
+        """(cn, cd, u) with self = (cn/cd) * u for a tower u: u is e with
+        its lex-leading leaf pulled into cn when that leaf divides every
+        leaf of e (then u's leading leaf is 1), else e itself."""
+        if not self.n:
             raise ZeroDenominator("inverse of the zero series")
         e = self.e
         lead = next((x for x in e.coeffs if x), None)
         unit = _divide_leaves(e, lead) if isinstance(lead, int) else None
         if unit is None:
-            return self.k, e
-        return self.k * lead, unit
+            return self.n, self.d, e
+        return self.n * lead, self.d, unit
+
+
+def _scaled(n, e, d):
+    """Scaled(n, e, d) with the sign of d moved into n."""
+    return Scaled(-n, e, -d) if d < 0 else Scaled(n, e, d)
 
 
 def _times(a, b):
@@ -952,7 +972,8 @@ def _divide_leaves(x, d):
 
 
 def eps_scale(*ratios) -> int:
-    """The least D with D q an integer for every q given: the lcm of the
+    """The least D with D q an integer for every ratio q = num/den
+    given as an integer pair (num, den): the lcm of the reduced
     denominators, as the lattice sweep scales its weights.
 
     A route passes the ratios, to its constant term, of the linear
@@ -961,7 +982,7 @@ def eps_scale(*ratios) -> int:
     times 1 + (integer polynomial in the eps's) (a coefficient of
     degree m carries D^m), and its inverse stays on integer leaves.
     """
-    return math.lcm(1, *(as_fraction(q).denominator for q in ratios))
+    return math.lcm(1, *(abs(d) // math.gcd(n, d) for n, d in ratios))
 
 
 def build_tower(varspecs):
@@ -984,7 +1005,8 @@ def iterated_residue(integrand, order_bounds=None):
     A's box against B's reversed (reversing the flat list reverses every
     level), and the product is never built.  Either may be `Scaled`; the
     scalars multiply the result, an int result is returned as a
-    Fraction, and a single element is the pair (elem, 1).
+    Fraction, and a single element is the pair (elem, 1).  `_residue`
+    gives the same value as a numerator and an integer denominator.
 
     `order_bounds` optionally gives the pole-order bound per level.
     Each level raises what `Series.residue(bound)` on the formed product
@@ -992,19 +1014,25 @@ def iterated_residue(integrand, order_bounds=None):
     bound, PrecisionLoss for one only not known to vanish or when
     x^(-1) lies past the product's window.
     """
+    return _exact(*_residue(integrand, order_bounds))
+
+
+def _residue(integrand, order_bounds=None):
+    """`iterated_residue` as (v, d): the residue of the towers times the
+    numerators of the scalars, and the product of their denominators."""
     a, b = integrand if isinstance(integrand, tuple) else (integrand, 1)
-    k = 1
+    n = d = 1
     if isinstance(a, Scaled):
-        k, a = a.k, a.e
+        n, d, a = a.n, a.d, a.e
     if isinstance(b, Scaled):
-        k, b = k * b.k, b.e
+        n, d, b = n * b.n, d * b.d, b.e
     if not isinstance(a, Series):
         if not isinstance(b, Series):
-            return _exact(k * a * b)
+            return n * a * b, d
         a = b.ring.const(a)
     elif not isinstance(b, Series):
         b = a.ring.const(b)
-    return _exact(k * _contract(a, b, list(order_bounds or ())))
+    return n * _contract(a, b, list(order_bounds or ())), d
 
 
 def _walk(x, bounds):
@@ -1049,12 +1077,15 @@ def _contract(a, b, bounds):
     return sum(map(mul, ax, reversed(bx)))
 
 
-def _exact(v):
-    """An int residue as the Fraction every exact route returns."""
-    return Fraction(v) if isinstance(v, int) else v
+def _exact(v, d=1):
+    """v / d as the Fraction every exact route returns, for an int v (a
+    Fraction or complex v is divided as it is)."""
+    if isinstance(v, int):
+        return Fraction(v, d)
+    return v / d if d != 1 else v
 
 
-def residue_drive(specs, build, scale=1):
+def residue_drive(specs, build, scale=1, pref=(1, 1)):
     """Adaptive iterated-residue evaluation.
 
     specs: one (center, order_bound) pair per variable, first entry
@@ -1065,7 +1096,8 @@ def residue_drive(specs, build, scale=1):
     contracted by `iterated_residue` without forming A*B; the residue in
     z is `scale` times that in eps, once per variable.  A route picks
     `scale` with `eps_scale` so that every factor it inverts is a unit
-    on the integer-leaf tower.
+    on the integer-leaf tower.  `pref`, an integer pair (num, den),
+    multiplies the result, which is made a Fraction once, at the end.
 
     The first tower opens each level's window at its order bound b (at
     least 2).  A pairing past a window, or a below-bound coefficient not
@@ -1081,10 +1113,11 @@ def residue_drive(specs, build, scale=1):
         shifted = [Scaled(scale, atoms[nm]) + c
                    for nm, (c, _) in zip(names, specs)]
         try:
-            return scale ** len(specs) * iterated_residue(
-                build(shifted, ring), order_bounds=bounds)
+            v, d = _residue(build(shifted, ring), bounds)
         except PrecisionLoss:
             precs = [2 * p for p in precs]
+            continue
+        return _exact(pref[0] * scale ** len(specs) * v, pref[1] * d)
     raise PrecisionLoss(f"residue_drive did not stabilize at precs={precs}")
 
 
@@ -1165,50 +1198,53 @@ def _ppowers(p, n):
 
 
 def _tower_point(p):
-    """Read a point of a separable determinant: (ring, level, poly) with
-    p = poly(eps) for eps the variable of level `level` of the tower
-    `ring`, poly an exact univariate Laurent polynomial with rational
-    coefficients; (None, None, (0, [p])) for a number.  Takes numbers,
-    Series and `Scaled` elements; raises TypeError for a tower element
-    that is not an exact polynomial in one variable."""
-    k, e = (p.k, p.e) if isinstance(p, Scaled) else (1, p)
+    """Read a point of a separable determinant: (ring, level, poly, den)
+    with p = poly(eps) / den for eps the variable of level `level` of
+    the tower `ring`, poly an exact univariate Laurent polynomial (with
+    integer coefficients on integer leaves: the numerator of a `Scaled`
+    scalar goes into them, its denominator is den); (None, None, (0,
+    [p]), 1) for a number.  Takes numbers, Series and `Scaled` elements;
+    raises TypeError for a tower element that is not an exact
+    polynomial in one variable."""
+    n, d, e = (p.n, p.d, p.e) if isinstance(p, Scaled) else (1, 1, p)
     if not isinstance(e, Series):
-        return None, None, (0, [k * e])
+        return None, None, (0, [_exact(n * e, d) if d != 1 else n * e]), 1
     if any(x != INF for x in e.err):
         raise TypeError("not an exact polynomial in one tower variable")
-    spread = [j for j, (l, n) in enumerate(zip(e.lo, e.shape)) if l or n > 1]
+    spread = [j for j, (l, m) in enumerate(zip(e.lo, e.shape)) if l or m > 1]
     if not e.coeffs or not spread:
-        return None, None, (0, [k * e.coeffs[0] if e.coeffs else 0])
+        c = n * e.coeffs[0] if e.coeffs else 0
+        return None, None, (0, [_exact(c, d) if d != 1 else c]), 1
     if len(spread) > 1:
         raise TypeError("not an exact polynomial in one tower variable")
     j = spread[0]
-    return e.ring, j, (e.lo[j], [k * c for c in e.coeffs])
+    return e.ring, j, (e.lo[j], [n * c for c in e.coeffs]), d
 
 
 def _content(values):
-    """(k, ints) with values = k * ints for rational values, the ints
-    coprime integers and k > 0; k = 1 when every value is 0."""
-    g, q = 0, 1
-    for v in values:
-        if v:
-            g = math.gcd(g, v.numerator)
-            q = math.lcm(q, v.denominator)
+    """((g, q), ints) with values = (g/q) * ints for rational values, the
+    ints coprime integers and g, q > 0 coprime; ((1, 1), zeros) when
+    every value is 0.  Integer values take one gcd."""
+    q = math.lcm(*(v.denominator for v in values))
+    ns = [v.numerator * (q // v.denominator) for v in values] if q != 1 \
+        else [v.numerator for v in values]
+    g = math.gcd(*ns)
     if not g:
-        return 1, [0] * len(values)
-    return (Fraction(g, q) if q != 1 else g,
-            [v.numerator * (q // v.denominator) // g for v in values])
+        return (1, 1), ns
+    return (g, q), [v // g for v in ns] if g != 1 else ns
 
 
 class Line:
     """One column of a separable determinant: entry i is
-    k * sum_m rows[i][m] eps^(lo + m) + O(eps^err), eps the variable of
-    level `level` of the tower `top`; the rows are integer lists of one
-    length."""
+    (kn/kd) * sum_m rows[i][m] eps^(lo + m) + O(eps^err), eps the
+    variable of level `level` of the tower `top`; the rows are integer
+    lists of one length, the content an integer pair (kn, kd), never
+    reduced."""
 
-    __slots__ = ("k", "top", "level", "lo", "rows", "err")
+    __slots__ = ("kn", "kd", "top", "level", "lo", "rows", "err")
 
-    def __init__(self, k, top, level, lo, rows, err):
-        self.k, self.top, self.level = k, top, level
+    def __init__(self, kn, kd, top, level, lo, rows, err):
+        self.kn, self.kd, self.top, self.level = kn, kd, top, level
         self.lo, self.rows, self.err = lo, rows, err
 
     def moved(self, top, level):
@@ -1220,20 +1256,21 @@ class Line:
         if top is self.top and level == self.level:
             return self
         w = top.precs[level]
-        k, rows, err = self.k, self.rows, self.err
+        kn, rows, err = self.kn, self.rows, self.err
         if err != INF or any(any(row[w:]) for row in rows):
             err = self.lo + w
         if rows and len(rows[0]) > w:
-            kr, flat = _content([c for row in rows for c in row[:w]])
+            (g, _), flat = _content([c for row in rows for c in row[:w]])
             rows = [flat[i * w:(i + 1) * w] for i in range(len(rows))]
-            k = k * kr
-        return Line(k, top, level, self.lo, rows, err)
+            kn *= g
+        return Line(kn, self.kd, top, level, self.lo, rows, err)
 
 
-def _point_line(point, polys, k=1, div=None):
-    """The line of entries k * polys[i] / div[0]^div[1] at a point read
-    by `_tower_point`: a `Line` cut to its level's window, or at a
-    number point the numbers k * polys[i], constant polynomials there.
+def _point_line(point, polys, k=1, div=None, kd=1):
+    """The line of entries (k/kd) * polys[i] / div[0]^div[1] at a point
+    read by `_tower_point` (its ring and level): a `Line` cut to its
+    level's window, or at a number point the numbers (k/kd) * polys[i],
+    constant polynomials there.
 
     polys are exact univariate Laurent polynomials in the point's eps,
     div an optional (integer polynomial, power) pair, taken at tower
@@ -1242,11 +1279,12 @@ def _point_line(point, polys, k=1, div=None):
     exact (err = inf) when that cuts nothing and no divisor leaves a
     series.  A divisor with one term is a shift; any other is inverted
     as a power series in integer arithmetic (q_j scaled by u_0^(j+1)),
-    so the window is always finite there.  The rational content goes
-    into the line's k.
+    so the window is always finite there.  The content of the rows and
+    the divisor's leading powers go into the line's integer pair.
     """
-    top, level, _ = point
+    top, level = point[0], point[1]
     if top is None:
+        k = _exact(k, kd) if kd != 1 else k
         return [k * (p[1][0] if p[1] else 0) for p in polys]
     d = None
     if div is not None and div[1]:
@@ -1255,12 +1293,12 @@ def _point_line(point, polys, k=1, div=None):
         dlo, d = dlo + j, d[j:]
         polys = [(lo - dlo * power, cs) for lo, cs in polys]
         if len(d) == 1:
-            k = k / Fraction(d[0]) ** power
+            kd *= d[0] ** power
             d = None
     lows = [lo + next(i for i, c in enumerate(cs) if c)
             for lo, cs in polys if any(cs)]
     if not lows:
-        return Line(1, top, level, 0, [[] for _ in polys], INF)
+        return Line(1, 1, top, level, 0, [[] for _ in polys], INF)
     lo = min(lows)
     w = top.precs[level]
     cut = lo + w
@@ -1279,7 +1317,7 @@ def _point_line(point, polys, k=1, div=None):
             inv.append(-sum(u[i] * u[0] ** (i - 1) * inv[m - i]
                             for i in range(1, min(m + 1, len(u)))))
         inv = [c * u[0] ** (w - 1 - m) for m, c in enumerate(inv)]
-        k = k / Fraction(u[0]) ** w
+        kd *= u[0] ** w
         polys = [_pmul(p, (0, inv), cut) for p in polys]
         err = cut
     width = min(cut, max(l + len(cs) for l, cs in polys)) - lo
@@ -1290,9 +1328,9 @@ def _point_line(point, polys, k=1, div=None):
             if c and lo <= l + m < cut:
                 row[l + m - lo] = c
         rows.append(row)
-    kr, flat = _content([c for row in rows for c in row])
+    (g, q), flat = _content([c for row in rows for c in row])
     rows = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
-    return Line(k * kr, top, level, lo, rows, err)
+    return Line(k * g, kd * q, top, level, lo, rows, err)
 
 
 def _lincomb(terms, size):
@@ -1322,8 +1360,8 @@ def line_det(lines):
     number column is a column of width one, a list of rationals whose
     content `_content` moves into the scalar.  So the only tower
     operations are integer times list and list plus list, and the
-    contents form the `Scaled` scalar.  Returns a `Scaled` element, or a
-    Fraction when every line is numbers.
+    contents form the `Scaled` scalar, an integer pair.  Returns a
+    `Scaled` element, or a Fraction when every line is numbers.
     """
     s = len(lines)
     tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
@@ -1337,14 +1375,14 @@ def line_det(lines):
         raise ValueError("lines must lie on distinct levels of one tower")
     if any(not c.rows[0] for c in lines[:m]):
         return Scaled(1, top.zero())
-    k, cols = _perm_sign(order), []
+    kn, kd, cols = _perm_sign(order), 1, []
     for c in lines:
         if isinstance(c, Line):
-            k *= c.k
+            kn, kd = kn * c.kn, kd * c.kd
             cols.append(c.rows)
             continue
-        kc, c = _content(c)
-        k *= kc
+        (g, q), c = _content(c)
+        kn, kd = kn * g, kd * q
         cols.append([[x] for x in c])
     sizes = [1] * (s + 1)
     for j in range(s - 1, -1, -1):
@@ -1372,9 +1410,10 @@ def line_det(lines):
 
     flat = minor(0, (1 << s) - 1)
     if not m:
-        return _exact(k * flat[0])
+        return _exact(kn * flat[0], kd)
     L = len(top.precs)
     lo, shape, err = [0] * L, [1] * L, [INF] * L
     for c in lines[:m]:
         lo[c.level], shape[c.level], err[c.level] = c.lo, len(c.rows[0]), c.err
-    return Scaled(k, _trim(top, tuple(lo), tuple(shape), flat, tuple(err)))
+    return _scaled(kn, _trim(top, tuple(lo), tuple(shape), flat, tuple(err)),
+                   kd)

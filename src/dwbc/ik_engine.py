@@ -11,10 +11,14 @@ one-point boundary correlation, with Z_M, in `BoundaryGenFamily`: the
 one per-triple context of every exact route, memoized by `family`.  It
 keeps the integers of one frozen-column sweep
 (`lattice_oracle._frozen_cuts`) at the largest size a route states,
-makes Fractions of Z_M and h_M only where they are read, and computes
-t, Delta and the pole-collision check once.  The family also holds the
-multivariate extension h_{N,s}(z_1..z_s), a symmetric polynomial of
-degree N-1 per variable defined by a Vandermonde-divided determinant.
+hands the routes Z_M as the sweep's integer pair (`z_pair`), makes
+Fractions of Z_M and h_M only where they are read, and computes the
+weights' integers (`TripleInts`: t, Delta and the Moebius maps of the
+composed h arguments in integers) and the pole-collision check once.
+It is memoized under the integers of its weights, not their Fraction
+hashes.  The family also holds the multivariate extension
+h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
+defined by a Vandermonde-divided determinant.
 Three forms are provided.  The determinant form `hns_vand` returns
 h_{N,s}(M(z)) times the Vandermonde of the z's, for a Moebius map M of
 the arguments: the Vandermonde cancels, so it needs no division, takes
@@ -24,17 +28,17 @@ in.  Each column of its determinant depends on one point, so
 `exact_core.line_det` builds it one column at a time: at a tower
 point, a Laurent polynomial in one tower variable eps, the column's
 entries are expanded in that eps by integer polynomial arithmetic (the
-rows, built from the sweep's integers, and their rational contents are
-cached per (N, s), and the map's numerator and denominator are brought
-to integer content), cut to the level's window, and the determinant is
-assembled level by level without a tower product; points that share a
-polynomial share one column, made at the widest of their windows and
-cut to the others.  `hns_value` divides it by the Vandermonde at
-pairwise distinct points.  `hns_poly` divides the Vandermonde out
-symbolically by divided differences into a sparse `MultiPoly`; no
-residue integrand and no identity check uses it.  It is kept for the
-tests, as a reference, and for the benchmark tracer, which binds it by
-name.
+rows, built from the sweep's integers, and their contents, an integer
+pair, are cached per (N, s), and the map's numerator and denominator
+are brought to integer content), cut to the level's window, and the
+determinant is assembled level by level without a tower product;
+points that share a polynomial share one column, made at the widest of
+their windows and cut to the others.  `hns_value` divides it by the
+Vandermonde at pairwise distinct points.  `hns_poly` divides the
+Vandermonde out symbolically by divided differences into a sparse
+`MultiPoly`; no residue integrand and no identity check uses it.  It is
+kept for the tests, as a reference, and for the benchmark tracer, which
+binds it by name.
 
 Also here, being determinant-algebra of the same kind: the
 doubly-antisymmetrized kernel W_s(x; y) and its polynomial numerator
@@ -58,14 +62,15 @@ nothing from `bethe_reps`.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (_content, _horner, _padd, _plin, _pmul, _point_line,
-                         _ppowers, _tower_point, _trimmed, line_det,
-                         poly_det)
+from .exact_core import (Scaled, _content, _horner, _padd, _plin, _pmul,
+                         _point_line, _ppowers, _scaled, _tower_point,
+                         _trimmed, line_det, poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
@@ -194,6 +199,44 @@ def complete_homogeneous(nvars: int, upto_var: int, k: int) -> MultiPoly:
 # boundary generating polynomials h_M and their multivariate extension
 # ---------------------------------------------------------------------------
 
+class TripleInts:
+    """The weights (a, b, c) = g (A, B, C) of a family in integers: A, B
+    and C coprime, g = gn/gd, and what the residue integrands take of
+    them.  With E = A^2 + B^2 - C^2, as (numerator, denominator) pairs
+    for `eps_scale`:
+
+        t = B/A, 2 Delta = E/(AB), 2 Delta t = E/A^2,
+        tt = t^2 - 2 Delta t = (C^2 - A^2)/A^2,
+        at_one = ((kappa - 1)/kappa, t^2/kappa), the ratios of the pair
+            factor's coefficients to its constant term kappa = t^2 -
+            2 Delta t + 1 = C^2/A^2 at z = 1;
+
+    and the Moebius maps of the composed h arguments with integer
+    coefficients, each the map of the rational coefficients times A or
+    A^2, which changes neither the map nor `hns_vand`: u(z) = -(z -
+    1)/(tt z + 1), w(z) = (t^2 z - 2 Delta t + 1)/(t^2 (z - 1)),
+    warg(w) = ((2 Delta t - 1) w - t)/(t (t w - 1)), z/t and 1/(t z).
+    A route writes each factor of its integrand with integer
+    coefficients, the factor times a power of A or of AB, and puts that
+    power into its prefactor."""
+
+    __slots__ = ("A", "B", "C", "gn", "gd", "E", "t", "two_delta", "two_dt",
+                 "tt", "at_one", "u_map", "w_map", "warg_map", "over_t",
+                 "inv_tz")
+
+    def __init__(self, w):
+        (self.gn, self.gd), (A, B, C) = _content((w.a, w.b, w.c))
+        E = A * A + B * B - C * C
+        self.A, self.B, self.C, self.E = A, B, C, E
+        self.t, self.two_delta, self.two_dt = (B, A), (E, A * B), (E, A * A)
+        self.tt = C * C - A * A, A * A
+        self.at_one = (C * C - A * A, C * C), (B * B, C * C)
+        self.u_map = (-A * A, A * A, C * C - A * A, A * A)
+        self.w_map = (B * B, C * C - B * B, B * B, -B * B)
+        self.warg_map = (B * B - C * C, -A * B, B * B, -A * B)
+        self.over_t, self.inv_tz = (A, 0, 0, B), (0, A, B, 0)
+
+
 class BoundaryGenFamily:
     """The per-triple context of the exact routes at a fixed WeightTriple:
     Z_M, h_M(z) (an ExactPoly, h_M(1) = 1) for M = 0..N, the rows of the
@@ -233,27 +276,31 @@ class BoundaryGenFamily:
         return poly
 
     def z(self, M: int):
-        """Z_M, cached like h(M): the routes' prefactors take it here."""
+        """Z_M, cached like h(M)."""
         z = self._z.get(M)
         if z is None:
-            self.sweep(M)
-            num, den, _ = self._cuts[M]
-            z = self._z[M] = Fraction(num, den)
+            z = self._z[M] = Fraction(*self.z_pair(M))
         return z
+
+    def z_pair(self, M: int):
+        """Z_M as the integer pair (cut value, denominator) of the sweep,
+        unreduced: the routes' prefactors take it here."""
+        self.sweep(M)
+        return self._cuts[M][:2]
 
     def h_coeffs(self, M: int):
         return list(self.h(M).coeffs)
 
     def pole_guard(self):
-        """(t, Delta) for the residue integrands of bethe_reps and
-        efp_reps, whose pair factors p z_j z_k - q z_j + 1
-        (`_pair_quotient`) need t^2 - 2 Delta t + 1 = c^2/a^2 nonzero;
-        PoleCollision where it vanishes."""
+        """The `TripleInts` of the weights, for the residue integrands of
+        bethe_reps and efp_reps, whose pair factors (`_pair_quotient`)
+        need t^2 - 2 Delta t + 1 = c^2/a^2 nonzero; PoleCollision where
+        it vanishes."""
         if self._guard is None:
-            t, delta = self.w.t(), self.w.delta()
-            if t * t - 2 * delta * t + 1 == 0:
+            guard = TripleInts(self.w)
+            if not guard.C:
                 raise PoleCollision("t^2 - 2*Delta*t + 1 = 0 (equals c^2/a^2)")
-            self._guard = t, delta
+            self._guard = guard
         return self._guard
 
     # -- determinant form ----------------------------------------------
@@ -287,7 +334,9 @@ class BoundaryGenFamily:
         level (`_point_lines`).
         `exact_core.line_det` assembles the determinant level by level
         with integer times tower and tower plus tower only, and the
-        contents form its `Scaled` scalar.  A
+        contents form its `Scaled` scalar, an integer pair.  An integer
+        map (`TripleInts`) keeps every content an integer; a map and any
+        nonzero multiple of it give the same value.  A
         window too short for the residue shows up as a PrecisionLoss,
         so `residue_drive` retries on wider towers; it never gives a
         wrong value.
@@ -299,11 +348,15 @@ class BoundaryGenFamily:
         det_m = al * de - be * ga
         if det_m == 0:
             raise ValueError("degenerate Moebius map")
-        rho, rows = self._hns_rows(N, s)
+        (rn, rd), rows = self._hns_rows(N, s)
         points = [_tower_point(z) for z in zs]
         lines = _point_lines(points, lambda i: _hns_line(N, s, rows, points[i],
                                                          mobius))
-        return line_det(lines) * (rho / det_m ** (s * (s - 1) // 2))
+        det = line_det(lines)
+        rd *= det_m ** (s * (s - 1) // 2)
+        if isinstance(det, Scaled):
+            return _scaled(det.n * rn, det.e, det.d * rd)
+        return det * rn / rd
 
     def hns_value(self, N: int, s: int, points):
         """h_{N,s}(z_1..z_s) at pairwise distinct points."""
@@ -352,20 +405,20 @@ class BoundaryGenFamily:
         return cache[key]
 
     def _hns_rows(self, N, s):
-        """(rho, rows): the coefficient lists of g_1..g_s, each over its
-        rational content, integers whose contents multiply to rho; cached
-        per (N, s).  g_i is built on the integer psi list of h_M, which
-        is h_M times the psi sum."""
+        """((rn, rd), rows): the coefficient lists of g_1..g_s, each over
+        its rational content, integers whose contents multiply to rn/rd,
+        an unreduced integer pair; cached per (N, s).  g_i is built on
+        the integer psi list of h_M, which is h_M times the psi sum."""
         key = (N, s)
         if key not in self._rows:
             self.sweep(N)  # g_1..g_s take h_(N-s+1)..h_N: one sweep for all
-            rho, rows = Fraction(1), []
+            rn, rd, rows = 1, 1, []
             for i in range(1, s + 1):
                 psi = self._cuts[N - s + i][2]
-                k, cs = _content(_g_row(psi, s, i))
-                rho *= Fraction(k, sum(psi))
+                (k, _), cs = _content(_g_row(psi, s, i))
+                rn, rd = rn * k, rd * sum(psi)
                 rows.append(cs)
-            self._rows[key] = rho, rows
+            self._rows[key] = (rn, rd), rows
         return self._rows[key]
 
     def _row_coeffs(self, N, s, i):
@@ -388,24 +441,29 @@ def _hns_line(N, s, rows, point, mobius):
     """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
     `exact_core._tower_point`, for the rows g_i over their contents."""
     al, be, ga, de = mobius
-    top, _, poly = point
+    top, _, poly, pd = point
     if top is None:
         z = poly[1][0]
         den = ga * z + de
         x = (al * z + be) / den
         return [_horner(cs, x) * den ** (s - 1) for cs in rows]
-    # num = kn eps^lo n and den = kd eps^lo d for integer lists n, d; with
-    # kn/kd = p/q, num^m den^(D-m) = kd^D q^-D eps^(lo D) (p n)^m (q d)^(D-m)
+    # the point is poly/pd; num = (kn/pd) eps^lo n and den = (kd/pd) eps^lo
+    # d for integer lists n, d and rationals kn = gn/qn, kd = gd/qd; with
+    # kn/kd = p/q, num^m den^(D-m) = (kd/pd)^D q^-D eps^(lo D) (p n)^m
+    # (q d)^(D-m)
     D = N + s - 2
     lo = min(poly[0], 0)
-    kn, n = _content(_trimmed(_plin(al, be, poly)[1]))
+    (gn, qn), n = _content(_trimmed(_plin(al, be * pd, poly)[1]))
     if ga:
-        kd, d = _content(_trimmed(_plin(ga, de, poly)[1]))
+        (gd, qd), d = _content(_trimmed(_plin(ga, de * pd, poly)[1]))
     else:
-        kd, d = de, [0] * -lo + [1]
-    r = Fraction(kn) / kd
-    xs = _ppowers((0, [r.numerator * c for c in n]), D)
-    ys = _ppowers((0, [r.denominator * c for c in d]), D)
+        x = de * pd
+        gd, qd, d = x.numerator, x.denominator, [0] * -lo + [1]
+    p, q = gn * qd, qn * gd
+    h = math.gcd(p, q) * (-1 if q < 0 else 1)
+    p, q = p // h, q // h
+    xs = _ppowers((0, [p * c for c in n]), D)
+    ys = _ppowers((0, [q * c for c in d]), D)
     basis = [_pmul(xs[m], ys[D - m])[1] for m in range(D + 1)]
     polys = []
     for cs in rows:
@@ -415,8 +473,8 @@ def _hns_line(N, s, rows, point, mobius):
                 for j, v in enumerate(b):
                     acc[j] += c * v
         polys.append((lo * D, acc))
-    return _point_line(point, polys, kd ** (s - 1) / Fraction(r.denominator) ** D,
-                       ((lo, d), N - 1))
+    return _point_line(point, polys, gd ** (s - 1), ((lo, d), N - 1),
+                       (qd * pd) ** (s - 1) * q ** D)
 
 
 def _point_lines(points, make):
@@ -424,14 +482,15 @@ def _point_lines(points, make):
     `exact_core._tower_point`, one line made per polynomial: at the
     point with the widest window among those that share it, then moved
     and cut to each point's own level (`Line.moved`)."""
-    keys = [(top is None, lo, tuple(cs)) for top, _, (lo, cs) in points]
+    keys = [(top is None, lo, tuple(cs), den)
+            for top, _, (lo, cs), den in points]
     widest = {}
-    for i, (key, (top, level, _)) in enumerate(zip(keys, points)):
+    for i, (key, (top, level, _, _)) in enumerate(zip(keys, points)):
         w = top.precs[level] if top is not None else 0
         if key not in widest or w > widest[key][0]:
             widest[key] = w, i
     made, out = {}, []
-    for key, (top, level, _) in zip(keys, points):
+    for key, (top, level, _, _) in zip(keys, points):
         line = made.get(key)
         if line is None:
             line = made[key] = make(widest[key][1])
@@ -439,23 +498,57 @@ def _point_lines(points, make):
     return out
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+# the memo of `family`: the numerators and denominators of (a, b, c) to
+# their family, least recently used first
+_FAMILIES = {}
+CacheInfo = namedtuple("CacheInfo", "maxsize currsize")
+
+
 def family(w: WeightTriple) -> BoundaryGenFamily:
-    """Memoized family per WeightTriple (hashed by value), least
-    recently used first out past CACHE_SIZE triples."""
-    return BoundaryGenFamily(w)
+    """Memoized family per WeightTriple, keyed by the integers of its
+    weights (a Fraction's hash takes a modular inverse), least recently
+    used first out past CACHE_SIZE triples.  `family.cache_info()` and
+    `family.cache_clear()` read and empty the memo."""
+    a, b, c = w.a, w.b, w.c
+    key = (a.numerator, a.denominator, b.numerator, b.denominator,
+           c.numerator, c.denominator)
+    fam = _FAMILIES.pop(key, None)
+    if fam is None:
+        fam = BoundaryGenFamily(w)
+        if len(_FAMILIES) >= CACHE_SIZE:
+            del _FAMILIES[next(iter(_FAMILIES))]
+    _FAMILIES[key] = fam
+    return fam
 
 
-def _pair_quotient(f, zs, p, q, ordered=False):
-    """f / prod (p z_j z_k - q z_j + 1) over the pairs j < k, or over
+family.cache_info = lambda: CacheInfo(CACHE_SIZE, len(_FAMILIES))
+family.cache_clear = _FAMILIES.clear
+
+
+def _pref(num, den, *powers):
+    """The integer pair (num, den) times prod base^e over the (base, e)
+    pairs, e of either sign: a route's prefactor as one numerator and
+    one denominator."""
+    for base, e in powers:
+        if e > 0:
+            num *= base ** e
+        elif e < 0:
+            den *= base ** -e
+    return num, den
+
+
+def _pair_quotient(f, zs, p, q, r=1, ordered=False):
+    """f / prod (p z_j z_k - q z_j + r) over the pairs j < k, or over
     all j != k when `ordered`.  Each pair factor divides f in turn: on
     a tower that costs size(f) * terms(factor), where dividing by their
-    product would first expand it densely."""
+    product would first expand it densely.  The routes pass integers,
+    the pair factor times the denominator they collect in their
+    prefactors (`TripleInts`)."""
     n = len(zs)
     for j in range(n):
         for k in range(n):
             if k > j or (ordered and k != j):
-                f = f / (p * zs[j] * zs[k] - q * zs[j] + 1)
+                f = f / (p * zs[j] * zs[k] - q * zs[j] + r)
     return f
 
 
@@ -522,7 +615,7 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
                 cs = _pmul(cs, (0, quads[kp]))
         coeffs.append(cs[1])
     points = [_tower_point(x) for x in xs]
-    powers = [_ppowers(p[2], 2 * s - 2) for p in points]
+    powers = [_ppowers(_point_poly(p), 2 * s - 2) for p in points]
     terms = [line_det(_point_lines(points, lambda i: _point_line(
                  points[i], [powers[i][m] for m in S])))
              * (yfactor * poly_det([[cs[m] for cs in coeffs] for m in S]))
@@ -541,17 +634,24 @@ def cantini_P_confluent(xs, c, delta):
     1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  Row j
     depends on x_j alone: at tower points it is expanded in x_j's tower
     variable and the determinant built by `exact_core.line_det`, a
-    `Scaled` element on integer leaves.
+    `Scaled` element on integer leaves.  Each term is a product of 2s - 2
+    linear factors in x_j, x_j itself counted: each times q, the lcm of
+    their coefficients' denominators times the point's, is an integer
+    polynomial, and the line takes q^-(2s-2).
     """
     s = len(xs)
+    dd, dc = 2 * delta, 2 * delta * c
+    Q = math.lcm(dd.denominator, c.denominator, dc.denominator)
+    dq, cq, bq = ((v * Q).numerator for v in (dd, c, 1 - dc))
     lines = []
     for x in xs:
         point = _tower_point(x)
-        p = point[2]
-        xp = _ppowers(p, s - 1)
-        dp = _ppowers(_plin(2 * delta, -1, p), s - 1)
-        ap = _ppowers(_plin(-c, 1, p), s - 1)
-        bp = _ppowers(_plin(1 - 2 * delta * c, c, p), s - 1)
+        (lo, cs), den = point[2], point[3]
+        p = (lo, cs)
+        xp = _ppowers((lo, [Q * v for v in cs]), s - 1)
+        dp = _ppowers(_plin(dq, -Q * den, p), s - 1)
+        ap = _ppowers(_plin(-cq, Q * den, p), s - 1)
+        bp = _ppowers(_plin(bq, cq * den, p), s - 1)
         polys = []
         for m in range(s):
             acc = (0, [])
@@ -559,5 +659,13 @@ def cantini_P_confluent(xs, c, delta):
                 acc = _padd(acc, _pmul(_pmul(xp[i], dp[m - i]),
                                        _pmul(ap[s - 1 - i], bp[s - 1 - m + i])))
             polys.append(acc)
-        lines.append(_point_line(point, polys))
+        lines.append(_point_line(point, polys, 1, None,
+                                 (Q * den) ** (2 * s - 2)))
     return line_det(lines)
+
+
+def _point_poly(point):
+    """The polynomial of a point read by `exact_core._tower_point`, its
+    denominator divided in."""
+    (lo, cs), den = point[2], point[3]
+    return (lo, cs) if den == 1 else (lo, [Fraction(c, den) for c in cs])

@@ -1,17 +1,20 @@
+import fractions
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwbc import bethe_reps, efp_reps, exact_core, lattice_oracle
 from dwbc.bethe_reps import (
     psi_bot_mir,
     psi_bot_mir_dual,
+    psi_dual_mirs,
     psi_top_mir_coordinate,
     psi_top_mir_dual,
     psi_top_mir_new,
@@ -334,9 +337,20 @@ class TestIntegerLeaves:
     """Every exact residue route runs on integer leaves, inverting only
     units, and equals the lattice oracle bit for bit."""
 
-    # derandomized: the same 25 draws each run keep the test's cost fixed
+    # derandomized: the same 25 draws each run keep the test's cost fixed;
+    # the examples are the points the draws reach only by chance: Delta =
+    # 1, -1 and 0, the ice point, and triples with a common factor or
+    # with large parts, where (a, b, c) = g (A, B, C) divides out most
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=_route_cases())
+    @example(case=(WeightTriple(3, 1, 2), RowConfig(5, (1, 3, 4)), 4))
+    @example(case=(WeightTriple(1, 1, 2), RowConfig(4, (2, 3)), 3))
+    @example(case=(WeightTriple(3, 4, 5), RowConfig(5, (2, 5)), 5))
+    @example(case=(ICE_POINT, RowConfig(5, (1, 2, 4, 5)), 5))
+    @example(case=(WeightTriple(Fraction(300, 7), Fraction(400, 7),
+                                Fraction(500, 7)), RowConfig(5, (1, 4)), 4))
+    @example(case=(WeightTriple(Fraction(1000003, 2), Fraction(999983, 3), 7),
+                   RowConfig(4, (1, 2, 4)), 4))
     def test_routes_on_random_rational_weights(self, case):
         w, cfg, r = case
         top, bot = psi_top(cfg, w), psi_bot(cfg, w)
@@ -353,6 +367,35 @@ class TestIntegerLeaves:
             assert efp_mir_s(q, w, "efpMIR2") == want
             assert efp_mir_n(q, w) == want
 
+    def test_routes_are_homogeneous(self):
+        # at lam (a, b, c) every vertex weight scales by lam: psi_top of
+        # the N x s lattice by lam^(N s), psi_bot by lam^(N (N - s)), and
+        # the probability F not at all, bit for bit
+        rng = random.Random(26)
+        for _ in range(10):
+            w = WeightTriple(*(Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                               for _ in range(3)))
+            lam = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            wl = WeightTriple(lam * w.a, lam * w.b, lam * w.c)
+            n = rng.randint(2, 5)
+            cfg = RowConfig(n, tuple(sorted(rng.sample(range(1, n + 1),
+                                                       rng.randint(1, n)))))
+            s = cfg.s
+            top, bot = lam ** (n * s), lam ** (n * (n - s))
+            for route in (psi_top_mir_new, psi_top_mir_coordinate,
+                          psi_top_mir_dual):
+                assert route(cfg, wl) == top * route(cfg, w)
+            assert psi_top_mir_origin(n, 0, cfg.positions, wl) \
+                == top * psi_top_mir_origin(n, 0, cfg.positions, w)
+            for route in (psi_bot_mir, psi_bot_mir_dual):
+                assert route(cfg, wl) == bot * route(cfg, w)
+            got, want = psi_dual_mirs(cfg, wl), psi_dual_mirs(cfg, w)
+            assert got == (top * want[0], bot * want[1])
+            q = EfpQuery(n, rng.randint(s, n), s)
+            for route in (lambda q, w: efp_mir_s(q, w, "efpMIR1"),
+                          lambda q, w: efp_mir_s(q, w, "efpMIR2"), efp_mir_n):
+                assert route(q, wl) == route(q, w)
+
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(a=_ratio, b=_ratio, c=_ratio)
     def test_trace(self, a, b, c):
@@ -362,6 +405,46 @@ class TestIntegerLeaves:
         with _strict_leaves():
             steps = efp_double_contour_trace(EfpQuery(3, 3, 2), w)
         assert {v for _, v in steps} == {efp_oracle(3, 3, 2, w)}
+
+
+class TestLayerOneCount:
+    """The residue routes do their scalar algebra in integers: a cold
+    route makes a Fraction for the value it returns and for little else
+    (the weights as the lattice sweep scales them)."""
+
+    def test_fractions_made_by_cold_routes(self):
+        w = WeightTriple(Fraction(3, 2), 2, Fraction(5, 3))
+        calls = []
+        for cfg in (RowConfig(5, (1, 3, 4)), RowConfig(6, (2, 5))):
+            for route in (psi_bot_mir, psi_top_mir_new, psi_top_mir_coordinate,
+                          psi_top_mir_dual, psi_bot_mir_dual, psi_dual_mirs):
+                calls.append(lambda f=route, cfg=cfg: f(cfg, w))
+            calls.append(lambda cfg=cfg: psi_top_mir_origin(
+                cfg.n, 0, cfg.positions, w))
+        for q in (EfpQuery(5, 4, 2), EfpQuery(6, 5, 2)):
+            calls += [lambda q=q: efp_mir_s(q, w, "efpMIR1"),
+                      lambda q=q: efp_mir_s(q, w, "efpMIR2"),
+                      lambda q=q: efp_mir_n(q, w)]
+        made = [0]
+
+        def count(frame, event, arg):
+            # a Fraction is made by __new__, or (Python 3.12 on) by
+            # _from_coprime_ints, which does not call it
+            code = frame.f_code
+            if event == "call" and code.co_filename == fractions.__file__ \
+                    and code.co_name in ("__new__", "_from_coprime_ints"):
+                made[0] += 1
+
+        family.cache_clear()
+        sys.setprofile(count)
+        try:
+            for call in calls:
+                call()
+        finally:
+            sys.setprofile(None)
+        # 34 on CPython 3.11 for these 20 calls (21 values); scalars as
+        # Fractions made 1842
+        assert made[0] <= 40
 
 
 @contextmanager

@@ -371,10 +371,11 @@ class TestExactLaurentArithmetic:
         x = ring.gen()
         # (1/3)(6 + 12x) = 2 (1 + 2x): the unit 1 + 2x is inverted on ints
         inv = Scaled(Fraction(1, 3), 6 + 12 * x).inverse()
-        assert inv.k == Fraction(1, 2) and inv.e.coeffs == [1, -2, 4, -8]
+        assert Fraction(inv.n, inv.d) == Fraction(1, 2)
+        assert inv.e.coeffs == [1, -2, 4, -8]
         # a sum brings its terms to the gcd of their scalars
         s = Scaled(Fraction(1, 2), x) + Scaled(Fraction(1, 3), ring.const(1))
-        assert s.k == Fraction(1, 6) and s.e.coeffs == [2, 3]
+        assert Fraction(s.n, s.d) == Fraction(1, 6) and s.e.coeffs == [2, 3]
         # 2 + 3x has no unit form on ints: inverted as it is
         inv = Scaled(1, 2 + 3 * x).inverse()
         assert inv.e.coeffs[0] == Fraction(1, 2)
@@ -584,7 +585,7 @@ class TestLineDet:
             return
         # the kernel knows fewer coefficients (each line is cut to its
         # level's window), and those it knows are the exact ones
-        assert _agree(got.e * got.k, want)
+        assert _agree(got.e * Fraction(got.n, got.d), want)
 
     def test_window(self):
         # prec coefficients past the line's valuation are kept; a line
@@ -593,8 +594,8 @@ class TestLineDet:
         cut = _point_line((ring, 1, None), [(0, [0, 1, 2, 3]), (0, [5])])
         assert (cut.lo, cut.rows, cut.err) == (0, [[0, 1], [5, 0]], 2)
         fits = _point_line((ring, 0, None), [(-1, [1, 0, 4]), (0, [2])], 3)
-        assert (fits.k, fits.rows, fits.err) == (3, [[1, 0, 4], [0, 2, 0]],
-                                                  math.inf)
+        assert (Fraction(fits.kn, fits.kd), fits.rows, fits.err) \
+            == (3, [[1, 0, 4], [0, 2, 0]], math.inf)
         # 1/(1 - x): a divisor with two terms leaves a series
         inv = _point_line((ring, 0, None), [(0, [1])], div=((0, [1, -1]), 1))
         assert (inv.rows, inv.err) == ([[1, 1, 1]], 3)
@@ -651,13 +652,14 @@ class TestUnivariateHelpers:
                     | st.fractions(min_value=-5, max_value=5,
                                    max_denominator=12), max_size=6))
     def test_content(self, values):
-        k, ints = exact_core._content(values)
-        assert all(type(n) is int for n in ints)
-        assert [k * n for n in ints] == values
+        (g, q), ints = exact_core._content(values)
+        assert all(type(n) is int for n in (g, q, *ints))
+        assert [Fraction(g, q) * n for n in ints] == values
         if any(values):
-            assert k > 0 and math.gcd(*ints) == 1
+            assert g > 0 and q > 0 and math.gcd(g, q) == 1
+            assert math.gcd(*ints) == 1
         else:
-            assert (k, ints) == (1, [0] * len(values))
+            assert (g, q, ints) == (1, 1, [0] * len(values))
 
 
 class TestPoly:

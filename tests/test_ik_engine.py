@@ -252,8 +252,8 @@ class TestBoundaryFamily:
                 want = want * (zs[k] - zs[j])
         got = fam.hns_vand(n, s, zs, mob)
         got, want = (v * ring.const(1) for v in (got, want))
-        assert _agree(*(v.e * v.k if isinstance(v, Scaled) else v
-                        for v in (got, want)))
+        assert _agree(*(v.e * Fraction(v.n, v.d) if isinstance(v, Scaled)
+                        else v for v in (got, want)))
 
     def test_integer_rows_are_the_fraction_rows(self):
         # the rows of hns_vand, built on the integer psi lists of the
@@ -267,14 +267,16 @@ class TestBoundaryFamily:
                 for s in range(n + 1):
                     rho, rows = Fraction(1), []
                     for i in range(1, s + 1):
-                        k, cs = _content(fam._row_coeffs(n, s, i))
-                        rho *= k
+                        (g, q), cs = _content(fam._row_coeffs(n, s, i))
+                        rho *= Fraction(g, q)
                         rows.append(cs)
-                    assert fam._hns_rows(n, s) == (rho, rows)
+                    (rn, rd), got = fam._hns_rows(n, s)
+                    assert (Fraction(rn, rd), got) == (rho, rows)
 
     def test_cold_route_sweeps_once(self, monkeypatch):
-        # a cold psi_bot_mir at N = 7 sweeps once, at N, reads Z_7 and
-        # turns no h_M into Fractions: its rows come from the integers
+        # a cold psi_bot_mir at N = 7 sweeps once, at N, and turns no Z_M
+        # and no h_M into Fractions: its prefactor takes Z_7 and its rows
+        # the psi lists as the sweep's integers
         sweeps = []
         cuts = ik_engine._frozen_cuts
 
@@ -289,14 +291,14 @@ class TestBoundaryFamily:
         assert psi_bot_mir(cfg, w) == psi_bot(cfg, w)
         fam = family(w)
         assert sweeps == [7]
-        assert list(fam._z) == [7] and fam._h == {}
+        assert fam._z == {} and fam._h == {}
 
     def test_shared_lines_cut_to_each_window(self, monkeypatch):
         # points with one polynomial on levels of different windows share
         # a line made at the widest one and cut for the others; the lines
         # and hns_vand equal those made one per point
         fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
-        t, d = fam.pole_guard()
+        t, d = fam.w.t(), fam.w.delta()
         maps = [(1, 0, 0, 1), (1, 0, 0, t), (-1, 3, -2, 1),
                 (t * t, 1 - 2 * d * t, t * t, -t * t),
                 (2 * d * t - 1, -t, t * t, -t)]
@@ -309,7 +311,8 @@ class TestBoundaryFamily:
         def entries(line):
             if isinstance(line, list):
                 return line
-            return (line.lo, line.err, [[line.k * c for c in row]
+            return (line.lo, line.err, [[Fraction(line.kn, line.kd) * c
+                                         for c in row]
                                         for row in line.rows])
 
         for mob in maps:
@@ -331,7 +334,7 @@ class TestBoundaryFamily:
                     monkeypatch.setattr(ik_engine, "_point_lines", own)
                     want = fam.hns_vand(n, 4, zs, mob) * ring.const(1)
                     monkeypatch.undo()
-                    got, want = (v.e * v.k for v in (got, want))
+                    got, want = (v.e * Fraction(v.n, v.d) for v in (got, want))
                     assert (got.lo, got.shape, got.err) \
                         == (want.lo, want.shape, want.err)
                     assert got == want
