@@ -6,19 +6,23 @@ Two independent backends:
   N x N domain-wall lattice (configuration counts grow like the
   alternating sign matrix numbers, so this is capped at small N), and
 
-* a *transfer* backend: a vertex-by-vertex row sweep that carries the
-  weights of every row state (vertical-edge bitmask) at once, upward
-  from the all-up bottom boundary: rows N..s+1 give psi_bot of every
-  row-s state.  A half-turn maps the lattice to itself (each vertex
-  kind to itself, the all-down top to the all-up bottom), so psi_top is
-  psi_bot of the turned lattice, and Z_N the cut sum at row N // 2; it
-  is fast enough for N up to ~14.  Exact weights are scaled to integers
-  first (D = lcm of the denominators of a, b, c), so the sweep adds and
-  multiplies Python ints and divides by D^(vertices) once.  The states
-  of a cut are one popcount class, held as a list in an order that
-  turns one bit per vertex column, so crossing a column is a few passes
-  over gathered values; the gathers hold no weight, and a bounded store
-  keeps them for the sweeps that follow.
+* a *transfer* backend: a row sweep that carries the weights of every
+  row state (vertical-edge bitmask) at once, upward from the all-up
+  bottom boundary: rows N..s+1 give psi_bot of every row-s state.  A
+  half-turn maps the lattice to itself (each vertex kind to itself, the
+  all-down top to the all-up bottom), so psi_top is psi_bot of the
+  turned lattice, and Z_N the cut sum at row N // 2; it is fast enough
+  for N up to ~14.  Exact weights are scaled to integers first (D = lcm
+  of the denominators of a, b, c), so the sweep adds and multiplies
+  Python ints and divides by D^(vertices) once.  The states of a cut are
+  one popcount class, held as a list in an order that turns one bit per
+  vertex column, so crossing a column is a few passes over gathered
+  values.  On integer weights a row can also cross in one step: its
+  states below and above interlace like two rows of a monotone
+  triangle, and each interlacing pair carries one monomial a^i b^j c^k,
+  so the row is a sum of products per upper state; each row takes the
+  smaller of the two plans up to N = 10.  The plans hold no weight, and
+  a bounded store keeps them for the sweeps that follow.
 
 Both run on exact rational weights (a, b, c) or on complex inhomogeneous
 weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
@@ -49,6 +53,7 @@ arrows, at positions 1 <= r_1 < ... < r_s <= N (again from the right).
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice, repeat
 from math import comb, lcm
@@ -402,20 +407,46 @@ def row_state_weights(N, w, s):
 # order.  After column N - 1 the key is the mask itself: a finished row
 # is in increasing mask order, one turn from the next row's first order.
 #
-# Row plans.  `_row_columns` composes the slices and turns of a row into
-# gathers of positions: each column gathers from the list the column
+# Column plans.  `_row_columns` composes the slices and turns of a row
+# into gathers of positions: each column gathers from the list the column
 # before left and builds its own in one list display: the sums head c +
-# lx a and lx c + head a, then tail c, tail a, ly b and rx b.  Class
-# orders, row plans and the half-turn pairings depend only on (N, p), so
-# one store, `_INDEX`, keeps them across sweeps within a bound on the
-# masks and positions it holds; a row past the bound builds each column
-# as the sweep reaches it and drops it after.  Each product is value *
-# weight, as in the vertex-by-vertex dict sweep (kept in the tests as the
-# reference); right[y] adds lx c + head a, the dict sweep's operands
-# swapped, which no sum of ints, Fractions, floats or complex numbers
-# can tell apart (IEEE addition commutes exactly).  So
+# lx a and lx c + head a, then tail c, tail a, ly b and rx b.  Each
+# product is value * weight, as in the vertex-by-vertex dict sweep (kept
+# in the tests as the reference); right[y] adds lx c + head a, the dict
+# sweep's operands swapped, which no sum of ints, Fractions, floats or
+# complex numbers can tell apart (IEEE addition commutes exactly).  So
 # every value is bit-identical to the dict sweep's, and every dict
 # returned has its keys in the same, increasing, order.
+#
+# Row steps.  A row's lower state x (popcount p) and upper state y (p - 1)
+# interlace, as two rows of a monotone triangle do (Mills, Robbins and
+# Rumsey, J. Combin. Theory A 34 (1983)): read from alpha = 1, the columns
+# where they differ hold the up arrow of x, of y, of x, ..., of x in turn.
+# Each such pair carries one monomial a^i b^j c^k, k = popcount(x ^ y),
+# and a scan over alpha = 1..N gives its exponents: the arrow enters
+# pointing right; a column where x and y differ is a c and turns it; any
+# other is an a when it points right over two up edges or left over two
+# down edges, and a b otherwise.  `_row_pairs` runs that scan for every
+# pair of (N, p) at once, and `_row_plan` keeps the gather of each pair's
+# x, the index of its monomial in a table the sweep builds once from a,
+# b and c, and one slice of the pairs per y, in increasing order: a row
+# is one map of products, summed per slice.  A term (a product by a
+# monomial of N leaves, then a sum) costs about 5/4 of a column's product
+# (timed row by row at N = 5..10), so a row takes the step where its
+# terms are at most 4/5 of its column products: every row at N <= 8, all
+# but the middle three or four at N = 9 and 10.  Past N = 10 the plans of
+# one sweep no longer fit the store together, each sweep builds them
+# again, and a row plan costs about ten times its columns to build, so
+# columns cross every row there.  Only integer leaves take the step:
+# their products and sums are exact in any order, so its values equal
+# the columns'.  A float product by a monomial rounds differently from N
+# products by one leaf, and a WeightMatrix's weights depend on the site.
+#
+# Class orders, both kinds of plan, the row-step flags and the half-turn
+# pairings depend only on (N, p), so one store, `_INDEX`, keeps them
+# across sweeps within a bound on the masks and positions it holds; a
+# plan past the bound is built as the sweep reaches it (a column plan
+# column by column) and dropped after.
 #
 # Leaves are integers for a WeightTriple: D = lcm of the denominators of
 # (a, b, c) scales every vertex weight to an integer, a region of V
@@ -423,13 +454,39 @@ def row_state_weights(N, w, s):
 # Ratios of two N^2-vertex numbers (H, F, G, h_N) need no unscaling.
 # Every other weight type runs through the same sweep with D = 1.
 
+class _IntLeaves:
+    """The leaf weight function of a WeightTriple scaled to the integers
+    a, b and c; a sweep on it may cross a row in one step."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+
+    def __call__(self, alpha, k, kind):
+        return getattr(self, kind)
+
+    def monomials(self, N):
+        """The table of the row step: a^i b^j c^k at i (N + 1) + j for
+        every odd k = N - i - j, and 0 elsewhere."""
+        a_pow = [self.a ** i for i in range(N + 1)]
+        b_pow = [self.b ** j for j in range(N + 1)]
+        table = [0] * (N + 1) ** 2
+        for k in range(1, N + 1, 2):
+            c_k = self.c ** k
+            for i in range(N - k + 1):
+                j = N - k - i
+                table[i * (N + 1) + j] = a_pow[i] * b_pow[j] * c_k
+        return table
+
+
 def _leaves(w):
     """(weight(alpha, k, kind), D): the sweep's vertex weights, D times
     the true ones."""
     if isinstance(w, WeightTriple):
         d = lcm(w.a.denominator, w.b.denominator, w.c.denominator)
-        ints = {kind: int(getattr(w, kind) * d) for kind in "abc"}
-        return (lambda alpha, k, kind: ints[kind]), d
+        return _IntLeaves(*(v.numerator * (d // v.denominator)
+                            for v in (w.a, w.b, w.c))), d
     return w.weight, 1
 
 
@@ -455,9 +512,9 @@ def _comb(n, k):
 class _IndexStore:
     """Index data of the sweep, built on first use and kept while it fits.
 
-    It holds masks and list positions, never a leaf value, so an entry
-    serves every weight swept after it.  `size` counts the masks and
-    positions its entries hold (for a row plan, a bound on them).  An
+    It holds masks, list positions and the flags of `_row_steps`, never
+    a leaf value, so an entry serves every weight swept after it.  `size` counts the masks and
+    positions its entries hold (for a column plan, a bound on them).  An
     entry that would take `size` past `bound` first evicts the oldest
     ones; an entry larger than `bound` on its own is not kept.
     """
@@ -482,8 +539,8 @@ class _IndexStore:
         return value
 
 
-# every class order, row plan and half-turn pairing of N <= 10 fits at
-# once: 63366 of the bound, about 0.7 MB
+# every class order, plan and half-turn pairing of N <= 10 fits at once:
+# 63420 of the bound, about 0.6 MB
 _INDEX = _IndexStore(1 << 16)
 
 
@@ -501,7 +558,7 @@ def _class_order(N, q):
     return (masks, _gather(turn)), 2 * len(masks)
 
 
-def _row_plan(N, p):
+def _column_plan(N, p):
     """((the masks of popcount p - 1, increasing; the columns that cross
     one row whose right half is the class of popcount p), a bound on the
     positions they hold).  Columns past the store's bound are built only
@@ -554,6 +611,92 @@ def _row_columns(N, p):
                          *ints[2 * h + t:o]))
 
 
+def _row_pairs(N, p, width):
+    """The interlacing pairs of a row whose lower cut has popcount p, each
+    one int y << (N + width) | x << width | m: x the state below, y the
+    state above, and m = i (N + 1) + j, the index of the pair's weight
+    a^i b^j c^(N-i-j) in the table of `_IntLeaves.monomials`.  One scan
+    over alpha = 1..N grows every pair at once, by the vertex rules of
+    the comment above; a path that can no longer end pointing left with
+    p - 1 up arrows above is dropped."""
+    last = p - 1
+    paths = {(False, 0): [0]}  # (points left, up arrows above) -> pairs
+    for n in range(N):
+        x_up, rest = 1 << (width + n), N - 1 - n
+        y_up = x_up << N
+        both = x_up | y_up
+        grown = {}
+
+        def extend(left, q, pairs, step):
+            if q <= last and last - q + (not left) <= rest:
+                grown.setdefault((left, q), []).extend(
+                    [z + step for z in pairs])
+
+        for (left, q), pairs in paths.items():
+            if left:
+                extend(True, q, pairs, N + 1)  # a, both edges down
+                extend(True, q + 1, pairs, both + 1)  # b, both up
+                extend(False, q + 1, pairs, y_up)  # c, the edge above up
+            else:
+                extend(False, q + 1, pairs, both + N + 1)  # a, both up
+                extend(False, q, pairs, 1)  # b, both down
+                extend(True, q, pairs, x_up)  # c, the edge below up
+        paths = grown
+    return paths.get((True, last), [])
+
+
+def _row_plan(N, p):
+    """((the masks of popcount p - 1, increasing; `sources`, the gather of
+    each interlacing pair's lower state from a list over the class of
+    popcount p; `monomials`, the gather of each pair's weight from the
+    table of `_IntLeaves.monomials`; one slice of the pairs per upper
+    state, in increasing mask order), the number of masks, positions
+    and slice ends held)."""
+    masks_hi = _INDEX.get(_class_order, N, p)[0]
+    masks_lo = _INDEX.get(_class_order, N, p - 1)[0]
+    width = ((N + 1) ** 2).bit_length()
+    pairs = sorted(_row_pairs(N, p, width))  # by y, the top bits
+    rank = dict(zip(masks_hi, range(len(masks_hi))))
+    low, below = (1 << width) - 1, (1 << N) - 1
+    ends = list(map(bisect_left, repeat(pairs),
+                    [(y + 1) << (N + width) for y in masks_lo]))
+    return ((masks_lo, _gather([rank[z >> width & below] for z in pairs]),
+             _gather([z & low for z in pairs]),
+             tuple(map(slice, [0, *ends[:-1]], ends))),
+            2 * (len(pairs) + len(masks_lo)))
+
+
+def _row_terms(N, p):
+    """The number of interlacing pairs of a row whose lower cut has
+    popcount p: the states differ in 2m + 1 columns, and p - 1 - m of
+    the others hold both up arrows."""
+    return sum(_comb(N, 2 * m + 1) * _comb(N - 2 * m - 1, p - 1 - m)
+               for m in range(p))
+
+
+def _column_products(N, p):
+    """The products the columns of `_column_plan` form crossing the row."""
+    xs_hi, xs_lo = _comb(N - 1, p), _comb(N - 1, p - 1)
+    total = 0
+    for i in range(N):
+        h = xs_lo - _comb(N - 1 - i, p - 1 - i)
+        u = _comb(N, p - 1) - _comb(N - 1 - i, p - 2 - i) - xs_lo
+        total += xs_lo + h + u if i == N - 1 else \
+            2 * (xs_lo + h) + u + xs_hi
+    return total
+
+
+def _row_steps(N):
+    """((for p = 0..N, whether a row whose lower cut has popcount p crosses
+    in one step on integer leaves; the comment above says where), the
+    N + 1 flags held)."""
+    return tuple(0 < p and 5 * _row_terms(N, p) <= 4 * _column_products(N, p)
+                 for p in range(N + 1)), N + 1
+
+
+_ROW_STEP_MAX_N = 10  # where every plan of a sweep fits in `_INDEX`
+
+
 def _transfer_bracket(N, weight, rows, states, cuts=None):
     """Sweep row-state values upward across `rows`, in the order given,
     from `states`, a dict over every mask of one popcount class on the
@@ -564,13 +707,24 @@ def _transfer_bracket(N, weight, rows, states, cuts=None):
     p = next(iter(states)).bit_count()
     masks = _INDEX.get(_class_order, N, p)[0]
     values = [states[m] for m in masks]
+    steps = table = None
+    if type(weight) is _IntLeaves and N <= _ROW_STEP_MAX_N:
+        steps = _INDEX.get(_row_steps, N)
     for j, k in enumerate(rows, 1):
-        masks, columns = _INDEX.get(_row_plan, N, p)
-        for alpha, (by_c, by_a, sums, ly_rx) in enumerate(columns, 1):
-            c = map(mul, by_c(values), repeat(weight(alpha, k, "c")))
-            a = map(mul, by_a(values), repeat(weight(alpha, k, "a")))
-            values = [*map(add, islice(c, sums), a), *c, *a,
-                      *map(mul, ly_rx(values), repeat(weight(alpha, k, "b")))]
+        if steps and steps[p]:
+            if table is None:
+                table = weight.monomials(N)
+            masks, sources, monomials, slices = _INDEX.get(_row_plan, N, p)
+            terms = list(map(mul, sources(values), monomials(table)))
+            values = list(map(sum, map(terms.__getitem__, slices)))
+        else:
+            masks, columns = _INDEX.get(_column_plan, N, p)
+            for alpha, (by_c, by_a, sums, ly_rx) in enumerate(columns, 1):
+                c = map(mul, by_c(values), repeat(weight(alpha, k, "c")))
+                a = map(mul, by_a(values), repeat(weight(alpha, k, "a")))
+                values = [*map(add, islice(c, sums), a), *c, *a,
+                          *map(mul, ly_rx(values),
+                               repeat(weight(alpha, k, "b")))]
         p -= 1
         if cuts is not None and j in cuts:
             cuts[j] = dict(zip(masks, values))

@@ -201,13 +201,24 @@ class TestHalfTurn:
             for weight in weights:
                 for n_rows in range(n + 1):
                     _assert_sweeps_agree(n, weight, n_rows)
+        # integer leaves at N = 9 and 10, where rows crossed in one step
+        # and rows crossed column by column meet in one full sweep
+        for n in (9, 10):
+            steps = lattice_oracle._row_steps(n)[0]
+            assert {steps[p] for p in range(1, n + 1)} == {True, False}
+            for _ in range(2):
+                _assert_sweeps_agree(
+                    n, lattice_oracle._leaves(rand_triple(rng))[0], n)
 
     def test_index_store_bounded(self, monkeypatch):
         # the sweep's masks and positions stay within the store's bound;
-        # every row plan of N <= 10 fits in it at once
+        # every plan of N <= 10, of the kind its row crosses by, fits in
+        # it at once
         store = lattice_oracle._IndexStore(lattice_oracle._INDEX.bound)
         monkeypatch.setattr(lattice_oracle, "_INDEX", store)
         w = WeightTriple(Fraction(11, 4), Fraction(7, 9), Fraction(5, 2))
+        kinds = {True: lattice_oracle._row_plan,
+                 False: lattice_oracle._column_plan}
         for n in range(1, 13):
             frozen_column_sweep(n, w)
             enumerate_Z(n, w)
@@ -215,15 +226,19 @@ class TestHalfTurn:
             assert store.size == sum(size for _, size
                                      in store.entries.values())
             if n == 10:
-                rows = [build for build, _ in store.entries
-                        if build is lattice_oracle._row_plan]
-                assert len(rows) == sum(range(1, 11))
-        # lists past the bound are built, used and dropped
+                plans = {args: build for build, args in store.entries
+                         if build in kinds.values()}
+                assert plans == {
+                    (m, p): kinds[lattice_oracle._row_steps(m)[0][p]]
+                    for m in range(1, 11) for p in range(1, m + 1)}
+                assert set(plans.values()) == set(kinds.values())
+        # lists past the bound are built, used and dropped, by both kinds
         tiny = lattice_oracle._IndexStore(0)
         monkeypatch.setattr(lattice_oracle, "_INDEX", tiny)
         weight = lattice_oracle._leaves(w)[0]
         for n_rows in range(9):
             _assert_sweeps_agree(8, weight, n_rows)
+        _assert_sweeps_agree(10, weight, 10)
         assert enumerate_Z(6, w) == enumerate_Z(6, w, "enum")
         assert tiny.entries == {} and tiny.size == 0
 
