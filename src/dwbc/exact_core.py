@@ -124,11 +124,6 @@ DEFAULT_RTOL = 1e-9
 RESIDUE_TRIES = 6
 
 
-def approx_eq(x, y, rtol=DEFAULT_RTOL):
-    """Relative comparison |x - y| <= rtol * max(1, |x|, |y|)."""
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
-
-
 # ---------------------------------------------------------------------------
 # Laurent series towers
 # ---------------------------------------------------------------------------

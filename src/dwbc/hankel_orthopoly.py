@@ -35,10 +35,8 @@ so f is contracted against det[k_{n_i}(eps_j)] by `iterated_residue`.
 The Taylor series start from the sines and cosines of `trig`, the
 moments are `ik_numeric.phi_derivatives`, and nothing here needs
 `ik_engine`, so no ortho route loads it.
-The Hankel solve and determinants (`OrthoFamily.__init__`,
-`OrthoFamily.hankel_det`, `bordered_hankel_det`) are `elimination`'s,
-exact from their float entries and rounded once; they import it when
-called.
+The Hankel solve of `OrthoFamily.__init__` is `elimination`'s, exact
+from its float entries and rounded once; it imports it when called.
 """
 
 from __future__ import annotations
@@ -62,18 +60,13 @@ from .trig import (DEGENERACY_TOL, NumericTriple, homogeneous_abc, sin_cos,
 
 class OrthoFamily:
     """Monic orthogonal polynomials P_0..P_{N-1}, norms, and K_n, from
-    the moments c_n = d^n phi/d lam^n, n = 0..2N-2, at (lam, eta)."""
+    the moments c_n = d^n phi/d lam^n, n = 0..2N-2."""
 
-    def __init__(self, N, lam, eta, moments):
+    def __init__(self, N, c):
         from .elimination import solve
-        self.N = N
-        self.lam = lam
-        self.eta = eta
-        self.moments = moments
-        self.phi = moments[0]
+        self.phi = c[0]
         self.P = []       # monic coefficient lists, ascending
         self.norms = []
-        c = moments
         for n in range(N):
             if n == 0:
                 p = [1.0 + 0j]
@@ -99,12 +92,6 @@ class OrthoFamily:
         scale = math.factorial(n) * self.phi ** (n + 1) / self.norms[n]
         return [scale * c for c in self.P[n]]
 
-    def hankel_det(self, n):
-        """Leading principal Hankel determinant of order n."""
-        from .elimination import det
-        c = self.moments
-        return det([[c[i + k] for k in range(n)] for i in range(n)])
-
 
 def _moments(lam, eta, nmax):
     """phi_derivatives, with moments that lost their digits refused as
@@ -116,17 +103,7 @@ def _moments(lam, eta, nmax):
 
 
 def build_ortho_family(N, lam, eta) -> OrthoFamily:
-    return OrthoFamily(N, lam, eta, _moments(lam, eta, 2 * N - 2))
-
-
-def bordered_hankel_det(fam: OrthoFamily, xs):
-    """The N x N determinant bordering the Hankel block with powers of
-    the points xs; equals h_0...h_{N-s-1} det[P_{N-s+i-1}(x_j)]."""
-    from .elimination import det
-    N, s = fam.N, len(xs)
-    c = fam.moments
-    return det([[c[i + k] for k in range(N - s)] + [x ** i for x in xs]
-                for i in range(N)])
+    return OrthoFamily(N, _moments(lam, eta, 2 * N - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +160,18 @@ def verify_claim(N, lam, eta, f_coeffs) -> float:
     lhs = _det_pairing(N, 1, lam, eta,
                        lambda ring, oms, omts: _horner(f_coeffs, oms[0]))
 
-    h_n = _h_poly_numeric(N, lam, eta)
+    from .lattice_oracle import boundary_generating_poly
+    h_n = list(boundary_generating_poly(N, NumericTriple(
+        *homogeneous_abc(lam, eta))))
     zpow = _pmul(_ppowers((0, [-1, 1]), N - 1)[-1], (0, h_n))
     _, zpow = _pmul(zpow, (0, list(f_coeffs)), N)
     rhs = zpow[N - 1] if N - 1 < len(zpow) else 0j
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _h_poly_numeric(N, lam, eta):
-    from .lattice_oracle import boundary_generating_poly
-    a, b, c = homogeneous_abc(lam, eta)
-    return list(boundary_generating_poly(N, NumericTriple(a, b, c)))
-
-
 # ---------------------------------------------------------------------------
 # orthogonal-polynomial representations
 # ---------------------------------------------------------------------------
-
-def boundary_correlation_ortho(N, r, lam, eta) -> complex:
-    """H_N^(r) = K_{N-1}(d_eps) omega^(N-r)/(omega-1)^(N-1) |_0."""
-    return _det_pairing(
-        N, 1, lam, eta,
-        lambda ring, oms, omts: oms[0] ** (N - r) / (oms[0] - 1) ** (N - 1))
-
 
 def _det_pairing(N, s, lam, eta, build_f, order=None):
     """det[K_{N-s+i}(d_{eps_j})] f(eps_1..eps_s)|_0, the iterated residue

@@ -147,12 +147,7 @@ def check_kmst(s, lams, nus, eta) -> IdentityCase:
 def check_cantini(s, delta, xs, ys) -> IdentityCase:
     """Double antisymmetrization against the product-det closed form."""
     case = IdentityCase("cantini", "exact", {"s": s, "delta": delta})
-    for j in range(s):
-        for k in range(s):
-            if xs[j] * ys[k] == 1:
-                raise SamplePoleHit("x_j y_k = 1")
-            if xs[j] + ys[k] - 2 * delta * xs[j] * ys[k] == 0:
-                raise SamplePoleHit("psi denominator vanishes")
+    _cantini_guards(s, delta, xs, ys)
 
     def sides(zs):
         """For every ordering z of zs: its sign times prod_j z_j^(s-1-j)
@@ -228,15 +223,17 @@ def check_wpoly_degree(s, delta, rng) -> IdentityCase:
     return _finish(case)
 
 
+def _psi_pole(delta, x, y):
+    """Whether (x, y) is a pole of the Cantini summands: x y = 1, or the
+    psi denominator x + y - 2 delta x y vanishes."""
+    return x * y == 1 or x + y - 2 * delta * x * y == 0
+
+
 def _cantini_guards(s, delta, xs, ys):
     if len(set(xs)) < s or len(set(ys)) < s:
         raise SamplePoleHit("coincident points")
-    for j in range(s):
-        for k in range(s):
-            if xs[j] * ys[k] == 1:
-                raise SamplePoleHit("x y = 1")
-            if xs[j] + ys[k] - 2 * delta * xs[j] * ys[k] == 0:
-                raise SamplePoleHit("psi pole")
+    if any(_psi_pole(delta, x, y) for x in xs for y in ys):
+        raise SamplePoleHit("x y = 1 or a psi pole")
 
 
 def _lagrange_coeffs(pts, vals):
@@ -285,8 +282,7 @@ def p_s_value(s, delta, xs, ys):
         nodes = [[Fraction(m * s + k + 1 + offset, den) for m in range(s)]
                  for k in range(s)]
         flat = [y for dim in nodes for y in dim]
-        if all(x * y != 1 and x + y - 2 * delta * x * y != 0
-               for x in xs for y in flat):
+        if not any(_psi_pole(delta, x, y) for x in xs for y in flat):
             break
         offset += s * s
         if offset > 100 * s * s:

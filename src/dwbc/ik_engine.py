@@ -288,9 +288,6 @@ class BoundaryGenFamily:
         self.sweep(M)
         return self._cuts[M][:2]
 
-    def h_coeffs(self, M: int):
-        return list(self.h(M).coeffs)
-
     def pole_guard(self):
         """The `TripleInts` of the weights, for the residue integrands of
         bethe_reps and efp_reps, whose pair factors (`_pair_quotient`)
@@ -424,7 +421,7 @@ class BoundaryGenFamily:
     def _row_coeffs(self, N, s, i):
         """Coefficients of g_i(z) as Fractions: `hns_poly`'s rows."""
         self.sweep(N)
-        return _g_row(self.h_coeffs(N - s + i), s, i)
+        return _g_row(self.h(N - s + i).coeffs, s, i)
 
 
 def _g_row(h, s, i):

@@ -24,16 +24,19 @@ Two independent backends:
   smaller of the two plans up to N = 10.  The plans hold no weight, and
   a bounded store keeps them for the sweeps that follow.
 
-Both run on exact rational weights (a, b, c) or on complex inhomogeneous
-weight grids a[alpha][k] = sin(l_alpha - nu_k + eta) etc., and they must
-agree bit-exactly in the exact regime; the rest of the package is tested
-against them.
+Both run on exact rational weights (a, b, c) or on inhomogeneous weight
+grids, exact or complex (a[alpha][k] = sin(l_alpha - nu_k + eta) etc.),
+and they must agree bit-exactly in the exact regime; the rest of the
+package is tested against them.  Their arithmetic is that of the leaf
+values: a zero is 0 times the leaves' one, and a quotient is a Fraction
+where both of its parts are ints or Fractions, so exact weights of any
+class give exact values.
 
 The prefactors of the closed-form routes, Z_M and h_M for every M <= N
 at homogeneous weights, come from one upward transfer sweep over the
-N x N lattice (`frozen_column_sweep`; the routes' family keeps the
-integers of `_frozen_cuts`, before it divides), by the frozen-column
-identity.
+N x N lattice by the frozen-column identity: `_frozen_cuts` gives its
+integers, and the routes' family (`ik_engine.BoundaryGenFamily`) makes
+the Fractions.
 On the bottom M rows, a cut state whose up arrows fill positions
 1..N-M freezes those N - M columns to a-vertices and leaves the other
 M columns an M x M lattice with domain-wall boundaries.  So after M
@@ -150,8 +153,6 @@ class WeightTriple(FrozenRecord):
     def weight(self, alpha, k, kind):
         return getattr(self, kind)
 
-    zero = staticmethod(lambda: Fraction(0))
-
 
 ICE_POINT = WeightTriple(1, 1, 1)
 
@@ -174,10 +175,6 @@ class WeightMatrix:
             return self.c
         grid = self.a_grid if kind == "a" else self.b_grid
         return grid[alpha - 1][k - 1]
-
-    @staticmethod
-    def zero():
-        return 0j
 
 
 class RowConfig(FrozenRecord):
@@ -219,10 +216,6 @@ def _bitmask(positions):
     for p in positions:
         m |= 1 << (p - 1)
     return m
-
-
-def all_row_configs(N: int, s: int):
-    return [RowConfig(N, c) for c in combinations(range(1, N + 1), s)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +266,7 @@ def _row_transitions(N, w, k, state_above):
             step(p + 1, True, state_below | (1 << (alpha - 1)),
                  weight * w.weight(alpha, k, "c"))
 
-    one = w.weight(1, 1, "a") ** 0  # 1 in the weight's arithmetic type
-    step(0, False, 0, one)
+    step(0, False, 0, _one_like(w))
     return out
 
 
@@ -303,10 +295,11 @@ def region_state_weights(N, w, k_first, k_last, top_state):
 def enumerate_region(N, w, k_first, k_last, top_state, bottom_state):
     """Weighted configuration sum of rows k_first..k_last with fixed
     vertical-edge states at the top and bottom cuts."""
+    one = _one_like(w)
     if k_first > k_last:
-        return _one_like(w) if top_state == bottom_state else w.zero()
+        return one if top_state == bottom_state else 0 * one
     dist = region_state_weights(N, w, k_first, k_last, top_state)
-    return dist.get(bottom_state, w.zero())
+    return dist.get(bottom_state, 0 * one)
 
 
 def enumerate_Z(N, w, method="auto"):
@@ -325,7 +318,7 @@ def enumerate_Z(N, w, method="auto"):
         weight, d = _leaves(w)
         top, bot = _split_states(N, w, weight, N // 2)
         z = sum(map(mul, bot.values(), _paired(N, N // 2, top)))
-        return _ratio(w, z, d ** (N * N))
+        return _ratio(z, d ** (N * N))
     if method == "enum":
         _check_size(N, "enum")
         all_up = (1 << N) - 1
@@ -452,7 +445,8 @@ def row_state_weights(N, w, s):
 # (a, b, c) scales every vertex weight to an integer, a region of V
 # vertices scales by D^V, and it is divided out once, at the end.
 # Ratios of two N^2-vertex numbers (H, F, G, h_N) need no unscaling.
-# Every other weight type runs through the same sweep with D = 1.
+# Every other weight type runs through the same sweep with D = 1, and
+# `_ratio` divides in the arithmetic of its leaves.
 
 class _IntLeaves:
     """The leaf weight function of a WeightTriple scaled to the integers
@@ -490,11 +484,14 @@ def _leaves(w):
     return w.weight, 1
 
 
-def _ratio(w, num, den):
-    """num / den in the arithmetic of `w`; den = 0 is a vanishing Z."""
+def _ratio(num, den):
+    """num / den, a Fraction where both are ints or Fractions; den = 0 is a
+    vanishing Z."""
     if den == 0:
         raise Singular("Z = 0 at these weights: probabilities undefined")
-    return Fraction(num, den) if isinstance(w, WeightTriple) else num / den
+    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+        return Fraction(num, den)
+    return num / den
 
 
 def _gather(positions):
@@ -778,10 +775,13 @@ def _split_states(N, w, weight, s):
 
 def _frozen_cuts(N, w):
     """[(the frozen-mask cut value, its unscaling denominator, psi) for
-    M = 0..N]: the sweep of `frozen_column_sweep` before any division,
-    in the arithmetic of the scaled leaves (ints for a WeightTriple).
-    Z_M is the cut value over its denominator and h_M the psi list over
-    its sum; M = 0 gives (1, 1, [])."""
+    M = 0..N] at homogeneous weights (a WeightTriple, or any triple whose
+    `weight` ignores the site), from one upward sweep over the N x N
+    lattice by the frozen-column identity of the module docstring, in
+    the arithmetic of the scaled leaves (ints for a WeightTriple).  Z_M
+    is the cut value over its denominator and h_M the psi list over its
+    sum (`ik_engine.BoundaryGenFamily` divides); M = 0 gives (1, 1,
+    []): the empty lattice has no first row."""
     _check_size(N, "transfer")
     weight, d = _leaves(w)
     a, b, c = (weight(1, 1, kind) for kind in "abc")
@@ -797,19 +797,6 @@ def _frozen_cuts(N, w):
     return out
 
 
-def frozen_column_sweep(N, w):
-    """[(Z_M, coefficients of h_M) for M = 0..N] at homogeneous weights
-    (a WeightTriple, or any triple whose `weight` ignores the site), from
-    one upward sweep over the N x N lattice by the frozen-column
-    identity of the module docstring.  The empty lattice has no first
-    row, so the list of h_0 is empty."""
-    out = [(_one_like(w), [])]
-    for num, den, psi in _frozen_cuts(N, w)[1:]:
-        total = sum(psi)
-        out.append((_ratio(w, num, den), [_ratio(w, v, total) for v in psi]))
-    return out
-
-
 def psi_top(cfg: RowConfig, w, method="transfer"):
     """Partition function of the N x s top sublattice with up arrows of
     `cfg` on its lower cut: an upward sweep over the half-turned top
@@ -821,7 +808,7 @@ def psi_top(cfg: RowConfig, w, method="transfer"):
         _check_size(N, "transfer")
         weight, d = _leaves(w)
         top = _top_states(N, w, weight, s)
-        return _ratio(w, top[_rot(N, cfg.bitmask())], d ** (N * s))
+        return _ratio(top[_rot(N, cfg.bitmask())], d ** (N * s))
     _check_size(N, "enum")
     return enumerate_region(N, w, 1, s, 0, cfg.bitmask())
 
@@ -838,13 +825,14 @@ def psi_bot(cfg: RowConfig, w, method="transfer"):
         _check_size(N, "transfer")
         weight, d = _leaves(w)
         bot = _bottom_states(N, weight, s)
-        return _ratio(w, bot[cfg.bitmask()], d ** (N * (N - s)))
+        return _ratio(bot[cfg.bitmask()], d ** (N * (N - s)))
     _check_size(N, "enum")
     all_up = (1 << N) - 1
     return enumerate_region(N, w, s + 1, N, cfg.bitmask(), all_up)
 
 
 def _one_like(w):
+    """1 in the arithmetic of the leaves of `w`; 0 times it is their 0."""
     return w.weight(1, 1, "a") ** 0
 
 
@@ -866,18 +854,18 @@ def _row_probabilities(N, w, s, groups, method):
         z = enumerate_Z(N, w, "enum")
         out = []
         for group in groups:
-            total = w.zero()
+            total = 0 * _one_like(w)
             for pos in group:
                 cfg = RowConfig(N, pos)
                 total += psi_top(cfg, w, method) * psi_bot(cfg, w, method)
-            out.append(_ratio(w, total, z))
+            out.append(_ratio(total, z))
         return out
     _check_size(N, "transfer")
     weight, _ = _leaves(w)  # every ratio below is of two N^2-vertex values
     top, bot = _split_states(N, w, weight, s)
     prod = dict(zip(bot, map(mul, _paired(N, s, top), bot.values())))
     z = sum(prod.values())
-    return [_ratio(w, sum(prod[_bitmask(pos)] for pos in group), z)
+    return [_ratio(sum(prod[_bitmask(pos)] for pos in group), z)
             for group in groups]
 
 

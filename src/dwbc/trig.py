@@ -100,7 +100,7 @@ def homogeneous_abc(lam, eta):
 
 class NumericTriple(FrozenRecord):
     """Homogeneous complex weights with the lattice_oracle interface,
-    hashed by value like WeightTriple."""
+    `weight(alpha, k, kind)`, hashed by value like WeightTriple."""
 
     _fields = ("a", "b", "c")
 
@@ -111,7 +111,3 @@ class NumericTriple(FrozenRecord):
 
     def weight(self, alpha, k, kind):
         return getattr(self, kind)
-
-    @staticmethod
-    def zero():
-        return 0j

@@ -29,7 +29,6 @@ from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
     WeightTriple,
-    all_row_configs,
     boundary_generating_poly,
     efp_oracle,
     enumerate_Z,
@@ -38,6 +37,8 @@ from dwbc.lattice_oracle import (
     row_config_probability,
 )
 from dwbc.trig import TrigParams, homogeneous_abc
+
+from row_configs import all_row_configs
 
 
 def _report(criterion, ok, elapsed, detail=""):

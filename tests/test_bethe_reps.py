@@ -24,12 +24,13 @@ from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
     WeightTriple,
-    all_row_configs,
     enumerate_Z,
     psi_bot,
     psi_top,
 )
 from dwbc.trig import TrigParams, a_fn, b_fn, d_fn, e_fn
+
+from row_configs import all_row_configs
 
 
 def draw_params(rng, n):

@@ -34,12 +34,13 @@ from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
     WeightTriple,
-    all_row_configs,
     efp_oracle,
     enumerate_Z,
     psi_bot,
     psi_top,
 )
+
+from row_configs import all_row_configs
 
 W_LIST = [ICE_POINT, WeightTriple(1, 2, 2),
           WeightTriple(Fraction(2, 3), Fraction(5, 4), Fraction(1, 2))]

@@ -1,3 +1,4 @@
+import cmath
 import math
 import operator
 import random
@@ -13,7 +14,6 @@ from dwbc.exact_core import (
     ExactPoly,
     Scaled,
     Series,
-    approx_eq,
     build_tower,
     format_rational,
     _point_line,
@@ -24,6 +24,12 @@ from dwbc.exact_core import (
     residue_drive,
 )
 from dwbc.ik_engine import complete_homogeneous
+
+
+def approx_eq(x, y):
+    """|x - y| <= r max(1, |x|, |y|) at the package's tolerance r."""
+    r = exact_core.DEFAULT_RTOL
+    return cmath.isclose(x, y, rel_tol=r, abs_tol=r)
 
 
 class TestScalars:

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from dwbc.efp_reps import EfpQuery, efp_mir_s
+from dwbc.elimination import det
 from dwbc.errors import DegenerateHankel
 from dwbc.exact_core import DEFAULT_RTOL
 from dwbc.hankel_orthopoly import (
     _det_pairing,
-    bordered_hankel_det,
-    boundary_correlation_ortho,
     build_ortho_family,
     efp_ortho,
     psi_bot_ortho,
@@ -22,12 +21,12 @@ from dwbc.ik_numeric import phi_derivatives
 from dwbc.lattice_oracle import (
     RowConfig,
     WeightTriple,
-    all_row_configs,
     psi_bot,
     psi_top,
-    row_config_probability,
 )
 from dwbc.trig import NumericTriple, homogeneous_abc
+
+from row_configs import all_row_configs
 
 LAM, ETA = 0.95, 0.33
 
@@ -47,17 +46,20 @@ class TestFamily:
             assert p[-1] == 1.0 + 0j
 
     def test_hankel_equals_norm_product(self, fam):
+        # the leading principal Hankel minor of order n is h_0...h_{n-1}
+        c = phi_derivatives(LAM, ETA, 6)  # the moments of `fam`
         for n in (1, 2, 3):
             prod = 1
             for k in range(n):
                 prod *= fam.norms[k]
-            assert abs(fam.hankel_det(n) - prod) <= 1e-8 * abs(prod)
+            hankel = det([[c[i + k] for k in range(n)] for i in range(n)])
+            assert abs(hankel - prod) <= 1e-8 * abs(prod)
 
     def test_orthogonality_residual(self):
         # moment-level orthogonality: sum_m p_m c_(m+k) = 0 for k < n
         for n_size in (4, 6):
             f = build_ortho_family(n_size, LAM, ETA)
-            c = f.moments
+            c = phi_derivatives(LAM, ETA, 2 * n_size - 2)
             for n in range(1, n_size):
                 scale = max(abs(x) for x in c[: 2 * n])
                 for k in range(n):
@@ -65,11 +67,15 @@ class TestFamily:
                     assert abs(r) <= 1e-8 * scale
 
     def test_detdet_identity(self, fam):
+        # the N x N determinant bordering the Hankel block with powers of
+        # the points xs is h_0...h_{N-s-1} det[P_{N-s+i-1}(x_j)]
         rng = random.Random(5)
+        c = phi_derivatives(LAM, ETA, 6)  # the moments of `fam`
         for s in (1, 2, 3):
             xs = [rng.uniform(-1.5, 1.5) + 0.3j * rng.random()
                   for _ in range(s)]
-            lhs = bordered_hankel_det(fam, xs)
+            lhs = det([[c[i + k] for k in range(4 - s)]
+                       + [x ** i for x in xs] for i in range(4)])
             prod = 1
             for k in range(4 - s):
                 prod *= fam.norms[k]
@@ -111,14 +117,6 @@ class TestClaim:
 
 
 class TestRepresentations:
-    def test_boundary_correlation(self):
-        w = NumericTriple(*homogeneous_abc(LAM, ETA))
-        for n in (2, 3, 4):
-            for r in range(1, n + 1):
-                got = boundary_correlation_ortho(n, r, LAM, ETA)
-                want = row_config_probability(RowConfig(n, (r,)), w)
-                assert abs(got - want) <= 1e-7 * max(1, abs(want))
-
     def test_psi_bot_and_top(self):
         w = NumericTriple(*homogeneous_abc(LAM, ETA))
         for n in (1, 2, 3, 4):

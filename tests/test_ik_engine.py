@@ -348,8 +348,8 @@ class TestBoundaryFamily:
                               for _ in range(3))) for _ in range(4)]
         for w in ws:
             for m in range(1, 9):
-                assert family(_crossed(w)).h_coeffs(m) \
-                    == family(w).h_coeffs(m)[::-1]
+                assert family(_crossed(w)).h(m).coeffs \
+                    == family(w).h(m).coeffs[::-1]
 
     def test_htilde_family_relation(self):
         # htilde_{N,s}(z) = prod z_j^(N-1) h_{N,s}(1/z), with htilde_{N,s}

@@ -1,4 +1,5 @@
 import math
+import numbers
 import random
 from fractions import Fraction
 
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 from dwbc import lattice_oracle
 from dwbc.errors import InvalidRegion, SizeLimit
+from dwbc.ik_engine import BoundaryGenFamily
 from dwbc.lattice_oracle import (
     ICE_POINT,
     RowConfig,
     WeightMatrix,
     WeightTriple,
-    all_row_configs,
     boundary_generating_poly,
     efp_oracle,
     enumerate_Z,
-    frozen_column_sweep,
     polarization_oracle,
     psi_bot,
     psi_top,
@@ -26,6 +26,8 @@ from dwbc.lattice_oracle import (
 )
 from dwbc.lattice_oracle import region_state_weights
 from dwbc.trig import NumericTriple, homogeneous_abc
+
+from row_configs import all_row_configs
 
 
 def rand_triple(rng):
@@ -51,15 +53,14 @@ class TestPartitionFunction:
         # (a,b,c) = (3,4,5): Delta = 0, so eta = pi/4 and
         # sin(lam) = 7/(5 sqrt 2), cos(lam) = -1/(5 sqrt 2); the trig
         # model at unit scale carries weights (3/5, 4/5, 1)
-        import math
-        from dwbc.exact_core import approx_eq
+        import cmath
         from dwbc.ik_numeric import ik_homogeneous
         z_exact = enumerate_Z(2, WeightTriple(3, 4, 5))
         assert z_exact == 625
         lam = math.atan2(7, -1)
         eta = math.pi / 4
         z_trig = ik_homogeneous(2, lam, eta) * 5**4
-        assert approx_eq(z_trig, complex(z_exact), 1e-9)
+        assert cmath.isclose(z_trig, z_exact, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_backends_agree_bit_exactly(self):
         rng = random.Random(3)
@@ -92,18 +93,20 @@ class TestFrozenColumnSweep:
     def test_every_prefactor_equals_the_oracle(self, N, abc):
         # one sweep at N gives what the oracle computes per size M <= N
         w = WeightTriple(*abc)
-        swept = frozen_column_sweep(N, w)
-        assert len(swept) == N + 1 and swept[0] == (1, [])
-        for M, (z, h) in enumerate(swept[1:], start=1):
-            assert z == enumerate_Z(M, w)
-            assert h == boundary_generating_poly(M, w).coeffs
+        fam = BoundaryGenFamily(w)
+        fam.sweep(N)
+        assert fam.z(0) == 1
+        for M in range(1, N + 1):
+            assert fam.z(M) == enumerate_Z(M, w)
+            assert fam.h(M).coeffs == boundary_generating_poly(M, w).coeffs
+        assert len(fam._cuts) == N + 1  # no size swept again
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.delenv("DWBC_MAX_N", raising=False)
         with pytest.raises(SizeLimit):
-            frozen_column_sweep(15, ICE_POINT)
+            lattice_oracle._frozen_cuts(15, ICE_POINT)
         with pytest.raises(InvalidRegion):
-            frozen_column_sweep(-1, ICE_POINT)
+            lattice_oracle._frozen_cuts(-1, ICE_POINT)
 
 
 def _grid(rng, n):
@@ -220,7 +223,7 @@ class TestHalfTurn:
         kinds = {True: lattice_oracle._row_plan,
                  False: lattice_oracle._column_plan}
         for n in range(1, 13):
-            frozen_column_sweep(n, w)
+            lattice_oracle._frozen_cuts(n, w)
             enumerate_Z(n, w)
             assert store.size <= store.bound
             assert store.size == sum(size for _, size
@@ -264,7 +267,7 @@ class TestHalfTurn:
                 row_config_probability(RowConfig(n, range(1, s + 1)), w)
                 assert sweeps == [(n, max(s, n - s))]
             sweeps.clear()
-            frozen_column_sweep(n, w)
+            lattice_oracle._frozen_cuts(n, w)
             assert sweeps == [(n, n)]
 
 
@@ -475,6 +478,39 @@ class TestCorrelations:
                     for route in ("efp", "efpn"):
                         assert (efp_oracle(n, r, s, w, route)
                                 == efp_oracle(n, r, s, w, route, "enum"))
+
+    def test_exact_weight_matrix_stays_exact(self):
+        # site-dependent Fraction and int grids: both backends give the
+        # same exact rationals, never complex or float values
+        rng = random.Random(29)
+        draws = {"Fraction": lambda: Fraction(rng.randint(1, 9),
+                                              rng.randint(1, 5)),
+                 "int": lambda: rng.randint(1, 5)}
+
+        def observables(n, w, method):
+            out = [enumerate_Z(n, w, method)]
+            for s in range(n + 1):
+                for cfg in all_row_configs(n, s):
+                    out += [psi_top(cfg, w, method), psi_bot(cfg, w, method),
+                            row_config_probability(cfg, w, method)]
+            for r in range(1, n + 1):
+                for s in range(1, n + 1):
+                    out.append(polarization_oracle(n, r, s, w, method))
+                    if s <= r:
+                        out += [efp_oracle(n, r, s, w, route, method)
+                                for route in ("efp", "efpn")]
+            return out
+
+        for n in range(1, 5):
+            for leaf in draws.values():
+                grids = [[[leaf() for _ in range(n)] for _ in range(n)]
+                         for _ in "ab"]
+                w = WeightMatrix(*grids, leaf())
+                enum = observables(n, w, "enum")
+                transfer = observables(n, w, "transfer")
+                assert enum == transfer
+                for v in enum + transfer:
+                    assert isinstance(v, numbers.Rational), (n, v)
 
     def test_polarization_matches_edge_marginal(self):
         w = WeightTriple(2, 3, 5)
