@@ -53,12 +53,11 @@ exactly when w_j sits above w_l in the tower.
 What an operation works out from its operands' boxes alone is a plan,
 computed once per key and kept in one store of at most PLAN_CAP (4096)
 plans, emptied when full.  A division's key is the lo, shape and err
-of both operands, the divisor's nonzero leaf positions, the tower's
-precs and the dividend's `_tops` on the levels whose window they set;
-its plan holds the quotient's lo, err and box and the recurrence's
-padded buffer, leaf order and step reaches, while the divisor's leading
-leaf is inverted and its step coefficients read on every call.  A
-sum's key is the lo, shape and err of both terms, its plan the
+of both operands, the divisor's nonzero leaf positions and the tower's
+precs, so every dividend on one box shares a plan; its plan holds the
+quotient's lo, err and box and the recurrence's padded buffer, leaf
+order and step reaches, while the divisor's leading leaf is inverted
+and its step coefficients read on every call.  A sum's key is the lo, shape and err of both terms, its plan the
 placement of each in the sum's box cut at err.  A product's key is the
 lo, shape and err of both factors; its plan holds the product's lo, err
 and box, which factor is placed, and per leaf of the other only the
@@ -109,7 +108,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, product
-from operator import add, and_, mul, not_, sub
+from operator import add, mul, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from .rational import (ExactPoly, _horner, _perm_sign,  # noqa: F401
@@ -532,13 +531,12 @@ class Series:
         the steps the outer windows hold.  It knows err_f - v_j + X_j,
         and where other is inexact lo_f + err_g - 2 v_j + X_j.  Where
         other has terms past its leading one in level j, or is inexact
-        there, the quotient also stops prec_j past the valuation, as a
-        tower of nested series would row by row: past the highest
-        valuation of a slice of the outer levels, less j (the zeros a
-        Vandermonde of the outer variables leaves in the lowest slices
-        need no window of their own).  The valuation of other is certain
-        only where no zero slice with unknown deeper coefficients
-        precedes its leading leaf; otherwise this raises PrecisionLoss.
+        there, the quotient also stops at lo_f - v_j + prec_j, prec_j
+        past the valuation, so its plan reads no leaf of self and one
+        plan serves every dividend on a box.  The valuation of other is
+        certain only where no zero slice with unknown deeper
+        coefficients precedes its leading leaf; otherwise this raises
+        PrecisionLoss.
         """
         if other.__class__ is not Series or other.ring is not self.ring:
             other = self._coerce(other)
@@ -550,12 +548,8 @@ class Series:
         nz = tuple(compress(range(len(gc)), gc))
         key = ("/", nz, *f.lo, *f.shape, *f.err, *g.lo, *g.shape, *g.err,
                *ring.precs)
-        need = _PLANS.get(key)
-        if need is None:
-            need = _division_head(key, f, g, nz)
-        key = (key, _tops(f.shape, f.coeffs, need))
         lo, err, shape, size, runs, order, reach, out, trim = (
-            _PLANS.get(key) or _division_plan(key, f, g, nz, need, ring.precs))
+            _PLANS.get(key) or _division_plan(key, f, g, nz, ring.precs))
         r = _invert(gc[nz[0]])
         if order is None:
             if shape is None:
@@ -701,28 +695,6 @@ def _product_plan(key, a, b):
                            _offsets(b.shape, st), tuple(parts)), size)
 
 
-def _tops(shape, c, need):
-    """Per level j in `need`, ascending, the largest valuation in level
-    j, from the box's low, of a slice of the levels below j with a
-    nonzero leaf."""
-    if not need:
-        return ()
-    tops, flags = [0] * len(shape), c
-    for j in range(len(shape) - 1, need[0] - 1, -1):
-        n = shape[j]
-        if j in need:
-            alive = [True] * (len(flags) // n)
-            for i in range(n):
-                col = flags[i::n]
-                if any(compress(col, alive)):
-                    tops[j] = i
-                    alive = list(map(and_, alive, map(not_, col)))
-                    if not any(alive):
-                        break
-        flags = [any(flags[o:o + n]) for o in range(0, len(flags), n)]
-    return tuple(tops[j] for j in need)
-
-
 def _divisor(g, nz):
     """(v, hs, levels) of a divisor g with nonzero leaves nz: v the
     exponent of its lex-leading leaf nz[0], hs the offset from v of each
@@ -744,36 +716,24 @@ def _divisor(g, nz):
     return v, hs, {next(j for j, x in enumerate(h) if x) for h in hs}
 
 
-def _division_head(key, f, g, nz):
-    """The levels whose `_tops` of f the plan of f / g reads, stored
-    under key."""
-    _, _, levels = _divisor(g, nz)
-    deep = _deep_exact(f.err)
-    return _remember(key, tuple(
-        j for j in range(len(g.lo)) if f.coeffs and deep[j]
-        and (j in levels or g.err[j] != INF)))
-
-
-def _division_plan(key, f, g, nz, need, precs):
-    """The plan of f / g, stored under key, which ends with f's `_tops`
-    on the levels `need`: (lo, err, shape, size, runs, order, reach,
-    out, trim).  The quotient lies on the box (lo, shape) and knows
-    below err; order is None for an exact monomial g (then shape is
-    f's) and shape None for an empty quotient.  Otherwise the
-    recurrence runs in a buffer of `size` leaves, its work box padded
-    at every level by the steps' reach so that a step reaching below
-    the box reads a zero: f enters by `_runs`, order lists the work
-    box's leaves, reach each step's flat offset, and out the leaves of
-    the quotient's box, which is then trimmed when trim is set."""
+def _division_plan(key, f, g, nz, precs):
+    """The plan of f / g, stored under key: (lo, err, shape, size, runs,
+    order, reach, out, trim), from f's box and g's alone.  The quotient
+    lies on the box (lo, shape) and knows below err; order is None for
+    an exact monomial g (then shape is f's) and shape None for an empty
+    quotient.  Otherwise the recurrence runs in a buffer of `size`
+    leaves, its work box padded at every level by the steps' reach so
+    that a step reaching below the box reads a zero: f enters by
+    `_runs`, order lists the work box's leaves, reach each step's flat
+    offset, and out the leaves of the quotient's box, which is then
+    trimmed when trim is set."""
     v, hs, levels = _divisor(g, nz)
-    tops = dict(zip(need, key[-1]))
     L = len(v)
     lo_f = tuple(l - u for l, u in zip(f.lo, v))
     err_f = tuple(e - u for e, u in zip(f.err, v))
     if not hs and all(e == INF for e in g.err):
         return _remember(key, (lo_f, err_f, f.shape if f.coeffs else None, 0,
                                None, None, None, None, False))
-    deep = _deep_exact(f.err)
     lo, hi, err, top, held = [], [], [], [], 0
     for j in range(L):
         stepped = j in levels
@@ -782,8 +742,7 @@ def _division_plan(key, f, g, nz, need, precs):
         if g.err[j] != INF:
             known = min(known, lo_f[j] + g.err[j] - v[j] + low)
         if stepped or g.err[j] != INF:
-            known = min(known, lo_f[j] + precs[j]
-                        + (max(0, tops.get(j, 0) - j) if deep[j] else 0))
+            known = min(known, lo_f[j] + precs[j])
         t = known - low
         if not stepped:
             t = min(t, lo_f[j] + f.shape[j]

@@ -832,7 +832,10 @@ def psi_bot(cfg: RowConfig, w, method="transfer"):
 
 
 def _one_like(w):
-    """1 in the arithmetic of the leaves of `w`; 0 times it is their 0."""
+    """1 in the arithmetic of the leaves of `w`, the int 1 for a matrix
+    with no vertex; 0 times it is their 0."""
+    if isinstance(w, WeightMatrix) and not w.n:
+        return 1
     return w.weight(1, 1, "a") ** 0
 
 

@@ -496,6 +496,10 @@ class TestTowerBuilds:
             # and s = 3, whose symmetrized step takes P_3 in its det form
             for s in (2, 1, 3):
                 efp_double_contour_trace(EfpQuery(3, 3, s), w)
+            # n = 3, whose flipped step sums 3! pole assignments, and the
+            # s = 3 double-contour steps at N = 4
+            for N, r, s in ((4, 4, 1), (5, 4, 1), (4, 4, 3)):
+                efp_double_contour_trace(EfpQuery(N, r, s), w)
         assert towers and set(towers) == {1}
 
 

@@ -983,11 +983,11 @@ def _full_box_product(a, b):
 @st.composite
 def _plan_cases(draw):
     """Two dividends on one box and two divisors on another, drawn apart
-    in their leaves, so in the dividends' `_tops` and in the divisors'
-    zero patterns, and the dividends in which levels they know only up
-    to their box's top; a divisor keeps a nonzero leaf at exponent 0,
-    lex first in its box (a mixed-sign divisor 1 - x_j/x_l has its box
-    reach x_l^-1 below the leading leaf)."""
+    in their leaves, so in the divisors' zero patterns, and the
+    dividends in which levels they know only up to their box's top; a
+    divisor keeps a nonzero leaf at exponent 0, lex first in its box (a
+    mixed-sign divisor 1 - x_j/x_l has its box reach x_l^-1 below the
+    leading leaf)."""
     depth = draw(st.integers(1, 3))
     windows = draw(st.lists(st.integers(2, 4), min_size=depth,
                             max_size=depth))
@@ -1025,7 +1025,8 @@ def _plan_cases(draw):
 class TestPlanStore:
     """A division or a sum planned afresh and one that finds its plan
     stored give the same element, equal to the dict reference: a plan
-    holds no leaf value, and its key tells apart what the leaves decide."""
+    holds no leaf value, and its key tells apart what the leaves decide,
+    which for a division is the divisor's zero pattern alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(_plan_cases())
@@ -1104,3 +1105,18 @@ class TestPlanStore:
                       (1 + a) / (1 - b) ** k, x * x * (k * a), x * b ** k):
                 assert y.coeffs
         assert Store.peak == 8
+
+    def test_division_plan_ignores_the_dividends_leaves(self):
+        # two dividends on one box, apart in their leaves, share the
+        # plan of their division by one divisor, window and all
+        ring, at = build_tower([("x", 3), ("y", 3)])
+        x, y = at["x"], at["y"]
+        g = 1 - x * y - y
+        f1 = (1 + x + x * x) * (1 + y + y * y)
+        f2 = 1 + x * y * y + x * x * (1 + y)
+        assert (f1.lo, f1.shape) == (f2.lo, f2.shape) == ((0, 0), (3, 3))
+        q1 = f1 / g
+        plans = len(exact_core._PLANS)
+        q2 = f2 / g
+        assert len(exact_core._PLANS) == plans
+        assert (q2.lo, q2.shape, q2.err) == (q1.lo, q1.shape, q1.err)

@@ -75,6 +75,17 @@ class TestPartitionFunction:
         with pytest.raises(SizeLimit):
             enumerate_Z(20, ICE_POINT, "transfer")
 
+    def test_empty_lattice_is_one_on_both_backends(self):
+        # a weight matrix with no vertex has no weight to take a 1 from
+        w = WeightMatrix([], [], 1)
+        empty = RowConfig(0, ())
+        assert enumerate_Z(0, w) == enumerate_Z(0, w, "enum") == 1
+        for fn in (psi_top, psi_bot):
+            assert fn(empty, w) == fn(empty, w, method="enum") == 1
+        for method in ("enum", "transfer"):
+            got = row_config_probability(empty, w, method)
+            assert got == 1 and type(got) is Fraction
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DWBC_MAX_N", "3")
         with pytest.raises(SizeLimit):
