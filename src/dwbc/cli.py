@@ -208,12 +208,12 @@ def cmd_efp(args):
             _usage_error("--method ortho needs --lambda/--eta")
         from .hankel_orthopoly import efp_ortho
         f = efp_ortho(q, *w)
+    elif method == "enum":
+        f = efp_oracle(q.N, q.r, q.s, _oracle_weights(mode, w), method="enum")
+    elif method == "sum":
+        f = efp_oracle(q.N, q.r, q.s, _oracle_weights(mode, w), args.route)
     elif mode != "exact":
         _usage_error(f"--method {method} needs exact --weights")
-    elif method == "enum":
-        f = efp_oracle(q.N, q.r, q.s, w, method="enum")
-    elif method == "sum":
-        f = efp_oracle(q.N, q.r, q.s, w, args.route)
     elif method == "mir-s":
         from .efp_reps import efp_mir_s
         f = efp_mir_s(q, w, args.variant)

@@ -79,17 +79,16 @@ for a definitely nonzero coefficient below a level's pole-order bound.
 The determinants the integrands multiply in (h_{N,s} times a
 Vandermonde, the rows of P_s) are separable: each column depends on one
 point, and each point is a Laurent polynomial in one tower variable.
-`_tower_point` reads a point's polynomial, `_point_line` expands a
-column's entries in that variable by integer polynomial arithmetic
-(contents pulled out, a divisor other than a monomial inverted as an
-integer power series) and keeps the exponents of the level's window,
-prec past the column's valuation, marking with `err` what that cuts;
-`line_det` then assembles the determinant's box by one Laplace
-recursion over all its columns, a number column being one of width
-one, with minors memoized by their rows, each block an integer
-combination of flat minors, with no tower product.  A window too short
-for the residue raises PrecisionLoss like any other, so it shows as a
-retry of `residue_drive`, never as a wrong value.
+`_tower_point` reads a point's polynomial; a column's entries are
+integer polynomials in that variable packed into integers at 2^B
+(`_pack`, Kronecker's substitution), and `_packed_line` keeps the
+exponents of the level's window, prec past the column's valuation,
+marking with `err` what that cuts.  `line_det` assembles the box by
+one Laplace recursion over the columns, a number column one of width
+one, each minor the alternating sum of outer products of a row of its
+first column with the memoized minors of the rest: no tower product.
+A window too short for the residue raises PrecisionLoss like any
+other, so it shows as a retry of `residue_drive`, never a wrong value.
 
 One helper does each job for the whole package.  `_leaf` makes every
 leaf: an int or a complex number stays as it is (the Taylor towers of
@@ -1082,20 +1081,25 @@ def residue_drive(specs, build, scale=1, pref=(1, 1)):
 def poly_det(matrix):
     """Determinant of a small square matrix over a commutative ring
     (multivariate polynomials, tower elements, numbers), by cofactor
-    expansion."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return matrix[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * poly_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    expansion (`_minor`)."""
+    return _minor(matrix, tuple(range(len(matrix))), {})
+
+
+def _minor(rows, S, memo):
+    """The minor of the last len(S) rows on the columns S, by cofactor
+    expansion along its first row, each of its minors made once: memo
+    holds them by their columns, so one memo serves every maximal minor
+    of a wide matrix."""
+    k = len(rows) - len(S)
+    if len(S) < 2:
+        return rows[k][S[0]] if S else Fraction(1)
+    if S not in memo:
+        acc = rows[k][S[0]] * _minor(rows, S[1:], memo)
+        for i in range(1, len(S)):
+            t = rows[k][S[i]] * _minor(rows, S[:i] + S[i + 1:], memo)
+            acc = acc + (-t if i % 2 else t)
+        memo[S] = acc
+    return memo[S]
 
 
 # ---------------------------------------------------------------------------
@@ -1132,7 +1136,12 @@ def _padd(a, b):
 
 def _plin(k, c, p):
     """k * p + c for numbers k, c and a univariate Laurent polynomial p."""
-    return _padd((p[0], [k * x for x in p[1]]), (0, [c]))
+    lo, out = p[0], [k * x for x in p[1]]
+    if lo > 0:
+        return 0, [c] + [0] * (lo - 1) + out
+    out += [0] * (1 - lo - len(out))
+    out[-lo] += c
+    return lo, out
 
 
 def _trimmed(cs):
@@ -1205,7 +1214,7 @@ class Line:
         """This line on level `level` of the tower `top`, whose window is
         no wider than the one it was made for: the rows cut to that
         window and brought to integer content again, err the cut when
-        anything lies past it.  Equals the line `_point_line` makes
+        anything lies past it.  Equals the line `_packed_line` makes
         there."""
         if top is self.top and level == self.level:
             return self
@@ -1220,84 +1229,72 @@ class Line:
         return Line(kn, self.kd, top, level, self.lo, rows, err)
 
 
-def _point_line(point, polys, k=1, div=None, kd=1):
-    """The line of entries (k/kd) * polys[i] / div[0]^div[1] at a point
-    read by `_tower_point` (its ring and level): a `Line` cut to its
-    level's window, or at a number point the numbers (k/kd) * polys[i],
-    constant polynomials there.
+def _pack(cs, B):
+    """sum_m cs[m] 2^(B m): an integer polynomial read at 2^B (Kronecker's
+    substitution), so its products and sums are integer ones."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << B) + c
+    return v
 
-    polys are exact univariate Laurent polynomials in the point's eps,
-    div an optional (integer polynomial, power) pair, taken at tower
-    points only.  Kept are the exponents below v + prec, v the line's
-    valuation and prec the window of its tower level; the line is
-    exact (err = inf) when that cuts nothing and no divisor leaves a
-    series.  A divisor with one term is a shift; any other is inverted
-    as a power series in integer arithmetic (q_j scaled by u_0^(j+1)),
-    so the window is always finite there.  The content of the rows and
-    the divisor's leading powers go into the line's integer pair.
-    """
+
+def _unpack(v, B, size):
+    """The first `size` coefficients of a polynomial packed by `_pack`,
+    each below 2^(B-2) in size: v's signed digits in base 2^B."""
+    mask, half, out = (1 << B) - 1, 1 << (B - 1), []
+    for _ in range(size):
+        out.append(((v + half) & mask) - half)
+        v = (v - out[-1]) >> B
+    return out
+
+
+def _packed_line(point, l, accs, B, size, k=1, kd=1, inv=None, q=1):
+    """The `Line` at a point read by `_tower_point` of the entries
+    (k/(kd q)) sum_m a_m eps^(l+m), m < size, packed by `_pack` into
+    accs, each times sum_m inv[m] eps^m with an integer list inv: the
+    exponents below v + prec, v the valuation and prec the level's
+    window, err that cut where it drops a nonzero term (always with inv,
+    a series head).  Terms below 2^(B-2) in size put an entry's lowest
+    set bit in its lowest term, and make terms from K on nonzero exactly
+    when the entry exceeds 2^(K B - 1).  The rows' content goes into the
+    line's pair."""
     top, level = point[0], point[1]
+    w = top.precs[level]
+    if inv is not None:
+        accs, size = [a * _pack(inv, B) for a in accs], size + len(inv) - 1
+    vals = [((a & -a).bit_length() - 1) // B for a in accs if a]
+    if not vals:
+        return Line(1, 1, top, level, 0, [[] for _ in accs], INF)
+    v = min(vals)
+    width, err = min(w, size - v), INF
+    if inv is not None or any(abs(a) >> ((v + w) * B - 1) for a in accs):
+        err = l + v + w
+    flat = []
+    for a in accs:
+        flat += _unpack(a >> (v * B), B, width)
+    g = math.gcd(*flat)
+    flat, t = [c // g for c in flat] if g != 1 else flat, math.gcd(g, q)
+    return Line(k * (g // t), kd * (q // t), top, level, l + v,
+                [flat[i * width:(i + 1) * width] for i in range(len(accs))],
+                err)
+
+
+def _point_line(point, polys, k=1, kd=1):
+    """The line of entries (k/kd) * polys[i], rational Laurent
+    polynomials in a point's eps (`_tower_point`): `_packed_line` of
+    them over their common denominator, or at a number point the
+    numbers (k/kd) * polys[i], constants there."""
+    top = point[0]
     if top is None:
         k = _exact(k, kd) if kd != 1 else k
         return [k * (p[1][0] if p[1] else 0) for p in polys]
-    d = None
-    if div is not None and div[1]:
-        (dlo, d), power = div
-        j = next(i for i, c in enumerate(d) if c)
-        dlo, d = dlo + j, d[j:]
-        polys = [(lo - dlo * power, cs) for lo, cs in polys]
-        if len(d) == 1:
-            kd *= d[0] ** power
-            d = None
-    lows = [lo + next(i for i, c in enumerate(cs) if c)
-            for lo, cs in polys if any(cs)]
-    if not lows:
-        return Line(1, 1, top, level, 0, [[] for _ in polys], INF)
-    lo = min(lows)
-    w = top.precs[level]
-    cut = lo + w
-    if d is None:
-        err = INF if all(l + len(cs) <= cut or not any(cs[cut - l:])
-                         for l, cs in polys) else cut
-    else:
-        # 1/u for u = d^power, u_0 != 0, by the division recurrence on
-        # q_m u_0^(m+1), which stays integral; w terms are u_0^-w inv
-        u = (0, [1])
-        for _ in range(power):
-            u = _pmul(u, (0, d), w)
-        u = u[1]
-        inv = [1]
-        for m in range(1, w):
-            inv.append(-sum(u[i] * u[0] ** (i - 1) * inv[m - i]
-                            for i in range(1, min(m + 1, len(u)))))
-        inv = [c * u[0] ** (w - 1 - m) for m, c in enumerate(inv)]
-        kd *= u[0] ** w
-        polys = [_pmul(p, (0, inv), cut) for p in polys]
-        err = cut
-    width = min(cut, max(l + len(cs) for l, cs in polys)) - lo
-    rows = []
-    for l, cs in polys:
-        row = [0] * width
-        for m, c in enumerate(cs):
-            if c and lo <= l + m < cut:
-                row[l + m - lo] = c
-        rows.append(row)
-    (g, q), flat = _content([c for row in rows for c in row])
-    rows = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
-    return Line(k * g, kd * q, top, level, lo, rows, err)
-
-
-def _lincomb(terms, size):
-    """sum c x over pairs (int c, list x of `size` leaves)."""
-    acc = None
-    for c, x in terms:
-        if acc is None:
-            acc = x if c == 1 else [c * y for y in x]
-        elif c == 1:
-            acc = list(map(add, acc, x))
-        else:
-            acc = [u + c * y for u, y in zip(acc, x)]
-    return [0] * size if acc is None else acc
+    l, size = min(lo for lo, _ in polys), max(lo + len(cs) for lo, cs in polys)
+    q = math.lcm(*(v.denominator for _, cs in polys for v in cs))
+    ints = [[v.numerator * (q // v.denominator) for v in cs]
+            for _, cs in polys]
+    B = max((abs(c) for cs in ints for c in cs), default=0).bit_length() + 2
+    accs = [_pack(cs, B) << (lo - l) * B for (lo, _), cs in zip(polys, ints)]
+    return _packed_line(point, l, accs, B, size - l, k, kd, q=q)
 
 
 def line_det(lines):
@@ -1306,23 +1303,19 @@ def line_det(lines):
 
     The determinant's box has, at the level of each tower line, the
     line's low, width and err, and extent 1 elsewhere.  It is assembled
-    column by column, the tower lines outermost first and the number
-    columns last, by Laplace expansion along the columns with the minors
-    memoized by their set of rows: the block of the minor on rows R of
-    the columns from j on at exponent e of column j is sum_(i in R) +-
-    c_(i,e) times the flat minor on R - {i} of the columns after j.  A
-    number column is a column of width one, a list of rationals whose
-    content `_content` moves into the scalar.  So the only tower
-    operations are integer times list and list plus list, and the
-    contents form the `Scaled` scalar, an integer pair.  Returns a
-    `Scaled` element, or a Fraction when every line is numbers.
+    by Laplace expansion along the columns, the tower lines outermost
+    first and the number columns (of width one, their content moved into
+    the scalar) last: the flat minor on rows R of the columns from j on
+    is the sum over i in R of +- the outer product of row i of column j
+    with the minor on R - {i} of the columns after j, memoized by R.  So
+    the only tower operations are products and sums of integer lists,
+    and the contents form the `Scaled` scalar, an integer pair.  Returns
+    a `Scaled` element, or a Fraction when every line is numbers.
     """
     s = len(lines)
-    tower = sorted((j for j in range(s) if isinstance(lines[j], Line)),
-                   key=lambda j: lines[j].level)
-    order = tower + [j for j in range(s) if not isinstance(lines[j], Line)]
-    m = len(tower)
+    order = sorted(range(s), key=lambda j: getattr(lines[j], "level", INF))
     lines = [lines[j] for j in order]
+    m = sum(isinstance(c, Line) for c in lines)
     top = lines[0].top if m else None
     levels = [c.level for c in lines[:m]]
     if any(c.top is not top for c in lines[:m]) or len(set(levels)) < m:
@@ -1338,31 +1331,26 @@ def line_det(lines):
         (g, q), c = _content(c)
         kn, kd = kn * g, kd * q
         cols.append([[x] for x in c])
-    sizes = [1] * (s + 1)
-    for j in range(s - 1, -1, -1):
-        sizes[j] = sizes[j + 1] * len(cols[j][0])
     minors = {}
 
     def minor(j, mask):
-        # the flat minor of the columns from j on, on the rows in mask
-        if j == s:
-            return [1]
-        key = (j, mask)
-        if key not in minors:
-            rows, inner, odd = cols[j], [], False
+        # the flat minor of the columns from j on, on the s - j rows in
+        # mask: +- (row of column j) outer (minor of the rest) per row
+        if j == s - 1:
+            return cols[j][mask.bit_length() - 1]
+        out = minors.get(mask)
+        if out is None:
+            rows, op = cols[j], None
             for i in range(s):
                 if mask >> i & 1:
-                    inner.append((rows[i], odd, minor(j + 1, mask ^ (1 << i))))
-                    odd = not odd
-            out = []
-            for e in range(len(rows[0])):
-                out += _lincomb([(-row[e] if odd else row[e], x)
-                                 for row, odd, x in inner if row[e]],
-                                sizes[j + 1])
-            minors[key] = out
-        return minors[key]
+                    x = minor(j + 1, mask ^ (1 << i))
+                    term = [c * y for c in rows[i] for y in x]
+                    out = term if op is None else list(map(op, out, term))
+                    op = sub if op is not sub else add
+            minors[mask] = out
+        return out
 
-    flat = minor(0, (1 << s) - 1)
+    flat = minor(0, (1 << s) - 1) if s else [1]
     if not m:
         return _exact(kn * flat[0], kd)
     L = len(top.precs)

@@ -52,8 +52,8 @@ prod_j x_j^-(s-1) prod_{j != k} (x_j x_k - 2D x_j + 1) (the `psxx`
 identity), which the integrands write out so that it cancels their
 own pair factors.  The rows of `cantini_P_confluent` and of the x-side
 minors of `cantini_P_vand` each depend on one x_j and take the same
-column kernel; the y-side minors, each of whose columns depends on
-s - 1 of the y's, are cofactor expansions (`poly_det`).
+column kernel; the y-side minors, whose columns each depend on s - 1
+of the y's, share their sub-minors in one Laplace expansion.
 
 The pair factors of the residue integrands (`pole_guard` of the
 family, `_pair_quotient`) live here too, so that `efp_reps` needs
@@ -66,11 +66,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (Scaled, _content, _horner, _padd, _plin, _pmul,
-                         _point_line, _ppowers, _scaled, _tower_point,
-                         _trimmed, line_det, poly_det)
+from .exact_core import (Scaled, _content, _horner, _minor, _pack,
+                         _packed_line, _padd, _plin, _pmul, _point_line,
+                         _ppowers, _scaled, _tower_point, _trimmed, line_det,
+                         poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
@@ -320,23 +322,22 @@ class BoundaryGenFamily:
         The points may be numbers or tower elements, each an exact
         Laurent polynomial in the variable of one tower level: the
         c + D eps of `residue_drive`, or 1/(D eps).  There column j is
-        built by `exact_core._point_line`: with the g_i over their
-        rational contents (integers cached per (N, s)) and the map's
-        numerator and denominator at z_j brought to integer content,
-        G_i(z_j) is a sum of integer polynomials in eps, (ga z_j +
-        de)^-(N-1) a monomial or an integer power series, and the column
-        keeps the exponents of its level's window, marked by err where
-        that cuts anything; points with one polynomial share one column,
+        built by `_hns_line`: with the g_i over their rational contents
+        (integers cached per (N, s)) and the map's numerator and
+        denominator at z_j brought to integer content, G_i(z_j) is an
+        integer polynomial in eps taken by Horner's rule on integers
+        (Kronecker's substitution), (ga z_j + de)^-(N-1) a monomial or
+        an integer power series, and `exact_core._packed_line` keeps
+        the exponents of the level's window, marked by err where that
+        cuts anything; points with one polynomial share one column,
         made at the widest of their windows and cut to each point's
-        level (`_point_lines`).
-        `exact_core.line_det` assembles the determinant level by level
-        with integer times tower and tower plus tower only, and the
+        level (`_point_lines`).  `exact_core.line_det` assembles the
+        determinant by outer products of integer lists, and the
         contents form its `Scaled` scalar, an integer pair.  An integer
         map (`TripleInts`) keeps every content an integer; a map and any
-        nonzero multiple of it give the same value.  A
-        window too short for the residue shows up as a PrecisionLoss,
-        so `residue_drive` retries on wider towers; it never gives a
-        wrong value.
+        nonzero multiple of it give the same value.  A window too short
+        for the residue shows up as a PrecisionLoss, so `residue_drive`
+        retries on wider towers; it never gives a wrong value.
         """
         zs = list(zs)
         if len(zs) != s:
@@ -436,7 +437,14 @@ def _g_row(h, s, i):
 
 def _hns_line(N, s, rows, point, mobius):
     """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
-    `exact_core._tower_point`, for the rows g_i over their contents."""
+    `exact_core._tower_point`, for the rows g_i over their contents.
+    With al z + be = (kn/pd) eps^lo n, ga z + de = (kd/pd) eps^lo d for
+    integer lists n, d and kn/kd = p/q, G_i is (kd/pd)^D q^-D eps^(lo D)
+    sum_m c_(i,m) (p n)^m (q d)^(D-m), by Horner's rule in p n (Knuth,
+    TAOCP vol. 2, sec. 4.6.4) packed at 2^B, B holding every partial
+    sum, q d's powers made once.  d^(N-1) = u0 eps^j (1 + ..) is a shift,
+    or a series of prec terms, u0^-prec inv, by the division recurrence,
+    exact in integers (B holds its products too)."""
     al, be, ga, de = mobius
     top, _, poly, pd = point
     if top is None:
@@ -444,10 +452,6 @@ def _hns_line(N, s, rows, point, mobius):
         den = ga * z + de
         x = (al * z + be) / den
         return [_horner(cs, x) * den ** (s - 1) for cs in rows]
-    # the point is poly/pd; num = (kn/pd) eps^lo n and den = (kd/pd) eps^lo
-    # d for integer lists n, d and rationals kn = gn/qn, kd = gd/qd; with
-    # kn/kd = p/q, num^m den^(D-m) = (kd/pd)^D q^-D eps^(lo D) (p n)^m
-    # (q d)^(D-m)
     D = N + s - 2
     lo = min(poly[0], 0)
     (gn, qn), n = _content(_trimmed(_plin(al, be * pd, poly)[1]))
@@ -459,19 +463,31 @@ def _hns_line(N, s, rows, point, mobius):
     p, q = gn * qd, qn * gd
     h = math.gcd(p, q) * (-1 if q < 0 else 1)
     p, q = p // h, q // h
-    xs = _ppowers((0, [p * c for c in n]), D)
-    ys = _ppowers((0, [q * c for c in d]), D)
-    basis = [_pmul(xs[m], ys[D - m])[1] for m in range(D + 1)]
-    polys = []
+    j = next(i for i, c in enumerate(d) if c)
+    u, u0, w, inv = d[j:], d[j] ** (N - 1), top.precs[point[1]], None
+    kd = (qd * pd) ** (s - 1) * q ** D * u0
+    if N > 1 and len(u) > 1:
+        u, inv = _ppowers((0, u), N - 1)[-1][1][:w], [u0 ** (w - 1)]
+        for m in range(1, w):
+            inv.append(-sum(map(mul, u[1:], inv[::-1])) // u0)
+        kd *= u0 ** (w - 1)
+    x = [p * c for c in n]
+    B = (max(max(map(abs, cs)) for cs in rows).bit_length() + 2
+         + (D + 1).bit_length()
+         + D * max(sum(map(abs, x)), q * sum(map(abs, d))).bit_length())
+    if inv is not None:
+        B += max(map(abs, inv)).bit_length() + w.bit_length()
+    xp, yp = _pack(x, B), q * _pack(d, B)
+    ys = [yp ** m for m in range(D + 1)]
+    accs = []
     for cs in rows:
-        acc = [0] * max(map(len, basis))
-        for c, b in zip(cs, basis):
-            if c:
-                for j, v in enumerate(b):
-                    acc[j] += c * v
-        polys.append((lo * D, acc))
-    return _point_line(point, polys, gd ** (s - 1), ((lo, d), N - 1),
-                       (qd * pd) ** (s - 1) * q ** D)
+        acc = 0
+        for c, y in zip(reversed(cs), ys[D + 1 - len(cs):]):
+            acc = acc * xp + c * y
+        accs.append(acc)
+    return _packed_line(point, lo * D - (lo + j) * (N - 1), accs, B,
+                        (max(len(n), len(d)) - 1) * D + 1, gd ** (s - 1), kd,
+                        inv)
 
 
 def _point_lines(points, make):
@@ -484,15 +500,10 @@ def _point_lines(points, make):
     widest = {}
     for i, (key, (top, level, _, _)) in enumerate(zip(keys, points)):
         w = top.precs[level] if top is not None else 0
-        if key not in widest or w > widest[key][0]:
-            widest[key] = w, i
-    made, out = {}, []
-    for key, (top, level, _, _) in zip(keys, points):
-        line = made.get(key)
-        if line is None:
-            line = made[key] = make(widest[key][1])
-        out.append(line if top is None else line.moved(top, level))
-    return out
+        widest[key] = max(widest.get(key, (w, -i)), (w, -i))
+    made = {key: make(-i) for key, (_, i) in widest.items()}
+    return [made[key] if top is None else made[key].moved(top, level)
+            for key, (top, level, _, _) in zip(keys, points)]
 
 
 # the memo of `family`: the numerators and denominators of (a, b, c) to
@@ -594,11 +605,11 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
     only).  Row j of an x-minor depends on x_j alone, so each x-minor
     is built by `exact_core.line_det` from the integer powers of the
     x_j in their tower variables; the y-minors, whose columns each
-    depend on s - 1 of the y's, are cofactor expansions.  On a tower
-    this multiplies small one-sided factors instead of expanding
-    det[g_k(x_j)], and a y-only `yfactor` (the y side of an integrand)
-    goes into each y-only minor, so it is never multiplied into the
-    full sum.
+    depend on s - 1 of the y's, are every maximal minor of c_{k,m}(y)
+    from one Laplace expansion along k, memoized by column set, with a
+    y-only `yfactor` (the y side of an integrand) taken into row k = 0
+    once.  On a tower this multiplies small one-sided factors instead
+    of expanding det[g_k(x_j)] (at s = 3, 55 y-side products).
     """
     s = len(xs)
     # (1 - x y)(x + y - 2D x y) as coefficients of x^0, x^1, x^2
@@ -611,13 +622,13 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
             if kp != k:
                 cs = _pmul(cs, (0, quads[kp]))
         coeffs.append(cs[1])
-    points = [_tower_point(x) for x in xs]
+    cy = [[yfactor * c for c in cs] for cs in coeffs[:1]] + coeffs[1:]
+    points, memo = [_tower_point(x) for x in xs], {}
     powers = [_ppowers(_point_poly(p), 2 * s - 2) for p in points]
     terms = [line_det(_point_lines(points, lambda i: _point_line(
-                 points[i], [powers[i][m] for m in S])))
-             * (yfactor * poly_det([[cs[m] for cs in coeffs] for m in S]))
+                 points[i], [powers[i][m] for m in S]))) * _minor(cy, S, memo)
              for S in combinations(range(2 * s - 1), s)]
-    return sum(terms[1:], terms[0])
+    return sum(terms[1:], terms[0]) if s else yfactor * terms[0]
 
 
 def cantini_P_confluent(xs, c, delta):
@@ -656,8 +667,7 @@ def cantini_P_confluent(xs, c, delta):
                 acc = _padd(acc, _pmul(_pmul(xp[i], dp[m - i]),
                                        _pmul(ap[s - 1 - i], bp[s - 1 - m + i])))
             polys.append(acc)
-        lines.append(_point_line(point, polys, 1, None,
-                                 (Q * den) ** (2 * s - 2)))
+        lines.append(_point_line(point, polys, 1, (Q * den) ** (2 * s - 2)))
     return line_det(lines)
 
 

@@ -58,6 +58,30 @@ class TestSubcommands:
             assert code == 1
             assert json.loads(capsys.readouterr().err)["error"] == "SizeLimit"
 
+    def test_efp_oracle_methods_take_trig_weights(self, capsys):
+        # --method enum and sum sum over the lattice at any weights, as
+        # hrow and psi --method oracle | enum do; the residue routes
+        # still refuse weights that are not exact
+        from dwbc.exact_core import DEFAULT_RTOL
+        from dwbc.lattice_oracle import efp_oracle
+        from dwbc.trig import NumericTriple, TrigParams, homogeneous_abc
+        hom = NumericTriple(*homogeneous_abc(0.9, 0.3))
+        inhom = TrigParams([0.3, 0.9, 1.4, 2.0], [-0.3, 0.0, 0.2, 0.45], 0.4)
+        efp = ["efp", "--size", "4", "--r", "3", "--s", "1"]
+        for params, w in ((["--lambda", "0.9", "--eta", "0.3"], hom),
+                          (_INHOM, inhom.weight_matrix())):
+            want = efp_oracle(4, 3, 1, w)
+            for method in ("enum", "sum"):
+                code, out = run_cli(efp + ["--method", method] + params,
+                                    capsys)
+                assert code == 0
+                got = complex(json.loads(out)["F"])
+                assert abs(got - want) <= DEFAULT_RTOL * abs(want)
+            for method in ("mir-s", "mir-n"):
+                with pytest.raises(SystemExit) as exc:
+                    main(efp + ["--method", method] + params)
+                assert exc.value.code == 2
+
     def test_verify(self, capsys):
         code, out = run_cli(["verify", "--suite", "cantini", "--trials", "5",
                              "--seed", "42"], capsys)

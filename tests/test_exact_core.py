@@ -16,6 +16,7 @@ from dwbc.exact_core import (
     Series,
     build_tower,
     format_rational,
+    _packed_line,
     _point_line,
     iterated_residue,
     line_det,
@@ -548,14 +549,15 @@ _leaves = (st.integers(-3, 3)
 
 
 @st.composite
-def _line_matrices(draw):
-    """(lines, columns): 1-4 lines, each a column of rationals or of
-    polynomial or Laurent entries on its own level of a tower of up to 5
-    levels, some levels left unused; the columns are the same entries as
-    numbers and exact tower elements."""
-    s = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from(["number", "poly", "laurent"]),
-                          min_size=s, max_size=s))
+def _line_matrices(draw, kinds=None):
+    """(lines, columns): 1-4 lines (or one of each of `kinds`), each a
+    column of rationals or of polynomial or Laurent entries on its own
+    level of a tower of up to 5 levels, some levels left unused; the
+    columns are the same entries as numbers and exact tower elements."""
+    s = len(kinds) if kinds else draw(st.integers(1, 4))
+    kinds = kinds or draw(st.lists(
+        st.sampled_from(["number", "poly", "laurent"]), min_size=s,
+        max_size=s))
     depth = draw(st.integers(max(1, s), 5))
     precs = draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth))
     levels = draw(st.permutations(range(depth)))
@@ -577,21 +579,33 @@ def _line_matrices(draw):
     return lines, cols
 
 
+def _check_line_det(case):
+    lines, cols = case
+    want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
+    got = line_det(lines)
+    if not isinstance(got, Scaled):
+        assert got == want
+        return
+    # the kernel knows fewer coefficients (each line is cut to its
+    # level's window), and those it knows are the exact ones
+    assert _agree(got.e * Fraction(got.n, got.d), want)
+
+
 class TestLineDet:
     """The separable determinant kernel against the cofactor expansion."""
 
     @settings(max_examples=60, deadline=None)
     @given(_line_matrices())
     def test_matches_poly_det(self, case):
-        lines, cols = case
-        want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
-        got = line_det(lines)
-        if not isinstance(got, Scaled):
-            assert got == want
-            return
-        # the kernel knows fewer coefficients (each line is cut to its
-        # level's window), and those it knows are the exact ones
-        assert _agree(got.e * Fraction(got.n, got.d), want)
+        _check_line_det(case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_line_matrices(["poly", "number", "laurent"])
+           | _line_matrices(["laurent", "number", "number", "poly"]))
+    def test_number_columns_between_tower_columns(self, case):
+        # number columns go last in the expansion, the permutation's
+        # sign into the scalar
+        _check_line_det(case)
 
     def test_window(self):
         # prec coefficients past the line's valuation are kept; a line
@@ -602,8 +616,9 @@ class TestLineDet:
         fits = _point_line((ring, 0, None), [(-1, [1, 0, 4]), (0, [2])], 3)
         assert (Fraction(fits.kn, fits.kd), fits.rows, fits.err) \
             == (3, [[1, 0, 4], [0, 2, 0]], math.inf)
-        # 1/(1 - x): a divisor with two terms leaves a series
-        inv = _point_line((ring, 0, None), [(0, [1])], div=((0, [1, -1]), 1))
+        # times the head of 1/(1 - x), a series: err is the cut
+        inv = _packed_line((ring, 0, None), 0, [exact_core._pack([1], 8)], 8,
+                           1, inv=[1, 1, 1])
         assert (inv.rows, inv.err) == ([[1, 1, 1]], 3)
 
     def test_lines_on_one_level(self):

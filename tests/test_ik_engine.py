@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,9 @@ from dwbc.ik_engine import (
     family,
 )
 from dwbc.ik_numeric import ik_determinant, ik_homogeneous, phi_derivatives
-from dwbc.exact_core import (Scaled, Series, _content, _tower_point,
-                             build_tower, residue_drive)
+from dwbc.exact_core import (Line, Scaled, Series, _content, _plin, _pmul,
+                             _ppowers, _tower_point, _trimmed, build_tower,
+                             residue_drive)
 from dwbc.identity_suite import p_s_value
 from dwbc.lattice_oracle import (RowConfig, WeightMatrix, WeightTriple,
                                  enumerate_Z, psi_bot)
@@ -223,19 +225,28 @@ class TestBoundaryFamily:
         assert residue_drive(specs, build(True)) \
             == residue_drive(specs, build(False))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_windowed_hns_vand_matches_poly(self, data):
         # at tower points each line of hns_vand is cut to its level's
         # window; what it knows is h_{N,s}(M(z)) Vand(z) from hns_poly,
-        # at polynomial points c + D eps and Laurent points 1/(D eps)
+        # at polynomial points c + D eps, also at the map's pole (the
+        # w-map's at z = 1), and Laurent points 1/(D eps), on windows
+        # down to one term, shorter than the columns' degree; and its
+        # box and leaves are those of the columns built by lists
+        # (`_list_line`)
         fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
+        wi = fam.pole_guard()
         small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
         s = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(s, 4))
-        mob = data.draw(st.tuples(small, small, small, small).filter(
-            lambda m: m[0] * m[3] != m[1] * m[2]))
-        precs = data.draw(st.lists(st.integers(2, 4), min_size=s,
+        n = data.draw(st.integers(s, 5))
+        mob = data.draw(st.sampled_from([wi.u_map, wi.w_map, wi.warg_map,
+                                         wi.over_t, wi.inv_tz])
+                        | st.tuples(small, small, small, small).filter(
+                            lambda m: m[0] * m[3] != m[1] * m[2]))
+        al, be, ga, de = mob
+        centres = small | st.just(-Fraction(de) / ga) if ga else small
+        precs = data.draw(st.lists(st.integers(1, 4), min_size=s,
                                    max_size=s))
         ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
         zs = []
@@ -243,14 +254,18 @@ class TestBoundaryFamily:
             eps = Scaled(data.draw(st.sampled_from([1, 2, Fraction(1, 3)])),
                          atoms[f"e{j}"])
             zs.append(1 / eps if data.draw(st.booleans())
-                      else eps + data.draw(small))
-        al, be, ga, de = mob
+                      else eps + data.draw(centres))
         want = fam.hns_poly(n, s).eval([(al * z + be) / (ga * z + de)
                                          for z in zs])
         for j in range(s):
             for k in range(j + 1, s):
                 want = want * (zs[k] - zs[j])
         got = fam.hns_vand(n, s, zs, mob)
+        with mock.patch.object(ik_engine, "_hns_line", _list_line):
+            lists = fam.hns_vand(n, s, zs, mob)
+        assert (got.n, got.d) == (lists.n, lists.d)
+        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
+            == (lists.e.lo, lists.e.shape, lists.e.err, lists.e.coeffs)
         got, want = (v * ring.const(1) for v in (got, want))
         assert _agree(*(v.e * Fraction(v.n, v.d) if isinstance(v, Scaled)
                         else v for v in (got, want)))
@@ -431,6 +446,62 @@ def _vand(pts):
         for k in range(j + 1, len(pts)):
             out = out * (pts[k] - pts[j])
     return out
+
+
+def _list_line(N, s, rows, point, mobius):
+    """`ik_engine._hns_line` at a tower point on lists: the D + 1 products
+    (p n)^m (q d)^(D-m) by `_pmul`, each row their integer combination,
+    the divisor d^(N-1) a shift or its w-term inverse by the division
+    recurrence on q_m u_0^(m+1), times each row by `_pmul`, then cut to
+    the level's window and brought to integer content."""
+    al, be, ga, de = mobius
+    top, level, poly, pd = point
+    D, lo = N + s - 2, min(poly[0], 0)
+    (gn, qn), n = _content(_trimmed(_plin(al, be * pd, poly)[1]))
+    if ga:
+        (gd, qd), d = _content(_trimmed(_plin(ga, de * pd, poly)[1]))
+    else:
+        x = de * pd
+        gd, qd, d = x.numerator, x.denominator, [0] * -lo + [1]
+    p, q = gn * qd, qn * gd
+    h = math.gcd(p, q) * (-1 if q < 0 else 1)
+    p, q = p // h, q // h
+    xs = _ppowers((0, [p * c for c in n]), D)
+    ys = _ppowers((0, [q * c for c in d]), D)
+    basis = [_pmul(xs[m], ys[D - m])[1] for m in range(D + 1)]
+    size = max(map(len, basis))
+    j = next(i for i, c in enumerate(d) if c)
+    polys = [(lo * D - (lo + j) * (N - 1),
+              [sum(c * b[e] for c, b in zip(cs, basis) if e < len(b))
+               for e in range(size)]) for cs in rows]
+    k, kd, u, w = gd ** (s - 1), (qd * pd) ** (s - 1) * q ** D, d[j:], \
+        top.precs[level]
+    low = min(l + cs.index(next(filter(None, cs))) for l, cs in polys)
+    cut = low + w
+    if N > 1 and len(u) > 1:
+        up = (0, [1])
+        for _ in range(N - 1):
+            up = _pmul(up, (0, u), w)
+        up = up[1]
+        inv = [1]
+        for m in range(1, w):
+            inv.append(-sum(up[i] * up[0] ** (i - 1) * inv[m - i]
+                            for i in range(1, min(m + 1, len(up)))))
+        inv = [c * up[0] ** (w - 1 - m) for m, c in enumerate(inv)]
+        kd *= up[0] ** w
+        polys = [_pmul(pl, (0, inv), cut) for pl in polys]
+        err = cut
+    else:
+        kd *= u[0] ** (N - 1)
+        err = math.inf if all(l + len(cs) <= cut or not any(cs[cut - l:])
+                              for l, cs in polys) else cut
+    width = min(cut, max(l + len(cs) for l, cs in polys)) - low
+    (g, qq), flat = _content([cs[e - l] if 0 <= e - l < len(cs) else 0
+                              for l, cs in polys
+                              for e in range(low, low + width)])
+    return Line(k * g, kd * qq, top, level, low,
+                [flat[i * width:(i + 1) * width] for i in range(len(rows))],
+                err)
 
 
 def _agree(a, b):
