@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -373,6 +374,11 @@ def build_parser():
 
     for sp in sub.choices.values():
         sp.add_argument("--format", default="json", choices=["json", "csv"])
+        # a negative number in any finite float notation is a value: the
+        # own pattern of argparse on Python 3.10 and 3.11 takes none with
+        # an exponent, so '--lambda -6.7e-05' would be an unknown option
+        sp._negative_number_matcher = re.compile(
+            r"^-(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)([eE][-+]?\d[\d_]*)?$")
     return top
 
 

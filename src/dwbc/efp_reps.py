@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import ChainBreak
-from .exact_core import eps_scale, residue_drive
+from .exact_core import _ppowers, eps_scale, residue_drive
 from .ik_engine import (_pair_quotient, _pref, cantini_P_confluent,
                         cantini_P_vand, family)
 from .lattice_oracle import (
@@ -84,7 +84,9 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     variant 'efpMIR1': non-symmetric integrand with triangular powers;
     variant 'efpMIR2': symmetric integrand with the 1/s! prefactor and
     the extra h_{s,s}(u(z)) factor.  Their equality is the one-set
-    antisymmetrization identity in action.
+    antisymmetrization identity in action.  It makes efpMIR2's factor
+    (tt z + A^2)^(s-1) / (z^r (z - 1)^s) the same for every variable, so
+    it goes into the columns of h_{N,s} Vand (`hns_vand`'s factor).
     """
     N, r, s = q.N, q.r, q.s
     fam = family(w)
@@ -115,12 +117,11 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
                      (A, -s * (s - 1)), (wi.C, -s),
                      (wi.gn, -s * s), (wi.gd, s * s))
 
+        factor = (r, _ppowers((0, [A * A, tt]), s - 1)[-1][1],
+                  _ppowers((0, [-1, 1]), s)[-1][1])
+
         def build(zs, ring):
-            # as in efp_mir_n, the factors divide h_{N,s} Vand in turn
-            f = fam.hns_vand(N, s, zs)
-            for j in range(s):
-                f = f * (tt * zs[j] + A * A) ** (s - 1) \
-                    / (zs[j] ** r * (zs[j] - 1) ** s)
+            f = fam.hns_vand(N, s, zs, factor=factor)
             f = _pair_quotient(f, zs, B * B, E, A * A, ordered=True)
             return f, fam.hns_vand(s, s, zs, wi.u_map)
 
@@ -146,7 +147,9 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
 
     For n = 0 the integral is empty and F = Z_s Z_{N-s} a^(2s(N-s))/Z_N.
     Pole order per variable is s + n: the composed h argument carries
-    s+n-1 and the explicit factor one more.
+    s+n-1 and the explicit factor one more.  That factor 1/(z_j - 1) goes
+    into the columns of h_{N-s,n} Vand (`hns_vand`'s factor), where at
+    z = 1 + D eps it is a shift.
     """
     N, s, n = q.N, q.s, q.n
     fam = family(w)
@@ -164,12 +167,9 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         return Fraction(*pref)
 
     def build(zs, ring):
-        # the factors divide h_{N-s,n} Vand one at a time, at size(h) times
-        # their few terms each, instead of forming their quotient apart
-        # and multiplying it into h
-        f = fam.hns_vand(N - s, n, zs)
-        for j in range(n):
-            f = f / (zs[j] - 1)
+        # the pair factors divide h_{N-s,n} Vand one at a time, at size(h)
+        # times their few terms each
+        f = fam.hns_vand(N - s, n, zs, factor=(0, [1], [-1, 1]))
         f = _pair_quotient(f, zs, B * B, wi.E, A * A, ordered=True)
         return f, fam.hns_vand(s + n, n, zs, wi.w_map)
 

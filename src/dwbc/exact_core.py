@@ -83,10 +83,12 @@ point, and each point is a Laurent polynomial in one tower variable.
 integer polynomials in that variable packed into integers at 2^B
 (`_pack`, Kronecker's substitution), and `_packed_line` keeps the
 exponents of the level's window, prec past the column's valuation,
-marking with `err` what that cuts.  `line_det` assembles the box by
-one Laplace recursion over the columns, a number column one of width
-one, each minor the alternating sum of outer products of a row of its
-first column with the memoized minors of the rest: no tower product.
+marking with `err` what that cuts.  `line_det` assembles the box with
+no tower product: one line on s levels, an alternant, from its signed
+maximal minors; other columns by one Laplace recursion, a number
+column one of width one, each minor the alternating sum of outer
+products of a row of its first column with the memoized minors of the
+rest.
 A window too short for the residue raises PrecisionLoss like any
 other, so it shows as a retry of `residue_drive`, never a wrong value.
 
@@ -106,8 +108,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, product
-from operator import add, mul, sub
+from itertools import combinations, compress, permutations, product
+from operator import add, mul, neg, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from .rational import (ExactPoly, _horner, _perm_sign,  # noqa: F401
@@ -213,11 +215,11 @@ class Tower:
 # of different kinds never meet: strides are keyed by a shape, offsets
 # by (shape, strides), crops by (shift, shape, shape), sums by a flat
 # tuple led by "+", products by one led by "*" (the lo, shape and err of
-# both factors), division heads by one led by "/" and divisions by
-# (head key, tops).  A plan is kept only when it holds at most
-# PLAN_LEAVES positions, so a large box, whose own arithmetic dwarfs its
-# set-up, plans afresh; the store is emptied when it reaches PLAN_CAP
-# entries.
+# both factors), divisions by one led by "/" (the divisor's nonzero leaf
+# positions, both boxes and the precs), alternants by ("alternant", s,
+# w).  A plan is kept only when it holds at most PLAN_LEAVES positions,
+# so a large box, whose own arithmetic dwarfs its set-up, plans afresh;
+# the store is emptied when it reaches PLAN_CAP entries.
 PLAN_CAP = 4096
 PLAN_LEAVES = 256
 _PLANS = {}
@@ -1261,7 +1263,8 @@ def _packed_line(point, l, accs, B, size, k=1, kd=1, inv=None, q=1):
     top, level = point[0], point[1]
     w = top.precs[level]
     if inv is not None:
-        accs, size = [a * _pack(inv, B) for a in accs], size + len(inv) - 1
+        packed = _pack(inv, B)
+        accs, size = [a * packed for a in accs], size + len(inv) - 1
     vals = [((a & -a).bit_length() - 1) // B for a in accs if a]
     if not vals:
         return Line(1, 1, top, level, 0, [[] for _ in accs], INF)
@@ -1302,17 +1305,22 @@ def line_det(lines):
     of numbers, or a `Line` on one tower level, no two on one level.
 
     The determinant's box has, at the level of each tower line, the
-    line's low, width and err, and extent 1 elsewhere.  It is assembled
-    by Laplace expansion along the columns, the tower lines outermost
-    first and the number columns (of width one, their content moved into
-    the scalar) last: the flat minor on rows R of the columns from j on
-    is the sum over i in R of +- the outer product of row i of column j
-    with the minor on R - {i} of the columns after j, memoized by R.  So
-    the only tower operations are products and sums of integer lists,
-    and the contents form the `Scaled` scalar, an integer pair.  Returns
-    a `Scaled` element, or a Fraction when every line is numbers.
+    line's low, width and err, and extent 1 elsewhere.  One line on s > 1
+    levels (equal rows, low and err) is an alternant (`_alternant`).
+    Any other mix goes by Laplace expansion along the columns, the tower
+    lines outermost first and the number columns (of width one, their
+    content moved into the scalar) last: the flat minor on rows R of the
+    columns from j on is the sum over i in R of +- the outer product of
+    row i of column j with the minor on R - {i} of the columns after j,
+    memoized by R.  So the only tower operations are products and sums
+    of integer lists, and the contents form the `Scaled` scalar, an
+    integer pair.  Returns a `Scaled` element, or a Fraction when every
+    line is numbers.
     """
     s = len(lines)
+    if s == 1 and isinstance(lines[0], Line) and lines[0].rows[0]:
+        c = lines[0]
+        return _scaled(c.kn, _line_box(c.top, lines, c.rows[0]), c.kd)
     order = sorted(range(s), key=lambda j: getattr(lines[j], "level", INF))
     lines = [lines[j] for j in order]
     m = sum(isinstance(c, Line) for c in lines)
@@ -1350,12 +1358,58 @@ def line_det(lines):
             minors[mask] = out
         return out
 
-    flat = minor(0, (1 << s) - 1) if s else [1]
+    if m == s > 1 and all(c.rows == cols[0] and c.lo == lines[0].lo
+                          and c.err == lines[0].err for c in lines):
+        flat = _alternant(cols[0])
+    else:
+        flat = minor(0, (1 << s) - 1) if s else [1]
     if not m:
         return _exact(kn * flat[0], kd)
+    return _scaled(kn, _line_box(top, lines[:m], flat), kd)
+
+
+def _line_box(top, lines, flat):
+    """The element of the flat leaves of lines on distinct levels, in
+    level order: each line's low, width and err at its level."""
     L = len(top.precs)
     lo, shape, err = [0] * L, [1] * L, [INF] * L
-    for c in lines[:m]:
+    for c in lines:
         lo[c.level], shape[c.level], err[c.level] = c.lo, len(c.rows[0]), c.err
-    return _scaled(kn, _trim(top, tuple(lo), tuple(shape), flat, tuple(err)),
-                   kd)
+    return _trim(top, tuple(lo), tuple(shape), flat, tuple(err))
+
+
+def _alternant(rows):
+    """The flat leaves of det[sum_m rows[i][m] x_j^m] on s levels x_j: at
+    exponents (m_1..m_s), the sign of the permutation that sorts them
+    times the maximal minor of the s x w rows on them, 0 on a repeated
+    one (Macdonald, Symmetric Functions, ch. I sec. 3).  The minors of
+    the last k rows on k columns T are sum_i +- row[T_i] minor(T - T_i),
+    the cofactor expansion of `_minor` taken for all T of one size at
+    once, by a plan kept per (s, w) with the box's gather from [0,
+    minors, -minors]."""
+    s, w = len(rows), len(rows[0])
+    plan = _PLANS.get(("alternant", s, w))
+    if plan is None:
+        sets = [list(combinations(range(w), k)) for k in range(s + 1)]
+        at = {T: n for ts in sets for n, T in enumerate(ts)}
+        steps = [[([T[i] for T in sets[k]],
+                   [at[T[:i] + T[i + 1:]] for T in sets[k]])
+                  for i in range(k)] for k in range(2, s + 1)]
+        strides, c = [w ** (s - 1 - j) for j in range(s)], len(sets[s])
+        signs = [_perm_sign(p) for p in permutations(range(s))]
+        gather = [0] * w ** s
+        for n, T in enumerate(sets[s], 1):
+            for p, sign in zip(permutations(T), signs):
+                gather[sum(map(mul, p, strides))] = n if sign > 0 else n + c
+        plan = _remember(("alternant", s, w), (steps, gather), w ** s)
+    steps, gather = plan
+    minors = rows[-1]
+    for row, step in zip(rows[-2::-1], steps):
+        acc = None
+        for i, (cols, subs) in enumerate(step):
+            term = map(mul, map(row.__getitem__, cols),
+                       map(minors.__getitem__, subs))
+            acc = list(term) if acc is None else \
+                list(map(sub if i % 2 else add, acc, term))
+        minors = acc
+    return list(map([0, *minors, *map(neg, minors)].__getitem__, gather))

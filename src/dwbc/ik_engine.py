@@ -21,16 +21,16 @@ h_{N,s}(z_1..z_s), a symmetric polynomial of degree N-1 per variable
 defined by a Vandermonde-divided determinant.
 Three forms are provided.  The determinant form `hns_vand` returns
 h_{N,s}(M(z)) times the Vandermonde of the z's, for a Moebius map M of
-the arguments: the Vandermonde cancels, so it needs no division, takes
-coincident points and Laurent-tower elements, and is what every
-residue integrand (which carries that Vandermonde itself) multiplies
-in.  Each column of its determinant depends on one point, so
+the arguments, times a factor phi(z_j) the same for every variable:
+the Vandermonde cancels, so it needs no division, takes coincident
+points and Laurent-tower elements, and is what every residue integrand
+(which carries that Vandermonde itself) multiplies in.  Each column of
+its determinant depends on one point, phi(z_j) included, so
 `exact_core.line_det` builds it one column at a time: at a tower
 point, a Laurent polynomial in one tower variable eps, the column's
 entries are expanded in that eps by integer polynomial arithmetic (the
 rows, built from the sweep's integers, and their contents, an integer
-pair, are cached per (N, s), and the map's numerator and denominator
-are brought to integer content), cut to the level's window, and the
+pair, are cached per (N, s)), cut to the level's window, and the
 determinant is assembled level by level without a tower product;
 points that share a polynomial share one column, made at the widest of
 their windows and cut to the others.  `hns_value` divides it by the
@@ -304,40 +304,38 @@ class BoundaryGenFamily:
 
     # -- determinant form ----------------------------------------------
 
-    def hns_vand(self, N: int, s: int, zs, mobius=(1, 0, 0, 1)):
-        """h_{N,s}(M(z_1)..M(z_s)) * prod_{j<k} (z_k - z_j) for the Moebius
-        map M(z) = (al z + be)/(ga z + de), mobius = (al, be, ga, de).
+    def hns_vand(self, N: int, s: int, zs, mobius=(1, 0, 0, 1), factor=None):
+        """h_{N,s}(M(z_1)..M(z_s)) * prod_{j<k} (z_k - z_j) * prod_j phi(z_j)
+        for the Moebius map M(z) = (al z + be)/(ga z + de), mobius = (al,
+        be, ga, de), and phi(z) = num(z)/(z^k den(z)), factor = (k, num,
+        den) with integer coefficient lists num and den, or phi = 1.
 
         M(z_k) - M(z_j) = (al de - be ga)(z_k - z_j)/((ga z_k + de)(ga z_j
         + de)), so the Vandermonde cancels and the value is
 
-            det[g_i(M(z_j))] prod_j (ga z_j + de)^(s-1)
+            det[g_i(M(z_j)) phi(z_j)] prod_j (ga z_j + de)^(s-1)
                 / (al de - be ga)^(s(s-1)/2).
 
-        Column j is G_i(z_j) (ga z_j + de)^-(N-1), where G_i(z) =
-        g_i(M(z)) (ga z + de)^D, D = N+s-2 the top degree of the g_i, is
-        a polynomial in z_j.  Nothing is divided by a Vandermonde, so the
-        z_j may coincide.
+        Column j is G_i(z_j) (ga z_j + de)^-(N-1) phi(z_j), where G_i(z)
+        = g_i(M(z)) (ga z + de)^D, D = N+s-2 the top degree of the g_i,
+        is a polynomial in z_j.  Nothing is divided by a Vandermonde, so
+        the z_j may coincide.
 
         The points may be numbers or tower elements, each an exact
         Laurent polynomial in the variable of one tower level: the
         c + D eps of `residue_drive`, or 1/(D eps).  There column j is
-        built by `_hns_line`: with the g_i over their rational contents
-        (integers cached per (N, s)) and the map's numerator and
-        denominator at z_j brought to integer content, G_i(z_j) is an
-        integer polynomial in eps taken by Horner's rule on integers
-        (Kronecker's substitution), (ga z_j + de)^-(N-1) a monomial or
-        an integer power series, and `exact_core._packed_line` keeps
-        the exponents of the level's window, marked by err where that
-        cuts anything; points with one polynomial share one column,
-        made at the widest of their windows and cut to each point's
-        level (`_point_lines`).  `exact_core.line_det` assembles the
-        determinant by outer products of integer lists, and the
-        contents form its `Scaled` scalar, an integer pair.  An integer
-        map (`TripleInts`) keeps every content an integer; a map and any
-        nonzero multiple of it give the same value.  A window too short
-        for the residue shows up as a PrecisionLoss, so `residue_drive`
-        retries on wider towers; it never gives a wrong value.
+        an integer polynomial in eps by `_hns_line`, cut to the level's
+        window by `exact_core._packed_line`, marked by err where that
+        cuts anything; points with one polynomial (all of them in a
+        residue drive) share one column, made at the widest of their
+        windows and cut to each point's level (`_point_lines`).
+        `exact_core.line_det` assembles the determinant from integer
+        lists, and the contents form its `Scaled` scalar, an integer
+        pair.  An integer map (`TripleInts`) keeps every content an
+        integer; a map and any nonzero multiple of it give the same
+        value.  A window too short for the residue shows up as a
+        PrecisionLoss, so `residue_drive` retries on wider towers; it
+        never gives a wrong value.
         """
         zs = list(zs)
         if len(zs) != s:
@@ -349,7 +347,7 @@ class BoundaryGenFamily:
         (rn, rd), rows = self._hns_rows(N, s)
         points = [_tower_point(z) for z in zs]
         lines = _point_lines(points, lambda i: _hns_line(N, s, rows, points[i],
-                                                         mobius))
+                                                         mobius, factor))
         det = line_det(lines)
         rd *= det_m ** (s * (s - 1) // 2)
         if isinstance(det, Scaled):
@@ -435,23 +433,30 @@ def _g_row(h, s, i):
     return out
 
 
-def _hns_line(N, s, rows, point, mobius):
-    """Column G_i(z) (ga z + de)^-(N-1) of `hns_vand` at a point read by
-    `exact_core._tower_point`, for the rows g_i over their contents.
+def _hns_line(N, s, rows, point, mobius, factor=None):
+    """Column G_i(z) (ga z + de)^-(N-1) phi(z) of `hns_vand` at a point
+    read by `exact_core._tower_point`, for the rows g_i over their
+    contents, phi(z) = num(z)/(z^k den(z)) for factor = (k, num, den).
     With al z + be = (kn/pd) eps^lo n, ga z + de = (kd/pd) eps^lo d for
     integer lists n, d and kn/kd = p/q, G_i is (kd/pd)^D q^-D eps^(lo D)
     sum_m c_(i,m) (p n)^m (q d)^(D-m), by Horner's rule in p n (Knuth,
     TAOCP vol. 2, sec. 4.6.4) packed at 2^B, B holding every partial
-    sum, q d's powers made once.  d^(N-1) = u0 eps^j (1 + ..) is a shift,
-    or a series of prec terms, u0^-prec inv, by the division recurrence,
-    exact in integers (B holds its products too)."""
+    sum, q d's powers made once.  num and den at the point are integer
+    polynomials in eps over powers of pd (`_at`).  The divisor d^(N-1)
+    z^k den goes term by term: a monomial into the scalar and the
+    shift, the rest into a series of prec terms, u0^-prec inv, by the
+    division recurrence, exact in integers; num multiplies the column,
+    or inv (B holds those products too)."""
     al, be, ga, de = mobius
     top, _, poly, pd = point
+    k, num, den = factor or (0, [1], [1])
     if top is None:
         z = poly[1][0]
-        den = ga * z + de
-        x = (al * z + be) / den
-        return [_horner(cs, x) * den ** (s - 1) for cs in rows]
+        dz = ga * z + de
+        x, f = (al * z + be) / dz, dz ** (s - 1)
+        if factor:
+            f *= Fraction(_horner(num, z)) / (z ** k * _horner(den, z))
+        return [_horner(cs, x) * f for cs in rows]
     D = N + s - 2
     lo = min(poly[0], 0)
     (gn, qn), n = _content(_trimmed(_plin(al, be * pd, poly)[1]))
@@ -463,20 +468,44 @@ def _hns_line(N, s, rows, point, mobius):
     p, q = gn * qd, qn * gd
     h = math.gcd(p, q) * (-1 if q < 0 else 1)
     p, q = p // h, q // h
-    j = next(i for i, c in enumerate(d) if c)
-    u, u0, w, inv = d[j:], d[j] ** (N - 1), top.precs[point[1]], None
-    kd = (qd * pd) ** (s - 1) * q ** D * u0
-    if N > 1 and len(u) > 1:
-        u, inv = _ppowers((0, u), N - 1)[-1][1][:w], [u0 ** (w - 1)]
+    w, kn = top.precs[point[1]], gd ** (s - 1)
+    kd = (qd * pd) ** (s - 1) * q ** D
+    # the divisor d^(N-1) z^k den, each factor from its lowest term: a
+    # monomial goes into the scalar, the rest into one series; num, the
+    # part of power -1, becomes the multiplier
+    l, series, mult, inv = lo * D, [], None, None
+    parts = [((lo, d), N - 1)]
+    if factor:
+        e = k + len(den) - len(num)
+        kn, kd = (kn * pd ** e, kd) if e > 0 else (kn, kd * pd ** -e)
+        parts += [(poly, k), (_at(den, poly, pd), 1)]
+        if num != [1]:
+            parts.append((_at(num, poly, pd), -1))
+    for (pl, cs), times in parts:
+        if times:
+            j = cs.index(next(filter(None, cs)))
+            l -= (pl + j) * times
+            cs = _trimmed(cs[j:])
+            if times < 0:
+                mult = cs
+            elif len(cs) > 1:
+                series += [cs] * times
+            else:
+                kd *= cs[0] ** times
+    if series:
+        u = (0, [1])
+        for cs in series:
+            u = _pmul(u, (0, cs), w)
+        u, u0 = u[1], u[1][0]
+        inv = [u0 ** (w - 1)]
         for m in range(1, w):
             inv.append(-sum(map(mul, u[1:], inv[::-1])) // u0)
-        kd *= u0 ** (w - 1)
+        kd *= u0 ** w
+        mult = inv = _pmul((0, mult or [1]), (0, inv), w)[1]
     x = [p * c for c in n]
     B = (max(max(map(abs, cs)) for cs in rows).bit_length() + 2
-         + (D + 1).bit_length()
+         + (D + 1).bit_length() + sum(map(abs, mult or [1])).bit_length()
          + D * max(sum(map(abs, x)), q * sum(map(abs, d))).bit_length())
-    if inv is not None:
-        B += max(map(abs, inv)).bit_length() + w.bit_length()
     xp, yp = _pack(x, B), q * _pack(d, B)
     ys = [yp ** m for m in range(D + 1)]
     accs = []
@@ -485,9 +514,22 @@ def _hns_line(N, s, rows, point, mobius):
         for c, y in zip(reversed(cs), ys[D + 1 - len(cs):]):
             acc = acc * xp + c * y
         accs.append(acc)
-    return _packed_line(point, lo * D - (lo + j) * (N - 1), accs, B,
-                        (max(len(n), len(d)) - 1) * D + 1, gd ** (s - 1), kd,
-                        inv)
+    size = (max(len(n), len(d)) - 1) * D + 1
+    if mult and inv is None:
+        accs, size = [a * _pack(mult, B) for a in accs], size + len(mult) - 1
+    return _packed_line(point, l, accs, B, size, kn, kd, inv)
+
+
+def _at(f, poly, pd):
+    """pd^deg f(poly/pd) for an integer list f of degree deg and a Laurent
+    polynomial poly: sum_m f[m] poly^m pd^(deg-m), by Horner's rule."""
+    if len(f) == 1:
+        return 0, f
+    acc, pw = _plin(f[-1], f[-2] * pd, poly), pd
+    for c in reversed(f[:-2]):
+        pw *= pd
+        acc = _plin(1, c * pw, _pmul(acc, poly))
+    return acc
 
 
 def _point_lines(points, make):
@@ -495,6 +537,8 @@ def _point_lines(points, make):
     `exact_core._tower_point`, one line made per polynomial: at the
     point with the widest window among those that share it, then moved
     and cut to each point's own level (`Line.moved`)."""
+    if len(points) == 1:
+        return [make(0)]
     keys = [(top is None, lo, tuple(cs), den)
             for top, _, (lo, cs), den in points]
     widest = {}

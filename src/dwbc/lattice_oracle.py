@@ -510,16 +510,16 @@ class _IndexStore:
     """Index data of the sweep, built on first use and kept while it fits.
 
     It holds masks, list positions and the flags of `_row_steps`, never
-    a leaf value, so an entry serves every weight swept after it.  `size` counts the masks and
-    positions its entries hold (for a column plan, a bound on them).  An
-    entry that would take `size` past `bound` first evicts the oldest
-    ones; an entry larger than `bound` on its own is not kept.
+    a leaf value, so an entry serves every weight swept after it.  `size`
+    counts the masks and positions its entries hold (for a column plan,
+    a bound on them).  It keeps what it holds: an entry that would take
+    `size` past `bound` is built, used and dropped.
     """
 
     def __init__(self, bound):
         self.bound = bound
         self.size = 0
-        self.entries = {}  # key -> (value, size), oldest first
+        self.entries = {}  # key -> (value, size)
 
     def get(self, build, *args):
         """`build(*args)` -> (value, size), kept under (build, args)."""
@@ -528,9 +528,7 @@ class _IndexStore:
         if hit is not None:
             return hit[0]
         value, size = build(*args)
-        if size <= self.bound:
-            while self.size + size > self.bound:
-                self.size -= self.entries.pop(next(iter(self.entries)))[1]
+        if self.size + size <= self.bound:
             self.entries[key] = (value, size)
             self.size += size
         return value

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dwbc
 from dwbc.cli import main
+from dwbc.exact_core import DEFAULT_RTOL
 
 
 def run_cli(args, capsys):
@@ -736,3 +738,50 @@ class TestFuzz:
         assert "Traceback" not in err, args
         if code == 1:
             assert set(json.loads(err)) == {"error", "message"}, args
+
+
+# every finite float whose fourfold is finite: the range `--lambda`,
+# `--eta`, `--lambdas` and `--nus` admit
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: math.isfinite(4 * x))
+
+
+class TestFloatValues:
+    """A float option takes every value in its range as Python's repr
+    writes it: argparse on some interpreters reads a negative number in
+    exponent notation as an option."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_FLOATS, min_size=5, max_size=5))
+    @example([-6.7e-05, 0.3, -1e-300, -5e-324, -1.5e+300])
+    def test_repr_floats_are_values(self, xs):
+        lam, eta, nu, *lams = map(repr, xs)
+        for args in (["zn", "--size", "1", "--method", "transfer",
+                      "--lambda", lam, "--eta", eta],
+                     ["psi", "--size", "2", "--which", "bottom",
+                      "--positions", "1", "--method", "sum", "--lambdas",
+                      *lams, "--nus", nu, lam, "--eta", eta]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1), (args, err.getvalue())
+
+    @pytest.mark.parametrize("args, oracle", [
+        (["zn", "--size", "3", "--lambda", "-6.7e-05", "--eta", "0.3"],
+         ["--method", "enum"]),
+        (["psi", "--size", "3", "--which", "bottom", "--positions", "1,3",
+          "--lambdas", "0.388316", "1.256639", "1.374097", "--nus",
+          "-0.557864", "-0.469023", "-6.7e-05", "--eta", "0.314399",
+          "--method", "sum"], ["--method", "oracle"])])
+    def test_exponent_notation(self, args, oracle, capsys):
+        # the invocations that exited 2 give the oracle's value
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        got = complex(list(json.loads(out).values())[-1])
+        code, out = run_cli(args + oracle, capsys)
+        want = complex(list(json.loads(out).values())[-1])
+        assert code == 0 and abs(got - want) <= DEFAULT_RTOL * abs(want)

@@ -471,6 +471,56 @@ def _towers_per_drive():
         yield towers
 
 
+def _swapped(x, j, k):
+    """The tower element x with its levels j and k exchanged: their low,
+    extent and err, and the leaves' exponents."""
+    lo, shape, err = (list(t) for t in (x.lo, x.shape, x.err))
+    for t in (lo, shape, err):
+        t[j], t[k] = t[k], t[j]
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * x.shape[i + 1]
+    leaves = []
+    for idx in product(*map(range, shape)):
+        idx = list(idx)
+        idx[j], idx[k] = idx[k], idx[j]
+        leaves.append(x.coeffs[sum(i * st for i, st in zip(idx, strides))])
+    return tuple(lo), tuple(shape), tuple(err), leaves
+
+
+class TestAlternants:
+    def test_halves_are_antisymmetric(self, monkeypatch):
+        # efpMIR2 and mir-n contract two halves, h_{M,s} Vand times
+        # factors symmetric in the variables and a second h Vand: each
+        # half is an alternant, its box the same and its leaves negated
+        # when two tower levels trade places
+        halves, drive = [], efp_reps.residue_drive
+
+        def kept(specs, build, *args):
+            def spy(zs, ring):
+                halves.extend(build(zs, ring))
+                return halves[-2], halves[-1]
+            return drive(specs, spy, *args)
+
+        monkeypatch.setattr(efp_reps, "residue_drive", kept)
+        w = WeightTriple(Fraction(3, 2), 2, Fraction(5, 3))
+        for n in range(2, 6):
+            for r in range(2, n + 1):
+                for s in range(1, r + 1):
+                    if s >= 2:
+                        efp_mir_s(EfpQuery(n, r, s), w, "efpMIR2")
+                    if r - s >= 2:
+                        efp_mir_n(EfpQuery(n, r, s), w)
+        assert len(halves) == 60
+        for half in halves:
+            e = half.e
+            levels = len(e.lo)
+            for j in range(levels):
+                for k in range(j + 1, levels):
+                    assert _swapped(e, j, k) \
+                        == (e.lo, e.shape, e.err, [-c for c in e.coeffs])
+
+
 class TestTowerBuilds:
     """The first windows of `residue_drive` start at each level's pole
     order bound; a route whose bound stops covering them doubles every

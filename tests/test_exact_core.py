@@ -579,6 +579,16 @@ def _line_matrices(draw, kinds=None):
     return lines, cols
 
 
+def _column(line):
+    """A column of `line_det` as numbers or exact tower elements: a
+    line's entries to its window, its content times them."""
+    if not isinstance(line, exact_core.Line):
+        return line
+    x, k = line.top.gen(line.level), Fraction(line.kn, line.kd)
+    return [k * sum((c * x ** (line.lo + m) for m, c in enumerate(row)),
+                    line.top.zero()) for row in line.rows]
+
+
 def _check_line_det(case):
     lines, cols = case
     want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
@@ -591,8 +601,73 @@ def _check_line_det(case):
     assert _agree(got.e * Fraction(got.n, got.d), want)
 
 
+class _Unequal(list):
+    """Rows that compare unequal to every list, so that `line_det` takes
+    its Laplace expansion on the columns they are in."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+@st.composite
+def _moved_lines(draw):
+    """(lines, cut): one line on s <= 4 levels of a tower of up to 5
+    levels, made at the widest window and moved to the others (`cut`
+    when a window is narrower than the line), or with one column a
+    column of numbers (`cut` None)."""
+    s = draw(st.integers(2, 4))
+    depth = draw(st.integers(s, 5))
+    levels = draw(st.permutations(range(depth)))[:s]
+    w = draw(st.integers(1, 5))
+    precs = [w] * depth
+    narrow = draw(st.integers(0, w - 1))
+    if narrow:
+        precs[levels[draw(st.integers(1, s - 1))]] = narrow
+    ring, _ = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
+    lo = draw(st.integers(-2, 1))
+    polys = [(lo, draw(st.lists(_leaves, max_size=w + 2))) for _ in range(s)]
+    k = draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+    line = _point_line((ring, levels[0], None), polys, k)
+    lines = [line.moved(ring, level) for level in levels]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, s - 1))] = [draw(_leaves) for _ in range(s)]
+        return lines, None
+    return lines, narrow and len(line.rows[0]) > narrow
+
+
 class TestLineDet:
     """The separable determinant kernel against the cofactor expansion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_moved_lines())
+    def test_one_line_on_many_levels(self, case):
+        # one line moved to s levels is an alternant: its box, leaves and
+        # integer pair equal the Laplace expansion's, leaf for leaf; a
+        # line cut to a narrower window or a number column among the
+        # lines takes the Laplace expansion
+        lines, cut = case
+        calls, alternant = [], exact_core._alternant
+
+        def spy(rows):
+            calls.append(rows)
+            return alternant(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_core, "_alternant", spy)
+            got = line_det(lines)
+        _check_line_det((lines, [_column(c) for c in lines]))
+        if cut is None or cut:
+            assert not calls
+            return
+        assert len(calls) == 1 or not lines[0].rows[0]
+        want = line_det([exact_core.Line(c.kn, c.kd, c.top, c.level, c.lo,
+                                         _Unequal(c.rows), c.err)
+                         for c in lines])
+        assert (got.n, got.d) == (want.n, want.d)
+        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
+            == (want.e.lo, want.e.shape, want.e.err, want.e.coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(_line_matrices())

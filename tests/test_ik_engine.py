@@ -21,10 +21,11 @@ from dwbc.ik_engine import (
     family,
 )
 from dwbc.ik_numeric import ik_determinant, ik_homogeneous, phi_derivatives
-from dwbc.exact_core import (Line, Scaled, Series, _content, _plin, _pmul,
-                             _ppowers, _tower_point, _trimmed, build_tower,
-                             residue_drive)
+from dwbc.exact_core import (Line, Scaled, Series, _content, _padd, _plin,
+                             _pmul, _ppowers, _tower_point, _trimmed,
+                             build_tower, residue_drive)
 from dwbc.identity_suite import p_s_value
+from dwbc.rational import _horner
 from dwbc.lattice_oracle import (RowConfig, WeightMatrix, WeightTriple,
                                  enumerate_Z, psi_bot)
 from dwbc.trig import NumericTriple, TrigParams, homogeneous_abc
@@ -236,30 +237,11 @@ class TestBoundaryFamily:
         # box and leaves are those of the columns built by lists
         # (`_list_line`)
         fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
-        wi = fam.pole_guard()
-        small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-        s = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(s, 5))
-        mob = data.draw(st.sampled_from([wi.u_map, wi.w_map, wi.warg_map,
-                                         wi.over_t, wi.inv_tz])
-                        | st.tuples(small, small, small, small).filter(
-                            lambda m: m[0] * m[3] != m[1] * m[2]))
+        s, n, mob, ring, zs = _draw_tower_points(data, fam)
         al, be, ga, de = mob
-        centres = small | st.just(-Fraction(de) / ga) if ga else small
-        precs = data.draw(st.lists(st.integers(1, 4), min_size=s,
-                                   max_size=s))
-        ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
-        zs = []
-        for j in range(s):
-            eps = Scaled(data.draw(st.sampled_from([1, 2, Fraction(1, 3)])),
-                         atoms[f"e{j}"])
-            zs.append(1 / eps if data.draw(st.booleans())
-                      else eps + data.draw(centres))
         want = fam.hns_poly(n, s).eval([(al * z + be) / (ga * z + de)
                                          for z in zs])
-        for j in range(s):
-            for k in range(j + 1, s):
-                want = want * (zs[k] - zs[j])
+        want = want * _vand(zs)
         got = fam.hns_vand(n, s, zs, mob)
         with mock.patch.object(ik_engine, "_hns_line", _list_line):
             lists = fam.hns_vand(n, s, zs, mob)
@@ -269,6 +251,41 @@ class TestBoundaryFamily:
         got, want = (v * ring.const(1) for v in (got, want))
         assert _agree(*(v.e * Fraction(v.n, v.d) if isinstance(v, Scaled)
                         else v for v in (got, want)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_factored_hns_vand(self, data):
+        # a per-variable factor num(z)/(z^k den(z)) taken into the columns:
+        # hns_vand with it is hns_vand times it at each point, wherever
+        # both know their coefficients, at the points, windows and maps
+        # of test_windowed_hns_vand_matches_poly; its box and leaves are
+        # those of the columns built by lists; and at rational points it
+        # is that product exactly
+        fam = family(WeightTriple(Fraction(3, 2), 2, Fraction(5, 3)))
+        s, n, mob, ring, zs = _draw_tower_points(data, fam)
+        coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(
+            lambda f: f[-1])
+        factor = (data.draw(st.integers(0, 3)), data.draw(coeffs),
+                  data.draw(coeffs))
+        k, num, den = factor
+        want = fam.hns_vand(n, s, zs, mob)
+        for z in zs:
+            want = want * _horner(num, z) / (z ** k * _horner(den, z))
+        got = fam.hns_vand(n, s, zs, mob, factor)
+        with mock.patch.object(ik_engine, "_hns_line", _list_line):
+            lists = fam.hns_vand(n, s, zs, mob, factor)
+        assert (got.n, got.d) == (lists.n, lists.d)
+        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
+            == (lists.e.lo, lists.e.shape, lists.e.err, lists.e.coeffs)
+        got, want = (v * ring.const(1) for v in (got, want))
+        assert _agree(*(v.e * Fraction(v.n, v.d) for v in (got, want)))
+        al, be, ga, de = mob
+        xs = [Fraction(data.draw(st.integers(1, 9)), 7) for _ in range(s)]
+        if all(ga * x + de and _horner(den, x) for x in xs):
+            want = fam.hns_vand(n, s, xs, mob)
+            for x in xs:
+                want *= _horner(num, x) / (x ** k * _horner(den, x))
+            assert fam.hns_vand(n, s, xs, mob, factor) == want
 
     def test_integer_rows_are_the_fraction_rows(self):
         # the rows of hns_vand, built on the integer psi lists of the
@@ -448,13 +465,41 @@ def _vand(pts):
     return out
 
 
-def _list_line(N, s, rows, point, mobius):
+def _draw_tower_points(data, fam):
+    """(s, n, mobius, ring, zs): s <= 3 points of a tower whose levels
+    have windows of 1-4 terms, each c + D eps (c also the map's pole) or
+    1/(D eps), for h_{n,s} and a map `hns_vand` takes."""
+    wi = fam.pole_guard()
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    s = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(s, 5))
+    mob = data.draw(st.sampled_from([wi.u_map, wi.w_map, wi.warg_map,
+                                     wi.over_t, wi.inv_tz])
+                    | st.tuples(small, small, small, small).filter(
+                        lambda m: m[0] * m[3] != m[1] * m[2]))
+    al, be, ga, de = mob
+    centres = small | st.just(-Fraction(de) / ga) if ga else small
+    precs = data.draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))
+    ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
+    zs = []
+    for j in range(s):
+        eps = Scaled(data.draw(st.sampled_from([1, 2, Fraction(1, 3)])),
+                     atoms[f"e{j}"])
+        zs.append(1 / eps if data.draw(st.booleans())
+                  else eps + data.draw(centres))
+    return s, n, mob, ring, zs
+
+
+def _list_line(N, s, rows, point, mobius, factor=None):
     """`ik_engine._hns_line` at a tower point on lists: the D + 1 products
-    (p n)^m (q d)^(D-m) by `_pmul`, each row their integer combination,
-    the divisor d^(N-1) a shift or its w-term inverse by the division
-    recurrence on q_m u_0^(m+1), times each row by `_pmul`, then cut to
-    the level's window and brought to integer content."""
+    (p n)^m (q d)^(D-m) by `_pmul`, each row their integer combination
+    times num of the factor num(z)/(z^k den(z)), the divisor d^(N-1) z^k
+    den, its monomial factors taken into the scalar, the rest a shift or
+    its w-term inverse by the division recurrence on q_m u_0^(m+1), times
+    each row by `_pmul`, then cut to the level's window and brought to
+    integer content."""
     al, be, ga, de = mobius
+    k, num, den = factor or (0, [1], [1])
     top, level, poly, pd = point
     D, lo = N + s - 2, min(poly[0], 0)
     (gn, qn), n = _content(_trimmed(_plin(al, be * pd, poly)[1]))
@@ -470,18 +515,26 @@ def _list_line(N, s, rows, point, mobius):
     ys = _ppowers((0, [q * c for c in d]), D)
     basis = [_pmul(xs[m], ys[D - m])[1] for m in range(D + 1)]
     size = max(map(len, basis))
-    j = next(i for i, c in enumerate(d) if c)
-    polys = [(lo * D - (lo + j) * (N - 1),
-              [sum(c * b[e] for c, b in zip(cs, basis) if e < len(b))
-               for e in range(size)]) for cs in rows]
-    k, kd, u, w = gd ** (s - 1), (qd * pd) ** (s - 1) * q ** D, d[j:], \
-        top.precs[level]
+    num_at, den_at = (_poly_at(f, poly, pd) for f in (num, den))
+    polys = [_pmul((lo * D, [sum(c * b[e] for c, b in zip(cs, basis)
+                                 if e < len(b)) for e in range(size)]),
+                   num_at) for cs in rows]
+    e = k + len(den) - len(num)
+    kn, kd, w = gd ** (s - 1) * pd ** max(e, 0), \
+        (qd * pd) ** (s - 1) * q ** D * pd ** max(-e, 0), top.precs[level]
+    # the divisor d^(N-1) z^k den, each factor from its lowest term
+    parts = [(lo, d)] * (N - 1) + [poly] * k + [den_at]
+    lows = [pl + next(i for i, c in enumerate(cs) if c) for pl, cs in parts]
+    u = [_trimmed(cs[m - pl:]) for (pl, cs), m in zip(parts, lows)]
+    polys = [(l - sum(lows), cs) for l, cs in polys]
     low = min(l + cs.index(next(filter(None, cs))) for l, cs in polys)
     cut = low + w
-    if N > 1 and len(u) > 1:
+    kd *= math.prod(f[0] for f in u if len(f) == 1)
+    u = [f for f in u if len(f) > 1]
+    if u:
         up = (0, [1])
-        for _ in range(N - 1):
-            up = _pmul(up, (0, u), w)
+        for f in u:
+            up = _pmul(up, (0, f), w)
         up = up[1]
         inv = [1]
         for m in range(1, w):
@@ -492,16 +545,23 @@ def _list_line(N, s, rows, point, mobius):
         polys = [_pmul(pl, (0, inv), cut) for pl in polys]
         err = cut
     else:
-        kd *= u[0] ** (N - 1)
         err = math.inf if all(l + len(cs) <= cut or not any(cs[cut - l:])
                               for l, cs in polys) else cut
     width = min(cut, max(l + len(cs) for l, cs in polys)) - low
     (g, qq), flat = _content([cs[e - l] if 0 <= e - l < len(cs) else 0
                               for l, cs in polys
                               for e in range(low, low + width)])
-    return Line(k * g, kd * qq, top, level, low,
+    return Line(kn * g, kd * qq, top, level, low,
                 [flat[i * width:(i + 1) * width] for i in range(len(rows))],
                 err)
+
+
+def _poly_at(f, poly, pd):
+    """sum_m f[m] poly^m pd^(deg-m) from the powers of poly."""
+    out = (0, [])
+    for m, pw in enumerate(_ppowers(poly, len(f) - 1)):
+        out = _padd(out, _pmul(pw, (0, [f[m] * pd ** (len(f) - 1 - m)])))
+    return out
 
 
 def _agree(a, b):

@@ -256,6 +256,28 @@ class TestHalfTurn:
         assert enumerate_Z(6, w) == enumerate_Z(6, w, "enum")
         assert tiny.entries == {} and tiny.size == 0
 
+    def test_index_store_keeps_what_it_holds(self, monkeypatch):
+        # a full sweep at N = 11 reads more than the store holds; a full
+        # store drops the newcomer, so the second sweep rebuilds only
+        # what did not fit
+        store = lattice_oracle._IndexStore(lattice_oracle._INDEX.bound)
+        monkeypatch.setattr(lattice_oracle, "_INDEX", store)
+        built, get = [], lattice_oracle._IndexStore.get
+
+        def counted(self, build, *args):
+            if (build, args) not in self.entries:
+                built.append((build, args))
+            value = get(self, build, *args)
+            assert self.size <= self.bound
+            return value
+
+        monkeypatch.setattr(lattice_oracle._IndexStore, "get", counted)
+        w = WeightTriple(Fraction(11, 4), Fraction(7, 9), Fraction(5, 2))
+        lattice_oracle._frozen_cuts(11, w)
+        first, built[:] = len(built), []
+        lattice_oracle._frozen_cuts(11, w)
+        assert first > 20 and len(built) <= 2
+
     def test_rows_swept_per_query(self, monkeypatch):
         # site-independent weights: Z_N crosses ceil(N/2) rows and a row
         # marginal max(s, N - s), each in one sweep; the frozen-column
