@@ -167,8 +167,8 @@ def efp_mir_n(q: EfpQuery, w: WeightTriple) -> Fraction:
         return Fraction(*pref)
 
     def build(zs, ring):
-        # the pair factors divide h_{N-s,n} Vand one at a time, at size(h)
-        # times their few terms each
+        # the pair factors divide h_{N-s,n} Vand in one pass each over
+        # its box, at size(h) times their three terms
         f = fam.hns_vand(N - s, n, zs, factor=(0, [1], [-1, 1]))
         f = _pair_quotient(f, zs, B * B, wi.E, A * A, ordered=True)
         return f, fam.hns_vand(s + n, n, zs, wi.w_map)
@@ -514,7 +514,10 @@ def _flipped_contour_value(q, w) -> Fraction:
     of the 1/(1 - w_j z_k) cancel against the z-Vandermondes), so it has
     the same pole order bound (N - s) + n + 1 per variable; on the tower
     those denominators are expanded in the nesting order and cancel
-    within the window.
+    within the window.  The z's are 1/w's, series in the tower variables
+    and not variables themselves, so each term divides by its pair
+    factors prod_{j != k} (z_j z_k - 2D z_j + 1) as series quotients,
+    after the flips, where the other integrands take `_pair_quotient`.
     """
     N, s, n = q.N, q.s, q.n
     fam = family(w)
@@ -547,12 +550,14 @@ def _flipped_contour_value(q, w) -> Fraction:
             # variable row by row; a tower keeps one window per variable,
             # so these divide the exact numerator first, outer variable
             # first, and the windowed pair factors come last
-            flips = sorted(((min(j, l), j, k) for k, l in enumerate(sigma)
-                            for j in range(n) if j != l))
-            for _, j, k in flips:
-                term = term / (1 - ws[j] * zs[k])
-            total = total + _pair_quotient(term, zs, 1, 2 * delta,
-                                           ordered=True)
+            divisors = [1 - ws[j] * zs[k] for _, j, k in sorted(
+                (min(j, l), j, k) for k, l in enumerate(sigma)
+                for j in range(n) if j != l)]
+            divisors += [zs[j] * zs[k] - 2 * delta * zs[j] + 1
+                         for j in range(n) for k in range(n) if k != j]
+            for g in divisors:
+                term = term / g
+            total = total + term
         return base, total
 
     # inverted: 1 - t w and the pair factors in the w's and in the z's

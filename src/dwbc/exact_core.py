@@ -48,7 +48,15 @@ divisor's exponents.  Extraction past a window raises PrecisionLoss,
 so drivers retry with a wider tower.  Nothing is ever rounded.  The
 nesting order also disambiguates iterated contours around
 variable-dependent poles: 1/(w_l - w_j) expands in powers of w_j/w_l
-exactly when w_j sits above w_l in the tower.
+exactly when w_j sits above w_l in the tower.  The pair factors p z_j
+z_k - q z_j + r of the residue integrands divide in one kernel,
+`_pair_divide`, not one `Series` division each: at the variables
+`residue_drive` hands out, each is an integer constant, which goes into
+the `Scaled` pair, times a unit 1 + alpha eps_j + beta eps_k + gamma
+eps_j eps_k with integer coefficients, and each unit's recurrence runs
+in place over one buffer as a loop of its two or three terms.  Its
+plan folds the division's box rule (`_quotient_box`) over the pairs, so
+its quotient has the box, window and leaves of the chain of divisions.
 
 What an operation works out from its operands' boxes alone is a plan,
 computed once per key and kept in one store of at most PLAN_CAP (4096)
@@ -57,8 +65,10 @@ of both operands, the divisor's nonzero leaf positions and the tower's
 precs, so every dividend on one box shares a plan; its plan holds the
 quotient's lo, err and box and the recurrence's padded buffer, leaf
 order and step reaches, while the divisor's leading leaf is inverted
-and its step coefficients read on every call.  A sum's key is the lo, shape and err of both terms, its plan the
-placement of each in the sum's box cut at err.  A product's key is the
+and its step coefficients read on every call.  A pair division's key is
+the dividend's box, the levels and nonzero terms of each pair and the
+precs.  A sum's key is the lo, shape and err of both terms, its plan
+the placement of each in the sum's box cut at err.  A product's key is the
 lo, shape and err of both factors; its plan holds the product's lo, err
 and box, which factor is placed, and per leaf of the other only the
 leaves of the placed factor that land inside the box cut at err, with
@@ -217,9 +227,11 @@ class Tower:
 # tuple led by "+", products by one led by "*" (the lo, shape and err of
 # both factors), divisions by one led by "/" (the divisor's nonzero leaf
 # positions, both boxes and the precs), alternants by ("alternant", s,
-# w).  A plan is kept only when it holds at most PLAN_LEAVES positions,
-# so a large box, whose own arithmetic dwarfs its set-up, plans afresh;
-# the store is emptied when it reaches PLAN_CAP entries.
+# w), pair divisions by one led by "pairs" (`_pair_plan`).  A plan is
+# kept only when it holds at most PLAN_LEAVES positions (an alternant's
+# counted by its minors), so a large box, whose own arithmetic dwarfs its
+# set-up, plans afresh; the store is emptied when it reaches PLAN_CAP
+# entries.
 PLAN_CAP = 4096
 PLAN_LEAVES = 256
 _PLANS = {}
@@ -717,6 +729,35 @@ def _divisor(g, nz):
     return v, hs, {next(j for j, x in enumerate(h) if x) for h in hs}
 
 
+def _quotient_box(fbox, gbox, v, levels, precs):
+    """(lo, err, top, hi, held): the box rule of `Series.__truediv__`
+    for a dividend and a divisor on the boxes fbox and gbox, each a
+    triple (lo, shape, err), the divisor's lex-leading exponent v and
+    its steps starting at `levels` (`_divisor`).  The quotient lies from
+    lo and knows below err; the recurrence runs up to top and the
+    quotient is cut at hi; held is the outer steps the windows hold."""
+    lo, hi, err, top, held = [], [], [], [], 0
+    for j, (lf, n, ef, gl, gn, ge, u, prec) in enumerate(zip(
+            *fbox, *gbox, v, precs)):
+        lf, ef, stepped = lf - u, ef - u, j in levels
+        low = min(0, gl - u) * held
+        known = ef + low
+        if ge != INF:
+            known = min(known, lf + ge - u + low)
+        if stepped or ge != INF:
+            known = min(known, lf + prec)
+        t = known - low
+        if not stepped:
+            t = min(t, lf + n + max(0, gl + gn - 1 - u) * held)
+        lo.append(lf + low)
+        err.append(known)
+        top.append(t)
+        hi.append(min(known, t))
+        if stepped and lo[j] != INF:
+            held += known - 1 - lo[j]
+    return tuple(lo), tuple(err), top, hi, held
+
+
 def _division_plan(key, f, g, nz, precs):
     """The plan of f / g, stored under key: (lo, err, shape, size, runs,
     order, reach, out, trim), from f's box and g's alone.  The quotient
@@ -730,31 +771,13 @@ def _division_plan(key, f, g, nz, precs):
     trimmed when trim is set."""
     v, hs, levels = _divisor(g, nz)
     L = len(v)
-    lo_f = tuple(l - u for l, u in zip(f.lo, v))
-    err_f = tuple(e - u for e, u in zip(f.err, v))
+    lo_f = tuple(map(sub, f.lo, v))
     if not hs and all(e == INF for e in g.err):
-        return _remember(key, (lo_f, err_f, f.shape if f.coeffs else None, 0,
+        return _remember(key, (lo_f, tuple(map(sub, f.err, v)),
+                               f.shape if f.coeffs else None, 0,
                                None, None, None, None, False))
-    lo, hi, err, top, held = [], [], [], [], 0
-    for j in range(L):
-        stepped = j in levels
-        low = min(0, g.lo[j] - v[j]) * held
-        known = err_f[j] + low
-        if g.err[j] != INF:
-            known = min(known, lo_f[j] + g.err[j] - v[j] + low)
-        if stepped or g.err[j] != INF:
-            known = min(known, lo_f[j] + precs[j])
-        t = known - low
-        if not stepped:
-            t = min(t, lo_f[j] + f.shape[j]
-                    + max(0, g.lo[j] + g.shape[j] - 1 - v[j]) * held)
-        lo.append(lo_f[j] + low)
-        err.append(known)
-        top.append(t)
-        hi.append(min(known, t))
-        if stepped and lo[j] != INF:
-            held += known - 1 - lo[j]
-    lo, err = tuple(lo), tuple(err)
+    lo, err, top, hi, held = _quotient_box(
+        (f.lo, f.shape, f.err), (g.lo, g.shape, g.err), v, levels, precs)
     if not f.coeffs or any(h <= l for l, h in zip(lo, hi)):
         return _remember(key, (lo, err, None, 0,
                                None, None, None, None, False))
@@ -938,6 +961,150 @@ def eps_scale(*ratios) -> int:
     degree m carries D^m), and its inverse stays on integer leaves.
     """
     return math.lcm(1, *(abs(d) // math.gcd(n, d) for n, d in ratios))
+
+
+def _linear_point(z):
+    """(top, level, u, v, den) of a variable z = (u + v eps)/den, eps the
+    variable of level `level` of the tower `top` (`_tower_point`);
+    raises TypeError for any other z."""
+    top, level, (lo, cs), den = _tower_point(z)
+    if top is None or lo < 0 or lo + len(cs) > 2:
+        raise TypeError("a pair factor needs variables linear in one "
+                        "tower variable")
+    u, v = ([0] * lo + cs + [0])[:2]
+    return top, level, u, v, den
+
+
+def _pair_divide(f, zs, p, q, r, pairs):
+    """f / prod (p z_j z_k - q z_j + r) over the index pairs (j, k), the
+    z's variables as `residue_drive` hands them out, each linear in its
+    own tower level (`_linear_point`), and p, q, r rationals.
+
+    At z_j = (u_j + v_j eps_j)/d_j a pair factor is kappa (1 + alpha
+    eps_j + beta eps_k + gamma eps_j eps_k), kappa = p u_j u_k/(d_j d_k)
+    - q u_j/d_j + r, and the eps_scale of the routes makes alpha, beta
+    and gamma integers: kappa and the denominators go into the `Scaled`
+    pair, and f's tower is divided by the units.  One plan per f's box,
+    pattern of pairs and precs (`_pair_plan`) places f once in a padded
+    buffer; each pair's division recurrence then runs over it in place,
+    in lex order, as a loop of its two or three terms, q_e = f_e - alpha
+    q_(e - eps_j) - beta q_(e - eps_k) - gamma q_(e - eps_j - eps_k).
+    The quotient equals that of the chain of `Series` divisions by the
+    pair factors in turn, its box, leaves and scalar value.  A kappa of
+    0, or one that does not divide alpha, beta and gamma, raises
+    ValueError."""
+    f = Scaled._coerce(f)
+    pts = [_linear_point(z) for z in zs]
+    ring = pts[0][0]
+    e = f.e if isinstance(f.e, Series) else ring.const(f.e)
+    if any(x[0] is not ring for x in pts) or e.ring is not ring:
+        raise ValueError("pair factors on mixed towers")
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    rn, rd = r.numerator, r.denominator
+    n, d, pattern, coefs = f.n, f.d, [], []
+    for j, k in pairs:
+        _, lj, uj, vj, dj = pts[j]
+        _, lk, uk, vk, dk = pts[k]
+        if lj == lk:
+            raise ValueError("pair variables on one tower level")
+        # times pd qd rd dj dk the factor is K + a eps_j + b eps_k
+        # + g eps_j eps_k
+        P = pn * qd * rd
+        x = P * uk - qn * pd * rd * dk
+        K = uj * x + rn * pd * qd * dj * dk
+        terms = (vj * x, P * uj * vk, P * vj * vk)
+        if not K or any(t % K for t in terms):
+            raise ValueError(f"pair factor {K} + {terms} in eps_j, eps_k, "
+                             "eps_j eps_k is no constant times a unit")
+        cs = [t // K for t in terms if t]
+        if cs:
+            coefs.append(cs)
+        pattern.append((lj, lk, sum(1 << i for i, t in enumerate(terms) if t)))
+        n, d = n * pd * qd * rd * dj * dk, d * K
+    key = ("pairs", tuple(pattern), e.lo, e.shape, e.err, ring.precs)
+    lo, err, shape, size, runs, passes, out = (
+        _PLANS.get(key) or _pair_plan(key, e, pattern, ring.precs))
+    if shape is None:
+        return _scaled(n, _empty(ring, lo, err), d)
+    buf = [0] * size
+    fc = e.coeffs
+    k, dst, src = runs
+    for o, i in zip(dst, src):
+        buf[o:o + k] = fc[i:i + k]
+    for (order, reach), cs in zip(passes, coefs):
+        if len(reach) == 3:
+            (da, db, dc), (x, y, z) = reach, cs
+            for i in order:
+                buf[i] -= x * buf[i - da] + y * buf[i - db] + z * buf[i - dc]
+        elif len(reach) == 2:
+            (da, db), (x, y) = reach, cs
+            for i in order:
+                buf[i] -= x * buf[i - da] + y * buf[i - db]
+        else:
+            (da,), (x,) = reach, cs
+            for i in order:
+                buf[i] -= x * buf[i - da]
+    return _scaled(n, Series(ring, lo, shape, list(map(buf.__getitem__, out)),
+                             err), d)
+
+
+def _pair_plan(key, e, pattern, precs):
+    """The plan of `_pair_divide` for a tower element on e's box and the
+    pattern of its pairs, (level_j, level_k, mask) with bits 1, 2, 4 of
+    mask set where alpha, beta, gamma are nonzero; stored under key:
+    (lo, err, shape, size, runs, passes, out), shape None for an empty
+    quotient.
+
+    Each pair's box is `_quotient_box` of the box before it and the
+    pair's unit, as its `Series` division would take it.  A unit keeps
+    the low, so every box starts at lo, and the buffer of `size` leaves
+    holds their hull, padded by one below at each level a step reaches,
+    so that a step reaching below a box reads a zero.  e enters by
+    `_runs`, cut to the first box; per pair, passes hold the leaves of
+    its box in lex order and each step's flat reach; out lists the
+    leaves of the last box.  A level's box shrinks only where the pair
+    steps in it, to its window, its err from then on, and no later box
+    passes its err: so every leaf a box takes that the box before it
+    did not hold is still the buffer's zero, as the chain of divisions
+    would read it."""
+    L = len(e.lo)
+    zeros, infs = (0,) * L, (INF,) * L
+    lo, shape, err, full = e.lo, e.shape, e.err, bool(e.coeffs)
+    boxes, steps = [], []
+    for lj, lk, mask in pattern:
+        terms = [h for bit, h in ((1, (lj,)), (2, (lk,)), (4, (lj, lk)))
+                 if mask & bit]
+        if terms:
+            unit = (zeros, [2 if any(m in h for h in terms) else 1
+                            for m in range(L)], infs)
+            lo, err, _, hi, _ = _quotient_box((lo, shape, err), unit, zeros,
+                                              {min(h) for h in terms}, precs)
+            shape = tuple(map(sub, hi, lo))
+            full = full and min(shape) > 0
+            if full:
+                boxes.append(shape)
+                steps.append([[int(m in h) for m in range(L)] for h in terms])
+        if not full:
+            x = _empty(None, lo, err)
+            lo, shape, err = x.lo, x.shape, x.err
+    if not full:
+        return _remember(key, (lo, err, None, 0, None, (), None))
+    boxes = boxes or [shape]
+    hull = [max(b[m] for b in boxes) for m in range(L)]
+    below = [max([h[m] for hs in steps for h in hs] + [0]) for m in range(L)]
+    pshape = tuple(map(add, hull, below))
+    ps = _strides(pshape)
+    start = sum(map(mul, below, ps))
+    runs = _runs(e.lo, e.shape, lo, boxes[0], tuple(map(sub, lo, below)),
+                 pshape)
+    orders = {}
+    for box in boxes:
+        if box not in orders:
+            orders[box] = _offsets(box, ps, start)
+    passes = [(orders[box], tuple(sum(map(mul, h, ps)) for h in hs))
+              for box, hs in zip(boxes, steps)]
+    return _remember(key, (lo, err, shape, math.prod(pshape), runs, passes,
+                           orders[shape]), sum(map(len, orders.values())))
 
 
 def build_tower(varspecs):
@@ -1386,7 +1553,8 @@ def _alternant(rows):
     the last k rows on k columns T are sum_i +- row[T_i] minor(T - T_i),
     the cofactor expansion of `_minor` taken for all T of one size at
     once, by a plan kept per (s, w) with the box's gather from [0,
-    minors, -minors]."""
+    minors, -minors].  The plan is sized by its C(w, s) minors, what
+    rebuilding it costs in sign gathers, not by its w^s positions."""
     s, w = len(rows), len(rows[0])
     plan = _PLANS.get(("alternant", s, w))
     if plan is None:
@@ -1401,7 +1569,8 @@ def _alternant(rows):
         for n, T in enumerate(sets[s], 1):
             for p, sign in zip(permutations(T), signs):
                 gather[sum(map(mul, p, strides))] = n if sign > 0 else n + c
-        plan = _remember(("alternant", s, w), (steps, gather), w ** s)
+        plan = _remember(("alternant", s, w), (steps, gather),
+                         math.comb(w, s))
     steps, gather = plan
     minors = rows[-1]
     for row, step in zip(rows[-2::-1], steps):

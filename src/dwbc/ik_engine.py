@@ -70,9 +70,9 @@ from operator import mul
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
 from .exact_core import (Scaled, _content, _horner, _minor, _pack,
-                         _packed_line, _padd, _plin, _pmul, _point_line,
-                         _ppowers, _scaled, _tower_point, _trimmed, line_det,
-                         poly_det)
+                         _packed_line, _padd, _pair_divide, _plin, _pmul,
+                         _point_line, _ppowers, _scaled, _tower_point,
+                         _trimmed, line_det, poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
@@ -591,17 +591,16 @@ def _pref(num, den, *powers):
 
 def _pair_quotient(f, zs, p, q, r=1, ordered=False):
     """f / prod (p z_j z_k - q z_j + r) over the pairs j < k, or over
-    all j != k when `ordered`.  Each pair factor divides f in turn: on
-    a tower that costs size(f) * terms(factor), where dividing by their
-    product would first expand it densely.  The routes pass integers,
-    the pair factor times the denominator they collect in their
-    prefactors (`TripleInts`)."""
+    all j != k when `ordered`, the z's the variables of a residue drive:
+    `exact_core._pair_divide`, in integers, one pass per pair over one
+    buffer.  The routes pass integers, the pair factor times the
+    denominator they collect in their prefactors (`TripleInts`)."""
     n = len(zs)
-    for j in range(n):
-        for k in range(n):
-            if k > j or (ordered and k != j):
-                f = f / (p * zs[j] * zs[k] - q * zs[j] + r)
-    return f
+    if n < 2:
+        return f
+    return _pair_divide(f, zs, p, q, r, [
+        (j, k) for j in range(n) for k in range(n)
+        if k > j or (ordered and k != j)])
 
 
 # ---------------------------------------------------------------------------

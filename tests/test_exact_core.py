@@ -24,7 +24,7 @@ from dwbc.exact_core import (
     poly_det,
     residue_drive,
 )
-from dwbc.ik_engine import complete_homogeneous
+from dwbc.ik_engine import _pair_quotient, complete_homogeneous
 
 
 def approx_eq(x, y):
@@ -696,6 +696,24 @@ class TestLineDet:
                            1, inv=[1, 1, 1])
         assert (inv.rows, inv.err) == ([[1, 1, 1]], 3)
 
+    def test_alternant_plan_is_kept(self):
+        # the plan of (s, w) = (3, 7) gathers 343 positions from its 35
+        # minors; it is sized by the minors, so a second call finds it
+        rows = [[(i + 1) * (m - 3) ** i for m in range(7)] for i in range(3)]
+        exact_core._PLANS.pop(("alternant", 3, 7), None)
+        built, remember = [], exact_core._remember
+
+        def spy(key, plan, size=0):
+            built.append(key)
+            return remember(key, plan, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_core, "_remember", spy)
+            first = exact_core._alternant(rows)
+            assert built == [("alternant", 3, 7)]
+            assert exact_core._alternant(rows) == first
+        assert built == [("alternant", 3, 7)]
+
     def test_lines_on_one_level(self):
         ring, _ = build_tower([("x", 3)])
         line = _point_line((ring, 0, None), [(0, [1, 1]), (0, [2])])
@@ -1210,3 +1228,110 @@ class TestPlanStore:
         q2 = f2 / g
         assert len(exact_core._PLANS) == plans
         assert (q2.lo, q2.shape, q2.err) == (q1.lo, q1.shape, q1.err)
+
+
+def _chain_pair_quotient(f, zs, p, q, r=1, ordered=False):
+    """The pair factors divided one at a time by `Scaled` division, as
+    `ik_engine._pair_quotient` did before its kernel: the reference."""
+    n = len(zs)
+    for j in range(n):
+        for k in range(n):
+            if k > j or (ordered and k != j):
+                f = f / (p * zs[j] * zs[k] - q * zs[j] + r)
+    return f
+
+
+_coefficients = (st.integers(-4, 4)
+                 | st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@st.composite
+def _pair_cases(draw):
+    """(f, zs, p, q, r, ordered): the variables z = c + D eps of a
+    residue drive at the centre c = 0 or 1 on 2 to 4 of the levels of a
+    tower with windows 1 to 5, in any order, D the least scale that
+    makes each pair factor a constant times a unit (`eps_scale` of the
+    ratios of its coefficients to its constant); f a `Scaled` element
+    on a box of its own, exact or not, or the zero element."""
+    levels = draw(st.integers(2, 4))
+    windows = draw(st.lists(st.integers(1, 5), min_size=levels,
+                            max_size=levels))
+    ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)])
+    c = draw(st.sampled_from([0, 1]))
+    p, q, r = (draw(_coefficients) for _ in range(3))
+    kappa = Fraction(p * c * c - q * c + r)
+    assume(kappa)
+    scale = exact_core.eps_scale(*((x.numerator, x.denominator) for x in (
+        (p * c - q) / kappa, p * c / kappa, p / kappa)))
+    order = draw(st.permutations(range(levels)))
+    zs = [Scaled(scale, ring.gen(j)) + c
+          for j in order[:draw(st.integers(2, levels))]]
+    lo = [draw(st.integers(-2, 1)) for _ in range(levels)]
+    shape = [draw(st.integers(1, 3)) for _ in range(levels)]
+    err = [draw(st.sampled_from([math.inf, 0, 2])) + l + n
+           for l, n in zip(lo, shape)]
+    leaves = draw(st.lists(st.integers(-3, 3), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    e = (ring.zero() if draw(st.integers(0, 7)) == 0 else
+         Series(ring, tuple(lo), tuple(shape), leaves, tuple(err)))
+    f = Scaled(draw(st.integers(-5, 5)), e, draw(st.integers(1, 5)))
+    return f, zs, p, q, r, draw(st.booleans())
+
+
+class TestPairDivide:
+    """`ik_engine._pair_quotient` divides by all its pair factors in one
+    integer kernel (`exact_core._pair_divide`): the quotient is the one
+    the pair factors' `Scaled` divisions give in turn, box, leaves and
+    scalar value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pair_cases())
+    def test_equals_the_chain_of_divisions(self, case):
+        f, zs, p, q, r, ordered = case
+        got = _pair_quotient(f, zs, p, q, r, ordered)
+        want = _chain_pair_quotient(f, zs, p, q, r, ordered)
+        assert (got.e.lo, got.e.shape, got.e.err) \
+            == (want.e.lo, want.e.shape, want.e.err)
+        assert got.e.coeffs == want.e.coeffs
+        assert Fraction(got.n, got.d) == Fraction(want.n, want.d)
+        # a second call finds the plan the first one stored
+        again = _pair_quotient(f, zs, p, q, r, ordered)
+        assert (again.e.lo, again.e.shape, again.e.coeffs, again.e.err) \
+            == (got.e.lo, got.e.shape, got.e.coeffs, got.e.err)
+
+    def test_route_factors(self):
+        # the factors of efp_mir_n at z = 1 and of efpMIR2 at z = 0, on
+        # a dividend with a box of its own in each level
+        ring, _ = build_tower([("e0", 4), ("e1", 3), ("e2", 4)])
+        f = Scaled(3, Series(ring, (-1, 0, 1), (2, 3, 1),
+                             [1, -2, 0, 4, 5, -1], (math.inf, 3, 4)), 7)
+        for c, (p, q, r) in ((1, (4, 11, 9)), (0, (4, 11, 9))):
+            kappa = p * c * c - q * c + r
+            scale = exact_core.eps_scale((p * c - q, kappa), (p * c, kappa),
+                                         (p, kappa))
+            zs = [Scaled(scale, ring.gen(j)) + c for j in range(3)]
+            for ordered in (False, True):
+                got = _pair_quotient(f, zs, p, q, r, ordered)
+                want = _chain_pair_quotient(f, zs, p, q, r, ordered)
+                assert (got.e.lo, got.e.shape, got.e.coeffs, got.e.err) \
+                    == (want.e.lo, want.e.shape, want.e.coeffs, want.e.err)
+                assert Fraction(got.n, got.d) == Fraction(want.n, want.d)
+
+    def test_fewer_than_two_variables(self):
+        ring, _ = build_tower([("e0", 3)])
+        f = Scaled(2, ring.gen(0) + 1)
+        assert _pair_quotient(f, [Scaled(1, ring.gen(0))], 1, 3, 2) is f
+
+    def test_non_unit_factors_raise(self):
+        ring, _ = build_tower([("e0", 3), ("e1", 3)])
+        f = Scaled(1, ring.const(1))
+        zs = [Scaled(1, ring.gen(j)) for j in range(2)]
+        # z_0 z_1 - 3 z_0 + 2 = 2 (1 - 3/2 eps_0 + 1/2 eps_0 eps_1)
+        with pytest.raises(ValueError):
+            _pair_quotient(f, zs, 1, 3, 2)
+        # at z = 1: 1 - 3 + 2 = 0, no constant term
+        with pytest.raises(ValueError):
+            _pair_quotient(f, [z + 1 for z in zs], 1, 3, 2)
+        # a z that is no variable of the tower
+        with pytest.raises(TypeError):
+            _pair_quotient(f, [zs[0] * zs[0], zs[1]], 1, 3, 1)
