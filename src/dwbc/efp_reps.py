@@ -257,6 +257,12 @@ def _trace_sfold_chain(q, w, record):
     wi = fam.pole_guard()
     t, delta = w.t(), w.delta()
     inv_t = 1 / t
+    # the pair factors (AB x_j x_k - E x_j + AB)/(AB) divide, putting AB
+    # per pair into the step's prefactor, per side s(s-1)/2 pairs, or
+    # s(s-1) ordered ones
+    ab, E = wi.A * wi.B, wi.E
+    pairs = (ab ** (s * (s - 1) // 2), 1)
+    ordered_pairs = (ab ** (s * (s - 1)), 1)
 
     # shared x/y integrand pieces -------------------------------------
     # Each 2s-fold integrand is returned as an (x side, y side) pair: the
@@ -266,7 +272,7 @@ def _trace_sfold_chain(q, w, record):
     def x_side(xs, f):
         """f / prod_{j<k} (x_j x_k - 2D x_j + 1) times h_{N,s}(x/t) and
         the Vandermonde of the x's."""
-        f = _pair_quotient(f, xs, 1, 2 * delta)
+        f = _pair_quotient(f, xs, ab, E, ab)
         return f * fam.hns_vand(N, s, xs, wi.over_t)
 
     def y_side(ys, f):
@@ -298,7 +304,8 @@ def _trace_sfold_chain(q, w, record):
             msum = msum + term
         return x_side(xs, ring.const(1)), fy * msum
 
-    record("double-contour", residue_drive(specs, build_double, scale))
+    record("double-contour",
+           residue_drive(specs, build_double, scale, pairs))
 
     def build_double2(vs, ring):
         xs, ys = vs[:s], vs[s:]
@@ -315,7 +322,7 @@ def _trace_sfold_chain(q, w, record):
         return fx, y_side(ys, fy)
 
     record("double-contour-extended",
-           residue_drive(specs, build_double2, scale))
+           residue_drive(specs, build_double2, scale, pairs))
 
     def build_double3(vs, ring):
         """The double antisymmetrization, with W_s(x; y) = P_s(x; y) /
@@ -330,7 +337,7 @@ def _trace_sfold_chain(q, w, record):
         for j in range(s):
             for k in range(j + 1, s):
                 fy = fy * (ys[k] - ys[j])
-        fx = _pair_quotient(fx, xs, 1, 2 * delta, ordered=True)
+        fx = _pair_quotient(fx, xs, ab, E, ab, ordered=True)
         fx = fx * fam.hns_vand(N, s, xs, wi.over_t)
         # the y side has a pole of order s at each y, so only the
         # y-powers below s of the x side pair with it: cut them there
@@ -344,7 +351,7 @@ def _trace_sfold_chain(q, w, record):
 
     record("double-contour-symmetrized",
            Fraction(1, math.factorial(s) ** 2)
-           * residue_drive(specs, build_double3, scale))
+           * residue_drive(specs, build_double3, scale, ordered_pairs))
 
     def build_recovered(xs, ring):
         """The y-integrals taken at the pole y = 1/t: W_s(x; 1/t..1/t)
@@ -355,7 +362,7 @@ def _trace_sfold_chain(q, w, record):
         f = ring.const(1)
         for j in range(s):
             f = f / xs[j] ** r
-        f = _pair_quotient(f, xs, 1, 2 * delta, ordered=True)
+        f = _pair_quotient(f, xs, ab, E, ab, ordered=True)
         f = f * cantini_P_confluent(xs, inv_t, delta)
         for j in range(s):
             f = f / (1 - xs[j] * inv_t) ** s
@@ -363,7 +370,7 @@ def _trace_sfold_chain(q, w, record):
 
     record("sfold-recovered",
            _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
-           * residue_drive(specs[:s], build_recovered, scale))
+           * residue_drive(specs[:s], build_recovered, scale, ordered_pairs))
 
     record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))
     record("sfold-plain", efp_mir_s(q, w, "efpMIR1"))
@@ -377,6 +384,9 @@ def _trace_nfold_chain(q, w, record):
     fam = family(w)
     wi = fam.pole_guard()
     t, delta = w.t(), w.delta()
+    # AB per pair factor, as in the s-fold chain: n(n-1) on a side's
+    # ordered pairs, or on both sides' unordered ones
+    ab, E = wi.A * wi.B, wi.E
     z_n = fam.z(N)
     pref = (fam.z(s + n) * fam.z(N - s)
             * w.a ** (2 * s * (N - s - n))
@@ -427,16 +437,17 @@ def _trace_nfold_chain(q, w, record):
         for j in range(n):
             fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s - n + j + 1))
             fz = fz / zs[j] ** (N - s - n + j + 1)
-        fw = _pair_quotient(fw, ws, 1, 2 * delta) * h_top(ws)
+        fw = _pair_quotient(fw, ws, ab, E, ab) * h_top(ws)
         for j in range(n):
             prodwz = ring.const(1)
             for l in range(j + 1):
                 prodwz = prodwz * ws[l] * zs[l]
             fw = fw / (1 - prodwz)
-        return fw, _pair_quotient(fz, zs, 1, 2 * delta) * h_bot(zs)
+        return fw, _pair_quotient(fz, zs, ab, E, ab) * h_bot(zs)
 
+    pairs = (ab ** (n * (n - 1)), 1)
     record("nfold-extended",
-           pref * residue_drive(specs, build_extended, scale))
+           pref * residue_drive(specs, build_extended, scale, pairs))
 
     # double antisymmetrization with P_n -------------------------------
     def build_symmetrized(vs, ring):
@@ -449,16 +460,17 @@ def _trace_nfold_chain(q, w, record):
         for j in range(n):
             fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s))
             fz = fz / zs[j] ** (N - s)
-        fw = _pair_quotient(fw, ws, 1, 2 * delta, ordered=True) * h_top(ws)
+        fw = _pair_quotient(fw, ws, ab, E, ab, ordered=True) * h_top(ws)
         for j in range(n):
             for k in range(n):
                 fw = fw / (1 - ws[j] * zs[k])
-        fz = _pair_quotient(fz, zs, 1, 2 * delta, ordered=True) * h_bot(zs)
+        fz = _pair_quotient(fz, zs, ab, E, ab, ordered=True) * h_bot(zs)
         return fw, cantini_P_vand(ws, zs, delta, fz)
 
     record("nfold-symmetrized",
            pref / math.factorial(n) ** 2
-           * residue_drive(specs, build_symmetrized, scale))
+           * residue_drive(specs, build_symmetrized, scale,
+                           (ab ** (2 * n * (n - 1)), 1)))
 
     # z-contours flipped onto the poles at 1/w_l -----------------------
     record("nfold-flipped",
@@ -475,14 +487,14 @@ def _trace_nfold_chain(q, w, record):
         f = ring.const(1)
         for j in range(n):
             f = f / (ws[j] * (1 - t * ws[j]))
-        f = _pair_quotient(f, ws, 1, 2 * delta, ordered=True)
+        f = _pair_quotient(f, ws, ab, E, ab, ordered=True)
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
         return f * h_top(ws), h_bot(ws, wi.inv_tz)
 
     record("nfold-integrated",
            pref * _vand_sign(n) / math.factorial(n)
            * residue_drive([(0, (N - s) + n + 1)] * n, build_integrated,
-                           scale))
+                           scale, pairs))
 
     record("nfold-final", efp_mir_n(q, w))
 

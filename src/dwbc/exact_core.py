@@ -29,53 +29,53 @@ constant times 1 + an integer polynomial in the eps's, a unit) go into
 the scalars' denominators, and no scalar is a Fraction: the residue,
 times the route's prefactor as one integer pair, becomes one Fraction
 at the end of `residue_drive` (the gcd-saving of rational products in
-Knuth, TAOCP vol. 2, sec. 4.5.1).  A leaf is a Fraction only where a
-route inverts a factor with no such unit form.
+Knuth, TAOCP vol. 2, sec. 4.5.1).  An int leaf is inverted only as a
+unit, +-1; any other raises ValueError.
 
-Division runs the power-series division recurrence (Knuth, TAOCP vol.
-2, sec. 4.7) over the box in lexicographic level order, outermost level
-first: q_e = (f_e - sum_h g_(v+h) q_(e-h)) / g_v, v the divisor's
+Division is one kernel, `_divide`: a tower element divided by a chain
+of divisors by the power-series division recurrence (Knuth, TAOCP vol.
+2, sec. 4.7), over the box in lexicographic level order, outermost
+level first: q_e = (f_e - sum_h g_(v+h) q_(e-h)) / g_v, v the divisor's
 lex-leading exponent, one step per known divisor term, so the 2- to
-4-term factors the routes divide by cost size(f) * terms(g).  Where the
-divisor has terms past its leading one, or is inexact, the quotient
-knows min(window, prec) coefficients past the valuation, the window
-being the divisor's known span; an exact monomial only shifts the
-dividend, so 1/eps is exact.  A divisor such as 1 - w_j/w_l, whose
-leading term has exponents of mixed sign, makes the quotient reach
-lower in the inner variable with every outer step: its box extends
-downward there by the outer steps times that spread, read from the
-divisor's exponents.  Extraction past a window raises PrecisionLoss,
-so drivers retry with a wider tower.  Nothing is ever rounded.  The
-nesting order also disambiguates iterated contours around
+4-term factors the routes divide by cost size(f) * terms(g).  The
+dividend is placed once in one padded buffer and each divisor's
+recurrence runs over it in place, one pass each.  `Series.__truediv__`
+is a chain of one.  `_pair_divide` is the chain of the pair factors p
+z_j z_k - q z_j + r of the residue integrands: at the variables
+`residue_drive` hands out, each is an integer constant, which goes
+into the `Scaled` pair, times a unit 1 + alpha eps_j + beta eps_k +
+gamma eps_j eps_k with integer coefficients, so no divisor `Series` is
+built.  Where a divisor has terms past its leading one, or is inexact,
+the quotient knows min(window, prec) coefficients past the valuation,
+the window being the divisor's known span; an exact monomial only
+shifts the dividend, so 1/eps is exact.  A divisor such as 1 - w_j/w_l,
+whose leading term has exponents of mixed sign, makes the quotient
+reach lower in the inner variable with every outer step: its box
+extends downward there by the outer steps times that spread, read from
+the divisor's exponents.  Extraction past a window raises
+PrecisionLoss, so drivers retry with a wider tower.  Nothing is ever
+rounded.  The nesting order also disambiguates iterated contours around
 variable-dependent poles: 1/(w_l - w_j) expands in powers of w_j/w_l
-exactly when w_j sits above w_l in the tower.  The pair factors p z_j
-z_k - q z_j + r of the residue integrands divide in one kernel,
-`_pair_divide`, not one `Series` division each: at the variables
-`residue_drive` hands out, each is an integer constant, which goes into
-the `Scaled` pair, times a unit 1 + alpha eps_j + beta eps_k + gamma
-eps_j eps_k with integer coefficients, and each unit's recurrence runs
-in place over one buffer as a loop of its two or three terms.  Its
-plan folds the division's box rule (`_quotient_box`) over the pairs, so
-its quotient has the box, window and leaves of the chain of divisions.
+exactly when w_j sits above w_l in the tower.
 
 What an operation works out from its operands' boxes alone is a plan,
 computed once per key and kept in one store of at most PLAN_CAP (4096)
-plans, emptied when full.  A division's key is the lo, shape and err
-of both operands, the divisor's nonzero leaf positions and the tower's
-precs, so every dividend on one box shares a plan; its plan holds the
-quotient's lo, err and box and the recurrence's padded buffer, leaf
-order and step reaches, while the divisor's leading leaf is inverted
-and its step coefficients read on every call.  A pair division's key is
-the dividend's box, the levels and nonzero terms of each pair and the
-precs.  A sum's key is the lo, shape and err of both terms, its plan
-the placement of each in the sum's box cut at err.  A product's key is the
-lo, shape and err of both factors; its plan holds the product's lo, err
-and box, which factor is placed, and per leaf of the other only the
-leaves of the placed factor that land inside the box cut at err, with
-where they land, so a product forms no leaf that a window drops.  Every
-operation keeps its crops in the same store.  No leaf value enters a
-plan, so the first operation on a shape pays the set-up and every later
-one a lookup.
+plans, emptied when full.  A division's key is the dividend's lo,
+shape and err, the tower's precs and what each divisor's steps and box
+are read from: a `Series` divisor's nonzero leaf positions and box, a
+pair unit's levels and nonzero terms; so every dividend on one box
+shares a plan.  Its plan holds the quotient's lo, err and box, the
+padded buffer and per pass the leaf order and step reaches, while the
+divisors' leading leaves are inverted and their step coefficients read
+on every call.  A sum's key is the lo, shape and err of both terms, its
+plan the placement of each in the sum's box cut at err.  A product's
+key is the lo, shape and err of both factors; its plan holds the
+product's lo, err and box, which factor is placed, and per leaf of the
+other only the leaves of the placed factor that land inside the box cut
+at err, with where they land, so a product forms no leaf that a window
+drops.  Every operation keeps its crops in the same store.  No leaf
+value enters a plan, so the first operation on a shape pays the set-up
+and every later one a lookup.
 
 `residue_drive` is the one residue path: every integrand is a `build`
 function returning a tower element or a pair (A, B) whose product it
@@ -119,7 +119,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
-from operator import add, mul, neg, sub
+from operator import add, lt, mul, neg, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from .rational import (ExactPoly, _horner, _perm_sign,  # noqa: F401
@@ -149,11 +149,14 @@ def _leaf(v):
 
 def _invert(x):
     """Inverse of a leaf, the one leaf inverse of every tower division:
-    an int +-1 stays an int, any other int becomes an exact Fraction."""
+    an int +-1 is its own, any other int raises ValueError (`Scaled`
+    pulls it into its scalar first)."""
     if x == 0:
         raise ZeroDenominator("scalar division by zero")
     if isinstance(x, int):
-        return x if x in (1, -1) else Fraction(1, x)
+        if x in (1, -1):
+            return x
+        raise ValueError(f"int leaf {x} inverted: not a unit")
     return 1 / x
 
 
@@ -225,13 +228,13 @@ class Tower:
 # of different kinds never meet: strides are keyed by a shape, offsets
 # by (shape, strides), crops by (shift, shape, shape), sums by a flat
 # tuple led by "+", products by one led by "*" (the lo, shape and err of
-# both factors), divisions by one led by "/" (the divisor's nonzero leaf
-# positions, both boxes and the precs), alternants by ("alternant", s,
-# w), pair divisions by one led by "pairs" (`_pair_plan`).  A plan is
-# kept only when it holds at most PLAN_LEAVES positions (an alternant's
-# counted by its minors), so a large box, whose own arithmetic dwarfs its
-# set-up, plans afresh; the store is emptied when it reaches PLAN_CAP
-# entries.
+# both factors), divisions by one led by "/" (`_division_plan`; a
+# `Series` divisor's nonzero leaf positions or the pattern of the pair
+# units, the boxes and the precs), alternants by ("alternant", s, w).  A
+# plan is kept only when it holds at most PLAN_LEAVES positions (an
+# alternant's counted by its minors), so a large box, whose own
+# arithmetic dwarfs its set-up, plans afresh; the store is emptied when
+# it reaches PLAN_CAP entries.
 PLAN_CAP = 4096
 PLAN_LEAVES = 256
 _PLANS = {}
@@ -535,57 +538,28 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self / other by the division recurrence over the box: the
+        """self / other, a chain of one divisor for `_divide`: the
         lex-leading leaf g_v of other is inverted once by `_invert`, and
         each further known term of other is one step of the recurrence.
-
-        Per level j the quotient's box starts at lo_f - v_j + X_j, X_j <=
-        0 the spread: min(0, lo_g - v_j) per step of an outer level times
-        the steps the outer windows hold.  It knows err_f - v_j + X_j,
-        and where other is inexact lo_f + err_g - 2 v_j + X_j.  Where
-        other has terms past its leading one in level j, or is inexact
-        there, the quotient also stops at lo_f - v_j + prec_j, prec_j
-        past the valuation, so its plan reads no leaf of self and one
-        plan serves every dividend on a box.  The valuation of other is
-        certain only where no zero slice with unknown deeper
-        coefficients precedes its leading leaf; otherwise this raises
-        PrecisionLoss.
+        The quotient's box is `_quotient_box`'s, from the two boxes
+        alone, so one plan serves every dividend on a box.  The
+        valuation of other is certain only where no zero slice with
+        unknown deeper coefficients precedes its leading leaf; otherwise
+        this raises PrecisionLoss.
         """
         if other.__class__ is not Series or other.ring is not self.ring:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        f, g, ring = self, other, self.ring
-        gc = g.coeffs
+        ring, gc = self.ring, other.coeffs
         # the divisor's nonzero leaves, the first its lex-leading one
         nz = tuple(compress(range(len(gc)), gc))
-        key = ("/", nz, *f.lo, *f.shape, *f.err, *g.lo, *g.shape, *g.err,
-               *ring.precs)
-        lo, err, shape, size, runs, order, reach, out, trim = (
-            _PLANS.get(key) or _division_plan(key, f, g, nz, ring.precs))
-        r = _invert(gc[nz[0]])
-        if order is None:
-            if shape is None:
-                return _empty(ring, lo, err)
-            # an exact monomial: the quotient is f shifted, window and all
-            return Series(ring, lo, shape, [c * r for c in f.coeffs], err)
-        # f in the padded buffer, then each leaf in lex order adds c
-        # times the leaf each step reaches back to and is scaled by r
-        buf = [0] * size
-        fc = f.coeffs
-        k, dst, src = runs
-        for o, i in zip(dst, src):
-            buf[o:o + k] = fc[i:i + k]
-        steps = [(d, -gc[p]) for d, p in zip(reach, nz[1:])]
-        for p in order:
-            acc = buf[p]
-            for d, c in steps:
-                acc += c * buf[p - d]
-            buf[p] = acc if r == 1 else acc * r
-        q = [buf[p] for p in out]
-        if trim:
-            return _trim(ring, lo, shape, q, err)
-        return Series(ring, lo, shape, q, err)
+        key = ("/", nz, *self.lo, *self.shape, *self.err, *other.lo,
+               *other.shape, *other.err, *ring.precs)
+        plan = _PLANS.get(key) or _division_plan(
+            key, self, [_divisor(other, nz)], ring.precs)
+        return _divide(ring, self, plan, [[-gc[p] for p in nz[1:]]],
+                       _invert(gc[nz[0]]))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -709,92 +683,168 @@ def _product_plan(key, a, b):
 
 
 def _divisor(g, nz):
-    """(v, hs, levels) of a divisor g with nonzero leaves nz: v the
-    exponent of its lex-leading leaf nz[0], hs the offset from v of each
-    further nonzero leaf (one step of the recurrence each), levels
-    their first nonzero levels.  Raises what a divisor without a certain
-    leading leaf must."""
+    """(v, hs, box) of a divisor g with nonzero leaves nz: v the exponent
+    of its lex-leading leaf nz[0], hs the offset from v of each further
+    nonzero leaf (one step of the recurrence each), box its (lo, shape,
+    err).  Raises what a divisor without a certain leading leaf must."""
     if not nz:
         if all(e == INF for e in g.err):
             raise ZeroDenominator("division by the zero series")
         raise PrecisionLoss(f"division by O({g.err}) with no known terms")
     gst = _strides(g.shape)
     vrel = _index(nz[0], gst)
-    for j, ok in enumerate(_deep_exact(g.err)):
-        if vrel[j] and not ok:
-            raise PrecisionLoss(
-                "division by a leading coefficient not known to be nonzero")
+    if any(i and not ok for i, ok in zip(vrel, _deep_exact(g.err))):
+        raise PrecisionLoss(
+            "division by a leading coefficient not known to be nonzero")
     v = [l + i for l, i in zip(g.lo, vrel)]
     hs = [[i - u for i, u in zip(_index(p, gst), vrel)] for p in nz[1:]]
-    return v, hs, {next(j for j, x in enumerate(h) if x) for h in hs}
+    return v, hs, (g.lo, g.shape, g.err)
 
 
-def _quotient_box(fbox, gbox, v, levels, precs):
-    """(lo, err, top, hi, held): the box rule of `Series.__truediv__`
-    for a dividend and a divisor on the boxes fbox and gbox, each a
-    triple (lo, shape, err), the divisor's lex-leading exponent v and
-    its steps starting at `levels` (`_divisor`).  The quotient lies from
-    lo and knows below err; the recurrence runs up to top and the
-    quotient is cut at hi; held is the outer steps the windows hold."""
-    lo, hi, err, top, held = [], [], [], [], 0
+def _quotient_box(fbox, gbox, v, hs, precs):
+    """(lo, err, top, held): the box of the quotient of a dividend on
+    fbox by a divisor on gbox, each a triple (lo, shape, err), v the
+    divisor's lex-leading exponent and hs its steps (`_divisor`).
+
+    Per level j the quotient starts at lo_f - v_j + X_j, X_j <= 0 the
+    spread: min(0, lo_g - v_j) per step of an outer level times the
+    outer steps the windows hold (held).  It knows below err_f - v_j +
+    X_j, and where the divisor is inexact below lo_f + err_g - 2 v_j +
+    X_j.  Where the divisor steps in level j, or is inexact there, the
+    quotient also stops at lo_f - v_j + prec_j, prec_j past the
+    valuation, so no leaf of the dividend decides the box.  The
+    recurrence runs up to top and the quotient is cut at min(top,
+    err)."""
+    box, held = [], 0
+    levels = {next(j for j, x in enumerate(h) if x) for h in hs}
     for j, (lf, n, ef, gl, gn, ge, u, prec) in enumerate(zip(
             *fbox, *gbox, v, precs)):
         lf, ef, stepped = lf - u, ef - u, j in levels
         low = min(0, gl - u) * held
         known = ef + low
-        if ge != INF:
-            known = min(known, lf + ge - u + low)
         if stepped or ge != INF:
-            known = min(known, lf + prec)
+            known = min(known, lf + ge - u + low, lf + prec)
         t = known - low
         if not stepped:
             t = min(t, lf + n + max(0, gl + gn - 1 - u) * held)
-        lo.append(lf + low)
-        err.append(known)
-        top.append(t)
-        hi.append(min(known, t))
-        if stepped and lo[j] != INF:
-            held += known - 1 - lo[j]
-    return tuple(lo), tuple(err), top, hi, held
+        box.append((lf + low, known, t))
+        if stepped and lf + low != INF:
+            held += known - 1 - lf - low
+    return (*zip(*box), held)
 
 
-def _division_plan(key, f, g, nz, precs):
-    """The plan of f / g, stored under key: (lo, err, shape, size, runs,
-    order, reach, out, trim), from f's box and g's alone.  The quotient
-    lies on the box (lo, shape) and knows below err; order is None for
-    an exact monomial g (then shape is f's) and shape None for an empty
-    quotient.  Otherwise the recurrence runs in a buffer of `size`
-    leaves, its work box padded at every level by the steps' reach so
-    that a step reaching below the box reads a zero: f enters by
-    `_runs`, order lists the work box's leaves, reach each step's flat
-    offset, and out the leaves of the quotient's box, which is then
-    trimmed when trim is set."""
-    v, hs, levels = _divisor(g, nz)
-    L = len(v)
-    lo_f = tuple(map(sub, f.lo, v))
-    if not hs and all(e == INF for e in g.err):
-        return _remember(key, (lo_f, tuple(map(sub, f.err, v)),
-                               f.shape if f.coeffs else None, 0,
-                               None, None, None, None, False))
-    lo, err, top, hi, held = _quotient_box(
-        (f.lo, f.shape, f.err), (g.lo, g.shape, g.err), v, levels, precs)
-    if not f.coeffs or any(h <= l for l, h in zip(lo, hi)):
-        return _remember(key, (lo, err, None, 0,
-                               None, None, None, None, False))
-    work = tuple(t - l for t, l in zip(top, lo))
-    below = [max([h[j] for h in hs] + [0]) for j in range(L)]
-    above = [max([-h[j] for h in hs] + [0]) for j in range(L)]
-    pshape = tuple(k + x + y for k, x, y in zip(work, below, above))
-    ps = _strides(pshape)
-    start = sum(map(mul, below, ps))
-    order = _offsets(work, ps, start)
-    runs = _runs(lo_f, f.shape, lo, work, tuple(map(sub, lo, below)), pshape)
-    reach = [sum(map(mul, h, ps)) for h in hs]
-    trim = held and min(g.lo[j] - v[j] for j in range(L)) < 0
-    shape = work if trim else tuple(h - l for h, l in zip(hi, lo))
-    out = order if shape == work else _offsets(shape, ps, start)
-    return _remember(key, (lo, err, shape, math.prod(pshape), runs, order,
-                           reach, out, trim), len(order))
+def _division_plan(key, f, divisors, precs):
+    """The plan of f divided by a chain of divisors, each (v, hs, box)
+    as `_divisor` gives it, from boxes alone; stored under key: (lo,
+    err, shape, size, runs, passes, out, trim).  The quotient lies on
+    the box (lo, shape), shape None when it is empty, and knows below
+    err.
+
+    An exact monomial divisor shifts the box, window and all, and takes
+    no pass; when no divisor takes one, runs is None.  Every other
+    divisor's box is `_quotient_box` of the box before it, as its
+    `Series` division would take it, and its recurrence runs over that
+    box in one pass.  The buffer of `size` leaves holds the hull of the
+    passes' boxes, each box placed where its exponents sit in f (a
+    divisor's v shifts the exponents), padded at every level by the
+    steps' reach, so that a step reaching outside a box reads a zero;
+    f enters it by `_runs`, cut to the first pass's box.  passes lists
+    per pass its box's leaves in lex order and each step's flat reach,
+    out the leaves of the quotient's box, which is trimmed when trim is
+    set: the box of a divisor of mixed sign runs below its leaves, so
+    such a divisor ends its chain.
+
+    In place equals the chain of divisions for the pair units of
+    `_pair_divide`, which keep the low: a level's box shrinks only where
+    a unit steps in it, to its window, its err from then on, and no
+    later box passes that err, so every leaf a box takes that the box
+    before it did not hold is still the buffer's zero, as the next
+    division would read it."""
+    L = len(f.lo)
+    lo, shape, err, full = f.lo, f.shape, f.err, bool(f.coeffs)
+    at, boxes, trim = (0,) * L, [], False
+    for v, hs, gbox in divisors:
+        at = tuple(map(add, at, v))
+        if hs or any(e != INF for e in gbox[2]):
+            lo, err, top, held = _quotient_box((lo, shape, err), gbox, v,
+                                               hs, precs)
+            hi = list(map(min, top, err))
+            trim = held and min(map(sub, gbox[0], v)) < 0
+            full = full and all(map(lt, lo, hi))
+            shape = tuple(map(sub, top if trim else hi, lo))
+            if full:
+                boxes.append((tuple(map(add, lo, at)),
+                              tuple(map(sub, top, lo)), hs))
+        else:
+            lo, err = tuple(map(sub, lo, v)), tuple(map(sub, err, v))
+        if not full:
+            x = _empty(None, lo, err)
+            lo, shape, err = x.lo, x.shape, x.err
+    if not (full and boxes):
+        return _remember(key, (lo, err, shape if full else None, 0, None,
+                               (), None, False))
+    reach = [h for _, _, hs in boxes for h in hs]
+    below = [max([h[j] for h in reach] + [0]) for j in range(L)]
+    base = [min(b[0][j] for b in boxes) - below[j] for j in range(L)]
+    pshape = tuple(max(b[0][j] + b[1][j] for b in boxes) - base[j]
+                   + max([-h[j] for h in reach] + [0]) for j in range(L))
+    ps, orders = _strides(pshape), {}
+    out = (tuple(map(add, lo, at)), shape)
+    for box in [b[:2] for b in boxes] + [out]:
+        if box not in orders:
+            orders[box] = _offsets(box[1], ps,
+                                   sum(map(mul, map(sub, box[0], base), ps)))
+    passes = [(orders[b[:2]], tuple(sum(map(mul, h, ps)) for h in b[2]))
+              for b in boxes]
+    return _remember(key, (lo, err, shape, math.prod(pshape),
+                           _runs(f.lo, f.shape, *boxes[0][:2], base, pshape),
+                           passes, orders[out], trim),
+                     sum(map(len, orders.values())))
+
+
+def _divide(ring, f, plan, coefs, r=1):
+    """f divided by the chain of divisors of `plan` (`_division_plan`):
+    coefs holds per pass the negated coefficients of its steps, and r
+    is the inverse of the leading leaf, which a chain's divisors share
+    (a pair unit's is 1).  Each leaf of a pass adds each coefficient
+    times the leaf its step reaches back to, in the order of the steps,
+    and is then scaled by r: ((f_e - g_1 q_1) - g_2 q_2 - ..) r, the
+    order a complex leaf rounds in."""
+    lo, err, shape, size, runs, passes, out, trim = plan
+    if shape is None:
+        return _empty(ring, lo, err)
+    if runs is None:
+        # exact monomials: the quotient is f shifted, window and all
+        return Series(ring, lo, shape, [c * r for c in f.coeffs], err)
+    buf, (k, dst, src), fc = [0] * size, runs, f.coeffs
+    for o, i in zip(dst, src):
+        buf[o:o + k] = fc[i:i + k]
+    for (order, reach), cs in zip(passes, coefs):
+        n = len(cs) if r == 1 else 0
+        if n == 1:
+            (da,), (x,) = reach, cs
+            for i in order:
+                buf[i] += x * buf[i - da]
+        elif n == 2:
+            (da, db), (x, y) = reach, cs
+            for i in order:
+                buf[i] = buf[i] + x * buf[i - da] + y * buf[i - db]
+        elif n == 3:
+            (da, db, dc), (x, y, z) = reach, cs
+            for i in order:
+                buf[i] = (buf[i] + x * buf[i - da] + y * buf[i - db]
+                          + z * buf[i - dc])
+        else:
+            steps = list(zip(reach, cs))
+            for i in order:
+                acc = buf[i]
+                for d, c in steps:
+                    acc += c * buf[i - d]
+                buf[i] = acc if r == 1 else acc * r
+    q = list(map(buf.__getitem__, out))
+    if trim:
+        return _trim(ring, lo, shape, q, err)
+    return Series(ring, lo, shape, q, err)
 
 
 class Scaled:
@@ -812,9 +862,9 @@ class Scaled:
     leaf the division recurrence inverts, into the scalar, so the
     towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
     integer p_m when the variables are scaled as `eps_scale` chooses.
-    Where the leading leaf does not divide e, e is divided by as it is
-    and the quotient's leaves become Fractions.  The scalar becomes a
-    Fraction once, with the residue (`iterated_residue`,
+    An int leading leaf that does not divide every leaf of e raises
+    ValueError; a Fraction or complex one stays in e.  The scalar
+    becomes a Fraction once, with the residue (`iterated_residue`,
     `residue_drive`).  A rational n is taken apart into the pair.
     """
 
@@ -910,16 +960,19 @@ class Scaled:
 
     def _unit(self):
         """(cn, cd, u) with self = (cn/cd) * u for a tower u: u is e with
-        its lex-leading leaf pulled into cn when that leaf divides every
-        leaf of e (then u's leading leaf is 1), else e itself."""
+        its lex-leading leaf pulled into cn when that leaf is an int
+        (then u's leading leaf is 1), else e itself.  An int leaf that
+        does not divide every leaf of e raises ValueError."""
         if not self.n:
             raise ZeroDenominator("inverse of the zero series")
         e = self.e
         lead = next((x for x in e.coeffs if x), None)
-        unit = _divide_leaves(e, lead) if isinstance(lead, int) else None
-        if unit is None:
+        if not isinstance(lead, int) or lead == 1:
             return self.n, self.d, e
-        return self.n * lead, self.d, unit
+        if any(c.__class__ is not int or c % lead for c in e.coeffs):
+            raise ValueError(f"{lead} does not divide every leaf of {e!r}")
+        return self.n * lead, self.d, Series(
+            e.ring, e.lo, e.shape, [c // lead for c in e.coeffs], e.err)
 
 
 def _scaled(n, e, d):
@@ -936,19 +989,6 @@ def _times(a, b):
     return a * b
 
 
-def _divide_leaves(x, d):
-    """x with every leaf divided by the int d, or None when a leaf is
-    not an integer multiple of d."""
-    if d == 1:
-        return x
-    out = []
-    for c in x.coeffs:
-        if c.__class__ is not int or c % d:
-            return None
-        out.append(c // d)
-    return Series(x.ring, x.lo, x.shape, out, x.err)
-
-
 def eps_scale(*ratios) -> int:
     """The least D with D q an integer for every ratio q = num/den
     given as an integer pair (num, den): the lcm of the reduced
@@ -963,148 +1003,59 @@ def eps_scale(*ratios) -> int:
     return math.lcm(1, *(abs(d) // math.gcd(n, d) for n, d in ratios))
 
 
-def _linear_point(z):
-    """(top, level, u, v, den) of a variable z = (u + v eps)/den, eps the
-    variable of level `level` of the tower `top` (`_tower_point`);
-    raises TypeError for any other z."""
-    top, level, (lo, cs), den = _tower_point(z)
-    if top is None or lo < 0 or lo + len(cs) > 2:
-        raise TypeError("a pair factor needs variables linear in one "
-                        "tower variable")
-    u, v = ([0] * lo + cs + [0])[:2]
-    return top, level, u, v, den
-
-
 def _pair_divide(f, zs, p, q, r, pairs):
-    """f / prod (p z_j z_k - q z_j + r) over the index pairs (j, k), the
-    z's variables as `residue_drive` hands them out, each linear in its
-    own tower level (`_linear_point`), and p, q, r rationals.
+    """f / prod (p z_j z_k - q z_j + r) over the index pairs (j, k), for
+    integers p, q, r and z's as `residue_drive` hands them out, each
+    linear in its own tower level: one chain of units for `_divide`.
 
-    At z_j = (u_j + v_j eps_j)/d_j a pair factor is kappa (1 + alpha
-    eps_j + beta eps_k + gamma eps_j eps_k), kappa = p u_j u_k/(d_j d_k)
-    - q u_j/d_j + r, and the eps_scale of the routes makes alpha, beta
-    and gamma integers: kappa and the denominators go into the `Scaled`
-    pair, and f's tower is divided by the units.  One plan per f's box,
-    pattern of pairs and precs (`_pair_plan`) places f once in a padded
-    buffer; each pair's division recurrence then runs over it in place,
-    in lex order, as a loop of its two or three terms, q_e = f_e - alpha
-    q_(e - eps_j) - beta q_(e - eps_k) - gamma q_(e - eps_j - eps_k).
-    The quotient equals that of the chain of `Series` divisions by the
-    pair factors in turn, its box, leaves and scalar value.  A kappa of
-    0, or one that does not divide alpha, beta and gamma, raises
+    At z_j = (u_j + v_j eps_j)/d_j a pair factor times d_j d_k is K (1 +
+    alpha eps_j + beta eps_k + gamma eps_j eps_k), K = p u_j u_k - q u_j
+    d_k + r d_j d_k, and the eps_scale of the routes makes alpha, beta
+    and gamma integers.  K and the d's go into the `Scaled` pair; each
+    unit's nonzero terms are its steps, at offsets read from its levels
+    without building it.  The quotient is that of the chain of `Series`
+    divisions by the pair factors in turn: box, leaves and scalar value.
+    A K of 0, or one that does not divide the terms, raises
     ValueError."""
-    f = Scaled._coerce(f)
-    pts = [_linear_point(z) for z in zs]
+    f, pts = Scaled._coerce(f), []
+    for z in zs:
+        # z = (u + v eps)/den, eps the variable of its level
+        top, level, (lo, cs), den = _tower_point(z)
+        if top is None or lo < 0 or lo + len(cs) > 2:
+            raise TypeError("a pair factor needs variables linear in one "
+                            "tower variable")
+        pts.append((top, level, *([0] * lo + cs + [0])[:2], den))
     ring = pts[0][0]
     e = f.e if isinstance(f.e, Series) else ring.const(f.e)
     if any(x[0] is not ring for x in pts) or e.ring is not ring:
         raise ValueError("pair factors on mixed towers")
-    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-    rn, rd = r.numerator, r.denominator
     n, d, pattern, coefs = f.n, f.d, [], []
     for j, k in pairs:
         _, lj, uj, vj, dj = pts[j]
         _, lk, uk, vk, dk = pts[k]
         if lj == lk:
             raise ValueError("pair variables on one tower level")
-        # times pd qd rd dj dk the factor is K + a eps_j + b eps_k
-        # + g eps_j eps_k
-        P = pn * qd * rd
-        x = P * uk - qn * pd * rd * dk
-        K = uj * x + rn * pd * qd * dj * dk
-        terms = (vj * x, P * uj * vk, P * vj * vk)
+        x = p * uk - q * dk
+        K = uj * x + r * dj * dk
+        terms = (vj * x, p * uj * vk, p * vj * vk)
         if not K or any(t % K for t in terms):
             raise ValueError(f"pair factor {K} + {terms} in eps_j, eps_k, "
                              "eps_j eps_k is no constant times a unit")
-        cs = [t // K for t in terms if t]
-        if cs:
-            coefs.append(cs)
-        pattern.append((lj, lk, sum(1 << i for i, t in enumerate(terms) if t)))
-        n, d = n * pd * qd * rd * dj * dk, d * K
-    key = ("pairs", tuple(pattern), e.lo, e.shape, e.err, ring.precs)
-    lo, err, shape, size, runs, passes, out = (
-        _PLANS.get(key) or _pair_plan(key, e, pattern, ring.precs))
-    if shape is None:
-        return _scaled(n, _empty(ring, lo, err), d)
-    buf = [0] * size
-    fc = e.coeffs
-    k, dst, src = runs
-    for o, i in zip(dst, src):
-        buf[o:o + k] = fc[i:i + k]
-    for (order, reach), cs in zip(passes, coefs):
-        if len(reach) == 3:
-            (da, db, dc), (x, y, z) = reach, cs
-            for i in order:
-                buf[i] -= x * buf[i - da] + y * buf[i - db] + z * buf[i - dc]
-        elif len(reach) == 2:
-            (da, db), (x, y) = reach, cs
-            for i in order:
-                buf[i] -= x * buf[i - da] + y * buf[i - db]
-        else:
-            (da,), (x,) = reach, cs
-            for i in order:
-                buf[i] -= x * buf[i - da]
-    return _scaled(n, Series(ring, lo, shape, list(map(buf.__getitem__, out)),
-                             err), d)
-
-
-def _pair_plan(key, e, pattern, precs):
-    """The plan of `_pair_divide` for a tower element on e's box and the
-    pattern of its pairs, (level_j, level_k, mask) with bits 1, 2, 4 of
-    mask set where alpha, beta, gamma are nonzero; stored under key:
-    (lo, err, shape, size, runs, passes, out), shape None for an empty
-    quotient.
-
-    Each pair's box is `_quotient_box` of the box before it and the
-    pair's unit, as its `Series` division would take it.  A unit keeps
-    the low, so every box starts at lo, and the buffer of `size` leaves
-    holds their hull, padded by one below at each level a step reaches,
-    so that a step reaching below a box reads a zero.  e enters by
-    `_runs`, cut to the first box; per pair, passes hold the leaves of
-    its box in lex order and each step's flat reach; out lists the
-    leaves of the last box.  A level's box shrinks only where the pair
-    steps in it, to its window, its err from then on, and no later box
-    passes its err: so every leaf a box takes that the box before it
-    did not hold is still the buffer's zero, as the chain of divisions
-    would read it."""
-    L = len(e.lo)
-    zeros, infs = (0,) * L, (INF,) * L
-    lo, shape, err, full = e.lo, e.shape, e.err, bool(e.coeffs)
-    boxes, steps = [], []
-    for lj, lk, mask in pattern:
-        terms = [h for bit, h in ((1, (lj,)), (2, (lk,)), (4, (lj, lk)))
-                 if mask & bit]
-        if terms:
-            unit = (zeros, [2 if any(m in h for h in terms) else 1
-                            for m in range(L)], infs)
-            lo, err, _, hi, _ = _quotient_box((lo, shape, err), unit, zeros,
-                                              {min(h) for h in terms}, precs)
-            shape = tuple(map(sub, hi, lo))
-            full = full and min(shape) > 0
-            if full:
-                boxes.append(shape)
-                steps.append([[int(m in h) for m in range(L)] for h in terms])
-        if not full:
-            x = _empty(None, lo, err)
-            lo, shape, err = x.lo, x.shape, x.err
-    if not full:
-        return _remember(key, (lo, err, None, 0, None, (), None))
-    boxes = boxes or [shape]
-    hull = [max(b[m] for b in boxes) for m in range(L)]
-    below = [max([h[m] for hs in steps for h in hs] + [0]) for m in range(L)]
-    pshape = tuple(map(add, hull, below))
-    ps = _strides(pshape)
-    start = sum(map(mul, below, ps))
-    runs = _runs(e.lo, e.shape, lo, boxes[0], tuple(map(sub, lo, below)),
-                 pshape)
-    orders = {}
-    for box in boxes:
-        if box not in orders:
-            orders[box] = _offsets(box, ps, start)
-    passes = [(orders[box], tuple(sum(map(mul, h, ps)) for h in hs))
-              for box, hs in zip(boxes, steps)]
-    return _remember(key, (lo, err, shape, math.prod(pshape), runs, passes,
-                           orders[shape]), sum(map(len, orders.values())))
+        # the unit's steps, as the levels each term raises
+        pattern.append(tuple(h for h, t in zip(((lj,), (lk,), (lj, lk)),
+                                               terms) if t))
+        coefs.append([-t // K for t in terms if t])
+        n, d = n * dj * dk, d * K
+    key = ("/", tuple(pattern), e.lo, e.shape, e.err, ring.precs)
+    plan = _PLANS.get(key)
+    if plan is None:
+        L, units = len(e.lo), []
+        for hs in pattern:
+            hs = [[int(m in h) for m in range(L)] for h in hs]
+            shape = [1 + any(h[m] for h in hs) for m in range(L)]
+            units.append(((0,) * L, hs, ((0,) * L, shape, (INF,) * L)))
+        plan = _division_plan(key, e, units, ring.precs)
+    return _scaled(n, _divide(ring, e, plan, list(filter(None, coefs))), d)
 
 
 def build_tower(varspecs):

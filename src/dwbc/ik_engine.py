@@ -591,10 +591,13 @@ def _pref(num, den, *powers):
 
 def _pair_quotient(f, zs, p, q, r=1, ordered=False):
     """f / prod (p z_j z_k - q z_j + r) over the pairs j < k, or over
-    all j != k when `ordered`, the z's the variables of a residue drive:
-    `exact_core._pair_divide`, in integers, one pass per pair over one
-    buffer.  The routes pass integers, the pair factor times the
-    denominator they collect in their prefactors (`TripleInts`)."""
+    all j != k when `ordered`, the z's the variables of a residue drive
+    and p, q, r integers: `exact_core._pair_divide`, the pair factors as
+    one chain of the division kernel, one pass per pair over one
+    buffer.  A route writes its pair factor with integer coefficients,
+    (A B z_j z_k - E z_j + A B) or (B^2 z_j z_k - E z_j + A^2) from
+    `TripleInts`, and puts the power of AB or A^2 that this takes out
+    into its prefactor."""
     n = len(zs)
     if n < 2:
         return f

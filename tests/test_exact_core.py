@@ -361,16 +361,22 @@ class TestExactLaurentArithmetic:
         assert inv.lo == (1,) and inv.coeffs == [1, 0, -2] and inv.err == (4,)
 
     def test_inverse_on_int_leaves_stays_exact(self):
-        # an int leaf +-1 inverts to an int, any other int to an exact
-        # Fraction, never to a float
+        # an int leaf +-1 inverts to itself, so the inverse stays on
+        # ints; any other int leading leaf raises, as the towers divide
+        # only by units (`Scaled` pulls the leaf into its scalar)
         ring, _ = build_tower([("x", 4)])
-        inv = ring.laurent(0, 0, [2, 1]).inverse()
-        assert inv.coeffs == [Fraction(1, 2), Fraction(-1, 4),
-                              Fraction(1, 8), Fraction(-1, 16)]
-        assert all(type(c) is Fraction for c in inv.coeffs)
         inv = ring.laurent(0, 0, [1, 3]).inverse()
         assert inv.coeffs == [1, -3, 9, -27]
         assert all(type(c) is int for c in inv.coeffs)
+        inv = ring.laurent(0, 0, [-1, 3]).inverse()
+        assert inv.coeffs == [-1, -3, -9, -27]
+        with pytest.raises(ValueError):
+            ring.laurent(0, 0, [2, 1]).inverse()
+        with pytest.raises(ValueError):
+            ring.gen() / 2
+        # a Fraction leaf inverts as it is
+        inv = ring.laurent(0, 0, [Fraction(1, 2), 1]).inverse()
+        assert inv.coeffs == [2, -4, 8, -16]
         assert type(ring.const(Fraction(6, 3)).coeffs[0]) is int
 
     def test_scaled_inverse_pulls_out_the_leading_leaf(self):
@@ -383,9 +389,9 @@ class TestExactLaurentArithmetic:
         # a sum brings its terms to the gcd of their scalars
         s = Scaled(Fraction(1, 2), x) + Scaled(Fraction(1, 3), ring.const(1))
         assert Fraction(s.n, s.d) == Fraction(1, 6) and s.e.coeffs == [2, 3]
-        # 2 + 3x has no unit form on ints: inverted as it is
-        inv = Scaled(1, 2 + 3 * x).inverse()
-        assert inv.e.coeffs[0] == Fraction(1, 2)
+        # 2 + 3x has no unit form on ints
+        with pytest.raises(ValueError):
+            Scaled(1, 2 + 3 * x).inverse()
 
     def test_inverse_requires_nonzero_leading(self):
         ring, _ = build_tower([("x", 4)])
@@ -461,7 +467,7 @@ def _agree(a, b):
 def _division_outcome(fn):
     try:
         return fn()
-    except (PrecisionLoss, ZeroDenominator) as exc:
+    except (PrecisionLoss, ZeroDenominator, ValueError) as exc:
         return type(exc)
 
 
@@ -484,8 +490,18 @@ def _division_cases(draw):
     precs = draw(st.lists(st.integers(1, 5), min_size=levels,
                           max_size=levels))
     ring, _ = build_tower([(f"z{k}", p) for k, p in enumerate(precs)])
-    leaf = (st.integers(-3, 3) if draw(st.booleans())
-            else st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    if draw(st.booleans()):
+        # int leaves: the divisor's leading leaf a unit, +-1
+        leaf = st.integers(-3, 3)
+        g = draw(_tower_element(ring, leaf))
+        c = g.coeffs
+        lead = next((p for p, x in enumerate(c) if x), None)
+        if lead is not None:
+            c[lead] = 1 if c[lead] > 0 else -1
+        return draw(_tower_element(ring, leaf)), g
+    # Fraction leaves, where an integral leading leaf other than +-1
+    # raises ValueError on both sides
+    leaf = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return draw(_tower_element(ring, leaf)), draw(_tower_element(ring, leaf))
 
 
@@ -521,10 +537,17 @@ class TestDivision:
             assert all(e == math.inf for e in inv.err)
         inv = 1 / atoms["y"]
         assert inv.lo == (0, -1) and inv.err == (math.inf, math.inf)
-        # 1/(3 x^2) too, with the leaf inverted once
-        q = 1 / (3 * atoms["x"] ** 2)
-        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [Fraction(1, 3)],
+        # 1/(3 x^2) too, the 3 pulled into the scalar by `Scaled`; the
+        # tower itself inverts no int leaf but +-1
+        q = Scaled(1, 3 * atoms["x"] ** 2).inverse()
+        assert (q.n, q.d) == (1, 3)
+        assert (q.e.lo, q.e.coeffs, q.e.err) == ((-2, 0), [1],
+                                                 (math.inf, math.inf))
+        q = 1 / -atoms["x"] ** 2
+        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [-1],
                                            (math.inf, math.inf))
+        with pytest.raises(ValueError):
+            1 / (3 * atoms["x"] ** 2)
 
     def test_monomial_divisor_keeps_the_window(self):
         # a windowed f over a monomial is f shifted, window included
@@ -535,6 +558,22 @@ class TestDivision:
         q = f / x ** 2
         assert (q.lo, q.coeffs, q.err) == ((-2,), [1, 1, 1, 1], (2,))
 
+    def test_complex_leaves_round_in_the_order_of_the_terms(self):
+        # each leaf is ((f_e - g_1 q_(e-1)) - g_2 q_(e-2) - ..) / g_0, in
+        # this order: on these doubles, summing the products first
+        # rounds differently (1 + 1e16 - 1e16 is 0 in this order, 1 in
+        # that one), through the kernel's 2- and 3-term loops (g_0 = 1)
+        # and its general loop (g_0 = 2)
+        ring, _ = build_tower([("x", 5)])
+        f = [1 + 0j, 0j, 1 + 0j]
+        for g in ([1 + 0j, 1e8 + 0j, 1e16 + 0j],
+                  [1 + 0j, 1e8 + 0j, 1e16 + 0j, 3 + 0j],
+                  [2 + 0j, 2e8 + 0j, 2e16 + 0j]):
+            q = ring.laurent(0, 0, f) / ring.laurent(0, 0, g)
+            want, grouped = _complex_quotients(f, g, 5)
+            assert q.coeffs == want
+            assert want != grouped
+
     def test_polynomial_quotient(self):
         # (1 + z)/(1 - z) to the window: each coefficient is one step of
         # the recurrence against the divisor's single tail term
@@ -542,6 +581,27 @@ class TestDivision:
         z = atoms["z"]
         q = (1 + z) / (1 - z)
         assert q.coeffs == [1, 2, 2, 2, 2, 2] and q.err == (6,)
+
+
+def _complex_quotients(f, g, n):
+    """The first n leaves of f / g for lists of complex leaves, each q_e
+    by the recurrence as ((f_e - g_1 q_(e-1)) - g_2 q_(e-2) - ..) / g_0,
+    and as (f_e - (g_1 q_(e-1) + g_2 q_(e-2) + ..)) / g_0."""
+    r = 1 / g[0]
+    out = []
+    for grouped in (False, True):
+        q = []
+        for e in range(n):
+            acc = f[e] if e < len(f) else 0
+            terms = [g[h] * q[e - h] for h in range(1, min(e, len(g) - 1) + 1)]
+            if grouped:
+                acc = acc - sum(terms[1:], terms[0]) if terms else acc
+            else:
+                for t in terms:
+                    acc = acc - t
+            q.append(acc if r == 1 else acc * r)
+        out.append(q)
+    return out
 
 
 _leaves = (st.integers(-3, 3)
@@ -824,7 +884,7 @@ def _dict_quotient(f, g, hi):
     raises level p, and lowers a deeper level j by at most the most
     negative h_j among such steps."""
     v = min(k for k, c in g.items() if c)
-    inv = exact_core._invert(g[v])
+    inv = 1 / g[v] if isinstance(g[v], complex) else Fraction(1) / g[v]
     steps = [(tuple(x - y for x, y in zip(k, v)), -c * inv)
              for k, c in g.items() if c and k != v]
     depth = len(v)
@@ -918,28 +978,35 @@ def _kernel_cases(draw):
                   for j in range(depth)]
     unit_terms += [tuple(int(i in (j, k)) for i in range(depth))
                    for j in range(depth) for k in range(j + 1, depth)]
-    unit = {(0,) * depth: 1}
-    for h in draw(st.lists(st.sampled_from(unit_terms), min_size=1,
-                           max_size=3, unique=True)):
-        unit[h] = draw(small.filter(bool))
-    divisors = [unit]
+    units = []
+    for _ in range(draw(st.integers(2, 3))):
+        unit = {(0,) * depth: 1}
+        for h in draw(st.lists(st.sampled_from(unit_terms), min_size=1,
+                               max_size=3, unique=True)):
+            unit[h] = draw(small.filter(bool))
+        units.append(unit)
+    # the first unit alone, and the mixed-sign divisor, which ends its
+    # chain, on its own too
+    divisors = units[:1]
     if depth > 1:
         j, l = draw(st.permutations(range(depth)))[:2]
         mixed = tuple(1 if i == j else -1 if i == l else 0
                       for i in range(depth))
         divisors.append({(0,) * depth: 1, mixed: -1})
-    return windows, kind, draw(poly), draw(poly), divisors
+    return windows, kind, draw(poly), draw(poly), divisors, units
 
 
 class TestFlatKernel:
-    """Products, sums, divisions and the pair contraction on random
-    towers, at their windows and at doubled ones, against exact dict
-    arithmetic: every coefficient the kernel calls known is exact."""
+    """Products, sums, divisions (by one divisor, and by a chain of 2-3
+    units in one call of the division kernel) and the pair contraction
+    on random towers, at their windows and at doubled ones, against
+    exact dict arithmetic: every coefficient the kernel calls known is
+    exact."""
 
     @settings(max_examples=40, deadline=None)
     @given(_kernel_cases())
     def test_known_coefficients_match_the_reference(self, case):
-        windows, kind, a, b, divisors = case
+        windows, kind, a, b, divisors, units = case
         if kind == "complex":
             # doubles add and multiply Gaussian integers exactly below
             # 2^53; each value the checks compute, and each partial sum
@@ -952,9 +1019,10 @@ class TestFlatKernel:
                                *map(abs, ref.values())])
 
             _kernel_checks(windows, _majorant(a), _majorant(b),
-                           [_majorant(g, True) for g in divisors], record)
+                           [_majorant(g, True) for g in divisors],
+                           [_majorant(u, True) for u in units], record)
             assume(peak[0] < 2 ** 53)
-        _kernel_checks(windows, a, b, divisors, _check_known)
+        _kernel_checks(windows, a, b, divisors, units, _check_known)
 
 
 def _majorant(d, divisor=False):
@@ -969,7 +1037,7 @@ def _majorant(d, divisor=False):
     return out
 
 
-def _kernel_checks(windows, a, b, divisors, check):
+def _kernel_checks(windows, a, b, divisors, units, check):
     """Every check of `TestFlatKernel`, each tower result handed to
     check(result, its reference)."""
     for scale in (1, 2):
@@ -1010,6 +1078,31 @@ def _kernel_checks(windows, a, b, divisors, check):
                     continue
                 assert got == sum(c * ry.get(tuple(-1 - i for i in k), 0)
                                   for k, c in rx.items())
+        # the chain of units in one kernel call: the chain of its
+        # divisions, box and leaves, and the quotient by their product
+        q, chained = _chain_quotient(fa, units), fa
+        g = {(0,) * len(windows): 1}
+        for u in units:
+            chained, g = chained / _flat(ring, u), _dict_mul(g, u)
+        assert (q.lo, q.shape, q.err, q.coeffs) \
+            == (chained.lo, chained.shape, chained.err, chained.coeffs)
+        check(q, _quotient_reference(q, a, g))
+
+
+def _chain_quotient(x, units):
+    """x divided by the units (dicts with the leaf 1 at exponent 0 and
+    further terms at exponents >= 0) in one call of the division kernel,
+    each unit one pass, as `exact_core._pair_divide` chains its pair
+    factors."""
+    L, chain, coefs = len(x.lo), [], []
+    for u in units:
+        hs = sorted(h for h in u if any(h))
+        shape = [1 + max(h[m] for h in hs) for m in range(L)]
+        chain.append(((0,) * L, hs, ((0,) * L, shape, (math.inf,) * L)))
+        coefs.append([-u[h] for h in hs])
+    key = ("test chain", repr(chain), x.lo, x.shape, x.err, x.ring.precs)
+    plan = exact_core._division_plan(key, x, chain, x.ring.precs)
+    return exact_core._divide(x.ring, x, plan, coefs)
 
 
 def _quotient(x, d, g, check=_check_known):
@@ -1020,14 +1113,19 @@ def _quotient(x, d, g, check=_check_known):
     return q, ref
 
 
-def _quotient_reference(q, d, g):
-    """The reference of the quotient q of the dicts d / g, two exponents
-    past q's window (so a product that claims too much is caught), and
-    past its box where it is exact."""
-    hi = [e + 2 if e != math.inf else 4 + max(
+def _reference_top(q, d):
+    """Per level, the exponent below which the reference of a quotient q
+    of the dict d is formed: two past q's window (so a product that
+    claims too much is caught), and past its box where it is exact."""
+    return [e + 2 if e != math.inf else 4 + max(
         [0] + [k[j] + 1 for k in d] + [q.lo[j] + q.shape[j]] * bool(q.coeffs))
-          for j, e in enumerate(q.err)]
-    return _dict_quotient(d, g, hi)
+            for j, e in enumerate(q.err)]
+
+
+def _quotient_reference(q, d, g):
+    """The reference of the quotient q of the dicts d / g, below
+    `_reference_top`."""
+    return _dict_quotient(d, g, _reference_top(q, d))
 
 
 def _boxed(ring, lo, shape, leaves, err=None):
@@ -1122,7 +1220,9 @@ def _plan_cases(draw):
         # zero before the leading leaf, which sits at exponent 0
         lead = sum(-l * k for l, k in zip(glo, exact_core._strides(gshape)))
         leaves[:lead] = [0] * lead
-        leaves[lead] = draw(small.filter(bool))
+        # a unit, or any complex number
+        leaves[lead] = draw(small.filter(bool) if kind == "complex"
+                            else st.sampled_from([1, -1]))
         divisors.append(leaves)
     if kind == "complex":
         dividends = [(list(map(complex, c)), err) for c, err in dividends]
@@ -1241,31 +1341,27 @@ def _chain_pair_quotient(f, zs, p, q, r=1, ordered=False):
     return f
 
 
-_coefficients = (st.integers(-4, 4)
-                 | st.fractions(min_value=-4, max_value=4, max_denominator=4))
-
-
 @st.composite
 def _pair_cases(draw):
-    """(f, zs, p, q, r, ordered): the variables z = c + D eps of a
-    residue drive at the centre c = 0 or 1 on 2 to 4 of the levels of a
-    tower with windows 1 to 5, in any order, D the least scale that
-    makes each pair factor a constant times a unit (`eps_scale` of the
-    ratios of its coefficients to its constant); f a `Scaled` element
-    on a box of its own, exact or not, or the zero element."""
+    """(f, zs, p, q, r, ordered, (c, D, levels)): the variables z = c + D
+    eps of a residue drive at the centre c = 0 or 1 on 2 to 4 of the
+    levels of a tower with windows 1 to 5, in any order, D the least
+    scale that makes each pair factor a constant times a unit
+    (`eps_scale` of the ratios of its coefficients to its constant),
+    and integers p, q, r; f a `Scaled` element on a box of its own,
+    exact or not, or the zero element."""
     levels = draw(st.integers(2, 4))
     windows = draw(st.lists(st.integers(1, 5), min_size=levels,
                             max_size=levels))
     ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)])
     c = draw(st.sampled_from([0, 1]))
-    p, q, r = (draw(_coefficients) for _ in range(3))
-    kappa = Fraction(p * c * c - q * c + r)
+    p, q, r = (draw(st.integers(-4, 4)) for _ in range(3))
+    kappa = p * c * c - q * c + r
     assume(kappa)
-    scale = exact_core.eps_scale(*((x.numerator, x.denominator) for x in (
-        (p * c - q) / kappa, p * c / kappa, p / kappa)))
-    order = draw(st.permutations(range(levels)))
-    zs = [Scaled(scale, ring.gen(j)) + c
-          for j in order[:draw(st.integers(2, levels))]]
+    scale = exact_core.eps_scale((p * c - q, kappa), (p * c, kappa),
+                                 (p, kappa))
+    order = draw(st.permutations(range(levels)))[:draw(st.integers(2, levels))]
+    zs = [Scaled(scale, ring.gen(j)) + c for j in order]
     lo = [draw(st.integers(-2, 1)) for _ in range(levels)]
     shape = [draw(st.integers(1, 3)) for _ in range(levels)]
     err = [draw(st.sampled_from([math.inf, 0, 2])) + l + n
@@ -1275,25 +1371,44 @@ def _pair_cases(draw):
     e = (ring.zero() if draw(st.integers(0, 7)) == 0 else
          Series(ring, tuple(lo), tuple(shape), leaves, tuple(err)))
     f = Scaled(draw(st.integers(-5, 5)), e, draw(st.integers(1, 5)))
-    return f, zs, p, q, r, draw(st.booleans())
+    return f, zs, p, q, r, draw(st.booleans()), (c, scale, order)
 
 
 class TestPairDivide:
     """`ik_engine._pair_quotient` divides by all its pair factors in one
-    integer kernel (`exact_core._pair_divide`): the quotient is the one
-    the pair factors' `Scaled` divisions give in turn, box, leaves and
-    scalar value."""
+    call of the division kernel (`exact_core._pair_divide`): the
+    quotient is the one the pair factors' `Scaled` divisions give in
+    turn, box, leaves and scalar value, and every coefficient it knows
+    is that of the exact quotient by the factors' product."""
 
     @settings(max_examples=200, deadline=None)
     @given(_pair_cases())
     def test_equals_the_chain_of_divisions(self, case):
-        f, zs, p, q, r, ordered = case
+        f, zs, p, q, r, ordered, (c, scale, levels) = case
         got = _pair_quotient(f, zs, p, q, r, ordered)
         want = _chain_pair_quotient(f, zs, p, q, r, ordered)
         assert (got.e.lo, got.e.shape, got.e.err) \
             == (want.e.lo, want.e.shape, want.e.err)
         assert got.e.coeffs == want.e.coeffs
         assert Fraction(got.n, got.d) == Fraction(want.n, want.d)
+        # the dict reference, one pair factor at a time: a step raises
+        # exponents only, so a term past the reference's top stays there
+        e, L, n = f.e, len(f.e.lo), len(zs)
+        ref = {tuple(l + i for l, i in zip(e.lo, _multi(m, e.shape))): x
+               for m, x in enumerate(e.coeffs) if x}
+        top = _reference_top(got.e, ref)
+        for j in range(n):
+            for k in range(n):
+                if k > j or (ordered and k != j):
+                    ej, ek = (tuple(int(m == levels[i]) for m in range(L))
+                              for i in (j, k))
+                    ref = _dict_quotient(ref, {
+                        (0,) * L: p * c * c - q * c + r,
+                        ej: (p * c - q) * scale, ek: p * c * scale,
+                        tuple(map(operator.add, ej, ek)): p * scale ** 2},
+                        top)
+        _check_known(got.e, ref,
+                     lambda x, y: x * got.n * f.d == y * f.n * got.d)
         # a second call finds the plan the first one stored
         again = _pair_quotient(f, zs, p, q, r, ordered)
         assert (again.e.lo, again.e.shape, again.e.coeffs, again.e.err) \
