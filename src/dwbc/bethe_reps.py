@@ -13,6 +13,11 @@ routes, in the complementary (down-arrow) positions, are no integrals
 of their own: each is the a<->b crossing image of psi_bot_mir or
 psi_top_mir_new.
 
+Each integrand is the outer product of its per-variable factors, each
+built in integers on its variable's own tower level
+(`exact_core._factors`), times the pair factors and h_{N,s} times a
+Vandermonde.
+
 Every route is checked against the lattice oracle and against the
 others; the exact routes agree with the oracle bit-for-bit.  The float
 multiple sums and the coordinate permutation sum of the fully
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_core import eps_scale, residue_drive
+from .exact_core import _factors, _ppowers, eps_scale, residue_drive
 from .ik_engine import _pair_quotient, _pref, family
 from .lattice_oracle import RowConfig, WeightTriple
 
@@ -40,6 +45,9 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
     Z_N prod_j t^(j-r_j) / (a^(s(N-1)) c^s) *
     oint prod z_j^(-r_j) prod_{j<k} (z_k - z_j)/(t^2 z_j z_k - 2Dt z_j + 1)
          * h_{N,s}(z)
+
+    Each z_j^(-r_j) is a monomial on z_j's level (`exact_core._factors`);
+    the pair factors divide their outer product.
     """
     N, s, rs = cfg.n, cfg.s, cfg.positions
     fam = family(w)
@@ -53,12 +61,11 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
     pref = _pref(*fam.z_pair(N), (B, et), (wi.C, -s),
                  (A, s * (s - 1) - et - s * (N - 1)),
                  (wi.gn, -s * N), (wi.gd, s * N))
+    # z_j^(-r_j), each on its own level
+    factors = [(r, [1], [1]) for r in rs]
 
     def build(zs, ring):
-        f = ring.const(1)
-        for j in range(s):
-            f = f * zs[j] ** (-rs[j])
-        f = _pair_quotient(f, zs, B * B, wi.E, A * A)
+        f = _pair_quotient(_factors(zs, factors), zs, B * B, wi.E, A * A)
         return f, fam.hns_vand(N, s, zs)
 
     # inverted: the pair factors 1 - 2 Delta t z_j + t^2 z_j z_k at z = 0
@@ -68,7 +75,9 @@ def psi_bot_mir(cfg: RowConfig, w: WeightTriple) -> Fraction:
 
 def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     """Top component from the coordinate wavefunction, as an s-fold
-    residue at w = 1 with pole order s per variable."""
+    residue at w = 1 with pole order s per variable.  Each w_j^(r_j-1) /
+    (w_j - 1)^s is built on w_j's level (`exact_core._factors`), and the
+    pair products multiply their outer product."""
     N, s, rs = cfg.n, cfg.s, cfg.positions
     if s == 0:
         return Fraction(1)
@@ -79,15 +88,15 @@ def psi_top_mir_coordinate(cfg: RowConfig, w: WeightTriple) -> Fraction:
     pref = _pref(1, 1, (B, et), (wi.C, s),
                  (A, s * (N - 1) - et - s * (s - 1)),
                  (wi.gn, s * N), (wi.gd, -s * N))
+    # w^(r-1) / (w - 1)^s enters as 1/(w^(1-r) (w - 1)^s), w^(1-r) a
+    # series at w = 1: the factor keeps the window of the order bound,
+    # where the exact monomials (w - 1)^-s alone would leave f exact and
+    # every product below at full size
+    den = _ppowers((0, [-1, 1]), s)[-1][1]
+    factors = [(1 - r, [1], den) for r in rs]
 
     def build(ws, ring):
-        f = ring.const(1)
-        for j in range(s):
-            # w^(r-1) enters as a division by w^(1-r), a unit at w = 1:
-            # the quotient keeps the window of the order bound, where
-            # the exact monomials (w - 1)^-s alone would leave f exact
-            # and every product below at full size
-            f = f / (ws[j] ** (1 - rs[j]) * (ws[j] - 1) ** s)
+        f = _factors(ws, factors)
         for j in range(s):
             for k in range(j + 1, s):
                 f = f * (ws[j] - ws[k]) \
@@ -107,6 +116,10 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
     Z_s a^(s(N-s)) prod_j t^(j-r_j) *
     oint prod_j (t^2 w_j - 2Dt + 1)^(r_j - 1) / (w_j - 1)^(r_j)
          prod_{j<k} (w_k - w_j)/(t^2 w_j w_k - 2Dt w_j + 1) * h_{s,s}(w)
+
+    Each (B^2 w_j + C^2 - B^2)^(r_j - 1) / (w_j - 1)^(r_j) is built in
+    integers on w_j's level (`exact_core._factors`); the pair factors
+    divide their outer product.
     """
     N, s, rs = cfg.n, cfg.s, cfg.positions
     if s == 0:
@@ -121,13 +134,13 @@ def psi_top_mir_new(cfg: RowConfig, w: WeightTriple) -> Fraction:
     pref = _pref(*fam.z_pair(s), (B, et),
                  (A, s * (N - s) - et - 2 * (sum(rs) - s) + s * (s - 1)),
                  (wi.gn, s * (N - s)), (wi.gd, -s * (N - s)))
+    top = max(rs)
+    nums = _ppowers((0, [C * C - B * B, B * B]), top - 1)
+    dens = _ppowers((0, [-1, 1]), top)
+    factors = [(0, nums[r - 1][1], dens[r][1]) for r in rs]
 
     def build(ws, ring):
-        f = ring.const(1)
-        for j in range(s):
-            f = f * (B * B * ws[j] + (C * C - B * B)) ** (rs[j] - 1) \
-                * (ws[j] - 1) ** (-rs[j])
-        f = _pair_quotient(f, ws, B * B, wi.E, A * A)
+        f = _pair_quotient(_factors(ws, factors), ws, B * B, wi.E, A * A)
         return f, fam.hns_vand(s, s, ws)
 
     # inverted: the pair factors at w = 1 + e, kappa (1 + (kappa - 1)/kappa

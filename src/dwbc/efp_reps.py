@@ -21,7 +21,13 @@ frozen.  Routes:
   whole chain is constant, raising ChainBreak at the first mismatch.
 
 Everything here is exact: weights are rationals and every contour
-integral is an iterated residue evaluated over Laurent towers.
+integral is an iterated residue evaluated over Laurent towers.  Each
+integrand's per-variable factors are built in integers on their
+variables' own levels (`exact_core._factors`), with coefficients from
+the weights' integers (`ik_engine.TripleInts`), whose powers of A, B
+and AB go into the integer prefactor pair; the trace's coupling factors
+1 - x_j y_k and 1 - prod x_l y_l, P_s, and its flipped-contour step,
+whose z = 1/w are series, are tower arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import ChainBreak
-from .exact_core import _ppowers, eps_scale, residue_drive
+from .exact_core import _factors, _ppowers, eps_scale, residue_drive
 from .ik_engine import (_pair_quotient, _pref, cantini_P_confluent,
                         cantini_P_vand, family)
 from .lattice_oracle import (
@@ -87,6 +93,9 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
     antisymmetrization identity in action.  It makes efpMIR2's factor
     (tt z + A^2)^(s-1) / (z^r (z - 1)^s) the same for every variable, so
     it goes into the columns of h_{N,s} Vand (`hns_vand`'s factor).
+    efpMIR1's factors (tt z_j + A^2)^(s-1-j) / (z_j^r (z_j - 1)^(s-j))
+    differ per variable: each is built in integers on z_j's level and
+    the pair factors divide their outer product (`exact_core._factors`).
     """
     N, r, s = q.N, q.r, q.s
     fam = family(w)
@@ -101,13 +110,13 @@ def efp_mir_s(q: EfpQuery, w: WeightTriple, variant="efpMIR2") -> Fraction:
 
     if variant == "efpMIR1":
         pref = sign, 1
+        # (tt z_j + A^2)^(s-1-j) / (z_j^r (z_j - 1)^(s-j)), on z_j's level
+        nums = _ppowers((0, [A * A, tt]), s - 1)
+        dens = _ppowers((0, [-1, 1]), s)
+        factors = [(r, nums[s - 1 - j][1], dens[s - j][1]) for j in range(s)]
 
         def build(zs, ring):
-            f = ring.const(1)
-            for j in range(s):
-                f = f * (tt * zs[j] + A * A) ** (s - 1 - j) \
-                    * zs[j] ** (-r) * (zs[j] - 1) ** (-(s - j))
-            f = _pair_quotient(f, zs, B * B, E, A * A)
+            f = _pair_quotient(_factors(zs, factors), zs, B * B, E, A * A)
             return f, fam.hns_vand(N, s, zs)
 
     elif variant == "efpMIR2":
@@ -193,6 +202,9 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
         prod_{j<k} (w_k - w_j)/(w_j w_k - 2D w_j + 1)
         h_{s+n,n}(((2Dt-1)w - t)/(t(tw - 1)))         with n = len(ls).
 
+    Each 1/(w_j^(l_j) (A - B w_j)) is built on w_j's level
+    (`exact_core._factors`), A per variable in the prefactor.
+
     With s = 0 nothing is integrated out and ls are the positions of the
     whole row, one contour each; where l_j = j for j <= s' the first s'
     integrations are simple poles, and taking them gives the form with
@@ -210,11 +222,10 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
     if n == 0:
         return Fraction(*pref)
 
+    factors = [(l, [1], [A, -B]) for l in ls]
+
     def build(ws, ring):
-        f = ring.const(1)
-        for j in range(n):
-            f = f / (ws[j] ** ls[j] * (A - B * ws[j]))
-        f = _pair_quotient(f, ws, A * B, wi.E, A * B)
+        f = _pair_quotient(_factors(ws, factors), ws, A * B, wi.E, A * B)
         return f, fam.hns_vand(s + n, n, ws, wi.warg_map)
 
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
@@ -224,7 +235,8 @@ def psi_top_mir_origin(N, s, ls, w: WeightTriple) -> Fraction:
 
 
 def _psi_bot_frozen_mir(N, s, ls, w):
-    """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n)."""
+    """n-fold origin form of psi_bot(1..s, s+l_1..s+l_n), its z_j^(-l_j)
+    monomials on their own levels (`exact_core._factors`)."""
     n = len(ls)
     fam = family(w)
     wi = fam.pole_guard()
@@ -236,11 +248,10 @@ def _psi_bot_frozen_mir(N, s, ls, w):
     if n == 0:
         return Fraction(*pref)
 
+    factors = [(l, [1], [1]) for l in ls]
+
     def build(zs, ring):
-        f = ring.const(1)
-        for j in range(n):
-            f = f * zs[j] ** (-ls[j])
-        f = _pair_quotient(f, zs, A * B, wi.E, A * B)
+        f = _pair_quotient(_factors(zs, factors), zs, A * B, wi.E, A * B)
         return f, fam.hns_vand(N - s, n, zs, wi.over_t)
 
     # inverted: the pair factors 1 - 2 Delta z_j + z_j z_k at z = 0
@@ -255,20 +266,23 @@ def _trace_sfold_chain(q, w, record):
     N, r, s = q.N, q.r, q.s
     fam = family(w)
     wi = fam.pole_guard()
-    t, delta = w.t(), w.delta()
-    inv_t = 1 / t
+    A, B, E = wi.A, wi.B, wi.E
+    ab, delta = A * B, Fraction(E, 2 * A * B)
     # the pair factors (AB x_j x_k - E x_j + AB)/(AB) divide, putting AB
     # per pair into the step's prefactor, per side s(s-1)/2 pairs, or
-    # s(s-1) ordered ones
-    ab, E = wi.A * wi.B, wi.E
-    pairs = (ab ** (s * (s - 1) // 2), 1)
-    ordered_pairs = (ab ** (s * (s - 1)), 1)
+    # s(s-1) ordered ones; the y side's (AB y_j y_k - E y_k + AB)/(AB)
+    # multiply, taking AB per pair out again.  1/(t y - 1)^s = A^s/(B y -
+    # A)^s puts A^s per y into it.
+    ordered_pairs = ab ** (s * (s - 1))
+    ys_a = A ** (s * s)
+    ty = _ppowers((0, [-A, B]), s)[-1][1]
 
     # shared x/y integrand pieces -------------------------------------
     # Each 2s-fold integrand is returned as an (x side, y side) pair: the
-    # pole-carrying factors of each set start its side, the coupling
-    # factors are multiplied into whichever side they keep small, and
-    # residue_drive contracts the two sides.
+    # pole-carrying factors of each set start its side, each variable's
+    # on its own level (`_factors`), the coupling factors are multiplied
+    # into whichever side they keep small, and residue_drive contracts
+    # the two sides.
     def x_side(xs, f):
         """f / prod_{j<k} (x_j x_k - 2D x_j + 1) times h_{N,s}(x/t) and
         the Vandermonde of the x's."""
@@ -276,15 +290,14 @@ def _trace_sfold_chain(q, w, record):
         return f * fam.hns_vand(N, s, xs, wi.over_t)
 
     def y_side(ys, f):
-        """f * prod_{j<k} (y_k - y_j)(y_j y_k - 2D y_k + 1)."""
+        """f * prod_{j<k} (y_k - y_j)(AB y_j y_k - E y_k + AB)."""
         for j in range(s):
             for k in range(j + 1, s):
-                f = f * (ys[k] - ys[j]) \
-                    * (ys[j] * ys[k] - 2 * delta * ys[k] + 1)
+                f = f * (ys[k] - ys[j]) * (ab * ys[j] * ys[k] - E * ys[k] + ab)
         return f
 
     # the x's are integrated first, so vs[:s] are the x's, vs[s:] the y's
-    specs = [(0, r)] * s + [(inv_t, s)] * s
+    specs = [(0, r)] * s + [(Fraction(A, B), s)] * s
     # inverted: the x pair factors 1 - 2 Delta x_j + x_j x_k at x = 0,
     # and, at y = 1/t, y = (1 + t (y - 1/t))/t and 1 - x y = 1 - x/t -
     # x (y - 1/t)
@@ -292,28 +305,20 @@ def _trace_sfold_chain(q, w, record):
 
     def build_double(vs, ring):
         xs, ys = vs[:s], vs[s:]
-        fy = ring.const(1)
-        for j in range(s):
-            fy = fy / (ys[j] ** (s - 1) * (t * ys[j] - 1) ** s)
-        fy = y_side(ys, fy)
+        fy = y_side(ys, _factors(ys, [(s - 1, [1], ty)] * s))
         msum = ring.const(0)
         for pos in combinations(range(1, r + 1), s):
-            term = ring.const(1)
-            for j in range(s):
-                term = term * (xs[j] * ys[j]) ** (-pos[j])
-            msum = msum + term
+            msum = msum + _factors(vs, [(p, [1], [1]) for p in pos * 2])
         return x_side(xs, ring.const(1)), fy * msum
 
     record("double-contour",
-           residue_drive(specs, build_double, scale, pairs))
+           residue_drive(specs, build_double, scale, (ys_a, 1)))
 
     def build_double2(vs, ring):
         xs, ys = vs[:s], vs[s:]
-        fx, fy = ring.const(1), ring.const(1)
-        for j in range(s):
-            fx = fx / xs[j] ** (r - s + j + 1)
-            fy = fy / ((t * ys[j] - 1) ** s * ys[j] ** (r + j))
-        fx = x_side(xs, fx)
+        fx = x_side(xs, _factors(xs, [(r - s + j + 1, [1], [1])
+                                      for j in range(s)]))
+        fy = _factors(ys, [(r + j, [1], ty) for j in range(s)])
         for j in range(s):
             prodxy = ring.const(1)
             for l in range(j + 1):
@@ -322,7 +327,7 @@ def _trace_sfold_chain(q, w, record):
         return fx, y_side(ys, fy)
 
     record("double-contour-extended",
-           residue_drive(specs, build_double2, scale, pairs))
+           residue_drive(specs, build_double2, scale, (ys_a, 1)))
 
     def build_double3(vs, ring):
         """The double antisymmetrization, with W_s(x; y) = P_s(x; y) /
@@ -330,14 +335,12 @@ def _trace_sfold_chain(q, w, record):
         P_s Vand(x) Vand(y)).  Of the integrand's Vand(x)^2 Vand(y)^2,
         hns_vand holds one Vand(x), so one Vand(y) is left."""
         xs, ys = vs[:s], vs[s:]
-        fx, fy = ring.const(1), ring.const(1)
-        for j in range(s):
-            fx = fx / xs[j] ** r
-            fy = fy / ((t * ys[j] - 1) ** s * ys[j] ** (r + s - 1))
+        fy = _factors(ys, [(r + s - 1, [1], ty)] * s)
         for j in range(s):
             for k in range(j + 1, s):
                 fy = fy * (ys[k] - ys[j])
-        fx = _pair_quotient(fx, xs, ab, E, ab, ordered=True)
+        fx = _pair_quotient(_factors(xs, [(r, [1], [1])] * s), xs, ab, E, ab,
+                            ordered=True)
         fx = fx * fam.hns_vand(N, s, xs, wi.over_t)
         # the y side has a pole of order s at each y, so only the
         # y-powers below s of the x side pair with it: cut them there
@@ -350,27 +353,28 @@ def _trace_sfold_chain(q, w, record):
         return fx, cantini_P_vand(xs, ys, delta, fy)
 
     record("double-contour-symmetrized",
-           Fraction(1, math.factorial(s) ** 2)
-           * residue_drive(specs, build_double3, scale, ordered_pairs))
+           residue_drive(specs, build_double3, scale,
+                         (ordered_pairs * ys_a, math.factorial(s) ** 2)))
+
+    bx = _ppowers((0, [B, -A]), s)[-1][1]
 
     def build_recovered(xs, ring):
         """The y-integrals taken at the pole y = 1/t: W_s(x; 1/t..1/t)
         with P_s in the confluent limit of its det form
-        (`cantini_P_confluent`, P_s(x; 1/t..1/t) Vand(x)).  The
-        integrand's prod_{j != k} (x_j - x_k) is the sign (applied
-        below) times that Vand(x) and the one in hns_vand."""
-        f = ring.const(1)
-        for j in range(s):
-            f = f / xs[j] ** r
+        (`cantini_P_confluent`, P_s(x; 1/t..1/t) Vand(x)), and
+        1/(1 - x/t)^s = B^s/(B - A x)^s.  The integrand's prod_{j != k}
+        (x_j - x_k) is the sign (applied in the prefactor) times that
+        Vand(x) and the one in hns_vand."""
+        f = _factors(xs, [(r, [1], bx)] * s)
         f = _pair_quotient(f, xs, ab, E, ab, ordered=True)
-        f = f * cantini_P_confluent(xs, inv_t, delta)
-        for j in range(s):
-            f = f / (1 - xs[j] * inv_t) ** s
-        return f, fam.hns_vand(N, s, xs, wi.over_t)
+        return (f * cantini_P_confluent(xs, Fraction(A, B), delta),
+                fam.hns_vand(N, s, xs, wi.over_t))
 
+    # t^(s(r-1)) = B^(s(r-1))/A^(s(r-1)), and B^s per x
     record("sfold-recovered",
-           _vand_sign(s) * t ** (s * (r - 1)) / Fraction(math.factorial(s))
-           * residue_drive(specs[:s], build_recovered, scale, ordered_pairs))
+           residue_drive(specs[:s], build_recovered, scale, _pref(
+               _vand_sign(s) * ordered_pairs, math.factorial(s),
+               (B, s * (r - 1) + s * s), (A, -s * (r - 1)))))
 
     record("sfold-symmetric", efp_mir_s(q, w, "efpMIR2"))
     record("sfold-plain", efp_mir_s(q, w, "efpMIR1"))
@@ -383,18 +387,23 @@ def _trace_nfold_chain(q, w, record):
     N, r, s, n = q.N, q.r, q.s, q.n
     fam = family(w)
     wi = fam.pole_guard()
-    t, delta = w.t(), w.delta()
-    # AB per pair factor, as in the s-fold chain: n(n-1) on a side's
-    # ordered pairs, or on both sides' unordered ones
-    ab, E = wi.A * wi.B, wi.E
-    z_n = fam.z(N)
-    pref = (fam.z(s + n) * fam.z(N - s)
-            * w.a ** (2 * s * (N - s - n))
-            / (z_n * w.c ** n * w.a ** (n * (n - 1))))
-
+    A, E = wi.A, wi.E
+    ab, delta = A * wi.B, Fraction(E, 2 * A * wi.B)
     if n == 0:
         record("nfold-final", efp_mir_n(q, w))
         return
+
+    # Z_{s+n} Z_{N-s} a^(2s(N-s-n)) / (Z_N c^n a^(n(n-1))), a = g A and
+    # c = g C; AB per pair factor, as in the s-fold chain: n(n-1) on a
+    # side's ordered pairs, or on both sides' unordered ones; and
+    # 1/(1 - t w) = A/(A - B w), A per w
+    ea = 2 * s * (N - s - n) - n * (n - 1)
+    (zsn, zsd), (zbn, zbd), (zn, zd) = map(fam.z_pair, (s + n, N - s, N))
+
+    def pref(num, den, pairs, tws=n):
+        return _pref(num * zsn * zbn * zd * ab ** pairs, den * zsd * zbd * zn,
+                     (A, ea + tws), (wi.C, -n), (wi.gn, ea - n),
+                     (wi.gd, n - ea))
 
     def h_top(ws):
         """h_{s+n,n}(warg(w)) times the Vandermonde of the w's."""
@@ -426,6 +435,8 @@ def _trace_nfold_chain(q, w, record):
     # inverted: 1 - t w, the pair factors 1 - 2 Delta w_j + w_j w_k and
     # the h_top argument's denominator t (t w - 1), at the origin
     scale = eps_scale(wi.t, wi.two_delta)
+    # 1/(w^k (1 - t w)) times A, and 1/z^k, each on its own level
+    tw = [1], [A, -wi.B]
 
     # each 2n-fold integrand is a (w side, z side) pair for residue_drive
     # to contract, the w's integrated first; the coupling factors go onto
@@ -433,10 +444,9 @@ def _trace_nfold_chain(q, w, record):
 
     def build_extended(vs, ring):
         ws, zs = vs[:n], vs[n:]
-        fw, fz = ring.const(1), ring.const(1)
-        for j in range(n):
-            fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s - n + j + 1))
-            fz = fz / zs[j] ** (N - s - n + j + 1)
+        ks = [N - s - n + j + 1 for j in range(n)]
+        fw = _factors(ws, [(k, *tw) for k in ks])
+        fz = _factors(zs, [(k, [1], [1]) for k in ks])
         fw = _pair_quotient(fw, ws, ab, E, ab) * h_top(ws)
         for j in range(n):
             prodwz = ring.const(1)
@@ -445,9 +455,9 @@ def _trace_nfold_chain(q, w, record):
             fw = fw / (1 - prodwz)
         return fw, _pair_quotient(fz, zs, ab, E, ab) * h_bot(zs)
 
-    pairs = (ab ** (n * (n - 1)), 1)
     record("nfold-extended",
-           pref * residue_drive(specs, build_extended, scale, pairs))
+           residue_drive(specs, build_extended, scale,
+                         pref(1, 1, n * (n - 1))))
 
     # double antisymmetrization with P_n -------------------------------
     def build_symmetrized(vs, ring):
@@ -456,10 +466,8 @@ def _trace_nfold_chain(q, w, record):
         squared (the signs cancel): h_top and h_bot hold one copy each,
         the det form the other two."""
         ws, zs = vs[:n], vs[n:]
-        fw, fz = ring.const(1), ring.const(1)
-        for j in range(n):
-            fw = fw / ((1 - t * ws[j]) * ws[j] ** (N - s))
-            fz = fz / zs[j] ** (N - s)
+        fw = _factors(ws, [(N - s, *tw)] * n)
+        fz = _factors(zs, [(N - s, [1], [1])] * n)
         fw = _pair_quotient(fw, ws, ab, E, ab, ordered=True) * h_top(ws)
         for j in range(n):
             for k in range(n):
@@ -468,13 +476,13 @@ def _trace_nfold_chain(q, w, record):
         return fw, cantini_P_vand(ws, zs, delta, fz)
 
     record("nfold-symmetrized",
-           pref / math.factorial(n) ** 2
-           * residue_drive(specs, build_symmetrized, scale,
-                           (ab ** (2 * n * (n - 1)), 1)))
+           residue_drive(specs, build_symmetrized, scale,
+                         pref(1, math.factorial(n) ** 2, 2 * n * (n - 1))))
 
     # z-contours flipped onto the poles at 1/w_l -----------------------
     record("nfold-flipped",
-           pref / math.factorial(n) ** 2 * _flipped_contour_value(q, w))
+           Fraction(*pref(1, math.factorial(n) ** 2, 0, 0))
+           * _flipped_contour_value(q, w))
 
     # after the symmetric-function integration -------------------------
     def build_integrated(ws, ring):
@@ -482,19 +490,16 @@ def _trace_nfold_chain(q, w, record):
         prod_{j != k} (w_j w_k - 2D w_j + 1): times the integrand's
         w_j^(n-2) it leaves 1/w_j, and it cancels one of the two powers
         of each pair factor.  prod_{j != k} (w_k - w_j) is the sign
-        (applied below) times the two Vandermondes that h_top and h_bot
-        carry."""
-        f = ring.const(1)
-        for j in range(n):
-            f = f / (ws[j] * (1 - t * ws[j]))
-        f = _pair_quotient(f, ws, ab, E, ab, ordered=True)
+        (applied in the prefactor) times the two Vandermondes that h_top
+        and h_bot carry."""
+        f = _pair_quotient(_factors(ws, [(1, *tw)] * n), ws, ab, E, ab,
+                           ordered=True)
         # the z = 1/w_j poles feed h_{N-s,n} at 1/(t w_j)
         return f * h_top(ws), h_bot(ws, wi.inv_tz)
 
     record("nfold-integrated",
-           pref * _vand_sign(n) / math.factorial(n)
-           * residue_drive([(0, (N - s) + n + 1)] * n, build_integrated,
-                           scale, pairs))
+           residue_drive([(0, (N - s) + n + 1)] * n, build_integrated, scale,
+                         pref(_vand_sign(n), math.factorial(n), n * (n - 1))))
 
     record("nfold-final", efp_mir_n(q, w))
 

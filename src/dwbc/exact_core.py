@@ -60,22 +60,23 @@ exactly when w_j sits above w_l in the tower.
 
 What an operation works out from its operands' boxes alone is a plan,
 computed once per key and kept in one store of at most PLAN_CAP (4096)
-plans, emptied when full.  A division's key is the dividend's lo,
-shape and err, the tower's precs and what each divisor's steps and box
-are read from: a `Series` divisor's nonzero leaf positions and box, a
-pair unit's levels and nonzero terms; so every dividend on one box
-shares a plan.  Its plan holds the quotient's lo, err and box, the
-padded buffer and per pass the leaf order and step reaches, while the
-divisors' leading leaves are inverted and their step coefficients read
-on every call.  A sum's key is the lo, shape and err of both terms, its
-plan the placement of each in the sum's box cut at err.  A product's
-key is the lo, shape and err of both factors; its plan holds the
-product's lo, err and box, which factor is placed, and per leaf of the
-other only the leaves of the placed factor that land inside the box cut
-at err, with where they land, so a product forms no leaf that a window
-drops.  Every operation keeps its crops in the same store.  No leaf
-value enters a plan, so the first operation on a shape pays the set-up
-and every later one a lookup.
+plans and PLAN_POSITIONS (65536) positions in all, emptied when full.
+A division's key is the dividend's lo, shape and err, the tower's precs
+and what each divisor's steps and box are read from: a `Series`
+divisor's nonzero leaf positions and box, a pair unit's levels and
+nonzero terms; so every dividend on one box shares a plan.  Its plan
+holds the quotient's lo, err and box, the padded buffer and per pass
+the leaf order and step reaches, while the divisors' leading leaves are
+inverted and their step coefficients read on every call.  A sum's key
+is the lo, shape and err of both terms, its plan the placement of each
+in the sum's box cut at err.  A product's key is the lo, shape and err
+of both factors; its plan holds the product's lo, err and box, which
+factor is placed, and per leaf of the other only the leaves of the
+placed factor that land inside the box cut at err, with where they
+land, so a product forms no leaf that a window drops.  Every operation
+keeps its crops in the same store.  No leaf value enters a plan, so the
+first operation on a shape pays the set-up and every later one a
+lookup.
 
 `residue_drive` is the one residue path: every integrand is a `build`
 function returning a tower element or a pair (A, B) whose product it
@@ -231,22 +232,29 @@ class Tower:
 # both factors), divisions by one led by "/" (`_division_plan`; a
 # `Series` divisor's nonzero leaf positions or the pattern of the pair
 # units, the boxes and the precs), alternants by ("alternant", s, w).  A
-# plan is kept only when it holds at most PLAN_LEAVES positions (an
-# alternant's counted by its minors), so a large box, whose own
-# arithmetic dwarfs its set-up, plans afresh; the store is emptied when
-# it reaches PLAN_CAP entries.
+# plan is counted by the positions it holds (an alternant's by its
+# minors), what planning it afresh would cost.  The store holds at most
+# PLAN_POSITIONS of them in all, as `lattice_oracle._IndexStore` bounds
+# its entries, and PLAN_CAP plans; it is emptied when a plan would take
+# it past either, and a plan larger than PLAN_POSITIONS is made, used
+# and dropped.
 PLAN_CAP = 4096
-PLAN_LEAVES = 256
+PLAN_POSITIONS = 1 << 16
 _PLANS = {}
+_held = 0
 
 
 def _remember(key, plan, size=0):
-    """Store plan under key when its `size` is at most PLAN_LEAVES, and
-    return it."""
-    if size <= PLAN_LEAVES:
-        if len(_PLANS) >= PLAN_CAP:
+    """Store plan under key, its `size` positions counted toward
+    PLAN_POSITIONS, and return it."""
+    global _held
+    if size <= PLAN_POSITIONS:
+        if not _PLANS or len(_PLANS) >= PLAN_CAP \
+                or _held + size > PLAN_POSITIONS:
             _PLANS.clear()
+            _held = 0
         _PLANS[key] = plan
+        _held += size
     return plan
 
 
@@ -868,7 +876,7 @@ class Scaled:
     `residue_drive`).  A rational n is taken apart into the pair.
     """
 
-    __slots__ = ("n", "d", "e")
+    __slots__ = ("n", "d", "e", "_point")
 
     def __init__(self, n, e, d=1):
         if n.__class__ is not int:
@@ -1158,6 +1166,19 @@ def _exact(v, d=1):
     return v / d if d != 1 else v
 
 
+def _shifted(ring, level, atom, scale, c):
+    """c + scale * atom for the atom of level `level` and an int or
+    Fraction c, as the `Scaled` element that `Scaled(scale, atom) + c`
+    is: (cn + cd scale eps) / cd, the gcd of its two terms in the
+    scalar."""
+    if not c:
+        return Scaled(scale, atom)
+    x, y = scale * c.denominator, c.numerator
+    g, L = math.gcd(x, y), len(ring.precs)
+    return Scaled(g, Series(ring, (0,) * L, (1,) * level + (2,) + (1,) * (
+        L - 1 - level), [y // g, x // g], (INF,) * L), c.denominator)
+
+
 def residue_drive(specs, build, scale=1, pref=(1, 1)):
     """Adaptive iterated-residue evaluation.
 
@@ -1183,8 +1204,8 @@ def residue_drive(specs, build, scale=1, pref=(1, 1)):
     names = [f"eps{j}" for j in range(len(specs))]
     for _ in range(RESIDUE_TRIES):
         ring, atoms = build_tower(list(zip(names, precs)))
-        shifted = [Scaled(scale, atoms[nm]) + c
-                   for nm, (c, _) in zip(names, specs)]
+        shifted = [_shifted(ring, j, atoms[nm], scale, c)
+                   for j, (nm, (c, _)) in enumerate(zip(names, specs))]
         try:
             v, d = _residue(build(shifted, ring), bounds)
         except PrecisionLoss:
@@ -1288,8 +1309,20 @@ def _tower_point(p):
     scalar goes into them, its denominator is den); (None, None, (0,
     [p]), 1) for a number.  Takes numbers, Series and `Scaled` elements;
     raises TypeError for a tower element that is not an exact
-    polynomial in one variable."""
-    n, d, e = (p.n, p.d, p.e) if isinstance(p, Scaled) else (1, 1, p)
+    polynomial in one variable.  A `Scaled` point keeps what is read of
+    it (`Scaled` elements are never changed), so the factors, the pair
+    factors and the determinants of one integrand read each variable
+    once; the caller does not change the lists."""
+    if p.__class__ is Scaled:
+        try:
+            return p._point
+        except AttributeError:
+            p._point = out = _read_point(p.n, p.d, p.e)
+            return out
+    return _read_point(1, 1, p)
+
+
+def _read_point(n, d, e):
     if not isinstance(e, Series):
         return None, None, (0, [_exact(n * e, d) if d != 1 else n * e]), 1
     if any(x != INF for x in e.err):
@@ -1302,6 +1335,137 @@ def _tower_point(p):
         raise TypeError("not an exact polynomial in one tower variable")
     j = spread[0]
     return e.ring, j, (e.lo[j], [n * c for c in e.coeffs]), d
+
+
+def _at(f, poly, pd):
+    """pd^deg f(poly/pd) for an integer list f of degree deg and a Laurent
+    polynomial poly: sum_m f[m] poly^m pd^(deg-m), by Horner's rule,
+    each step in one pass where poly is a monomial or u + v eps (the
+    points of a residue drive)."""
+    if len(f) == 1:
+        return 0, f
+    lo, cs = poly
+    if lo == 1 and len(cs) == 1:
+        # f[m] v^m pd^(deg-m) at eps^m
+        pws, vm, out = [1], 1, []
+        for _ in f[1:]:
+            pws.append(pws[-1] * pd)
+        for c, pw in zip(f, reversed(pws)):
+            out.append(c * vm * pw)
+            vm *= cs[0]
+        return 0, out
+    if lo == 0 and len(cs) == 2:
+        (u, v), acc, pw = cs, [f[-1]], 1
+        for c in reversed(f[:-1]):
+            pw *= pd
+            acc = [u * acc[0] + c * pw] + [u * x + v * y for x, y in
+                                           zip(acc[1:], acc)] + [v * acc[-1]]
+        return 0, acc
+    acc, pw = _plin(f[-1], f[-2] * pd, poly), pd
+    for c in reversed(f[:-2]):
+        pw *= pd
+        acc = _plin(1, c * pw, _pmul(acc, poly))
+    return acc
+
+
+def _lowest(p):
+    """(e, cs) with p = eps^e sum_m cs[m] eps^m for a nonzero Laurent
+    polynomial p, cs[0] its lowest nonzero term, no trailing zeros."""
+    lo, cs = p
+    j = 0
+    while not cs[j]:
+        j += 1
+    return lo + j, cs[j:] if cs[-1] else _trimmed(cs[j:])
+
+
+def _over(parts, w, num):
+    """num / prod p^times over the parts (p, times), integer Laurent
+    polynomials in one variable, as (l, kd, cs, cut): eps^l cs(eps) / kd
+    with cs[0] nonzero, or its first w terms from eps^l when cut.
+
+    Each polynomial goes from its lowest term: that monomial into kd and
+    the shift l, the rest, a unit c (1 + ..), into one series.  A part
+    whose unit is 1 is exact.  Otherwise, as for a `Series` divisor,
+    the quotient knows w terms past its valuation: the units of the
+    parts to positive powers make u, inverted by the division recurrence
+    in integers (u0^w / u has integer terms below w, so u0^w goes into
+    kd), and a part to a negative power, a series too, multiplies with
+    its unit."""
+    (l, mult), kd, series, cut = _lowest(num), 1, [], False
+    for p, times in parts:
+        if times:
+            e, cs = _lowest(p)
+            l -= e * times
+            if times < 0:
+                mult = _pmul((0, mult), _ppowers((0, cs), -times)[-1])[1]
+                cut = cut or len(cs) > 1
+            elif len(cs) > 1:
+                series += [cs] * times
+            else:
+                kd *= cs[0] ** times
+    if series or cut:
+        u = (0, [1])
+        for cs in series:
+            u = _pmul(u, (0, cs), w)
+        u, u0 = u[1][1:], u[1][0]
+        inv = [u0 ** (w - 1)]
+        for m in range(1, w):
+            inv.append(-sum(map(mul, u, reversed(inv))) // u0)
+        kd *= u0 ** w
+        mult = _pmul((0, mult), (0, inv), w)[1]
+    return l, kd, mult, bool(series or cut)
+
+
+def _factor_parts(point, factor):
+    """(parts, num, (pn, pq)) of phi(z) = num(z) / (z^k den(z)), factor =
+    (k, num, den) with integer coefficient lists, at a point (ring,
+    level, poly, pd) read by `_tower_point`: phi = (pn/pq) num / prod
+    p^times over the parts, num and den at poly/pd times powers of pd
+    (`_at`) and z^k as poly^k."""
+    k, num, den = factor
+    poly, pd = point[2], point[3]
+    e = k + len(den) - len(num)
+    return ([(poly, k), (_at(den, poly, pd), 1)], _at(num, poly, pd),
+            (pd ** e, 1) if e > 0 else (1, pd ** -e))
+
+
+def _factor_at(point, factor):
+    """phi(z) = num(z) / (z^k den(z)), factor = (k, num, den) with integer
+    coefficient lists num and den (num nonzero) and an integer k, at a
+    point of a tower read by `_tower_point`: (kn, kd, l, cs, err), phi =
+    (kn/kd) sum_m cs[m] eps^(l+m) + O(eps^err) in the point's eps.
+
+    num and den are evaluated at the point by Horner's rule (`_at`) and
+    the divisor z^k den(z) divides by `_over`: exact where its unit is
+    1, else cut to the level's window, err at its end, as the `Series`
+    quotient num(z) / (z^k den(z)) is; z^k for k < 0 is the series
+    1/z^-k there, so it cuts too where z is no monomial."""
+    parts, num, (kn, kd) = _factor_parts(point, factor)
+    w = point[0].precs[point[1]]
+    l, c, cs, cut = _over(parts, w, num)
+    return kn, kd * c, l, cs, l + w if cut else INF
+
+
+def _factors(zs, factors):
+    """prod_j phi_j(z_j) for the variables z_j of a residue drive, on
+    distinct levels of one tower, and factors phi_j = (k, num, den) as
+    `_factor_at` takes them: a `Scaled` element, the outer product of
+    the one-level elements, whose scalars multiply.  Its box is the one
+    their tower product has."""
+    pts = sorted(zip(map(_tower_point, zs), factors), key=lambda x: x[0][1])
+    top = pts[0][0][0]
+    L = len(top.precs)
+    if any(p[0] is not top for p, _ in pts) \
+            or len({p[1] for p, _ in pts}) < len(pts):
+        raise ValueError("factors must lie on distinct levels of one tower")
+    lo, shape, err, n, d, flat = [0] * L, [1] * L, [INF] * L, 1, 1, [1]
+    for point, factor in pts:
+        kn, kd, l, cs, e = _factor_at(point, factor)
+        j = point[1]
+        lo[j], shape[j], err[j], n, d = l, len(cs), e, n * kn, d * kd
+        flat = [x * c for x in flat for c in cs]
+    return _scaled(n, Series(top, tuple(lo), tuple(shape), flat,
+                             tuple(err)), d)
 
 
 def _content(values):

@@ -66,13 +66,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (Scaled, _content, _horner, _minor, _pack,
-                         _packed_line, _padd, _pair_divide, _plin, _pmul,
-                         _point_line, _ppowers, _scaled, _tower_point,
-                         _trimmed, line_det, poly_det)
+from .exact_core import (Scaled, _content, _factor_parts, _horner, _minor,
+                         _over, _pack, _packed_line, _padd, _pair_divide,
+                         _plin, _pmul, _point_line, _ppowers, _scaled,
+                         _tower_point, _trimmed, line_det, poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
@@ -441,20 +440,22 @@ def _hns_line(N, s, rows, point, mobius, factor=None):
     integer lists n, d and kn/kd = p/q, G_i is (kd/pd)^D q^-D eps^(lo D)
     sum_m c_(i,m) (p n)^m (q d)^(D-m), by Horner's rule in p n (Knuth,
     TAOCP vol. 2, sec. 4.6.4) packed at 2^B, B holding every partial
-    sum, q d's powers made once.  num and den at the point are integer
-    polynomials in eps over powers of pd (`_at`).  The divisor d^(N-1)
-    z^k den goes term by term: a monomial into the scalar and the
-    shift, the rest into a series of prec terms, u0^-prec inv, by the
-    division recurrence, exact in integers; num multiplies the column,
-    or inv (B holds those products too)."""
+    sum, q d's powers made once.  phi goes as the per-variable factors
+    of the routes go (`exact_core._factor_at`), by the same helpers: num
+    and den at the point are integer polynomials in eps over powers of
+    pd (`exact_core._factor_parts`), and `exact_core._over` takes the
+    divisor d^(N-1) z^k den term by term: a monomial into the scalar and
+    the shift, the rest into a series of prec terms, u0^-prec inv, by
+    the division recurrence, exact in integers; num multiplies the
+    column, or inv (B holds those products too)."""
     al, be, ga, de = mobius
     top, _, poly, pd = point
-    k, num, den = factor or (0, [1], [1])
     if top is None:
         z = poly[1][0]
         dz = ga * z + de
         x, f = (al * z + be) / dz, dz ** (s - 1)
         if factor:
+            k, num, den = factor
             f *= Fraction(_horner(num, z)) / (z ** k * _horner(den, z))
         return [_horner(cs, x) * f for cs in rows]
     D = N + s - 2
@@ -470,41 +471,18 @@ def _hns_line(N, s, rows, point, mobius, factor=None):
     p, q = p // h, q // h
     w, kn = top.precs[point[1]], gd ** (s - 1)
     kd = (qd * pd) ** (s - 1) * q ** D
-    # the divisor d^(N-1) z^k den, each factor from its lowest term: a
-    # monomial goes into the scalar, the rest into one series; num, the
-    # part of power -1, becomes the multiplier
-    l, series, mult, inv = lo * D, [], None, None
-    parts = [((lo, d), N - 1)]
+    # the divisor d^(N-1) z^k den over num, each from its lowest term
+    # (`exact_core._over`): a monomial goes into the scalar and the
+    # shift, the rest into one series, which num multiplies
+    parts, mult = [((lo, d), N - 1)], (0, [1])
     if factor:
-        e = k + len(den) - len(num)
-        kn, kd = (kn * pd ** e, kd) if e > 0 else (kn, kd * pd ** -e)
-        parts += [(poly, k), (_at(den, poly, pd), 1)]
-        if num != [1]:
-            parts.append((_at(num, poly, pd), -1))
-    for (pl, cs), times in parts:
-        if times:
-            j = cs.index(next(filter(None, cs)))
-            l -= (pl + j) * times
-            cs = _trimmed(cs[j:])
-            if times < 0:
-                mult = cs
-            elif len(cs) > 1:
-                series += [cs] * times
-            else:
-                kd *= cs[0] ** times
-    if series:
-        u = (0, [1])
-        for cs in series:
-            u = _pmul(u, (0, cs), w)
-        u, u0 = u[1], u[1][0]
-        inv = [u0 ** (w - 1)]
-        for m in range(1, w):
-            inv.append(-sum(map(mul, u[1:], inv[::-1])) // u0)
-        kd *= u0 ** w
-        mult = inv = _pmul((0, mult or [1]), (0, inv), w)[1]
+        more, mult, (pn, pq) = _factor_parts(point, factor)
+        parts, kn, kd = parts + more, kn * pn, kd * pq
+    l, c, mult, cut = _over(parts, w, mult)
+    l, kd, inv = l + lo * D, kd * c, mult if cut else None
     x = [p * c for c in n]
     B = (max(max(map(abs, cs)) for cs in rows).bit_length() + 2
-         + (D + 1).bit_length() + sum(map(abs, mult or [1])).bit_length()
+         + (D + 1).bit_length() + sum(map(abs, mult)).bit_length()
          + D * max(sum(map(abs, x)), q * sum(map(abs, d))).bit_length())
     xp, yp = _pack(x, B), q * _pack(d, B)
     ys = [yp ** m for m in range(D + 1)]
@@ -515,21 +493,9 @@ def _hns_line(N, s, rows, point, mobius, factor=None):
             acc = acc * xp + c * y
         accs.append(acc)
     size = (max(len(n), len(d)) - 1) * D + 1
-    if mult and inv is None:
+    if inv is None and mult != [1]:
         accs, size = [a * _pack(mult, B) for a in accs], size + len(mult) - 1
     return _packed_line(point, l, accs, B, size, kn, kd, inv)
-
-
-def _at(f, poly, pd):
-    """pd^deg f(poly/pd) for an integer list f of degree deg and a Laurent
-    polynomial poly: sum_m f[m] poly^m pd^(deg-m), by Horner's rule."""
-    if len(f) == 1:
-        return 0, f
-    acc, pw = _plin(f[-1], f[-2] * pd, poly), pd
-    for c in reversed(f[:-2]):
-        pw *= pd
-        acc = _plin(1, c * pw, _pmul(acc, poly))
-    return acc
 
 
 def _point_lines(points, make):

@@ -1450,3 +1450,120 @@ class TestPairDivide:
         # a z that is no variable of the tower
         with pytest.raises(TypeError):
             _pair_quotient(f, [zs[0] * zs[0], zs[1]], 1, 3, 1)
+
+
+def _generic_factor(z, k, num, den):
+    """num(z) / (z^k den(z)) by `Scaled` arithmetic: num and den by
+    Horner's rule in sums and products, z^k a power, one division."""
+    def horner(cs):
+        acc = Scaled(cs[-1], 1)
+        for c in reversed(cs[:-1]):
+            acc = acc * z + c
+        return acc
+
+    return horner(num) / (z ** k * horner(den))
+
+
+def _taylor_ratios(poly, c):
+    """(num, den) pairs of the Taylor coefficients of an integer list at
+    c over its value there, as `eps_scale` takes them."""
+    a = [sum(Fraction(x) * math.comb(i, m) * Fraction(c) ** (i - m)
+             for i, x in enumerate(poly) if i >= m) for m in range(len(poly))]
+    return [((v / a[0]).numerator, (v / a[0]).denominator) for v in a[1:]]
+
+
+@st.composite
+def _factor_cases(draw):
+    """(ring, zs, factors): on a tower of 1 to 3 levels with windows 1
+    to 6, a per-variable factor (k, num, den) with k >= 0 and integer
+    lists num (nonzero) and den (nonzero at the centre) on 1 to 3 of the
+    levels, each variable z = c + D eps at c = 0, 1 or A/B, D the
+    eps_scale of den's and z's Taylor coefficients there times 1 or 2."""
+    levels = draw(st.integers(1, 3))
+    windows = draw(st.lists(st.integers(1, 6), min_size=levels,
+                            max_size=levels))
+    ring, _ = build_tower([(f"e{j}", w) for j, w in enumerate(windows)])
+    used = draw(st.lists(st.integers(0, levels - 1), min_size=1,
+                         max_size=levels, unique=True))
+    A, B = draw(st.sampled_from([(2, 3), (5, 2), (1, 4)]))
+    zs, factors = [], []
+    for j in used:
+        c = draw(st.sampled_from([0, 1, Fraction(A, B)]))
+        num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+        assume(any(num))
+        den = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+        assume(sum(x * Fraction(c) ** i for i, x in enumerate(den)))
+        ratios = _taylor_ratios(den, c) + ([(B, A)] if c else [])
+        scale = exact_core.eps_scale(*ratios) * draw(st.sampled_from([1, 2]))
+        zs.append(Scaled(scale, ring.gen(j)) + c)
+        factors.append((draw(st.integers(0, 3)), num, den))
+    return ring, zs, factors
+
+
+class TestFactorEvaluator:
+    """`exact_core._factors` builds each variable's factor num(z)/(z^k
+    den(z)) in integers on its own level (`_factor_at`) and takes their
+    outer product: the element of the `Scaled` arithmetic that builds it
+    generically, in lo, shape, err and the value of every leaf."""
+
+    @staticmethod
+    def _same(got, want):
+        ring = got.e.ring
+        e = want.e if isinstance(want.e, Series) else ring.const(want.e)
+        assert (got.e.lo, got.e.shape, got.e.err) == (e.lo, e.shape, e.err)
+        assert [Fraction(got.n * x, got.d) for x in got.e.coeffs] \
+            == [Fraction(want.n * x, want.d) for x in e.coeffs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_cases())
+    def test_equals_the_generic_construction(self, case):
+        ring, zs, factors = case
+        want = Scaled(1, ring.const(1))
+        for z, (k, num, den) in zip(zs, factors):
+            want = want * _generic_factor(z, k, num, den)
+        self._same(exact_core._factors(zs, factors), want)
+
+    def test_negative_powers_of_z_are_series(self):
+        # the coordinate route's w^(r-1) / (w - 1)^s at w = 1 + eps, as
+        # 1 / (w^(1-r) (w - 1)^s): w^(1-r) a series for r > 1, so the
+        # factor is cut to the window as the `Series` quotient is
+        for s in range(1, 4):
+            den = exact_core._ppowers((0, [-1, 1]), s)[-1][1]
+            for r in range(1, 7):
+                for w in range(1, 6):
+                    ring, at = build_tower([("e0", w)])
+                    z = Scaled(1, at["e0"]) + 1
+                    want = 1 / (z ** (1 - r) * (z - 1) ** s)
+                    self._same(exact_core._factors([z], [(1 - r, [1], den)]),
+                               want)
+
+    def test_horner_at_any_laurent_point(self):
+        # pd^deg f(poly/pd) at points that are no drive's c + D eps too
+        for poly in ((-1, [3]), (0, [2, 1, 5]), (2, [1, -1]), (1, [4]),
+                     (0, [2, 7])):
+            for f in ([3], [1, -2], [0, 5, 1, -3]):
+                want, deg = {}, len(f) - 1
+                for m, c in enumerate(f):
+                    for e, v in _laurent_power(poly, m).items():
+                        want[e] = want.get(e, 0) + c * v * 3 ** (deg - m)
+                lo, cs = exact_core._at(f, poly, 3)
+                assert {lo + i: c for i, c in enumerate(cs) if c} \
+                    == {e: v for e, v in want.items() if v}
+
+    def test_variables_on_one_level_raise(self):
+        ring, at = build_tower([("e0", 3), ("e1", 3)])
+        z = Scaled(2, at["e0"]) + 1
+        with pytest.raises(ValueError):
+            exact_core._factors([z, z], [(0, [1], [1, 1])] * 2)
+
+
+def _laurent_power(poly, m):
+    """poly^m as a dict of exponents, poly = (lo, coefficients)."""
+    out = {0: 1}
+    for _ in range(m):
+        nxt = {}
+        for a, u in out.items():
+            for b, v in enumerate(poly[1], poly[0]):
+                nxt[a + b] = nxt.get(a + b, 0) + u * v
+        out = nxt
+    return out
