@@ -9,28 +9,30 @@ first), expand as a truncated Laurent series in eps, and read off the
 coefficient of eps^(-1) at each level.
 
 The series engine is one flat tower.  An element of an L-level tower
-(level 0 is the first-integrated variable) is a box: its leaves in one
-Python list, row-major with level 0 slowest, and per level the box's
-lowest exponent `lo[j]` and the first unknown exponent `err[j]`
-(math.inf where the element is exact in that variable).  Exponents
+(level 0 is the first-integrated variable) is an integer pair n/d
+times a box: its leaves in one Python list, row-major with level 0
+slowest, and per level the box's lowest exponent `lo[j]` and the first
+unknown exponent `err[j]` (math.inf where the element is exact in that
+variable).  Exponents
 below err at every level are known; lo[j] bounds level j of every
 coefficient whose outer exponents are known, so a zero slice at the
 bottom of a level stays while a deeper level is inexact.  A product
 places one factor at each leaf of the other, with lo = lo_a + lo_b and
 err = min(err_a + lo_b, err_b + lo_a) per level; a sum takes the
-per-level minima.  The leaves of every residue integrand are Python
-ints: `residue_drive` substitutes z = center + D eps, D from
-`eps_scale` (the lcm of the denominators of the route's factor ratios,
-as the lattice sweep scales its weights), and hands the integrand
-`Scaled` elements, a scalar n/d kept as two ints times a tower on int
-leaves.  The routes write their factors with integer coefficients, so
-the constants that inverted factors pull out (each becomes its
-constant times 1 + an integer polynomial in the eps's, a unit) go into
-the scalars' denominators, and no scalar is a Fraction: the residue,
-times the route's prefactor as one integer pair, becomes one Fraction
-at the end of `residue_drive` (the gcd-saving of rational products in
-Knuth, TAOCP vol. 2, sec. 4.5.1).  An int leaf is inverted only as a
-unit, +-1; any other raises ValueError.
+per-level minima.  An exact number goes into the pair, never into a
+leaf, so the leaves of every exact element are Python ints (the Taylor
+towers of `hankel_orthopoly` have complex leaves and a pair of 1/1):
+`residue_drive` substitutes z = center + D eps, D from `eps_scale`
+(the lcm of the denominators of the route's factor ratios, as the
+lattice sweep scales its weights).  The routes write their factors
+with integer coefficients, so the constants that inverted factors pull
+out (each becomes its constant times 1 + an integer polynomial in the
+eps's, a unit) go into the pairs' denominators, and no pair is a
+Fraction: the residue, times the route's prefactor as one integer
+pair, becomes one Fraction at the end of `residue_drive` (the
+gcd-saving of rational products in Knuth, TAOCP vol. 2, sec. 4.5.1).
+An int leaf is inverted only as a unit, +-1; any other raises
+ValueError.
 
 Division is one kernel, `_divide`: a tower element divided by a chain
 of divisors by the power-series division recurrence (Knuth, TAOCP vol.
@@ -43,8 +45,8 @@ recurrence runs over it in place, one pass each.  `Series.__truediv__`
 is a chain of one.  `_pair_divide` is the chain of the pair factors p
 z_j z_k - q z_j + r of the residue integrands: at the variables
 `residue_drive` hands out, each is an integer constant, which goes
-into the `Scaled` pair, times a unit 1 + alpha eps_j + beta eps_k +
-gamma eps_j eps_k with integer coefficients, so no divisor `Series` is
+into the pair, times a unit 1 + alpha eps_j + beta eps_k + gamma
+eps_j eps_k with integer coefficients, so no divisor `Series` is
 built.  Where a divisor has terms past its leading one, or is inexact,
 the quotient knows min(window, prec) coefficients past the valuation,
 the window being the divisor's known span; an exact monomial only
@@ -103,10 +105,9 @@ rest.
 A window too short for the residue raises PrecisionLoss like any
 other, so it shows as a retry of `residue_drive`, never a wrong value.
 
-One helper does each job for the whole package.  `_leaf` makes every
-leaf: an int or a complex number stays as it is (the Taylor towers of
-`hankel_orthopoly` are complex), any other number becomes its exact
-Fraction, an int where it is integral.  A univariate Laurent
+One helper does each job for the whole package.  `_ratio` reads an
+exact number as the integer pair it puts into an element's pair, and
+`Series._unit` a divisor's leading leaf.  A univariate Laurent
 polynomial is a pair (lo, cs): sum_m cs[m] x^(lo+m) over any ring,
 multiplied by `_pmul` and raised to powers by `_ppowers`; `_content`
 splits rationals into a positive integer pair g/q times coprime
@@ -139,19 +140,10 @@ RESIDUE_TRIES = 6
 # Laurent series towers
 # ---------------------------------------------------------------------------
 
-def _leaf(v):
-    """A number as a tower leaf: an int or a complex number as it is,
-    anything else as its exact Fraction, an int where that is integral."""
-    if isinstance(v, (int, complex)):
-        return v
-    q = as_fraction(v)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _invert(x):
     """Inverse of a leaf, the one leaf inverse of every tower division:
-    an int +-1 is its own, any other int raises ValueError (`Scaled`
-    pulls it into its scalar first)."""
+    an int +-1 is its own, any other int raises ValueError (an exact
+    divisor pulls it into its pair first, `Series._unit`)."""
     if x == 0:
         raise ZeroDenominator("scalar division by zero")
     if isinstance(x, int):
@@ -161,12 +153,23 @@ def _invert(x):
     return 1 / x
 
 
+def _ratio(v):
+    """(num, den) of an exact number (int, Fraction, float), den > 0;
+    None for any other value."""
+    if v.__class__ is int:
+        return v, 1
+    if isinstance(v, (int, Fraction, float)):
+        q = as_fraction(v)
+        return q.numerator, q.denominator
+    return None
+
+
 class Tower:
-    """The ring of an L-level tower, its leaves made by `_leaf`: level j
-    is the variable names[j], whose quotients keep precs[j] coefficients
-    past their valuation.  `inner` is the tower of levels 1.., where a
-    coefficient in the level-0 variable lives.  A tower of no levels
-    has its leaves as its elements."""
+    """The ring of an L-level tower: level j is the variable names[j],
+    whose quotients keep precs[j] coefficients past their valuation.
+    `inner` is the tower of levels 1.., where a coefficient in the
+    level-0 variable lives.  A tower of no levels has numbers as its
+    elements."""
 
     __slots__ = ("names", "precs", "_inner")
 
@@ -185,11 +188,18 @@ class Tower:
     def laurent(self, level, lo, coeffs, err=INF):
         """sum_m coeffs[m] x^(lo + m) + O(x^err) for x the variable of
         `level`: a Laurent polynomial in one level, exact in the others
-        (and in its own when err is inf)."""
-        L = len(self.precs)
-        cs = [_leaf(c) for c in coeffs]
+        (and in its own when err is inf).  Exact coefficients become int
+        leaves over their common denominator, which goes into the pair;
+        complex ones stay as they are."""
+        L, cs, d = len(self.precs), list(coeffs), 1
         if err != INF:
             cs = cs[:max(0, err - lo)]
+        if not all(isinstance(v, (int, complex)) for v in cs):
+            cs = [v if isinstance(v, complex) else as_fraction(v) for v in cs]
+            d = math.lcm(*(v.denominator for v in cs
+                           if not isinstance(v, complex)))
+            cs = [v * d if isinstance(v, complex)
+                  else v.numerator * (d // v.denominator) for v in cs]
         i, j = 0, len(cs)
         while i < j and not cs[i]:
             i += 1
@@ -201,17 +211,23 @@ class Tower:
         return Series(self,
                       tuple(lo + i if m == level else 0 for m in range(L)),
                       tuple(j - i if m == level else 1 for m in range(L)),
-                      cs[i:j], errs)
+                      cs[i:j], errs, 1, d)
 
     def const(self, v):
+        """v as an element: a Series as it is, an exact number as its
+        numerator over the pair's denominator, a complex one as its
+        leaf.  A tower of no levels returns the number, exact as a
+        Fraction or an int."""
         if isinstance(v, Series) and v.ring is self:
             return v
-        c, L = _leaf(v), len(self.precs)
+        L, q = len(self.precs), _ratio(v)
         if not L:
-            return c
-        if not c:
+            return v if q is None else q[0] if q[1] == 1 else Fraction(*q)
+        if not v:
             return self.zero()
-        return Series(self, (0,) * L, (1,) * L, [c], (INF,) * L)
+        if q is None:
+            return Series(self, (0,) * L, (1,) * L, [v], (INF,) * L)
+        return Series(self, (0,) * L, (1,) * L, [q[0]], (INF,) * L, 1, q[1])
 
     def gen(self, level=0):
         return self.laurent(level, 1, [1])
@@ -358,16 +374,16 @@ def _empty(ring, lo, err):
     return Series(ring, lo, (0,) * len(lo), [], tuple(err))
 
 
-def _trim(ring, lo, shape, c, err):
-    """The element on box (lo, shape): cut at err, its zero slices
-    stripped at the top of every level and at the bottom of the levels
-    past which every level is exact."""
-    cut = tuple(min(n, e - l) for n, l, e in zip(shape, lo, err))
+def _trim(ring, lo, shape, c, err, n=1, d=1):
+    """The element (n/d) c on box (lo, shape): cut at err, its zero
+    slices stripped at the top of every level and at the bottom of the
+    levels past which every level is exact."""
+    cut = tuple(min(m, e - l) for m, l, e in zip(shape, lo, err))
     if min(cut) <= 0:
         return _empty(ring, lo, err)
     if cut != shape:
         c, shape = _crop(c, lo, shape, lo, cut), cut
-    return _strip(ring, lo, shape, c, err)
+    return _strip(ring, lo, shape, c, err, n, d)
 
 
 def _live(c, k, m, inner):
@@ -379,13 +395,13 @@ def _live(c, k, m, inner):
                for b in range(k * inner, len(c), m * inner))
 
 
-def _strip(ring, lo, shape, c, err):
+def _strip(ring, lo, shape, c, err, n=1, d=1):
     """`_trim` of a box that lies below err: each level is scanned from
     its top slice down, and from its bottom slice up where every deeper
     level is exact, to its first slice with a nonzero leaf, so a box
     whose boundary slices are nonzero costs one slice per end."""
     if all(c):
-        return Series(ring, tuple(lo), shape, c, tuple(err))
+        return Series(ring, tuple(lo), shape, c, tuple(err), n, d)
     if not any(c):
         return _empty(ring, lo, err)
     nlo, nshape, inner = [], [], len(c)
@@ -401,7 +417,16 @@ def _strip(ring, lo, shape, c, err):
     nlo, nshape = tuple(nlo), tuple(nshape)
     if nlo != lo or nshape != shape:
         c = _crop(c, lo, shape, nlo, nshape)
-    return Series(ring, nlo, nshape, c, tuple(err))
+    return Series(ring, nlo, nshape, c, tuple(err), n, d)
+
+
+def _scale(cs, m):
+    """The leaves cs times the int m: cs itself for 1, negated for -1."""
+    if m == 1:
+        return cs
+    if m == -1:
+        return [-c for c in cs]
+    return [m * c for c in cs]
 
 
 def _sum_plan(key, a, b):
@@ -429,16 +454,29 @@ def _sum_plan(key, a, b):
 
 
 class Series:
-    """Element of a `Tower`: the leaves `coeffs` of the box with lowest
-    exponents `lo` and extents `shape`, row-major with level 0 slowest,
-    known below `err` at every level (see the module docstring).  An
-    element with no leaves has shape all 0."""
+    """Element of a `Tower`: (n/d) times the leaves `coeffs` of the box
+    with lowest exponents `lo` and extents `shape`, row-major with level
+    0 slowest, known below `err` at every level (see the module
+    docstring).  An element with no leaves has shape all 0.
 
-    __slots__ = ("ring", "lo", "shape", "coeffs", "err")
+    The pair n/d (d > 0) is two ints, never reduced: a product
+    multiplies the pairs, and an exact number (int, Fraction, float)
+    multiplies the pair while a complex one multiplies the leaves.  A
+    sum brings both pairs to their content, the largest rational
+    dividing them (one gcd), which leaves them integer multipliers of
+    the leaves (fraction-free, in the manner of Bareiss); negation flips
+    n.  A quotient pulls the divisor's lex-leading leaf into the pair
+    where every leaf is an int (`_unit`), so the recurrence divides by a
+    unit: with the variables scaled as `eps_scale` chooses, a factor c
+    (1 + sum_m p_m eps^m) has integer p_m.  The pair becomes a number
+    once, with the residue (`iterated_residue`, `residue_drive`)."""
 
-    def __init__(self, ring, lo, shape, coeffs, err):
+    __slots__ = ("ring", "lo", "shape", "coeffs", "err", "n", "d", "_point")
+
+    def __init__(self, ring, lo, shape, coeffs, err, n=1, d=1):
         self.ring, self.lo, self.shape = ring, lo, shape
         self.coeffs, self.err = coeffs, err
+        self.n, self.d = (-n, -d) if d < 0 else (n, d)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -450,14 +488,15 @@ class Series:
         return NotImplemented
 
     def __repr__(self):
-        return (f"Series(lo={self.lo}, shape={self.shape}, "
-                f"coeffs={self.coeffs!r}, err={self.err})")
+        return (f"Series({self.n}/{self.d}, lo={self.lo}, shape={self.shape}"
+                f", coeffs={self.coeffs!r}, err={self.err})")
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return not (self - other).coeffs
+        x = self - other
+        return not (x.n and x.coeffs)
 
     __hash__ = None
 
@@ -468,32 +507,48 @@ class Series:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        d = self.d
+        if d == other.d:
+            x, y = self.n, other.n
+        else:
+            d = math.lcm(d, other.d)
+            x, y = self.n * (d // self.d), other.n * (d // other.d)
+        g = math.gcd(x, y)
         key = ("+", *self.lo, *self.shape, *self.err,
                *other.lo, *other.shape, *other.err)
         lo, err, box, runs, offs, swap = (_PLANS.get(key)
                                           or _sum_plan(key, self, other))
         if box is None:
             return _empty(self.ring, lo, err)
-        a, b = (other, self) if swap else (self, other)
+        ac, bc = _scale(self.coeffs, x // g), _scale(other.coeffs, y // g)
+        if swap:
+            ac, bc = bc, ac
         # a is placed by runs, b's leaves added one by one, those outside
         # the box into a last slot that is dropped
         out = [0] * (math.prod(box) + 1)
-        ac = a.coeffs
         k, dst, src = runs
         for o, i in zip(dst, src):
             out[o:o + k] = ac[i:i + k]
         if offs:
-            for o, v in zip(offs, b.coeffs):
+            for o, v in zip(offs, bc):
                 if v:
                     out[o] += v
         out.pop()
-        return _strip(self.ring, lo, box, out, err)
+        return _strip(self.ring, lo, box, out, err, g, d)
 
     __radd__ = __add__
 
+    def _with(self, n, d):
+        """The leaves and box of self with the pair n/d."""
+        return Series(self.ring, self.lo, self.shape, self.coeffs, self.err,
+                      n, d)
+
     def __neg__(self):
-        return Series(self.ring, self.lo, self.shape,
-                      [-c for c in self.coeffs], self.err)
+        return self._with(-self.n, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -506,16 +561,19 @@ class Series:
 
     def __mul__(self, other):
         if other.__class__ is not Series or other.ring is not self.ring:
-            if isinstance(other, (int, Fraction, float, complex)):
-                # a number scales the leaves
-                x = _leaf(other)
-                if not x:
+            q = _ratio(other)
+            if q is not None:
+                return self._with(self.n * q[0], self.d * q[1])
+            if isinstance(other, complex):
+                if not other:
                     return self.ring.zero()
                 return Series(self.ring, self.lo, self.shape,
-                              [x * c for c in self.coeffs], self.err)
+                              [other * c for c in self.coeffs], self.err,
+                              self.n, self.d)
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        n, d = self.n * other.n, self.d * other.d
         key = ("*", *self.lo, *self.shape, *self.err,
                *other.lo, *other.shape, *other.err)
         lo, err, shape, swap, offa, obs, parts = (
@@ -528,7 +586,7 @@ class Series:
             # a monomial shifts the other factor, as an exact monomial
             # divisor does
             x = b.coeffs[0]
-            return Series(self.ring, lo, shape, [x * c for c in ac], err)
+            return Series(self.ring, lo, shape, [x * c for c in ac], err, n, d)
         # each leaf x of b adds x times the leaves of a that land in the
         # box, each slot taking its terms in the order of b's leaves
         out = [0] * math.prod(shape)
@@ -541,25 +599,32 @@ class Series:
             else:
                 for i in ia:
                     out[offa[i] + ob] += x * ac[i]
-        return Series(self.ring, lo, shape, out, err)
+        return Series(self.ring, lo, shape, out, err, n, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """self / other, a chain of one divisor for `_divide`: the
-        lex-leading leaf g_v of other is inverted once by `_invert`, and
-        each further known term of other is one step of the recurrence.
-        The quotient's box is `_quotient_box`'s, from the two boxes
-        alone, so one plan serves every dividend on a box.  The
-        valuation of other is certain only where no zero slice with
-        unknown deeper coefficients precedes its leading leaf; otherwise
-        this raises PrecisionLoss.
+        lex-leading leaf g_v of other's unit (`_unit`) is inverted once
+        by `_invert`, and each further known term of other is one step
+        of the recurrence.  The quotient's box is `_quotient_box`'s,
+        from the two boxes alone, so one plan serves every dividend on a
+        box.  The valuation of other is certain only where no zero slice
+        with unknown deeper coefficients precedes its leading leaf;
+        otherwise this raises PrecisionLoss.  An exact number divides
+        the pair.
         """
         if other.__class__ is not Series or other.ring is not self.ring:
+            q = _ratio(other)
+            if q is not None:
+                if not q[0]:
+                    raise ZeroDenominator("scalar division by zero")
+                return self._with(self.n * q[1], self.d * q[0])
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        ring, gc = self.ring, other.coeffs
+        ring = self.ring
+        c, gc = other._unit()
         # the divisor's nonzero leaves, the first its lex-leading one
         nz = tuple(compress(range(len(gc)), gc))
         key = ("/", nz, *self.lo, *self.shape, *self.err, *other.lo,
@@ -567,13 +632,30 @@ class Series:
         plan = _PLANS.get(key) or _division_plan(
             key, self, [_divisor(other, nz)], ring.precs)
         return _divide(ring, self, plan, [[-gc[p] for p in nz[1:]]],
-                       _invert(gc[nz[0]]))
+                       _invert(gc[nz[0]]), self.n * other.d,
+                       self.d * other.n * c)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def _unit(self):
+        """(c, cs) with the leaves c * cs: c is the lex-leading leaf
+        where every leaf is an int (then cs leads with 1), else 1, and
+        the recurrence inverts the leading leaf of cs (`_invert`).  An
+        int lead that does not divide every leaf raises ValueError."""
+        if not self.n:
+            raise ZeroDenominator("inverse of the zero series")
+        cs = self.coeffs
+        lead = next((x for x in cs if x), None)
+        if lead.__class__ is not int or lead == 1 \
+                or any(x.__class__ is not int for x in cs):
+            return 1, cs
+        if any(x % lead for x in cs):
+            raise ValueError(f"{lead} does not divide every leaf of {self!r}")
+        return lead, [x // lead for x in cs]
 
     def __pow__(self, n: int):
         if n < 0:
@@ -597,9 +679,10 @@ class Series:
     # -- extraction ---------------------------------------------------------
 
     def coefficient(self, k: int):
-        """Coefficient of x^k, x the level-0 variable: a leaf on a
-        one-level tower, else an element of the tower of the inner
-        levels.  Raises PrecisionLoss past the window."""
+        """Coefficient of x^k, x the level-0 variable: n leaf / d on a
+        one-level tower (the leaf itself where the pair is 1/1), else an
+        element of the tower of the inner levels.  Raises PrecisionLoss
+        past the window."""
         if k >= self.err[0]:
             raise PrecisionLoss(
                 f"coefficient {self.ring.names[0]}^{k} beyond window "
@@ -607,7 +690,10 @@ class Series:
         lo, n = self.lo[0], self.shape[0]
         if len(self.lo) == 1:
             if self.coeffs and lo <= k < lo + n:
-                return self.coeffs[k - lo]
+                c = self.coeffs[k - lo]
+                if self.n == self.d == 1:
+                    return c
+                return _exact(self.n * c, self.d)
             return 0
         inner = self.ring.inner
         if k < lo:
@@ -617,7 +703,7 @@ class Series:
         st = len(self.coeffs) // n
         i = (k - lo) * st
         return _trim(inner, self.lo[1:], self.shape[1:],
-                     self.coeffs[i:i + st], self.err[1:])
+                     self.coeffs[i:i + st], self.err[1:], self.n, self.d)
 
     def residue(self, order_bound=None):
         """Coefficient of x^(-1), x the level-0 variable.
@@ -630,7 +716,8 @@ class Series:
         so drivers retry with a wider tower.
         """
         lo, var = self.lo[0], self.ring.names[0]
-        if order_bound is not None and self.coeffs and lo < -order_bound:
+        if order_bound is not None and self.n and self.coeffs \
+                and lo < -order_bound:
             st = len(self.coeffs) // self.shape[0]
             low = self.coeffs[:min(self.shape[0], -order_bound - lo) * st]
             if any(low):
@@ -810,34 +897,34 @@ def _division_plan(key, f, divisors, precs):
                      sum(map(len, orders.values())))
 
 
-def _divide(ring, f, plan, coefs, r=1):
-    """f divided by the chain of divisors of `plan` (`_division_plan`):
-    coefs holds per pass the negated coefficients of its steps, and r
-    is the inverse of the leading leaf, which a chain's divisors share
-    (a pair unit's is 1).  Each leaf of a pass adds each coefficient
-    times the leaf its step reaches back to, in the order of the steps,
-    and is then scaled by r: ((f_e - g_1 q_1) - g_2 q_2 - ..) r, the
-    order a complex leaf rounds in."""
+def _divide(ring, f, plan, coefs, r=1, n=1, d=1):
+    """(n/d) times the leaves of f divided by the chain of divisors of
+    `plan` (`_division_plan`): coefs holds per pass the negated
+    coefficients of its steps, and r is the inverse of the leading
+    leaf, which a chain's divisors share (a unit's is 1).  Each leaf of
+    a pass adds each coefficient times the leaf its step reaches back
+    to, in the order of the steps, and is then scaled by r: ((f_e - g_1
+    q_1) - g_2 q_2 - ..) r, the order a complex leaf rounds in."""
     lo, err, shape, size, runs, passes, out, trim = plan
     if shape is None:
         return _empty(ring, lo, err)
     if runs is None:
         # exact monomials: the quotient is f shifted, window and all
-        return Series(ring, lo, shape, [c * r for c in f.coeffs], err)
+        return Series(ring, lo, shape, [c * r for c in f.coeffs], err, n, d)
     buf, (k, dst, src), fc = [0] * size, runs, f.coeffs
     for o, i in zip(dst, src):
         buf[o:o + k] = fc[i:i + k]
     for (order, reach), cs in zip(passes, coefs):
-        n = len(cs) if r == 1 else 0
-        if n == 1:
+        t = len(cs) if r == 1 else 0
+        if t == 1:
             (da,), (x,) = reach, cs
             for i in order:
                 buf[i] += x * buf[i - da]
-        elif n == 2:
+        elif t == 2:
             (da, db), (x, y) = reach, cs
             for i in order:
                 buf[i] = buf[i] + x * buf[i - da] + y * buf[i - db]
-        elif n == 3:
+        elif t == 3:
             (da, db, dc), (x, y, z) = reach, cs
             for i in order:
                 buf[i] = (buf[i] + x * buf[i - da] + y * buf[i - db]
@@ -846,155 +933,13 @@ def _divide(ring, f, plan, coefs, r=1):
             steps = list(zip(reach, cs))
             for i in order:
                 acc = buf[i]
-                for d, c in steps:
-                    acc += c * buf[i - d]
+                for h, c in steps:
+                    acc += c * buf[i - h]
                 buf[i] = acc if r == 1 else acc * r
     q = list(map(buf.__getitem__, out))
     if trim:
-        return _trim(ring, lo, shape, q, err)
-    return Series(ring, lo, shape, q, err)
-
-
-class Scaled:
-    """(n/d) * e: a rational scalar, kept as the integers n and d > 0,
-    times a tower element (or an int) e.
-
-    `residue_drive` hands every integrand its variables as Scaled
-    elements, so an integrand is written over the rationals while its
-    towers stay on integer leaves and the scalars stay integer pairs,
-    never reduced: a product multiplies numerators and denominators.  A
-    sum brings its terms to the content of both scalars, the largest
-    rational dividing them (one gcd), which leaves them integer
-    multipliers (fraction-free, in the manner of Bareiss).  A quotient
-    or an inverse pulls the lex-leading leaf of the divisor's e, the one
-    leaf the division recurrence inverts, into the scalar, so the
-    towers divide by a unit: a factor c (1 + sum_m p_m eps^m) has
-    integer p_m when the variables are scaled as `eps_scale` chooses.
-    An int leading leaf that does not divide every leaf of e raises
-    ValueError; a Fraction or complex one stays in e.  The scalar
-    becomes a Fraction once, with the residue (`iterated_residue`,
-    `residue_drive`).  A rational n is taken apart into the pair.
-    """
-
-    __slots__ = ("n", "d", "e", "_point")
-
-    def __init__(self, n, e, d=1):
-        if n.__class__ is not int:
-            n, d = n.numerator, n.denominator * d
-        self.n, self.d, self.e = n, d, e
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, Scaled):
-            return v
-        if isinstance(v, Series):
-            return Scaled(1, v)
-        if isinstance(v, (int, Fraction)):
-            return Scaled(v, 1)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Scaled({self.n!r}/{self.d!r}, {self.e!r})"
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return Scaled(self.n * other.n, _times(self.e, other.e),
-                      self.d * other.d)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if not other.n:
-            return self
-        if not self.n:
-            return other
-        d = self.d
-        if d == other.d:
-            x, y = self.n, other.n
-        else:
-            d = math.lcm(d, other.d)
-            x, y = self.n * (d // self.d), other.n * (d // other.d)
-        g = math.gcd(x, y)
-        return Scaled(g, _times(self.e, x // g) + _times(other.e, y // g), d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scaled(-self.n, self.e, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if not isinstance(other.e, Series):
-            return self * other.inverse()
-        cn, cd, u = other._unit()
-        e = self.e if isinstance(self.e, Series) else u.ring.const(self.e)
-        return _scaled(self.n * cd, e / u, self.d * cn)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Scaled(self.n ** n, self.e ** n, self.d ** n)
-
-    def inverse(self) -> "Scaled":
-        e = self.e
-        if not isinstance(e, Series):
-            if not (self.n and e):
-                raise ZeroDenominator("scalar division by zero")
-            return Scaled(Fraction(self.d) / (self.n * e), 1)
-        cn, cd, u = self._unit()
-        return _scaled(cd, u.inverse(), cn)
-
-    def _unit(self):
-        """(cn, cd, u) with self = (cn/cd) * u for a tower u: u is e with
-        its lex-leading leaf pulled into cn when that leaf is an int
-        (then u's leading leaf is 1), else e itself.  An int leaf that
-        does not divide every leaf of e raises ValueError."""
-        if not self.n:
-            raise ZeroDenominator("inverse of the zero series")
-        e = self.e
-        lead = next((x for x in e.coeffs if x), None)
-        if not isinstance(lead, int) or lead == 1:
-            return self.n, self.d, e
-        if any(c.__class__ is not int or c % lead for c in e.coeffs):
-            raise ValueError(f"{lead} does not divide every leaf of {e!r}")
-        return self.n * lead, self.d, Series(
-            e.ring, e.lo, e.shape, [c // lead for c in e.coeffs], e.err)
-
-
-def _scaled(n, e, d):
-    """Scaled(n, e, d) with the sign of d moved into n."""
-    return Scaled(-n, e, -d) if d < 0 else Scaled(n, e, d)
-
-
-def _times(a, b):
-    """a * b, skipping the multiplication by an int 1."""
-    if isinstance(b, int) and b == 1:
-        return a
-    if isinstance(a, int) and a == 1:
-        return b
-    return a * b
+        return _trim(ring, lo, shape, q, err, n, d)
+    return Series(ring, lo, shape, q, err, n, d)
 
 
 def eps_scale(*ratios) -> int:
@@ -1019,13 +964,13 @@ def _pair_divide(f, zs, p, q, r, pairs):
     At z_j = (u_j + v_j eps_j)/d_j a pair factor times d_j d_k is K (1 +
     alpha eps_j + beta eps_k + gamma eps_j eps_k), K = p u_j u_k - q u_j
     d_k + r d_j d_k, and the eps_scale of the routes makes alpha, beta
-    and gamma integers.  K and the d's go into the `Scaled` pair; each
-    unit's nonzero terms are its steps, at offsets read from its levels
-    without building it.  The quotient is that of the chain of `Series`
-    divisions by the pair factors in turn: box, leaves and scalar value.
+    and gamma integers.  K and the d's go into the pair; each unit's
+    nonzero terms are its steps, at offsets read from its levels without
+    building it.  The quotient is that of the chain of `Series`
+    divisions by the pair factors in turn: box, leaves and pair value.
     A K of 0, or one that does not divide the terms, raises
     ValueError."""
-    f, pts = Scaled._coerce(f), []
+    pts = []
     for z in zs:
         # z = (u + v eps)/den, eps the variable of its level
         top, level, (lo, cs), den = _tower_point(z)
@@ -1034,8 +979,8 @@ def _pair_divide(f, zs, p, q, r, pairs):
                             "tower variable")
         pts.append((top, level, *([0] * lo + cs + [0])[:2], den))
     ring = pts[0][0]
-    e = f.e if isinstance(f.e, Series) else ring.const(f.e)
-    if any(x[0] is not ring for x in pts) or e.ring is not ring:
+    f = ring.const(f) if not isinstance(f, Series) else f
+    if any(x[0] is not ring for x in pts) or f.ring is not ring:
         raise ValueError("pair factors on mixed towers")
     n, d, pattern, coefs = f.n, f.d, [], []
     for j, k in pairs:
@@ -1054,16 +999,16 @@ def _pair_divide(f, zs, p, q, r, pairs):
                                                terms) if t))
         coefs.append([-t // K for t in terms if t])
         n, d = n * dj * dk, d * K
-    key = ("/", tuple(pattern), e.lo, e.shape, e.err, ring.precs)
+    key = ("/", tuple(pattern), f.lo, f.shape, f.err, ring.precs)
     plan = _PLANS.get(key)
     if plan is None:
-        L, units = len(e.lo), []
+        L, units = len(f.lo), []
         for hs in pattern:
             hs = [[int(m in h) for m in range(L)] for h in hs]
             shape = [1 + any(h[m] for h in hs) for m in range(L)]
             units.append(((0,) * L, hs, ((0,) * L, shape, (INF,) * L)))
-        plan = _division_plan(key, e, units, ring.precs)
-    return _scaled(n, _divide(ring, e, plan, list(filter(None, coefs))), d)
+        plan = _division_plan(key, f, units, ring.precs)
+    return _divide(ring, f, plan, list(filter(None, coefs)), 1, n, d)
 
 
 def build_tower(varspecs):
@@ -1084,10 +1029,10 @@ def iterated_residue(integrand, order_bounds=None):
     (A, B) of elements of one tower, by contraction: the coefficient of
     eps^(-1, .., -1) in A*B is sum_e A_e B_(-1-e), one dot product of
     A's box against B's reversed (reversing the flat list reverses every
-    level), and the product is never built.  Either may be `Scaled`; the
-    scalars multiply the result, an int result is returned as a
-    Fraction, and a single element is the pair (elem, 1).  `_residue`
-    gives the same value as a numerator and an integer denominator.
+    level), and the product is never built.  The pairs of A and B
+    multiply the result, an int result is returned as a Fraction, and a
+    single element is the pair (elem, 1).  `_residue` gives the same
+    value as a numerator and an integer denominator.
 
     `order_bounds` optionally gives the pole-order bound per level.
     Each level raises what `Series.residue(bound)` on the formed product
@@ -1099,21 +1044,16 @@ def iterated_residue(integrand, order_bounds=None):
 
 
 def _residue(integrand, order_bounds=None):
-    """`iterated_residue` as (v, d): the residue of the towers times the
-    numerators of the scalars, and the product of their denominators."""
+    """`iterated_residue` as (v, d): the residue of the leaves times the
+    numerators of the pairs, and the product of their denominators."""
     a, b = integrand if isinstance(integrand, tuple) else (integrand, 1)
-    n = d = 1
-    if isinstance(a, Scaled):
-        n, d, a = a.n, a.d, a.e
-    if isinstance(b, Scaled):
-        n, d, b = n * b.n, d * b.d, b.e
     if not isinstance(a, Series):
         if not isinstance(b, Series):
-            return n * a * b, d
+            return a * b, 1
         a = b.ring.const(a)
     elif not isinstance(b, Series):
         b = a.ring.const(b)
-    return n * _contract(a, b, list(order_bounds or ())), d
+    return a.n * b.n * _contract(a, b, list(order_bounds or ())), a.d * b.d
 
 
 def _walk(x, bounds):
@@ -1126,10 +1066,11 @@ def _walk(x, bounds):
 
 
 def _contract(a, b, bounds):
-    """The residue of a * b, level by level as `_walk` on the formed
-    product would take it, by one dot product.  A level whose bound the
-    lows of the pair do not certify is left to `_walk` on the product,
-    which forms the slices below the bound and checks them."""
+    """The residue of the leaves of a * b, level by level as `_walk` on
+    the formed product would take it, by one dot product.  A level whose
+    bound the lows of the pair do not certify is left to `_walk` on the
+    product's leaves, which forms the slices below the bound and checks
+    them."""
     ring, L = a.ring, len(a.lo)
     bounds = bounds + [None] * (L - len(bounds))
     lo, err, shape = _product_box(a, b)
@@ -1138,7 +1079,7 @@ def _contract(a, b, bounds):
     sub = ring
     for j in range(L):
         if bounds[j] is not None and lo[j] < -bounds[j]:
-            return _walk(a * b, bounds)
+            return _walk((a * b)._with(1, 1), bounds)
         if -1 >= err[j]:
             raise PrecisionLoss(
                 f"coefficient {ring.names[j]}^-1 beyond window O(^{err[j]})")
@@ -1168,15 +1109,14 @@ def _exact(v, d=1):
 
 def _shifted(ring, level, atom, scale, c):
     """c + scale * atom for the atom of level `level` and an int or
-    Fraction c, as the `Scaled` element that `Scaled(scale, atom) + c`
-    is: (cn + cd scale eps) / cd, the gcd of its two terms in the
-    scalar."""
+    Fraction c, as the sum `scale * atom + c` makes it: (cn + cd scale
+    eps) / cd, the gcd of its two terms in the pair."""
     if not c:
-        return Scaled(scale, atom)
+        return atom._with(scale, 1)
     x, y = scale * c.denominator, c.numerator
     g, L = math.gcd(x, y), len(ring.precs)
-    return Scaled(g, Series(ring, (0,) * L, (1,) * level + (2,) + (1,) * (
-        L - 1 - level), [y // g, x // g], (INF,) * L), c.denominator)
+    return Series(ring, (0,) * L, (1,) * level + (2,) + (1,) * (L - 1 - level),
+                  [y // g, x // g], (INF,) * L, g, c.denominator)
 
 
 def residue_drive(specs, build, scale=1, pref=(1, 1)):
@@ -1185,9 +1125,9 @@ def residue_drive(specs, build, scale=1, pref=(1, 1)):
     specs: one (center, order_bound) pair per variable, first entry
     integrated first (innermost contour).  `build(vars, ring)` gets the
     shifted variables in spec order, the j-th center_j + scale * eps_j
-    as a `Scaled` element over the atom of level j, and returns the
-    integrand as an element or as a pair (A, B) whose product it is,
-    contracted by `iterated_residue` without forming A*B; the residue in
+    on level j of the tower, and returns the integrand as an element or
+    as a pair (A, B) whose product it is, contracted by
+    `iterated_residue` without forming A*B; the residue in
     z is `scale` times that in eps, once per variable.  A route picks
     `scale` with `eps_scale` so that every factor it inverts is a unit
     on the integer-leaf tower.  `pref`, an integer pair (num, den),
@@ -1305,26 +1245,24 @@ def _tower_point(p):
     """Read a point of a separable determinant: (ring, level, poly, den)
     with p = poly(eps) / den for eps the variable of level `level` of
     the tower `ring`, poly an exact univariate Laurent polynomial (with
-    integer coefficients on integer leaves: the numerator of a `Scaled`
-    scalar goes into them, its denominator is den); (None, None, (0,
-    [p]), 1) for a number.  Takes numbers, Series and `Scaled` elements;
-    raises TypeError for a tower element that is not an exact
-    polynomial in one variable.  A `Scaled` point keeps what is read of
-    it (`Scaled` elements are never changed), so the factors, the pair
-    factors and the determinants of one integrand read each variable
-    once; the caller does not change the lists."""
-    if p.__class__ is Scaled:
-        try:
-            return p._point
-        except AttributeError:
-            p._point = out = _read_point(p.n, p.d, p.e)
-            return out
-    return _read_point(1, 1, p)
+    integer coefficients on integer leaves: the numerator of the pair
+    goes into them, its denominator is den); (None, None, (0, [p]), 1)
+    for a number.  Raises TypeError for a tower element that is not an
+    exact polynomial in one variable.  An element keeps what is read of
+    it (elements are never changed), so the factors, the pair factors
+    and the determinants of one integrand read each variable once; the
+    caller does not change the lists."""
+    if p.__class__ is not Series:
+        return None, None, (0, [p]), 1
+    try:
+        return p._point
+    except AttributeError:
+        p._point = out = _read_point(p)
+        return out
 
 
-def _read_point(n, d, e):
-    if not isinstance(e, Series):
-        return None, None, (0, [_exact(n * e, d) if d != 1 else n * e]), 1
+def _read_point(e):
+    n, d = e.n, e.d
     if any(x != INF for x in e.err):
         raise TypeError("not an exact polynomial in one tower variable")
     spread = [j for j, (l, m) in enumerate(zip(e.lo, e.shape)) if l or m > 1]
@@ -1439,19 +1377,28 @@ def _factor_at(point, factor):
     the divisor z^k den(z) divides by `_over`: exact where its unit is
     1, else cut to the level's window, err at its end, as the `Series`
     quotient num(z) / (z^k den(z)) is; z^k for k < 0 is the series
-    1/z^-k there, so it cuts too where z is no monomial."""
+    1/z^-k there, so it cuts too where z is no monomial.  That series
+    makes the divisor a series too, whose steps are its nonzero terms
+    in the window: where it has none (the unit of den cancels that of
+    z^k there, so the quotient is num times a constant), the quotient
+    keeps num's box, as `_quotient_box` keeps a dividend's box in a
+    level without steps."""
     parts, num, (kn, kd) = _factor_parts(point, factor)
     w = point[0].precs[point[1]]
     l, c, cs, cut = _over(parts, w, num)
+    if factor[0] < 0 and len(_lowest(point[2])[1]) > 1:
+        ns = _lowest(num)[1]
+        if all(x * ns[0] == y * cs[0] for x, y in zip(cs, ns + [0] * w)):
+            cs = cs[:len(ns)]
     return kn, kd * c, l, cs, l + w if cut else INF
 
 
 def _factors(zs, factors):
     """prod_j phi_j(z_j) for the variables z_j of a residue drive, on
     distinct levels of one tower, and factors phi_j = (k, num, den) as
-    `_factor_at` takes them: a `Scaled` element, the outer product of
-    the one-level elements, whose scalars multiply.  Its box is the one
-    their tower product has."""
+    `_factor_at` takes them: the outer product of the one-level
+    elements, whose pairs multiply.  Its box is the one their tower
+    product has."""
     pts = sorted(zip(map(_tower_point, zs), factors), key=lambda x: x[0][1])
     top = pts[0][0][0]
     L = len(top.precs)
@@ -1464,8 +1411,7 @@ def _factors(zs, factors):
         j = point[1]
         lo[j], shape[j], err[j], n, d = l, len(cs), e, n * kn, d * kd
         flat = [x * c for x in flat for c in cs]
-    return _scaled(n, Series(top, tuple(lo), tuple(shape), flat,
-                             tuple(err)), d)
+    return Series(top, tuple(lo), tuple(shape), flat, tuple(err), n, d)
 
 
 def _content(values):
@@ -1591,18 +1537,17 @@ def line_det(lines):
     levels (equal rows, low and err) is an alternant (`_alternant`).
     Any other mix goes by Laplace expansion along the columns, the tower
     lines outermost first and the number columns (of width one, their
-    content moved into the scalar) last: the flat minor on rows R of the
+    content moved into the pair) last: the flat minor on rows R of the
     columns from j on is the sum over i in R of +- the outer product of
     row i of column j with the minor on R - {i} of the columns after j,
     memoized by R.  So the only tower operations are products and sums
-    of integer lists, and the contents form the `Scaled` scalar, an
-    integer pair.  Returns a `Scaled` element, or a Fraction when every
-    line is numbers.
+    of integer lists, and the contents form the element's pair.
+    Returns a `Series`, or a Fraction when every line is numbers.
     """
     s = len(lines)
     if s == 1 and isinstance(lines[0], Line) and lines[0].rows[0]:
         c = lines[0]
-        return _scaled(c.kn, _line_box(c.top, lines, c.rows[0]), c.kd)
+        return _line_box(c.top, lines, c.rows[0], c.kn, c.kd)
     order = sorted(range(s), key=lambda j: getattr(lines[j], "level", INF))
     lines = [lines[j] for j in order]
     m = sum(isinstance(c, Line) for c in lines)
@@ -1611,7 +1556,7 @@ def line_det(lines):
     if any(c.top is not top for c in lines[:m]) or len(set(levels)) < m:
         raise ValueError("lines must lie on distinct levels of one tower")
     if any(not c.rows[0] for c in lines[:m]):
-        return Scaled(1, top.zero())
+        return top.zero()
     kn, kd, cols = _perm_sign(order), 1, []
     for c in lines:
         if isinstance(c, Line):
@@ -1647,17 +1592,18 @@ def line_det(lines):
         flat = minor(0, (1 << s) - 1) if s else [1]
     if not m:
         return _exact(kn * flat[0], kd)
-    return _scaled(kn, _line_box(top, lines[:m], flat), kd)
+    return _line_box(top, lines[:m], flat, kn, kd)
 
 
-def _line_box(top, lines, flat):
-    """The element of the flat leaves of lines on distinct levels, in
-    level order: each line's low, width and err at its level."""
+def _line_box(top, lines, flat, n, d):
+    """The element (n/d) flat of the flat leaves of lines on distinct
+    levels, in level order: each line's low, width and err at its
+    level."""
     L = len(top.precs)
     lo, shape, err = [0] * L, [1] * L, [INF] * L
     for c in lines:
         lo[c.level], shape[c.level], err[c.level] = c.lo, len(c.rows[0]), c.err
-    return _trim(top, tuple(lo), tuple(shape), flat, tuple(err))
+    return _trim(top, tuple(lo), tuple(shape), flat, tuple(err), n, d)
 
 
 def _alternant(rows):

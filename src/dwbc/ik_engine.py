@@ -68,10 +68,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (Scaled, _content, _factor_parts, _horner, _minor,
-                         _over, _pack, _packed_line, _padd, _pair_divide,
-                         _plin, _pmul, _point_line, _ppowers, _scaled,
-                         _tower_point, _trimmed, line_det, poly_det)
+from .exact_core import (_content, _factor_parts, _horner, _minor, _over,
+                         _pack, _packed_line, _padd, _pair_divide, _plin,
+                         _pmul, _point_line, _ppowers, _tower_point,
+                         _trimmed, line_det, poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
 from .rational import ExactPoly
 # unused here: perfbench/workloads.py reads these as attributes of this
@@ -329,12 +329,11 @@ class BoundaryGenFamily:
         residue drive) share one column, made at the widest of their
         windows and cut to each point's level (`_point_lines`).
         `exact_core.line_det` assembles the determinant from integer
-        lists, and the contents form its `Scaled` scalar, an integer
-        pair.  An integer map (`TripleInts`) keeps every content an
-        integer; a map and any nonzero multiple of it give the same
-        value.  A window too short for the residue shows up as a
-        PrecisionLoss, so `residue_drive` retries on wider towers; it
-        never gives a wrong value.
+        lists, and the contents form its pair.  An integer map
+        (`TripleInts`) keeps every content an integer; a map and any
+        nonzero multiple of it give the same value.  A window too short
+        for the residue shows up as a PrecisionLoss, so `residue_drive`
+        retries on wider towers; it never gives a wrong value.
         """
         zs = list(zs)
         if len(zs) != s:
@@ -347,11 +346,7 @@ class BoundaryGenFamily:
         points = [_tower_point(z) for z in zs]
         lines = _point_lines(points, lambda i: _hns_line(N, s, rows, points[i],
                                                          mobius, factor))
-        det = line_det(lines)
-        rd *= det_m ** (s * (s - 1) // 2)
-        if isinstance(det, Scaled):
-            return _scaled(det.n * rn, det.e, det.d * rd)
-        return det * rn / rd
+        return line_det(lines) * rn / (rd * det_m ** (s * (s - 1) // 2))
 
     def hns_value(self, N: int, s: int, points):
         """h_{N,s}(z_1..z_s) at pairwise distinct points."""
@@ -444,7 +439,7 @@ def _hns_line(N, s, rows, point, mobius, factor=None):
     of the routes go (`exact_core._factor_at`), by the same helpers: num
     and den at the point are integer polynomials in eps over powers of
     pd (`exact_core._factor_parts`), and `exact_core._over` takes the
-    divisor d^(N-1) z^k den term by term: a monomial into the scalar and
+    divisor d^(N-1) z^k den term by term: a monomial into the pair and
     the shift, the rest into a series of prec terms, u0^-prec inv, by
     the division recurrence, exact in integers; num multiplies the
     column, or inv (B holds those products too)."""
@@ -472,7 +467,7 @@ def _hns_line(N, s, rows, point, mobius, factor=None):
     w, kn = top.precs[point[1]], gd ** (s - 1)
     kd = (qd * pd) ** (s - 1) * q ** D
     # the divisor d^(N-1) z^k den over num, each from its lowest term
-    # (`exact_core._over`): a monomial goes into the scalar and the
+    # (`exact_core._over`): a monomial goes into the pair and the
     # shift, the rest into one series, which num multiplies
     parts, mult = [((lo, d), N - 1)], (0, [1])
     if factor:
@@ -608,20 +603,21 @@ def cantini_P_vand(xs, ys, delta, yfactor=1):
 
     Every integrand that takes P_s at general points carries both
     Vandermondes, so nothing is divided.  The points may coincide and
-    may be Fractions or Laurent-tower elements; at `Scaled` points the
-    value is `Scaled`, on integer leaves, as nothing is inverted.  With
-    g_k(x) = sum_m c_{k,m}(y) x^m, its quadratic factors multiplied by
-    `exact_core._pmul` over the ring of the y's, the determinant is
-    taken by Cauchy-Binet, sum over s-subsets S of the x-powers 0..2s-2 of
-    det[x_j^m]_{m in S} (x only) times det[c_{k,m}(y)]_{m in S} (y
-    only).  Row j of an x-minor depends on x_j alone, so each x-minor
-    is built by `exact_core.line_det` from the integer powers of the
-    x_j in their tower variables; the y-minors, whose columns each
-    depend on s - 1 of the y's, are every maximal minor of c_{k,m}(y)
-    from one Laplace expansion along k, memoized by column set, with a
-    y-only `yfactor` (the y side of an integrand) taken into row k = 0
-    once.  On a tower this multiplies small one-sided factors instead
-    of expanding det[g_k(x_j)] (at s = 3, 55 y-side products).
+    may be Fractions or Laurent-tower elements; at tower points on
+    integer leaves the value is on integer leaves, as nothing is
+    inverted.  With g_k(x) = sum_m c_{k,m}(y) x^m, its quadratic
+    factors multiplied by `exact_core._pmul` over the ring of the y's,
+    the determinant is taken by Cauchy-Binet, sum over s-subsets S of
+    the x-powers 0..2s-2 of det[x_j^m]_{m in S} (x only) times
+    det[c_{k,m}(y)]_{m in S} (y only).  Row j of an x-minor depends
+    on x_j alone, so each x-minor is built by `exact_core.line_det`
+    from the integer powers of the x_j in their tower variables; the
+    y-minors, whose columns each depend on s - 1 of the y's, are every
+    maximal minor of c_{k,m}(y) from one Laplace expansion along k,
+    memoized by column set, with a y-only `yfactor` (the y side of an
+    integrand) taken into row k = 0 once.  On a tower this multiplies
+    small one-sided factors instead of expanding det[g_k(x_j)] (at
+    s = 3, 55 y-side products).
     """
     s = len(xs)
     # (1 - x y)(x + y - 2D x y) as coefficients of x^0, x^1, x^2
@@ -653,8 +649,8 @@ def cantini_P_confluent(xs, c, delta):
     and letting every y_k -> c takes the m-th y-Taylor coefficient of
     1/((1 - x y)(x + y - 2D x y)) at y = c, times (A B)^s.  Row j
     depends on x_j alone: at tower points it is expanded in x_j's tower
-    variable and the determinant built by `exact_core.line_det`, a
-    `Scaled` element on integer leaves.  Each term is a product of 2s - 2
+    variable and the determinant built by `exact_core.line_det`, an
+    element on integer leaves.  Each term is a product of 2s - 2
     linear factors in x_j, x_j itself counted: each times q, the lcm of
     their coefficients' denominators times the point's, is an integer
     polynomial, and the line takes q^-(2s-2).

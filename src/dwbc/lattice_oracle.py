@@ -326,34 +326,6 @@ def enumerate_Z(N, w, method="auto"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def row_state_weights(N, w, s):
-    """Unnormalized row-s marginal: {bitmask: sum of config weights}.
-
-    Pure enumeration: every complete lattice configuration contributes
-    its weight to the bucket of its row-s edge state; value/Z is the row
-    configuration probability.
-    """
-    _check_size(N, "enum")
-    all_up = (1 << N) - 1
-    out = {}
-
-    def rec(k, state, weight, marked):
-        if k == s:
-            marked = state
-        if k == N:
-            if state == all_up:
-                if marked in out:
-                    out[marked] = out[marked] + weight
-                else:
-                    out[marked] = weight
-            return
-        for st2, wt2 in _row_transitions(N, w, k + 1, state):
-            rec(k + 1, st2, weight * wt2, marked)
-
-    rec(0, 0, _one_like(w), 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transfer backend (row sweep)
 # ---------------------------------------------------------------------------

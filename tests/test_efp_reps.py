@@ -28,7 +28,7 @@ from dwbc.efp_reps import (
     psi_top_mir_origin,
 )
 from dwbc.errors import ChainBreak, InvalidRegion, SizeLimit
-from dwbc.exact_core import build_tower
+from dwbc.exact_core import build_tower, eps_scale
 from dwbc.ik_engine import cantini_P_vand, family
 from dwbc.lattice_oracle import (
     ICE_POINT,
@@ -173,14 +173,17 @@ class TestVanishingPoleProperties:
 
     def test_residue_at_bilinear_pole_is_regular(self):
         # Res_{z_n = (2D z_1 - 1)/z_1} of the symmetrized integrand is
-        # O(1) as z_1 -> 0 (no negative Laurent part)
+        # O(1) as z_1 -> 0 (no negative Laurent part); z_1 = D eps with
+        # D from `eps_scale`, so every factor divided is a constant times
+        # a unit on integer leaves
         w = WeightTriple(1, 2, 2)
         N, s, n = 4, 1, 2
         t, delta, fam = self._setup(w, N, s, n)
         rng = random.Random(4)
         ws_vals = [Fraction(1, 17), Fraction(1, 23)]
         ring, atoms = build_tower([("z1", 12)])
-        z1 = atoms["z1"]
+        z1 = eps_scale((2 * delta).as_integer_ratio(),
+                       *(v.as_integer_ratio() for v in ws_vals)) * atoms["z1"]
         z2 = (2 * delta * z1 - 1) / z1      # the pole location
         h_bot = fam.hns_poly(N - s, n)
 
@@ -228,7 +231,11 @@ class TestVanishingPoleProperties:
         ws_vals = [Fraction(1, 17), Fraction(1, 23)]
         z1v = Fraction(3, 11)
         ring, atoms = build_tower([("zeta", 10)])
-        zn = 1 / atoms["zeta"]
+        # zeta scaled by `eps_scale`, so every factor divided is a
+        # constant times a unit on integer leaves
+        zn = 1 / (eps_scale(((1 - 2 * delta * z1v) / z1v).as_integer_ratio(),
+                            (1 / (z1v - 2 * delta)).as_integer_ratio())
+                  * atoms["zeta"])
         f = ring.const(1)
         for wv, zv in zip(ws_vals, (z1v, zn)):
             f = f / (1 - t * wv) / ((wv * zv) ** (N - s))
@@ -251,8 +258,11 @@ class TestMultisumIdentity:
         r, s = 3, 2
         ring, atoms = build_tower([("x0", 8), ("x1", 8),
                                    ("y0", 8), ("y1", 8)])
-        xs = [atoms["x0"], atoms["x1"]]
-        ys = [atoms["y0"] + 1 / t, atoms["y1"] + 1 / t]
+        # x = D eps and y = 1/t + D eps, D from `eps_scale`, so each
+        # x y and 1 - x y is a monomial times a unit on integer leaves
+        D = eps_scale(t.as_integer_ratio(), (1 / t).as_integer_ratio())
+        xs = [D * atoms["x0"], D * atoms["x1"]]
+        ys = [D * atoms["y0"] + 1 / t, D * atoms["y1"] + 1 / t]
         closed = ring.const(1)
         for j in range(s):
             prodxy = ring.const(1)
@@ -299,25 +309,25 @@ class TestMultisumIdentity:
 
 @contextmanager
 def _strict_leaves():
-    """Every tower leaf an int and every inverted leaf +-1: a leaf made
-    that is not an integer, or a leaf inverse that is not a unit,
-    raises."""
-    invert, leaf = exact_core._invert, exact_core._leaf
+    """Every tower leaf and pair an int and every inverted leaf +-1: an
+    element made with a leaf or a pair that is not an int, or a leaf
+    inverse that is not a unit, raises."""
+    invert, init = exact_core._invert, exact_core.Series.__init__
 
     def unit_invert(x):
         if not isinstance(x, exact_core.Series) and x not in (1, -1):
             raise AssertionError(f"non-unit leaf {x!r} inverted")
         return invert(x)
 
-    def int_leaf(v):
-        c = leaf(v)
-        if type(c) is not int:
-            raise AssertionError(f"fraction leaf {c!r}")
-        return c
+    def int_init(self, ring, lo, shape, coeffs, err, *pair):
+        bad = [c for c in (*coeffs, *pair) if type(c) is not int]
+        if bad:
+            raise AssertionError(f"non-int leaf or pair {bad[0]!r}")
+        init(self, ring, lo, shape, coeffs, err, *pair)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_core, "_invert", unit_invert)
-        mp.setattr(exact_core, "_leaf", int_leaf)
+        mp.setattr(exact_core.Series, "__init__", int_init)
         yield
 
 
@@ -512,8 +522,7 @@ class TestAlternants:
                     if r - s >= 2:
                         efp_mir_n(EfpQuery(n, r, s), w)
         assert len(halves) == 60
-        for half in halves:
-            e = half.e
+        for e in halves:
             levels = len(e.lo)
             for j in range(levels):
                 for k in range(j + 1, levels):

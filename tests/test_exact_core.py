@@ -5,14 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dwbc import exact_core
 from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
     ExactPoly,
-    Scaled,
     Series,
     build_tower,
     format_rational,
@@ -239,7 +238,9 @@ class TestContraction:
         precs, bounds, spec_a, spec_b = case
         names = [f"z{k}" for k in range(len(precs))]
         ring, atoms = build_tower(list(zip(names, precs)))
-        zs = [atoms[nm] for nm in names]
+        # z = 6 eps: the coefficients' denominators divide 6, so every
+        # divisor is a constant times a unit on integer leaves
+        zs = [6 * atoms[nm] for nm in names]
         a, b = _element(spec_a, ring, zs), _element(spec_b, ring, zs)
         want = _outcome(lambda: _product_residue(a * b, bounds))
         got = _outcome(lambda: iterated_residue((a, b), bounds))
@@ -361,37 +362,40 @@ class TestExactLaurentArithmetic:
         assert inv.lo == (1,) and inv.coeffs == [1, 0, -2] and inv.err == (4,)
 
     def test_inverse_on_int_leaves_stays_exact(self):
-        # an int leaf +-1 inverts to itself, so the inverse stays on
-        # ints; any other int leading leaf raises, as the towers divide
-        # only by units (`Scaled` pulls the leaf into its scalar)
+        # the leading leaf goes into the pair, so the recurrence divides
+        # by a unit and the inverse stays on ints; an int leading leaf
+        # that does not divide the others raises
         ring, _ = build_tower([("x", 4)])
         inv = ring.laurent(0, 0, [1, 3]).inverse()
-        assert inv.coeffs == [1, -3, 9, -27]
+        assert (inv.n, inv.d, inv.coeffs) == (1, 1, [1, -3, 9, -27])
         assert all(type(c) is int for c in inv.coeffs)
         inv = ring.laurent(0, 0, [-1, 3]).inverse()
-        assert inv.coeffs == [-1, -3, -9, -27]
+        assert [inv.coefficient(k) for k in range(4)] == [-1, -3, -9, -27]
+        assert all(type(c) is int for c in inv.coeffs)
         with pytest.raises(ValueError):
             ring.laurent(0, 0, [2, 1]).inverse()
-        with pytest.raises(ValueError):
-            ring.gen() / 2
-        # a Fraction leaf inverts as it is
+        # a number divides the pair
+        q = ring.gen() / 2
+        assert (q.n, q.d, q.coeffs) == (1, 2, [1])
+        # a Fraction coefficient's denominator goes into the pair
         inv = ring.laurent(0, 0, [Fraction(1, 2), 1]).inverse()
-        assert inv.coeffs == [2, -4, 8, -16]
+        assert [inv.coefficient(k) for k in range(4)] == [2, -4, 8, -16]
+        assert all(type(c) is int for c in inv.coeffs)
         assert type(ring.const(Fraction(6, 3)).coeffs[0]) is int
 
     def test_scaled_inverse_pulls_out_the_leading_leaf(self):
         ring, _ = build_tower([("x", 4)])
         x = ring.gen()
         # (1/3)(6 + 12x) = 2 (1 + 2x): the unit 1 + 2x is inverted on ints
-        inv = Scaled(Fraction(1, 3), 6 + 12 * x).inverse()
+        inv = (Fraction(1, 3) * (6 + 12 * x)).inverse()
         assert Fraction(inv.n, inv.d) == Fraction(1, 2)
-        assert inv.e.coeffs == [1, -2, 4, -8]
-        # a sum brings its terms to the gcd of their scalars
-        s = Scaled(Fraction(1, 2), x) + Scaled(Fraction(1, 3), ring.const(1))
-        assert Fraction(s.n, s.d) == Fraction(1, 6) and s.e.coeffs == [2, 3]
+        assert inv.coeffs == [1, -2, 4, -8]
+        # a sum brings its terms to the gcd of their pairs
+        s = x / 2 + ring.const(1) / 3
+        assert Fraction(s.n, s.d) == Fraction(1, 6) and s.coeffs == [2, 3]
         # 2 + 3x has no unit form on ints
         with pytest.raises(ValueError):
-            Scaled(1, 2 + 3 * x).inverse()
+            (2 + 3 * x).inverse()
 
     def test_inverse_requires_nonzero_leading(self):
         ring, _ = build_tower([("x", 4)])
@@ -399,6 +403,71 @@ class TestExactLaurentArithmetic:
             ring.zero().inverse()
         with pytest.raises(PrecisionLoss):
             ring.laurent(0, 0, [], 2).inverse()
+
+
+class TestPairRules:
+    """Every element is an integer pair n/d times its leaves: an exact
+    number goes into the pair, a complex one into the leaves, and a
+    division pulls an int leading leaf into the pair."""
+
+    def test_exact_numbers_go_into_the_pair(self):
+        ring, at = build_tower([("x", 4)])
+        x, inf = at["x"], math.inf
+        c = ring.const(Fraction(3, 4))
+        assert (c.n, c.d, c.coeffs) == (1, 4, [3])
+        p = ring.laurent(0, -1, [Fraction(1, 2), 0, Fraction(-2, 3), 5])
+        assert (p.n, p.d, p.lo, p.coeffs) == (1, 6, (-1,), [3, 0, -4, 30])
+        for got, pair in ((x * Fraction(-2, 5), (-2, 5)), (x * 0.5, (1, 2)),
+                          (x / Fraction(-2, 5), (-5, 2)), (x / 3, (1, 3)),
+                          (-x, (-1, 1))):
+            assert (got.n, got.d, got.lo, got.coeffs, got.err) \
+                == (*pair, (1,), [1], (inf,))
+        # a sum takes the content of both pairs, 1/12 here, and scales
+        # the leaves by the integer multipliers
+        s = x / 6 + Fraction(1, 4)
+        assert (s.n, s.d, s.coeffs) == (1, 12, [3, 2])
+        q = (x / 2 + Fraction(1, 3)) / (1 - 2 * x)
+        assert [q.coefficient(k) for k in range(4)] == [
+            Fraction(1, 3), Fraction(7, 6), Fraction(7, 3), Fraction(14, 3)]
+        for e in (c, p, s, q, x * 0.5, x / Fraction(-2, 5)):
+            assert all(type(v) is int for v in (e.n, e.d, *e.coeffs))
+
+    def test_a_complex_number_scales_the_leaves(self):
+        ring, at = build_tower([("x", 3)])
+        x = at["x"] + 1
+        z = x * (2 + 1j)
+        assert (z.n, z.d, z.coeffs) == (1, 1, [2 + 1j, 2 + 1j])
+        z = 1j * (x / 3)
+        assert (z.n, z.d, z.coeffs) == (1, 3, [1j, 1j])
+        assert not (x * 0j).coeffs
+
+    def test_one_over_three_x_squared_is_exact(self):
+        # the 3 goes into the pair, the unit leaf 1 is inverted
+        ring, at = build_tower([("x", 3), ("y", 2)])
+        x = at["x"]
+        q = 1 / (3 * x ** 2)
+        assert (q.n, q.d, q.lo, q.coeffs, q.err) \
+            == (1, 3, (-2, 0), [1], (math.inf, math.inf))
+        assert q * 3 * x ** 2 == 1
+
+    def test_int_leading_leaves(self):
+        ring, _ = build_tower([("x", 4)])
+        inf = math.inf
+        # a lead that divides every leaf goes into the pair
+        inv = Series(ring, (0,), (2,), [2, 4], (inf,), 1, 3).inverse()
+        assert (inv.n, inv.d, inv.coeffs) == (3, 2, [1, -2, 4, -8])
+        # one that does not raises, on a raw element too
+        g = Series(ring, (0,), (2,), [2, 3], (inf,))
+        with pytest.raises(ValueError):
+            g.inverse()
+        with pytest.raises(ValueError):
+            ring.gen() / g
+        # a box of int and complex leaves keeps its lead, inverted as it
+        # is when it is +-1
+        inv = Series(ring, (0,), (2,), [-1, 2j], (inf,)).inverse()
+        assert (inv.n, inv.d, inv.coeffs[:2]) == (1, 1, [-1, -2j])
+        with pytest.raises(ValueError):
+            Series(ring, (0,), (2,), [2, 1j], (inf,)).inverse()
 
 
 def _stack(ring, lo, rows, err):
@@ -417,7 +486,7 @@ def _stack(ring, lo, rows, err):
                    for j in range(depth))
     leaves = []
     for r in rows:
-        leaves += (exact_core._crop(r.coeffs, r.lo, r.shape, ilo, ishape)
+        leaves += (exact_core._crop(_values(r), r.lo, r.shape, ilo, ishape)
                    if r.coeffs else [0] * math.prod(ishape))
     return exact_core._trim(ring, (lo,) + ilo, (len(rows),) + ishape, leaves,
                             (err,) + ierr)
@@ -537,17 +606,14 @@ class TestDivision:
             assert all(e == math.inf for e in inv.err)
         inv = 1 / atoms["y"]
         assert inv.lo == (0, -1) and inv.err == (math.inf, math.inf)
-        # 1/(3 x^2) too, the 3 pulled into the scalar by `Scaled`; the
-        # tower itself inverts no int leaf but +-1
-        q = Scaled(1, 3 * atoms["x"] ** 2).inverse()
+        # 1/(3 x^2) and 1/(-x^2) too, the 3 and the sign in the pair;
+        # the tower itself inverts no int leaf but +-1
+        q = (3 * atoms["x"] ** 2).inverse()
         assert (q.n, q.d) == (1, 3)
-        assert (q.e.lo, q.e.coeffs, q.e.err) == ((-2, 0), [1],
-                                                 (math.inf, math.inf))
+        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [1], (math.inf, math.inf))
         q = 1 / -atoms["x"] ** 2
-        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [-1],
-                                           (math.inf, math.inf))
-        with pytest.raises(ValueError):
-            1 / (3 * atoms["x"] ** 2)
+        assert (q.n, q.d) == (-1, 1)
+        assert (q.lo, q.coeffs, q.err) == ((-2, 0), [1], (math.inf, math.inf))
 
     def test_monomial_divisor_keeps_the_window(self):
         # a windowed f over a monomial is f shifted, window included
@@ -653,12 +719,12 @@ def _check_line_det(case):
     lines, cols = case
     want = poly_det([[col[i] for col in cols] for i in range(len(cols))])
     got = line_det(lines)
-    if not isinstance(got, Scaled):
+    if not isinstance(got, Series):
         assert got == want
         return
     # the kernel knows fewer coefficients (each line is cut to its
     # level's window), and those it knows are the exact ones
-    assert _agree(got.e * Fraction(got.n, got.d), want)
+    assert _agree(got, want)
 
 
 class _Unequal(list):
@@ -726,8 +792,8 @@ class TestLineDet:
                                          _Unequal(c.rows), c.err)
                          for c in lines])
         assert (got.n, got.d) == (want.n, want.d)
-        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
-            == (want.e.lo, want.e.shape, want.e.err, want.e.coeffs)
+        assert (got.lo, got.shape, got.err, got.coeffs) \
+            == (want.lo, want.shape, want.err, want.coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(_line_matrices())
@@ -799,7 +865,7 @@ def _laurent_pairs(draw):
 
 class TestUnivariateHelpers:
     """The univariate product and the rational content every separable
-    determinant, `Scaled` sum and polynomial identity goes through."""
+    determinant, tower sum and polynomial identity goes through."""
 
     @settings(max_examples=80, deadline=None)
     @given(_laurent_pairs())
@@ -934,14 +1000,27 @@ def _flat(ring, d):
     return exact_core._trim(ring, lo, shape, coeffs, (math.inf,) * len(lo))
 
 
+def _paired_leaf(x, c):
+    """The leaf c of x times x's pair."""
+    if x.n == x.d == 1:
+        return c
+    return x.n * c / x.d if isinstance(c, complex) else Fraction(x.n * c, x.d)
+
+
+def _values(x):
+    """The leaves of x times its pair."""
+    return [_paired_leaf(x, c) for c in x.coeffs]
+
+
 def _value(x, e):
-    """The leaf of x at exponent e, 0 outside its box."""
+    """The coefficient of x at exponent e, its leaf there times its
+    pair, 0 outside its box."""
     p = 0
     for k, l, n in zip(e, x.lo, x.shape):
         if not l <= k < l + n:
             return 0
         p = p * n + k - l
-    return x.coeffs[p]
+    return _paired_leaf(x, x.coeffs[p])
 
 
 def _check_known(x, ref, eq=operator.eq):
@@ -1048,17 +1127,20 @@ def _kernel_checks(windows, a, b, divisors, units, check):
         check(fa + fb, _dict_add(a, b))
         check(fa - fb, _dict_add(a, {k: -v for k, v in b.items()}))
         for k in (3, Fraction(-2, 5), 0):
-            # a number scales the leaves, as the product with its
-            # constant element would
-            x, y = fa * k, fa * ring.const(k)
+            # a number multiplies the pair, the box and leaves kept, and
+            # the value is the product with its constant element's
+            x = fa * k
             assert (x.lo, x.shape, x.coeffs, x.err) == \
-                (y.lo, y.shape, y.coeffs, y.err)
-            check(x, {e: k * c for e, c in a.items()})
+                (fa.lo, fa.shape, fa.coeffs, fa.err)
+            assert Fraction(x.n, x.d) == k * Fraction(fa.n, fa.d)
+            assert x == fa * ring.const(k)
+            if not any(isinstance(c, complex) for c in a.values()):
+                check(x, {e: k * c for e, c in a.items()})
         k0, c0 = next(iter(b.items()))
         if c0 and len(fa.coeffs) > 1:
             # a monomial shifts the other factor, as the general
             # product does with the monomial padded by a zero leaf
-            c0, inf, L = exact_core._leaf(c0), math.inf, len(k0)
+            inf, L = math.inf, len(k0)
             mono = Series(ring, k0, (1,) * L, [c0], (inf,) * L)
             padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
                             (inf,) * L)
@@ -1124,24 +1206,33 @@ def _reference_top(q, d):
 
 def _quotient_reference(q, d, g):
     """The reference of the quotient q of the dicts d / g, below
-    `_reference_top`."""
-    return _dict_quotient(d, g, _reference_top(q, d))
+    `_reference_top`.  Over a divisor with real leaves a complex d is
+    divided part by part in exact arithmetic: its partial sums pass
+    2^53 where the quotient's leaves do not, and would round."""
+    top = _reference_top(q, d)
+    if any(isinstance(c, complex) for c in d.values()) \
+            and not any(isinstance(c, complex) for c in g.values()):
+        re, im = (_dict_quotient({k: Fraction(getattr(complex(c), part))
+                                  for k, c in d.items()}, g, top)
+                  for part in ("real", "imag"))
+        return {k: complex(re.get(k, 0), im.get(k, 0))
+                for k in re.keys() | im.keys()}
+    return _dict_quotient(d, g, top)
 
 
 def _boxed(ring, lo, shape, leaves, err=None):
     """The element on the box (lo, shape) with these leaves, its zero
     slices kept, known below err (exact by default), and its terms as a
     dict."""
-    ring_leaves = [exact_core._leaf(c) for c in leaves]
     terms = {}
-    for p, c in enumerate(ring_leaves):
+    for p, c in enumerate(leaves):
         if c:
             e, r = [], p
             for n in reversed(shape):
                 r, i = divmod(r, n)
                 e.append(i)
             terms[tuple(l + i for l, i in zip(lo, reversed(e)))] = c
-    return (Series(ring, lo, shape, ring_leaves,
+    return (Series(ring, lo, shape, list(leaves),
                    err or (math.inf,) * len(lo)), terms)
 
 
@@ -1248,7 +1339,7 @@ class TestPlanStore:
 
         def run(x, y, op):
             z = x[0] / y[0] if op == "/" else x[0] + y[0]
-            return z.lo, z.shape, z.coeffs, z.err
+            return z.lo, z.shape, z.coeffs, z.err, z.n, z.d
 
         cold = []
         for x, y, op in ops:
@@ -1260,6 +1351,9 @@ class TestPlanStore:
         # complex leaves round where a leaf is scaled by 1/g_v
         eq = approx_eq if kind == "complex" else operator.eq
         for (x, y, op), z in zip(ops, cold):
+            # int leaves stay ints: the divisors' leading -1 goes into
+            # the pair
+            assert kind == "complex" or all(type(c) is int for c in z[2])
             z = Series(ring, *z)
             ref = (_dict_add(x[1], y[1]) if op == "+"
                    else _quotient_reference(z, x[1], y[1]))
@@ -1331,7 +1425,7 @@ class TestPlanStore:
 
 
 def _chain_pair_quotient(f, zs, p, q, r=1, ordered=False):
-    """The pair factors divided one at a time by `Scaled` division, as
+    """The pair factors divided one at a time by `Series` division, as
     `ik_engine._pair_quotient` did before its kernel: the reference."""
     n = len(zs)
     for j in range(n):
@@ -1348,8 +1442,8 @@ def _pair_cases(draw):
     levels of a tower with windows 1 to 5, in any order, D the least
     scale that makes each pair factor a constant times a unit
     (`eps_scale` of the ratios of its coefficients to its constant),
-    and integers p, q, r; f a `Scaled` element on a box of its own,
-    exact or not, or the zero element."""
+    and integers p, q, r; f an element with an integer pair on a box
+    of its own, exact or not, or the zero element."""
     levels = draw(st.integers(2, 4))
     windows = draw(st.lists(st.integers(1, 5), min_size=levels,
                             max_size=levels))
@@ -1361,25 +1455,25 @@ def _pair_cases(draw):
     scale = exact_core.eps_scale((p * c - q, kappa), (p * c, kappa),
                                  (p, kappa))
     order = draw(st.permutations(range(levels)))[:draw(st.integers(2, levels))]
-    zs = [Scaled(scale, ring.gen(j)) + c for j in order]
+    zs = [scale * ring.gen(j) + c for j in order]
     lo = [draw(st.integers(-2, 1)) for _ in range(levels)]
     shape = [draw(st.integers(1, 3)) for _ in range(levels)]
     err = [draw(st.sampled_from([math.inf, 0, 2])) + l + n
            for l, n in zip(lo, shape)]
     leaves = draw(st.lists(st.integers(-3, 3), min_size=math.prod(shape),
                            max_size=math.prod(shape)))
-    e = (ring.zero() if draw(st.integers(0, 7)) == 0 else
-         Series(ring, tuple(lo), tuple(shape), leaves, tuple(err)))
-    f = Scaled(draw(st.integers(-5, 5)), e, draw(st.integers(1, 5)))
+    n, d = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+    f = (ring.zero() * Fraction(n, d) if draw(st.integers(0, 7)) == 0 else
+         Series(ring, tuple(lo), tuple(shape), leaves, tuple(err), n, d))
     return f, zs, p, q, r, draw(st.booleans()), (c, scale, order)
 
 
 class TestPairDivide:
     """`ik_engine._pair_quotient` divides by all its pair factors in one
     call of the division kernel (`exact_core._pair_divide`): the
-    quotient is the one the pair factors' `Scaled` divisions give in
-    turn, box, leaves and scalar value, and every coefficient it knows
-    is that of the exact quotient by the factors' product."""
+    quotient is the one the pair factors' `Series` divisions give in
+    turn, box, leaves and pair value, and every coefficient it knows is
+    that of the exact quotient by the factors' product."""
 
     @settings(max_examples=200, deadline=None)
     @given(_pair_cases())
@@ -1387,16 +1481,16 @@ class TestPairDivide:
         f, zs, p, q, r, ordered, (c, scale, levels) = case
         got = _pair_quotient(f, zs, p, q, r, ordered)
         want = _chain_pair_quotient(f, zs, p, q, r, ordered)
-        assert (got.e.lo, got.e.shape, got.e.err) \
-            == (want.e.lo, want.e.shape, want.e.err)
-        assert got.e.coeffs == want.e.coeffs
+        assert (got.lo, got.shape, got.err) == (want.lo, want.shape, want.err)
+        assert got.coeffs == want.coeffs
         assert Fraction(got.n, got.d) == Fraction(want.n, want.d)
-        # the dict reference, one pair factor at a time: a step raises
-        # exponents only, so a term past the reference's top stays there
-        e, L, n = f.e, len(f.e.lo), len(zs)
-        ref = {tuple(l + i for l, i in zip(e.lo, _multi(m, e.shape))): x
-               for m, x in enumerate(e.coeffs) if x}
-        top = _reference_top(got.e, ref)
+        # the dict reference of f's leaves, one pair factor at a time: a
+        # step raises exponents only, so a term past the reference's top
+        # stays there
+        L, n = len(f.lo), len(zs)
+        ref = {tuple(l + i for l, i in zip(f.lo, _multi(m, f.shape))): x
+               for m, x in enumerate(f.coeffs) if x}
+        top = _reference_top(got, ref)
         for j in range(n):
             for k in range(n):
                 if k > j or (ordered and k != j):
@@ -1407,40 +1501,39 @@ class TestPairDivide:
                         ej: (p * c - q) * scale, ek: p * c * scale,
                         tuple(map(operator.add, ej, ek)): p * scale ** 2},
                         top)
-        _check_known(got.e, ref,
-                     lambda x, y: x * got.n * f.d == y * f.n * got.d)
+        _check_known(got, ref, lambda x, y: x * f.d == y * f.n)
         # a second call finds the plan the first one stored
         again = _pair_quotient(f, zs, p, q, r, ordered)
-        assert (again.e.lo, again.e.shape, again.e.coeffs, again.e.err) \
-            == (got.e.lo, got.e.shape, got.e.coeffs, got.e.err)
+        assert (again.lo, again.shape, again.coeffs, again.err) \
+            == (got.lo, got.shape, got.coeffs, got.err)
 
     def test_route_factors(self):
         # the factors of efp_mir_n at z = 1 and of efpMIR2 at z = 0, on
         # a dividend with a box of its own in each level
         ring, _ = build_tower([("e0", 4), ("e1", 3), ("e2", 4)])
-        f = Scaled(3, Series(ring, (-1, 0, 1), (2, 3, 1),
-                             [1, -2, 0, 4, 5, -1], (math.inf, 3, 4)), 7)
+        f = Series(ring, (-1, 0, 1), (2, 3, 1), [1, -2, 0, 4, 5, -1],
+                   (math.inf, 3, 4), 3, 7)
         for c, (p, q, r) in ((1, (4, 11, 9)), (0, (4, 11, 9))):
             kappa = p * c * c - q * c + r
             scale = exact_core.eps_scale((p * c - q, kappa), (p * c, kappa),
                                          (p, kappa))
-            zs = [Scaled(scale, ring.gen(j)) + c for j in range(3)]
+            zs = [scale * ring.gen(j) + c for j in range(3)]
             for ordered in (False, True):
                 got = _pair_quotient(f, zs, p, q, r, ordered)
                 want = _chain_pair_quotient(f, zs, p, q, r, ordered)
-                assert (got.e.lo, got.e.shape, got.e.coeffs, got.e.err) \
-                    == (want.e.lo, want.e.shape, want.e.coeffs, want.e.err)
+                assert (got.lo, got.shape, got.coeffs, got.err) \
+                    == (want.lo, want.shape, want.coeffs, want.err)
                 assert Fraction(got.n, got.d) == Fraction(want.n, want.d)
 
     def test_fewer_than_two_variables(self):
         ring, _ = build_tower([("e0", 3)])
-        f = Scaled(2, ring.gen(0) + 1)
-        assert _pair_quotient(f, [Scaled(1, ring.gen(0))], 1, 3, 2) is f
+        f = 2 * (ring.gen(0) + 1)
+        assert _pair_quotient(f, [ring.gen(0)], 1, 3, 2) is f
 
     def test_non_unit_factors_raise(self):
         ring, _ = build_tower([("e0", 3), ("e1", 3)])
-        f = Scaled(1, ring.const(1))
-        zs = [Scaled(1, ring.gen(j)) for j in range(2)]
+        f = ring.const(1)
+        zs = [ring.gen(j) for j in range(2)]
         # z_0 z_1 - 3 z_0 + 2 = 2 (1 - 3/2 eps_0 + 1/2 eps_0 eps_1)
         with pytest.raises(ValueError):
             _pair_quotient(f, zs, 1, 3, 2)
@@ -1453,10 +1546,10 @@ class TestPairDivide:
 
 
 def _generic_factor(z, k, num, den):
-    """num(z) / (z^k den(z)) by `Scaled` arithmetic: num and den by
+    """num(z) / (z^k den(z)) by tower arithmetic: num and den by
     Horner's rule in sums and products, z^k a power, one division."""
     def horner(cs):
-        acc = Scaled(cs[-1], 1)
+        acc = z.ring.const(cs[-1])
         for c in reversed(cs[:-1]):
             acc = acc * z + c
         return acc
@@ -1475,7 +1568,7 @@ def _taylor_ratios(poly, c):
 @st.composite
 def _factor_cases(draw):
     """(ring, zs, factors): on a tower of 1 to 3 levels with windows 1
-    to 6, a per-variable factor (k, num, den) with k >= 0 and integer
+    to 6, a per-variable factor (k, num, den) with |k| <= 3 and integer
     lists num (nonzero) and den (nonzero at the centre) on 1 to 3 of the
     levels, each variable z = c + D eps at c = 0, 1 or A/B, D the
     eps_scale of den's and z's Taylor coefficients there times 1 or 2."""
@@ -1495,30 +1588,36 @@ def _factor_cases(draw):
         assume(sum(x * Fraction(c) ** i for i, x in enumerate(den)))
         ratios = _taylor_ratios(den, c) + ([(B, A)] if c else [])
         scale = exact_core.eps_scale(*ratios) * draw(st.sampled_from([1, 2]))
-        zs.append(Scaled(scale, ring.gen(j)) + c)
-        factors.append((draw(st.integers(0, 3)), num, den))
+        zs.append(scale * ring.gen(j) + c)
+        factors.append((draw(st.integers(-3, 3)), num, den))
     return ring, zs, factors
+
+
+# z^-1 (z - 3) / (3 z) at z = 2/5 + 2 eps on a window of 3: the unit of
+# 3 z cancels the inverse of z^-1 within the window, so the quotient's
+# top leaf is 0 and the box stops below it, as `_strip` cuts it
+_ONE_LEVEL = build_tower([("e0", 3)])[0]
+_TOP_ZERO_CASE = (_ONE_LEVEL, [2 * _ONE_LEVEL.gen(0) + Fraction(2, 5)],
+                  [(-1, [-3, 1], [0, 3])])
 
 
 class TestFactorEvaluator:
     """`exact_core._factors` builds each variable's factor num(z)/(z^k
     den(z)) in integers on its own level (`_factor_at`) and takes their
-    outer product: the element of the `Scaled` arithmetic that builds it
+    outer product: the element of the tower arithmetic that builds it
     generically, in lo, shape, err and the value of every leaf."""
 
     @staticmethod
     def _same(got, want):
-        ring = got.e.ring
-        e = want.e if isinstance(want.e, Series) else ring.const(want.e)
-        assert (got.e.lo, got.e.shape, got.e.err) == (e.lo, e.shape, e.err)
-        assert [Fraction(got.n * x, got.d) for x in got.e.coeffs] \
-            == [Fraction(want.n * x, want.d) for x in e.coeffs]
+        assert (got.lo, got.shape, got.err) == (want.lo, want.shape, want.err)
+        assert _values(got) == _values(want)
 
     @settings(max_examples=300, deadline=None)
     @given(_factor_cases())
+    @example(_TOP_ZERO_CASE)
     def test_equals_the_generic_construction(self, case):
         ring, zs, factors = case
-        want = Scaled(1, ring.const(1))
+        want = ring.const(1)
         for z, (k, num, den) in zip(zs, factors):
             want = want * _generic_factor(z, k, num, den)
         self._same(exact_core._factors(zs, factors), want)
@@ -1532,7 +1631,7 @@ class TestFactorEvaluator:
             for r in range(1, 7):
                 for w in range(1, 6):
                     ring, at = build_tower([("e0", w)])
-                    z = Scaled(1, at["e0"]) + 1
+                    z = at["e0"] + 1
                     want = 1 / (z ** (1 - r) * (z - 1) ** s)
                     self._same(exact_core._factors([z], [(1 - r, [1], den)]),
                                want)
@@ -1552,7 +1651,7 @@ class TestFactorEvaluator:
 
     def test_variables_on_one_level_raise(self):
         ring, at = build_tower([("e0", 3), ("e1", 3)])
-        z = Scaled(2, at["e0"]) + 1
+        z = 2 * at["e0"] + 1
         with pytest.raises(ValueError):
             exact_core._factors([z, z], [(0, [1], [1, 1])] * 2)
 

@@ -21,9 +21,9 @@ from dwbc.ik_engine import (
     family,
 )
 from dwbc.ik_numeric import ik_determinant, ik_homogeneous, phi_derivatives
-from dwbc.exact_core import (Line, Scaled, Series, _content, _padd, _plin,
-                             _pmul, _ppowers, _tower_point, _trimmed,
-                             build_tower, residue_drive)
+from dwbc.exact_core import (Line, Series, _content, _padd, _plin, _pmul,
+                             _ppowers, _tower_point, _trimmed, build_tower,
+                             residue_drive)
 from dwbc.identity_suite import p_s_value
 from dwbc.rational import _horner
 from dwbc.lattice_oracle import (RowConfig, WeightMatrix, WeightTriple,
@@ -248,11 +248,10 @@ class TestBoundaryFamily:
         with mock.patch.object(ik_engine, "_hns_line", _list_line):
             lists = fam.hns_vand(n, s, zs, mob)
         assert (got.n, got.d) == (lists.n, lists.d)
-        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
-            == (lists.e.lo, lists.e.shape, lists.e.err, lists.e.coeffs)
+        assert (got.lo, got.shape, got.err, got.coeffs) \
+            == (lists.lo, lists.shape, lists.err, lists.coeffs)
         got, want = (v * ring.const(1) for v in (got, want))
-        assert _agree(*(v.e * Fraction(v.n, v.d) if isinstance(v, Scaled)
-                        else v for v in (got, want)))
+        assert _agree(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -278,10 +277,10 @@ class TestBoundaryFamily:
         with mock.patch.object(ik_engine, "_hns_line", _list_line):
             lists = fam.hns_vand(n, s, zs, mob, factor)
         assert (got.n, got.d) == (lists.n, lists.d)
-        assert (got.e.lo, got.e.shape, got.e.err, got.e.coeffs) \
-            == (lists.e.lo, lists.e.shape, lists.e.err, lists.e.coeffs)
+        assert (got.lo, got.shape, got.err, got.coeffs) \
+            == (lists.lo, lists.shape, lists.err, lists.coeffs)
         got, want = (v * ring.const(1) for v in (got, want))
-        assert _agree(*(v.e * Fraction(v.n, v.d) for v in (got, want)))
+        assert _agree(got, want)
         al, be, ga, de = mob
         xs = [Fraction(data.draw(st.integers(1, 9)), 7) for _ in range(s)]
         if all(ga * x + de and _horner(den, x) for x in xs):
@@ -354,7 +353,7 @@ class TestBoundaryFamily:
             for point in (lambda e: e + 1, lambda e: 1 / e,
                           lambda e: e - Fraction(2, 3)):
                 for n in (4, 6):
-                    zs = [point(Scaled(2, atoms[f"e{j}"])) for j in range(4)]
+                    zs = [point(2 * atoms[f"e{j}"]) for j in range(4)]
                     zs[3] = Fraction(1, 5)
                     rows = fam._hns_rows(n, 4)[1]
                     points = [_tower_point(z) for z in zs]
@@ -369,7 +368,6 @@ class TestBoundaryFamily:
                     monkeypatch.setattr(ik_engine, "_point_lines", own)
                     want = fam.hns_vand(n, 4, zs, mob) * ring.const(1)
                     monkeypatch.undo()
-                    got, want = (v.e * Fraction(v.n, v.d) for v in (got, want))
                     assert (got.lo, got.shape, got.err) \
                         == (want.lo, want.shape, want.err)
                     assert got == want
@@ -469,14 +467,14 @@ def _vand(pts):
 
 
 def _rational(x):
-    """x with its tower on Fraction leaves, so that a reference divides
-    by it as it is: the tower inverts an int leaf only as a unit, and a
-    `Scaled` divisor's int leading leaf must divide the others."""
-    if not isinstance(x, Scaled) or not isinstance(x.e, Series):
+    """x with its pair taken into Fraction leaves, so that a reference
+    divides by it as it is: an exact divisor's int leading leaf must
+    divide the others, and the tower inverts an int leaf only as a
+    unit."""
+    if not isinstance(x, Series):
         return x
-    e = x.e
-    return Scaled(x.n, Series(e.ring, e.lo, e.shape,
-                              [Fraction(c) for c in e.coeffs], e.err), x.d)
+    return Series(x.ring, x.lo, x.shape,
+                  [Fraction(x.n * c, x.d) for c in x.coeffs], x.err)
 
 
 def _draw_tower_points(data, fam):
@@ -497,8 +495,8 @@ def _draw_tower_points(data, fam):
     ring, atoms = build_tower([(f"e{j}", p) for j, p in enumerate(precs)])
     zs = []
     for j in range(s):
-        eps = Scaled(data.draw(st.sampled_from([1, 2, Fraction(1, 3)])),
-                     atoms[f"e{j}"])
+        eps = data.draw(st.sampled_from([1, 2, Fraction(1, 3)])) \
+            * atoms[f"e{j}"]
         zs.append(1 / eps if data.draw(st.booleans())
                   else eps + data.draw(centres))
     return s, n, mob, ring, zs

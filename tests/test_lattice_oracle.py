@@ -22,12 +22,11 @@ from dwbc.lattice_oracle import (
     psi_bot,
     psi_top,
     row_config_probability,
-    row_state_weights,
 )
 from dwbc.lattice_oracle import region_state_weights
 from dwbc.trig import NumericTriple, homogeneous_abc
 
-from row_configs import all_row_configs
+from row_configs import all_row_configs, row_state_weights
 
 
 def rand_triple(rng):
