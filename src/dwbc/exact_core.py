@@ -83,11 +83,21 @@ lookup.
 `residue_drive` is the one residue path: every integrand is a `build`
 function returning a tower element or a pair (A, B) whose product it
 is, over the shifted variables in integration order; it extracts the
-iterated residue, widening the windows when they run out.  The residue
-of A*B is one dot product of A's box against B's reversed box, so the
-product is never formed, and it raises what the residue of the formed
-product would: PrecisionLoss for a pairing past a window, OrderExceeded
-for a definitely nonzero coefficient below a level's pole-order bound.
+iterated residue, widening the windows when they run out.  `_contract`
+is its one extractor, and there is no product path: the residue of A*B
+is one dot product of A's box against B's reversed box, so the product
+is never formed.  Level by level it raises PrecisionLoss for a pairing
+past a window.  A*B is formed only at a level whose pole-order bound b
+the product's low does not certify (a low below -b): there the slice
+of A*B at eps^-1 in the levels before is read from its box, and a
+nonzero leaf below -b raises OrderExceeded, a low part of zeros over
+an inexact deeper level PrecisionLoss.
+
+Who still calls the generic `Series` sums and products:
+`psi_top_mir_coordinate`'s pair products; the trace (the `efp_reps`
+builders, `y_side`, `ik_engine.cantini_P_vand`); the ortho routes
+(`hankel_orthopoly.sin_taylor`, `build_f`, `_det_pairing`); and
+`hns_vand`, by numbers only.  Every other route runs on the kernels.
 
 The determinants the integrands multiply in (h_{N,s} times a
 Vandermonde, the rows of P_s) are separable: each column depends on one
@@ -124,8 +134,7 @@ from itertools import combinations, compress, permutations, product
 from operator import add, lt, mul, neg, sub
 
 from .errors import OrderExceeded, PrecisionLoss, ZeroDenominator
-from .rational import (ExactPoly, _horner, _perm_sign,  # noqa: F401
-                       as_fraction, format_rational, parse_rational)
+from .rational import _perm_sign, as_fraction
 
 INF = math.inf
 
@@ -166,24 +175,15 @@ def _ratio(v):
 
 class Tower:
     """The ring of an L-level tower: level j is the variable names[j],
-    whose quotients keep precs[j] coefficients past their valuation.
-    `inner` is the tower of levels 1.., where a coefficient in the
-    level-0 variable lives.  A tower of no levels has numbers as its
-    elements."""
+    whose quotients keep precs[j] coefficients past their valuation.  A
+    tower of no levels has numbers as its elements."""
 
-    __slots__ = ("names", "precs", "_inner")
+    __slots__ = ("names", "precs")
 
     def __init__(self, names, precs):
         if min(precs, default=1) < 1:
             raise ValueError("prec must be >= 1")
         self.names, self.precs = tuple(names), tuple(precs)
-        self._inner = None
-
-    @property
-    def inner(self):
-        if self._inner is None:
-            self._inner = Tower(self.names[1:], self.precs[1:])
-        return self._inner
 
     def laurent(self, level, lo, coeffs, err=INF):
         """sum_m coeffs[m] x^(lo + m) + O(x^err) for x the variable of
@@ -235,9 +235,6 @@ class Tower:
     def zero(self):
         L = len(self.precs)
         return Series(self, (INF,) * L, (0,) * L, [], (INF,) * L)
-
-    def __repr__(self):
-        return f"Tower[[{', '.join(self.names)}]]/prec={self.precs}"
 
 
 # The plan store: what an operation works out from the boxes of its
@@ -491,15 +488,6 @@ class Series:
         return (f"Series({self.n}/{self.d}, lo={self.lo}, shape={self.shape}"
                 f", coeffs={self.coeffs!r}, err={self.err})")
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        x = self - other
-        return not (x.n and x.coeffs)
-
-    __hash__ = None
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -675,59 +663,6 @@ class Series:
         Its window is prec coefficients past its valuation, or fewer
         when self knows fewer."""
         return self.ring.const(1) / self
-
-    # -- extraction ---------------------------------------------------------
-
-    def coefficient(self, k: int):
-        """Coefficient of x^k, x the level-0 variable: n leaf / d on a
-        one-level tower (the leaf itself where the pair is 1/1), else an
-        element of the tower of the inner levels.  Raises PrecisionLoss
-        past the window."""
-        if k >= self.err[0]:
-            raise PrecisionLoss(
-                f"coefficient {self.ring.names[0]}^{k} beyond window "
-                f"O(^{self.err[0]})")
-        lo, n = self.lo[0], self.shape[0]
-        if len(self.lo) == 1:
-            if self.coeffs and lo <= k < lo + n:
-                c = self.coeffs[k - lo]
-                if self.n == self.d == 1:
-                    return c
-                return _exact(self.n * c, self.d)
-            return 0
-        inner = self.ring.inner
-        if k < lo:
-            return inner.zero()
-        if not self.coeffs or k >= lo + n:
-            return _empty(inner, self.lo[1:], self.err[1:])
-        st = len(self.coeffs) // n
-        i = (k - lo) * st
-        return _trim(inner, self.lo[1:], self.shape[1:],
-                     self.coeffs[i:i + st], self.err[1:], self.n, self.d)
-
-    def residue(self, order_bound=None):
-        """Coefficient of x^(-1), x the level-0 variable.
-
-        If `order_bound` is given, a nonzero coefficient below
-        x^(-order_bound) raises OrderExceeded (the stated pole order was
-        wrong, which in this package means an implementation bug).  A
-        below-bound slice that is merely *unknown* to be zero (zero
-        leaves, but inexact deeper levels) raises PrecisionLoss instead,
-        so drivers retry with a wider tower.
-        """
-        lo, var = self.lo[0], self.ring.names[0]
-        if order_bound is not None and self.n and self.coeffs \
-                and lo < -order_bound:
-            st = len(self.coeffs) // self.shape[0]
-            low = self.coeffs[:min(self.shape[0], -order_bound - lo) * st]
-            if any(low):
-                first = lo + next(i for i, x in enumerate(low) if x) // st
-                raise OrderExceeded(
-                    f"pole order {-first} in {var} exceeds bound {order_bound}")
-            if any(e != INF for e in self.err[1:]):
-                raise PrecisionLoss(f"cannot certify pole order bound "
-                                    f"{order_bound} in {var} (window exhausted)")
-        return self.coefficient(-1)
 
 
 def _product_box(a, b):
@@ -1035,10 +970,9 @@ def iterated_residue(integrand, order_bounds=None):
     value as a numerator and an integer denominator.
 
     `order_bounds` optionally gives the pole-order bound per level.
-    Each level raises what `Series.residue(bound)` on the formed product
-    would: OrderExceeded for a definitely nonzero coefficient below the
-    bound, PrecisionLoss for one only not known to vanish or when
-    x^(-1) lies past the product's window.
+    Each level raises OrderExceeded for a definitely nonzero coefficient
+    below the bound, PrecisionLoss for one only not known to vanish or
+    when x^(-1) lies past the product's window (`_contract`).
     """
     return _exact(*_residue(integrand, order_bounds))
 
@@ -1056,40 +990,45 @@ def _residue(integrand, order_bounds=None):
     return a.n * b.n * _contract(a, b, list(order_bounds or ())), a.d * b.d
 
 
-def _walk(x, bounds):
-    """Series.residue level by level, the product path."""
-    level = 0
-    while isinstance(x, Series):
-        x = x.residue(bounds[level] if level < len(bounds) else None)
-        level += 1
-    return x
-
-
 def _contract(a, b, bounds):
-    """The residue of the leaves of a * b, level by level as `_walk` on
-    the formed product would take it, by one dot product.  A level whose
-    bound the lows of the pair do not certify is left to `_walk` on the
-    product's leaves, which forms the slices below the bound and checks
-    them."""
-    ring, L = a.ring, len(a.lo)
-    bounds = bounds + [None] * (L - len(bounds))
+    """The residue of the leaves of a * b, level by level, by one dot
+    product.  At a level whose bound the product's low does not certify,
+    a * b is formed and its slice at eps^-1 in the levels before is read
+    from its box, if that slice has leaves (at level 0 the whole box; a
+    deeper slice only with a nonzero leaf, as a formed slice is
+    trimmed): a nonzero leaf below the bound raises OrderExceeded, and a
+    low part of zeros over an inexact deeper level PrecisionLoss, being
+    only not known to vanish."""
+    names = a.ring.names
     lo, err, shape = _product_box(a, b)
-    if shape is None:
-        return _walk(_empty(ring, lo, err), bounds)
-    sub = ring
-    for j in range(L):
-        if bounds[j] is not None and lo[j] < -bounds[j]:
-            return _walk((a * b)._with(1, 1), bounds)
-        if -1 >= err[j]:
+    live, at, p = shape is not None, 0, None
+    st = _strides(shape) if live else ()
+    for j, (l, e) in enumerate(zip(lo, err)):
+        bound = bounds[j] if j < len(bounds) else None
+        if live and bound is not None and l < -bound:
+            if p is None:
+                p = (a * b).coeffs
+            part = p[at:at + (st[j - 1] if j else len(p))]
+            if not j or any(part):
+                low = part[:min(shape[j], -bound - l) * st[j]]
+                if any(low):
+                    i = next(i for i, x in enumerate(low) if x)
+                    raise OrderExceeded(f"pole order {-l - i // st[j]} in "
+                                        f"{names[j]} exceeds bound {bound}")
+                if any(x != INF for x in err[j + 1:]):
+                    raise PrecisionLoss(
+                        f"cannot certify pole order bound {bound} in "
+                        f"{names[j]} (window exhausted)")
+        if -1 >= e:
             raise PrecisionLoss(
-                f"coefficient {ring.names[j]}^-1 beyond window O(^{err[j]})")
-        if -1 < lo[j] or (-1 >= lo[j] + shape[j] and j == L - 1):
+                f"coefficient {names[j]}^-1 beyond window O(^{e})")
+        if -1 < l:
             return 0
-        if -1 >= lo[j] + shape[j]:
-            return _walk(_empty(sub.inner, lo[j + 1:], err[j + 1:]),
-                         bounds[j + 1:])
-        if j < L - 1:
-            sub = sub.inner
+        if live:
+            live = -1 < l + shape[j]
+            at += (-1 - l) * st[j]
+    if not live:
+        return 0
     # the overlap of A's box with the reflection of B's, per level
     alo = [max(la, -lb - n) for la, lb, n in zip(a.lo, b.lo, b.shape)]
     ahi = [min(la + m, -lb) for la, m, lb in zip(a.lo, a.shape, b.lo)]

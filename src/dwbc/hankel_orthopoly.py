@@ -46,10 +46,11 @@ import math
 
 from .errors import (DegenerateHankel, NearDegenerate, Singular,
                      TruncationInsufficient)
-from .exact_core import (_horner, _pmul, _ppowers, build_tower,
-                         iterated_residue, poly_det)
+from .exact_core import (_pmul, _ppowers, build_tower, iterated_residue,
+                         poly_det)
 from .ik_numeric import phi_derivatives
 from .lattice_oracle import EfpQuery, RowConfig, enumerate_Z
+from .rational import _horner
 from .trig import (DEGENERACY_TOL, NumericTriple, homogeneous_abc, sin_cos,
                    sin_ratio)
 
@@ -112,9 +113,8 @@ def build_ortho_family(N, lam, eta) -> OrthoFamily:
 
 def sin_taylor(eps, shift, order):
     """Taylor of sin(eps + shift) around eps = 0 on the tower."""
-    ring = eps.ring
     s, c = sin_cos(shift)
-    acc = ring.const(s)
+    acc = eps.ring.const(s)
     term = eps
     for k in range(1, order + 1):
         coef = c if k % 2 == 1 else s

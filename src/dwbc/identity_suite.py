@@ -20,14 +20,14 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import SamplePoleHit
-from .exact_core import _pmul, format_rational, poly_det
+from .exact_core import _pmul, poly_det
 from .ik_engine import (cantini_P_confluent, cantini_W_value, family,
                         psi_kernel)
 from .ik_numeric import (_crossed_params, _nested_exclusion, ik_determinant,
                          psi_bot_sum, psi_top_sum)
 from .lattice_oracle import (EfpQuery, Record, RowConfig, WeightTriple,
                              enumerate_Z, psi_bot, psi_top)
-from .rational import _perm_sign
+from .rational import _perm_sign, format_rational
 from .trig import TrigParams, a_fn, b_fn, c_fn, d_fn, e_fn
 
 NUMERIC_TOL = 1e-8

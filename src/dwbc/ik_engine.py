@@ -68,12 +68,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegeneratePoints, InvalidRegion, PoleCollision
-from .exact_core import (_content, _factor_parts, _horner, _minor, _over,
-                         _pack, _packed_line, _padd, _pair_divide, _plin,
-                         _pmul, _point_line, _ppowers, _tower_point,
-                         _trimmed, line_det, poly_det)
+from .exact_core import (_content, _factor_parts, _minor, _over, _pack,
+                         _packed_line, _padd, _pair_divide, _plin, _pmul,
+                         _point_line, _ppowers, _tower_point, _trimmed,
+                         line_det, poly_det)
 from .lattice_oracle import WeightTriple, _frozen_cuts
-from .rational import ExactPoly
+from .rational import ExactPoly, _horner
 # unused here: perfbench/workloads.py reads these as attributes of this
 # module
 from .trig import NumericTriple, TrigParams, homogeneous_abc  # noqa: F401

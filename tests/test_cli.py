@@ -642,6 +642,31 @@ class TestImportBudget:
         assert not (_NEVER | banned) & set(record["modules"])
 
 
+# Installs the layer tracer of perfbench/ (its directory in argv[1]),
+# which binds some names of the package by attribute.
+_TRACER_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from tracer import Tracer, install
+    install(Tracer())
+""")
+
+
+class TestTracerBindings:
+    def test_tracer_installs(self):
+        # the tracer rebinds Series.inverse and Series.__mul__,
+        # BoundaryGenFamily.h, hns_poly and hns_value, and build_tower:
+        # removing one of them fails here, not only in a traced run
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = {k: v for k, v in os.environ.items() if k != "DWBC_MAX_N"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dwbc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACER_CHILD,
+             os.path.join(os.path.dirname(here), "perfbench")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
 # Binary fractions: l - nu + eta and l - nu - eta are exact in floats,
 # so the draws hit the exact zeros of the a and b weights
 _EIGHTHS = st.sampled_from([k / 8 for k in range(-4, 13)])

@@ -11,19 +11,18 @@ from hypothesis import strategies as st
 from dwbc import exact_core
 from dwbc.errors import OrderExceeded, PrecisionLoss, ZeroDenominator
 from dwbc.exact_core import (
-    ExactPoly,
     Series,
     build_tower,
-    format_rational,
     _packed_line,
     _point_line,
     iterated_residue,
     line_det,
-    parse_rational,
     poly_det,
     residue_drive,
 )
 from dwbc.ik_engine import _pair_quotient, complete_homogeneous
+from dwbc.rational import ExactPoly, format_rational, parse_rational
+from tower_reference import agree, coefficient, inner, same, walk
 
 
 def approx_eq(x, y):
@@ -50,15 +49,15 @@ class TestSeriesExpand:
     def test_geometric(self):
         ring, atoms = build_tower([("z", 4)])
         s = 1 / (1 - atoms["z"])
-        assert [s.coefficient(k) for k in range(4)] == [1, 1, 1, 1]
+        assert [coefficient(s, k) for k in range(4)] == [1, 1, 1, 1]
         ring, atoms = build_tower([("z", 6)])
-        assert (1 / (1 - atoms["z"])).coefficient(5) == 1
+        assert coefficient(1 / (1 - atoms["z"]), 5) == 1
 
     def test_simple_pole(self):
         ring, atoms = build_tower([("z", 2)])
         s = 1 / atoms["z"]
         assert s.lo == (-1,) and s.coeffs == [1]
-        assert s.coefficient(0) == 0
+        assert coefficient(s, 0) == 0
 
     def test_shifted_pole_leading_coefficient(self):
         # (t^2 z - 2 D t + 1)/(t^2 (z-1)) at D=0, t=1 about z=1
@@ -66,7 +65,7 @@ class TestSeriesExpand:
         z = atoms["z"] + 1
         t, d = Fraction(1), Fraction(0)
         f = (t**2 * z - 2 * d * t + 1) / (t**2 * (z - 1))
-        assert f.lo == (-1,) and f.coefficient(-1) == 2
+        assert f.lo == (-1,) and coefficient(f, -1) == 2
 
     def test_out_of_range(self):
         # a coefficient past the tracked window is unknown, not zero
@@ -74,8 +73,8 @@ class TestSeriesExpand:
         s = 1 / (1 - atoms["z"])
         assert s.err == (3,)
         with pytest.raises(PrecisionLoss):
-            s.coefficient(5)
-        assert (atoms["z"] ** 2).coefficient(1) == 0
+            coefficient(s, 5)
+        assert coefficient(atoms["z"] ** 2, 1) == 0
 
     def test_zero_denominator(self):
         ring, atoms = build_tower([("z", 3)])
@@ -97,7 +96,7 @@ class TestSeriesExpand:
         z = atoms["z"]
         with pytest.raises(TypeError):
             z ** 0.5
-        c = (z + 0.25).coefficient(0)
+        c = coefficient(z + 0.25, 0)
         assert isinstance(c, Fraction) and c == Fraction(1, 4)
 
 
@@ -147,7 +146,7 @@ class TestJointResidue:
         from dwbc.lattice_oracle import ICE_POINT
         h3 = family(ICE_POINT).h(3)
         ring, atoms = build_tower([("z", 3)])
-        assert h3.eval(atoms["z"]).coefficient(0) == Fraction(2, 7)
+        assert coefficient(h3.eval(atoms["z"]), 0) == Fraction(2, 7)
 
     def test_permutation_invariance_symmetric_integrand(self):
         # h_{N,s}-weighted symmetric integrand: order of extraction is free
@@ -166,16 +165,6 @@ class TestJointResidue:
         r1 = residue_drive(specs, lambda vs, ring: build(*vs))
         r2 = residue_drive(specs, lambda vs, ring: build(*vs[::-1]))
         assert r1 == r2
-
-
-def _product_residue(x, bounds):
-    """The product path: Series.residue level by level on a formed
-    product."""
-    level = 0
-    while isinstance(x, Series):
-        x = x.residue(None if bounds is None else bounds[level])
-        level += 1
-    return x
 
 
 def _outcome(fn):
@@ -242,7 +231,7 @@ class TestContraction:
         # divisor is a constant times a unit on integer leaves
         zs = [6 * atoms[nm] for nm in names]
         a, b = _element(spec_a, ring, zs), _element(spec_b, ring, zs)
-        want = _outcome(lambda: _product_residue(a * b, bounds))
+        want = _outcome(lambda: walk(a * b, bounds))
         got = _outcome(lambda: iterated_residue((a, b), bounds))
         assert got == want
         assert isinstance(got, type) or isinstance(got, Fraction)
@@ -265,27 +254,30 @@ class TestContraction:
         with pytest.raises(PrecisionLoss):
             iterated_residue(pair, [4])
         with pytest.raises(PrecisionLoss):
-            _product_residue(pair[0] * pair[1], [4])
+            walk(pair[0] * pair[1], [4])
         calls = []
         assert residue_drive(specs, lambda vs, ring: calls.append(1)
                              or build(vs, ring)) == 1
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("pair", [
+    @pytest.mark.parametrize("precs, bounds, pair", [
         # pole order 4 in x against the bound 3
-        lambda x, y: (x ** -3 / (1 - y), x ** -1),
+        ((4, 3), [3, 2], lambda x, y: (x ** -3 / (1 - y), x ** -1)),
         # the x^(-1) coefficient carries y^(-3) against the bound 2
-        lambda x, y: (x ** -2 / (1 - y), x * y ** -3),
-    ])
-    def test_order_exceeded_both_paths(self, pair):
-        ring, atoms = build_tower([("x", 4), ("y", 3)])
-        a, b = pair(atoms["x"], atoms["y"])
+        ((4, 3), [3, 2], lambda x, y: (x ** -2 / (1 - y), x * y ** -3)),
+        # the bound is checked before the window: z^(-1) lies above the
+        # product's box, but z^(-2) is below the bound 0
+        ((1,), [0], lambda z: (1, z ** -2)),
+    ], ids=["x-pole", "y-pole-in-slice", "bound-before-window"])
+    def test_order_exceeded_both_paths(self, precs, bounds, pair):
+        ring, atoms = build_tower(list(zip("xy", precs)))
+        a, b = pair(*atoms.values())
         with pytest.raises(OrderExceeded):
-            iterated_residue((a, b), [3, 2])
+            iterated_residue((a, b), bounds)
         with pytest.raises(OrderExceeded):
-            _product_residue(a * b, [3, 2])
+            walk(a * b, bounds)
         with pytest.raises(OrderExceeded):
-            residue_drive([(0, 3), (0, 2)],
+            residue_drive([(0, bound) for bound in bounds],
                           lambda vs, ring: pair(*vs))
 
     def test_unknown_low_coefficient_is_precision_loss(self):
@@ -295,24 +287,30 @@ class TestContraction:
         ring, atoms = build_tower([("x", 3), ("y", 3)])
         x, y = atoms["x"], atoms["y"]
         unknown = 1 / (1 - y) - 1 / (1 - y)
-        c0 = unknown.coefficient(0)
+        c0 = coefficient(unknown, 0)
         assert not c0.coeffs and c0.err == (3,)
         a, b = x ** -3 * unknown + x ** -1, 1 + x
         for fn in (lambda: iterated_residue((a, b), [2, 1]),
-                   lambda: _product_residue(a * b, [2, 1])):
+                   lambda: walk(a * b, [2, 1])):
             with pytest.raises(PrecisionLoss):
                 fn()
 
-    def test_cancelling_pairs_pass_the_order_check(self):
+    @pytest.mark.parametrize("precs, bounds, pair", [
         # each pair at the y level carries y^(-2), above the bound 1, but
         # the pairs cancel in the x^(-1) coefficient: no error, as for
         # the formed product
-        ring, atoms = build_tower([("x", 3), ("y", 3)])
-        x, y = atoms["x"], atoms["y"]
-        a = (x ** -1 + x ** -2) * y ** -2
-        b = (1 - x) + y ** -1 * x ** 3
-        assert _product_residue(a * b, [2, 1]) == 0
-        assert iterated_residue((a, b), [2, 1]) == 0
+        ((3, 3), [2, 1], lambda x, y: ((x ** -1 + x ** -2) * y ** -2,
+                                       (1 - x) + y ** -1 * x ** 3)),
+        # the x^(-1) slice has no leaves, so its y bound is never checked,
+        # though z is inexact and the product's low in y is below it
+        ((3, 3, 3), [2, 1, 1],
+         lambda x, y, z: (x ** -2 * y ** -3 / (1 - z) + 1, 1)),
+    ], ids=["cancelling-pairs", "empty-slice"])
+    def test_cancelling_pairs_pass_the_order_check(self, precs, bounds, pair):
+        ring, atoms = build_tower(list(zip("xyz", precs)))
+        a, b = pair(*atoms.values())
+        assert walk(a * b, bounds) == 0
+        assert iterated_residue((a, b), bounds) == 0
 
 
 class TestRingHomomorphism:
@@ -327,9 +325,9 @@ class TestRingHomomorphism:
             z = atoms["z"]
             f = num1.eval(z) / den1.eval(z)
             g = num2.eval(z) / den2.eval(z)
-            fg = [(f * g).coefficient(k) for k in range(7)]
-            sf = [f.coefficient(k) for k in range(7)]
-            sg = [g.coefficient(k) for k in range(7)]
+            fg = [coefficient(f * g, k) for k in range(7)]
+            sf = [coefficient(f, k) for k in range(7)]
+            sg = [coefficient(g, k) for k in range(7)]
             prod = [sum(sf[i] * sg[k - i] for i in range(k + 1))
                     for k in range(7)]
             assert fg == prod
@@ -340,8 +338,8 @@ class TestTower:
         # 1/(z2 - z1) with the z1 contour inside the z2 contour
         ring, atoms = build_tower([("z1", 5), ("z2", 5)])
         e = 1 / (atoms["z2"] - atoms["z1"])
-        assert e.coefficient(0).coefficient(-1) == 1
-        assert e.coefficient(1).coefficient(-2) == 1
+        assert coefficient(coefficient(e, 0), -1) == 1
+        assert coefficient(coefficient(e, 1), -2) == 1
 
 
 class TestExactLaurentArithmetic:
@@ -370,7 +368,7 @@ class TestExactLaurentArithmetic:
         assert (inv.n, inv.d, inv.coeffs) == (1, 1, [1, -3, 9, -27])
         assert all(type(c) is int for c in inv.coeffs)
         inv = ring.laurent(0, 0, [-1, 3]).inverse()
-        assert [inv.coefficient(k) for k in range(4)] == [-1, -3, -9, -27]
+        assert [coefficient(inv, k) for k in range(4)] == [-1, -3, -9, -27]
         assert all(type(c) is int for c in inv.coeffs)
         with pytest.raises(ValueError):
             ring.laurent(0, 0, [2, 1]).inverse()
@@ -379,7 +377,7 @@ class TestExactLaurentArithmetic:
         assert (q.n, q.d, q.coeffs) == (1, 2, [1])
         # a Fraction coefficient's denominator goes into the pair
         inv = ring.laurent(0, 0, [Fraction(1, 2), 1]).inverse()
-        assert [inv.coefficient(k) for k in range(4)] == [2, -4, 8, -16]
+        assert [coefficient(inv, k) for k in range(4)] == [2, -4, 8, -16]
         assert all(type(c) is int for c in inv.coeffs)
         assert type(ring.const(Fraction(6, 3)).coeffs[0]) is int
 
@@ -427,7 +425,7 @@ class TestPairRules:
         s = x / 6 + Fraction(1, 4)
         assert (s.n, s.d, s.coeffs) == (1, 12, [3, 2])
         q = (x / 2 + Fraction(1, 3)) / (1 - 2 * x)
-        assert [q.coefficient(k) for k in range(4)] == [
+        assert [coefficient(q, k) for k in range(4)] == [
             Fraction(1, 3), Fraction(7, 6), Fraction(7, 3), Fraction(14, 3)]
         for e in (c, p, s, q, x * 0.5, x / Fraction(-2, 5)):
             assert all(type(v) is int for v in (e.n, e.d, *e.coeffs))
@@ -448,7 +446,7 @@ class TestPairRules:
         q = 1 / (3 * x ** 2)
         assert (q.n, q.d, q.lo, q.coeffs, q.err) \
             == (1, 3, (-2, 0), [1], (math.inf, math.inf))
-        assert q * 3 * x ** 2 == 1
+        assert same(q * 3 * x ** 2, 1)
 
     def test_int_leading_leaves(self):
         ring, _ = build_tower([("x", 4)])
@@ -503,7 +501,7 @@ def _reference_inverse(x):
             raise ZeroDenominator("inverse of the zero series")
         raise PrecisionLoss("inverse of a series with no known terms")
     lo, err = x.lo[0], x.err[0]
-    rows = [x.coefficient(lo + i) for i in range(x.shape[0])]
+    rows = [coefficient(x, lo + i) for i in range(x.shape[0])]
     window = err - lo
     prec = x.ring.precs[0]
     w = prec if window == math.inf else min(int(window), prec)
@@ -516,21 +514,9 @@ def _reference_inverse(x):
         for i in range(1, min(k, len(rows) - 1) + 1):
             term = rows[i] * inv[k - i]
             acc = term if acc is None else acc + term
-        inv.append(-(c0inv * acc) if acc is not None
-                   else (x.ring.inner.zero() if isinstance(c0, Series) else 0))
+        zero = inner(x.ring).zero() if isinstance(c0, Series) else 0
+        inv.append(-(c0inv * acc) if acc is not None else zero)
     return _stack(x.ring, -lo, inv, -lo + w)
-
-
-def _agree(a, b):
-    """a and b have equal coefficients wherever both know them, at
-    every level."""
-    if not isinstance(a, Series):
-        return a == b
-    top = min(a.err[0], b.err[0])
-    exps = ({a.lo[0] + i for i in range(a.shape[0])}
-            | {b.lo[0] + i for i in range(b.shape[0])})
-    return all(_agree(a.coefficient(k), b.coefficient(k))
-               for k in exps if k < top)
 
 
 def _division_outcome(fn):
@@ -595,14 +581,14 @@ class TestDivision:
                 continue
             assert got.err[0] == (num.err[0] - g.lo[0] if monomial
                                   else want.err[0])
-            assert _agree(got, want)
+            assert agree(got, want)
 
     def test_monomial_divisor_is_exact(self):
         # 1/atom is the exact Laurent monomial, on any level of a tower
         ring, atoms = build_tower([("x", 3), ("y", 3)])
         for name in ("x", "y"):
             inv = 1 / atoms[name]
-            assert inv * atoms[name] == 1
+            assert same(inv * atoms[name], 1)
             assert all(e == math.inf for e in inv.err)
         inv = 1 / atoms["y"]
         assert inv.lo == (0, -1) and inv.err == (math.inf, math.inf)
@@ -724,7 +710,7 @@ def _check_line_det(case):
         return
     # the kernel knows fewer coefficients (each line is cut to its
     # level's window), and those it knows are the exact ones
-    assert _agree(got, want)
+    assert agree(got, want)
 
 
 class _Unequal(list):
@@ -1133,7 +1119,7 @@ def _kernel_checks(windows, a, b, divisors, units, check):
             assert (x.lo, x.shape, x.coeffs, x.err) == \
                 (fa.lo, fa.shape, fa.coeffs, fa.err)
             assert Fraction(x.n, x.d) == k * Fraction(fa.n, fa.d)
-            assert x == fa * ring.const(k)
+            assert same(x, fa * ring.const(k))
             if not any(isinstance(c, complex) for c in a.values()):
                 check(x, {e: k * c for e, c in a.items()})
         k0, c0 = next(iter(b.items()))
@@ -1145,7 +1131,7 @@ def _kernel_checks(windows, a, b, divisors, units, check):
             padded = Series(ring, k0, (2,) + (1,) * (L - 1), [c0, 0],
                             (inf,) * L)
             x, y = fa * mono, fa * padded
-            assert (x.lo, x.err) == (y.lo, y.err) and x == y
+            assert (x.lo, x.err) == (y.lo, y.err) and same(x, y)
             check(x, _dict_mul(a, {k0: c0}))
         q2, ref2 = _quotient(fb, b, divisors[0], check)
         for g in divisors:

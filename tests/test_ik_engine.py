@@ -29,6 +29,7 @@ from dwbc.rational import _horner
 from dwbc.lattice_oracle import (RowConfig, WeightMatrix, WeightTriple,
                                  enumerate_Z, psi_bot)
 from dwbc.trig import NumericTriple, TrigParams, homogeneous_abc
+from tower_reference import agree, same
 
 
 def draw_params(rng, n):
@@ -251,7 +252,7 @@ class TestBoundaryFamily:
         assert (got.lo, got.shape, got.err, got.coeffs) \
             == (lists.lo, lists.shape, lists.err, lists.coeffs)
         got, want = (v * ring.const(1) for v in (got, want))
-        assert _agree(got, want)
+        assert agree(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -280,7 +281,7 @@ class TestBoundaryFamily:
         assert (got.lo, got.shape, got.err, got.coeffs) \
             == (lists.lo, lists.shape, lists.err, lists.coeffs)
         got, want = (v * ring.const(1) for v in (got, want))
-        assert _agree(got, want)
+        assert agree(got, want)
         al, be, ga, de = mob
         xs = [Fraction(data.draw(st.integers(1, 9)), 7) for _ in range(s)]
         if all(ga * x + de and _horner(den, x) for x in xs):
@@ -370,7 +371,7 @@ class TestBoundaryFamily:
                     monkeypatch.undo()
                     assert (got.lo, got.shape, got.err) \
                         == (want.lo, want.shape, want.err)
-                    assert got == want
+                    assert same(got, want)
 
     def test_htilde_reversal(self):
         # the reversed family htilde_M(z) = z^(M-1) h_M(1/z) is h_M of the
@@ -574,18 +575,6 @@ def _poly_at(f, poly, pd):
     for m, pw in enumerate(_ppowers(poly, len(f) - 1)):
         out = _padd(out, _pmul(pw, (0, [f[m] * pd ** (len(f) - 1 - m)])))
     return out
-
-
-def _agree(a, b):
-    """a and b have equal coefficients wherever both know them, at
-    every level of their tower."""
-    if not isinstance(a, Series):
-        return a == b
-    top = min(a.err[0], b.err[0])
-    exps = ({a.lo[0] + i for i in range(a.shape[0])}
-            | {b.lo[0] + i for i in range(b.shape[0])})
-    return all(_agree(a.coefficient(k), b.coefficient(k))
-               for k in exps if k < top)
 
 
 def _distinct(rng, count):
